@@ -39,17 +39,17 @@ three names::
 
 :class:`RunConfig` is *the* options object for every layer that runs a
 program -- the CLI, :func:`execute`, :func:`run_three_ways` /
-:func:`run_four_ways`, and service jobs.  The pre-1.1 loose keyword
-arguments (``execute(compiled, num_nodes=4, engine=...)``) still work
-but emit :class:`DeprecationWarning` and will be removed one release
-after 2026.08.  Live instances of :class:`MachineParams`,
-:class:`Tracer`, and fault plans remain first-class keyword overrides.
+:func:`run_four_ways`, and service jobs.  Live instances of
+:class:`MachineParams`, :class:`Tracer`, and fault plans are keyword
+overrides beside it.  The optimizer's heuristic knobs live in
+:class:`OptConfig` (``RunConfig(opt=...)``,
+``compile_source(..., opt=...)``, the ``--opt-*`` CLI flags).
 
-Since 1.2, the optimizer's heuristic knobs live in :class:`OptConfig`
-(``RunConfig(opt=...)``, ``compile_source(..., opt=...)``, the
-``--opt-*`` CLI flags).  The legacy module-level constants
-(``LOOP_FREQUENCY_FACTOR`` and friends) are deprecated read-only
-aliases.
+2.0 removed what 1.x deprecated -- the loose keyword arguments
+(``execute(compiled, num_nodes=4, ...)`` is a ``TypeError``), the
+``LOOP_FREQUENCY_FACTOR``-style module constants -- and the
+closure engine: ``engine`` is ``"codegen"`` (default) or
+``"ast"``.
 """
 
 from repro.comm.costmodel import CommCostModel
@@ -77,7 +77,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ArtifactCache",

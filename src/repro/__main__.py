@@ -59,6 +59,7 @@ from repro.comm.optconfig import BLKMOV_SHAPES, OPT_PRESETS
 from repro.comm.placement import analyze_placement
 from repro.config import RunConfig, opt_from_cli_args
 from repro.earth.faults import PROFILES, plan_from_cli
+from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
 from repro.errors import (
     EXIT_ERROR,
     EXIT_OK,
@@ -149,18 +150,17 @@ def _parse_args(argv):
                         metavar="N",
                         help="abort the run after N interpreted "
                              "statements (infinite-loop guard)")
-    parser.add_argument("--engine", default="closure",
-                        choices=("closure", "ast", "codegen"),
-                        help="execution engine: 'closure' precompiles "
-                             "SIMPLE to bound closures (default), "
-                             "'codegen' emits specialized Python "
-                             "source per function (fastest), "
-                             "'ast' walks the tree (reference)")
+    parser.add_argument("--engine", default=DEFAULT_ENGINE,
+                        choices=ENGINES,
+                        help="execution engine: 'codegen' emits "
+                             "specialized Python source per function "
+                             "(default), 'ast' walks the tree "
+                             "(reference)")
     parser.add_argument("--dump-codegen", default=None, metavar="FUNC",
                         help="print the Python source the codegen "
                              "engine emits for FUNC (or a fallback "
-                             "notice when it delegates FUNC to the "
-                             "closure tier) and continue")
+                             "notice when it leaves FUNC to the AST "
+                             "walker) and continue")
     parser.add_argument("--rcache-capacity", type=int, default=0,
                         metavar="LINES",
                         help="with --run: per-node remote-data cache "
@@ -430,7 +430,7 @@ def _dump_codegen(compiled, name, nodes) -> None:
     engine.function(name)
     source = engine.sources.get(name)
     if source is None:
-        print(f"== codegen: {name} fell back to the closure engine")
+        print(f"== codegen: {name} fell back to the AST walker")
     else:
         print(f"== codegen source: {name} (nodes={nodes})")
         print(source)
@@ -596,8 +596,8 @@ def _submit_main(argv) -> int:
                         help="remote-data cache line size in words")
     parser.add_argument("--no-optimize", action="store_true")
     parser.add_argument("--inline", action="store_true")
-    parser.add_argument("--engine", default="closure",
-                        choices=("closure", "ast", "codegen"))
+    parser.add_argument("--engine", default=DEFAULT_ENGINE,
+                        choices=ENGINES)
     parser.add_argument("--config", default="default")
     parser.add_argument("--params", default="default")
     parser.add_argument("--entry", default="main")
@@ -714,8 +714,8 @@ def _batch_main(argv) -> int:
     parser.add_argument("--kind", default="three-way",
                         choices=("compile", "run", "three-way",
                                  "four-way"))
-    parser.add_argument("--engine", default="closure",
-                        choices=("closure", "ast", "codegen"))
+    parser.add_argument("--engine", default=DEFAULT_ENGINE,
+                        choices=ENGINES)
     parser.add_argument("--small", action="store_true",
                         help="use reduced problem sizes")
     parser.add_argument("--rcache-capacity", type=int, default=0,
@@ -945,10 +945,10 @@ def _loadtest_main(argv) -> int:
                              "--seed)")
     parser.add_argument("--kind", default="run",
                         choices=("compile", "run"))
-    parser.add_argument("--engine", default="closure",
-                        choices=("closure", "ast", "codegen"),
+    parser.add_argument("--engine", default=DEFAULT_ENGINE,
+                        choices=ENGINES,
                         help="execution engine for run jobs "
-                             "(default closure)")
+                             f"(default {DEFAULT_ENGINE})")
     parser.add_argument("--nodes", type=int, default=2)
     parser.add_argument("--small", action="store_true", default=True,
                         help="use reduced problem sizes (default on)")
@@ -1055,9 +1055,9 @@ def _genjobs_main(argv) -> int:
     parser.add_argument("--nodes", default="2,4",
                         help="comma-separated machine sizes to draw "
                              "from (default 2,4)")
-    parser.add_argument("--engines", default="closure",
+    parser.add_argument("--engines", default=DEFAULT_ENGINE,
                         help="comma-separated engine pool (default "
-                             "closure)")
+                             f"{DEFAULT_ENGINE})")
     parser.add_argument("--fault-profiles", default="none",
                         help="comma-separated fault-profile pool; "
                              "'none' is a clean network (default "

@@ -37,37 +37,15 @@ and never export write tuples (a forall may run zero iterations).
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 from repro.analysis.connection import ConnectionInfo
 from repro.comm.optconfig import OptConfig
 from repro.comm.tuples import CommSet, CommTuple
-from repro.errors import ReproDeprecationWarning
 from repro.simple import nodes as s
 
 READ = "read"
 WRITE = "write"
-
-#: Deprecated module constants, kept as read-only aliases of the
-#: :class:`OptConfig` defaults for one release (module ``__getattr__``
-#: below).  Use ``OptConfig().loop_weight`` instead.
-_DEPRECATED_CONSTANTS = {
-    "LOOP_FREQUENCY_FACTOR": ("loop_weight", 10.0),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_CONSTANTS:
-        field, value = _DEPRECATED_CONSTANTS[name]
-        warnings.warn(
-            f"repro.comm.placement.{name} is deprecated; use "
-            f"OptConfig().{field} (repro.comm.optconfig)",
-            ReproDeprecationWarning, stacklevel=2)
-        return value
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 class PlacementResult:
     """Annotations produced by one run over one function."""

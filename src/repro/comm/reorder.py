@@ -27,33 +27,11 @@ observable change is communication cost.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.comm.optconfig import OptConfig
-from repro.errors import ReproDeprecationWarning
 from repro.frontend import ast_nodes as ast
 from repro.frontend.types import PointerType, StructType
-
-#: Deprecated module constants, kept as read-only aliases of the
-#: :class:`OptConfig` defaults for one release (module ``__getattr__``
-#: below).  Use ``OptConfig().loop_weight`` instead.
-_DEPRECATED_CONSTANTS = {
-    "LOOP_WEIGHT": ("loop_weight", 10.0),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_CONSTANTS:
-        field, value = _DEPRECATED_CONSTANTS[name]
-        warnings.warn(
-            f"repro.comm.reorder.{name} is deprecated; use "
-            f"OptConfig().{field} (repro.comm.optconfig)",
-            ReproDeprecationWarning, stacklevel=2)
-        return value
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 class ReorderReport:
     """Per-struct affinity scores and the chosen field orders."""

@@ -32,7 +32,6 @@ blocked writes.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.connection import ConnectionInfo
@@ -41,30 +40,10 @@ from repro.comm.costmodel import CommCostModel
 from repro.comm.optconfig import OptConfig
 from repro.comm.placement import PlacementResult
 from repro.comm.tuples import CommSet, CommTuple, SelectedOp
-from repro.errors import ReproDeprecationWarning, TransformError
+from repro.errors import TransformError
 from repro.frontend.types import StructType
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs, insert_after, insert_before
-
-#: Deprecated module constants, kept as read-only aliases of the
-#: :class:`OptConfig` defaults for one release (module ``__getattr__``
-#: below).  Use ``OptConfig().freq_eps`` instead.
-_DEPRECATED_CONSTANTS = {
-    "FREQ_EPS": ("freq_eps", 1e-9),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_CONSTANTS:
-        field, value = _DEPRECATED_CONSTANTS[name]
-        warnings.warn(
-            f"repro.comm.selection.{name} is deprecated; use "
-            f"OptConfig().{field} (repro.comm.optconfig)",
-            ReproDeprecationWarning, stacklevel=2)
-        return value
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 class SelectionStats:
     """What selection did to one function."""

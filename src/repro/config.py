@@ -35,12 +35,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.comm.optconfig import OptConfig, resolve_opt
 from repro.earth.faults import FaultPlan, plan_from_cli
+from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
 from repro.earth.params import MachineParams
 from repro.errors import ReproError, UsageError
-
-#: Execution engines (mirrors ``repro.earth.interpreter.ENGINES``;
-#: duplicated here so importing a config does not pull the interpreter).
-ENGINES = ("closure", "ast", "codegen")
 
 #: Named machine-parameter presets a serialized config may request
 #: (jobs travel as JSON, so they name a preset instead of carrying a
@@ -71,7 +68,7 @@ class RunConfig:
     shards: int = 1
     entry: str = "main"
     args: Tuple[Union[int, float], ...] = ()
-    engine: str = "closure"
+    engine: str = DEFAULT_ENGINE
     params: str = "default"
     #: Per-node remote-data cache geometry (``repro.earth.rcache``);
     #: capacity 0 disables the cache entirely.
@@ -108,7 +105,7 @@ class RunConfig:
                 f"{self.shards} shard(s): --shards must not exceed "
                 f"the node count")
         if self.engine not in ENGINES:
-            raise ReproError(f"unknown engine {self.engine!r} "
+            raise UsageError(f"unknown engine {self.engine!r} "
                              f"(known: {', '.join(ENGINES)})")
         if self.params not in PARAMS_PRESETS:
             raise ReproError(
@@ -223,7 +220,7 @@ class RunConfig:
                     else opts.shards),
             entry=getattr(opts, "entry", None) or "main",
             args=tuple(args if args is not None else ()),
-            engine=getattr(opts, "engine", None) or "closure",
+            engine=getattr(opts, "engine", None) or DEFAULT_ENGINE,
             params=getattr(opts, "params", None) or "default",
             rcache_capacity=getattr(opts, "rcache_capacity", None) or 0,
             rcache_line_words=getattr(opts, "rcache_line", None) or 16,
@@ -299,5 +296,4 @@ def config_digest(config: RunConfig) -> str:
 
 
 __all__ = ["RunConfig", "OptConfig", "config_digest", "opt_from_cli_args",
-           "ENGINES", "PARAMS_PRESETS", "OPT_CLI_FIELDS",
-           "DEFAULT_MAX_STMTS"]
+           "PARAMS_PRESETS", "OPT_CLI_FIELDS", "DEFAULT_MAX_STMTS"]

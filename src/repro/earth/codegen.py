@@ -1,41 +1,56 @@
 """Textual per-function Python code generation engine ("codegen").
 
-Tier 3 of the engine ladder.  Where the closure engine
-(:mod:`repro.earth.compile`) lowers each SIMPLE function to a tree of
-bound Python closures, this engine goes one step further and *emits
-Python source* for the whole function, compiles it with
-:func:`compile`, and ``exec``\\ s it into a per-function namespace:
+The compiled engine, and the default.  The AST walker
+(:class:`~repro.earth.interpreter.Interpreter`) repeats per-statement
+analysis on every dynamic execution: ``isinstance`` dispatch over node
+classes, :func:`basic_uses` set construction, ``variables``/``globals``
+dict lookups, field-path resolution, operator selection.  This engine
+pays all of that once per function: it *emits Python source* for the
+whole function, compiles it with :func:`compile`, and ``exec``\\ s it
+into a per-function namespace:
 
 * frame variables become Python locals (``x`` -> ``v_x``), so variable
   access is a fast-local load instead of a dict operation;
 * maximal runs of purely-local statements become straight-line code
   under a single batched budget update and one ``("busy", total)``
-  yield -- no per-statement closure calls at all;
+  yield;
 * ``yield`` survives only at genuine split-phase points: remote loads
   and stores, sync-slot waits, ``malloc``, ``blkmov``, shared-variable
   operations, placed invocations (spawn + result wait), calls
   (``yield from`` into the callee), and par/forall spawn + join;
 * field offsets, operand readers, binop/coercion selection, global
-  addresses and constant busy costs are resolved at codegen time
-  exactly as the closure compiler resolves them, and coercions are
-  elided where the operand's type already guarantees the
+  addresses and constant busy costs are resolved at codegen time, and
+  coercions are elided where the operand's type already guarantees the
   representation (e.g. ``int(x)`` on a value that is provably an
   ``int``).
 
-The engine is *bit-identical* to the closure and AST engines: values,
-``MachineStats``, ``time_ns`` and traces all match, including under
-fault plans and with the remote-data cache enabled.  The machine
-action vocabulary and sync-wait ordering are replicated exactly; the
-only accepted divergence is the one the closure engine already has
-(the statement budget is charged per fused block).
+The generator protocol and the ``Machine`` action vocabulary (``busy``
+/ ``issue`` / ``wait`` / ``spawn`` / ``fulfill``) are the walker's, so
+tracing, statistics and the causality model are untouched, and the
+engine is *bit-identical* to it: values, ``MachineStats``, ``time_ns``
+and traces all match, including under fault plans and with the
+remote-data cache enabled.  Every machine parameter is a multiple of
+0.5 ns, so float summation is exact and coalescing ``busy`` amounts
+cannot change ``time_ns``.  Sync-wait ordering is replicated exactly:
+the generator builds the same name sets the walker's ``_sync_uses``
+builds at run time, sorted the same way, and filters them down to the
+names that can ever hold a pending
+:class:`~repro.earth.machine.Slot`.
+
+Known (accepted) divergence: the statement budget is charged per fused
+block, so a run that exhausts ``max_stmts`` may abort a few statements
+earlier than the walker would.  Both raise the same
+``InterpreterError`` for any program whose total statement count
+reaches the budget; completing runs are unaffected.
 
 Anything the generator cannot prove it can emit faithfully -- a
 dynamically shadowed global, a name that is not a Python identifier,
 an unknown variable or callee, a non-finite float constant -- makes
-the *whole function* fall back to the closure engine (which in turn
-may delegate single statements to the AST engine).  Fallback is
-per-function, never whole-program; generated and closure-compiled
-functions call each other freely through the shared engine cells.
+the *whole function* fall back to the walker
+(:class:`~repro.earth.interpreter.WalkedFunction`), which keeps error
+behaviour authoritative.  Fallback is per-function, never
+whole-program; generated and walked functions call each other through
+the shared engine cells.
 
 Debugging: the emitted source of every generated function is kept in
 ``CodegenEngine.sources`` and can be printed with the CLI's
@@ -46,30 +61,25 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.earth.compile import (
-    ClosureEngine,
-    _FunctionCompiler,
-    _Uncompilable,
-    _char_coerce,
-    _coerce_fn,
-    _zero_of,
-    _op_div,
-    _op_mod,
-)
 from repro.earth.interpreter import (
     _MATH_BUILTINS,
     _MATH_COST_NS,
+    Interpreter,
     SharedCell,
+    WalkedFunction,
+    _c_div,
     _c_int,
+    _c_mod,
     _normalize_word,
 )
 from repro.earth.machine import Fiber, JoinCounter, Slot
 from repro.earth.memory import FILLER, NODE_SPAN
 from repro.errors import InterpreterError, MemoryFault
-from repro.frontend.types import PointerType, ScalarType, StructType
+from repro.frontend.types import PointerType, ScalarType, StructType, Type
 from repro.simple import nodes as s
+from repro.simple.traversal import basic_uses
 
 #: Compiled code objects keyed by emitted source text.  The source
 #: bakes in everything static about a run (statement labels, busy
@@ -82,11 +92,62 @@ _CODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
 _CODE_CACHE_LIMIT = 512
 
 
+class _Uncompilable(Exception):
+    """Internal: this function cannot be emitted faithfully; run it on
+    the walker."""
+
+
+# ---------------------------------------------------------------------------
+# Operator and coercion selection (semantics of
+# ``interpreter._apply_binop`` / ``Interpreter._coerce``, one callable
+# per case so emitted code names exactly the one it needs).
+# ---------------------------------------------------------------------------
+
+
+def _op_div(left, right):
+    if right == 0:
+        raise InterpreterError("division by zero")
+    if isinstance(left, float) or isinstance(right, float):
+        return left / right
+    return _c_div(left, right)
+
+
+def _op_mod(left, right):
+    if right == 0:
+        raise InterpreterError("modulo by zero")
+    return _c_mod(int(left), int(right))
+
+
+def _char_coerce(value):
+    return _c_int(value) & 0xFF
+
+
+_KIND_COERCE: Dict[str, Callable] = {
+    "int": _c_int,
+    "char": _char_coerce,
+    "float": float,
+    "double": float,
+}
+
+
+def _coerce_fn(type: Optional[Type]) -> Optional[Callable]:
+    """The coercion callable for a declared type (``None`` = identity);
+    mirrors ``Interpreter._coerce``."""
+    if isinstance(type, ScalarType):
+        return _KIND_COERCE.get(type.kind)
+    if isinstance(type, PointerType):
+        return int
+    return None
+
+
+_zero_of = Interpreter._zero_of
+
+
 # ---------------------------------------------------------------------------
 # Runtime helpers referenced by emitted code (installed in every
 # generated function's namespace).  Each mirrors one runtime check or
-# action-payload construction of the closure engine, with identical
-# error messages.
+# action-payload construction of the walker, with identical error
+# messages.
 # ---------------------------------------------------------------------------
 
 
@@ -125,7 +186,7 @@ def _shchk(cell, name):
 
 
 def _faddr(base, offset):
-    """``&(p->field)`` with the nil check of the closure engine."""
+    """``&(p->field)`` with the walker's nil check."""
     if base == 0:
         raise MemoryFault("&(nil->field)")
     return base + offset
@@ -201,7 +262,7 @@ def _make_shared_factories():
 def _make_move_factory(memory, stats, strict, words, src_is_ptr,
                        dst_is_ptr, lazy):
     """Per-blkmov-statement ``_mk_mvN(src, dst, node, slot)`` factory;
-    the body is the closure engine's blkmov lowering verbatim: the
+    the body is the walker's ``_exec_blkmov`` lowering: the
     endpoint/remote-node classification, the push-side issue-time
     snapshot, the pull-side ``slot.post`` destination write, and the
     lazy whole-buffer tail snapshot.  Returns ``(remote_node, do_op,
@@ -324,10 +385,9 @@ _BITOPS = ("&", "|", "^", "<<", ">>")
 
 
 class GeneratedFunction:
-    """One SIMPLE function lowered to emitted Python source.  Duck-
-    compatible with :class:`~repro.earth.compile.CompiledFunction`:
-    callers only need ``.invoke`` (and the engine cells hold either
-    kind interchangeably)."""
+    """One SIMPLE function lowered to emitted Python source.  Callers
+    only need ``.invoke`` -- the engine cells hold these and
+    :class:`~repro.earth.interpreter.WalkedFunction` interchangeably."""
 
     __slots__ = ("name", "function", "invoke", "source")
 
@@ -338,21 +398,34 @@ class GeneratedFunction:
         self.source = source
 
 
-class CodegenEngine(ClosureEngine):
-    """Tier-3 engine: per-function textual codegen with per-function
-    fallback to the closure tier.  Shares the cell/compiled machinery
-    with :class:`ClosureEngine`, so generated and closure-compiled
-    functions interoperate transparently."""
+class CodegenEngine:
+    """Generates the functions of one ``(program, machine)`` pair
+    lazily and caches the results, with per-function fallback to the
+    walker.  Owned by one :class:`Interpreter`."""
 
-    __slots__ = ("sources", "fallbacks")
+    __slots__ = ("interp", "program", "machine", "compiled", "_cells",
+                 "sources", "fallbacks")
 
-    def __init__(self, interp):
-        super().__init__(interp)
+    def __init__(self, interp: Interpreter):
+        self.interp = interp
+        self.program = interp.program
+        self.machine = interp.machine
+        self.compiled: Dict[str, object] = {}
+        # Call sites bind a one-element cell per callee so mutually
+        # recursive functions can reference each other before they are
+        # generated; the cell is filled on first generation.
+        self._cells: Dict[str, list] = {}
         # Emitted source per generated function (for --dump-codegen
         # and the golden-snapshot test).
         self.sources: Dict[str, str] = {}
-        # Functions that fell back to the closure tier.
+        # Functions that fell back to the walker.
         self.fallbacks: Set[str] = set()
+
+    def cell(self, name: str) -> list:
+        cell = self._cells.get(name)
+        if cell is None:
+            cell = self._cells[name] = [None]
+        return cell
 
     def function(self, name: str):
         compiled = self.compiled.get(name)
@@ -362,16 +435,14 @@ class CodegenEngine(ClosureEngine):
                 raise InterpreterError(
                     f"call to unknown function {name!r}")
             try:
-                generated = _CodeGenerator(self, func).generate()
+                compiled = _CodeGenerator(self, func).generate()
             except Exception:
-                # Whole-function fallback: the closure tier (which may
-                # itself delegate single statements to the AST engine)
-                # is authoritative for anything codegen cannot prove.
+                # Whole-function fallback: the walker is authoritative
+                # for anything codegen cannot prove.
                 self.fallbacks.add(name)
-                compiled = _FunctionCompiler(self, func).compile()
+                compiled = WalkedFunction(self.interp, func)
             else:
-                self.sources[name] = generated.source
-                compiled = generated
+                self.sources[name] = compiled.source
             self.compiled[name] = compiled
             self.cell(name)[0] = compiled
         return compiled
@@ -397,32 +468,96 @@ class _EmitCtx:
         self.err = err        # par/forall: error message
 
 
-class _CodeGenerator(_FunctionCompiler):
+class _CodeGenerator:
     """Emits one Python generator function (``invoke``) per SIMPLE
-    function.  Inherits the closure compiler's static analyses
-    (slot-capable names, sync-entry construction, variable lookup) so
-    wait ordering is identical by construction.
-
-    Statement emitters are named ``_gen_*`` (not ``_compile_*``) so
-    test monkeypatching of either tier's lowering stays independent:
-    patching ``_FunctionCompiler._compile_*`` exercises
-    closure->AST delegation, patching ``_CodeGenerator._gen_*``
-    exercises codegen->closure fallback.
-    """
+    function."""
 
     def __init__(self, engine: CodegenEngine, func: s.SimpleFunction):
-        super().__init__(engine, func)
+        self.engine = engine
+        self.interp = engine.interp
+        self.program = engine.program
+        self.machine = engine.machine
+        self.memory = engine.machine.memory
+        self.stats = engine.machine.stats
+        self.params = engine.machine.params
+        self.tracer = engine.machine.tracer
+        self.func = func
+        self.local_ns = self.params.local_stmt_ns
+        self._budget_msg = (
+            f"statement budget exhausted ({self.interp.max_stmts}); "
+            f"probable infinite loop")
+        self.slotcap = self._slot_capable_names(func)
+        # Slot-capable names NOT declared in the function live in frames
+        # only transiently (dynamic shadowing of a global); those need
+        # the walker's frame-first lookup.
+        self.shadowed = self.slotcap - set(func.variables)
         self.lines: List[str] = []
         self.indent = 0
         self._tmp = 0
         self._defn = 0
-        self.tracer = self.machine.tracer
         # Stack of per-def assigned-name sets (for nonlocal in par
         # branches; forall iteration defs discard theirs -- captured
         # names are parameters there).
         self._assigned: List[Set[str]] = [set()]
         self.ns: Dict[str, object] = {}
-        self._ns_ready = False
+
+    # -- static analyses -----------------------------------------------------
+
+    @staticmethod
+    def _slot_capable_names(func: s.SimpleFunction) -> set:
+        """Names that can ever hold a pending Slot in a frame of this
+        function: split-phase remote reads into a plain variable, and
+        lazily-filled whole-buffer blkmov destinations."""
+        names = set()
+        for stmt in func.body.walk():
+            if isinstance(stmt, s.AssignStmt) and stmt.split_phase \
+                    and isinstance(stmt.lhs, s.VarLV) \
+                    and isinstance(stmt.rhs, (s.FieldReadRhs,
+                                              s.DerefReadRhs,
+                                              s.IndexReadRhs)) \
+                    and stmt.rhs.remote:
+                names.add(stmt.lhs.name)
+            elif isinstance(stmt, s.BlkmovStmt) and stmt.split_phase \
+                    and stmt.dst[0] == "local" and stmt.dst[2] == 0:
+                names.add(stmt.dst[1])
+        return names
+
+    def _sync_entries_for_basic(self, stmt: s.BasicStmt):
+        # Build the SAME names, via the same mutations, as the walker's
+        # ``_sync_uses``, then sort: ``basic_uses`` returns a
+        # hash-ordered set, and wait order must not depend on the
+        # process's hash seed (it is observable through simulated time
+        # whenever two slots are pending at once).
+        names = basic_uses(stmt)
+        if isinstance(stmt, s.AssignStmt) and \
+                isinstance(stmt.lhs, s.StructFieldWriteLV):
+            names = set(names)
+            names.add(stmt.lhs.struct_var)
+        if isinstance(stmt, s.BlkmovStmt) and stmt.dst[0] == "local":
+            names = set(names)
+            names.add(stmt.dst[1])
+        return self._sync_entries(sorted(names))
+
+    def _sync_entries(self, names):
+        """Filter to slot-capable names, preserving iteration order;
+        attach the coercion the walker would apply on delivery."""
+        entries = []
+        variables = self.func.variables
+        for name in names:
+            if name not in self.slotcap:
+                continue
+            var = variables.get(name)
+            coerce = _coerce_fn(var.type) if var is not None else None
+            entries.append((name, coerce))
+        return tuple(entries)
+
+    def _lookup_type(self, name: str) -> Type:
+        var = self.func.variables.get(name)
+        if var is None:
+            var = self.program.globals.get(name)
+        if var is None:
+            raise _Uncompilable(name)
+        return var.type
 
     # -- small emission helpers --------------------------------------------
 
@@ -511,7 +646,7 @@ class _CodeGenerator(_FunctionCompiler):
         func = self.func
         if self.shadowed:
             # Dynamically shadowed globals need frame-first checks that
-            # Python locals cannot express; let the closure tier do it.
+            # Python locals cannot express; let the walker do it.
             raise _Uncompilable("shadowed globals")
         for name in func.variables:
             if not name.isidentifier():
@@ -574,7 +709,7 @@ class _CodeGenerator(_FunctionCompiler):
     def emit_seq(self, seq: s.SeqStmt, ctx: _EmitCtx) -> None:
         """Fuse maximal runs of purely-local statements into one
         straight-line block with a single batched budget update and one
-        busy yield -- the codegen analogue of ``compile_seq``."""
+        busy yield."""
         items: List[s.Stmt] = []
         self._flatten_stmts(seq, items)
         classified = [self._classify(stmt) for stmt in items]
@@ -618,7 +753,7 @@ class _CodeGenerator(_FunctionCompiler):
     def _classify(self, stmt: s.Stmt):
         """("pure", busy, effect-emitter-or-None) for statements that
         fuse, ("gen", emitter) for split-phase/compound ones.  Mirrors
-        ``compile_stmt``/``_compile_basic`` case for case."""
+        the walker's ``_exec_stmt``/``_exec_basic`` case for case."""
         if isinstance(stmt, s.BasicStmt):
             if isinstance(stmt, s.AssignStmt):
                 return self._gen_assign(stmt)
@@ -837,7 +972,7 @@ class _CodeGenerator(_FunctionCompiler):
 
     def _x_cond(self, cond: s.CondExpr) -> str:
         """A truthiness expression for an if/while/do condition (the
-        closure engine's ``bool(...)`` is elided -- only truthiness is
+        walker's ``bool(...)`` is elided -- only truthiness is
         consumed)."""
         left, lk = self._x_operand(cond.left)
         if cond.op is None:
@@ -853,7 +988,8 @@ class _CodeGenerator(_FunctionCompiler):
     def _x_access(self, access) -> Tuple[str, Optional[str], object]:
         """Emit setup lines for a field/deref/index access and return
         ``(address expr, kind, value type)``; evaluation order (base,
-        then index, both unconditionally) matches ``_access_fn``."""
+        then index, both unconditionally) matches the walker's
+        ``_access_address``."""
         if isinstance(access, (s.FieldReadRhs, s.FieldWriteLV)):
             base, _ = self._x_pointer(access.base)
             ptr_type = self._lookup_type(access.base)
@@ -898,7 +1034,8 @@ class _CodeGenerator(_FunctionCompiler):
 
     def _emit_store_var(self, name: str, value: str,
                         kind: Optional[str]) -> None:
-        """Mirror of ``_store_var_fn`` (frame variable or global)."""
+        """Mirror of the walker's ``_store_var`` (frame variable or
+        global), with the name resolved at codegen time."""
         var = self.func.variables.get(name)
         if var is not None:
             self.w(f"{self.var(name)} = "
@@ -917,7 +1054,8 @@ class _CodeGenerator(_FunctionCompiler):
     def _emit_pure_store(self, lhs, value: str,
                          kind: Optional[str]) -> None:
         """Non-yielding store; evaluation order (value first, then
-        target checks, then coercion) matches ``_store_pure``."""
+        target checks, then coercion) matches the walker's
+        ``_store_lvalue``."""
         if isinstance(lhs, s.VarLV):
             self._emit_store_var(lhs.name, value, kind)
             return
@@ -959,9 +1097,8 @@ class _CodeGenerator(_FunctionCompiler):
 
     def _emit_store_value(self, lhs, value: str, kind, split,
                           ctx: _EmitCtx) -> None:
-        """Any-lvalue store for yielding contexts (the ``_store_gen``
-        analogue); ``value`` must already be a temp or re-evaluable
-        atom."""
+        """Any-lvalue store for yielding contexts; ``value`` must
+        already be a temp or re-evaluable atom."""
         if self._store_is_pure(lhs):
             self._emit_pure_store(lhs, value, kind)
             return
@@ -1028,9 +1165,8 @@ class _CodeGenerator(_FunctionCompiler):
                         self._sync_entries_for_basic(stmt))
                     self.w(f'yield ("busy", {local_ns!r})')
                     tv, _ = self._emit_local_read_value(rhs)
-                    # NB the closure engine passes bool(value_type)
-                    # (always truthy) as the split flag here;
-                    # replicated for exactness.
+                    # NB the walker passes value_type (always truthy)
+                    # as the split flag here; replicated for exactness.
                     self._emit_store_value(lhs, tv, None, True, ctx)
                 return ("gen", emit_local_remote)
 
@@ -1401,8 +1537,7 @@ class _CodeGenerator(_FunctionCompiler):
         """In a forall iteration body, a lowered ReturnStmt sets the
         signal flag and ``break``s out of its nearest loop; every
         enclosing emitted loop re-breaks until the iteration wrapper
-        is reached (mirroring the closure engine's signal
-        propagation)."""
+        is reached (mirroring the walker's signal propagation)."""
         if ctx.mode == "forall" and contains_return:
             self.w(f"if {ctx.sig}:")
             self.w("    break")
@@ -1481,7 +1616,7 @@ class _CodeGenerator(_FunctionCompiler):
                f"branch is not supported")
         # Branches share the parent's frame (Python locals, via
         # nonlocal) and the parent's outstanding list, exactly like
-        # the closure engine's shared-activation branches.
+        # the walker's shared-activation branches.
         bctx = _EmitCtx("par", ctx.out, err=err)
         for bi, branch in enumerate(stmt.branches):
             bname = f"_pb{n}_{bi}"
@@ -1567,7 +1702,7 @@ class _CodeGenerator(_FunctionCompiler):
         self.indent -= 1
         # A return lowered inside init/step of an enclosing forall
         # body breaks this scan loop; re-break BEFORE the join, like
-        # the closure engine returning the signal past it.
+        # the walker returning the signal past it.
         self._maybe_cascade(
             self._has_return(stmt.init) or self._has_return(stmt.step),
             ctx)

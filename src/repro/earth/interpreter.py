@@ -120,33 +120,55 @@ class RunResult:
                 f"time={self.time_ns / 1e6:.3f}ms, {self.stats!r})")
 
 
-#: Engines: ``"closure"`` precompiles each function to bound closures
-#: (:mod:`repro.earth.compile`); ``"codegen"`` emits specialized
-#: Python source per function and falls back per-function to the
-#: closure tier (:mod:`repro.earth.codegen`); ``"ast"`` walks the
-#: SIMPLE tree (the reference implementation below).  All drive the
-#: same machine and must produce identical results -- the
-#: differential suite (tests/earth/test_engine_equivalence.py) pins
-#: this.
-ENGINES = ("closure", "ast", "codegen")
+#: Engines: ``"codegen"`` emits specialized Python source per function
+#: (:mod:`repro.earth.codegen`) and falls back per function to the
+#: walker; ``"ast"`` walks the SIMPLE tree (the reference
+#: implementation below).  Both drive the same machine and must
+#: produce identical results -- the differential suite
+#: (tests/earth/test_engine_equivalence.py) pins this.  Defined here
+#: and nowhere else: every layer that names an engine imports these.
+ENGINES = ("codegen", "ast")
+DEFAULT_ENGINE = "codegen"
+
+
+class WalkedFunction:
+    """One SIMPLE function run by the AST walker behind the protocol
+    generated functions expose (``.invoke(args, node, result_slot)``),
+    so the two kinds call each other through the same engine cells.
+    This is what the codegen engine falls back to for a function it
+    cannot emit; the function's own callees go back through the engine
+    (:meth:`Interpreter._activation`)."""
+
+    __slots__ = ("function", "_interp")
+
+    def __init__(self, interp: "Interpreter", function: s.SimpleFunction):
+        self.function = function
+        self._interp = interp
+
+    def invoke(self, args: list, node: int, result_slot=None):
+        value = yield from self._interp._exec_function(
+            self.function, args, node)
+        if result_slot is not None:
+            yield ("fulfill", result_slot, value)
+        return value
 
 
 class Interpreter:
     """Executes one program on one machine.
 
     ``engine`` selects how SIMPLE statements are executed:
-    ``"closure"`` (default) compiles each function once into pre-bound
-    Python closures and runs those; ``"ast"`` interprets the tree
-    directly.  Identical simulated behaviour, very different host
-    speed.
+    ``"codegen"`` (default) emits Python source for each function once
+    and runs that; ``"ast"`` interprets the tree directly.  Identical
+    simulated behaviour, very different host speed.
     """
 
     __slots__ = ("program", "machine", "max_stmts", "engine",
                  "_stmts_left", "_globals_ready", "_finish_time",
-                 "_shared_globals", "_closure_engine")
+                 "_shared_globals", "_codegen")
 
     def __init__(self, program: s.SimpleProgram, machine: Machine,
-                 max_stmts: int = 200_000_000, engine: str = "closure"):
+                 max_stmts: int = 200_000_000,
+                 engine: str = DEFAULT_ENGINE):
         if engine not in ENGINES:
             raise InterpreterError(
                 f"unknown engine {engine!r} (known: {', '.join(ENGINES)})")
@@ -158,7 +180,7 @@ class Interpreter:
         self._globals_ready = False
         self._finish_time = 0.0
         self._shared_globals: Dict[str, SharedCell] = {}
-        self._closure_engine = None
+        self._codegen = None
 
     # ======================================================================
     # Entry point
@@ -180,23 +202,12 @@ class Interpreter:
         if entry not in self.program.functions:
             raise InterpreterError(f"no function named {entry!r}")
         self._init_globals()
-        func = self.program.functions[entry]
+        function = self._function(entry)
         result_slot = Slot(f"result:{entry}")
-
-        if self.engine in ("closure", "codegen"):
-            compiled = self._engine_impl().function(entry)
-
-            def root():
-                value = yield from compiled.invoke(list(args), 0)
-                yield ("fulfill", result_slot, value)
-        else:
-            def root():
-                value = yield from self._exec_function(func, list(args), 0)
-                yield ("fulfill", result_slot, value)
-
         if not root_fiber:
             return result_slot
-        fiber = Fiber(root(), 0, name=entry)
+        fiber = Fiber(function.invoke(list(args), 0, result_slot), 0,
+                      name=entry)
 
         def capture(machine: Machine, time: float) -> None:
             self._finish_time = time
@@ -210,15 +221,18 @@ class Interpreter:
             raise InterpreterError(f"{entry}() never returned")
         return RunResult(result_slot.value, self._finish_time, self.machine)
 
-    def _engine_impl(self):
-        if self._closure_engine is None:
-            if self.engine == "codegen":
+    def _function(self, name: str):
+        """``name`` as this engine runs it: an object with
+        ``.invoke(args, node, result_slot=None)``."""
+        if self.engine == "codegen":
+            if self._codegen is None:
                 from repro.earth.codegen import CodegenEngine
-                self._closure_engine = CodegenEngine(self)
-            else:
-                from repro.earth.compile import ClosureEngine
-                self._closure_engine = ClosureEngine(self)
-        return self._closure_engine
+                self._codegen = CodegenEngine(self)
+            return self._codegen.function(name)
+        function = self.program.functions.get(name)
+        if function is None:
+            raise InterpreterError(f"call to unknown function {name!r}")
+        return WalkedFunction(self, function)
 
     def spawn_remote(self, fname: str, args: List[Value], node: int,
                      result_slot, fiber_id: int,
@@ -227,24 +241,9 @@ class Interpreter:
         description (the receiving half of a cross-shard spawn).
         ``result_slot`` is usually a proxy whose real slot lives on the
         spawning shard."""
-        if self.engine in ("closure", "codegen"):
-            compiled = self._engine_impl().function(fname)
-
-            def remote_body():
-                value = yield from compiled.invoke(list(args), node)
-                yield ("fulfill", result_slot, value)
-        else:
-            callee = self.program.functions.get(fname)
-            if callee is None:
-                raise InterpreterError(
-                    f"spawn of unknown function {fname!r}")
-
-            def remote_body():
-                value = yield from self._exec_function(callee, list(args),
-                                                       node)
-                yield ("fulfill", result_slot, value)
-
-        fiber = Fiber(remote_body(), node, name=fname)
+        fiber = Fiber(
+            self._function(fname).invoke(list(args), node, result_slot),
+            node, name=fname)
         fiber.id = fiber_id
         self.machine.add_fiber(fiber, earliest=earliest, _tag=_tag)
 
@@ -880,7 +879,7 @@ class Interpreter:
         if stmt.placement is None:
             # Ordinary call: runs inline in the current fiber.
             yield ("busy", params.call_overhead_ns)
-            value = yield from self._exec_function(callee, args, act.node)
+            value = yield from self._activation(callee, args, act.node)
             if stmt.target is not None:
                 self._store_var(act, stmt.target, value)
             return None
@@ -897,8 +896,8 @@ class Interpreter:
         result_slot.node = act.node
 
         def remote_body():
-            value = yield from self._exec_function(callee, args,
-                                                   target_node)
+            value = yield from self._activation(callee, args,
+                                                target_node)
             yield ("fulfill", result_slot, value)
 
         fiber = Fiber(remote_body(), target_node, name=name)
@@ -912,6 +911,16 @@ class Interpreter:
         if stmt.target is not None:
             self._store_var(act, stmt.target, value)
         return None
+
+    def _activation(self, callee: s.SimpleFunction, args: List[Value],
+                    node: int):
+        """The generator for one activation started by a walked call
+        statement.  Under the codegen engine the walker runs only the
+        functions that fell back, so a callee goes back through the
+        engine."""
+        if self._codegen is not None:
+            return self._codegen.function(callee.name).invoke(args, node)
+        return self._exec_function(callee, args, node)
 
     def _placement_node(self, act: Activation, placement) -> int:
         if placement is None:

@@ -12,15 +12,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation warning raised by the repro package itself.
-
-    A distinct subclass so test configuration can escalate *our*
-    deprecations to errors (``error::repro.errors.ReproDeprecationWarning``
-    in the pytest filters) without also erroring on deprecations the
-    interpreter or third-party libraries emit."""
-
-
 class SourceLocation:
     """A position in an EARTH-C source file (1-based line and column)."""
 

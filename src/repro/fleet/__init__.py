@@ -19,8 +19,8 @@ cache.  This package turns it into a fleet:
   the store is unreachable;
 * :mod:`repro.fleet.loadgen` -- a seeded open-loop load harness that
   spawns an N-server fleet sharing one store and records p50/p99
-  latency, saturation throughput, and store hit rates
-  (``benchmarks/bench_fleet.py`` writes ``BENCH_fleet.json``).
+  latency, saturation throughput, and store hit rates (``bench/``
+  drives the same launcher for its ``serve-*`` workloads).
 
 Content addressing is what makes the shared tier safe:
 ``PIPELINE_VERSION`` is part of every key, so two hosts running

@@ -1,7 +1,7 @@
 """Fleet launcher and seeded open-loop load generator.
 
-Two tools the benchmark (``benchmarks/bench_fleet.py``), the CI smoke
-job, and ``python -m repro loadtest`` share:
+Two tools the benchmark (``bench/workloads.py``), the CI smoke job,
+and ``python -m repro loadtest`` share:
 
 * :class:`FleetProcess` / :func:`launch_gateway` / :func:`launch_store`
   -- spawn real OS processes running the CLI verbs (``fleet-serve`` /

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import RunConfig
-from repro.earth.interpreter import RunResult
+from repro.earth.interpreter import DEFAULT_ENGINE, RunResult
 from repro.earth.params import MachineParams
 from repro.harness.pipeline import (
     compile_earthc,
@@ -392,7 +392,7 @@ def measure_fig10(num_nodes: int = 16,
 def sweep_jobs(processor_counts: Sequence[int],
                benchmarks: Optional[Sequence[str]] = None,
                small: bool = False, kind: str = "three-way",
-               engine: str = "closure",
+               engine: str = DEFAULT_ENGINE,
                faults: Optional[Dict[str, object]] = None,
                rcache_capacity: int = 0,
                rcache_line_words: int = 16,
@@ -494,9 +494,7 @@ def utilization_metrics(results: Dict[str, RunResult]
                         ) -> Dict[str, Dict[str, object]]:
     """Machine-readable metrics for one ``run_three_ways`` result set:
     per-configuration run time, per-node EU/SU utilization, and the
-    stats snapshot.  This is what the bench harness embeds in its
-    ``BENCH_*.json`` output so benchmark trajectories carry utilization
-    data alongside timings."""
+    stats snapshot (``report --metrics-json`` writes it)."""
     return {
         name: {
             "time_ns": result.time_ns,

@@ -8,20 +8,14 @@ machine.  ``run_three_ways`` produces the paper's three configurations
 ``run_four_ways`` adds the remote-cache configuration on top -- the
 building blocks of the Table III and Figure 10 harnesses.
 
-Run options travel as one :class:`repro.config.RunConfig` (``config=``);
-the loose per-option keyword arguments (``num_nodes``, ``entry``,
-``args``, ``max_stmts``, ``strict_nil_reads``, ``engine``) still work
-but emit :class:`~repro.errors.ReproDeprecationWarning` and will be
-removed one release
-after 2026.08.  Live object overrides -- an instantiated
-``MachineParams``, ``Tracer``, or ``FaultPlan`` -- remain first-class
-keyword arguments.
+Run options travel as one :class:`repro.config.RunConfig` (``config=``).
+Live object overrides -- an instantiated ``MachineParams``, ``Tracer``,
+or ``FaultPlan`` -- are keyword arguments beside it.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Optional, Set, Union
 
 from repro.backend.threaded import render_threaded_program
 from repro.comm.costmodel import CommCostModel
@@ -33,7 +27,7 @@ from repro.comm.optimizer import (
 )
 from repro.config import RunConfig
 from repro.earth.faults import FaultPlan
-from repro.errors import ReproDeprecationWarning, UsageError
+from repro.errors import UsageError
 from repro.earth.interpreter import Interpreter, RunResult
 from repro.earth.machine import Machine
 from repro.earth.params import MachineParams
@@ -53,7 +47,7 @@ from repro.simple.validate import validate_program
 #: whenever a change makes ``compile_earthc`` or the simulator produce
 #: different output for the same (source, options) -- stale cached
 #: artifacts then miss instead of serving wrong payloads.
-PIPELINE_VERSION = "2026.08-pr10"
+PIPELINE_VERSION = "2026.09-pr13"
 
 
 class CompiledProgram:
@@ -142,19 +136,22 @@ def compile_earthc(
         with profile.phase("reorder-fields"):
             from repro.comm.reorder import reorder_struct_fields
             reorder_struct_fields(program, effective_opt)
-    with profile.phase("simplify") as rec:
-        simple = simplify_program(program, symbols)
-    rec.counters["basic_stmts"] = _basic_stmt_count(simple)
-    with profile.phase("validate"):
-        validate_program(simple)
-    report = None
-    if optimize:
-        if config is None and opt is not None:
-            config = CommConfig(opt=opt)
-        with profile.phase("optimize") as rec:
-            optimizer = CommunicationOptimizer(simple, config, cost_model)
-            report = optimizer.run()
+    # Every SIMPLE statement of this program is created in here.
+    with s.label_scope():
+        with profile.phase("simplify") as rec:
+            simple = simplify_program(program, symbols)
         rec.counters["basic_stmts"] = _basic_stmt_count(simple)
+        with profile.phase("validate"):
+            validate_program(simple)
+        report = None
+        if optimize:
+            if config is None and opt is not None:
+                config = CommConfig(opt=opt)
+            with profile.phase("optimize") as rec:
+                optimizer = CommunicationOptimizer(simple, config,
+                                                   cost_model)
+                report = optimizer.run()
+            rec.counters["basic_stmts"] = _basic_stmt_count(simple)
     return CompiledProgram(simple, optimize, report, inlined, profile)
 
 
@@ -178,72 +175,29 @@ def _basic_stmt_count(simple: s.SimpleProgram) -> int:
                for function in simple.functions.values())
 
 
-#: Sentinel distinguishing "caller passed this legacy kwarg" from "the
-#: default applied" -- explicit passes of the loose kwargs deprecate.
-_UNSET = object()
-
-_LOOSE_TO_FIELD = (("num_nodes", "nodes"), ("entry", "entry"),
-                   ("args", "args"), ("max_stmts", "max_stmts"),
-                   ("strict_nil_reads", "strict_nil_reads"),
-                   ("engine", "engine"))
-
-
-def _config_from_loose(config, function, **loose) -> RunConfig:
-    """Fold legacy loose kwargs and ``config`` into one RunConfig.
-
-    ``config=`` plus any explicitly-passed loose kwarg is a
-    contradiction and raises; loose kwargs alone still work but warn."""
-    passed = {name: value for name, value in loose.items()
-              if value is not _UNSET}
-    if config is not None:
-        if passed:
-            raise TypeError(
-                f"{function}: pass options through config=RunConfig(...)"
-                f" OR the legacy loose kwargs, not both "
-                f"(got config= and {sorted(passed)})")
-        return config
-    if passed:
-        warnings.warn(
-            f"{function}({', '.join(sorted(passed))}=...) is "
-            f"deprecated; pass config=repro.RunConfig(...) instead",
-            ReproDeprecationWarning, stacklevel=3)
-    fields = {field: passed[name] for name, field in _LOOSE_TO_FIELD
-              if name in passed}
-    return RunConfig(**fields)
-
-
 def execute(
     compiled: CompiledProgram,
-    num_nodes: int = _UNSET,
-    params: Optional[MachineParams] = None,
-    entry: str = _UNSET,
-    args: Sequence[Union[int, float]] = _UNSET,
-    max_stmts: int = _UNSET,
-    strict_nil_reads: bool = _UNSET,
-    tracer: Optional[Tracer] = None,
-    engine: str = _UNSET,
-    faults: Optional[FaultPlan] = None,
+    *,
     config: Optional[RunConfig] = None,
+    params: Optional[MachineParams] = None,
+    tracer: Optional[Tracer] = None,
+    faults: Optional[FaultPlan] = None,
 ) -> RunResult:
     """Run a compiled program on a fresh machine.
 
     ``config`` (a :class:`repro.config.RunConfig`) is the one options
     object: node count, entry/args, engine, machine-parameter preset,
     remote-cache geometry, statement budget, fault spec, and trace
-    flags.  The loose kwargs (``num_nodes``, ``entry``, ``args``,
-    ``max_stmts``, ``strict_nil_reads``, ``engine``) are the deprecated
-    pre-RunConfig surface: still honored, but they warn.
+    flags; omitted, the defaults apply.
 
-    Live-object overrides (never deprecated): ``params`` substitutes an
-    exact :class:`MachineParams` instance for the config's preset;
+    Live-object overrides: ``params`` substitutes an exact
+    :class:`MachineParams` instance for the config's preset;
     ``tracer`` attaches a caller-owned :class:`repro.obs.Tracer`;
     ``faults`` attaches an already-built (single-use)
     :class:`repro.earth.faults.FaultPlan` in place of the config's
     fault spec."""
-    config = _config_from_loose(
-        config, "execute", num_nodes=num_nodes, entry=entry, args=args,
-        max_stmts=max_stmts, strict_nil_reads=strict_nil_reads,
-        engine=engine)
+    if config is None:
+        config = RunConfig()
     if config.shards > 1:
         if params is not None or tracer is not None \
                 or faults is not None:
@@ -272,13 +226,9 @@ def execute(
 def run_three_ways(
     source: str,
     filename: str = "<benchmark>",
-    num_nodes: int = _UNSET,
-    entry: str = _UNSET,
-    args: Sequence[Union[int, float]] = _UNSET,
+    *,
     inline: Union[bool, Set[str]] = False,
-    config: Optional[Union[RunConfig, CommConfig]] = None,
-    max_stmts: int = _UNSET,
-    engine: str = _UNSET,
+    config: Optional[RunConfig] = None,
     faults: Optional[FaultPlan] = None,
     comm_config: Optional[CommConfig] = None,
 ) -> Dict[str, RunResult]:
@@ -293,31 +243,18 @@ def run_three_ways(
     * ``optimized`` -- ``config.nodes`` nodes, after communication
       optimization.
 
-    ``config`` is the run-side :class:`~repro.config.RunConfig` (its
-    rcache fields are ignored here -- the cached configuration is
-    :func:`run_four_ways`' fourth leg).  ``comm_config`` tunes the
-    *optimizer* for the optimized leg (``config`` used to mean that;
-    a :class:`CommConfig` passed there still works but warns).
+    ``config`` is the run-side :class:`~repro.config.RunConfig`
+    (default: 4 nodes; its rcache fields are ignored here -- the cached
+    configuration is :func:`run_four_ways`' fourth leg).
+    ``comm_config`` tunes the *optimizer* for the optimized leg.
 
     All three must compute the same value (checked).  ``faults`` (or
     the config's fault spec) replays the identical seeded fault
     schedule in every configuration -- with faults enabled, the
     same-value check doubles as a chaos-differential oracle.
     """
-    if isinstance(config, CommConfig):
-        warnings.warn(
-            "run_three_ways(config=CommConfig(...)) is deprecated; the "
-            "optimizer configuration is now comm_config= (config= takes "
-            "a repro.RunConfig)", ReproDeprecationWarning, stacklevel=2)
-        config, comm_config = None, config
-    config_given = config is not None
-    config = _config_from_loose(
-        config, "run_three_ways", num_nodes=num_nodes, entry=entry,
-        args=args, max_stmts=max_stmts, engine=engine)
-    if not config_given and num_nodes is _UNSET:
-        # Preserve the historical default of this harness: three-way
-        # comparisons run the parallel legs on 4 nodes.
-        config = config.replace(nodes=4)
+    if config is None:
+        config = RunConfig(nodes=4)
     if faults is not None:
         # A live plan is an override: its spec replaces the config's.
         config = config.replace(faults=faults.spec())

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.comm.optconfig import OptConfig, resolve_opt
 from repro.config import RunConfig
 from repro.earth.faults import FaultPlan
-from repro.earth.interpreter import ENGINES, RunResult
+from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES, RunResult
 from repro.errors import ReproError, ServiceError, exit_code_for
 from repro.harness.pipeline import (
     CONFIG_PRESETS,
@@ -88,7 +88,7 @@ class JobSpec:
         nodes: int = 4,
         entry: str = "main",
         args: Optional[Sequence[Union[int, float]]] = None,
-        engine: str = "closure",
+        engine: str = DEFAULT_ENGINE,
         params: str = "default",
         max_stmts: Optional[int] = None,
         strict_nil_reads: bool = False,

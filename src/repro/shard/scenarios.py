@@ -9,8 +9,8 @@ the round count stays in the tens of thousands.)
 
 One catalog, three consumers:
 
-* ``benchmarks/bench_shard.py`` -- shard-count scaling and the
-  single-vs-sharded wall-clock comparison (``BENCH_shard.json``);
+* ``bench/`` -- the ``shard-mst512`` workload and the ``shard.*``
+  per-layer metrics (single-vs-sharded wall-clock);
 * the CI ``shard-smoke`` job -- runs ``mesh512`` under ``--shards 4``,
   asserts bit-identity against the single-process machine, and uploads
   the merged event trace;

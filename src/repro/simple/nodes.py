@@ -23,6 +23,8 @@ pointer) carry a ``remote`` flag which locality analysis may clear.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -456,12 +458,35 @@ class CondExpr:
 # Statements
 # ---------------------------------------------------------------------------
 
-_label_counter = itertools.count(1)
+#: Labels need only be unique within one program.  Inside a
+#: :func:`label_scope` (one per compilation) they count from 1, so a
+#: program's listing and everything derived from it is a function of
+#: its source alone; outside one, this process-wide counter serves.
+_process_labels = itertools.count(1)
+_scoped_labels: "contextvars.ContextVar[Optional[Iterator[int]]]" = \
+    contextvars.ContextVar("scoped_labels", default=None)
 
 
 def fresh_label() -> int:
-    """Globally unique statement label."""
-    return next(_label_counter)
+    """A statement label unique within the program being built."""
+    return next(_scoped_labels.get() or _process_labels)
+
+
+@contextlib.contextmanager
+def label_scope():
+    """Number the statements created inside the ``with`` block from 1."""
+    global _process_labels
+    labels = itertools.count(1)
+    token = _scoped_labels.set(labels)
+    try:
+        yield
+    finally:
+        _scoped_labels.reset(token)
+        # Keep the process-wide counter ahead of every scope: a
+        # statement added to this program later, from outside the
+        # scope, must not repeat one of its labels.
+        _process_labels = itertools.count(
+            max(next(_process_labels), next(labels)))
 
 
 class Stmt:

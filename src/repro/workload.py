@@ -45,6 +45,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.earth.faults import PROFILES
+from repro.earth.interpreter import DEFAULT_ENGINE
 from repro.service.jobs import JobSpec
 
 #: Structure shapes the generator knows how to build.
@@ -406,7 +407,7 @@ def generate_jobs(seed: int, count: int, *,
                   sizes: Tuple[int, int] = (3, 8),
                   sweeps: Tuple[int, int] = (1, 3),
                   nodes: Sequence[int] = (2, 4),
-                  engines: Sequence[str] = ("closure",),
+                  engines: Sequence[str] = (DEFAULT_ENGINE,),
                   fault_profiles: Sequence[Optional[str]] = (None,),
                   rcache_capacities: Sequence[int] = (0,),
                   ) -> List[WorkloadJob]:

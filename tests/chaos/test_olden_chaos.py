@@ -10,6 +10,7 @@ and statistics under the *same* plan.
 import pytest
 
 from repro.earth.faults import FaultPlan
+from repro.earth.interpreter import ENGINES
 from repro.harness.pipeline import compile_earthc, execute
 from repro.olden.loader import catalog
 from repro.config import RunConfig
@@ -41,7 +42,7 @@ def test_benchmark_invariant_under_chaos(compiled_benchmarks, baselines,
     spec, compiled = compiled_benchmarks[name]
     baseline = baselines[name]
     runs = {}
-    for engine in ("closure", "ast", "codegen"):
+    for engine in ENGINES:
         plan = FaultPlan.from_profile("chaos", seed)
         result = execute(compiled, faults=plan,
                          config=RunConfig(nodes=NODES,
@@ -54,9 +55,9 @@ def test_benchmark_invariant_under_chaos(compiled_benchmarks, baselines,
         assert result.stats.op_retries > 0
         runs[engine] = result
     # Same plan => the engines agree on everything, faults included.
-    for engine in ("ast", "codegen"):
-        assert runs["closure"].time_ns == runs[engine].time_ns, engine
-        assert runs["closure"].stats.snapshot() \
+    for engine in ENGINES:
+        assert runs["ast"].time_ns == runs[engine].time_ns, engine
+        assert runs["ast"].stats.snapshot() \
             == runs[engine].stats.snapshot(), engine
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.config import RunConfig
 from repro.earth.faults import PROFILES, FaultPlan
+from repro.earth.interpreter import ENGINES
 from repro.harness.pipeline import compile_earthc, execute
 from repro.olden.loader import catalog, get_benchmark
 
@@ -104,7 +105,7 @@ def test_cached_equals_uncached_under_faults(source, fault_config):
     profile, seed = fault_config
     compiled_program = compile_earthc(source, optimize=True)
     clean = execute(compiled_program, config=RunConfig(nodes=3))
-    for engine in ("closure", "ast", "codegen"):
+    for engine in ENGINES:
         base = RunConfig(nodes=3, engine=engine,
                          faults=dict(PROFILES[profile], seed=seed))
         uncached = execute(compiled_program, config=base)

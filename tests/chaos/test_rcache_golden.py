@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.config import RunConfig
+from repro.earth.interpreter import ENGINES
 from repro.harness.pipeline import compile_earthc, execute
 from repro.obs.trace import Tracer
 from repro.olden.loader import catalog, get_benchmark
@@ -21,7 +22,6 @@ from repro.olden.loader import catalog, get_benchmark
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                            "golden_zero_fault.json")
 NODES = 4
-ENGINES = ["ast", "closure", "codegen"]
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ requests that overtook a lost predecessor.
 import pytest
 
 from repro.earth.faults import FaultPlan
+from repro.earth.interpreter import ENGINES
 from repro.errors import SimulatorError
 from repro.harness.pipeline import compile_earthc, execute
 from repro.config import RunConfig
@@ -150,7 +151,7 @@ class TestEngineAgreement:
             runs = [execute(compiled, faults=ScriptedPlan(index),
                             config=RunConfig(nodes=2, args=tuple([]),
                                              engine=engine))
-                    for engine in ("closure", "ast", "codegen")]
+                    for engine in ENGINES]
             for other in runs[1:]:
                 assert other.value == runs[0].value
                 assert other.time_ns == runs[0].time_ns

@@ -1,8 +1,7 @@
 """The OptConfig value object and its legacy-compatibility contract.
 
-Three things are pinned here: the value-object mechanics (validation,
-presets, JSON round trip, resolution of the loose forms), the
-deprecation of the old module-level heuristic constants, and the two
+Two things are pinned here: the value-object mechanics (validation,
+presets, JSON round trip, resolution of the loose forms), and the two
 behavioural guarantees DESIGN.md section 18 promises -- a default/legacy
 OptConfig compiles byte-identically to the pre-OptConfig optimizer, and
 the probabilistic preset never changes a program's answer while never
@@ -11,7 +10,6 @@ increasing its dynamic remote-operation count.
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -23,7 +21,7 @@ from repro.comm.optconfig import (
     resolve_opt,
 )
 from repro.config import RunConfig, config_digest, opt_from_cli_args
-from repro.errors import ReproDeprecationWarning, ReproError
+from repro.errors import ReproError
 from repro.harness.pipeline import compile_earthc, execute
 from repro.olden.loader import get_benchmark
 
@@ -155,43 +153,14 @@ class TestResolveOpt:
         assert opt_from_cli_args(object()) is None
 
 
-class TestDeprecatedConstants:
-    @pytest.mark.parametrize("module,name,expected", [
-        ("repro.comm.placement", "LOOP_FREQUENCY_FACTOR", 10.0),
-        ("repro.comm.selection", "FREQ_EPS", 1e-9),
-        ("repro.comm.reorder", "LOOP_WEIGHT", 10.0),
-    ])
-    def test_read_warns_and_matches_legacy(self, module, name, expected):
-        import importlib
-        mod = importlib.import_module(module)
-        with pytest.warns(ReproDeprecationWarning, match=name):
-            value = getattr(mod, name)
-        assert value == expected
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.comm import placement
-        with pytest.raises(AttributeError):
-            placement.NO_SUCH_CONSTANT
-
-
 class TestLegacyBitIdentity:
     """``opt=None``, ``opt="legacy"`` and an explicit ``OptConfig()``
     must produce the same compiled program, byte for byte."""
 
-    @staticmethod
-    def _compile(monkeypatch, opt):
-        # Statement labels come from a process-global counter; pin it
-        # so listings from successive compiles are comparable.
-        import itertools
-
-        from repro.simple import nodes
-        monkeypatch.setattr(nodes, "_label_counter", itertools.count(1))
-        return compile_earthc(SOURCE, optimize=True, opt=opt)
-
-    def test_listings_identical(self, monkeypatch):
-        baseline = self._compile(monkeypatch, None)
+    def test_listings_identical(self):
+        baseline = compile_earthc(SOURCE, optimize=True)
         for opt in ("legacy", OptConfig(), OptConfig.legacy()):
-            other = self._compile(monkeypatch, opt)
+            other = compile_earthc(SOURCE, optimize=True, opt=opt)
             assert other.listing() == baseline.listing()
             assert other.threaded_listing() \
                 == baseline.threaded_listing()
@@ -233,8 +202,3 @@ class TestPublicSurface:
     def test_exported_from_repro(self):
         assert repro.OptConfig is OptConfig
         assert "OptConfig" in repro.__all__
-
-    def test_warning_is_a_deprecation_warning(self):
-        # So ``-W error::DeprecationWarning`` catches it, and the
-        # tier-1 filter promotes it to an error.
-        assert issubclass(ReproDeprecationWarning, DeprecationWarning)

@@ -10,21 +10,22 @@ a batched statement budget, split-phase remote reads landing a Slot in
 a local, sync-on-use with coercion, checked reads, and the inlined
 return epilogue.
 
-Statement labels embed in the source (``Slot('read@N')``), so the test
-pins the global label counter before compiling.
+Statement labels embed in the source (``Slot('read@N')``); they are
+numbered per compilation, so the text is a function of the program
+alone -- which is also what lets a recompile of the same source reuse
+the cached code objects (last test).
 """
 
 from __future__ import annotations
 
-import itertools
 import textwrap
 
+from repro.earth import codegen
 from repro.earth.codegen import CodegenEngine
 from repro.earth.interpreter import Interpreter
 from repro.earth.machine import Machine
 from repro.earth.params import MachineParams
 from repro.harness.pipeline import compile_earthc
-from repro.simple import nodes
 
 SOURCE = """
 struct cell { int value; struct cell *next; };
@@ -139,8 +140,7 @@ GOLDEN_SUM_CHAIN = textwrap.dedent("""\
 """)
 
 
-def _engine_for(source, nodes_count=4):
-    compiled = compile_earthc(source, optimize=True)
+def _engine_of(compiled, nodes_count=4):
     interp = Interpreter(compiled.simple,
                          Machine(nodes_count, MachineParams()),
                          engine="codegen")
@@ -148,18 +148,43 @@ def _engine_for(source, nodes_count=4):
     return CodegenEngine(interp)
 
 
-def test_sum_chain_emitted_source_is_pinned(monkeypatch):
-    monkeypatch.setattr(nodes, "_label_counter", itertools.count(1))
+def _engine_for(source):
+    return _engine_of(compile_earthc(source, optimize=True))
+
+
+def test_sum_chain_emitted_source_is_pinned():
     engine = _engine_for(SOURCE)
     engine.function("sum_chain")
     assert engine.fallbacks == set()
     assert engine.sources["sum_chain"] == GOLDEN_SUM_CHAIN
 
 
-def test_every_function_generates_without_fallback(monkeypatch):
-    monkeypatch.setattr(nodes, "_label_counter", itertools.count(1))
+def test_every_function_generates_without_fallback():
     engine = _engine_for(SOURCE)
     for name in engine.interp.program.functions:
         engine.function(name)
     assert engine.fallbacks == set()
     assert set(engine.sources) == set(engine.interp.program.functions)
+
+
+def test_recompiling_the_same_source_reproduces_listing_and_code():
+    """Two compilations of one source in one process: byte-identical
+    SIMPLE listing, byte-identical emitted source, and therefore no
+    second CPython ``compile()`` -- the code cache is hit."""
+    first = compile_earthc(SOURCE, optimize=True)
+    # Another program in between must not shift the numbering.
+    compile_earthc("int main() { return 7; }", optimize=True)
+    second = compile_earthc(SOURCE, optimize=True)
+    assert first.listing() == second.listing()
+
+    def generate(compiled):
+        engine = _engine_of(compiled)
+        for name in compiled.simple.functions:
+            engine.function(name)
+        return engine.sources
+
+    sources = generate(first)
+    cached = dict(codegen._CODE_CACHE)
+    assert generate(second) == sources
+    assert dict(codegen._CODE_CACHE) == cached
+    assert all(text in cached for text in sources.values())

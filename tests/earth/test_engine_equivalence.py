@@ -1,10 +1,10 @@
 """Differential tests: every engine against the AST walker.
 
-The closure engine (``repro.earth.compile``) and the codegen engine
-(``repro.earth.codegen``) must be *observationally bit-identical* to
-the reference tree walker for every program that completes: same
-result value, same printed output, same ``MachineStats`` snapshot, and
-the same simulated ``time_ns`` down to the last bit.  These tests
+The codegen engine (``repro.earth.codegen``) must be *observationally
+bit-identical* to the reference tree walker for every program that
+completes: same result value, same printed output, same
+``MachineStats`` snapshot, and the same simulated ``time_ns`` down to
+the last bit.  These tests
 drive every bundled example program and every Olden benchmark through
 all engines under the paper's three machine configurations -- the
 Olden set additionally under fault plans and with the remote-data
@@ -21,7 +21,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.config import RunConfig
-from repro.earth.interpreter import ENGINES, Interpreter, InterpreterError
+from repro.earth.interpreter import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    Interpreter,
+    InterpreterError,
+)
 from repro.earth.machine import Machine
 from repro.earth.params import MachineParams
 from repro.harness.pipeline import (
@@ -74,7 +79,6 @@ def _compare(compiled, num_nodes, params=None, args=(),
         # bit-identical, no rounding
         assert result.time_ns == ast.time_ns, engine
         assert result.stats.snapshot() == ast.stats.snapshot(), engine
-    return results["closure"]
 
 
 def _compare_three_ways(source, filename, args=(), inline=False,
@@ -150,7 +154,7 @@ _FULL_SIZES = (os.environ.get("HYPOTHESIS_PROFILE",
                     reason="full-size sweep runs under the ci profile")
 @pytest.mark.parametrize("name", [spec.name for spec in catalog()])
 def test_olden_identical_full_size(name):
-    """The same three-engine bit-identity, at the paper-scaled default
+    """The same engine bit-identity, at the paper-scaled default
     sizes instead of the tier-1 small sizes."""
     spec = next(s for s in catalog() if s.name == name)
     compiled = compile_earthc(spec.source(), spec.filename,
@@ -171,12 +175,21 @@ def test_unknown_engine_rejected():
         Interpreter(compiled.simple, machine, engine="jit")
 
 
-def test_closure_is_default_engine():
+def test_one_default_engine_everywhere():
+    """``RunConfig``, ``JobSpec``, the interpreter and the CLI all
+    default to the one ``DEFAULT_ENGINE``."""
+    from repro.__main__ import _parse_args
+    from repro.service.jobs import JobSpec
+
+    assert DEFAULT_ENGINE in ENGINES
+    assert RunConfig().engine == DEFAULT_ENGINE
+    assert JobSpec("compile", source="int main() { return 0; }").engine \
+        == DEFAULT_ENGINE
     compiled = compile_earthc("int main() { return 41 + 1; }")
-    machine = Machine(1)
-    interp = Interpreter(compiled.simple, machine)
-    assert interp.engine == "closure"
+    interp = Interpreter(compiled.simple, Machine(1))
+    assert interp.engine == DEFAULT_ENGINE
     assert interp.run().value == 42
+    assert _parse_args(["prog.ec"]).engine == DEFAULT_ENGINE
 
 
 def test_runtime_errors_match():

@@ -14,6 +14,7 @@ import pytest
 from repro.comm.optconfig import OptConfig
 from repro.config import RunConfig
 from repro.earth.faults import PROFILES
+from repro.earth.interpreter import ENGINES
 from repro.earth.memory import GlobalMemory, offset_of
 from repro.harness.pipeline import compile_earthc, execute
 
@@ -91,7 +92,7 @@ class TestMarking:
 
 
 class TestRuntime:
-    @pytest.mark.parametrize("engine", ["ast", "closure", "codegen"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_skips_counted_and_value_identical(self, engine):
         compiled = compile_private()
         cached = execute(compiled, config=RunConfig(

@@ -383,11 +383,11 @@ class TestMachineIntegration:
             >= stats.remote_reads
 
     def test_both_engines_agree_with_cache(self):
-        closure = self.run(8, engine="closure")
+        codegen = self.run(8, engine="codegen")
         ast = self.run(8, engine="ast")
-        assert closure.value == ast.value
-        assert closure.time_ns == ast.time_ns
-        assert closure.stats.snapshot() == ast.stats.snapshot()
+        assert codegen.value == ast.value
+        assert codegen.time_ns == ast.time_ns
+        assert codegen.stats.snapshot() == ast.stats.snapshot()
 
     def test_cache_hit_trace_events(self):
         compiled = compile_earthc(SOURCE, optimize=False)

@@ -1,15 +1,14 @@
-"""The unified RunConfig surface and its deprecation story.
+"""The unified RunConfig surface.
 
-One options object now drives the CLI, ``execute``, the three/four-way
+One options object drives the CLI, ``execute``, the three/four-way
 harness, and the service job executor.  These tests pin the value-object
-contract (validation, JSON round-trip, digest stability), the exact
-deprecation behaviour of the old loose kwargs, and the stable public
-names exported from :mod:`repro`.
+contract (validation, JSON round-trip, digest stability), the removal of
+the old loose kwargs, and the stable public names exported from
+:mod:`repro`.
 """
 
 import argparse
 import json
-import warnings
 
 import pytest
 
@@ -17,12 +16,12 @@ import repro
 from repro.comm.optimizer import CommConfig
 from repro.config import (
     DEFAULT_MAX_STMTS,
-    ENGINES,
     PARAMS_PRESETS,
     RunConfig,
     config_digest,
 )
 from repro.earth.faults import FaultPlan
+from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
 from repro.errors import ReproError
 from repro.harness.pipeline import (
     compile_earthc,
@@ -55,7 +54,7 @@ class TestValueObject:
         config = RunConfig()
         assert config.nodes == 1
         assert config.entry == "main"
-        assert config.engine == "closure"
+        assert config.engine == DEFAULT_ENGINE
         assert config.rcache_capacity == 0
         assert config.max_stmts == DEFAULT_MAX_STMTS
         assert config.faults is None
@@ -108,7 +107,8 @@ class TestValueObject:
         assert RunConfig().fault_plan() is None
 
     def test_engines_and_presets_constants(self):
-        assert "closure" in ENGINES and "ast" in ENGINES
+        assert ENGINES == ("codegen", "ast")
+        assert DEFAULT_ENGINE in ENGINES
         assert "default" in PARAMS_PRESETS
 
 
@@ -148,52 +148,41 @@ class TestSerialization:
         assert bare == RunConfig()
 
 
-class TestDeprecationShims:
-    def test_loose_kwargs_warn_but_still_work(self, compiled):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            legacy = execute(compiled, num_nodes=2)
-        modern = execute(compiled, config=RunConfig(nodes=2))
-        assert legacy.value == modern.value == 42
-        assert legacy.time_ns == modern.time_ns
-        assert legacy.stats.snapshot() == modern.stats.snapshot()
-
-    def test_config_plus_loose_kwarg_is_an_error(self, compiled):
-        with pytest.raises(TypeError, match="num_nodes"):
-            execute(compiled, num_nodes=2, config=RunConfig(nodes=2))
-
-    def test_run_three_ways_loose_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            results = run_three_ways(SOURCE, num_nodes=2)
-        assert results["optimized"].value == 42
+class TestRunFunctionSignatures:
+    @pytest.mark.parametrize("call", [
+        lambda compiled: execute(compiled, num_nodes=2),
+        lambda compiled: execute(compiled, 2),
+        lambda compiled: execute(compiled, engine="ast",
+                                 config=RunConfig(nodes=2)),
+        lambda compiled: run_three_ways(SOURCE, num_nodes=2),
+        lambda compiled: run_three_ways(SOURCE, "<x>", 2),
+    ], ids=["execute-kwarg", "execute-positional", "execute-both",
+            "three-ways-kwarg", "three-ways-positional"])
+    def test_loose_options_are_a_type_error(self, compiled, call):
+        with pytest.raises(TypeError):
+            call(compiled)
 
     def test_run_three_ways_explicit_config_nodes_respected(self):
-        # config= must not be bumped to the historical 4-node default:
-        # on one node everything is local.
+        # config= must not be bumped to the 4-node default: on one
+        # node everything is local.
         single = run_three_ways(SOURCE, config=RunConfig(nodes=1))
         assert single["simple"].stats.remote_reads == 0
-        multi = run_three_ways(SOURCE)  # legacy default stays 4 nodes
+        multi = run_three_ways(SOURCE)  # default is 4 nodes
         assert multi["simple"].stats.remote_reads > 0
 
-    def test_run_three_ways_commconfig_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="comm_config"):
-            results = run_three_ways(SOURCE, config=CommConfig())
-        assert results["optimized"].value == 42
-
-    def test_quiet_when_config_only(self, compiled):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            execute(compiled, config=RunConfig(nodes=2))
-            run_three_ways(SOURCE, config=RunConfig(nodes=2))
-
-    def test_live_overrides_are_not_deprecated(self, compiled):
+    def test_live_overrides_stay_keyword_callable(self, compiled):
+        from repro.earth.params import MachineParams
         from repro.obs.trace import Tracer
         tracer = Tracer()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = execute(compiled, tracer=tracer,
-                             config=RunConfig(nodes=2))
+        result = execute(compiled, tracer=tracer, params=MachineParams(),
+                         faults=FaultPlan.from_profile("mild", 3),
+                         config=RunConfig(nodes=2))
         assert result.value == 42
         assert len(tracer.sorted_events()) > 0
+        results = run_three_ways(SOURCE, comm_config=CommConfig(),
+                                 faults=FaultPlan.from_profile("mild", 3),
+                                 config=RunConfig(nodes=2))
+        assert results["optimized"].value == 42
 
 
 class TestPublicSurface:

@@ -7,9 +7,9 @@ output contract is load-bearing and gets pinned here:
 * generation is byte-deterministic per seed;
 * every generated program parses, compiles (optimizer on), and runs;
 * the codegen engine covers every generated function -- zero unforced
-  fallbacks to the closure tier;
+  fallbacks to the walker;
 * program values are independent of the machine size (1 node vs N);
-* the three engines agree bit-for-bit on every generated job,
+* the engines agree bit-for-bit on every generated job,
   including its drawn fault plan and remote-cache capacity.
 """
 
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.config import RunConfig
 from repro.earth import codegen as codegen_mod
+from repro.earth.interpreter import ENGINES
 from repro.harness.pipeline import compile_earthc, execute
 from repro.workload import (
     MIXES,
@@ -31,7 +32,7 @@ from repro.workload import (
 seeds = st.integers(0, 10_000)
 
 #: Fully heterogeneous pools: every knob the generator exposes.
-HETERO = dict(engines=("closure", "ast", "codegen"),
+HETERO = dict(engines=ENGINES,
               nodes=(1, 2, 4),
               fault_profiles=(None, "lossy", "jittery"),
               rcache_capacities=(0, 16),
@@ -72,7 +73,7 @@ def test_job_names_are_unique_and_seed_stamped():
 def _run_codegen_counting_fallbacks(compiled, nodes, args, faults=None,
                                     rcache=0):
     """Execute on the codegen engine with the fallback set recorded
-    (the same probe tests/earth/test_closure_fallback.py uses)."""
+    (the same probe tests/earth/test_codegen_fallback.py uses)."""
     recorded = []
     original = codegen_mod.CodegenEngine.function
 
@@ -123,20 +124,19 @@ def test_value_independent_of_machine_size(seed):
 
 @given(seeds)
 def test_engines_agree_on_generated_jobs(seed):
-    """Bit-identity across closure/ast/codegen under the job's own
+    """Bit-identity across the engines under the job's own
     drawn configuration -- fault plan and rcache capacity included."""
     job = _one_job(seed)
     compiled = compile_earthc(job.source, job.filename, optimize=True)
     results = {}
-    for engine in ("closure", "ast", "codegen"):
+    for engine in ENGINES:
         results[engine] = execute(
             compiled,
             config=RunConfig(nodes=job.nodes, args=tuple(job.args),
                              engine=engine, faults=job.faults,
                              rcache_capacity=job.rcache_capacity))
     ast = results["ast"]
-    for engine in ("closure", "codegen"):
-        result = results[engine]
+    for engine, result in results.items():
         assert result.value == ast.value, engine
         assert result.output == ast.output, engine
         assert result.time_ns == ast.time_ns, engine

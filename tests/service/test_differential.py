@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.earth.faults import FaultPlan, plan_from_cli
+from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
 from repro.harness.pipeline import run_three_ways
 from repro.olden.loader import catalog
 from repro.service.jobs import JobSpec, run_payload
@@ -22,7 +23,6 @@ from repro.service.pool import WorkerPool
 from repro.config import RunConfig
 
 #: Matrix axes: execution engine x fault injection (seeded profile).
-ENGINES = ("closure", "ast", "codegen")
 FAULT_SEED = 29
 FAULT_CASES = (None, "mild")
 
@@ -48,7 +48,7 @@ def _matrix():
     cells = []
     for spec in catalog():
         full = _FULL_MATRIX or spec.name in FULL_AXIS_BENCHMARKS
-        for engine in ENGINES if full else ENGINES[:1]:
+        for engine in ENGINES if full else (DEFAULT_ENGINE,):
             for profile in FAULT_CASES if full else FAULT_CASES[:1]:
                 cells.append((spec, engine, profile))
     return cells
@@ -115,11 +115,11 @@ def test_warm_cache_replays_bit_identically(references, cache_dir):
 def test_four_workers_compute_the_same_results(references):
     """workers=4, no cache: recomputed from scratch under maximal
     interleaving, results must not depend on the worker count.  (The
-    closure half of the matrix keeps the recompute affordable; the
-    ast engine's worker-count independence is already covered by the
+    default-engine half of the matrix keeps the recompute affordable;
+    the ast engine's worker-count independence is already covered by the
     cold run, which uses a different worker count than the
     references.)"""
-    cells = [cell for cell in _matrix() if cell[1] == "closure"]
+    cells = [cell for cell in _matrix() if cell[1] == DEFAULT_ENGINE]
     jobs = [_job(*cell) for cell in cells]
     with WorkerPool(workers=4, cache_dir=None) as pool:
         results = pool.run_batch(jobs, timeout=600)

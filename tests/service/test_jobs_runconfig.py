@@ -67,7 +67,7 @@ class TestCacheKeys:
 
     def test_engine_never_aliases_cached_runs(self):
         assert spec(engine="ast").canonical_key() \
-            != spec(engine="closure").canonical_key()
+            != spec(engine="codegen").canonical_key()
 
 
 class TestFourWayJobs:
