@@ -74,7 +74,6 @@ class RunConfig:
     #: capacity 0 disables the cache entirely.
     rcache_capacity: int = 0
     rcache_line_words: int = 16
-    rcache_policy: str = "lru"
     max_stmts: int = DEFAULT_MAX_STMTS
     strict_nil_reads: bool = False
     #: Fault-plan spec dict (:meth:`FaultPlan.spec`), or None for a
@@ -115,9 +114,6 @@ class RunConfig:
             raise ReproError("rcache_capacity must be >= 0 (0 disables)")
         if self.rcache_line_words < 1:
             raise ReproError("rcache_line_words must be >= 1")
-        if self.rcache_policy not in ("lru", "fifo"):
-            raise ReproError(f"rcache_policy must be 'lru' or 'fifo', "
-                             f"got {self.rcache_policy!r}")
         if self.max_stmts < 1:
             raise ReproError(f"max_stmts must be >= 1, got "
                              f"{self.max_stmts}")
@@ -140,7 +136,6 @@ class RunConfig:
             params = MachineParams()
         params.rcache_capacity = self.rcache_capacity
         params.rcache_line_words = self.rcache_line_words
-        params.rcache_policy = self.rcache_policy
         return params
 
     def fault_plan(self) -> Optional[FaultPlan]:
@@ -224,7 +219,6 @@ class RunConfig:
             params=getattr(opts, "params", None) or "default",
             rcache_capacity=getattr(opts, "rcache_capacity", None) or 0,
             rcache_line_words=getattr(opts, "rcache_line", None) or 16,
-            rcache_policy=getattr(opts, "rcache_policy", None) or "lru",
             opt=opt_from_cli_args(opts),
             max_stmts=DEFAULT_MAX_STMTS if max_stmts is None
             else max_stmts,
@@ -243,8 +237,7 @@ class RunConfig:
             parts.append(f"params={self.params}")
         if self.rcache_capacity:
             parts.append(f"rcache={self.rcache_capacity}"
-                         f"x{self.rcache_line_words}w"
-                         f"/{self.rcache_policy}")
+                         f"x{self.rcache_line_words}w")
         if self.faults is not None:
             parts.append(f"faults=seed{self.faults.get('seed')}")
         if self.trace:

@@ -145,9 +145,8 @@ _zero_of = Interpreter._zero_of
 
 # ---------------------------------------------------------------------------
 # Runtime helpers referenced by emitted code (installed in every
-# generated function's namespace).  Each mirrors one runtime check or
-# action-payload construction of the walker, with identical error
-# messages.
+# generated function's namespace).  Each mirrors one runtime check of
+# the walker, with identical error messages.
 # ---------------------------------------------------------------------------
 
 
@@ -190,174 +189,6 @@ def _faddr(base, offset):
     if base == 0:
         raise MemoryFault("&(nil->field)")
     return base + offset
-
-
-def _make_read_factory(stats, strict, memory):
-    """``_mk_read(addr)`` -> the remote-read action payload."""
-    read_word = memory.read_word
-
-    def _mk_read(addr):
-        def do_read(addr=addr):
-            if addr == 0:
-                stats.speculative_nil_reads += 1
-                if strict:
-                    raise MemoryFault("nil dereference (remote read)")
-                return 0
-            return _normalize_word(read_word(addr))
-        return do_read
-    return _mk_read
-
-
-def _make_write_factories(memory):
-    """``_mk_write1/_mk_write2`` -> remote-write action payloads
-    (single word, and double word with FILLER)."""
-    write_word = memory.write_word
-
-    def _mk_write1(addr, val):
-        def do_write(addr=addr, val=val):
-            write_word(addr, val)
-            return None
-        return do_write
-
-    def _mk_write2(addr, val):
-        def do_write(addr=addr, val=val):
-            write_word(addr, val)
-            write_word(addr + 1, FILLER)
-            return None
-        return do_write
-    return _mk_write1, _mk_write2
-
-
-def _make_alloc_factory(memory):
-    # ``private`` is emitted in generated source only for marked sites,
-    # so legacy programs produce byte-identical code.
-    def _mk_alloc(target, words, origin, private=False):
-        def do_alloc():
-            return memory.allocate(target, words, origin=origin,
-                                   private=private)
-        return do_alloc
-    return _mk_alloc
-
-
-def _make_shared_factories():
-    def _mk_shw(cell, value):
-        def do_op(cell=cell, value=value):
-            cell.value = value
-            return None
-        return do_op
-
-    def _mk_sha(cell, value):
-        def do_op(cell=cell, value=value):
-            cell.value = cell.value + value
-            return None
-        return do_op
-
-    def _mk_shv(cell):
-        def do_op(cell=cell):
-            return cell.value
-        return do_op
-    return _mk_shw, _mk_sha, _mk_shv
-
-
-def _make_move_factory(memory, stats, strict, words, src_is_ptr,
-                       dst_is_ptr, lazy):
-    """Per-blkmov-statement ``_mk_mvN(src, dst, node, slot)`` factory;
-    the body is the walker's ``_exec_blkmov`` lowering: the
-    endpoint/remote-node classification, the push-side issue-time
-    snapshot, the pull-side ``slot.post`` destination write, and the
-    lazy whole-buffer tail snapshot.  Returns ``(remote_node, do_op,
-    rop)`` for the issue action."""
-
-    def _mk_move(src, dst, node, slot):
-        if src_is_ptr:
-            src_node = src // NODE_SPAN if src != 0 else node
-        else:
-            src_node = node
-        if dst_is_ptr:
-            dst_node = dst // NODE_SPAN if dst != 0 else node
-        else:
-            dst_node = node
-        remote_node = node
-        if src_is_ptr and src_node != node:
-            remote_node = src_node
-        if dst_is_ptr and dst_node != node:
-            remote_node = dst_node
-
-        rop = None
-        if remote_node == node:
-            # Fully local: executes inline at issue time.
-            def do_op(src=src, dst=dst):
-                if src_is_ptr:
-                    if src == 0:
-                        stats.speculative_nil_reads += 1
-                        if strict:
-                            raise MemoryFault("nil blkmov source")
-                        data = [0] * words
-                    else:
-                        data = memory.read_block(src, words)
-                else:
-                    buffer, offset = src
-                    data = list(buffer[offset:offset + words])
-                if dst_is_ptr:
-                    if dst == 0:
-                        raise MemoryFault("nil blkmov destination")
-                    memory.write_block(dst, list(data))
-                    return None
-                return data
-        elif dst_is_ptr and dst_node == remote_node:
-            src_is_origin_local = ((not src_is_ptr)
-                                   or src_node == node or src == 0)
-            if src_is_origin_local:
-                # Push: snapshot the source at issue time.
-                if src_is_ptr:
-                    if src == 0:
-                        stats.speculative_nil_reads += 1
-                        if strict:
-                            raise MemoryFault("nil blkmov source")
-                        data = [0] * words
-                    else:
-                        data = memory.read_block(src, words)
-                else:
-                    buffer, offset = src
-                    data = list(buffer[offset:offset + words])
-
-                def do_op(data=data, dst=dst):
-                    memory.write_block(dst, list(data))
-                    return None
-                rop = ("bwrite", dst, list(data))
-            else:
-                # Both endpoints remote: the servicing SU at the
-                # destination reads the source directly.
-                def do_op(src=src, dst=dst):
-                    memory.write_block(
-                        dst, list(memory.read_block(src, words)))
-                    return None
-                rop = ("bxfer", src, dst, words, remote_node)
-        else:
-            # Pull: the reply carries the block; destination effects
-            # apply at delivery (slot.post).
-            def do_op(src=src):
-                return memory.read_block(src, words)
-            rop = ("bread", src, words)
-            if dst_is_ptr:
-                def post(data, dst=dst):
-                    if dst == 0:
-                        raise MemoryFault("nil blkmov destination")
-                    memory.write_block(dst, list(data))
-                    return None
-                slot.post = post
-
-        if lazy and words < len(dst[0]) and remote_node != node:
-            tail = list(dst[0][words:])
-            slot.post = lambda data, tail=tail: list(data) + tail
-        elif lazy and words < len(dst[0]):
-            tail = list(dst[0][words:])
-            inner = do_op
-
-            def do_op(move=inner, tail=tail):
-                return move() + tail
-        return remote_node, do_op, rop
-    return _mk_move
 
 
 # Map the coercion callables (as chosen by ``_coerce_fn``) to source
@@ -585,8 +416,6 @@ class _CodeGenerator:
     def _build_ns(self) -> None:
         machine = self.machine
         memory = self.memory
-        mk_w1, mk_w2 = _make_write_factories(memory)
-        mk_shw, mk_sha, mk_shv = _make_shared_factories()
         self.ns.update({
             "InterpreterError": InterpreterError,
             "MemoryFault": MemoryFault,
@@ -615,14 +444,7 @@ class _CodeGenerator:
             "_FILLER": FILLER,
             "_BUDGET_MSG": self._budget_msg,
             "_shg": self.interp._shared_global,
-            "_mk_read": _make_read_factory(
-                self.stats, machine.strict_nil_reads, memory),
-            "_mk_write1": mk_w1,
-            "_mk_write2": mk_w2,
-            "_mk_alloc": _make_alloc_factory(memory),
-            "_mk_shw": mk_shw,
-            "_mk_sha": mk_sha,
-            "_mk_shv": mk_shv,
+            "_blkmov": self.interp._applier.blkmov,
         })
 
     def _ns_cell(self, callee: str) -> str:
@@ -1112,14 +934,12 @@ class _CodeGenerator:
         tc = self.tmp()
         self.w(f"{tc} = {self._coerce_expr(field_type, value, kind)}")
         words = field_type.size_words() or 1
-        mk = "_mk_write2" if field_type.size_words() == 2 \
-            else "_mk_write1"
         ts = self.tmp()
         double = field_type.size_words() == 2
         self.w(f"{ts} = Slot('write')")
         self.w(f'yield ("issue", "write", {ta} // _NODE_SPAN, '
-               f'{words!r}, {mk}({ta}, {tc}), {ts}, {ta}, '
-               f'("write", {ta}, {tc}, {double!r}))')
+               f'{words!r}, ("write", {ta}, {tc}, {double!r}), {ts}, '
+               f'{ta})')
         if split:
             self.w(f"{ctx.out}.append({ts})")
         else:
@@ -1204,7 +1024,7 @@ class _CodeGenerator:
         self.w(f"{tn} = {ta} // _NODE_SPAN if {ta} != 0 else node")
         words = value_type.size_words() or 1
         self.w(f'yield ("issue", "read", {tn}, {words!r}, '
-               f'_mk_read({ta}), {ts}, {ta}, ("read", {ta}))')
+               f'("read", {ta}), {ts}, {ta})')
         if stmt.split_phase and isinstance(lhs, s.VarLV):
             if lhs.name not in self.func.variables:
                 raise _Uncompilable(lhs)
@@ -1346,9 +1166,8 @@ class _CodeGenerator:
             self.w(f"{tn} = node")
         ts = self.tmp()
         self.w(f"{ts} = Slot('malloc')")
-        extra = ", True" if stmt.private else ""
         self.w(f'yield ("issue", "malloc", {tn}, {tw}, '
-               f'_mk_alloc({tn}, {tw}, node{extra}), {ts})')
+               f'("alloc", {tn}, {tw}, node, {stmt.private!r}), {ts})')
         tv = self.tmp()
         self.w(f'{tv} = yield ("wait", {ts})')
         self._emit_store_var(stmt.target, tv, None)
@@ -1365,10 +1184,6 @@ class _CodeGenerator:
             raise _Uncompilable(src_name)
         if not dst_is_ptr and dst_name not in self.func.variables:
             raise _Uncompilable(dst_name)
-        mv_key = f"_mk_mv{self.defn()}"
-        self.ns[mv_key] = _make_move_factory(
-            self.memory, self.stats, self.machine.strict_nil_reads,
-            words, src_is_ptr, dst_is_ptr, lazy)
         self._emit_prologue(stmt)
         self._emit_sync(self._sync_entries_for_basic(stmt))
         if src_is_ptr:
@@ -1400,13 +1215,12 @@ class _CodeGenerator:
         ts = self.tmp()
         self.w(f"{ts} = Slot({('blkmov@' + str(stmt.label))!r})")
         trn = self.tmp()
-        tdo = self.tmp()
-        trop = self.tmp()
-        self.w(f"{trn}, {tdo}, {trop} = "
-               f"{mv_key}({src_arg}, {dst_arg}, node, {ts})")
+        top = self.tmp()
+        self.w(f"{trn}, {top} = _blkmov({src_arg}, {dst_arg}, "
+               f"{words!r}, node, {ts}, {lazy!r})")
         addr_arg = tdst if dst_is_ptr else "None"
         self.w(f'yield ("issue", "blkmov", {trn}, {words!r}, '
-               f'{tdo}, {ts}, {addr_arg}, {trop})')
+               f'{top}, {ts}, {addr_arg})')
         if not dst_is_ptr:
             if lazy:
                 self.w(f"{self.var(dst_name)} = {ts}")
@@ -1458,19 +1272,12 @@ class _CodeGenerator:
             self.w(f"{value_temp} = {vexpr}")
         ts = self.tmp()
         self.w(f"{ts} = Slot({('shared:' + op)!r})")
-        if op == "writeto":
-            do = f"_mk_shw({tc}, {value_temp})"
-        elif op == "addto":
-            do = f"_mk_sha({tc}, {value_temp})"
-        else:
-            do = f"_mk_shv({tc})"
-        rop_tuple = (f'("sharedg", {name!r}, {op!r}, {value_temp})')
+        operation = f'("sharedg", {name!r}, {op!r}, {value_temp})'
         if tg is not None:
-            rop_expr = f"({rop_tuple} if {tg} else None)"
-        else:
-            rop_expr = rop_tuple
-        self.w(f'yield ("issue", "shared", {tc}.owner, 1, {do}, '
-               f'{ts}, None, {rop_expr})')
+            operation = (f'{operation} if {tg} else '
+                         f'("sharedf", {tc}, {op!r}, {value_temp})')
+        self.w(f'yield ("issue", "shared", {tc}.owner, 1, '
+               f'{operation}, {ts})')
         if op == "valueof":
             tv = self.tmp()
             self.w(f'{tv} = yield ("wait", {ts})')

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.earth.machine import Fiber, JoinCounter, Machine, Slot
 from repro.earth.memory import FILLER, node_of
+from repro.earth.operations import Applier, normalize_word as _normalize_word
 from repro.errors import InterpreterError, MemoryFault
 from repro.frontend.types import (
     FieldPath,
@@ -164,7 +165,7 @@ class Interpreter:
 
     __slots__ = ("program", "machine", "max_stmts", "engine",
                  "_stmts_left", "_globals_ready", "_finish_time",
-                 "_shared_globals", "_codegen")
+                 "_shared_globals", "_codegen", "_applier")
 
     def __init__(self, program: s.SimpleProgram, machine: Machine,
                  max_stmts: int = 200_000_000,
@@ -181,6 +182,9 @@ class Interpreter:
         self._finish_time = 0.0
         self._shared_globals: Dict[str, SharedCell] = {}
         self._codegen = None
+        self._applier = machine.apply = Applier(
+            machine.memory, machine.stats, machine.strict_nil_reads,
+            machine.rcache, self._shared_cell)
 
     # ======================================================================
     # Entry point
@@ -234,86 +238,18 @@ class Interpreter:
             raise InterpreterError(f"call to unknown function {name!r}")
         return WalkedFunction(self, function)
 
-    def spawn_remote(self, fname: str, args: List[Value], node: int,
-                     result_slot, fiber_id: int,
-                     earliest: float, _tag=None) -> None:
-        """Rebuild and enqueue a placed-call fiber from a shard spawn
-        description (the receiving half of a cross-shard spawn).
-        ``result_slot`` is usually a proxy whose real slot lives on the
-        spawning shard."""
+    def placed_fiber(self, desc: tuple, fiber_id: int, name: str,
+                     node: int) -> Fiber:
+        """Rebuild a placed-call fiber from the recipe a shard port
+        ships (the receiving half of a cross-shard spawn).  The
+        description's result slot is usually a proxy whose real slot
+        lives on the spawning shard."""
+        fname, args, result_slot = desc
         fiber = Fiber(
             self._function(fname).invoke(list(args), node, result_slot),
-            node, name=fname)
+            node, name=name)
         fiber.id = fiber_id
-        self.machine.add_fiber(fiber, earliest=earliest, _tag=_tag)
-
-    def apply_rop(self, rop):
-        """Build the ``do_op`` callable for a reified operation that
-        arrived from another shard (the receiving half of a cross-shard
-        split-phase request).  Mirrors the closures the engines build
-        at the issue site."""
-        machine = self.machine
-        memory = machine.memory
-        kind = rop[0]
-        if kind == "fill":
-            _, node, addr, inner = rop
-            return machine.rcache.wrap_fill(node, addr,
-                                            self.apply_rop(inner))
-        if kind == "read":
-            addr = rop[1]
-            return lambda: _normalize_word(memory.read_word(addr))
-        if kind == "write":
-            _, addr, value, double = rop
-
-            def do_write():
-                memory.write_word(addr, value)
-                if double:
-                    memory.write_word(addr + 1, FILLER)
-                return None
-            return do_write
-        if kind == "bread":
-            _, src, words = rop
-            return lambda: memory.read_block(src, words)
-        if kind == "bwrite":
-            _, dst, data = rop
-
-            def do_bwrite():
-                memory.write_block(dst, list(data))
-                return None
-            return do_bwrite
-        if kind == "bxfer":
-            _, src, dst, words, target = rop
-            if node_of(src) != target and machine.port is not None \
-                    and not machine.port.owns(node_of(src)):
-                from repro.errors import ShardError
-                raise ShardError(
-                    f"blkmov with both endpoints remote reads node "
-                    f"{node_of(src)} while servicing at node {target}; "
-                    f"the partition places them on different shards")
-
-            def do_bxfer():
-                memory.write_block(dst, list(memory.read_block(src,
-                                                               words)))
-                return None
-            return do_bxfer
-        if kind == "sharedg":
-            _, name, op, value = rop
-            gvar = self._global_cell(name)
-            if gvar is None or not gvar.is_shared:
-                raise InterpreterError(
-                    f"unknown shared global {name!r} in shard message")
-            cell = self._shared_global(name, gvar)
-
-            def do_shared():
-                if op == "writeto":
-                    cell.value = value
-                elif op == "addto":
-                    cell.value = cell.value + value
-                else:  # valueof
-                    return cell.value
-                return None
-            return do_shared
-        raise InterpreterError(f"unknown reified operation {rop!r}")
+        return fiber
 
     # -- globals --------------------------------------------------------------------
 
@@ -600,20 +536,9 @@ class Interpreter:
                 return None
             slot = Slot(f"read@{stmt.label}")
             target = node_of(address) if address != 0 else act.node
-            machine = self.machine
-
-            def do_read(addr=address):
-                if addr == 0:
-                    machine.stats.speculative_nil_reads += 1
-                    if machine.strict_nil_reads:
-                        raise MemoryFault("nil dereference (remote read)")
-                    return 0
-                word = machine.memory.read_word(addr)
-                return _normalize_word(word)
-
             yield ("issue", "read", target,
-                   value_type.size_words() or 1, do_read, slot, address,
-                   ("read", address))
+                   value_type.size_words() or 1, ("read", address), slot,
+                   address)
             if stmt.split_phase and isinstance(lhs, s.VarLV):
                 act.frame[lhs.name] = slot
                 return None
@@ -659,21 +584,16 @@ class Interpreter:
                 f"locality analysis or `local` declaration is wrong")
         coerced = self._coerce(field_type, value)
         double = field_type.size_words() == 2
-        machine = self.machine
-
-        def do_write(addr=address, val=coerced, dbl=double):
-            machine.memory.write_word(addr, val)
-            if dbl:
-                machine.memory.write_word(addr + 1, FILLER)
-            return None
-
         if not getattr(lhs, "remote", False):
-            do_write()
+            memory = self.machine.memory
+            memory.write_word(address, coerced)
+            if double:
+                memory.write_word(address + 1, FILLER)
             return
         slot = Slot("write")
         yield ("issue", "write", node_of(address),
-               field_type.size_words() or 1, do_write, slot, address,
-               ("write", address, coerced, double))
+               field_type.size_words() or 1,
+               ("write", address, coerced, double), slot, address)
         if split_phase:
             act.outstanding.append(slot)
         else:
@@ -946,134 +866,39 @@ class Interpreter:
                 % self.machine.num_nodes
         else:
             target = act.node
-        machine = self.machine
         slot = Slot("malloc")
-        origin = act.node
-        private = stmt.private
-
-        def do_alloc():
-            return machine.memory.allocate(target, words, origin=origin,
-                                           private=private)
-
-        yield ("issue", "malloc", target, words, do_alloc, slot)
+        yield ("issue", "malloc", target, words,
+               ("alloc", target, words, act.node, stmt.private), slot)
         value = yield ("wait", slot)
         self._store_var(act, stmt.target, value)
         return None
 
-    def _endpoint_info(self, act: Activation, endpoint):
-        """(kind, address_or_buffer, node) of one blkmov endpoint."""
+    def _endpoint(self, act: Activation, endpoint):
+        """One blkmov endpoint as the applier's classification takes
+        it: a global address, or ``(frame buffer, offset)``."""
         kind, name, offset = endpoint
         if kind == "ptr":
             base = self._pointer_value(act, name)
-            address = base + offset if base != 0 else 0
-            node = node_of(address) if address != 0 else act.node
-            return ("ptr", address, node)
+            return base + offset if base != 0 else 0
         buffer = act.frame[name]
         if not isinstance(buffer, list):
             raise InterpreterError(f"{name!r} is not a struct buffer")
-        return ("local", (buffer, offset), act.node)
+        return (buffer, offset)
 
     def _exec_blkmov(self, act: Activation, stmt: s.BlkmovStmt):
-        machine = self.machine
         words = stmt.words
-        src_kind, src, src_node = self._endpoint_info(act, stmt.src)
-        dst_kind, dst, dst_node = self._endpoint_info(act, stmt.dst)
-
-        # The operation is "remote" when either endpoint is off-node.
-        remote_node = act.node
-        if src_kind == "ptr" and src_node != act.node:
-            remote_node = src_node
-        if dst_kind == "ptr" and dst_node != act.node:
-            remote_node = dst_node
-
+        src = self._endpoint(act, stmt.src)
+        dst = self._endpoint(act, stmt.dst)
+        dst_local = stmt.dst[0] == "local"
+        lazy_local_fill = (dst_local and stmt.split_phase
+                           and stmt.dst[2] == 0)
         slot = Slot(f"blkmov@{stmt.label}")
-        rop = None
-        if remote_node == act.node:
-            # Fully local: executes inline at issue time.
-            def do_op():
-                if src_kind == "ptr":
-                    if src == 0:
-                        machine.stats.speculative_nil_reads += 1
-                        if machine.strict_nil_reads:
-                            raise MemoryFault("nil blkmov source")
-                        data = [0] * words
-                    else:
-                        data = machine.memory.read_block(src, words)
-                else:
-                    buffer, offset = src
-                    data = list(buffer[offset:offset + words])
-                if dst_kind == "ptr":
-                    if dst == 0:
-                        raise MemoryFault("nil blkmov destination")
-                    machine.memory.write_block(dst, list(data))
-                    return None
-                return data
-        elif dst_kind == "ptr" and dst_node == remote_node:
-            src_is_origin_local = (src_kind == "local"
-                                   or src_node == act.node or src == 0)
-            if src_is_origin_local:
-                # Push: the data leaves with the request -- snapshot
-                # the source at issue time (also what lets the request
-                # cross a shard boundary).
-                if src_kind == "ptr":
-                    if src == 0:
-                        machine.stats.speculative_nil_reads += 1
-                        if machine.strict_nil_reads:
-                            raise MemoryFault("nil blkmov source")
-                        data = [0] * words
-                    else:
-                        data = machine.memory.read_block(src, words)
-                else:
-                    buffer, offset = src
-                    data = list(buffer[offset:offset + words])
+        target, operation = self._applier.blkmov(
+            src, dst, words, act.node, slot, lazy_local_fill)
+        yield ("issue", "blkmov", target, words, operation, slot,
+               None if dst_local else dst)
 
-                def do_op(data=data):
-                    machine.memory.write_block(dst, list(data))
-                    return None
-                rop = ("bwrite", dst, list(data))
-            else:
-                # Both endpoints remote: the servicing SU at the
-                # destination reads the source directly (only possible
-                # when one shard owns both nodes).
-                def do_op():
-                    machine.memory.write_block(
-                        dst, list(machine.memory.read_block(src, words)))
-                    return None
-                rop = ("bxfer", src, dst, words, remote_node)
-        else:
-            # Pull: the servicing SU at the source reads the block and
-            # the reply carries it; destination effects apply at the
-            # origin when the reply is delivered (slot.post).
-            def do_op():
-                return machine.memory.read_block(src, words)
-            rop = ("bread", src, words)
-            if dst_kind == "ptr":
-                def post(data):
-                    if dst == 0:
-                        raise MemoryFault("nil blkmov destination")
-                    machine.memory.write_block(dst, list(data))
-                    return None
-                slot.post = post
-
-        lazy_local_fill = (dst_kind == "local" and stmt.split_phase
-                           and dst[1] == 0)
-        if lazy_local_fill and words < len(dst[0]) \
-                and remote_node != act.node:
-            # Prefix block move delivered lazily: append the buffer's
-            # captured tail at delivery so the list is full-length.
-            tail = list(dst[0][words:])
-            slot.post = lambda data: list(data) + tail
-        elif lazy_local_fill and words < len(dst[0]):
-            tail = list(dst[0][words:])
-            inner = do_op
-
-            def do_op(move=inner, tail=tail):
-                return move() + tail
-
-        yield ("issue", "blkmov", remote_node, words, do_op, slot,
-               dst if dst_kind == "ptr" else None, rop)
-
-        if dst_kind == "local":
+        if dst_local:
             buffer, offset = dst
             if lazy_local_fill:
                 # The frame holds the slot; consumers synchronize on the
@@ -1107,24 +932,13 @@ class Interpreter:
         if stmt.value is not None:
             value = self._eval_operand(act, stmt.value)
         op = stmt.op
-
-        def do_op(cell=cell, value=value, op=op):
-            if op == "writeto":
-                cell.value = value
-            elif op == "addto":
-                cell.value = cell.value + value
-            else:  # valueof
-                return cell.value
-            return None
-
         slot = Slot(f"shared:{op}")
-        # Frame-declared shared cells are plain Python objects the
-        # owning shard cannot rebuild, so only global cells get a
-        # reified form; a frame cell crossing shards is a ShardError
-        # at shipment.
-        rop = (("sharedg", stmt.shared_var, op, value)
-               if is_global else None)
-        yield ("issue", "shared", cell.owner, 1, do_op, slot, None, rop)
+        # A global cell travels by name; a frame-declared cell is a
+        # live object the owning shard cannot rebuild, and its kind
+        # says so (a ShardError at shipment).
+        operation = (("sharedg", stmt.shared_var, op, value) if is_global
+                     else ("sharedf", cell, op, value))
+        yield ("issue", "shared", cell.owner, 1, operation, slot)
         if op == "valueof":
             result = yield ("wait", slot)
             self._store_var(act, stmt.target, result)
@@ -1139,11 +953,13 @@ class Interpreter:
             self._shared_globals[name] = cell
         return cell
 
-
-def _normalize_word(word):
-    if word is None or word is FILLER:
-        return 0
-    return word
+    def _shared_cell(self, name: str) -> SharedCell:
+        """The cell a ``sharedg`` operation names (the applier's
+        resolver; the name may have arrived in a shard message)."""
+        gvar = self._global_cell(name)
+        if gvar is None or not gvar.is_shared:
+            raise InterpreterError(f"unknown shared global {name!r}")
+        return self._shared_global(name, gvar)
 
 
 def _c_int(value) -> int:

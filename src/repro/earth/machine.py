@@ -11,14 +11,17 @@ consumers synchronize on.
 Fibers are Python generators yielding actions:
 
 * ``("busy", ns)`` -- occupy the EU;
-* ``("issue", kind, target_node, words, do_op, slot[, addr[, rop]])``
+* ``("issue", kind, target_node, words, operation, slot[, addr])``
   -- start a split-phase operation (``kind`` in
-  read/write/blkmov/shared/malloc); ``do_op()`` performs the memory
-  side effect when the request is serviced and returns the slot value.
-  ``addr`` is the touched global address (feeds the remote-data
-  cache); ``rop`` is a picklable description of the side effect so a
-  shard worker can rebuild ``do_op`` on the process that owns the
-  target node -- both optional, and ignored on local fast paths;
+  read/write/blkmov/shared/malloc).  ``operation`` is a value naming
+  the side effect; wherever the request takes effect -- the local fast
+  path, the target SU, another shard's machine -- the machine hands it
+  to ``Machine.apply(operation)`` and fulfills ``slot`` with the
+  result.  The interpreter installs the applier that gives the
+  engines' operation tuples their meaning
+  (:mod:`repro.earth.operations`); a bare machine's default applier
+  just calls ``operation()``.  ``addr`` is the touched global address
+  (feeds the remote-data cache; optional);
 * ``("wait", slot)`` -- block until a slot is fulfilled (the EU switches
   to another ready fiber);
 * ``("spawn", fiber)`` -- put a new fiber on its node's ready queue.
@@ -109,6 +112,11 @@ _EV_INVAL = 5    # delayed cache invalidation firing at a holder
 _EV_RUN = 9      # EU runner (at most one pending per node)
 
 
+def _call_operation(operation):
+    """The default applier: the operation is itself the effect."""
+    return operation()
+
+
 class Slot:
     """A split-phase synchronization slot."""
 
@@ -164,30 +172,30 @@ class _PendingOp:
     reaches the origin (later replies are discarded).  In a sharded
     run the origin and target shards each hold their own half: the
     origin's carries the slot, timeout and attempt state; the target's
-    carries the dedup/channel state and a ``do_op`` rebuilt from the
-    shipped ``rop``."""
+    carries the dedup/channel state and the shipped operation."""
 
-    __slots__ = ("op", "origin", "target", "words", "do_op", "slot",
-                 "op_id", "attempts", "applied", "completed", "value",
-                 "chan_seq", "addr", "rop", "reply_seq", "remote_origin")
+    __slots__ = ("op", "origin", "target", "words", "operation", "slot",
+                 "has_slot", "op_id", "attempts", "applied", "completed",
+                 "value", "chan_seq", "addr", "reply_seq", "remote_origin")
 
     def __init__(self, op: str, origin: int, target: int, words: int,
-                 do_op: Optional[Callable[[], object]],
-                 slot: Optional["Slot"],
+                 operation: object, slot: Optional["Slot"],
                  op_id: Optional[object], chan_seq: int,
-                 addr: Optional[int] = None, rop: object = None):
+                 addr: Optional[int] = None):
         self.op = op
         self.origin = origin
         self.target = target
         self.words = words
-        self.do_op = do_op
+        self.operation = operation
         self.slot = slot
+        #: Does the origin consume the reply's value?  (A target-shard
+        #: record has no slot object; the request message says.)
+        self.has_slot = slot is not None
         self.op_id = op_id
         #: Position in the (origin, target) channel: the SU applies
         #: requests from one origin in this order.
         self.chan_seq = chan_seq
         self.addr = addr
-        self.rop = rop
         self.attempts = 0
         self.applied = False
         self.completed = False
@@ -256,8 +264,7 @@ class Machine:
             self.rcache = RemoteCache(
                 num_nodes, self.memory, self.stats,
                 self.params.rcache_capacity,
-                self.params.rcache_line_words,
-                self.params.rcache_policy, tracer)
+                self.params.rcache_line_words, tracer)
             self.rcache.machine = self
             self.memory.rcache = self.rcache
         self.time = 0.0
@@ -271,6 +278,10 @@ class Machine:
         #: locally.  ``None`` in single-process runs (zero overhead
         #: beyond one attribute test per cross-node effect).
         self.port = None
+        #: What an issued operation does when it takes effect:
+        #: ``apply(operation)`` -> the slot value.  The interpreter
+        #: installs :class:`repro.earth.operations.Applier`.
+        self.apply: Callable[[object], object] = _call_operation
 
         self._events: List[Tuple[float, tuple, Callable[[], None]]] = []
         self._ready: List[List[Tuple[float, int, Fiber]]] = [
@@ -441,12 +452,10 @@ class Machine:
                 if kind == "busy":
                     t += action[1]
                 elif kind == "issue":
-                    _tag, op, target, words, do_op, slot = action[:6]
-                    t = self._issue(fiber, t, op, target, words, do_op,
-                                    slot,
+                    _tag, op, target, words, operation, slot = action[:6]
+                    t = self._issue(fiber, t, op, target, words,
+                                    operation, slot,
                                     action[6] if len(action) > 6
-                                    else None,
-                                    action[7] if len(action) > 7
                                     else None)
                 elif kind == "wait":
                     slot: Slot = action[1]
@@ -513,10 +522,8 @@ class Machine:
     # -- split-phase operations ----------------------------------------------------
 
     def _issue(self, fiber: Fiber, t: float, op: str, target: int,
-               words: int, do_op: Callable[[], object],
-               slot: Optional[Slot],
-               addr: Optional[int] = None,
-               rop: object = None) -> float:
+               words: int, operation: object, slot: Optional[Slot],
+               addr: Optional[int] = None) -> float:
         """Issue one operation; returns the new fiber-local time.
 
         ``addr`` is the global memory address the operation touches
@@ -528,29 +535,26 @@ class Machine:
         node = fiber.node
         if op == "shared":
             self.stats.shared_ops += 1
+            t += params.shared_op_ns
             if target == node:
-                t += params.shared_op_ns
-                value = do_op()
+                value = self.apply(operation)
                 if slot is not None:
                     self.fulfill(slot, value, t)
                 return t
-            t += params.shared_op_ns
-            self._send_request(node, t, "write", target, do_op, slot, 1,
-                               addr=None, rop=rop)
+            self._send_request(node, t, "write", target, operation, slot,
+                               1)
             return t
         if op == "malloc":
             if target == node:
                 t += params.malloc_ns
-                value = do_op()
-                if slot is not None:
-                    self.fulfill(slot, value, t)
-                return t
-            # Remote allocation stays instantaneous at the origin: it
-            # bumps the origin's slice of the target's arena address
-            # space (repro.earth.memory), so no message is needed even
-            # when the target node lives on another shard.
-            t += params.malloc_ns + params.remote_malloc_extra_ns
-            value = do_op()
+            else:
+                # Remote allocation stays instantaneous at the origin:
+                # it bumps the origin's slice of the target's arena
+                # address space (repro.earth.memory), so no message is
+                # needed even when the target node lives on another
+                # shard.
+                t += params.malloc_ns + params.remote_malloc_extra_ns
+            value = self.apply(operation)
             if slot is not None:
                 self.fulfill(slot, value, t)
             return t
@@ -560,7 +564,7 @@ class Machine:
             self._count_op(op, local=True, words=words)
             if self.rcache is not None:
                 self.rcache.now = t
-            value = do_op()
+            value = self.apply(operation)
             if slot is not None:
                 self.fulfill(slot, value, t)
             return t
@@ -583,8 +587,7 @@ class Machine:
                         self.fulfill(slot, value, t)
                     return t
                 self.stats.rcache_misses += 1
-                do_op = rcache.wrap_fill(node, addr, do_op)
-                rop = ("fill", node, addr, rop)
+                operation = ("fill", node, addr, operation)
             else:
                 # write / blkmov destination: drop the issuing node's
                 # own stale copies before the fiber can read them back,
@@ -594,24 +597,37 @@ class Machine:
                 rcache.writer_block(node, addr, words)
         t += params.issue_cost(op, words)
         self._count_op(op, local=False, words=words)
-        self._send_request(node, t, op, target, do_op, slot, words,
-                           addr=addr, rop=rop)
+        self._send_request(node, t, op, target, operation, slot, words,
+                           addr=addr)
         return t
 
-    def _send_request(self, origin: int, t: float, op: str, target: int,
-                      do_op: Optional[Callable[[], object]],
-                      slot: Optional[Slot], words: int,
-                      addr: Optional[int] = None,
-                      rop: object = None) -> None:
-        if self.faults is not None:
-            self._send_resilient(origin, t, op, target, do_op, slot,
-                                 words, addr=addr, rop=rop)
-            return
-        one_way = self.params.one_way_latency(op)
-        arrival = t + one_way
-        su_time = self.params.su_service_ns
+    def _request_leg(self, op: str, words: int) -> Tuple[float, float]:
+        """``(one_way, su_time)`` of one request: its network latency
+        (the reply leg reuses it) and its service time at the target
+        SU."""
+        params = self.params
+        if op == "spawn":
+            # The invoke token rides the network like a read-sized
+            # request (keeps every cross-node effect -- including
+            # retried spawns -- at least one network latency after the
+            # event that produced it, the shard-window bound).
+            one_way = params.read_one_way_ns
+        else:
+            one_way = params.one_way_latency(op)
+        su_time = params.su_service_ns
         if op == "blkmov":
-            su_time += self.params.su_blkmov_per_word_ns * words
+            su_time += params.su_blkmov_per_word_ns * words
+        return one_way, su_time
+
+    def _send_request(self, origin: int, t: float, op: str, target: int,
+                      operation: object, slot: Optional[Slot],
+                      words: int, addr: Optional[int] = None) -> None:
+        if self.faults is not None:
+            self._send_resilient(origin, t, op, target, operation, slot,
+                                 words, addr=addr)
+            return
+        one_way, su_time = self._request_leg(op, words)
+        arrival = t + one_way
 
         chan = (origin, target)
         chan_seq = self._chan_next.get(chan, 1)
@@ -636,19 +652,19 @@ class Machine:
             self.port.send_request(
                 op=op, origin=origin, target=target, words=words,
                 chan_seq=chan_seq, attempt=1, arrival=arrival,
-                rop=rop, has_slot=slot is not None, op_id=op_id,
-                resilient=False)
+                operation=operation, has_slot=slot is not None,
+                op_id=op_id, resilient=False)
             return
 
         self._schedule(
             arrival, (_EV_ARRIVE, target, origin, chan_seq, 1),
             lambda: self._service_clean(op, origin, target, words,
-                                        do_op, slot, arrival, one_way,
-                                        su_time, op_id, chan_seq,
-                                        addr=addr))
+                                        operation, slot, arrival,
+                                        one_way, su_time, op_id,
+                                        chan_seq, addr=addr))
 
     def _service_clean(self, op: str, origin: int, target: int,
-                       words: int, do_op: Callable[[], object],
+                       words: int, operation: object,
                        slot: Optional[Slot], arrival: float,
                        one_way: float, su_time: float,
                        op_id: Optional[object], chan_seq: int,
@@ -669,7 +685,7 @@ class Machine:
                         src=origin, id=op_id)
         if self.rcache is not None:
             self.rcache.now = su_done
-        value = do_op()
+        value = self.apply(operation)
         reply_at = su_done + one_way
         if reply_via_port:
             if has_slot:
@@ -722,7 +738,7 @@ class Machine:
                 and pending.op in ("write", "blkmov"):
             self.rcache.writer_unblock(origin, pending.addr,
                                        pending.words)
-        if pending.slot is not None:
+        if pending.has_slot:
             self.fulfill(pending.slot, value, reply_at)
         elif self.tracer is not None:
             self.tracer.emit("fulfill", reply_at, origin,
@@ -731,11 +747,9 @@ class Machine:
     # -- resilient split-phase protocol (fault injection active) -------------------
 
     def _send_resilient(self, origin: int, t: float, op: str,
-                        target: int,
-                        do_op: Optional[Callable[[], object]],
+                        target: int, operation: object,
                         slot: Optional[Slot], words: int,
-                        addr: Optional[int] = None,
-                        rop: object = None) -> None:
+                        addr: Optional[int] = None) -> None:
         """Faulty-network counterpart of :meth:`_send_request`.
 
         Every operation becomes a :class:`_PendingOp` with a timeout,
@@ -748,18 +762,7 @@ class Machine:
         *after* a later read of the same location arrives would
         otherwise leak a stale value.)  Only reached when a FaultPlan
         is attached -- the zero-fault path above stays byte-identical."""
-        if op == "spawn":
-            # The invoke token rides the network like a read-sized
-            # request (keeps every cross-node effect -- including
-            # retried spawns -- at least one network latency after the
-            # event that produced it, the shard-window bound).
-            one_way = self.params.read_one_way_ns
-        else:
-            one_way = self.params.one_way_latency(op if op != "shared"
-                                                  else "write")
-        su_time = self.params.su_service_ns
-        if op == "blkmov":
-            su_time += self.params.su_blkmov_per_word_ns * words
+        one_way, su_time = self._request_leg(op, words)
 
         tracer = self.tracer
         op_id = None
@@ -773,8 +776,8 @@ class Machine:
         chan = (origin, target)
         chan_seq = self._chan_next.get(chan, 1)
         self._chan_next[chan] = chan_seq + 1
-        pending = _PendingOp(op, origin, target, words, do_op, slot,
-                             op_id, chan_seq, addr=addr, rop=rop)
+        pending = _PendingOp(op, origin, target, words, operation, slot,
+                             op_id, chan_seq, addr=addr)
         if self.port is not None and not self.port.owns(target):
             self._inflight[(origin, target, chan_seq)] = pending
         self._launch_attempt(pending, t, one_way, su_time)
@@ -787,11 +790,8 @@ class Machine:
         network guarantees that ordering by timing alone; a dropped
         write retried after the callee started would otherwise let it
         read uninitialized memory.)"""
-        self._send_resilient(
-            origin, t, "spawn", child.node,
-            lambda at: self.add_fiber(child, earliest=at), None, 0,
-            rop=("spawn", child.spawn_desc, child.id, child.name,
-                 child.node))
+        self._send_resilient(origin, t, "spawn", child.node, child,
+                             None, 0)
 
     def _launch_attempt(self, pending: "_PendingOp", t: float,
                         one_way: float, su_time: float) -> None:
@@ -855,8 +855,8 @@ class Machine:
                 op=pending.op, origin=pending.origin,
                 target=pending.target, words=pending.words,
                 chan_seq=pending.chan_seq, attempt=attempt,
-                arrival=arrival, rop=pending.rop,
-                has_slot=pending.slot is not None,
+                arrival=arrival, operation=pending.operation,
+                has_slot=pending.has_slot,
                 op_id=pending.op_id, resilient=True)
             return
         self._schedule(
@@ -868,42 +868,29 @@ class Machine:
 
     def recv_remote_request(self, op: str, origin: int, target: int,
                             words: int, chan_seq: int, attempt: int,
-                            arrival: float,
-                            do_op: Optional[Callable[[], object]],
+                            arrival: float, operation: object,
                             has_slot: bool, op_id: Optional[object],
                             resilient: bool) -> None:
         """Target-side entry for a request that crossed shards: build
         (or refresh) the local service record and schedule its arrival
         event (called by the shard worker at message application)."""
-        if op == "spawn":
-            # Must mirror _send_resilient: the reply leg reuses the
-            # request's one-way latency.
-            one_way = self.params.read_one_way_ns
-        else:
-            one_way = self.params.one_way_latency(op if op != "shared"
-                                                  else "write")
-        su_time = self.params.su_service_ns
-        if op == "blkmov":
-            su_time += self.params.su_blkmov_per_word_ns * words
+        one_way, su_time = self._request_leg(op, words)
         if not resilient:
             self._schedule(
                 arrival, (_EV_ARRIVE, target, origin, chan_seq, attempt),
                 lambda: self._service_clean(
-                    op, origin, target, words, do_op, None, arrival,
+                    op, origin, target, words, operation, None, arrival,
                     one_way, su_time, op_id, chan_seq,
                     reply_via_port=True, has_slot=has_slot))
             return
         key = (origin, target, chan_seq)
         pending = self._remote_served.get(key)
         if pending is None:
-            pending = _PendingOp(op, origin, target, words, do_op,
+            pending = _PendingOp(op, origin, target, words, operation,
                                  None, op_id, chan_seq)
             pending.remote_origin = True
+            pending.has_slot = has_slot
             pending.attempts = attempt
-            # ``has_slot`` rides in ``value`` until applied? No --
-            # keep it on the record so replies know whether the origin
-            # expects a payload trace event.
-            pending.rop = has_slot
             self._remote_served[key] = pending
         else:
             pending.attempts = max(pending.attempts, attempt)
@@ -976,9 +963,9 @@ class Machine:
         if self.rcache is not None:
             self.rcache.now = at
         if pending.op == "spawn":
-            pending.value = pending.do_op(at)
+            pending.value = self.add_fiber(pending.operation, earliest=at)
         else:
-            pending.value = pending.do_op()
+            pending.value = self.apply(pending.operation)
         pending.applied = True
         self._chan_applied[(pending.origin, pending.target)] \
             = pending.chan_seq
@@ -1021,7 +1008,7 @@ class Machine:
                     and pending.op in ("write", "blkmov"):
                 self.rcache.writer_unblock(pending.origin, pending.addr,
                                            pending.words)
-            if pending.slot is not None:
+            if pending.has_slot:
                 self.fulfill(pending.slot, pending.value, reply_at)
             elif tracer is not None:
                 tracer.emit("fulfill", reply_at, pending.origin,

@@ -74,7 +74,6 @@ class MachineParams:
         # uncached simulator)
         rcache_capacity: int = 0,
         rcache_line_words: int = 16,
-        rcache_policy: str = "lru",
         rcache_hit_ns: float = 150.0,
         # Third-party cached copies are dropped this long after the
         # store's side effect lands in global memory (the invalidation
@@ -115,17 +114,12 @@ class MachineParams:
             raise ValueError("rcache_capacity must be >= 0 (0 disables)")
         if rcache_line_words < 1:
             raise ValueError("rcache_line_words must be >= 1")
-        if rcache_policy not in ("lru", "fifo"):
-            raise ValueError(
-                f"rcache_policy must be 'lru' or 'fifo', got "
-                f"{rcache_policy!r}")
         if rcache_hit_ns < 0:
             raise ValueError("rcache_hit_ns must be >= 0")
         if rcache_inval_ns <= 0:
             raise ValueError("rcache_inval_ns must be positive")
         self.rcache_capacity = rcache_capacity
         self.rcache_line_words = rcache_line_words
-        self.rcache_policy = rcache_policy
         self.rcache_hit_ns = rcache_hit_ns
         self.rcache_inval_ns = rcache_inval_ns
 

@@ -15,8 +15,8 @@ A line covers ``rcache_line_words`` consecutive words of one home
 node's memory, aligned to the line size; a line never spans two nodes
 because global addresses are ``node * NODE_SPAN + offset`` and lines
 are keyed by ``(home_node, offset // line_words)``.  Every node owns an
-independent line map with capacity ``rcache_capacity`` lines and an
-``"lru"`` (default) or ``"fifo"`` replacement policy.
+independent line map with capacity ``rcache_capacity`` lines, replaced
+least-recently-used first (a hit promotes its line).
 
 Coherence (write-through invalidation, message-delayed)
 -------------------------------------------------------
@@ -84,10 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_CAPACITY = 64
 DEFAULT_LINE_WORDS = 16
 
-#: Replacement policies: ``lru`` promotes a line on every hit, ``fifo``
-#: evicts in fill order regardless of use.
-POLICIES = ("lru", "fifo")
-
 _LineKey = Tuple[int, int]
 
 
@@ -123,12 +119,11 @@ class RemoteCache:
     """
 
     __slots__ = ("num_nodes", "memory", "stats", "tracer", "capacity",
-                 "line_words", "lru", "now", "machine", "_lines",
+                 "line_words", "now", "machine", "_lines",
                  "_granted", "_inval_hw", "_blocked")
 
     def __init__(self, num_nodes: int, memory: GlobalMemory,
                  stats: "MachineStats", capacity: int, line_words: int,
-                 policy: str = "lru",
                  tracer: Optional["Tracer"] = None):
         if capacity < 1:
             raise ValueError(f"rcache capacity must be >= 1, got "
@@ -137,16 +132,12 @@ class RemoteCache:
         if line_words < 1:
             raise ValueError(f"rcache line_words must be >= 1, got "
                              f"{line_words}")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown rcache policy {policy!r} "
-                             f"(known: {', '.join(POLICIES)})")
         self.num_nodes = num_nodes
         self.memory = memory
         self.stats = stats
         self.tracer = tracer
         self.capacity = capacity
         self.line_words = line_words
-        self.lru = policy == "lru"
         #: Current simulated instant, kept fresh by the machine at
         #: every point a side effect can apply; stamps snapshots
         #: (``snap_t``), store times (``t_w``), and trace events.
@@ -199,8 +190,7 @@ class RemoteCache:
         value = line.get(address % NODE_SPAN, line)
         if value is line:  # sentinel: word absent from the line
             return False, None
-        if self.lru:
-            lines.move_to_end(key)
+        lines.move_to_end(key)
         return True, value
 
     def pack_fill(self, node: int, address: int) -> Optional[_Fill]:
@@ -236,21 +226,18 @@ class RemoteCache:
         self._granted.setdefault(key, set()).add(node)
         return _Fill(node, key, self.now, line)
 
-    def wrap_fill(self, node: int, address: int, do_op):
-        """Wrap a missing read's ``do_op`` so that, when the side
-        effect applies at the home, the returned value is a
-        :class:`_Fill` carrying both the read value and the line
-        snapshot.  The machine unwraps it when the reply is delivered.
-        Under fault injection the wrapper rides the exactly-once
-        application path, so retries never double-snapshot."""
-        def read_and_pack():
-            value = do_op()
-            fill = self.pack_fill(node, address)
-            if fill is None:
-                return value
-            fill.value = value
-            return fill
-        return read_and_pack
+    def wrap_fill(self, node: int, address: int, value):
+        """The reply payload of a missing read whose side effect just
+        applied at the home and produced ``value``: a :class:`_Fill`
+        carrying both the value and the line snapshot.  The machine
+        unwraps it when the reply is delivered.  Under fault injection
+        this rides the exactly-once application path, so retries never
+        double-snapshot."""
+        fill = self.pack_fill(node, address)
+        if fill is None:
+            return value
+        fill.value = value
+        return fill
 
     def install(self, fill: _Fill, at: float) -> object:
         """Deliver a fill at the reader: install the snapshot (unless a
@@ -265,8 +252,7 @@ class RemoteCache:
                 lines.popitem(last=False)
                 self.stats.rcache_evictions += 1
             lines[key] = (fill.snap_t, fill.line)
-            if self.lru:
-                lines.move_to_end(key)
+            lines.move_to_end(key)
         return fill.value
 
     # -- invalidation (the write path) -------------------------------------
@@ -375,9 +361,8 @@ class RemoteCache:
     def __repr__(self) -> str:
         held = sum(len(lines) for lines in self._lines)
         return (f"RemoteCache({self.num_nodes} nodes, "
-                f"{self.capacity}x{self.line_words}w, "
-                f"{'lru' if self.lru else 'fifo'}, {held} lines held)")
+                f"{self.capacity}x{self.line_words}w, lru, {held} lines held)")
 
 
 __all__ = ["RemoteCache", "DEFAULT_CAPACITY", "DEFAULT_LINE_WORDS",
-           "POLICIES", "node_of"]
+           "node_of"]

@@ -363,9 +363,6 @@ compile_source = compile_earthc
 #: carrying a live :class:`CommConfig`.
 CONFIG_PRESETS = ("default", "simple-baseline")
 
-#: Named machine-parameter presets for serialized jobs.
-PARAMS_PRESETS = ("default", "sequential-c")
-
 
 def resolve_config(name: Optional[str]) -> Optional[CommConfig]:
     """Look up a :data:`CONFIG_PRESETS` name (pure, picklable entry
@@ -376,17 +373,6 @@ def resolve_config(name: Optional[str]) -> Optional[CommConfig]:
         return simple_baseline_config()
     raise ValueError(f"unknown config preset {name!r} "
                      f"(known: {', '.join(CONFIG_PRESETS)})")
-
-
-def resolve_params(name: Optional[str]) -> Optional[MachineParams]:
-    """Look up a :data:`PARAMS_PRESETS` name (pure, picklable entry
-    point for cross-process job execution)."""
-    if name is None or name == "default":
-        return None
-    if name == "sequential-c":
-        return MachineParams.sequential_c()
-    raise ValueError(f"unknown params preset {name!r} "
-                     f"(known: {', '.join(PARAMS_PRESETS)})")
 
 
 def simple_baseline_config() -> CommConfig:

@@ -46,13 +46,12 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.comm.optconfig import OptConfig, resolve_opt
-from repro.config import RunConfig
+from repro.config import PARAMS_PRESETS, RunConfig
 from repro.earth.faults import FaultPlan
 from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES, RunResult
 from repro.errors import ReproError, ServiceError, exit_code_for
 from repro.harness.pipeline import (
     CONFIG_PRESETS,
-    PARAMS_PRESETS,
     PIPELINE_VERSION,
     CompiledProgram,
     compile_earthc,
@@ -95,7 +94,6 @@ class JobSpec:
         faults: Optional[Dict[str, object]] = None,
         rcache_capacity: int = 0,
         rcache_line_words: int = 16,
-        rcache_policy: str = "lru",
         small: bool = False,
         selftest: Optional[Dict[str, object]] = None,
         opt: Union[None, str, Dict[str, object], OptConfig] = None,
@@ -131,10 +129,9 @@ class JobSpec:
             FaultPlan.from_spec(faults)
         try:
             # Eager run-option validation through the one options
-            # object (rcache geometry, policy names, ...).
+            # object (rcache geometry, ...).
             RunConfig(rcache_capacity=rcache_capacity,
-                      rcache_line_words=rcache_line_words,
-                      rcache_policy=rcache_policy)
+                      rcache_line_words=rcache_line_words)
             # Optimizer heuristics validate eagerly too; stored in
             # canonical JSON form so the wire format stays plain data.
             opt_config = resolve_opt(opt)
@@ -159,7 +156,6 @@ class JobSpec:
         self.faults = None if faults is None else dict(faults)
         self.rcache_capacity = int(rcache_capacity)
         self.rcache_line_words = int(rcache_line_words)
-        self.rcache_policy = rcache_policy
         self.small = bool(small)
         self.selftest = None if selftest is None else dict(selftest)
         self.opt = None if opt_config is None else opt_config.to_json()
@@ -187,7 +183,6 @@ class JobSpec:
             "faults": self.faults,
             "rcache_capacity": self.rcache_capacity,
             "rcache_line_words": self.rcache_line_words,
-            "rcache_policy": self.rcache_policy,
             "small": self.small,
             "selftest": self.selftest,
             "opt": self.opt,
@@ -204,8 +199,7 @@ class JobSpec:
                  "config", "inline", "reorder_fields", "nodes", "entry",
                  "args", "engine", "params", "max_stmts",
                  "strict_nil_reads", "faults", "rcache_capacity",
-                 "rcache_line_words", "rcache_policy", "small",
-                 "selftest", "opt"}
+                 "rcache_line_words", "small", "selftest", "opt"}
         unknown = set(data) - known
         if unknown:
             raise ServiceError(
@@ -275,7 +269,6 @@ class JobSpec:
                 engine=self.engine, params=self.params,
                 rcache_capacity=self.rcache_capacity,
                 rcache_line_words=self.rcache_line_words,
-                rcache_policy=self.rcache_policy,
                 max_stmts=max_stmts,
                 strict_nil_reads=self.strict_nil_reads,
                 faults=self.faults,
@@ -285,8 +278,7 @@ class JobSpec:
                 # them out of the key so equivalent jobs share an
                 # address.
                 config = config.replace(rcache_capacity=0,
-                                        rcache_line_words=16,
-                                        rcache_policy="lru")
+                                        rcache_line_words=16)
             # The config's canonical JSON form is embedded verbatim:
             # every run option -- current and future -- lands in the
             # cache key without per-field bookkeeping here.

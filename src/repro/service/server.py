@@ -2,8 +2,8 @@
 
 Wire protocol: newline-delimited JSON objects, one request per line,
 one response line per request, in order, over a plain TCP connection
-(stdlib only; an HTTP front end is a roadmap item).  Requests carry an
-``op``:
+(stdlib only; the HTTP front end is :mod:`repro.fleet.http`).
+Requests carry an ``op``:
 
 * ``{"op": "ping"}`` -- liveness + pipeline version;
 * ``{"op": "submit", "job": {...}}`` -- run one :class:`JobSpec`;

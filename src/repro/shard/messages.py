@@ -9,8 +9,9 @@ kinds mirror the five cross-node effects of the single-process machine
 kind       payload                                             routed to
 =========  ==================================================  =========
 ``req``    one split-phase request (clean or resilient         target's
-           protocol), carrying its reified operation            shard
-           (``rop``) instead of the issue-site closure
+           protocol), carrying its operation tuple              shard
+           (:mod:`repro.earth.operations`; a resilient
+           spawn carries the fiber's recipe)
 ``rep``    the reply/ack leg of a served request               origin's
                                                                 shard
 ``spawn``  a clean-protocol placed call: the fiber's           child

@@ -27,6 +27,7 @@ from repro.earth.machine import (
     Machine,
     Slot,
 )
+from repro.earth.memory import node_of
 from repro.errors import ShardError
 from repro.shard import messages
 from repro.shard.messages import SlotProxy
@@ -61,35 +62,36 @@ class ShardPort:
         return self.partition.shard_of(node) == self.shard_id
 
     def send_request(self, **kw) -> None:
+        operation = kw["operation"]
+        dest = self.partition.shard_of(kw["target"])
         if kw["op"] == "spawn":
-            kw["rop"] = self._proxy_spawn_rop(kw["rop"])
-        elif kw["rop"] is None:  # pragma: no cover - engine contract
+            kw["operation"] = self._spawn_recipe(operation)
+        elif operation[0] == "sharedf":
             raise ShardError(
-                f"split-phase {kw['op']} from node {kw['origin']} to "
-                f"node {kw['target']} has no reified form and cannot "
-                f"cross a shard boundary")
-        self._post(self.partition.shard_of(kw["target"]),
-                   messages.req(**kw))
+                f"shared-variable operation from node {kw['origin']} "
+                f"to node {kw['target']} names a frame-declared cell "
+                f"and cannot cross a shard boundary")
+        elif operation[0] == "bxfer" \
+                and self.partition.shard_of(node_of(operation[1])) != dest:
+            raise ShardError(
+                f"blkmov with both endpoints remote reads node "
+                f"{node_of(operation[1])} while servicing at node "
+                f"{kw['target']}; the partition places them on "
+                f"different shards")
+        self._post(dest, messages.req(**kw))
 
     def send_reply(self, **kw) -> None:
         self._post(self.partition.shard_of(kw["origin"]),
                    messages.rep(**kw))
 
     def send_spawn(self, child: Fiber, earliest: float) -> None:
-        if child.spawn_desc is None:
-            raise ShardError(
-                f"fiber {child.name!r} (node {child.node}) has no spawn "
-                f"description and cannot cross a shard boundary; only "
-                f"placed calls may target foreign nodes")
-        name, args, slot = child.spawn_desc
+        recipe = self._spawn_recipe(child)
         # The receiving worker emits the fiber_spawn trace event; a
         # reserved position makes it sort exactly where the spawner's
         # own emission would have gone.
         tag = self.tracer.reserve() if self.tracer is not None else None
         self._post(self.partition.shard_of(child.node),
-                   messages.spawn((name, list(args), self._proxy(slot)),
-                                  child.id, child.name, child.node,
-                                  earliest, tag))
+                   messages.spawn(*recipe, earliest, tag))
 
     def send_ret(self, slot, value, at: float, dst: int, src: int,
                  seq: int) -> None:
@@ -113,17 +115,17 @@ class ShardPort:
         self._slots[ref] = slot
         return SlotProxy(ref, slot.node)
 
-    def _proxy_spawn_rop(self, rop: tuple) -> tuple:
-        _, desc, fiber_id, name, node = rop
-        fname, args, slot = desc
-        if isinstance(slot, SlotProxy):
-            # A retry of an already-proxied spawn: re-send the same ref
-            # (the target dedups by channel sequence).
-            proxy = slot
-        else:
-            proxy = self._proxy(slot)
-        return ("spawn", (fname, list(args), proxy), fiber_id, name,
-                node)
+    def _spawn_recipe(self, child: Fiber) -> tuple:
+        """The picklable form of a placed call's fiber: ``(desc,
+        fiber_id, name, node)`` with the result slot proxied."""
+        if child.spawn_desc is None:
+            raise ShardError(
+                f"fiber {child.name!r} (node {child.node}) has no spawn "
+                f"description and cannot cross a shard boundary; only "
+                f"placed calls may target foreign nodes")
+        fname, args, slot = child.spawn_desc
+        return ((fname, list(args), self._proxy(slot)), child.id,
+                child.name, child.node)
 
     def take_slot(self, ref: tuple) -> Slot:
         slot = self._slots.pop(ref, None)
@@ -190,18 +192,10 @@ class ShardWorker:
         kind = message[0]
         if kind == "req":
             kw = dict(message[1])
-            rop = kw.pop("rop")
             if kw["op"] == "spawn":
-                _, desc, fiber_id, _name, child_node = rop
-                fname, args, slot = desc
-
-                def do_op(at, _f=fname, _a=args, _n=child_node,
-                          _s=slot, _id=fiber_id):
-                    return self.interp.spawn_remote(
-                        _f, list(_a), _n, _s, _id, at)
-            else:
-                do_op = self.interp.apply_rop(rop)
-            self.machine.recv_remote_request(do_op=do_op, **kw)
+                kw["operation"] = self.interp.placed_fiber(
+                    *kw["operation"])
+            self.machine.recv_remote_request(**kw)
         elif kind == "rep":
             kw = message[1]
             machine = self.machine
@@ -214,10 +208,9 @@ class ShardWorker:
                     kw["origin"], kw["target"], kw["chan_seq"],
                     kw["value"], reply_at, kw["attempts"]))
         elif kind == "spawn":
-            _, desc, fiber_id, _name, node, earliest, tag = message
-            fname, args, slot = desc
-            self.interp.spawn_remote(fname, list(args), node, slot,
-                                     fiber_id, earliest, _tag=tag)
+            *recipe, earliest, tag = message[1:]
+            self.machine.add_fiber(self.interp.placed_fiber(*recipe),
+                                   earliest=earliest, _tag=tag)
         elif kind == "ret":
             _, ref, value, at, dst, src, seq = message
             self.machine.deliver_ret(self.port.take_slot(ref), value,

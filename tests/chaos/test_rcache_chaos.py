@@ -118,15 +118,13 @@ def test_cached_equals_uncached_under_faults(source, fault_config):
 
 
 @CHAOS
-@given(heap_programs(), st.integers(0, 10_000),
-       st.sampled_from(["lru", "fifo"]))
-def test_cached_faulty_runs_replay_bit_identically(source, seed, policy):
+@given(heap_programs(), st.integers(0, 10_000))
+def test_cached_faulty_runs_replay_bit_identically(source, seed):
     """Determinism survives the cache: cloned fault plans give two
     cached runs that agree on time and the full stats snapshot."""
     compiled_program = compile_earthc(source, optimize=True)
     plan = FaultPlan.from_profile("chaos", seed)
-    config = RunConfig(nodes=3, rcache_capacity=8, rcache_line_words=4,
-                       rcache_policy=policy)
+    config = RunConfig(nodes=3, rcache_capacity=8, rcache_line_words=4)
     first = execute(compiled_program, config=config,
                     faults=plan.clone())
     second = execute(compiled_program, config=config,

@@ -117,7 +117,7 @@ def test_mixed_run_bit_identical_to_ast(monkeypatch, programs, methods,
 def test_mixed_run_bit_identical_across_shards(monkeypatch, programs,
                                                methods, program):
     """Walked activations also start from another shard's spawn
-    message (``Interpreter.spawn_remote``)."""
+    message (``Interpreter.placed_fiber``)."""
     compiled, config = programs[program]
     reference = execute(compiled, config=config.replace(engine="ast"))
     walked, _ = _force_fallback(monkeypatch, methods)

@@ -87,7 +87,7 @@ GOLDEN_SUM_CHAIN = textwrap.dedent("""\
             _t2 = (_t1 + 1 if _t1 != 0 else 0)
             _t3 = Slot('read@26')
             _t4 = _t2 // _NODE_SPAN if _t2 != 0 else node
-            yield ("issue", "read", _t4, 1, _mk_read(_t2), _t3, _t2, ("read", _t2))
+            yield ("issue", "read", _t4, 1, ("read", _t2), _t3, _t2)
             v_comm1 = _t3
             _interp._stmts_left -= 1
             if _interp._stmts_left <= 0:
@@ -97,7 +97,7 @@ GOLDEN_SUM_CHAIN = textwrap.dedent("""\
             _t5 = v_head
             _t6 = Slot('read@10')
             _t7 = _t5 // _NODE_SPAN if _t5 != 0 else node
-            yield ("issue", "read", _t7, 1, _mk_read(_t5), _t6, _t5, ("read", _t5))
+            yield ("issue", "read", _t7, 1, ("read", _t5), _t6, _t5)
             v_temp_1 = _t6
             _interp._stmts_left -= 1
             if _interp._stmts_left <= 0:

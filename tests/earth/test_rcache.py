@@ -1,5 +1,5 @@
 """Unit tests for the per-node remote-data cache (earth/rcache.py):
-line geometry, LRU/FIFO replacement, the message-delayed invalidation
+line geometry, LRU replacement, the message-delayed invalidation
 protocol (pack/install, store grants, high-water marks, writer
 blocks), the memory write hooks, and the machine-level integration
 knobs."""
@@ -13,7 +13,6 @@ from repro.earth.params import MachineParams
 from repro.earth.rcache import (
     DEFAULT_CAPACITY,
     DEFAULT_LINE_WORDS,
-    POLICIES,
     RemoteCache,
     _Fill,
 )
@@ -35,14 +34,14 @@ class InstantInval:
         self.cache.fire_inval(holder, key, t_w, t_w)
 
 
-def make_cache(num_nodes=3, capacity=4, line_words=4, policy="lru",
-               tracer=None, heap_words=64):
+def make_cache(num_nodes=3, capacity=4, line_words=4, tracer=None,
+               heap_words=64):
     memory = GlobalMemory(num_nodes)
     stats = MachineStats()
     for node in range(num_nodes):
         memory.allocate(node, heap_words)
     cache = RemoteCache(num_nodes, memory, stats, capacity, line_words,
-                        policy, tracer)
+                        tracer)
     cache.machine = InstantInval(cache)
     memory.rcache = cache
     return cache, memory, stats
@@ -69,8 +68,6 @@ class TestGeometry:
             RemoteCache(2, memory, stats, 0, 4)
         with pytest.raises(ValueError):
             RemoteCache(2, memory, stats, 4, 0)
-        with pytest.raises(ValueError):
-            RemoteCache(2, memory, stats, 4, 4, policy="random")
 
     def test_lines_are_aligned_and_never_span_nodes(self):
         cache, _, _ = make_cache(line_words=8)
@@ -81,10 +78,6 @@ class TestGeometry:
         assert a == b
         assert b != c
         assert a[0] == 1 and d[0] == 2
-
-    def test_policies_constant_matches_validation(self):
-        for policy in POLICIES:
-            make_cache(policy=policy)
 
 
 class TestLookupFill:
@@ -140,8 +133,7 @@ class TestLookupFill:
         cache, memory, _ = make_cache()
         memory.nodes[1].write(16, 9)
         a = addr(1, 0)
-        wrapped = cache.wrap_fill(0, a, lambda: memory.read_word(a))
-        carried = wrapped()
+        carried = cache.wrap_fill(0, a, memory.read_word(a))
         # The side effect produced a picklable in-flight snapshot...
         assert isinstance(carried, _Fill)
         assert carried.value == 9
@@ -154,8 +146,7 @@ class TestLookupFill:
         cache, memory, _ = make_cache()
         memory.nodes[1].write(16, 7)
         a = addr(1, 0)
-        wrapped = cache.wrap_fill(1, a, lambda: memory.read_word(a))
-        assert wrapped() == 7
+        assert cache.wrap_fill(1, a, memory.read_word(a)) == 7
         assert cache.lines_held(1) == 0
 
 
@@ -179,16 +170,6 @@ class TestReplacement:
         fill(cache, 0, make_address(1, 8))   # evicts line 1 (LRU)
         assert cache.lookup(0, make_address(1, 0))[0]
         assert not cache.lookup(0, make_address(1, 4))[0]
-
-    def test_fifo_ignores_hits(self):
-        cache, _, _ = make_cache(capacity=2, line_words=4,
-                                 policy="fifo", heap_words=64)
-        fill(cache, 0, make_address(1, 0))
-        fill(cache, 0, make_address(1, 4))
-        cache.lookup(0, make_address(1, 0))  # touch does not promote
-        fill(cache, 0, make_address(1, 8))   # evicts line 0 (oldest)
-        assert not cache.lookup(0, make_address(1, 0))[0]
-        assert cache.lookup(0, make_address(1, 4))[0]
 
     def test_eviction_is_invisible_to_the_home(self):
         cache, _, _ = make_cache(capacity=1, line_words=4, heap_words=64)

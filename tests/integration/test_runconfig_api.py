@@ -75,7 +75,6 @@ class TestValueObject:
         dict(params="turbo"),
         dict(rcache_capacity=-1),
         dict(rcache_line_words=0),
-        dict(rcache_policy="mru"),
         dict(max_stmts=0),
         dict(trace_capacity=0),
         dict(faults={"seed": 1, "warp_factor": 9}),
@@ -92,11 +91,10 @@ class TestValueObject:
             config.replace(engine="jit")
 
     def test_machine_params_applies_rcache_geometry(self):
-        params = RunConfig(rcache_capacity=32, rcache_line_words=8,
-                           rcache_policy="fifo").machine_params()
+        params = RunConfig(rcache_capacity=32,
+                           rcache_line_words=8).machine_params()
         assert params.rcache_capacity == 32
         assert params.rcache_line_words == 8
-        assert params.rcache_policy == "fifo"
         seq = RunConfig(params="sequential-c").machine_params()
         assert seq.ctx_switch_ns == 0.0 and seq.spawn_ns == 0.0
 

@@ -47,9 +47,6 @@ class TestCacheKeys:
         assert spec(rcache_capacity=64).canonical_key() != base
         assert spec(rcache_capacity=64, rcache_line_words=8) \
             .canonical_key() != spec(rcache_capacity=64).canonical_key()
-        assert spec(rcache_capacity=64, rcache_policy="fifo") \
-            .canonical_key() \
-            != spec(rcache_capacity=64).canonical_key()
 
     def test_three_way_key_ignores_rcache_fields(self):
         # run_three_ways never builds a cache, so equivalent jobs must
@@ -58,7 +55,7 @@ class TestCacheKeys:
         assert spec(kind="three-way",
                     rcache_capacity=64).canonical_key() == base
         assert spec(kind="three-way", rcache_capacity=64,
-                    rcache_policy="fifo").canonical_key() == base
+                    rcache_line_words=8).canonical_key() == base
 
     def test_four_way_key_keeps_rcache_fields(self):
         assert spec(kind="four-way",
@@ -76,11 +73,10 @@ class TestFourWayJobs:
 
     def test_round_trips_through_dict(self):
         job = spec(kind="four-way", rcache_capacity=32,
-                   rcache_line_words=8, rcache_policy="fifo")
+                   rcache_line_words=8)
         restored = JobSpec.from_dict(job.to_dict())
         assert restored.rcache_capacity == 32
         assert restored.rcache_line_words == 8
-        assert restored.rcache_policy == "fifo"
         assert restored.canonical_key() == job.canonical_key()
 
     def test_executes_all_four_legs(self):
@@ -113,5 +109,3 @@ class TestValidation:
             spec(rcache_capacity=-1)
         with pytest.raises(ServiceError):
             spec(rcache_line_words=0)
-        with pytest.raises(ServiceError):
-            spec(rcache_policy="mru")
