@@ -55,17 +55,21 @@ import sys
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.points_to import analyze_points_to
 from repro.analysis.rw_sets import EffectsAnalysis
-from repro.comm.optconfig import BLKMOV_SHAPES, OPT_PRESETS
 from repro.comm.placement import analyze_placement
-from repro.config import RunConfig, opt_from_cli_args
-from repro.earth.faults import PROFILES, plan_from_cli
-from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
+from repro.config import (
+    ASSEMBLED_FIELDS,
+    OPT_FLAGS,
+    RUN_FLAGS,
+    RunConfig,
+    cli_run_options,
+)
+from repro.earth.interpreter import DEFAULT_ENGINE
 from repro.errors import (
     EXIT_ERROR,
     EXIT_OK,
-    EXIT_USAGE,
     ReproError,
     ServiceError,
+    UsageError,
     exit_code_for,
 )
 from repro.harness.pipeline import compile_earthc, execute
@@ -98,14 +102,21 @@ def _emit_error(exc: BaseException, json_mode: bool,
 
 
 def _usage_error(message: str, json_mode: bool = False) -> int:
-    if json_mode:
-        print(json.dumps({"ok": False,
-                          "error": {"type": "UsageError",
-                                    "message": message,
-                                    "code": EXIT_USAGE}}))
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+    return _emit_error(UsageError(message), json_mode)
+
+
+def _add_run_flags(parser, *options, **defaults) -> None:
+    """Attach the named :data:`~repro.config.RUN_FLAGS` rows to
+    ``parser``.  A flag that sets a ``RunConfig`` field directly
+    defaults to the field's default unless ``defaults`` names another
+    for this verb (``nodes=4``: a submitted job's machine)."""
+    field_defaults = RunConfig()
+    for option in options:
+        field, keywords = RUN_FLAGS[option]
+        if field not in ASSEMBLED_FIELDS:
+            keywords = dict(keywords, default=defaults.get(
+                field, getattr(field_defaults, field)))
+        parser.add_argument(option, **keywords)
 
 
 # ---------------------------------------------------------------------------
@@ -133,122 +144,32 @@ def _parse_args(argv):
                         help="restrict --show output to one function")
     parser.add_argument("--run", action="store_true",
                         help="execute main() on the simulator")
-    parser.add_argument("--nodes", type=int, default=1,
-                        help="number of EARTH nodes (default 1)")
-    parser.add_argument("--shards", type=int, default=1, metavar="K",
-                        help="with --run: partition the simulated "
-                             "nodes across K worker processes "
-                             "(repro.shard); results are bit-identical "
-                             "to --shards 1, only wall-clock changes "
-                             "(default 1)")
     parser.add_argument("--args", default="",
                         help="comma-separated integer arguments to main "
                              "(for the bundled Olden benchmarks, "
                              "defaults to the catalog problem size)")
-    parser.add_argument("--entry", default="main")
-    parser.add_argument("--max-stmts", type=int, default=None,
-                        metavar="N",
-                        help="abort the run after N interpreted "
-                             "statements (infinite-loop guard)")
-    parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=ENGINES,
-                        help="execution engine: 'codegen' emits "
-                             "specialized Python source per function "
-                             "(default), 'ast' walks the tree "
-                             "(reference)")
+    _add_run_flags(parser, "--nodes", "--shards", "--entry",
+                   "--max-stmts", "--engine", "--rcache-capacity",
+                   "--rcache-line", "--trace", "--trace-capacity",
+                   "--faults", "--fault-drop", "--fault-jitter",
+                   "--fault-profile")
     parser.add_argument("--dump-codegen", default=None, metavar="FUNC",
                         help="print the Python source the codegen "
                              "engine emits for FUNC (or a fallback "
                              "notice when it leaves FUNC to the AST "
                              "walker) and continue")
-    parser.add_argument("--rcache-capacity", type=int, default=0,
-                        metavar="LINES",
-                        help="with --run: per-node remote-data cache "
-                             "capacity in lines (0 = disabled, the "
-                             "default; the machine is then byte-"
-                             "identical to the uncached simulator)")
-    parser.add_argument("--rcache-line", type=int, default=16,
-                        metavar="WORDS",
-                        help="remote-data cache line size in words "
-                             "(default 16)")
-    parser.add_argument("--trace", default=None, metavar="FILE",
-                        help="with --run: record a structured trace and "
-                             "write it as Chrome trace-event JSON "
-                             "(chrome://tracing / Perfetto)")
-    parser.add_argument("--trace-capacity", type=int, default=None,
-                        metavar="N",
-                        help="bound trace memory to the most recent N "
-                             "events (ring buffer; default unbounded)")
     parser.add_argument("--json", action="store_true",
                         help="with --run: print one JSON object (run "
                              "result, MachineStats.snapshot(), per-node "
                              "EU/SU utilization) instead of text; "
                              "errors become one-line JSON objects")
-    parser.add_argument("--faults", type=int, default=None,
-                        metavar="SEED",
-                        help="with --run: inject deterministic network "
-                             "faults from this seed (drops, jitter, SU "
-                             "slowdowns); the resilience layer retries "
-                             "until delivery")
-    parser.add_argument("--fault-drop", type=float, default=None,
-                        metavar="P",
-                        help="per-leg message drop probability in "
-                             "[0, 1] (requires --faults)")
-    parser.add_argument("--fault-jitter", type=float, default=None,
-                        metavar="NS",
-                        help="max extra one-way latency per leg in ns "
-                             "(requires --faults)")
-    parser.add_argument("--fault-profile", default=None,
-                        choices=sorted(PROFILES),
-                        help="named fault configuration (requires "
-                             "--faults; --fault-drop/--fault-jitter "
-                             "override its fields)")
     opt_group = parser.add_argument_group(
         "optimizer heuristics (OptConfig)",
         "tuning knobs for -O; defaults reproduce the paper's fixed "
         "multipliers bit-for-bit")
-    opt_group.add_argument("--opt-preset", default=None,
-                           choices=sorted(OPT_PRESETS),
-                           help="named heuristic preset; individual "
-                                "--opt-* flags override its fields")
-    opt_group.add_argument("--opt-loop-weight", type=float, default=None,
-                           metavar="W", dest="opt_loop_weight",
-                           help="frequency multiplier per enclosing "
-                                "loop (legacy 10)")
-    opt_group.add_argument("--opt-branch-weight", type=float,
-                           default=None, metavar="W",
-                           dest="opt_branch_weight",
-                           help="frequency multiplier / execution "
-                                "probability per conditional arm "
-                                "(legacy 0.5)")
-    opt_group.add_argument("--opt-probabilistic", action="store_true",
-                           default=False, dest="opt_probabilistic",
-                           help="drive selection by the probability "
-                                "channel instead of raw frequencies")
-    opt_group.add_argument("--opt-block-threshold", type=int,
-                           default=None, metavar="N",
-                           dest="opt_block_threshold",
-                           help="minimum distinct fields before a "
-                                "block move is considered (legacy 3)")
-    opt_group.add_argument("--opt-min-expected", type=float,
-                           default=None, metavar="X",
-                           dest="opt_min_expected",
-                           help="minimum expected scalar accesses a "
-                                "block move must replace (legacy 2)")
-    opt_group.add_argument("--opt-spurious-ratio", type=float,
-                           default=None, metavar="R",
-                           dest="opt_spurious_ratio",
-                           help="max struct-size / words-needed ratio "
-                                "for a block move (legacy 4)")
-    opt_group.add_argument("--opt-shape", default=None,
-                           choices=BLKMOV_SHAPES, dest="opt_shape",
-                           help="read block-move shape policy "
-                                "(legacy 'prefix')")
-    opt_group.add_argument("--opt-private-lines", action="store_true",
-                           default=False, dest="opt_private_lines",
-                           help="skip rcache write-through "
-                                "invalidation for provably-private "
-                                "allocations")
+    _add_run_flags(opt_group, "--opt-preset")
+    for option, (_, keywords) in OPT_FLAGS.items():
+        opt_group.add_argument(option, **keywords)
     return parser.parse_args(argv)
 
 
@@ -308,22 +229,6 @@ def _compile_main(argv) -> int:
                             args.json)
     if (args.trace or args.json) and not args.run:
         return _usage_error("--trace/--json require --run", args.json)
-    if args.trace_capacity is not None and args.trace_capacity <= 0:
-        return _usage_error("--trace-capacity must be positive",
-                            args.json)
-    if args.max_stmts is not None and args.max_stmts <= 0:
-        return _usage_error("--max-stmts must be positive", args.json)
-    if args.rcache_capacity < 0:
-        return _usage_error("--rcache-capacity must be >= 0", args.json)
-    if args.rcache_line < 1:
-        return _usage_error("--rcache-line must be >= 1", args.json)
-    fault_opts = (args.fault_drop, args.fault_jitter,
-                  args.fault_profile)
-    if args.faults is None and any(opt is not None
-                                   for opt in fault_opts):
-        return _usage_error("--fault-drop/--fault-jitter/"
-                            "--fault-profile require --faults SEED",
-                            args.json)
     if args.faults is not None and not args.run:
         return _usage_error("--faults requires --run", args.json)
     if args.fault_drop is not None \
@@ -335,7 +240,9 @@ def _compile_main(argv) -> int:
                             f"{args.fault_jitter}", args.json)
 
     try:
-        opt = opt_from_cli_args(args)
+        # Every run flag is validated here, --run or not.
+        config = RunConfig.from_cli_args(args)
+        opt = config.opt
         compiled = compile_earthc(
             source, args.file, optimize=args.optimize,
             inline=args.inline, reorder_fields=args.reorder_fields,
@@ -360,14 +267,14 @@ def _compile_main(argv) -> int:
             print(compiled.profile_text())
             print()
         if args.dump_codegen is not None:
-            _dump_codegen(compiled, args.dump_codegen, args.nodes)
+            _dump_codegen(compiled, args.dump_codegen, config.nodes)
 
         if args.run:
             run_args = [int(part) for part in args.args.split(",")
                         if part.strip()]
             if not run_args and args.entry == "main":
                 run_args = _catalog_default_args(args.file)
-            config = RunConfig.from_cli_args(args, run_args)
+            config = config.replace(args=tuple(run_args))
             result = execute(compiled, config=config)
             tracer, faults = result.tracer, result.faults
             if tracer is not None:
@@ -496,45 +403,20 @@ def _service_main(verb: str, argv) -> int:
     return _batch_main(argv)
 
 
-def _add_fault_arguments(parser) -> None:
-    parser.add_argument("--faults", type=int, default=None,
-                        metavar="SEED",
-                        help="inject deterministic faults from this "
-                             "seed")
-    parser.add_argument("--fault-profile", default=None,
-                        choices=sorted(PROFILES),
-                        help="named fault configuration (requires "
-                             "--faults)")
-
-
-def _fault_spec(opts):
-    """CLI fault flags -> a JobSpec ``faults`` dict (or None)."""
-    if opts.faults is None:
-        if opts.fault_profile is not None:
-            raise ServiceError("--fault-profile requires --faults SEED")
-        return None
-    return plan_from_cli(opts.faults, opts.fault_profile,
-                         None, None).spec()
-
-
-def _serve_main(argv) -> int:
-    from repro.harness.pipeline import PIPELINE_VERSION
-    from repro.service import DEFAULT_CACHE_DIR, WorkerPool, serve_forever
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Serve compile/run jobs over JSON-over-TCP on top "
-                    "of a cached multi-process worker pool")
+def _add_pool_flags(parser, port: int) -> None:
+    """The flags ``serve`` and ``fleet-serve`` share: where to listen
+    and the worker pool behind the listener."""
+    from repro.service import DEFAULT_CACHE_DIR
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7781,
-                        help="TCP port (0 picks an ephemeral port; "
-                             "default 7781)")
+    parser.add_argument("--port", type=int, default=port,
+                        help="port to listen on (0 picks an ephemeral "
+                             "port; default %(default)s)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes (0 runs jobs inline; "
                              "default 2)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help=f"artifact cache root (default "
-                             f"{DEFAULT_CACHE_DIR})")
+                        help="local artifact cache root (default "
+                             "%(default)s)")
     parser.add_argument("--no-cache", action="store_true",
                         help="keep the cache in memory only")
     parser.add_argument("--timeout", type=float, default=None,
@@ -545,8 +427,20 @@ def _serve_main(argv) -> int:
                         help="attempts per job before giving up "
                              "(crashes/timeouts requeue; default 3)")
     parser.add_argument("--max-queue-depth", type=int, default=64,
-                        help="reject submissions beyond this many "
-                             "in-flight jobs (default 64)")
+                        help="refuse submissions (Busy / HTTP 503) "
+                             "beyond this many in-flight jobs "
+                             "(default 64)")
+
+
+def _serve_main(argv) -> int:
+    from repro.harness.pipeline import PIPELINE_VERSION
+    from repro.service import WorkerPool, serve_forever
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro serve",
+        description="Serve compile/run jobs over JSON-over-TCP on top "
+                    "of a cached multi-process worker pool")
+    _add_pool_flags(parser, port=7781)
     opts = parser.parse_args(argv)
 
     pool = WorkerPool(opts.workers,
@@ -586,34 +480,21 @@ def _submit_main(argv) -> int:
                                  "four-way"))
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7781)
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--rcache-capacity", type=int, default=0,
-                        metavar="LINES",
-                        help="per-node remote-data cache capacity in "
-                             "lines (0 = disabled)")
-    parser.add_argument("--rcache-line", type=int, default=16,
-                        metavar="WORDS",
-                        help="remote-data cache line size in words")
+    _add_run_flags(parser, "--nodes", "--rcache-capacity",
+                   "--rcache-line", "--engine", "--params", "--entry",
+                   "--opt-preset", "--faults", "--fault-profile",
+                   nodes=4)
     parser.add_argument("--no-optimize", action="store_true")
     parser.add_argument("--inline", action="store_true")
-    parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=ENGINES)
     parser.add_argument("--config", default="default")
-    parser.add_argument("--params", default="default")
-    parser.add_argument("--entry", default="main")
     parser.add_argument("--args", default="", dest="run_args",
                         help="comma-separated integer arguments")
     parser.add_argument("--small", action="store_true",
                         help="use the benchmark's reduced problem size")
-    parser.add_argument("--opt-preset", default=None,
-                        choices=sorted(OPT_PRESETS), dest="opt_preset",
-                        help="optimizer heuristic preset "
-                             "(OptConfig) for the job")
     parser.add_argument("--timeout", type=float, default=300.0,
                         help="client socket timeout in seconds")
     parser.add_argument("--json", action="store_true",
                         help="print the full JobResult as JSON")
-    _add_fault_arguments(parser)
     opts = parser.parse_args(argv)
 
     if (opts.file is None) == (opts.benchmark is None):
@@ -635,16 +516,12 @@ def _submit_main(argv) -> int:
                        benchmark=opts.benchmark, filename=filename,
                        optimize=not opts.no_optimize,
                        config=opts.config, inline=opts.inline,
-                       nodes=opts.nodes, entry=opts.entry,
-                       args=run_args, engine=opts.engine,
-                       params=opts.params, faults=_fault_spec(opts),
-                       rcache_capacity=opts.rcache_capacity,
-                       rcache_line_words=opts.rcache_line,
-                       small=opts.small, opt=opts.opt_preset)
+                       small=opts.small, args=run_args,
+                       **cli_run_options(opts))
         with ServiceClient(opts.host, opts.port,
                            timeout=opts.timeout) as client:
             result = client.submit(spec)
-    except (ServiceError, ValueError) as exc:
+    except (ReproError, ValueError) as exc:
         return _emit_error(exc, opts.json)
 
     if opts.json:
@@ -708,27 +585,19 @@ def _batch_main(argv) -> int:
     parser.add_argument("--benchmarks", default=None,
                         help="comma-separated benchmark sweep "
                              "(default: the full Olden catalog)")
-    parser.add_argument("--nodes", default="1,2,4",
+    # A sweep axis, not the run flag of the same name: kept out of the
+    # ``nodes`` dest cli_run_options reads.
+    parser.add_argument("--nodes", default="1,2,4", dest="node_counts",
                         help="comma-separated processor counts for the "
                              "sweep (default 1,2,4)")
     parser.add_argument("--kind", default="three-way",
                         choices=("compile", "run", "three-way",
                                  "four-way"))
-    parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=ENGINES)
     parser.add_argument("--small", action="store_true",
                         help="use reduced problem sizes")
-    parser.add_argument("--rcache-capacity", type=int, default=0,
-                        metavar="LINES",
-                        help="per-node remote-data cache capacity for "
-                             "run/four-way sweeps (0 = disabled)")
-    parser.add_argument("--rcache-line", type=int, default=16,
-                        metavar="WORDS",
-                        help="remote-data cache line size in words")
-    parser.add_argument("--opt-preset", default=None,
-                        choices=sorted(OPT_PRESETS), dest="opt_preset",
-                        help="optimizer heuristic preset (OptConfig) "
-                             "applied to every sweep job")
+    _add_run_flags(parser, "--engine", "--rcache-capacity",
+                   "--rcache-line", "--opt-preset", "--faults",
+                   "--fault-profile")
     parser.add_argument("--workers", type=int, default=2,
                         help="local worker processes (0 = inline; "
                              "default 2)")
@@ -742,7 +611,6 @@ def _batch_main(argv) -> int:
                         help="write the JSON result array to FILE")
     parser.add_argument("--json", action="store_true",
                         help="print the JSON result array on stdout")
-    _add_fault_arguments(parser)
     opts = parser.parse_args(argv)
 
     try:
@@ -763,13 +631,10 @@ def _batch_main(argv) -> int:
             from repro.harness.experiments import sweep_jobs
             benchmarks = opts.benchmarks.split(",") \
                 if opts.benchmarks else None
-            counts = [int(part) for part in opts.nodes.split(",")]
+            counts = [int(part) for part in opts.node_counts.split(",")]
             specs = sweep_jobs(counts, benchmarks, small=opts.small,
-                               kind=opts.kind, engine=opts.engine,
-                               faults=_fault_spec(opts),
-                               rcache_capacity=opts.rcache_capacity,
-                               rcache_line_words=opts.rcache_line,
-                               opt=opts.opt_preset)
+                               kind=opts.kind,
+                               run=RunConfig.from_cli_args(opts))
         if not specs:
             return _usage_error("batch has no jobs to run", opts.json)
 
@@ -784,7 +649,7 @@ def _batch_main(argv) -> int:
             cache_dir = None if opts.no_cache else opts.cache_dir
             with WorkerPool(opts.workers, cache_dir=cache_dir) as pool:
                 results = pool.run_batch(specs)
-    except (ServiceError, ValueError) as exc:
+    except (ReproError, ValueError) as exc:
         return _emit_error(exc, opts.json)
 
     dump = [result.to_dict() for result in results]
@@ -799,7 +664,8 @@ def _batch_main(argv) -> int:
     else:
         for spec, result in zip(specs, results):
             label = spec.benchmark or spec.filename or "<inline>"
-            print(_render_job(result, label=f"{label} p={spec.nodes}"))
+            print(_render_job(result,
+                              label=f"{label} p={spec.run.nodes}"))
         failed = sum(1 for result in results if not result.ok)
         hits = sum(1 for result in results if result.cache == "hit")
         print(f"batch: {len(results) - failed}/{len(results)} ok, "
@@ -820,39 +686,18 @@ def _batch_main(argv) -> int:
 def _fleet_serve_main(argv) -> int:
     from repro.fleet import serve_gateway_forever
     from repro.harness.pipeline import PIPELINE_VERSION
-    from repro.service import DEFAULT_CACHE_DIR, WorkerPool
+    from repro.service import WorkerPool
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet-serve",
         description="Serve compile/run jobs over HTTP/1.1 + JSON on "
                     "top of a cached multi-process worker pool, "
                     "optionally backed by a shared artifact store")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7791,
-                        help="HTTP port (0 picks an ephemeral port; "
-                             "default 7791)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes (0 runs jobs inline; "
-                             "default 2)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help=f"local artifact cache root (default "
-                             f"{DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="keep the cache in memory only")
+    _add_pool_flags(parser, port=7791)
     parser.add_argument("--store", default=None, metavar="HOST:PORT",
                         help="shared artifact store to layer under the "
                              "local cache (degrades to local-only "
                              "when unreachable)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="S",
-                        help="per-attempt job timeout in seconds "
-                             "(default: none)")
-    parser.add_argument("--max-attempts", type=int, default=3,
-                        help="attempts per job before giving up "
-                             "(default 3)")
-    parser.add_argument("--max-queue-depth", type=int, default=64,
-                        help="answer 503 beyond this many in-flight "
-                             "jobs (default 64)")
     opts = parser.parse_args(argv)
 
     store_url = None
@@ -945,11 +790,7 @@ def _loadtest_main(argv) -> int:
                              "--seed)")
     parser.add_argument("--kind", default="run",
                         choices=("compile", "run"))
-    parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=ENGINES,
-                        help="execution engine for run jobs "
-                             f"(default {DEFAULT_ENGINE})")
-    parser.add_argument("--nodes", type=int, default=2)
+    _add_run_flags(parser, "--engine", "--nodes", nodes=2)
     parser.add_argument("--small", action="store_true", default=True,
                         help="use reduced problem sizes (default on)")
     parser.add_argument("--full-size", dest="small",
@@ -991,17 +832,20 @@ def _loadtest_main(argv) -> int:
         benchmarks = [part.strip()
                       for part in opts.benchmarks.split(",")
                       if part.strip()]
-    jobs = [JobSpec(opts.kind, benchmark=name, nodes=opts.nodes,
-                    small=opts.small, engine=opts.engine).to_dict()
-            for name in benchmarks]
-    if opts.generated:
-        from repro.workload import generate_jobs
-        seed = opts.seed if opts.generated_seed is None \
-            else opts.generated_seed
-        jobs += [job.to_dict(opts.kind)
-                 for job in generate_jobs(seed, opts.generated,
-                                          nodes=(opts.nodes,),
-                                          engines=(opts.engine,))]
+    try:
+        jobs = [JobSpec(opts.kind, benchmark=name, small=opts.small,
+                        **cli_run_options(opts)).to_dict()
+                for name in benchmarks]
+        if opts.generated:
+            from repro.workload import generate_jobs
+            seed = opts.seed if opts.generated_seed is None \
+                else opts.generated_seed
+            jobs += [job.to_dict(opts.kind)
+                     for job in generate_jobs(seed, opts.generated,
+                                              nodes=(opts.nodes,),
+                                              engines=(opts.engine,))]
+    except ReproError as exc:
+        return _emit_error(exc, False)
     if not jobs:
         return _usage_error("the job mix is empty: give --benchmarks "
                             "and/or --generated N")
@@ -1103,7 +947,7 @@ def _genjobs_main(argv) -> int:
                             if p.strip()],
             rcache_capacities=[int(p) for p in opts.rcache.split(",")
                                if p.strip()])
-    except ValueError as exc:
+    except (ValueError, UsageError) as exc:
         return _usage_error(str(exc))
 
     text = json.dumps([job.to_dict(opts.kind) for job in jobs],

@@ -92,9 +92,6 @@ class PointsToResult:
         return bool(self.points_to(func_a, var_a)
                     & self.points_to(func_b, var_b))
 
-    def holder_sets(self) -> Dict[Holder, Set[Loc]]:
-        return self._sets
-
 
 class PointsToAnalysis:
     """Builds and solves the constraint system for one program."""

@@ -124,16 +124,6 @@ class CommCostModel:
             return False
         return True
 
-    def estimated_group_benefit_ns(self, num_accesses: int,
-                                   struct_words: int,
-                                   blocked: bool) -> float:
-        """Pipelined scalar cost minus chosen-strategy cost (reporting
-        aid for the harness; positive means the choice is cheaper)."""
-        pipelined = num_accesses * self.read_pipelined_ns
-        if not blocked:
-            return 0.0
-        return pipelined - self.blkmov_cost(struct_words, pipelined=True)
-
     def __repr__(self) -> str:
         return (f"CommCostModel(read={self.read_pipelined_ns}/"
                 f"{self.read_sequential_ns}, write={self.write_pipelined_ns}/"

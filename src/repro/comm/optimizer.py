@@ -18,6 +18,7 @@ synchronous (sequential-cost) operation in the simulator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.connection import ConnectionInfo
@@ -39,6 +40,7 @@ from repro.simple import nodes as s
 from repro.simple.validate import validate_program
 
 
+@dataclass(frozen=True)
 class CommConfig:
     """Knobs for the optimization pipeline.
 
@@ -53,33 +55,13 @@ class CommConfig:
     choices*.
     """
 
-    def __init__(
-        self,
-        enable_locality: bool = True,
-        enable_forwarding: bool = True,
-        enable_placement: bool = True,
-        enable_blocking: bool = True,
-        speculative_reads: bool = True,
-        split_phase_residuals: bool = True,
-        opt: Optional[OptConfig] = None,
-    ):
-        self.enable_locality = enable_locality
-        self.enable_forwarding = enable_forwarding
-        self.enable_placement = enable_placement
-        self.enable_blocking = enable_blocking
-        self.speculative_reads = speculative_reads
-        self.split_phase_residuals = split_phase_residuals
-        self.opt = opt
-
-    def __repr__(self) -> str:
-        flags = [name for name in ("enable_locality", "enable_forwarding",
-                                   "enable_placement", "enable_blocking",
-                                   "speculative_reads",
-                                   "split_phase_residuals")
-                 if getattr(self, name)]
-        if self.opt is not None:
-            flags.append(str(self.opt))
-        return f"CommConfig({', '.join(flags)})"
+    enable_locality: bool = True
+    enable_forwarding: bool = True
+    enable_placement: bool = True
+    enable_blocking: bool = True
+    speculative_reads: bool = True
+    split_phase_residuals: bool = True
+    opt: Optional[OptConfig] = None
 
 
 class OptimizationReport:

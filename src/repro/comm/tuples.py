@@ -60,10 +60,6 @@ class CommTuple:
     def key(self) -> TupleKey:
         return make_key(self.base, self.path)
 
-    def with_freq(self, freq: float) -> "CommTuple":
-        return CommTuple(self.base, self.path, freq, self.dlist,
-                         self.prob)
-
     def scaled(self, factor: float) -> "CommTuple":
         """Frequency adjustment (the paper's ``adjustFrequency``).
         Probability scales by ``min(factor, 1)``: branch factors < 1

@@ -1,22 +1,15 @@
-"""The one options object for running compiled programs.
+"""The one declaration of every run option.
 
-Historically every layer that could run a program -- the CLI,
-:func:`repro.harness.pipeline.execute`, ``run_three_ways``, the service
-job executor -- grew its own copy of the same loose kwargs (``nodes``,
-``engine``, ``max_stmts``, fault spec, trace flags ...).  Adding one
-machine knob meant threading it through four signatures and, worse, the
-service cache key had to be updated by hand or stale cached payloads
-would alias the new knob.
-
-:class:`RunConfig` collapses those surfaces: it is a frozen, JSON-round-
-trippable value object that names *everything about how to run* a
-compiled program (it deliberately excludes compile-side options --
-source, optimization level, inlining -- which stay on
-:func:`~repro.harness.pipeline.compile_earthc`).  All run layers accept
-it, and :meth:`RunConfig.to_json` is the canonical serialization the
-service hashes into its content-addressed cache key -- so any new field
-(like the remote-cache geometry added with it) changes the key
-automatically instead of silently aliasing cached results.
+:class:`RunConfig` is a frozen, JSON-round-trippable value object that
+names *everything about how to run* a compiled program (compile-side
+options -- source, optimization level, inlining -- stay on
+:func:`~repro.harness.pipeline.compile_earthc`).  A run option's name,
+default and legal range are written on it and nowhere else: every run
+layer takes a ``RunConfig``, a service ``JobSpec`` carries one and
+derives its flat wire keys from :data:`WIRE_FIELDS`, the CLI verbs
+attach rows of :data:`RUN_FLAGS`, and :meth:`RunConfig.to_json` is what
+the service hashes into its content-addressed cache key -- so a new
+field changes the key instead of silently aliasing cached results.
 
 Live objects (an instantiated :class:`~repro.earth.params.MachineParams`,
 :class:`~repro.obs.trace.Tracer`, or :class:`~repro.earth.faults.FaultPlan`)
@@ -30,11 +23,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.comm.optconfig import OptConfig, resolve_opt
-from repro.earth.faults import FaultPlan, plan_from_cli
+from repro.comm.optconfig import (
+    BLKMOV_SHAPES,
+    OPT_PRESETS,
+    OptConfig,
+    resolve_opt,
+)
+from repro.earth.faults import PROFILES, FaultPlan, plan_from_cli
 from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
 from repro.earth.params import MachineParams
 from repro.errors import ReproError, UsageError
@@ -46,6 +44,10 @@ PARAMS_PRESETS = ("default", "sequential-c")
 
 #: Default statement budget (infinite-loop guard).
 DEFAULT_MAX_STMTS = 200_000_000
+
+#: Field metadata: how a run is executed or observed, not what it
+#: computes -- such a field stays out of service job specs.
+_OFF_WIRE = {"wire": False}
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class RunConfig:
     #: key like everything else (conservative: merged traces differ in
     #: no observable way, but artifact provenance records how a result
     #: was produced).
-    shards: int = 1
+    shards: int = field(default=1, metadata=_OFF_WIRE)
     entry: str = "main"
     args: Tuple[Union[int, float], ...] = ()
     engine: str = DEFAULT_ENGINE
@@ -80,8 +82,8 @@ class RunConfig:
     #: clean network.  A spec, not a plan: plans are single-use, the
     #: config is reusable -- :meth:`fault_plan` mints a fresh plan.
     faults: Optional[Dict[str, object]] = None
-    trace: bool = False
-    trace_capacity: Optional[int] = None
+    trace: bool = field(default=False, metadata=_OFF_WIRE)
+    trace_capacity: Optional[int] = field(default=None, metadata=_OFF_WIRE)
     #: Optimizer heuristic knobs (:class:`~repro.comm.optconfig.OptConfig`),
     #: or None for the legacy defaults.  Accepts the loose forms job
     #: specs travel as (preset name, JSON dict) and normalizes them.
@@ -95,7 +97,7 @@ class RunConfig:
         object.__setattr__(self, "args", tuple(self.args))
         object.__setattr__(self, "opt", resolve_opt(self.opt))
         if self.nodes < 1:
-            raise ReproError(f"nodes must be >= 1, got {self.nodes}")
+            raise UsageError(f"nodes must be >= 1, got {self.nodes}")
         if self.shards < 1:
             raise UsageError(f"shards must be >= 1, got {self.shards}")
         if self.shards > self.nodes:
@@ -107,18 +109,18 @@ class RunConfig:
             raise UsageError(f"unknown engine {self.engine!r} "
                              f"(known: {', '.join(ENGINES)})")
         if self.params not in PARAMS_PRESETS:
-            raise ReproError(
+            raise UsageError(
                 f"unknown params preset {self.params!r} "
                 f"(known: {', '.join(PARAMS_PRESETS)})")
         if self.rcache_capacity < 0:
-            raise ReproError("rcache_capacity must be >= 0 (0 disables)")
+            raise UsageError("rcache_capacity must be >= 0 (0 disables)")
         if self.rcache_line_words < 1:
-            raise ReproError("rcache_line_words must be >= 1")
+            raise UsageError("rcache_line_words must be >= 1")
         if self.max_stmts < 1:
-            raise ReproError(f"max_stmts must be >= 1, got "
+            raise UsageError(f"max_stmts must be >= 1, got "
                              f"{self.max_stmts}")
         if self.trace_capacity is not None and self.trace_capacity <= 0:
-            raise ReproError("trace_capacity must be positive")
+            raise UsageError("trace_capacity must be positive")
         if self.faults is not None:
             object.__setattr__(self, "faults", dict(self.faults))
             # Validate eagerly so a bad spec fails where it was written,
@@ -155,23 +157,27 @@ class RunConfig:
 
     def replace(self, **changes) -> "RunConfig":
         """A copy with ``changes`` applied (re-validated)."""
-        return dataclasses.replace(self, **changes)
+        return RunConfig(**{**vars(self), **changes})
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:
         """Stable JSON form.  This exact dict is hashed into service
         cache keys, so every field -- current and future -- changes the
-        key (``dataclasses.fields`` enumerates them; nothing to forget)."""
-        out: Dict[str, object] = {}
-        for spec in dataclasses.fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            elif isinstance(value, OptConfig):
-                value = value.to_json()
-            out[spec.name] = value
+        key (the instance dict holds exactly the fields; nothing to
+        forget)."""
+        out = dict(vars(self), args=list(self.args))
+        if self.opt is not None:
+            out["opt"] = self.opt.to_json()
         return out
+
+    def wire(self) -> Dict[str, object]:
+        """The slice of :meth:`to_json` a service job spec carries
+        (:data:`WIRE_FIELDS`), as flat ``JobSpec`` keywords."""
+        data = self.to_json()
+        for name in _OFF_WIRE_FIELDS:
+            del data[name]
+        return data
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "RunConfig":
@@ -191,73 +197,164 @@ class RunConfig:
     @classmethod
     def from_cli_args(cls, opts, args: Optional[Sequence] = None
                       ) -> "RunConfig":
-        """Build a config from an :mod:`argparse` namespace.
-
-        Tolerant of missing attributes (the serve/submit/batch parsers
-        each define a different subset of the run flags): absent options
-        fall back to the field defaults.  ``args`` overrides the
-        program-argument list -- the CLI parses its ``--args`` string
-        (and applies benchmark catalog defaults) before building the
-        config."""
-        faults = None
-        if getattr(opts, "faults", None) is not None:
-            faults = plan_from_cli(
-                opts.faults,
-                getattr(opts, "fault_profile", None),
-                getattr(opts, "fault_drop", None),
-                getattr(opts, "fault_jitter", None)).spec()
-        max_stmts = getattr(opts, "max_stmts", None)
-        return cls(
-            nodes=getattr(opts, "nodes", None) or 1,
-            # Not ``or 1``: --shards 0 must reach validation, not be
-            # silently coerced into a single-process run.
-            shards=(1 if getattr(opts, "shards", None) is None
-                    else opts.shards),
-            entry=getattr(opts, "entry", None) or "main",
-            args=tuple(args if args is not None else ()),
-            engine=getattr(opts, "engine", None) or DEFAULT_ENGINE,
-            params=getattr(opts, "params", None) or "default",
-            rcache_capacity=getattr(opts, "rcache_capacity", None) or 0,
-            rcache_line_words=getattr(opts, "rcache_line", None) or 16,
-            opt=opt_from_cli_args(opts),
-            max_stmts=DEFAULT_MAX_STMTS if max_stmts is None
-            else max_stmts,
-            strict_nil_reads=bool(getattr(opts, "strict_nil_reads",
-                                          False)),
-            faults=faults,
-            trace=getattr(opts, "trace", None) is not None,
-            trace_capacity=getattr(opts, "trace_capacity", None),
-        )
-
-    def __str__(self) -> str:
-        parts = [f"nodes={self.nodes}", f"engine={self.engine}"]
-        if self.shards != 1:
-            parts.append(f"shards={self.shards}")
-        if self.params != "default":
-            parts.append(f"params={self.params}")
-        if self.rcache_capacity:
-            parts.append(f"rcache={self.rcache_capacity}"
-                         f"x{self.rcache_line_words}w")
-        if self.faults is not None:
-            parts.append(f"faults=seed{self.faults.get('seed')}")
-        if self.trace:
-            parts.append("trace")
-        if self.opt is not None:
-            parts.append(str(self.opt))
-        return f"RunConfig({', '.join(parts)})"
+        """Build a config from an :mod:`argparse` namespace
+        (:func:`cli_run_options`; a field no flag of the parser sets
+        keeps its default).  ``args`` is the program-argument list --
+        the CLI parses its ``--args`` string (and applies benchmark
+        catalog defaults) before building the config."""
+        return cls(args=tuple(args if args is not None else ()),
+                   **cli_run_options(opts))
 
 
-#: ``--opt-*`` flag name -> OptConfig field (shared by the CLI parsers
-#: and :func:`opt_from_cli_args`, so the two cannot drift).
-OPT_CLI_FIELDS = {
-    "opt_loop_weight": "loop_weight",
-    "opt_branch_weight": "branch_weight",
-    "opt_probabilistic": "probabilistic",
-    "opt_block_threshold": "block_access_threshold",
-    "opt_min_expected": "min_expected_accesses",
-    "opt_spurious_ratio": "max_spurious_ratio",
-    "opt_shape": "blkmov_shape",
-    "opt_private_lines": "private_lines",
+#: The run options a service job spec carries, in declaration order:
+#: every field but the ones marked off the wire.
+WIRE_FIELDS = tuple(spec.name for spec in dataclasses.fields(RunConfig)
+                    if spec.metadata.get("wire", True))
+_OFF_WIRE_FIELDS = tuple(spec.name for spec in dataclasses.fields(RunConfig)
+                         if spec.name not in WIRE_FIELDS)
+
+
+#: Every run flag, declared once: option string -> (the RunConfig field
+#: it sets or feeds, argparse keywords).  A verb's parser attaches the
+#: ones it has by option string; :func:`cli_run_options` reads them
+#: back.
+RUN_FLAGS = {
+    "--nodes": ("nodes", dict(
+        type=int, help="number of EARTH nodes (default %(default)s)")),
+    "--shards": ("shards", dict(
+        type=int, metavar="K",
+        help="with --run: partition the simulated nodes across K "
+             "worker processes (repro.shard); results are "
+             "bit-identical to --shards 1, only wall-clock changes "
+             "(default %(default)s)")),
+    "--entry": ("entry", dict(
+        help="function to run (default %(default)s)")),
+    "--engine": ("engine", dict(
+        choices=ENGINES,
+        help="execution engine: 'codegen' emits specialized Python "
+             "source per function (default), 'ast' walks the tree "
+             "(reference)")),
+    "--params": ("params", dict(
+        help=f"machine-parameter preset: "
+             f"{', '.join(PARAMS_PRESETS)} (default %(default)s)")),
+    "--rcache-capacity": ("rcache_capacity", dict(
+        type=int, metavar="LINES",
+        help="per-node remote-data cache capacity in lines (0 = "
+             "disabled, the default; the machine is then byte-"
+             "identical to the uncached simulator)")),
+    "--rcache-line": ("rcache_line_words", dict(
+        type=int, metavar="WORDS",
+        help="remote-data cache line size in words (default "
+             "%(default)s)")),
+    "--max-stmts": ("max_stmts", dict(
+        type=int, metavar="N",
+        help="abort the run after N interpreted statements "
+             "(infinite-loop guard)")),
+    "--faults": ("faults", dict(
+        type=int, metavar="SEED",
+        help="inject deterministic network faults from this seed "
+             "(drops, jitter, SU slowdowns); the resilience layer "
+             "retries until delivery")),
+    "--fault-profile": ("faults", dict(
+        choices=sorted(PROFILES),
+        help="named fault configuration (requires --faults; "
+             "--fault-drop/--fault-jitter override its fields)")),
+    "--fault-drop": ("faults", dict(
+        type=float, metavar="P",
+        help="per-leg message drop probability in [0, 1] (requires "
+             "--faults)")),
+    "--fault-jitter": ("faults", dict(
+        type=float, metavar="NS",
+        help="max extra one-way latency per leg in ns (requires "
+             "--faults)")),
+    "--trace": ("trace", dict(
+        metavar="FILE",
+        help="with --run: record a structured trace and write it as "
+             "Chrome trace-event JSON (chrome://tracing / Perfetto)")),
+    "--trace-capacity": ("trace_capacity", dict(
+        type=int, metavar="N",
+        help="bound trace memory to the most recent N events (ring "
+             "buffer; default unbounded)")),
+    "--opt-preset": ("opt", dict(
+        choices=sorted(OPT_PRESETS),
+        help="named optimizer heuristic preset (OptConfig); "
+             "individual --opt-* flags override its fields")),
+}
+
+
+#: Fields assembled from several flags (a fault spec from seed + profile
+#: + knobs, the trace switch from a file name, an OptConfig from preset
+#: + ``--opt-*``); their flags default to None, "not given".  Every
+#: other flag's value *is* its field's value, and its default the
+#: field's.
+ASSEMBLED_FIELDS = ("faults", "trace", "opt")
+
+
+def flag_dest(option: str) -> str:
+    """The namespace attribute :mod:`argparse` stores ``option`` in."""
+    return option.lstrip("-").replace("-", "_")
+
+
+def cli_run_options(opts) -> Dict[str, object]:
+    """The run options an :mod:`argparse` namespace carries, as
+    :class:`RunConfig` (or ``JobSpec``) keywords.  Each verb's parser
+    attaches a subset of :data:`RUN_FLAGS`; only the fields that subset
+    sets appear, so whatever is built from the result keeps its own
+    default for the rest."""
+    given = vars(opts)
+    options = {field: given[flag_dest(option)]
+               for option, (field, _) in RUN_FLAGS.items()
+               if field not in ASSEMBLED_FIELDS
+               and flag_dest(option) in given}
+    knobs = [given.get(name) for name in
+             ("fault_profile", "fault_drop", "fault_jitter")]
+    if given.get("faults") is not None:
+        options["faults"] = plan_from_cli(given["faults"], *knobs).spec()
+    elif any(knob is not None for knob in knobs):
+        raise UsageError("--fault-drop/--fault-jitter/--fault-profile "
+                         "require --faults SEED")
+    if "trace" in given:
+        options["trace"] = given["trace"] is not None
+    opt = opt_from_cli_args(opts)
+    if opt is not None:
+        options["opt"] = opt
+    return options
+
+
+#: The ``--opt-*`` flags: option string -> (OptConfig field, argparse
+#: keywords).  All default to None (False for the switches), "not
+#: given", so they never un-set a preset's field.
+OPT_FLAGS = {
+    "--opt-loop-weight": ("loop_weight", dict(
+        type=float, metavar="W",
+        help="frequency multiplier per enclosing loop (legacy 10)")),
+    "--opt-branch-weight": ("branch_weight", dict(
+        type=float, metavar="W",
+        help="frequency multiplier / execution probability per "
+             "conditional arm (legacy 0.5)")),
+    "--opt-probabilistic": ("probabilistic", dict(
+        action="store_true",
+        help="drive selection by the probability channel instead of "
+             "raw frequencies")),
+    "--opt-block-threshold": ("block_access_threshold", dict(
+        type=int, metavar="N",
+        help="minimum distinct fields before a block move is "
+             "considered (legacy 3)")),
+    "--opt-min-expected": ("min_expected_accesses", dict(
+        type=float, metavar="X",
+        help="minimum expected scalar accesses a block move must "
+             "replace (legacy 2)")),
+    "--opt-spurious-ratio": ("max_spurious_ratio", dict(
+        type=float, metavar="R",
+        help="max struct-size / words-needed ratio for a block move "
+             "(legacy 4)")),
+    "--opt-shape": ("blkmov_shape", dict(
+        choices=BLKMOV_SHAPES,
+        help="read block-move shape policy (legacy 'prefix')")),
+    "--opt-private-lines": ("private_lines", dict(
+        action="store_true",
+        help="skip rcache write-through invalidation for "
+             "provably-private allocations")),
 }
 
 
@@ -268,12 +365,10 @@ def opt_from_cli_args(opts) -> Optional[OptConfig]:
     fields."""
     preset = getattr(opts, "opt_preset", None)
     overrides = {}
-    for attr, field in OPT_CLI_FIELDS.items():
-        value = getattr(opts, attr, None)
-        # store_true flags parse to False when absent; treat False the
-        # same as "not given" so they never un-set a preset's field.
+    for option, (name, _) in OPT_FLAGS.items():
+        value = getattr(opts, flag_dest(option), None)
         if value is not None and value is not False:
-            overrides[field] = value
+            overrides[name] = value
     if preset is None and not overrides:
         return None
     base = resolve_opt(preset) if preset is not None \
@@ -289,4 +384,6 @@ def config_digest(config: RunConfig) -> str:
 
 
 __all__ = ["RunConfig", "OptConfig", "config_digest", "opt_from_cli_args",
-           "PARAMS_PRESETS", "OPT_CLI_FIELDS", "DEFAULT_MAX_STMTS"]
+           "cli_run_options", "flag_dest", "RUN_FLAGS", "ASSEMBLED_FIELDS",
+           "WIRE_FIELDS", "PARAMS_PRESETS", "OPT_FLAGS",
+           "DEFAULT_MAX_STMTS"]

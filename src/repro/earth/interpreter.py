@@ -105,10 +105,6 @@ class RunResult:
         #: run).  Drop/retry/dedup counts live in :attr:`stats`.
         self.faults = machine.faults
 
-    @property
-    def time_seconds(self) -> float:
-        return self.time_ns / 1e9
-
     def utilization(self) -> Dict[str, object]:
         """Per-node EU/SU busy time and utilization (always available;
         does not require tracing)."""

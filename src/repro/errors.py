@@ -102,12 +102,6 @@ class FaultPlanError(SimulatorError):
     plan, unknown profile...)."""
 
 
-class InterferenceError(SimulatorError):
-    """Reserved for a future vector-clock race detector: two concurrent
-    fibers touching the same ordinary memory location with at least one
-    write violates the EARTH-C programmer contract (paper Section 2.2)."""
-
-
 class ShardError(SimulatorError):
     """Sharded-simulation failure: a worker process died, a barrier
     round timed out, or an operation crossed shards in a way the
@@ -119,10 +113,6 @@ class UsageError(ReproError):
     """Invalid flag values or flag combinations detected past argparse
     (e.g. ``--shards`` larger than the node count).  Maps to the same
     exit code argparse uses for bad flags."""
-
-
-class HarnessError(ReproError):
-    """Experiment-harness misconfiguration."""
 
 
 class ServiceError(ReproError):

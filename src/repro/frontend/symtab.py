@@ -80,9 +80,6 @@ class Scope:
             scope = scope.parent
         return None
 
-    def lookup_local(self, name: str) -> Optional[VarSymbol]:
-        return self._vars.get(name)
-
     def symbols(self) -> List[VarSymbol]:
         return list(self._vars.values())
 

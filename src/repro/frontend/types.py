@@ -42,10 +42,6 @@ class Type:
         return isinstance(self, StructType)
 
     @property
-    def is_scalar(self) -> bool:
-        return isinstance(self, ScalarType)
-
-    @property
     def is_void(self) -> bool:
         return isinstance(self, ScalarType) and self.kind == "void"
 
@@ -217,9 +213,6 @@ class StructType(Type):
         except KeyError:
             raise TypeError_(
                 f"struct {self.name} has no field {name!r}") from None
-
-    def has_field(self, name: str) -> bool:
-        return name in self._by_name
 
     def size_words(self) -> int:
         if self._fields is None:

@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import RunConfig
-from repro.earth.interpreter import DEFAULT_ENGINE, RunResult
-from repro.earth.params import MachineParams
+from repro.earth.interpreter import RunResult
 from repro.harness.pipeline import (
     compile_earthc,
     execute,
@@ -31,7 +30,7 @@ from repro.harness.pipeline import (
     run_three_ways,
     simple_baseline_config,
 )
-from repro.olden.loader import BenchmarkSpec, catalog, get_benchmark
+from repro.olden.loader import catalog, get_benchmark
 
 # ---------------------------------------------------------------------------
 # Table I: communication costs
@@ -392,22 +391,20 @@ def measure_fig10(num_nodes: int = 16,
 def sweep_jobs(processor_counts: Sequence[int],
                benchmarks: Optional[Sequence[str]] = None,
                small: bool = False, kind: str = "three-way",
-               engine: str = DEFAULT_ENGINE,
-               faults: Optional[Dict[str, object]] = None,
-               rcache_capacity: int = 0,
-               rcache_line_words: int = 16,
-               opt: object = None) -> List[object]:
+               run: Optional[RunConfig] = None) -> List[object]:
     """The benchmark-by-processors cross product as service
     :class:`~repro.service.jobs.JobSpec` objects -- what
     ``python -m repro batch`` and the pooled measurement helpers feed a
-    :class:`~repro.service.pool.WorkerPool`."""
+    :class:`~repro.service.pool.WorkerPool`.  ``run`` carries the run
+    options every job shares (engine, faults, cache geometry, ...);
+    the sweep sets the node count, the benchmark catalog the
+    arguments and statement budget."""
     from repro.service.jobs import JobSpec
     names = benchmarks if benchmarks is not None \
         else [spec.name for spec in catalog()]
-    return [JobSpec(kind, benchmark=name, nodes=processors,
-                    small=small, engine=engine, faults=faults,
-                    rcache_capacity=rcache_capacity,
-                    rcache_line_words=rcache_line_words, opt=opt)
+    options = dict((run or RunConfig()).wire(), args=None, max_stmts=None)
+    return [JobSpec(kind, benchmark=name, small=small,
+                    **dict(options, nodes=processors))
             for name in names for processors in processor_counts]
 
 
@@ -428,7 +425,7 @@ def rows_from_payloads(jobs: Sequence[object],
             seq_ns[name] = payload["sequential"]["time_ns"]
         rcached = payload.get("rcached")
         rows.append(BenchmarkRow(
-            name, job.nodes, seq_ns[name],
+            name, job.run.nodes, seq_ns[name],
             payload["simple"]["time_ns"],
             payload["optimized"]["time_ns"],
             rcached["time_ns"] if rcached else None))

@@ -15,6 +15,7 @@ or ``FaultPlan`` -- are keyword arguments beside it.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Set, Union
 
 from repro.backend.threaded import render_threaded_program
@@ -115,7 +116,8 @@ def compile_earthc(
             raise UsageError(
                 "conflicting optimizer heuristics: config= carries an "
                 "OptConfig and opt= names a different one")
-        config = _comm_config_with_opt(config, opt)
+        # A copy: the caller's object is never mutated.
+        config = dataclasses.replace(config, opt=opt)
     effective_opt = opt if opt is not None else \
         (config.opt if config is not None else None)
     profile = PipelineProfile()
@@ -153,21 +155,6 @@ def compile_earthc(
                 report = optimizer.run()
             rec.counters["basic_stmts"] = _basic_stmt_count(simple)
     return CompiledProgram(simple, optimize, report, inlined, profile)
-
-
-def _comm_config_with_opt(config: CommConfig,
-                          opt: OptConfig) -> CommConfig:
-    """A copy of ``config`` carrying ``opt`` (never mutates the
-    caller's object)."""
-    return CommConfig(
-        enable_locality=config.enable_locality,
-        enable_forwarding=config.enable_forwarding,
-        enable_placement=config.enable_placement,
-        enable_blocking=config.enable_blocking,
-        speculative_reads=config.speculative_reads,
-        split_phase_residuals=config.split_phase_residuals,
-        opt=opt,
-    )
 
 
 def _basic_stmt_count(simple: s.SimpleProgram) -> int:

@@ -157,11 +157,6 @@ class ServiceMetrics:
         probes = self.cache_hits + self.cache_misses
         return self.cache_hits / probes if probes else 0.0
 
-    def worker_utilization(self, workers: int, elapsed_s: float) -> float:
-        """Fraction of worker wall-clock capacity spent inside jobs."""
-        capacity = max(workers, 1) * max(elapsed_s, 1e-9)
-        return min(1.0, self.busy_s / capacity)
-
     def to_dict(self) -> Dict[str, object]:
         with self._lock:
             payload: Dict[str, object] = {

@@ -30,12 +30,6 @@ carrying source text; the worker resolves the name through
 :mod:`repro.olden.loader`.  Cache keys are computed over the *resolved*
 inputs (canonicalized source text, full option set, pipeline version),
 so a benchmark job and an equivalent source job share an address.
-
-Run-side options resolve to one :class:`repro.config.RunConfig`;
-its :meth:`~repro.config.RunConfig.to_json` is embedded verbatim in the
-hashed inputs, so every current and future run option participates in
-the cache key automatically -- a new machine knob can never silently
-alias stale cached payloads.
 """
 
 from __future__ import annotations
@@ -45,10 +39,8 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.comm.optconfig import OptConfig, resolve_opt
-from repro.config import PARAMS_PRESETS, RunConfig
-from repro.earth.faults import FaultPlan
-from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES, RunResult
+from repro.config import WIRE_FIELDS, RunConfig
+from repro.earth.interpreter import RunResult
 from repro.errors import ReproError, ServiceError, exit_code_for
 from repro.harness.pipeline import (
     CONFIG_PRESETS,
@@ -70,9 +62,21 @@ JOB_KINDS = ("compile", "run", "three-way", "four-way", "selftest")
 
 _SELFTEST_BEHAVIORS = ("echo", "sleep", "fail", "crash")
 
+#: The run options a spec accepts: RunConfig's wire fields.
+_RUN_KEYS = frozenset(WIRE_FIELDS)
+
 
 class JobSpec:
-    """One serializable unit of service work."""
+    """One serializable unit of service work: what to compile (the
+    fields below) and how to run it (``run``, one
+    :class:`~repro.config.RunConfig`).
+
+    Construction and the wire form are flat: the spec's own keys and
+    every :data:`~repro.config.WIRE_FIELDS` run option side by side
+    (``JobSpec("run", source=..., nodes=2, engine="ast")``), so a run
+    option is declared on ``RunConfig`` and nowhere here.  Two of them,
+    ``args`` and ``max_stmts``, may stay None -- "the benchmark
+    catalog's" -- and are kept as given until :meth:`resolved`."""
 
     def __init__(
         self,
@@ -84,19 +88,11 @@ class JobSpec:
         config: str = "default",
         inline: Union[bool, Sequence[str]] = False,
         reorder_fields: bool = False,
-        nodes: int = 4,
-        entry: str = "main",
-        args: Optional[Sequence[Union[int, float]]] = None,
-        engine: str = DEFAULT_ENGINE,
-        params: str = "default",
-        max_stmts: Optional[int] = None,
-        strict_nil_reads: bool = False,
-        faults: Optional[Dict[str, object]] = None,
-        rcache_capacity: int = 0,
-        rcache_line_words: int = 16,
         small: bool = False,
         selftest: Optional[Dict[str, object]] = None,
-        opt: Union[None, str, Dict[str, object], OptConfig] = None,
+        args: Optional[Sequence[Union[int, float]]] = None,
+        max_stmts: Optional[int] = None,
+        **run_options,
     ):
         if kind not in JOB_KINDS:
             raise ServiceError(f"unknown job kind {kind!r} "
@@ -115,26 +111,19 @@ class JobSpec:
         if config not in CONFIG_PRESETS:
             raise ServiceError(f"unknown config preset {config!r} "
                                f"(known: {', '.join(CONFIG_PRESETS)})")
-        if params not in PARAMS_PRESETS:
-            raise ServiceError(f"unknown params preset {params!r} "
-                               f"(known: {', '.join(PARAMS_PRESETS)})")
-        if engine not in ENGINES:
-            raise ServiceError(f"unknown engine {engine!r} "
-                               f"(known: {', '.join(ENGINES)})")
-        if nodes < 1:
-            raise ServiceError(f"nodes must be >= 1, got {nodes}")
-        if faults is not None:
-            # Validate eagerly so a bad spec fails at submission, not
-            # in a worker; the plan itself is rebuilt per execution.
-            FaultPlan.from_spec(faults)
+        unknown = run_options.keys() - _RUN_KEYS
+        if unknown:
+            raise ServiceError(
+                f"unknown job spec fields: {sorted(unknown)}")
+        if args is not None:
+            run_options["args"] = args
+        if max_stmts is not None:
+            run_options["max_stmts"] = max_stmts
+        run_options.setdefault("nodes", 4)   # a job's default machine
         try:
-            # Eager run-option validation through the one options
-            # object (rcache geometry, ...).
-            RunConfig(rcache_capacity=rcache_capacity,
-                      rcache_line_words=rcache_line_words)
-            # Optimizer heuristics validate eagerly too; stored in
-            # canonical JSON form so the wire format stays plain data.
-            opt_config = resolve_opt(opt)
+            # The one validation of every run option, so a bad value
+            # fails at submission, not in a worker.
+            self.run = RunConfig(**run_options)
         except ReproError as exc:
             raise ServiceError(str(exc)) from None
         self.kind = kind
@@ -146,47 +135,18 @@ class JobSpec:
         self.inline: Union[bool, List[str]] = (
             sorted(inline) if not isinstance(inline, bool) else inline)
         self.reorder_fields = bool(reorder_fields)
-        self.nodes = int(nodes)
-        self.entry = entry
-        self.args = None if args is None else list(args)
-        self.engine = engine
-        self.params = params
-        self.max_stmts = max_stmts
-        self.strict_nil_reads = bool(strict_nil_reads)
-        self.faults = None if faults is None else dict(faults)
-        self.rcache_capacity = int(rcache_capacity)
-        self.rcache_line_words = int(rcache_line_words)
         self.small = bool(small)
         self.selftest = None if selftest is None else dict(selftest)
-        self.opt = None if opt_config is None else opt_config.to_json()
+        self.args = None if args is None else list(args)
+        self.max_stmts = max_stmts
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
         """Full, stable-schema JSON form (the wire format)."""
-        return {
-            "kind": self.kind,
-            "source": self.source,
-            "benchmark": self.benchmark,
-            "filename": self.filename,
-            "optimize": self.optimize,
-            "config": self.config,
-            "inline": self.inline,
-            "reorder_fields": self.reorder_fields,
-            "nodes": self.nodes,
-            "entry": self.entry,
-            "args": self.args,
-            "engine": self.engine,
-            "params": self.params,
-            "max_stmts": self.max_stmts,
-            "strict_nil_reads": self.strict_nil_reads,
-            "faults": self.faults,
-            "rcache_capacity": self.rcache_capacity,
-            "rcache_line_words": self.rcache_line_words,
-            "small": self.small,
-            "selftest": self.selftest,
-            "opt": self.opt,
-        }
+        out = {**self.run.wire(), **vars(self)}
+        del out["run"]
+        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
@@ -195,15 +155,6 @@ class JobSpec:
                 f"job spec must be an object, got {type(data).__name__}")
         if "kind" not in data:
             raise ServiceError("job spec is missing 'kind'")
-        known = {"kind", "source", "benchmark", "filename", "optimize",
-                 "config", "inline", "reorder_fields", "nodes", "entry",
-                 "args", "engine", "params", "max_stmts",
-                 "strict_nil_reads", "faults", "rcache_capacity",
-                 "rcache_line_words", "small", "selftest", "opt"}
-        unknown = set(data) - known
-        if unknown:
-            raise ServiceError(
-                f"unknown job spec fields: {sorted(unknown)}")
         try:
             # None means "default" for every optional field.
             return cls(**{key: value for key, value in data.items()
@@ -228,8 +179,8 @@ class JobSpec:
         if self.kind == "selftest":
             return {"kind": "selftest", "selftest": self.selftest}
         inline = self.inline
-        max_stmts = self.max_stmts
-        args = self.args
+        #: What the catalog (and the job kind) settle about the run.
+        changes: Dict[str, object] = {}
         if self.benchmark is not None:
             spec = self._spec_from_catalog()
             source = spec.source()
@@ -237,18 +188,14 @@ class JobSpec:
             if inline is False:
                 inline = sorted(spec.inline) \
                     if not isinstance(spec.inline, bool) else spec.inline
-            if max_stmts is None:
-                max_stmts = spec.max_stmts
-            if args is None:
-                args = list(spec.small_args if self.small
-                            else spec.default_args)
+            if self.max_stmts is None:
+                changes["max_stmts"] = spec.max_stmts
+            if self.args is None:
+                changes["args"] = spec.small_args if self.small \
+                    else spec.default_args
         else:
             source = self.source
             filename = self.filename or "<job>"
-        if max_stmts is None:
-            max_stmts = 200_000_000
-        if args is None:
-            args = []
         resolved = {
             "kind": self.kind,
             "source": canonicalize_source(source),
@@ -261,28 +208,20 @@ class JobSpec:
                 "optimize": self.optimize,
                 "config": self.config,
                 "reorder_fields": self.reorder_fields,
-                "opt": self.opt,
+                "opt": None if self.run.opt is None
+                else self.run.opt.to_json(),
             }
         if self.kind != "compile":
-            config = RunConfig(
-                nodes=self.nodes, entry=self.entry, args=tuple(args),
-                engine=self.engine, params=self.params,
-                rcache_capacity=self.rcache_capacity,
-                rcache_line_words=self.rcache_line_words,
-                max_stmts=max_stmts,
-                strict_nil_reads=self.strict_nil_reads,
-                faults=self.faults,
-                opt=self.opt)
             if self.kind == "three-way":
                 # run_three_ways ignores the cache fields; normalize
                 # them out of the key so equivalent jobs share an
                 # address.
-                config = config.replace(rcache_capacity=0,
-                                        rcache_line_words=16)
+                changes.update(rcache_capacity=0, rcache_line_words=16)
             # The config's canonical JSON form is embedded verbatim:
             # every run option -- current and future -- lands in the
             # cache key without per-field bookkeeping here.
-            resolved["run"] = config.to_json()
+            run = self.run.replace(**changes) if changes else self.run
+            resolved["run"] = run.to_json()
         return resolved
 
     def cacheable(self) -> bool:
@@ -297,7 +236,7 @@ class JobSpec:
 
     def __repr__(self) -> str:
         what = self.benchmark or self.filename or "<inline>"
-        return f"JobSpec({self.kind}, {what}, nodes={self.nodes})"
+        return f"JobSpec({self.kind}, {what}, nodes={self.run.nodes})"
 
 
 class JobResult:

@@ -497,10 +497,6 @@ class Stmt:
     def __init__(self):
         self.label = fresh_label()
 
-    @property
-    def is_basic(self) -> bool:
-        return isinstance(self, BasicStmt)
-
     def children(self) -> Sequence["Stmt"]:
         return ()
 

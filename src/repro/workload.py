@@ -44,6 +44,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.config import RunConfig
 from repro.earth.faults import PROFILES
 from repro.earth.interpreter import DEFAULT_ENGINE
 from repro.service.jobs import JobSpec
@@ -340,22 +341,19 @@ _SHAPE_SOURCES = {
 class WorkloadJob:
     """One generated program plus the run parameters that drive it."""
 
-    __slots__ = ("name", "shape", "size", "sweeps", "mix", "nodes",
-                 "engine", "rcache_capacity", "faults", "source")
+    __slots__ = ("name", "shape", "size", "sweeps", "mix", "run",
+                 "source")
 
     def __init__(self, name: str, shape: str, size: int, sweeps: int,
-                 mix: str, nodes: int, engine: str,
-                 rcache_capacity: int,
-                 faults: Optional[Dict[str, object]], source: str):
+                 mix: str, run: RunConfig, source: str):
         self.name = name
         self.shape = shape
         self.size = size
         self.sweeps = sweeps
         self.mix = mix
-        self.nodes = nodes
-        self.engine = engine
-        self.rcache_capacity = rcache_capacity
-        self.faults = faults
+        #: Machine size, engine, cache geometry and fault spec; the
+        #: program arguments are :attr:`args`, not ``run.args``.
+        self.run = run
         self.source = source
 
     @property
@@ -370,9 +368,8 @@ class WorkloadJob:
     def spec(self, kind: str = "run") -> JobSpec:
         return JobSpec(kind, source=self.source,
                        filename=self.filename, optimize=True,
-                       nodes=self.nodes, args=self.args,
-                       engine=self.engine, faults=self.faults,
-                       rcache_capacity=self.rcache_capacity)
+                       **dict(self.run.wire(), args=self.args,
+                              max_stmts=None))
 
     def to_dict(self, kind: str = "run") -> Dict[str, object]:
         """The ``batch --jobs`` / ``POST /v1/jobs`` wire form."""
@@ -386,7 +383,7 @@ class WorkloadJob:
     def __repr__(self) -> str:
         return (f"WorkloadJob({self.name}, {self.shape}, "
                 f"size={self.size}, sweeps={self.sweeps}, "
-                f"engine={self.engine}, nodes={self.nodes})")
+                f"engine={self.run.engine}, nodes={self.run.nodes})")
 
 
 def generate_source(rng, shape: str, mix: str = "balanced") -> str:
@@ -447,7 +444,8 @@ def generate_jobs(seed: int, count: int, *,
         source = generate_source(rng, shape, mix)
         jobs.append(WorkloadJob(
             name=f"gen-{seed}-{index:03d}-{shape}", shape=shape,
-            size=size, sweeps=sweep_count, mix=mix, nodes=node_count,
-            engine=engine, rcache_capacity=rcache, faults=faults,
+            size=size, sweeps=sweep_count, mix=mix,
+            run=RunConfig(nodes=node_count, engine=engine,
+                          rcache_capacity=rcache, faults=faults),
             source=source))
     return jobs

@@ -183,7 +183,8 @@ def test_one_default_engine_everywhere():
 
     assert DEFAULT_ENGINE in ENGINES
     assert RunConfig().engine == DEFAULT_ENGINE
-    assert JobSpec("compile", source="int main() { return 0; }").engine \
+    assert JobSpec("compile",
+                   source="int main() { return 0; }").run.engine \
         == DEFAULT_ENGINE
     compiled = compile_earthc("int main() { return 41 + 1; }")
     interp = Interpreter(compiled.simple, Machine(1))

@@ -170,7 +170,7 @@ class TestObservability:
         assert main([source_file, "--run", "--args", "1",
                      "--trace", str(tmp_path / "t.json"),
                      "--trace-capacity", "0"]) == 2
-        assert "--trace-capacity" in capsys.readouterr().err
+        assert "trace_capacity" in capsys.readouterr().err
 
     def test_unwritable_trace_destination_reported(self, source_file,
                                                    tmp_path, capsys):
@@ -298,6 +298,25 @@ class TestErrorPaths:
         self._check(capsys,
                     [source_file, "--run", "--fault-profile", "mild"],
                     "require --faults")
+
+    @pytest.mark.parametrize("nodes", ["0", "-3"])
+    def test_non_positive_nodes_is_a_usage_error(self, source_file,
+                                                 capsys, nodes):
+        # Not coerced to one node, and the same exit code as every
+        # other bad flag value.
+        captured = self._check(
+            capsys, [source_file, "--run", "--nodes", nodes],
+            "nodes must be >= 1")
+        assert captured.out == ""
+
+    def test_bad_nodes_under_json_is_an_error_object(self, source_file,
+                                                     capsys):
+        import json
+        assert main([source_file, "--run", "--json", "--nodes", "0"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"ok": False, "error": {
+            "type": "UsageError", "code": 2,
+            "message": "nodes must be >= 1, got 0"}}
 
     def test_faults_require_run(self, source_file, capsys):
         self._check(capsys, [source_file, "--faults", "1"],

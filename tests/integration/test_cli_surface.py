@@ -1,0 +1,222 @@
+"""The CLI's flag surface, pinned: the option strings of every verb's
+``--help``, recorded at the commit before the run flags moved into the
+one ``RUN_FLAGS`` table.  A verb gaining or losing a flag shows here;
+so does a table row that names no ``RunConfig`` field."""
+
+import dataclasses
+import re
+
+import pytest
+
+from repro.__main__ import SERVICE_VERBS, main
+from repro.config import (
+    ASSEMBLED_FIELDS,
+    RUN_FLAGS,
+    RunConfig,
+    flag_dest,
+)
+
+#: verb ("driver" is the verb-less compile/run driver) -> its sorted
+#: option strings.
+OPTION_STRINGS = {
+    "driver": """
+        --args --dump-codegen --engine --entry --fault-drop
+        --fault-jitter --fault-profile --faults --function --help
+        --inline --json --max-stmts --nodes --opt-block-threshold
+        --opt-branch-weight --opt-loop-weight --opt-min-expected
+        --opt-preset --opt-private-lines --opt-probabilistic
+        --opt-shape --opt-spurious-ratio --optimize --rcache-capacity
+        --rcache-line --reorder-fields --run --shards --show --trace
+        --trace-capacity -O -h
+        """,
+    "serve": """
+        --cache-dir --help --host --max-attempts --max-queue-depth
+        --no-cache --port --timeout --workers -h
+        """,
+    "submit": """
+        --args --benchmark --config --engine --entry --fault-profile
+        --faults --help --host --inline --json --kind --no-optimize
+        --nodes --opt-preset --params --port --rcache-capacity
+        --rcache-line --small --timeout -h
+        """,
+    "batch": """
+        --benchmarks --cache-dir --connect --engine --fault-profile
+        --faults --help --jobs --json --kind --no-cache --nodes
+        --opt-preset --output --rcache-capacity --rcache-line --small
+        --workers -h
+        """,
+    "fleet-serve": """
+        --cache-dir --help --host --max-attempts --max-queue-depth
+        --no-cache --port --store --timeout --workers -h
+        """,
+    "fleet-store": """
+        --cache-dir --help --host --port -h
+        """,
+    "loadtest": """
+        --benchmarks --concurrency --engine --full-size --generated
+        --generated-seed --help --kind --nodes --output --rate --seed
+        --small --targets --timeout --total -h
+        """,
+    "genjobs": """
+        --count --engines --fault-profiles --help --kind --mixes
+        --nodes --output --rcache --seed --shapes --sizes --sources
+        --sweeps -h
+        """,
+}
+
+
+def _option_strings(argv, capsys):
+    """The option strings ``--help`` lists: the entry lines of
+    argparse's option table (two-space indent, then a dash)."""
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--help"])
+    assert info.value.code == 0
+    found = set()
+    for line in capsys.readouterr().out.splitlines():
+        entry = re.match(r"^  (-\S.*?)(?:  |$)", line)
+        if entry:
+            found.update(part.split()[0]
+                         for part in entry.group(1).split(", "))
+    return sorted(found)
+
+
+def test_every_verb_is_pinned():
+    assert set(OPTION_STRINGS) == {"driver", *SERVICE_VERBS}
+
+
+@pytest.mark.parametrize("verb", sorted(OPTION_STRINGS))
+def test_option_strings_of_help(verb, capsys):
+    argv = [] if verb == "driver" else [verb]
+    assert _option_strings(argv, capsys) == OPTION_STRINGS[verb].split()
+
+
+def test_distinct_flags_across_the_verbs():
+    flags = {flag for text in OPTION_STRINGS.values()
+             for flag in text.split()} - {"-h", "--help", "-O"}
+    assert len(flags) == 67   # + 5 of harness.report / shard.scenarios
+
+
+def test_every_run_flag_row_names_a_run_config_field():
+    fields = {spec.name for spec in dataclasses.fields(RunConfig)}
+    for option, (field, _) in RUN_FLAGS.items():
+        assert option.startswith("--"), option
+        assert field in fields, option
+    # Some verb attaches every row, under the dest the readers expect.
+    attached = {flag for text in OPTION_STRINGS.values()
+                for flag in text.split()}
+    assert set(RUN_FLAGS) <= attached
+    assert flag_dest("--rcache-line") == "rcache_line"
+
+
+def test_direct_flags_default_to_the_field_default():
+    from repro.__main__ import _parse_args
+    opts = _parse_args(["prog.ec"])
+    defaults = RunConfig()
+    for option, (field, _) in RUN_FLAGS.items():
+        if field not in ASSEMBLED_FIELDS \
+                and hasattr(opts, flag_dest(option)):
+            assert getattr(opts, flag_dest(option)) \
+                == getattr(defaults, field), option
+    assert RunConfig.from_cli_args(opts) == defaults
+
+
+# ---------------------------------------------------------------------------
+# The verbs build their jobs from the table: same specs as by keyword
+# ---------------------------------------------------------------------------
+
+RUN_FLAG_ARGV = ["--engine", "ast", "--faults", "3", "--fault-profile",
+                 "mild", "--rcache-capacity", "8", "--rcache-line", "4",
+                 "--opt-preset", "probabilistic"]
+
+
+def _keyword_spec(kind, nodes):
+    from repro.earth.faults import plan_from_cli
+    from repro.service.jobs import JobSpec
+    return JobSpec(kind, benchmark="power", small=True, nodes=nodes,
+                   engine="ast", rcache_capacity=8, rcache_line_words=4,
+                   faults=plan_from_cli(3, "mild", None, None).spec(),
+                   opt="probabilistic")
+
+
+def test_batch_sweep_carries_every_run_flag(capsys):
+    import json
+    assert main(["batch", "--benchmarks", "power", "--nodes", "1,2",
+                 "--small", "--kind", "run", "--workers", "0",
+                 "--no-cache", "--json"] + RUN_FLAG_ARGV) == 0
+    results = json.loads(capsys.readouterr().out)
+    assert [r["key"] for r in results] == [
+        _keyword_spec("run", nodes).canonical_key() for nodes in (1, 2)]
+    assert all(r["ok"] for r in results)
+
+
+def test_submit_carries_every_run_flag(capsys):
+    import json
+    from repro.service.client import ServiceClient
+    from repro.service.pool import WorkerPool
+    from repro.service.server import serve_forever
+    from tests.fleet.conftest import LiveServer
+    server = LiveServer(serve_forever, (WorkerPool(workers=0),),
+                        {"port": 0}, "job server")
+    try:
+        code = main(["submit", "--benchmark", "power", "--small",
+                     "--nodes", "2", "--port", str(server.port),
+                     "--json"] + RUN_FLAG_ARGV)
+        result = json.loads(capsys.readouterr().out)
+        # Left alone, submit's machine is 4 nodes (JobSpec's default).
+        main(["submit", "--benchmark", "power", "--small", "--kind",
+              "compile", "--port", str(server.port), "--json"])
+        plain = json.loads(capsys.readouterr().out)
+    finally:
+        with ServiceClient(server.host, server.port, timeout=5) as client:
+            client.shutdown()
+        server.thread.join(timeout=10)
+    assert code == 0 and result["ok"]
+    assert result["key"] == _keyword_spec("run", 2).canonical_key()
+    assert result["payload"]["run"]["num_nodes"] == 2
+    from repro.service.jobs import JobSpec
+    assert plain["key"] == JobSpec("compile", benchmark="power",
+                                   small=True).canonical_key()
+
+
+def test_loadtest_builds_its_mix_from_the_run_flags(capsys):
+    import json
+    from tests.fleet.conftest import start_gateway
+    gateway = start_gateway(workers=0)
+    try:
+        code = main(["loadtest", "--targets",
+                     f"127.0.0.1:{gateway.port}", "--benchmarks",
+                     "power", "--generated", "1", "--nodes", "2",
+                     "--engine", "ast", "--rate", "100", "--total", "4"])
+        status, body = gateway.request("GET", "/metrics")
+    finally:
+        gateway.close()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"] == 4
+    assert report["transport_errors"] == report["other_failures"] == 0
+    # Two distinct jobs in the mix, each computed once.
+    assert body["metrics"]["cache_misses"] == 2
+
+
+def test_genjobs_is_the_generator_stream(capsys):
+    import json
+    from repro.workload import generate_jobs
+    assert main(["genjobs", "--seed", "7", "--count", "4", "--nodes",
+                 "2,4", "--engines", "codegen,ast", "--fault-profiles",
+                 "none,lossy", "--rcache", "0,16"]) == 0
+    jobs = generate_jobs(7, 4, nodes=[2, 4], engines=["codegen", "ast"],
+                         fault_profiles=[None, "lossy"],
+                         rcache_capacities=[0, 16])
+    emitted = json.loads(capsys.readouterr().out)
+    assert emitted == [job.to_dict() for job in jobs]
+    for job, wire in zip(jobs, emitted):
+        assert wire["nodes"] == job.run.nodes
+        assert wire["args"] == job.args and wire["max_stmts"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["genjobs", "--nodes", "0", "--count", "1"],
+    ["genjobs", "--engines", "closure", "--count", "1"],
+], ids=["nodes", "engine"])
+def test_genjobs_bad_pool_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err

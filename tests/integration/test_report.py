@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.harness.experiments import (
     fig10_bars_from_payloads,
     measure_fig10,
@@ -22,7 +23,7 @@ class TestSweepJobs:
     def test_cross_product_in_benchmark_major_order(self):
         jobs = sweep_jobs([1, 2], benchmarks=["power", "tsp"],
                           small=True)
-        assert [(j.benchmark, j.nodes) for j in jobs] == \
+        assert [(j.benchmark, j.run.nodes) for j in jobs] == \
             [("power", 1), ("power", 2), ("tsp", 1), ("tsp", 2)]
         assert all(j.kind == "three-way" and j.small for j in jobs)
 
@@ -31,10 +32,10 @@ class TestSweepJobs:
         assert len(jobs) == 10
 
     def test_fault_and_engine_options_propagate(self):
-        jobs = sweep_jobs([1], benchmarks=["power"], engine="ast",
-                          faults={"seed": 3})
-        assert jobs[0].engine == "ast"
-        assert jobs[0].faults == {"seed": 3}
+        jobs = sweep_jobs([1], benchmarks=["power"],
+                          run=RunConfig(engine="ast", faults={"seed": 3}))
+        assert jobs[0].run.engine == "ast"
+        assert jobs[0].run.faults == {"seed": 3}
 
 
 class TestPayloadReconstruction:

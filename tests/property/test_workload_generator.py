@@ -132,9 +132,7 @@ def test_engines_agree_on_generated_jobs(seed):
     for engine in ENGINES:
         results[engine] = execute(
             compiled,
-            config=RunConfig(nodes=job.nodes, args=tuple(job.args),
-                             engine=engine, faults=job.faults,
-                             rcache_capacity=job.rcache_capacity))
+            config=job.run.replace(args=tuple(job.args), engine=engine))
     ast = results["ast"]
     for engine, result in results.items():
         assert result.value == ast.value, engine
@@ -150,7 +148,7 @@ def test_optimizer_preserves_generated_results(seed):
     job = _one_job(seed)
     plain = compile_earthc(job.source, job.filename, optimize=False)
     opt = compile_earthc(job.source, job.filename, optimize=True)
-    config = RunConfig(nodes=job.nodes, args=tuple(job.args))
+    config = RunConfig(nodes=job.run.nodes, args=tuple(job.args))
     before = execute(plain, config=config)
     after = execute(opt, config=config)
     assert before.value == after.value

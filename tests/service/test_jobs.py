@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.config import RunConfig
+from repro.config import WIRE_FIELDS, RunConfig
 from repro.errors import ServiceError
-from repro.harness.pipeline import run_three_ways
+from repro.harness.pipeline import PIPELINE_VERSION, run_three_ways
 from repro.olden.loader import get_benchmark
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import (
@@ -78,7 +78,7 @@ class TestSerialization:
     def test_none_means_default(self):
         spec = JobSpec.from_dict({"kind": "compile", "source": SOURCE,
                                   "args": None, "nodes": None})
-        assert spec.nodes == 4  # the default
+        assert spec.run.nodes == 4  # the default
 
     def test_job_result_round_trip(self):
         result = JobResult(True, "run", "f" * 64,
@@ -192,3 +192,122 @@ class TestExecuteJob:
                                   selftest={"behavior": "fail",
                                             "message": "on purpose"}))
         assert not bad.ok and "on purpose" in bad.error["message"]
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: the wire dict and the cache address of six fixed specs
+# ---------------------------------------------------------------------------
+
+PIN_SOURCE = ("int add(int a, int b) { return a + b; }\n"
+              "int main(int n) { return add(n, 10); }\n")
+
+#: ``plan_from_cli(42, "chaos", None, None).spec()``, spelled out.
+PIN_FAULTS = {
+    "seed": 42, "drop_prob": 0.08, "jitter_ns": 6000.0,
+    "su_slowdown_factor": 4.0, "su_slowdown_windows": 2,
+    "su_slowdown_window_ns": 2000000.0, "stall_windows": 2,
+    "stall_ns": 500000.0, "horizon_ns": 50000000.0}
+
+#: ``OptConfig.probabilistic_defaults().to_json()``, spelled out.
+PIN_OPT = {
+    "loop_weight": 10.0, "branch_weight": 0.5, "probabilistic": True,
+    "freq_eps": 1e-09, "block_access_threshold": 2,
+    "min_expected_accesses": 1.0, "max_spurious_ratio": 4.0,
+    "blkmov_shape": "prefix", "private_lines": True}
+
+#: The 21 wire keys at their defaults.
+PIN_WIRE_DEFAULTS = {
+    "kind": None, "source": None, "benchmark": None, "filename": None,
+    "optimize": True, "config": "default", "inline": False,
+    "reorder_fields": False, "nodes": 4, "entry": "main", "args": None,
+    "engine": "codegen", "params": "default", "max_stmts": None,
+    "strict_nil_reads": False, "faults": None, "rcache_capacity": 0,
+    "rcache_line_words": 16, "small": False, "selftest": None,
+    "opt": None}
+
+#: name -> (constructor keywords, wire keys off their default, cache
+#: address).  Recorded at the commit before ``JobSpec`` came to carry
+#: a ``RunConfig`` (pipeline ``2026.09-pr13``); a change here is a change of
+#: the wire format or of every cache address, and needs a
+#: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
+#: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
+GOLDEN = {
+    "compile": (
+        dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
+             inline=["add"], reorder_fields=True),
+        dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
+             inline=["add"], reorder_fields=True),
+        "cbfdef0a245cc22df0cf7324b73bdb32"
+        "1784086098e0804df35eb39d6f258c8d"),
+    "run": (
+        dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
+             engine="ast", max_stmts=5000, strict_nil_reads=True),
+        dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
+             engine="ast", max_stmts=5000, strict_nil_reads=True),
+        "5c0d5160aa8d73d72ef7e5513f7d3724"
+        "e6677c29e99cd40e18a8f8ca1adb4dbf"),
+    "three-way": (
+        dict(kind="three-way", source=PIN_SOURCE, args=[3],
+             rcache_capacity=32, rcache_line_words=8),
+        dict(kind="three-way", source=PIN_SOURCE, args=[3],
+             rcache_capacity=32, rcache_line_words=8),
+        "dcfaad3470df6c9d5681156b74a64f4f"
+        "ea9373bf0e8d98880311e6252e7c55ca"),
+    "four-way": (
+        dict(kind="four-way", source=PIN_SOURCE, nodes=8, args=[3],
+             params="sequential-c"),
+        dict(kind="four-way", source=PIN_SOURCE, nodes=8, args=[3],
+             params="sequential-c"),
+        "3250bb7fd9dadc2f89a2861855a6d51c"
+        "09ced5d977ab7de0208184dabfc8710c"),
+    "olden-small": (
+        dict(kind="run", benchmark="power", small=True),
+        dict(kind="run", benchmark="power", small=True),
+        "cdb154bb0dded5b8e5003f9f0e2dc870"
+        "989ce63ec2818113787b4d6f50391855"),
+    "faults-rcache-opt": (
+        dict(kind="run", benchmark="tsp", small=True, nodes=2,
+             faults=PIN_FAULTS, rcache_capacity=64,
+             rcache_line_words=4, opt="probabilistic"),
+        dict(kind="run", benchmark="tsp", small=True, nodes=2,
+             faults=PIN_FAULTS, rcache_capacity=64,
+             rcache_line_words=4, opt=PIN_OPT),
+        "7440e84a94e058fd82e88fb523979ea5"
+        "71e482e6d1badfcd0baf80796a015895"),
+}
+
+
+class TestGoldenPins:
+    def test_pipeline_version_is_the_pinned_one(self):
+        assert PIPELINE_VERSION == "2026.09-pr13"
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_wire_dict_and_cache_address(self, name):
+        keywords, wire, key = GOLDEN[name]
+        spec = JobSpec(**keywords)
+        assert spec.to_dict() == {**PIN_WIRE_DEFAULTS, **wire}
+        assert spec.canonical_key() == key
+        assert JobSpec.from_dict(spec.to_dict()).canonical_key() == key
+
+    def test_every_wire_run_key_round_trips(self):
+        """The flat wire form is the spec's own keys plus RunConfig's
+        wire fields, and each of those survives the round trip."""
+        own = set(PIN_WIRE_DEFAULTS) - set(WIRE_FIELDS)
+        assert own == {"kind", "source", "benchmark", "filename",
+                       "optimize", "config", "inline", "reorder_fields",
+                       "small", "selftest"}
+        assert not {"shards", "trace", "trace_capacity"} & set(WIRE_FIELDS)
+        moved = dict(nodes=3, entry="go", args=[1, 2.5], engine="ast",
+                     params="sequential-c", max_stmts=99,
+                     strict_nil_reads=True, faults=PIN_FAULTS,
+                     rcache_capacity=7, rcache_line_words=2,
+                     opt=PIN_OPT)
+        assert set(moved) == set(WIRE_FIELDS)
+        spec = JobSpec("run", source=PIN_SOURCE, **moved)
+        wire = spec.to_dict()
+        for name, value in moved.items():
+            assert wire[name] == value, name
+        clone = JobSpec.from_dict(wire)
+        assert clone.to_dict() == wire
+        assert clone.run == spec.run
+        assert clone.canonical_key() == spec.canonical_key()

@@ -75,8 +75,8 @@ class TestFourWayJobs:
         job = spec(kind="four-way", rcache_capacity=32,
                    rcache_line_words=8)
         restored = JobSpec.from_dict(job.to_dict())
-        assert restored.rcache_capacity == 32
-        assert restored.rcache_line_words == 8
+        assert restored.run.rcache_capacity == 32
+        assert restored.run.rcache_line_words == 8
         assert restored.canonical_key() == job.canonical_key()
 
     def test_executes_all_four_legs(self):
