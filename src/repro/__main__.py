@@ -1,10 +1,9 @@
 """Command-line compiler driver and service front end.
 
     python -m repro FILE.ec [options]          compile/run one file
-    python -m repro serve [options]            start the compile service
-    python -m repro submit [options]           send one job to a server
-    python -m repro batch [options]            run a job sweep (pool/server)
-    python -m repro fleet-serve [options]      HTTP/JSON gateway
+    python -m repro serve [options]            HTTP/JSON job gateway
+    python -m repro submit [options]           send one job to a gateway
+    python -m repro batch [options]            run a job sweep (pool/gateway)
     python -m repro fleet-store [options]      shared artifact blob store
     python -m repro loadtest [options]         open-loop fleet load test
     python -m repro genjobs [options]          seeded synthetic job stream
@@ -13,8 +12,8 @@ Compiles an EARTH-C file and, on request, prints its SIMPLE form, its
 Threaded-C fiber form, the communication tuples, and/or runs it on the
 simulated EARTH-MANNA machine.  The ``serve``/``submit``/``batch``
 verbs front the :mod:`repro.service` subsystem: a content-addressed
-compile cache behind a multi-process worker pool, optionally served
-over TCP.
+compile cache behind a multi-process worker pool, served over HTTP by
+:mod:`repro.fleet.http`.
 
 Examples::
 
@@ -29,13 +28,11 @@ Examples::
                        # chrome://tracing or https://ui.perfetto.dev
     python -m repro prog.ec -O --run --json         # machine-readable
 
-    python -m repro serve --workers 4 --port 7781
+    python -m repro fleet-store --port 7792 --cache-dir /tmp/store
+    python -m repro serve --workers 4 --port 7781 --store 127.0.0.1:7792
     python -m repro submit --benchmark power --small --nodes 4 --json
     python -m repro batch --benchmarks power,tsp --nodes 1,2,4 --workers 4
-
-    python -m repro fleet-store --port 7792 --cache-dir /tmp/store
-    python -m repro fleet-serve --port 7791 --store 127.0.0.1:7792
-    python -m repro loadtest --targets 127.0.0.1:7791 --rate 20 --total 200
+    python -m repro loadtest --targets 127.0.0.1:7781 --rate 20 --total 200
     python -m repro genjobs --seed 7 --count 20 --output jobs.json
     python -m repro batch --jobs jobs.json --workers 4
 
@@ -70,6 +67,7 @@ from repro.errors import (
     ReproError,
     ServiceError,
     UsageError,
+    error_body,
     exit_code_for,
 )
 from repro.harness.pipeline import compile_earthc, execute
@@ -78,7 +76,7 @@ from repro.simple import nodes as s
 from repro.simple.printer import print_function
 
 SERVICE_VERBS = ("serve", "submit", "batch",
-                 "fleet-serve", "fleet-store", "loadtest", "genjobs")
+                 "fleet-store", "loadtest", "genjobs")
 
 
 def _emit_error(exc: BaseException, json_mode: bool,
@@ -92,10 +90,7 @@ def _emit_error(exc: BaseException, json_mode: bool,
         except TypeError:
             code = EXIT_ERROR
     if json_mode:
-        print(json.dumps({"ok": False,
-                          "error": {"type": type(exc).__name__,
-                                    "message": str(exc),
-                                    "code": code}}))
+        print(json.dumps(error_body(type(exc).__name__, str(exc), code)))
     else:
         print(f"error: {exc}", file=sys.stderr)
     return code
@@ -392,8 +387,6 @@ def _service_main(verb: str, argv) -> int:
         return _serve_main(argv)
     if verb == "submit":
         return _submit_main(argv)
-    if verb == "fleet-serve":
-        return _fleet_serve_main(argv)
     if verb == "fleet-store":
         return _fleet_store_main(argv)
     if verb == "loadtest":
@@ -403,12 +396,32 @@ def _service_main(verb: str, argv) -> int:
     return _batch_main(argv)
 
 
-def _add_pool_flags(parser, port: int) -> None:
-    """The flags ``serve`` and ``fleet-serve`` share: where to listen
-    and the worker pool behind the listener."""
-    from repro.service import DEFAULT_CACHE_DIR
+def _run_server(port: int, serve) -> int:
+    """Run ``serve()``, a blocking server entry point listening on
+    ``port``, until it is shut down; returns the exit code."""
+    if not 0 <= port <= 65535:
+        return _usage_error(f"--port must be in 0..65535, got {port}")
+    try:
+        serve()
+    except KeyboardInterrupt:
+        return EXIT_OK
+    except (ServiceError, OSError) as exc:
+        return _emit_error(exc, False)
+    return EXIT_OK
+
+
+def _serve_main(argv) -> int:
+    from repro.fleet import serve_gateway_forever
+    from repro.harness.pipeline import PIPELINE_VERSION
+    from repro.service import DEFAULT_CACHE_DIR, WorkerPool
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro serve",
+        description="Serve compile/run jobs over HTTP/1.1 + JSON on "
+                    "top of a cached multi-process worker pool, "
+                    "optionally backed by a shared artifact store")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=port,
+    parser.add_argument("--port", type=int, default=7781,
                         help="port to listen on (0 picks an ephemeral "
                              "port; default %(default)s)")
     parser.add_argument("--workers", type=int, default=2,
@@ -430,39 +443,47 @@ def _add_pool_flags(parser, port: int) -> None:
                         help="refuse submissions (Busy / HTTP 503) "
                              "beyond this many in-flight jobs "
                              "(default 64)")
-
-
-def _serve_main(argv) -> int:
-    from repro.harness.pipeline import PIPELINE_VERSION
-    from repro.service import WorkerPool, serve_forever
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Serve compile/run jobs over JSON-over-TCP on top "
-                    "of a cached multi-process worker pool")
-    _add_pool_flags(parser, port=7781)
+    parser.add_argument("--store", default=None, metavar="HOST:PORT",
+                        help="shared artifact store to layer under the "
+                             "local cache (degrades to local-only "
+                             "when unreachable)")
     opts = parser.parse_args(argv)
 
-    pool = WorkerPool(opts.workers,
-                      cache_dir=None if opts.no_cache else opts.cache_dir,
-                      timeout_s=opts.timeout,
-                      max_attempts=opts.max_attempts)
+    if opts.workers < 0:
+        return _usage_error(f"--workers must be >= 0, got {opts.workers}")
+    if opts.max_attempts < 1:
+        return _usage_error(f"--max-attempts must be >= 1, got "
+                            f"{opts.max_attempts}")
+    if opts.timeout is not None and opts.timeout <= 0:
+        return _usage_error(f"--timeout must be > 0, got {opts.timeout}")
+    store_url = None
+    if opts.store is not None:
+        from repro.fleet.store import parse_store_url
+        try:
+            host, port = parse_store_url(opts.store)
+        except ValueError as exc:
+            return _usage_error(str(exc))
+        store_url = f"http://{host}:{port}"
 
-    def ready(server):
+    def ready(gateway):
         cache = "memory" if opts.no_cache else opts.cache_dir
-        print(f"serving on {server.host}:{server.port} "
-              f"(workers={opts.workers}, cache={cache}, "
+        store = store_url or "none"
+        print(f"serving on http://{gateway.host}:{gateway.port} "
+              f"(workers={opts.workers}, cache={cache}, store={store}, "
               f"pipeline {PIPELINE_VERSION})", flush=True)
 
-    try:
-        serve_forever(pool, opts.host, opts.port,
-                      max_queue_depth=opts.max_queue_depth,
-                      ready_callback=ready)
-    except KeyboardInterrupt:
-        return EXIT_OK
-    except (ServiceError, OSError) as exc:
-        return _emit_error(exc, False)
-    return EXIT_OK
+    def serve():
+        pool = WorkerPool(
+            opts.workers,
+            cache_dir=None if opts.no_cache else opts.cache_dir,
+            timeout_s=opts.timeout, max_attempts=opts.max_attempts,
+            store_url=store_url)
+        serve_gateway_forever(pool, opts.host, opts.port,
+                              max_queue_depth=opts.max_queue_depth,
+                              store_url=store_url,
+                              ready_callback=ready)
+
+    return _run_server(opts.port, serve)
 
 
 def _submit_main(argv) -> int:
@@ -470,7 +491,7 @@ def _submit_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro submit",
-        description="Submit one job to a running compile service")
+        description="Submit one job to a running `serve` gateway")
     parser.add_argument("file", nargs="?", default=None,
                         help="EARTH-C source file (or use --benchmark)")
     parser.add_argument("--benchmark", default=None,
@@ -605,8 +626,8 @@ def _batch_main(argv) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="keep the cache in memory only")
     parser.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="submit to a running server instead of a "
-                             "local pool")
+                        help="submit to a running `serve` gateway "
+                             "instead of a local pool")
     parser.add_argument("--output", default=None, metavar="FILE",
                         help="write the JSON result array to FILE")
     parser.add_argument("--json", action="store_true",
@@ -679,59 +700,8 @@ def _batch_main(argv) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fleet verbs: fleet-serve / fleet-store / loadtest
+# Fleet verbs: fleet-store / loadtest
 # ---------------------------------------------------------------------------
-
-
-def _fleet_serve_main(argv) -> int:
-    from repro.fleet import serve_gateway_forever
-    from repro.harness.pipeline import PIPELINE_VERSION
-    from repro.service import WorkerPool
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro fleet-serve",
-        description="Serve compile/run jobs over HTTP/1.1 + JSON on "
-                    "top of a cached multi-process worker pool, "
-                    "optionally backed by a shared artifact store")
-    _add_pool_flags(parser, port=7791)
-    parser.add_argument("--store", default=None, metavar="HOST:PORT",
-                        help="shared artifact store to layer under the "
-                             "local cache (degrades to local-only "
-                             "when unreachable)")
-    opts = parser.parse_args(argv)
-
-    store_url = None
-    if opts.store is not None:
-        from repro.fleet.store import parse_store_url
-        try:
-            host, port = parse_store_url(opts.store)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        store_url = f"http://{host}:{port}"
-
-    pool = WorkerPool(opts.workers,
-                      cache_dir=None if opts.no_cache else opts.cache_dir,
-                      timeout_s=opts.timeout,
-                      max_attempts=opts.max_attempts,
-                      store_url=store_url)
-
-    def ready(gateway):
-        cache = "memory" if opts.no_cache else opts.cache_dir
-        store = store_url or "none"
-        print(f"fleet gateway on http://{gateway.host}:{gateway.port} "
-              f"(workers={opts.workers}, cache={cache}, store={store}, "
-              f"pipeline {PIPELINE_VERSION})", flush=True)
-
-    try:
-        serve_gateway_forever(pool, opts.host, opts.port,
-                              max_queue_depth=opts.max_queue_depth,
-                              store_url=store_url,
-                              ready_callback=ready)
-    except KeyboardInterrupt:
-        return EXIT_OK
-    except (ServiceError, OSError) as exc:
-        return _emit_error(exc, False)
-    return EXIT_OK
 
 
 def _fleet_store_main(argv) -> int:
@@ -754,14 +724,8 @@ def _fleet_store_main(argv) -> int:
         print(f"fleet store on http://{store.host}:{store.port} "
               f"(root={opts.cache_dir})", flush=True)
 
-    try:
-        serve_store_forever(opts.cache_dir, opts.host, opts.port,
-                            ready_callback=ready)
-    except KeyboardInterrupt:
-        return EXIT_OK
-    except (ServiceError, OSError) as exc:
-        return _emit_error(exc, False)
-    return EXIT_OK
+    return _run_server(opts.port, lambda: serve_store_forever(
+        opts.cache_dir, opts.host, opts.port, ready_callback=ready))
 
 
 def _loadtest_main(argv) -> int:
@@ -772,7 +736,7 @@ def _loadtest_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro loadtest",
         description="Seeded open-loop load test against one or more "
-                    "fleet gateways")
+                    "`serve` gateways")
     parser.add_argument("--targets", required=True,
                         metavar="HOST:PORT[,HOST:PORT...]",
                         help="comma-separated gateway addresses")

@@ -94,6 +94,21 @@ class RunConfig:
     opt: Optional[OptConfig] = None
 
     def __post_init__(self):
+        # Types first: a job spec arrives as JSON, where 2.5, true and
+        # "abc" are all spellable and none of them is a node count
+        # (type(), not isinstance(): a bool is an int to isinstance).
+        for name in ("nodes", "shards", "rcache_capacity",
+                     "rcache_line_words", "max_stmts"):
+            if type(getattr(self, name)) is not int:
+                raise UsageError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
+        if not isinstance(self.entry, str):
+            raise UsageError(f"entry must be a function name, got "
+                             f"{self.entry!r}")
+        if not isinstance(self.args, (list, tuple)) or any(
+                type(arg) not in (int, float) for arg in self.args):
+            raise UsageError(f"args must be a sequence of numbers, got "
+                             f"{self.args!r}")
         object.__setattr__(self, "args", tuple(self.args))
         object.__setattr__(self, "opt", resolve_opt(self.opt))
         if self.nodes < 1:
@@ -119,9 +134,14 @@ class RunConfig:
         if self.max_stmts < 1:
             raise UsageError(f"max_stmts must be >= 1, got "
                              f"{self.max_stmts}")
-        if self.trace_capacity is not None and self.trace_capacity <= 0:
-            raise UsageError("trace_capacity must be positive")
+        if self.trace_capacity is not None and (
+                type(self.trace_capacity) is not int
+                or self.trace_capacity <= 0):
+            raise UsageError("trace_capacity must be a positive integer")
         if self.faults is not None:
+            if not isinstance(self.faults, dict):
+                raise UsageError(f"faults must be a fault spec object, "
+                                 f"got {self.faults!r}")
             object.__setattr__(self, "faults", dict(self.faults))
             # Validate eagerly so a bad spec fails where it was written,
             # not inside a worker process.

@@ -259,7 +259,7 @@ class FaultPlan:
             raise FaultPlanError("fault spec is missing 'seed'") from None
         try:
             return cls(int(seed), **config)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise FaultPlanError(f"bad fault spec: {exc}") from None
 
     # -- reporting ---------------------------------------------------------

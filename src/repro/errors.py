@@ -149,6 +149,18 @@ HTTP_STATUS_FOR_EXIT = {
 }
 
 
+def error_body(error_type: str, message: str, code: int = EXIT_SERVICE,
+               retry: bool = False) -> dict:
+    """The one structured error every entry answers with -- the CLI's
+    ``--json`` line, an admission refusal, an HTTP error body."""
+    body = {"ok": False,
+            "error": {"type": error_type, "message": message,
+                      "code": code}}
+    if retry:
+        body["retry"] = True
+    return body
+
+
 def http_status_for(code: int) -> int:
     """The HTTP status for a CLI exit code (500 for anything unknown)."""
     return HTTP_STATUS_FOR_EXIT.get(code, 500)

@@ -1,15 +1,17 @@
-"""Fleet serving: HTTP gateway, shared object store, load harness.
+"""Fleet serving: the HTTP gateway, a shared object store, a load
+harness.
 
-:mod:`repro.service` (PR 4) made the pipeline a cacheable network
-service -- but a *single* one: one TCP server, one machine-local disk
-cache.  This package turns it into a fleet:
+:mod:`repro.service` makes the pipeline cacheable and poolable; this
+package puts it on the network and lets several hosts share what they
+compute:
 
 * :mod:`repro.fleet.http` -- a stdlib-only asyncio HTTP/1.1 JSON
-  gateway over the same :class:`~repro.service.pool.WorkerPool` /
-  :class:`~repro.service.server.JobAdmission` core the TCP server
-  uses, so browsers, ``curl``, and standard load balancers can submit
-  jobs (``POST /v1/jobs``) and scrape health and metrics
-  (``GET /healthz``, ``GET /metrics``);
+  gateway over a :class:`~repro.service.pool.WorkerPool` behind its
+  :class:`~repro.service.pool.JobAdmission` -- the one server and the
+  one wire format -- so :class:`~repro.service.client.ServiceClient`,
+  browsers, ``curl``, and standard load balancers submit jobs
+  (``POST /v1/jobs``) and scrape health and metrics (``GET /healthz``,
+  ``GET /metrics``) the same way;
 * :mod:`repro.fleet.store` -- a networked object-store tier behind the
   existing SHA-256 content addresses: a small HTTP blob server plus a
   :class:`RemoteStore` client that slots under
@@ -27,8 +29,8 @@ Content addressing is what makes the shared tier safe:
 different pipeline versions can share a store without ever serving each
 other stale payloads -- a stale key simply never matches.
 
-CLI verbs: ``python -m repro fleet-serve`` / ``fleet-store`` /
-``loadtest``.
+The dependency runs one way, fleet -> service.  CLI verbs: ``python -m
+repro serve`` / ``fleet-store`` / ``loadtest``.
 """
 
 from repro.fleet.http import (

@@ -1,14 +1,14 @@
-"""Stdlib-only HTTP/1.1 JSON front end for the compile service.
+"""Stdlib-only HTTP/1.1 JSON front end for the compile service -- the
+one wire a job travels.
 
 Two halves:
 
 * a minimal asyncio HTTP server base (:class:`HttpServerBase`) with
   request parsing, keep-alive, and JSON responses -- shared by the
   gateway here and the blob store server in :mod:`repro.fleet.store`;
-* the :class:`HttpGateway` itself, which adapts HTTP to the exact
-  admission core the TCP server uses
-  (:class:`repro.service.server.JobAdmission`), so the two wire formats
-  cannot diverge in behaviour or payload.
+* the :class:`HttpGateway` itself, which adapts HTTP to the admission
+  core in front of the worker pool
+  (:class:`repro.service.pool.JobAdmission`).
 
 Routes::
 
@@ -19,28 +19,31 @@ Routes::
     POST /v1/shutdown    stop the server after responding
 
 Failure mapping is structural, not ad hoc: job-level errors carry the
-same ``{"type", "message", "code"}`` objects the TCP path and the CLI
-produce, and the HTTP status is derived from that exit code via
+same ``{"type", "message", "code"}`` objects the CLI produces, and the
+HTTP status is derived from that exit code via
 :func:`repro.errors.http_status_for` (422 for compile/runtime failures,
 400 for malformed requests, 503 + ``Retry-After`` for backpressure).
+An exception no handler expected is a structured 500, never a dropped
+connection.
 
 The server deliberately avoids :mod:`http.server` (synchronous, one
-thread per connection); requests ride the same asyncio loop and
-executor-thread bridge the TCP front end uses.
+thread per connection); requests ride one asyncio loop, and jobs cross
+to the blocking pool on the admission core's executor threads.  The
+blocking client side is :mod:`repro.service.client`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
+import traceback
 from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.errors import http_status_for
+from repro.errors import error_body, http_status_for
 from repro.harness.pipeline import PIPELINE_VERSION
-from repro.service.pool import WorkerPool
-from repro.service.server import JobAdmission
+from repro.service.client import http_json  # noqa: F401 (re-exported)
+from repro.service.pool import JobAdmission, WorkerPool
 
 #: Upper bounds on request framing (a job source can be large, a header
 #: block cannot).
@@ -63,6 +66,10 @@ class HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.error_type = error_type
+
+    def body(self) -> Dict[str, object]:
+        return error_body(self.error_type, str(self),
+                          2 if self.status < 500 else 6)
 
 
 class HttpRequest:
@@ -164,21 +171,13 @@ def json_response(status: int, payload: object,
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
-def error_body(error_type: str, message: str, code: int,
-               retry: bool = False) -> Dict[str, object]:
-    """The one JSON error shape, identical to the TCP protocol's."""
-    payload: Dict[str, object] = {
-        "ok": False,
-        "error": {"type": error_type, "message": message, "code": code},
-    }
-    if retry:
-        payload["retry"] = True
-    return payload
-
-
 class HttpServerBase:
     """Lifecycle plumbing shared by the gateway and the blob store:
     bind, keep-alive connection loop, uniform error rendering."""
+
+    #: Where ``http_errors`` is counted, for a server that keeps
+    #: :class:`~repro.obs.metrics.ServiceMetrics`.
+    metrics = None
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
@@ -208,16 +207,27 @@ class HttpServerBase:
                 try:
                     request = await read_request(reader)
                 except HttpError as exc:
-                    writer.write(json_response(
-                        exc.status,
-                        error_body(exc.error_type, str(exc),
-                                   2 if exc.status < 500 else 6),
-                        keep_alive=False))
+                    writer.write(json_response(exc.status, exc.body(),
+                                               keep_alive=False))
                     await writer.drain()
                     break
                 if request is None:
                     break
-                response, stop = await self._dispatch(request)
+                try:
+                    response, stop = await self._dispatch(request)
+                except Exception as exc:
+                    # A handler nobody expected to raise (a bug, a full
+                    # disk under the cache): answer, hang up, and keep
+                    # serving every other connection.
+                    traceback.print_exc()
+                    if self.metrics is not None:
+                        self.metrics.incr("http_errors")
+                    writer.write(json_response(
+                        500, error_body("InternalError",
+                                        f"{type(exc).__name__}: {exc}"),
+                        keep_alive=False))
+                    await writer.drain()
+                    break
                 writer.write(response)
                 await writer.drain()
                 if stop:
@@ -236,12 +246,30 @@ class HttpServerBase:
 
     async def _dispatch(self, request: HttpRequest
                         ) -> Tuple[bytes, bool]:
+        """Route one request and frame the answer (an
+        :class:`HttpError` out of the route is an answer too);
+        returns ``(response bytes, stop the server afterwards)``."""
+        if self.metrics is not None:
+            self.metrics.incr("http_requests")
+        try:
+            status, payload, headers, stop = await self._route(request)
+        except HttpError as exc:
+            status, payload, headers, stop = (exc.status, exc.body(),
+                                              (), False)
+        if status >= 400 and self.metrics is not None:
+            self.metrics.incr("http_errors")
+        return (json_response(status, payload,
+                              keep_alive=request.keep_alive,
+                              extra_headers=headers), stop)
+
+    async def _route(self, request: HttpRequest):
+        """``(status, payload, extra headers, stop)`` for one request."""
         raise NotImplementedError
 
 
 class HttpGateway(HttpServerBase):
-    """HTTP/JSON adapter over a :class:`WorkerPool`, sharing the TCP
-    server's admission core (single-flight dedup + backpressure)."""
+    """HTTP/JSON adapter over a :class:`WorkerPool` behind its
+    admission core (single-flight dedup + backpressure)."""
 
     #: Completed submissions kept for ``GET /v1/jobs/<id>`` replay.
     HISTORY_ENTRIES = 256
@@ -251,7 +279,6 @@ class HttpGateway(HttpServerBase):
                  store_url: Optional[str] = None):
         super().__init__(host, port)
         self.pool = pool
-        self.max_queue_depth = max_queue_depth
         self.store_url = store_url
         self.metrics = pool.metrics
         self.admission = JobAdmission(pool,
@@ -270,23 +297,6 @@ class HttpGateway(HttpServerBase):
         self.admission.shutdown()
 
     # -- routing -----------------------------------------------------------
-
-    async def _dispatch(self, request: HttpRequest
-                        ) -> Tuple[bytes, bool]:
-        self.metrics.incr("http_requests")
-        try:
-            status, payload, headers, stop = await self._route(request)
-        except HttpError as exc:
-            status, payload, headers, stop = (
-                exc.status,
-                error_body(exc.error_type, str(exc),
-                           2 if exc.status < 500 else 6),
-                (), False)
-        if status >= 400:
-            self.metrics.incr("http_errors")
-        return (json_response(status, payload,
-                              keep_alive=request.keep_alive,
-                              extra_headers=headers), stop)
 
     async def _route(self, request: HttpRequest):
         method, path = request.method, request.path
@@ -322,15 +332,11 @@ class HttpGateway(HttpServerBase):
     # -- handlers ----------------------------------------------------------
 
     async def _submit(self, request: HttpRequest):
-        body = request.json()
-        # Accept both the bare spec and the TCP protocol's envelope
-        # shape ({"job": {...}}), so existing tooling ports over.
-        job = body.get("job", body) if isinstance(body, dict) else body
-        response = await self.admission.submit(job)
+        response = await self.admission.submit(request.json())
         if not response.get("ok"):
             if response.get("retry"):
-                # Backpressure: same structured Busy error as the TCP
-                # path, plus the HTTP-native retry signal.
+                # Backpressure: the structured Busy error plus the
+                # HTTP-native retry signal.
                 return 503, response, (("Retry-After", "1"),), False
             return 400, response, (), False
         result = response["result"]
@@ -351,7 +357,9 @@ class HttpGateway(HttpServerBase):
         return status, envelope, (), False
 
     def _replay(self, suffix: str):
-        if not suffix.isdigit():
+        # ASCII digits only: str.isdigit() also passes "\xb2", which
+        # int() then refuses.
+        if not (suffix.isascii() and suffix.isdigit()):
             raise HttpError(400, "BadRequest",
                             f"job ids are integers, got {suffix!r}")
         entry = self._history.get(int(suffix))
@@ -364,62 +372,33 @@ class HttpGateway(HttpServerBase):
 
 
 # ---------------------------------------------------------------------------
-# Blocking client helper (loadgen, RemoteStore, tests, CI)
-# ---------------------------------------------------------------------------
-
-
-def http_json(method: str, host: str, port: int, path: str,
-              body: Optional[object] = None,
-              timeout: float = 30.0) -> Tuple[int, object]:
-    """One blocking HTTP/JSON round trip: ``(status, parsed body)``.
-
-    Raises :class:`OSError` for transport failures (connect, timeout,
-    mid-read EOF); callers own the retry policy."""
-    connection = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        data = None
-        headers = {}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        connection.request(method, path, body=data, headers=headers)
-        response = connection.getresponse()
-        raw = response.read()
-    finally:
-        connection.close()
-    if not raw:
-        return response.status, None
-    try:
-        return response.status, json.loads(raw)
-    except ValueError:
-        return response.status, raw.decode("utf-8", "replace")
-
-
-# ---------------------------------------------------------------------------
 # Blocking entry point (CLI)
 # ---------------------------------------------------------------------------
 
 
-async def _serve(pool: WorkerPool, host: str, port: int,
-                 max_queue_depth: int, store_url: Optional[str],
-                 ready_callback) -> None:
-    gateway = HttpGateway(pool, host, port,
-                          max_queue_depth=max_queue_depth,
-                          store_url=store_url)
-    await gateway.start()
-    if ready_callback is not None:
-        ready_callback(gateway)
-    await gateway.serve_until_shutdown()
+def run_until_shutdown(make_server, ready_callback=None) -> None:
+    """Blocking: build a server on a fresh event loop and serve until a
+    shutdown request arrives.  ``ready_callback(server)`` fires once
+    the port is bound (the CLI prints it)."""
+    async def main() -> None:
+        server = await make_server().start()
+        if ready_callback is not None:
+            ready_callback(server)
+        await server.serve_until_shutdown()
+
+    asyncio.run(main())
 
 
 def serve_gateway_forever(pool: WorkerPool, host: str = "127.0.0.1",
-                          port: int = 7791, max_queue_depth: int = 64,
+                          port: int = 7781, max_queue_depth: int = 64,
                           store_url: Optional[str] = None,
                           ready_callback=None) -> None:
-    """Blocking entry point: start a gateway and run until a shutdown
-    request arrives (``python -m repro fleet-serve``)."""
+    """Blocking entry point of ``python -m repro serve``; closes the
+    pool on the way out."""
     try:
-        asyncio.run(_serve(pool, host, port, max_queue_depth, store_url,
-                           ready_callback))
+        run_until_shutdown(
+            lambda: HttpGateway(pool, host, port,
+                                max_queue_depth=max_queue_depth,
+                                store_url=store_url), ready_callback)
     finally:
         pool.close()

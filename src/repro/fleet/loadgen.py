@@ -4,7 +4,7 @@ Two tools the benchmark (``bench/workloads.py``), the CI smoke job,
 and ``python -m repro loadtest`` share:
 
 * :class:`FleetProcess` / :func:`launch_gateway` / :func:`launch_store`
-  -- spawn real OS processes running the CLI verbs (``fleet-serve`` /
+  -- spawn real OS processes running the CLI verbs (``serve`` /
   ``fleet-store``), wait for ``/healthz``, scrape ``/metrics``, and
   shut them down (or :meth:`~FleetProcess.kill` them hard, for outage
   drills);
@@ -32,7 +32,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.fleet.http import http_json
+from repro.service.client import http_json
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -170,9 +170,9 @@ def launch_gateway(cache_dir: Optional[str],
                    port: Optional[int] = None,
                    max_queue_depth: int = 64,
                    timeout: float = 30.0) -> FleetProcess:
-    """Spawn ``python -m repro fleet-serve`` and wait for /healthz."""
+    """Spawn ``python -m repro serve`` and wait for /healthz."""
     port = free_port(host) if port is None else port
-    argv = [sys.executable, "-m", "repro", "fleet-serve",
+    argv = [sys.executable, "-m", "repro", "serve",
             "--host", host, "--port", str(port),
             "--workers", str(workers),
             "--max-queue-depth", str(max_queue_depth)]
@@ -180,7 +180,7 @@ def launch_gateway(cache_dir: Optional[str],
         else ["--no-cache"]
     if store_url is not None:
         argv += ["--store", store_url]
-    return FleetProcess("fleet-serve", argv, host, port) \
+    return FleetProcess("serve", argv, host, port) \
         .wait_ready(timeout)
 
 

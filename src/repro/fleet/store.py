@@ -35,12 +35,11 @@ from repro.fleet.http import (
     HttpError,
     HttpRequest,
     HttpServerBase,
-    error_body,
-    http_json,
-    json_response,
+    run_until_shutdown,
 )
 from repro.harness.pipeline import PIPELINE_VERSION
 from repro.service.cache import ArtifactCache
+from repro.service.client import http_json, with_retries
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
@@ -80,33 +79,19 @@ class BlobStoreServer(HttpServerBase):
         super().__init__(host, port)
         self.cache = ArtifactCache(root, memory_entries=memory_entries)
 
-    async def _dispatch(self, request: HttpRequest):
-        try:
-            status, payload, headers = self._route(request)
-        except HttpError as exc:
-            status, payload, headers = (
-                exc.status,
-                error_body(exc.error_type, str(exc),
-                           2 if exc.status < 500 else 6),
-                ())
-        stop = bool(isinstance(payload, dict) and payload.get("shutdown"))
-        return (json_response(status, payload,
-                              keep_alive=request.keep_alive,
-                              extra_headers=headers), stop)
-
-    def _route(self, request: HttpRequest):
+    async def _route(self, request: HttpRequest):
         method, path = request.method, request.path
         if path == "/healthz":
             return 200, {"ok": True, "role": "store",
-                         "version": PIPELINE_VERSION}, ()
+                         "version": PIPELINE_VERSION}, (), False
         if path == "/metrics":
             return 200, {"ok": True,
-                         "blobs": self.cache.snapshot()}, ()
+                         "blobs": self.cache.snapshot()}, (), False
         if path == "/v1/shutdown":
             if method != "POST":
                 raise HttpError(405, "MethodNotAllowed",
                                 "/v1/shutdown only accepts POST")
-            return 200, {"ok": True, "shutdown": True}, ()
+            return 200, {"ok": True, "shutdown": True}, (), True
         if path.startswith("/blobs/"):
             key = path[len("/blobs/"):]
             if not _KEY_RE.match(key):
@@ -118,7 +103,7 @@ class BlobStoreServer(HttpServerBase):
                 if payload is None:
                     raise HttpError(404, "NotFound",
                                     f"no blob {key[:12]}...")
-                return 200, payload, ()
+                return 200, payload, (), False
             if method == "PUT":
                 body = request.json()
                 if not isinstance(body, dict):
@@ -129,9 +114,9 @@ class BlobStoreServer(HttpServerBase):
                 # address (identical content anyway); answering 200 vs
                 # 201 lets clients count real uploads.
                 if self.cache.get(key) is not None:
-                    return 200, {"ok": True, "created": False}, ()
+                    return 200, {"ok": True, "created": False}, (), False
                 self.cache.put(key, body)
-                return 201, {"ok": True, "created": True}, ()
+                return 201, {"ok": True, "created": True}, (), False
             raise HttpError(405, "MethodNotAllowed",
                             "/blobs/<key> only accepts GET and PUT")
         raise HttpError(404, "NotFound", f"no route for {path!r}")
@@ -203,17 +188,11 @@ class RemoteStore:
 
     def _request(self, method: str, key: str,
                  body: Optional[Dict[str, object]] = None):
-        last_exc: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
-            try:
-                return http_json(method, self.host, self.port,
-                                 f"/blobs/{key}", body=body,
-                                 timeout=self.timeout_s)
-            except OSError as exc:
-                last_exc = exc
-        raise last_exc  # type: ignore[misc]
+        return with_retries(
+            lambda: http_json(method, self.host, self.port,
+                              f"/blobs/{key}", body=body,
+                              timeout=self.timeout_s),
+            self.retries, self.retry_backoff_s)
 
     # -- operations --------------------------------------------------------
 
@@ -367,18 +346,8 @@ def make_worker_cache(cache_dir: Optional[str],
 # ---------------------------------------------------------------------------
 
 
-async def _serve(root: str, host: str, port: int,
-                 ready_callback) -> None:
-    server = BlobStoreServer(root, host, port)
-    await server.start()
-    if ready_callback is not None:
-        ready_callback(server)
-    await server.serve_until_shutdown()
-
-
 def serve_store_forever(root: str, host: str = "127.0.0.1",
                         port: int = 7792, ready_callback=None) -> None:
-    """Blocking entry point: run a blob store until a shutdown request
-    arrives (``python -m repro fleet-store``)."""
-    import asyncio
-    asyncio.run(_serve(root, host, port, ready_callback))
+    """Blocking entry point of ``python -m repro fleet-store``."""
+    run_until_shutdown(lambda: BlobStoreServer(root, host, port),
+                       ready_callback)

@@ -1,5 +1,5 @@
 """Compile service: content-addressed caching, batch parallelism, and
-a TCP serving layer above the Zhu--Hendren pipeline.
+the client of the serving layer above the Zhu--Hendren pipeline.
 
 The pipeline's phases are deterministic pure functions of (source,
 options), so every product -- SIMPLE listing, Threaded-C form,
@@ -13,13 +13,15 @@ safe to farm out to worker processes.  Layers, bottom up:
   :class:`JobResult` and the pure ``execute_job`` every worker runs;
 * :mod:`repro.service.pool` -- crash-tolerant multiprocessing
   :class:`WorkerPool` with warm pipelines, per-attempt timeouts, and
-  bounded exponential-backoff requeue;
-* :mod:`repro.service.server` / :mod:`repro.service.client` -- asyncio
-  JSON-over-TCP :class:`JobServer` with single-flight deduplication
-  and queue-depth backpressure, plus the blocking
-  :class:`ServiceClient`.
+  bounded exponential-backoff requeue, and the :class:`JobAdmission`
+  (single-flight deduplication, queue-depth backpressure) a server
+  fronts it with;
+* :mod:`repro.service.client` -- the blocking HTTP round trip, its
+  retry loop, and the :class:`ServiceClient` built from them.
 
-CLI verbs: ``python -m repro serve`` / ``submit`` / ``batch``.
+The server itself -- one wire, HTTP/JSON -- is :mod:`repro.fleet.http`;
+nothing here imports it.  CLI verbs: ``python -m repro serve`` /
+``submit`` / ``batch``.
 """
 
 from repro.service.cache import (
@@ -39,7 +41,6 @@ from repro.service.jobs import (
     run_payload,
 )
 from repro.service.pool import WorkerPool
-from repro.service.server import JobServer, serve_forever
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -56,6 +57,4 @@ __all__ = [
     "execute_job",
     "run_payload",
     "WorkerPool",
-    "JobServer",
-    "serve_forever",
 ]

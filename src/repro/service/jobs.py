@@ -108,6 +108,10 @@ class JobSpec:
                 raise ServiceError(
                     f"{kind} jobs need exactly one of source= or "
                     f"benchmark=")
+        for name, text in (("source", source), ("filename", filename)):
+            if text is not None and not isinstance(text, str):
+                raise ServiceError(f"{name} must be a string, got "
+                                   f"{type(text).__name__}")
         if config not in CONFIG_PRESETS:
             raise ServiceError(f"unknown config preset {config!r} "
                                f"(known: {', '.join(CONFIG_PRESETS)})")

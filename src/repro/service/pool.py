@@ -30,18 +30,22 @@ Guarantees:
 ``workers=0`` runs jobs inline in the calling process (no
 subprocesses) -- the serial baseline and the mode embedded servers use
 on single-core hosts.
+
+:class:`JobAdmission` is the door a server puts in front of the pool.
 """
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import queue
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError, error_body
 from repro.obs.metrics import ServiceMetrics
 from repro.service.cache import DEFAULT_CACHE_DIR, ArtifactCache
 from repro.service.jobs import JobResult, JobSpec, execute_job
@@ -427,3 +431,86 @@ class WorkerPool:
     def __repr__(self) -> str:
         mode = "inline" if self.workers == 0 else f"{self.workers} procs"
         return f"WorkerPool({mode}, cache={self.cache_dir!r})"
+
+
+class JobAdmission:
+    """The one place a served job is admitted to a :class:`WorkerPool`.
+
+    * **single-flight deduplication** -- identical jobs (same content
+      address) submitted while one is already executing *join* the
+      in-flight computation instead of re-running it; every joiner
+      gets the same payload;
+    * **backpressure** -- beyond ``max_queue_depth`` concurrently
+      admitted jobs, new submissions are refused at once with a
+      structured ``Busy`` error (clients retry; the server never
+      builds an unbounded queue)."""
+
+    def __init__(self, pool: WorkerPool, max_queue_depth: int = 64):
+        self.pool = pool
+        self.max_queue_depth = max_queue_depth
+        self.metrics = pool.metrics
+        self._inflight: Dict[str, asyncio.Future] = {}
+        self._admitted = 0
+        # Executor threads bridge the async loop to the blocking pool;
+        # enough of them to keep every worker fed plus headroom for
+        # cache hits, which never reach a worker.
+        self._executor = ThreadPoolExecutor(
+            max_workers=max(4, 2 * max(pool.workers, 1)),
+            thread_name_prefix="serve-job")
+
+    @property
+    def inflight(self) -> int:
+        return len(self._inflight)
+
+    def shutdown(self) -> None:
+        self._executor.shutdown(wait=False)
+
+    async def submit(self, job: object) -> Dict[str, object]:
+        """Admit and run one job; returns the response dict
+        (``{"ok": ..., "singleflight": ..., "result": ...}`` or a
+        structured error)."""
+        try:
+            spec = JobSpec.from_dict(job)
+            key = spec.canonical_key()
+        except ReproError as exc:
+            return error_body(type(exc).__name__, str(exc))
+        except Exception as exc:
+            # Whatever a malformed spec trips over, the client is told
+            # its job was bad, not which Python exception said so.
+            return error_body("ServiceError", f"bad job spec: {exc}")
+
+        existing = self._inflight.get(key)
+        if existing is not None:
+            # Single-flight join: ride the in-flight computation.
+            self.metrics.incr("singleflight_hits")
+            result = await asyncio.shield(existing)
+            return {"ok": True, "singleflight": True,
+                    "result": result.to_dict()}
+
+        if self._admitted >= self.max_queue_depth:
+            self.metrics.incr("rejected_busy")
+            return error_body(
+                "Busy",
+                f"queue depth limit reached "
+                f"({self.max_queue_depth} jobs in flight); retry",
+                retry=True)
+
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        self._inflight[key] = future
+        self._admitted += 1
+        try:
+            result = await loop.run_in_executor(
+                self._executor, self.pool.run_job, spec)
+            future.set_result(result)
+        except Exception as exc:
+            result = JobResult(
+                False, spec.kind, key,
+                error={"type": type(exc).__name__,
+                       "message": str(exc), "code": 6})
+            future.set_result(result)
+        finally:
+            self._admitted -= 1
+            self._inflight.pop(key, None)
+        return {"ok": True, "singleflight": False,
+                "result": result.to_dict()}

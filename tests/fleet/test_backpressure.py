@@ -1,37 +1,16 @@
-"""Backpressure + single-flight dedup under real concurrency, on both
-wire formats (they share one JobAdmission, and these tests pin that)."""
+"""Backpressure + single-flight dedup under real concurrency, through
+the gateway to the one JobAdmission behind it."""
 
 import threading
 
 from repro.fleet.http import http_json
-from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
-from repro.service.pool import WorkerPool
-from repro.service.server import serve_forever
 
 
 def _sleep_spec(seconds=0.5, tag="dedup"):
     return JobSpec("selftest", selftest={"behavior": "sleep",
                                          "seconds": seconds,
                                          "value": tag})
-
-
-def _start_tcp_server(max_queue_depth):
-    pool = WorkerPool(workers=2, cache_dir=None)
-    ready = threading.Event()
-    holder = {}
-
-    def on_ready(server):
-        holder["server"] = server
-        ready.set()
-
-    thread = threading.Thread(
-        target=serve_forever, args=(pool,),
-        kwargs={"port": 0, "max_queue_depth": max_queue_depth,
-                "ready_callback": on_ready}, daemon=True)
-    thread.start()
-    assert ready.wait(timeout=20)
-    return holder["server"], thread
 
 
 class TestHttpBackpressure:
@@ -99,39 +78,6 @@ class TestHttpBackpressure:
             gateway.close()
 
 
-class TestTcpBackpressure:
-    def test_depth_one_rejects_the_overflow_only(self):
-        server, thread = _start_tcp_server(max_queue_depth=1)
-        try:
-            responses = [None, None]
-
-            def submit(index, tag):
-                with ServiceClient(server.host, server.port,
-                                   timeout=60, retries=0) as client:
-                    responses[index] = client.request(
-                        {"op": "submit",
-                         "job": _sleep_spec(1.0, tag).to_dict()})
-
-            first = threading.Thread(target=submit, args=(0, "slot"))
-            first.start()
-            with ServiceClient(server.host, server.port) as client:
-                for _ in range(100):
-                    if client.stats()["inflight"] >= 1:
-                        break
-                    threading.Event().wait(0.02)
-            submit(1, "overflow")
-            first.join(timeout=30)
-            by_ok = sorted(responses, key=lambda r: r["ok"])
-            assert by_ok[0]["ok"] is False
-            assert by_ok[0]["error"]["type"] == "Busy"
-            assert by_ok[0]["retry"] is True
-            assert by_ok[1]["ok"] is True
-        finally:
-            with ServiceClient(server.host, server.port) as client:
-                client.shutdown()
-            thread.join(timeout=10)
-
-
 class TestExactlyOnceDedup:
     N = 6
 
@@ -167,35 +113,3 @@ class TestExactlyOnceDedup:
                 self.N - 1
         finally:
             gateway.close()
-
-    def test_tcp_identical_concurrent_submissions_run_once(self):
-        server, thread = _start_tcp_server(max_queue_depth=64)
-        try:
-            spec = _sleep_spec(0.5, "tcp-once").to_dict()
-            responses = [None] * self.N
-            barrier = threading.Barrier(self.N)
-
-            def submit(index):
-                with ServiceClient(server.host, server.port,
-                                   timeout=60) as client:
-                    barrier.wait()
-                    responses[index] = client.request(
-                        {"op": "submit", "job": spec})
-
-            threads = [threading.Thread(target=submit, args=(i,))
-                       for i in range(self.N)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert all(r["ok"] for r in responses)
-            results = [r["result"]["payload"] for r in responses]
-            assert all(p == results[0] for p in results)
-            with ServiceClient(server.host, server.port) as client:
-                metrics = client.stats()["metrics"]
-            assert metrics["jobs_completed"] == 1
-            assert metrics["singleflight_hits"] == self.N - 1
-        finally:
-            with ServiceClient(server.host, server.port) as client:
-                client.shutdown()
-            thread.join(timeout=10)

@@ -1,17 +1,13 @@
-"""Differential acceptance: the HTTP path serves payloads byte-identical
-to the TCP path and the in-process pipeline.
+"""Differential acceptance: the served path returns payloads
+byte-identical to the in-process pipeline.
 
 For every Olden benchmark, with and without a seeded fault profile,
-the three-way payload must be plain-``==`` identical across:
-
-* in-process :func:`run_three_ways` (ground truth),
-* the TCP server (``ServiceClient.submit``),
-* the HTTP gateway (``POST /v1/jobs``),
-
-checked **cold** (each front end computes into its own empty disk
-cache) and **warm** (the second submission replays the cached payload
-bit-for-bit).  A fleet is only sound if the wire format cannot change
-the answer."""
+the three-way payload the HTTP gateway answers (``POST /v1/jobs``)
+must be plain-``==`` identical to in-process :func:`run_three_ways`
+(ground truth), checked **cold** (the gateway computes into its own
+empty disk cache) and **warm** (the second submission replays the
+cached payload bit-for-bit).  A fleet is only sound if the wire cannot
+change the answer."""
 
 import os
 
@@ -21,9 +17,7 @@ from repro.config import RunConfig
 from repro.earth.faults import FaultPlan, plan_from_cli
 from repro.harness.pipeline import run_three_ways
 from repro.olden.loader import catalog
-from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec, run_payload
-from repro.service.pool import WorkerPool
 
 FAULT_SEED = 29
 FAULT_CASES = (None, "mild")
@@ -37,7 +31,7 @@ def _fault_dict(profile):
 
 #: CI runs the faulted leg on the whole catalog; the local tier-1
 #: profile keeps it to a representative third (the chaos suites cover
-#: every benchmark under faults -- this matrix pins the wire formats).
+#: every benchmark under faults -- this matrix pins the wire).
 _FULL_MATRIX = bool(os.environ.get("CI")) \
     or os.environ.get("HYPOTHESIS_PROFILE") == "ci"
 FAULTED_BENCHMARKS = ("power", "em3d", "treeadd")
@@ -84,33 +78,6 @@ def http_gateway(tmp_path_factory):
     live.close()
 
 
-@pytest.fixture(scope="module")
-def tcp_server(tmp_path_factory):
-    import threading
-
-    from repro.service.server import serve_forever
-    pool = WorkerPool(
-        workers=2,
-        cache_dir=str(tmp_path_factory.mktemp("tcp-diff-cache")))
-    ready = threading.Event()
-    holder = {}
-
-    def on_ready(server):
-        holder["server"] = server
-        ready.set()
-
-    thread = threading.Thread(
-        target=serve_forever, args=(pool,),
-        kwargs={"port": 0, "ready_callback": on_ready}, daemon=True)
-    thread.start()
-    assert ready.wait(timeout=20)
-    yield holder["server"]
-    with ServiceClient(holder["server"].host,
-                       holder["server"].port) as client:
-        client.shutdown()
-    thread.join(timeout=10)
-
-
 def _http_submit(gateway, job):
     status, body = gateway.request("POST", "/v1/jobs",
                                    body=job.to_dict(), timeout=600)
@@ -130,22 +97,6 @@ def test_http_path_matches_in_process_cold_and_warm(references,
         assert warm["cache"] == "hit"
         assert warm["payload"] == cold["payload"], \
             f"{spec.name}/faults={profile} warm HTTP replay diverged"
-
-
-def test_tcp_path_matches_in_process_cold_and_warm(references,
-                                                   tcp_server):
-    with ServiceClient(tcp_server.host, tcp_server.port,
-                       timeout=600) as client:
-        for spec, profile in _matrix():
-            job = _job(spec, profile)
-            cold = client.submit(job)
-            assert cold.ok and cold.cache == "miss"
-            assert cold.payload == references[(spec.name, profile)], \
-                f"{spec.name}/faults={profile} diverged over TCP (cold)"
-            warm = client.submit(job)
-            assert warm.ok and warm.cache == "hit"
-            assert warm.payload == cold.payload, \
-                f"{spec.name}/faults={profile} warm TCP replay diverged"
 
 
 def test_faulted_runs_actually_took_faults(references):

@@ -1,8 +1,7 @@
 """Acceptance: a second fleet server's cold start is fed by the store.
 
-Real OS processes via the CLI verbs (``fleet-store`` /
-``fleet-serve``): gateway A computes an Olden job and uploads the
-artifact; gateway B -- fresh local cache, same store -- must serve the
+Real OS processes via the CLI verbs (``fleet-store`` / ``serve``):
+gateway A computes an Olden job and uploads the artifact; gateway B -- fresh local cache, same store -- must serve the
 same job from remote-store hits with **zero local compiles**, and the
 payloads must be identical."""
 

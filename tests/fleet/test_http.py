@@ -48,12 +48,6 @@ class TestRoutes:
         assert second["result"]["cache"] == "hit"
         assert second["result"]["payload"] == first["result"]["payload"]
 
-    def test_tcp_envelope_shape_is_accepted(self, gateway):
-        # {"job": {...}} -- the TCP protocol's submit shape.
-        status, body = gateway.request("POST", "/v1/jobs",
-                                       body={"job": _run_spec(1)})
-        assert status == 200 and body["ok"] is True
-
     def test_replay_returns_the_stored_envelope(self, gateway):
         _, submitted = gateway.request("POST", "/v1/jobs",
                                        body=_run_spec(2))
@@ -108,8 +102,8 @@ class TestErrorMapping:
             body=JobSpec("compile", source="int main( {").to_dict())
         assert status == 422
         assert body["ok"] is False
-        # The job-level error is the same structured object the TCP
-        # path and the CLI produce (code 3 = compile error).
+        # The job-level error is the same structured object the CLI
+        # produces (code 3 = compile error).
         assert body["result"]["error"]["code"] == 3
 
     def test_http_error_counter_increments(self, gateway):
@@ -156,6 +150,37 @@ class TestWireFraming:
             gateway, b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
                      b"Content-Length: 50\r\n\r\n{}")
         assert response.startswith(b"HTTP/1.1 400 ")
+
+    def test_non_ascii_digit_job_id_is_400(self, gateway):
+        # "\xb2".isdigit() is true and int("\xb2") raises: the replay
+        # id must be refused, not crash the connection task.
+        response = self._raw(
+            gateway, b"GET /v1/jobs/\xb2 HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b'"BadRequest"' in response
+
+    def test_raising_handler_is_a_structured_500(self, gateway,
+                                                 monkeypatch):
+        async def full_disk(request):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(gateway.server, "_route", full_disk)
+        response = self._raw(
+            gateway, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                     b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 500 ")
+        assert b"Connection: close" in head
+        # One answer, then the connection is closed: the pipelined
+        # second request is never served.
+        assert json.loads(body) == {"ok": False, "error": {
+            "type": "InternalError", "code": 6,
+            "message": "OSError: [Errno 28] No space left on device"}}
+        monkeypatch.undo()
+        status, health = gateway.request("GET", "/healthz")
+        assert status == 200 and health["ok"] is True
+        _, metrics = gateway.request("GET", "/metrics")
+        assert metrics["metrics"]["http_errors"] == 1
 
     def test_keep_alive_serves_multiple_requests(self, gateway):
         request = (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")

@@ -31,7 +31,7 @@ OPTION_STRINGS = {
         """,
     "serve": """
         --cache-dir --help --host --max-attempts --max-queue-depth
-        --no-cache --port --timeout --workers -h
+        --no-cache --port --store --timeout --workers -h
         """,
     "submit": """
         --args --benchmark --config --engine --entry --fault-profile
@@ -44,10 +44,6 @@ OPTION_STRINGS = {
         --faults --help --jobs --json --kind --no-cache --nodes
         --opt-preset --output --rcache-capacity --rcache-line --small
         --workers -h
-        """,
-    "fleet-serve": """
-        --cache-dir --help --host --max-attempts --max-queue-depth
-        --no-cache --port --store --timeout --workers -h
         """,
     "fleet-store": """
         --cache-dir --help --host --port -h
@@ -151,12 +147,8 @@ def test_batch_sweep_carries_every_run_flag(capsys):
 
 def test_submit_carries_every_run_flag(capsys):
     import json
-    from repro.service.client import ServiceClient
-    from repro.service.pool import WorkerPool
-    from repro.service.server import serve_forever
-    from tests.fleet.conftest import LiveServer
-    server = LiveServer(serve_forever, (WorkerPool(workers=0),),
-                        {"port": 0}, "job server")
+    from tests.fleet.conftest import start_gateway
+    server = start_gateway(workers=0)
     try:
         code = main(["submit", "--benchmark", "power", "--small",
                      "--nodes", "2", "--port", str(server.port),
@@ -166,10 +158,15 @@ def test_submit_carries_every_run_flag(capsys):
         main(["submit", "--benchmark", "power", "--small", "--kind",
               "compile", "--port", str(server.port), "--json"])
         plain = json.loads(capsys.readouterr().out)
+        # batch --connect reaches the same gateway: the compile job
+        # submit just ran comes back from its cache.
+        main(["batch", "--benchmarks", "power", "--small", "--kind",
+              "compile", "--nodes", "4", "--connect",
+              f"127.0.0.1:{server.port}", "--json"])
+        [swept] = json.loads(capsys.readouterr().out)
     finally:
-        with ServiceClient(server.host, server.port, timeout=5) as client:
-            client.shutdown()
-        server.thread.join(timeout=10)
+        server.close()
+    assert swept["key"] == plain["key"] and swept["cache"] == "hit"
     assert code == 0 and result["ok"]
     assert result["key"] == _keyword_spec("run", 2).canonical_key()
     assert result["payload"]["run"]["num_nodes"] == 2
@@ -216,7 +213,15 @@ def test_genjobs_is_the_generator_stream(capsys):
 @pytest.mark.parametrize("argv", [
     ["genjobs", "--nodes", "0", "--count", "1"],
     ["genjobs", "--engines", "closure", "--count", "1"],
-], ids=["nodes", "engine"])
-def test_genjobs_bad_pool_is_a_usage_error(argv, capsys):
+    ["serve", "--workers", "-1"],
+    ["serve", "--max-attempts", "0"],
+    ["serve", "--port", "99999"],
+    ["serve", "--timeout", "-1"],
+    ["fleet-store", "--port", "99999", "--cache-dir", "unused"],
+], ids=lambda argv: "-".join(argv[:2]).replace("--", ""))
+def test_bad_flag_value_is_a_one_line_usage_error(argv, capsys):
     assert main(argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -4,6 +4,8 @@ lists the engines there are (the one ``ENGINES``) -- and so is every
 other run-option value ``RunConfig`` refuses: at the entry, before any
 worker sees the job."""
 
+import dataclasses
+
 import pytest
 
 from repro.__main__ import main
@@ -12,15 +14,13 @@ from repro.earth.interpreter import ENGINES
 from repro.errors import (
     EXIT_SERVICE,
     EXIT_USAGE,
+    FaultPlanError,
     ServiceError,
     UsageError,
 )
-from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
-from repro.service.pool import WorkerPool
-from repro.service.server import serve_forever
 
-from tests.fleet.conftest import LiveServer, start_gateway
+from tests.fleet.conftest import start_gateway
 
 #: The tier deleted in 2.0.
 REMOVED = 'closure'
@@ -69,33 +69,12 @@ def _http_refusal(job):
     return body["error"]["message"]
 
 
-def _tcp_refusal(job):
-    """The same over the TCP wire: a structured ``ServiceError``."""
-    server = LiveServer(serve_forever, (WorkerPool(workers=0),),
-                        {"port": 0}, "job server")
-    with ServiceClient(server.host, server.port, timeout=5) as client:
-        before = client.stats()["metrics"]["jobs_submitted"]
-        response = client.request({"op": "submit", "job": job})
-        assert client.stats()["metrics"]["jobs_submitted"] == before
-        client.shutdown()
-    server.thread.join(timeout=10)
-    assert not server.thread.is_alive()
-    assert response["ok"] is False
-    assert response["error"]["type"] == "ServiceError"
-    assert response["error"]["code"] == EXIT_SERVICE
-    return response["error"]["message"]
-
-
 def _http(tmp_path, capsys):
     return _http_refusal(JOB)
 
 
-def _tcp(tmp_path, capsys):
-    return _tcp_refusal(JOB)
-
-
-@pytest.mark.parametrize("entry", [_cli, _run_config, _http, _tcp],
-                         ids=["cli", "runconfig", "http", "tcp"])
+@pytest.mark.parametrize("entry", [_cli, _run_config, _http],
+                         ids=["cli", "runconfig", "http"])
 def test_removed_engine_is_rejected(entry, tmp_path, capsys):
     message = entry(tmp_path, capsys)
     assert REMOVED in message
@@ -107,59 +86,79 @@ def test_removed_engine_is_rejected(entry, tmp_path, capsys):
 # Every value RunConfig refuses is refused at the entry
 # ---------------------------------------------------------------------------
 
-#: field -> (bad value, a word of the message)
+#: case -> (field, bad value, a word of the message).  The first four
+#: are values of the right type out of range; the rest are the wrong
+#: *type*, as a JSON client can spell it.
 BAD_OPTIONS = {
-    "nodes": (0, "nodes"),
-    "max_stmts": (-5, "max_stmts"),
-    "rcache_line_words": (0, "rcache_line_words"),
-    "params": ("nope", "params preset"),
+    "nodes": ("nodes", 0, "nodes"),
+    "max_stmts": ("max_stmts", -5, "max_stmts"),
+    "rcache_line_words": ("rcache_line_words", 0, "rcache_line_words"),
+    "params": ("params", "nope", "params preset"),
+    "source=5": ("source", 5, "source"),
+    "nodes=2.5": ("nodes", 2.5, "nodes"),
+    "nodes=true": ("nodes", True, "nodes"),
+    "args=abc": ("args", "abc", "args"),
+    "entry=5": ("entry", 5, "entry"),
+    "faults=x": ("faults", "x", "fault"),
+    "faults.seed=q": ("faults", {"seed": "q"}, "fault"),
 }
 
+#: Cases no command line can spell: the field has no run flag, or any
+#: text is the right type for it.
+NO_FLAG = {"source=5", "args=abc", "entry=5", "faults.seed=q"}
 
-def _bad_job(field):
-    return {"kind": "run", "source": JOB["source"],
-            field: BAD_OPTIONS[field][0]}
+
+def _bad_job(case):
+    field, value, _ = BAD_OPTIONS[case]
+    return {"kind": "run", "source": JOB["source"], field: value}
 
 
-def _option_cli(field, tmp_path, capsys):
+def _option_cli(case, tmp_path, capsys):
     path = tmp_path / "prog.ec"
     path.write_text(JOB["source"])
+    field, value, _ = BAD_OPTIONS[case]
     option = next(option for option, (name, _) in RUN_FLAGS.items()
                   if name == field)
-    value = str(BAD_OPTIONS[field][0])
     if field == "params":
         # The driver has no --params; submit refuses it while building
         # the job, before it dials the server.
         assert main(["submit", str(path), option, value]) == EXIT_SERVICE
-    else:
-        assert main([str(path), "--run", option, value]) == EXIT_USAGE
+        return capsys.readouterr().err
+    try:
+        code = main([str(path), "--run", option, str(value)])
+    except SystemExit as refused:    # by argparse: not an int at all
+        code = refused.code
+    assert code == EXIT_USAGE
     return capsys.readouterr().err
 
 
-def _option_job_spec(field, tmp_path, capsys):
-    with pytest.raises(UsageError) as config:
-        RunConfig(**{field: BAD_OPTIONS[field][0]})
+def _option_job_spec(case, tmp_path, capsys):
+    field, value, _ = BAD_OPTIONS[case]
     with pytest.raises(ServiceError) as direct:
-        JobSpec(**_bad_job(field))
+        JobSpec(**_bad_job(case))
     with pytest.raises(ServiceError) as parsed:
-        JobSpec.from_dict(_bad_job(field))
-    assert str(config.value) == str(direct.value) == str(parsed.value)
+        JobSpec.from_dict(_bad_job(case))
+    assert str(direct.value) == str(parsed.value)
+    if field in {spec.name for spec in dataclasses.fields(RunConfig)}:
+        # (a fault spec is judged by the plan it describes)
+        with pytest.raises((UsageError, FaultPlanError)) as config:
+            RunConfig(**{field: value})
+        assert str(config.value) == str(direct.value)
     return str(direct.value)
 
 
-def _option_http(field, tmp_path, capsys):
-    return _http_refusal(_bad_job(field))
+def _option_http(case, tmp_path, capsys):
+    return _http_refusal(_bad_job(case))
 
 
-def _option_tcp(field, tmp_path, capsys):
-    return _tcp_refusal(_bad_job(field))
-
-
-@pytest.mark.parametrize("field", sorted(BAD_OPTIONS))
-@pytest.mark.parametrize(
-    "entry", [_option_cli, _option_job_spec, _option_http, _option_tcp],
-    ids=["cli", "jobspec", "http", "tcp"])
-def test_bad_run_option_is_rejected_at_the_entry(entry, field, tmp_path,
+@pytest.mark.parametrize("entry,case", [
+    pytest.param(entry, case, id=f"{name}-{case}")
+    for case in sorted(BAD_OPTIONS)
+    for name, entry in (("cli", _option_cli),
+                        ("jobspec", _option_job_spec),
+                        ("http", _option_http))
+    if not (entry is _option_cli and case in NO_FLAG)])
+def test_bad_run_option_is_rejected_at_the_entry(entry, case, tmp_path,
                                                  capsys):
-    message = entry(field, tmp_path, capsys)
-    assert BAD_OPTIONS[field][1] in message
+    message = entry(case, tmp_path, capsys)
+    assert BAD_OPTIONS[case][2] in message

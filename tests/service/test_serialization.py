@@ -1,6 +1,6 @@
 """Cross-process serialization contracts: every object the service
 ships between processes must survive pickle (multiprocessing queues)
-and, where it crosses the TCP wire, JSON."""
+and, where it crosses the wire, JSON."""
 
 import json
 import pickle

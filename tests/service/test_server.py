@@ -1,87 +1,60 @@
-"""JobServer / ServiceClient: protocol, single-flight, backpressure."""
+"""ServiceClient against a live gateway: what ``submit`` / ``batch
+--connect`` and the benchmark's probe see of the one wire."""
 
-import json
-import socket
-import threading
+import os
+import sys
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.harness.pipeline import PIPELINE_VERSION
+from repro.fleet.loadgen import FleetProcess, free_port
 from repro.service.client import ServiceClient, wait_for_server
 from repro.service.jobs import JobSpec
-from repro.service.pool import WorkerPool
-from repro.service.server import serve_forever
+
+from tests.fleet.conftest import start_gateway
 
 SOURCE = "int main(int n) { return n + 1; }"
+ECHO = JobSpec("selftest", selftest={"behavior": "echo"})
 
 
 @pytest.fixture()
 def server(tmp_path):
-    """A live server (2 workers, disk cache in tmp) on an ephemeral
-    port; yields (host, port) and shuts the server down afterwards."""
-    pool = WorkerPool(workers=2, cache_dir=str(tmp_path / "cache"))
-    ready = threading.Event()
-    holder = {}
-
-    def on_ready(srv):
-        holder["server"] = srv
-        ready.set()
-
-    thread = threading.Thread(
-        target=serve_forever, args=(pool,),
-        kwargs={"port": 0, "ready_callback": on_ready}, daemon=True)
-    thread.start()
-    assert ready.wait(timeout=20), "server never came up"
-    srv = holder["server"]
-    yield srv.host, srv.port
-    try:
-        with ServiceClient(srv.host, srv.port, timeout=5) as client:
-            client.shutdown()
-    except ServiceError:
-        pass
-    thread.join(timeout=10)
+    """A live gateway (2 workers, disk cache in tmp) on an ephemeral
+    port; yields (host, port) and shuts it down afterwards."""
+    live = start_gateway(workers=2, cache_dir=str(tmp_path / "cache"))
+    yield live.host, live.port
+    live.close()
 
 
 class TestProtocol:
-    def test_ping_reports_pipeline_version(self, server):
-        host, port = server
-        with ServiceClient(host, port) as client:
-            pong = client.ping()
-            assert pong["pong"] is True
-            assert pong["version"] == PIPELINE_VERSION
-
     def test_submit_round_trip(self, server):
-        host, port = server
-        with ServiceClient(host, port) as client:
+        with ServiceClient(*server) as client:
             result = client.submit(JobSpec("run", source=SOURCE,
                                            nodes=1, args=[41]))
             assert result.ok
             assert result.payload["run"]["value"] == 42
 
     def test_second_submit_hits_the_cache(self, server):
-        host, port = server
         spec = JobSpec("run", source=SOURCE, nodes=1, args=[1])
-        with ServiceClient(host, port) as client:
+        with ServiceClient(*server) as client:
             first = client.submit(spec)
             second = client.submit(spec)
         assert first.cache == "miss" and second.cache == "hit"
         assert second.payload == first.payload
 
     def test_batch_results_in_submission_order(self, server):
-        host, port = server
+        # More jobs than batch threads, so order is not an accident.
+        count = 2 * ServiceClient.BATCH_THREADS + 3
         specs = [JobSpec("selftest",
                          selftest={"behavior": "echo", "value": i})
-                 for i in range(5)]
-        with ServiceClient(host, port) as client:
+                 for i in range(count)]
+        with ServiceClient(*server) as client:
             results = client.batch(specs)
-        assert [r.payload["echo"] for r in results] == list(range(5))
+        assert [r.payload["echo"] for r in results] == list(range(count))
 
-    def test_stats_op(self, server):
-        host, port = server
-        with ServiceClient(host, port) as client:
-            client.submit(JobSpec("selftest",
-                                  selftest={"behavior": "echo"}))
+    def test_stats(self, server):
+        with ServiceClient(*server) as client:
+            client.submit(ECHO)
             stats = client.stats()
         metrics = stats["metrics"]
         assert metrics["jobs_completed"] >= 1
@@ -89,109 +62,47 @@ class TestProtocol:
         assert "latency" in metrics
 
     def test_job_level_failure_is_not_a_protocol_failure(self, server):
-        host, port = server
-        with ServiceClient(host, port) as client:
+        with ServiceClient(*server) as client:
             result = client.submit(JobSpec("compile",
                                            source="int main( {"))
         assert not result.ok
         assert result.error["code"] == 3
 
     def test_malformed_job_is_rejected(self, server):
-        host, port = server
-        with ServiceClient(host, port) as client:
-            with pytest.raises(ServiceError, match="unknown job kind"):
+        with ServiceClient(*server) as client:
+            with pytest.raises(ServiceError,
+                               match=r"\[ServiceError\]: unknown job kind"):
                 client.submit({"kind": "transmogrify"})
 
     def test_wait_for_server_helper(self, server):
-        host, port = server
-        client = wait_for_server(host, port, timeout=5)
-        client.close()
+        with wait_for_server(*server, timeout=5) as client:
+            assert client.submit(ECHO).ok
 
     def test_connect_to_nothing_raises(self):
-        with pytest.raises(ServiceError, match="cannot connect"):
-            ServiceClient("127.0.0.1", 1, timeout=0.5)
+        with ServiceClient("127.0.0.1", 1, timeout=0.5,
+                           retry_backoff_s=0.01) as client:
+            with pytest.raises(ServiceError, match="connection to 127.0.0.1:1 failed"):
+                client.ping()
+        with pytest.raises(ServiceError, match="no service at"):
+            wait_for_server("127.0.0.1", 1, timeout=0.2)
 
 
-class TestRawWire:
-    """Drive the newline-delimited JSON protocol with a bare socket."""
-
-    def _roundtrip(self, server, line: bytes) -> dict:
-        host, port = server
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(line)
-            data = b""
-            while not data.endswith(b"\n"):
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
-        return json.loads(data)
-
-    def test_non_json_line(self, server):
-        response = self._roundtrip(server, b"this is not json\n")
-        assert response["ok"] is False
-        assert response["error"]["type"] == "BadRequest"
-
-    def test_non_object_request(self, server):
-        response = self._roundtrip(server, b"[1, 2, 3]\n")
-        assert response["ok"] is False
-
-    def test_unknown_op(self, server):
-        response = self._roundtrip(server, b'{"op": "dance"}\n')
-        assert response["ok"] is False
-        assert "unknown op" in response["error"]["message"]
-
-    def test_batch_without_jobs_array(self, server):
-        response = self._roundtrip(server, b'{"op": "batch"}\n')
-        assert response["ok"] is False
-        assert "jobs" in response["error"]["message"]
-
-
-class TestSingleFlight:
-    def test_concurrent_identical_jobs_join(self, server):
-        host, port = server
-        # One slow-ish job submitted 4x concurrently in a batch: the
-        # server must coalesce them onto one execution.
-        spec = JobSpec("three-way", benchmark="power", nodes=2,
-                       small=True)
-        with ServiceClient(host, port) as client:
-            results = client.batch([spec] * 4)
-            stats = client.stats()
-        payloads = [r.payload for r in results]
-        assert all(p == payloads[0] for p in payloads)
-        metrics = stats["metrics"]
-        assert metrics["singleflight_hits"] >= 1
-        # The computation ran at most twice (scheduling may let an
-        # early finisher release the key before the last join).
-        assert metrics["cache_misses"] <= 2
-
-
-class TestBackpressure:
-    def test_zero_depth_rejects_with_retry_flag(self, tmp_path):
-        pool = WorkerPool(workers=0, cache_dir=None)
-        ready = threading.Event()
-        holder = {}
-
-        def on_ready(srv):
-            holder["server"] = srv
-            ready.set()
-
-        thread = threading.Thread(
-            target=serve_forever, args=(pool,),
-            kwargs={"port": 0, "max_queue_depth": 0,
-                    "ready_callback": on_ready}, daemon=True)
-        thread.start()
-        assert ready.wait(timeout=20)
-        srv = holder["server"]
-        with ServiceClient(srv.host, srv.port) as client:
-            response = client.request(
-                {"op": "submit",
-                 "job": JobSpec("selftest",
-                                selftest={"behavior": "echo"}).to_dict()})
-            assert response["ok"] is False
-            assert response["error"]["type"] == "Busy"
-            assert response["retry"] is True
-            stats = client.stats()
-            assert stats["metrics"]["rejected_busy"] == 1
+def test_serve_subprocess_as_the_benchmark_probes_it(tmp_path):
+    """What ``bench/layers.py::_tcp`` does, step for step: ``bench/``
+    is read-only to a product PR, so this is where a change that would
+    break its probe fails first."""
+    port = free_port()
+    server = FleetProcess(
+        "serve", [sys.executable, "-m", "repro", "serve", "--port",
+                  str(port), "--workers", "2", "--cache-dir",
+                  os.path.join(str(tmp_path), "tcp")], "127.0.0.1", port)
+    job = JobSpec("run", source=SOURCE, nodes=1, args=[1]).to_dict()
+    try:
+        with wait_for_server(server.host, port, timeout=30.0) as client:
+            assert client.submit(ECHO.to_dict()).payload == {"echo": None}
+            assert client.submit(job).cache == "miss"
+            assert client.submit(job).cache == "hit"
             client.shutdown()
-        thread.join(timeout=10)
+        assert server.proc.wait(timeout=10.0) == 0
+    finally:
+        server.kill()
