@@ -59,6 +59,7 @@ from repro.config import (
     RUN_FLAGS,
     RunConfig,
     cli_run_options,
+    int_list,
 )
 from repro.earth.interpreter import DEFAULT_ENGINE
 from repro.errors import (
@@ -237,6 +238,7 @@ def _compile_main(argv) -> int:
     try:
         # Every run flag is validated here, --run or not.
         config = RunConfig.from_cli_args(args)
+        run_args = int_list(args.args, "--args")
         opt = config.opt
         compiled = compile_earthc(
             source, args.file, optimize=args.optimize,
@@ -265,8 +267,6 @@ def _compile_main(argv) -> int:
             _dump_codegen(compiled, args.dump_codegen, config.nodes)
 
         if args.run:
-            run_args = [int(part) for part in args.args.split(",")
-                        if part.strip()]
             if not run_args and args.entry == "main":
                 run_args = _catalog_default_args(args.file)
             config = config.replace(args=tuple(run_args))
@@ -531,8 +531,7 @@ def _submit_main(argv) -> int:
         filename = opts.file
 
     try:
-        run_args = [int(part) for part in opts.run_args.split(",")
-                    if part.strip()] or None
+        run_args = int_list(opts.run_args, "--args") or None
         spec = JobSpec(opts.kind, source=source,
                        benchmark=opts.benchmark, filename=filename,
                        optimize=not opts.no_optimize,
@@ -652,7 +651,7 @@ def _batch_main(argv) -> int:
             from repro.harness.experiments import sweep_jobs
             benchmarks = opts.benchmarks.split(",") \
                 if opts.benchmarks else None
-            counts = [int(part) for part in opts.node_counts.split(",")]
+            counts = int_list(opts.node_counts, "--nodes")
             specs = sweep_jobs(counts, benchmarks, small=opts.small,
                                kind=opts.kind,
                                run=RunConfig.from_cli_args(opts))
@@ -902,15 +901,14 @@ def _genjobs_main(argv) -> int:
                    if p.strip()],
             sizes=_range(opts.sizes, "--sizes"),
             sweeps=_range(opts.sweeps, "--sweeps"),
-            nodes=[int(p) for p in opts.nodes.split(",") if p.strip()],
+            nodes=int_list(opts.nodes, "--nodes"),
             engines=[p.strip() for p in opts.engines.split(",")
                      if p.strip()],
             fault_profiles=[None if p.strip().lower() == "none"
                             else p.strip()
                             for p in opts.fault_profiles.split(",")
                             if p.strip()],
-            rcache_capacities=[int(p) for p in opts.rcache.split(",")
-                               if p.strip()])
+            rcache_capacities=int_list(opts.rcache, "--rcache"))
     except (ValueError, UsageError) as exc:
         return _usage_error(str(exc))
 

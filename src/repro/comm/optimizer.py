@@ -27,10 +27,8 @@ from repro.analysis.locality import (
     analyze_locality,
     mark_private_sites,
 )
-from repro.analysis.nilness import analyze_nilness
 from repro.analysis.points_to import analyze_points_to
 from repro.analysis.rw_sets import EffectsAnalysis
-from repro.comm.costmodel import CommCostModel
 from repro.comm.forwarding import ForwardingStats, forward_remote_values
 from repro.comm.optconfig import OptConfig
 from repro.comm.placement import PlacementResult, analyze_placement
@@ -46,7 +44,8 @@ class CommConfig:
 
     ``speculative_reads`` mirrors the paper's runtime option of issuing
     remote reads to potentially-invalid addresses (footnote 2); when
-    False, selection falls back to the nilness analysis.
+    False, selection falls back to the nilness analysis (run only
+    then).
 
     ``opt`` carries the heuristic knobs
     (:class:`~repro.comm.optconfig.OptConfig`); None means the legacy
@@ -115,16 +114,11 @@ class CommunicationOptimizer:
     """Applies the paper's communication optimization to a program."""
 
     def __init__(self, program: s.SimpleProgram,
-                 config: Optional[CommConfig] = None,
-                 cost_model: Optional[CommCostModel] = None):
+                 config: Optional[CommConfig] = None):
         self.program = program
         self.config = config or CommConfig()
         self.opt = self.config.opt if self.config.opt is not None \
             else OptConfig()
-        # An explicit cost model wins; otherwise the decision
-        # thresholds come from the opt config (identical to the plain
-        # CommCostModel at legacy defaults).
-        self.cost_model = cost_model or CommCostModel.from_opt(self.opt)
 
     def run(self) -> OptimizationReport:
         report = OptimizationReport()
@@ -161,10 +155,8 @@ class CommunicationOptimizer:
                     placement = analyze_placement(function, conn,
                                                   self.opt)
                     report.placements[function.name] = placement
-                    nilness = analyze_nilness(function)
                     selection = CommSelection(
-                        function, placement, conn, nilness,
-                        self.cost_model,
+                        function, placement, conn,
                         speculative_reads=config.speculative_reads,
                         enable_blocking=config.enable_blocking,
                         opt=self.opt)
@@ -191,11 +183,9 @@ class CommunicationOptimizer:
                     placement = analyze_placement(function, conn,
                                                   self.opt)
                     write_placements.append(placement)
-                    nilness = analyze_nilness(function)
                     prior = read_selections[function.name]
                     selection = CommSelection(
-                        function, placement, conn, nilness,
-                        self.cost_model,
+                        function, placement, conn,
                         speculative_reads=config.speculative_reads,
                         enable_blocking=config.enable_blocking,
                         stats=prior.stats,
@@ -266,8 +256,7 @@ def _mark_residual_split_phase(function: s.SimpleFunction) -> int:
 
 
 def optimize_program(program: s.SimpleProgram,
-                     config: Optional[CommConfig] = None,
-                     cost_model: Optional[CommCostModel] = None
+                     config: Optional[CommConfig] = None
                      ) -> OptimizationReport:
     """Run the full communication optimization (in place)."""
-    return CommunicationOptimizer(program, config, cost_model).run()
+    return CommunicationOptimizer(program, config).run()

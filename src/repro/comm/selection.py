@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.connection import ConnectionInfo
-from repro.analysis.nilness import NilnessResult
+from repro.analysis.nilness import NilnessResult, analyze_nilness
 from repro.comm.costmodel import CommCostModel
 from repro.comm.optconfig import OptConfig
 from repro.comm.placement import PlacementResult
@@ -96,8 +96,7 @@ class CommSelection:
     """Runs communication selection on one function (in place)."""
 
     def __init__(self, func: s.SimpleFunction, placement: PlacementResult,
-                 conn: ConnectionInfo, nilness: NilnessResult,
-                 cost_model: CommCostModel,
+                 conn: ConnectionInfo,
                  speculative_reads: bool = True,
                  enable_blocking: bool = True,
                  stats: Optional[SelectionStats] = None,
@@ -106,11 +105,14 @@ class CommSelection:
         self.func = func
         self.placement = placement
         self.conn = conn
-        self.nilness = nilness
-        self.cost_model = cost_model
+        #: Built by the first non-speculative dereference check.
+        self.nilness: Optional[NilnessResult] = None
         self.speculative_reads = speculative_reads
         self.enable_blocking = enable_blocking
         self.opt = opt if opt is not None else OptConfig()
+        # The decision thresholds come from the opt config (the plain
+        # CommCostModel at legacy defaults).
+        self.cost_model = CommCostModel.from_opt(self.opt)
         self.stats = stats if stats is not None else SelectionStats()
         self.selected_reads: Set[SelectedOp] = set()
         self.selected_writes: Set[SelectedOp] = set()
@@ -243,6 +245,8 @@ class CommSelection:
     def _safe_deref(self, base: str, label: int) -> bool:
         if self.speculative_reads:
             return True
+        if self.nilness is None:
+            self.nilness = analyze_nilness(self.func)
         return self.nilness.is_nonnil_before(label, base)
 
     def _pointee_struct(self, base: str) -> Optional[StructType]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.comm.optconfig import (
     BLKMOV_SHAPES,
@@ -315,6 +315,17 @@ def flag_dest(option: str) -> str:
     return option.lstrip("-").replace("-", "_")
 
 
+def int_list(text: str, flag: str) -> List[int]:
+    """The value of a "comma-separated integers" flag (``--args``,
+    ``--nodes`` as a sweep axis); anything else is a usage error that
+    names the flag."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} needs comma-separated integers, "
+                         f"got {text!r}") from None
+
+
 def cli_run_options(opts) -> Dict[str, object]:
     """The run options an :mod:`argparse` namespace carries, as
     :class:`RunConfig` (or ``JobSpec``) keywords.  Each verb's parser
@@ -404,6 +415,6 @@ def config_digest(config: RunConfig) -> str:
 
 
 __all__ = ["RunConfig", "OptConfig", "config_digest", "opt_from_cli_args",
-           "cli_run_options", "flag_dest", "RUN_FLAGS", "ASSEMBLED_FIELDS",
-           "WIRE_FIELDS", "PARAMS_PRESETS", "OPT_FLAGS",
-           "DEFAULT_MAX_STMTS"]
+           "cli_run_options", "flag_dest", "int_list", "RUN_FLAGS",
+           "ASSEMBLED_FIELDS", "WIRE_FIELDS", "PARAMS_PRESETS",
+           "OPT_FLAGS", "DEFAULT_MAX_STMTS"]

@@ -33,6 +33,7 @@ fault; ``strict_nil_reads`` turns reads into faults too (debugging).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.earth.machine import Fiber, JoinCounter, Machine, Slot
@@ -189,7 +190,13 @@ class Interpreter:
     def run(self, entry: str = "main",
             args: Sequence[Value] = ()) -> RunResult:
         result_slot = self.start(entry, args)
-        self.machine.run()
+        try:
+            self.machine.run()
+        except RecursionError:   # a simulated call nests host frames
+            raise InterpreterError(
+                f"simulated call depth is more than the {self.engine} "
+                f"engine can nest on this host (Python recursion limit "
+                f"{sys.getrecursionlimit()})") from None
         return self.finish(entry, result_slot)
 
     def start(self, entry: str = "main",

@@ -16,9 +16,10 @@ compute:
   existing SHA-256 content addresses: a small HTTP blob server plus a
   :class:`RemoteStore` client that slots under
   :class:`~repro.service.cache.ArtifactCache` as a third tier
-  (memory -> local disk -> remote), with single-flight fill,
-  PUT-if-absent writes, and graceful degradation to local-only when
-  the store is unreachable;
+  (memory -> local disk -> remote) of a gateway's one cache -- one
+  client, one breaker, in the parent process -- with single-flight
+  fill, PUT-if-absent writes, and graceful degradation to local-only
+  when the store is unreachable;
 * :mod:`repro.fleet.loadgen` -- a seeded open-loop load harness that
   spawns an N-server fleet sharing one store and records p50/p99
   latency, saturation throughput, and store hit rates (``bench/``
@@ -42,7 +43,6 @@ from repro.fleet.store import (
     BlobStoreServer,
     FleetCache,
     RemoteStore,
-    make_worker_cache,
     serve_store_forever,
 )
 from repro.fleet.loadgen import (
@@ -60,7 +60,6 @@ __all__ = [
     "BlobStoreServer",
     "FleetCache",
     "RemoteStore",
-    "make_worker_cache",
     "serve_store_forever",
     "FleetProcess",
     "LoadGenerator",

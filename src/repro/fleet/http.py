@@ -13,9 +13,8 @@ Two halves:
 Routes::
 
     POST /v1/jobs        submit one JobSpec (JSON body), wait, respond
-    GET  /v1/jobs/<id>   replay a recently completed submission
     GET  /healthz        liveness + pipeline version
-    GET  /metrics        ServiceMetrics snapshot as JSON
+    GET  /metrics        service counters + the pool's cache snapshot
     POST /v1/shutdown    stop the server after responding
 
 Failure mapping is structural, not ad hoc: job-level errors carry the
@@ -37,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import json
 import traceback
-from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import error_body, http_status_for
@@ -271,9 +269,6 @@ class HttpGateway(HttpServerBase):
     """HTTP/JSON adapter over a :class:`WorkerPool` behind its
     admission core (single-flight dedup + backpressure)."""
 
-    #: Completed submissions kept for ``GET /v1/jobs/<id>`` replay.
-    HISTORY_ENTRIES = 256
-
     def __init__(self, pool: WorkerPool, host: str = "127.0.0.1",
                  port: int = 0, max_queue_depth: int = 64,
                  store_url: Optional[str] = None):
@@ -284,8 +279,6 @@ class HttpGateway(HttpServerBase):
         self.admission = JobAdmission(pool,
                                       max_queue_depth=max_queue_depth)
         self._next_id = 0
-        self._history: "OrderedDict[int, Tuple[int, Dict[str, object]]]" \
-            = OrderedDict()
 
     async def start(self) -> "HttpGateway":
         self.pool.start()
@@ -315,9 +308,6 @@ class HttpGateway(HttpServerBase):
         if path == "/v1/jobs":
             self._require(method, "POST", path)
             return await self._submit(request)
-        if path.startswith("/v1/jobs/"):
-            self._require(method, "GET", path)
-            return self._replay(path[len("/v1/jobs/"):])
         if path == "/v1/shutdown":
             self._require(method, "POST", path)
             return 200, {"ok": True, "shutdown": True}, (), True
@@ -351,23 +341,6 @@ class HttpGateway(HttpServerBase):
             error = result.get("error") or {}
             status = http_status_for(int(error.get("code", 6)))
             envelope["ok"] = False
-        self._history[job_id] = (status, envelope)
-        while len(self._history) > self.HISTORY_ENTRIES:
-            self._history.popitem(last=False)
-        return status, envelope, (), False
-
-    def _replay(self, suffix: str):
-        # ASCII digits only: str.isdigit() also passes "\xb2", which
-        # int() then refuses.
-        if not (suffix.isascii() and suffix.isdigit()):
-            raise HttpError(400, "BadRequest",
-                            f"job ids are integers, got {suffix!r}")
-        entry = self._history.get(int(suffix))
-        if entry is None:
-            raise HttpError(404, "NotFound",
-                            f"no completed job {suffix} in the last "
-                            f"{self.HISTORY_ENTRIES} submissions")
-        status, envelope = entry
         return status, envelope, (), False
 
 

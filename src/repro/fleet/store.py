@@ -12,16 +12,17 @@ module provides that place:
   ``PUT /blobs/<key>`` is put-if-absent: the first writer creates, later
   writers of the same key are acknowledged no-ops (writers race
   benignly -- content addressing means their payloads are identical).
-* :class:`RemoteStore` -- the blocking client a worker process embeds.
-  Short timeouts, one bounded retry, and a failure-counting breaker
-  that degrades to local-only operation when the store is unreachable:
-  a store outage can slow a fleet down (cold computes everywhere) but
+* :class:`RemoteStore` -- the blocking client a pool's cache embeds
+  (one per gateway, in the parent process, so one breaker).  Short
+  timeouts, one bounded retry, and a failure-counting breaker that
+  degrades to local-only operation when the store is unreachable: a
+  store outage can slow a fleet down (cold computes everywhere) but
   can never fail a job.
 * :class:`FleetCache` -- an :class:`ArtifactCache` with the remote
   store as its third tier: memory -> local disk -> remote.  Remote
-  fills are single-flight per key (N concurrent misses on one key
-  fetch once) and land in the local tiers, so a key is fetched from
-  the network at most once per host per eviction lifetime.
+  fills are single-flight per key (N executor threads missing on one
+  key fetch once) and land in the local tiers, so a key is fetched
+  from the network at most once per host per eviction lifetime.
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ class RemoteStore:
         self.puts = 0
         self.errors = 0
         self.fallbacks = 0
-        self._reported: Dict[str, int] = {}
 
     # -- breaker -----------------------------------------------------------
 
@@ -248,21 +248,6 @@ class RemoteStore:
                 "breaker_open": time.monotonic() < self._open_until,
             }
 
-    def pop_delta(self) -> Optional[Dict[str, int]]:
-        """Counter deltas since the last call, named after the
-        :class:`~repro.obs.metrics.ServiceMetrics` counters they feed
-        (workers ship these to the parent with each result)."""
-        with self._lock:
-            current = {"store_hits": self.hits,
-                       "store_misses": self.misses,
-                       "store_puts": self.puts,
-                       "store_fallbacks": self.fallbacks}
-            delta = {name: value - self._reported.get(name, 0)
-                     for name, value in current.items()}
-            self._reported = current
-        delta = {name: value for name, value in delta.items() if value}
-        return delta or None
-
 
 # ---------------------------------------------------------------------------
 # Three-tier cache
@@ -309,18 +294,22 @@ class FleetCache(ArtifactCache):
             if payload is not None:
                 # Fill local tiers only -- the blob came *from* the
                 # store, re-uploading it would be a pointless write.
-                super().put(key, payload)
+                # A disk that refuses it (counted: ``put_errors``)
+                # does not lose the probe its answer.
+                try:
+                    super().put(key, payload)
+                except OSError:
+                    pass
             return payload
         finally:
             with self._fill_lock:
                 self._filling.pop(key).set()
 
     def put(self, key: str, payload: Dict[str, object]) -> None:
-        super().put(key, payload)
+        # Remote first: it never raises, so a local disk that refuses
+        # the write (raised to the caller) still warms the fleet.
         self.remote.put(key, payload)
-
-    def pop_store_delta(self) -> Optional[Dict[str, int]]:
-        return self.remote.pop_delta()
+        super().put(key, payload)
 
     def snapshot(self) -> Dict[str, object]:
         data = super().snapshot()
@@ -330,15 +319,6 @@ class FleetCache(ArtifactCache):
     def __repr__(self) -> str:
         return (f"FleetCache(root={self.root!r}, "
                 f"remote={self.remote.url!r})")
-
-
-def make_worker_cache(cache_dir: Optional[str],
-                      store_url: Optional[str]) -> ArtifactCache:
-    """The cache a worker process should run with: two local tiers,
-    plus the remote store tier when a store URL is configured."""
-    if store_url is None:
-        return ArtifactCache(cache_dir)
-    return FleetCache(cache_dir, RemoteStore(store_url))
 
 
 # ---------------------------------------------------------------------------

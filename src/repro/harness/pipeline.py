@@ -16,10 +16,10 @@ or ``FaultPlan`` -- are keyword arguments beside it.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Dict, Optional, Set, Union
 
 from repro.backend.threaded import render_threaded_program
-from repro.comm.costmodel import CommCostModel
 from repro.comm.optconfig import OptConfig, resolve_opt
 from repro.comm.optimizer import (
     CommConfig,
@@ -28,7 +28,7 @@ from repro.comm.optimizer import (
 )
 from repro.config import RunConfig
 from repro.earth.faults import FaultPlan
-from repro.errors import UsageError
+from repro.errors import FrontendError, UsageError
 from repro.earth.interpreter import Interpreter, RunResult
 from repro.earth.machine import Machine
 from repro.earth.params import MachineParams
@@ -91,7 +91,6 @@ def compile_earthc(
     filename: str = "<input>",
     optimize: bool = False,
     config: Optional[CommConfig] = None,
-    cost_model: Optional[CommCostModel] = None,
     inline: Union[bool, Set[str]] = False,
     reorder_fields: bool = False,
     opt: "OptConfig | str | dict | None" = None,
@@ -121,39 +120,45 @@ def compile_earthc(
     effective_opt = opt if opt is not None else \
         (config.opt if config is not None else None)
     profile = PipelineProfile()
-    with profile.phase("parse") as rec:
-        program = parse_program(source, filename)
-    rec.counters["functions"] = len(program.functions)
-    with profile.phase("goto-elim"):
-        eliminate_gotos(program)
-    inlined = 0
-    if inline:
-        with profile.phase("inline") as rec:
-            only = inline if isinstance(inline, set) else None
-            inlined = inline_functions(program, only=only)
-        rec.counters["inlined_calls"] = inlined
-    with profile.phase("typecheck"):
-        symbols = check_program(program)
-    if reorder_fields:
-        with profile.phase("reorder-fields"):
-            from repro.comm.reorder import reorder_struct_fields
-            reorder_struct_fields(program, effective_opt)
-    # Every SIMPLE statement of this program is created in here.
-    with s.label_scope():
-        with profile.phase("simplify") as rec:
-            simple = simplify_program(program, symbols)
-        rec.counters["basic_stmts"] = _basic_stmt_count(simple)
-        with profile.phase("validate"):
-            validate_program(simple)
-        report = None
-        if optimize:
-            if config is None and opt is not None:
-                config = CommConfig(opt=opt)
-            with profile.phase("optimize") as rec:
-                optimizer = CommunicationOptimizer(simple, config,
-                                                   cost_model)
-                report = optimizer.run()
+    try:
+        with profile.phase("parse") as rec:
+            program = parse_program(source, filename)
+        rec.counters["functions"] = len(program.functions)
+        with profile.phase("goto-elim"):
+            eliminate_gotos(program)
+        inlined = 0
+        if inline:
+            with profile.phase("inline") as rec:
+                only = inline if isinstance(inline, set) else None
+                inlined = inline_functions(program, only=only)
+            rec.counters["inlined_calls"] = inlined
+        with profile.phase("typecheck"):
+            symbols = check_program(program)
+        if reorder_fields:
+            with profile.phase("reorder-fields"):
+                from repro.comm.reorder import reorder_struct_fields
+                reorder_struct_fields(program, effective_opt)
+        # Every SIMPLE statement of this program is created in here.
+        with s.label_scope():
+            with profile.phase("simplify") as rec:
+                simple = simplify_program(program, symbols)
             rec.counters["basic_stmts"] = _basic_stmt_count(simple)
+            with profile.phase("validate"):
+                validate_program(simple)
+            report = None
+            if optimize:
+                if config is None and opt is not None:
+                    config = CommConfig(opt=opt)
+                with profile.phase("optimize") as rec:
+                    report = CommunicationOptimizer(simple, config).run()
+                rec.counters["basic_stmts"] = _basic_stmt_count(simple)
+    except RecursionError:
+        # Every phase from the parser to the optimizer's analyses
+        # recurses over the program's nesting.
+        raise FrontendError(
+            f"{filename}: expressions or statements nest too deeply to "
+            f"compile (host recursion limit "
+            f"{sys.getrecursionlimit()})") from None
     return CompiledProgram(simple, optimize, report, inlined, profile)
 
 

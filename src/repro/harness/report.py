@@ -25,6 +25,8 @@ import json
 import sys
 import time
 
+from repro.config import int_list
+from repro.errors import EXIT_USAGE, UsageError
 from repro.harness.experiments import (
     format_fig10,
     format_opt_sweep,
@@ -75,7 +77,13 @@ def main(argv=None) -> int:
                              "cache)")
     args = parser.parse_args(argv)
 
-    processor_counts = [int(n) for n in args.nodes.split(",")]
+    try:
+        processor_counts = int_list(args.nodes, "--nodes")
+        if not processor_counts:
+            raise UsageError("--nodes needs at least one processor count")
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
 
     start = time.time()

@@ -108,11 +108,10 @@ class ServiceMetrics:
                 "cache_hits", "cache_misses", "singleflight_hits",
                 "jobs_requeued", "worker_crashes", "job_timeouts",
                 "rejected_busy",
-                # Fleet tier (repro.fleet): HTTP gateway traffic and the
-                # shared remote object store's disposition per probe.
-                "http_requests", "http_errors",
-                "store_hits", "store_misses", "store_puts",
-                "store_fallbacks")
+                # HTTP gateway traffic (repro.fleet).  What the cache and
+                # the remote store did is counted by the pool's one cache
+                # and joins these in ``WorkerPool.metrics_snapshot``.
+                "http_requests", "http_errors")
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -189,15 +188,6 @@ class ServiceMetrics:
         if data["http_requests"]:
             lines.append(f"  http: {data['http_requests']} requests, "
                          f"{data['http_errors']} errors")
-        store_probes = data["store_hits"] + data["store_misses"]
-        if store_probes or data["store_fallbacks"]:
-            rate = data["store_hits"] / store_probes if store_probes \
-                else 0.0
-            lines.append(f"  store: {data['store_hits']} hits, "
-                         f"{data['store_misses']} misses "
-                         f"(hit rate {100 * rate:.1f}%), "
-                         f"{data['store_puts']} puts, "
-                         f"{data['store_fallbacks']} fallbacks")
         lat = data["latency"]
         if lat["count"]:
             buckets = " ".join(f"{k}:{v}" for k, v

@@ -10,10 +10,13 @@ safe to farm out to worker processes.  Layers, bottom up:
   content-addressed artifact store keyed by SHA-256 of (canonicalized
   source, options, pipeline version);
 * :mod:`repro.service.jobs` -- JSON-serializable :class:`JobSpec` /
-  :class:`JobResult` and the pure ``execute_job`` every worker runs;
+  :class:`JobResult`, the pure ``compute_job`` every worker runs, and
+  the one lookup-before / store-after step around it (``CachedJob``;
+  ``execute_job`` is the two in one process);
 * :mod:`repro.service.pool` -- crash-tolerant multiprocessing
-  :class:`WorkerPool` with warm pipelines, per-attempt timeouts, and
-  bounded exponential-backoff requeue, and the :class:`JobAdmission`
+  :class:`WorkerPool` with one cache in the parent, in front of its
+  workers, warm pipelines, per-attempt timeouts, and bounded
+  exponential-backoff requeue, and the :class:`JobAdmission`
   (single-flight deduplication, queue-depth backpressure) a server
   fronts it with;
 * :mod:`repro.service.client` -- the blocking HTTP round trip, its

@@ -10,12 +10,16 @@ pipeline product safe to memoize under a content address:
 
 Two tiers back the address space:
 
-* an **in-memory LRU** front (per process; bounded entry count) for
-  the serving hot set;
+* an **in-memory LRU** front (bounded entry count) for the serving
+  hot set;
 * an **on-disk store** under ``.repro-cache/objects/<k:2>/<k>.json``
-  shared by every worker process on the host.  Writes are atomic
-  (temp file + ``os.replace``) so concurrent workers race benignly:
-  last writer wins with an identical payload.
+  that outlives the process and may be shared by several.  Writes are
+  atomic (temp file + ``os.replace``) so concurrent writers race
+  benignly: last writer wins with an identical payload.
+
+A :class:`~repro.service.pool.WorkerPool` owns exactly one cache; the
+threads that submit to it share it, so every counter moves under the
+lock.
 
 A hit returns the stored payload verbatim -- bit-identical to what the
 cold computation produced, including its original compile profile (a
@@ -62,7 +66,7 @@ class ArtifactCache:
     """Two-tier (memory LRU over disk) content-addressed payload store.
 
     ``root=None`` disables the disk tier (memory-only; used by tests
-    and by workers told not to persist).  ``memory_entries=0`` disables
+    and by pools told not to persist).  ``memory_entries=0`` disables
     the memory tier (every probe goes to disk).  Payloads must be
     JSON-serializable dicts.
     """
@@ -75,13 +79,14 @@ class ArtifactCache:
         self.memory_entries = memory_entries
         self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self._lock = threading.Lock()
-        # Counters (exposed via snapshot(); the service metrics layer
-        # aggregates them across workers).
+        # Counters, exposed via snapshot() (a pool's is the ``cache``
+        # object of ``/metrics``).
         self.hits = 0
         self.misses = 0
         self.memory_hits = 0
         self.disk_hits = 0
         self.puts = 0
+        self.put_errors = 0
         self.evictions = 0
         self.corrupt_entries = 0
 
@@ -116,7 +121,8 @@ class ArtifactCache:
         return None
 
     def put(self, key: str, payload: Dict[str, object]) -> None:
-        """Store ``payload`` under ``key`` in both tiers."""
+        """Store ``payload`` under ``key`` in both tiers; a disk write
+        that fails is counted and raised (the memory tier keeps it)."""
         if not isinstance(payload, dict):
             raise TypeError(
                 f"cache payloads must be dicts, got {type(payload).__name__}")
@@ -124,7 +130,12 @@ class ArtifactCache:
             self.puts += 1
             self._remember(key, payload)
         if self.root is not None:
-            self._write_disk(key, payload)
+            try:
+                self._write_disk(key, payload)
+            except OSError:
+                with self._lock:
+                    self.put_errors += 1
+                raise
 
     def _remember(self, key: str, payload: Dict[str, object]) -> None:
         if self.memory_entries == 0:
@@ -142,24 +153,24 @@ class ArtifactCache:
         try:
             with open(path) as handle:
                 payload = json.load(handle)
-        except (OSError, ValueError):
-            # Missing is the common case; anything unreadable or
-            # unparsable is dropped so it cannot shadow a fresh write.
-            if os.path.exists(path):
-                self.corrupt_entries += 1
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+        except FileNotFoundError:
+            # The common case; not looked at again, as another thread
+            # may be writing this very entry.
             return None
-        if not isinstance(payload, dict):
-            self.corrupt_entries += 1
+        except (OSError, ValueError):
+            payload = None
+        if isinstance(payload, dict):
+            return payload
+        # Anything unreadable or unparsable is dropped so it cannot
+        # shadow a fresh write.
+        if os.path.exists(path):
+            with self._lock:
+                self.corrupt_entries += 1
             try:
                 os.unlink(path)
             except OSError:
                 pass
-            return None
-        return payload
+        return None
 
     def _write_disk(self, key: str, payload: Dict[str, object]) -> None:
         path = self._path(key)
@@ -206,6 +217,7 @@ class ArtifactCache:
                 "memory_hits": self.memory_hits,
                 "disk_hits": self.disk_hits,
                 "puts": self.puts,
+                "put_errors": self.put_errors,
                 "evictions": self.evictions,
                 "corrupt_entries": self.corrupt_entries,
                 "hit_rate": self.hits / probes if probes else 0.0,

@@ -1,8 +1,12 @@
-"""JSON-serializable job descriptions and their pure executor.
+"""JSON-serializable job descriptions, their pure executor, and the
+cache step around it.
 
 A :class:`JobSpec` names everything a worker needs to reproduce one
 pipeline product, with no live objects attached -- jobs cross process
-boundaries as JSON.  Three public kinds:
+boundaries as JSON.  :func:`compute_job` is the pure half (all a pool
+worker runs), :class:`CachedJob` the one definition of lookup-before /
+store-after, :func:`execute_job` the two in one process.  Four public
+kinds:
 
 * ``compile`` -- run the compile pipeline, return the deterministic
   compile payload (SIMPLE + Threaded-C listings, optimizer counters);
@@ -41,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.earth.interpreter import RunResult
-from repro.errors import ReproError, ServiceError, exit_code_for
+from repro.errors import ReproError, ServiceError, error_body, exit_code_for
 from repro.harness.pipeline import (
     CONFIG_PRESETS,
     PIPELINE_VERSION,
@@ -262,8 +266,22 @@ class JobResult:
         self.error = error
         self.wall_s = wall_s
         self.cache = cache          # "hit" | "miss" | None (uncacheable)
-        self.worker = worker
+        self.worker = worker        # None: a hit, or computed in-process
         self.attempts = attempts
+
+    @classmethod
+    def failed(cls, kind: str, exc: BaseException,
+               code: Optional[int] = None, key: Optional[str] = None,
+               **envelope) -> "JobResult":
+        """A failure as data: ``exc`` under its class name and the exit
+        code the CLI would use for it (or ``code``)."""
+        if code is None:
+            try:
+                code = exit_code_for(exc)
+            except TypeError:
+                code = 1
+        error = error_body(type(exc).__name__, str(exc), code)["error"]
+        return cls(False, kind, key, error=error, **envelope)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -337,7 +355,7 @@ def compile_payload(compiled: CompiledProgram) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Execution (the pure function every worker runs)
+# Execution: the pure compute half, and the cache step around it
 # ---------------------------------------------------------------------------
 
 #: Warm-pipeline memo: compiled programs keyed by their compile-level
@@ -414,51 +432,87 @@ def _compute_payload(spec: JobSpec,
             for name, result in results.items()}
 
 
+def compute_job(spec: JobSpec, worker: Optional[int] = None) -> JobResult:
+    """The pure half of a job, and all a pool worker runs: spec in,
+    payload or structured error out.  No cache, no key."""
+    start = time.perf_counter()
+    try:
+        payload = _compute_payload(spec, spec.resolved())
+    except (ReproError, OSError, ValueError, KeyError,
+            AssertionError) as exc:
+        return JobResult.failed(spec.kind, exc, worker=worker,
+                                wall_s=time.perf_counter() - start)
+    return JobResult(True, spec.kind, None, payload=payload,
+                     wall_s=time.perf_counter() - start, worker=worker)
+
+
+class CachedJob:
+    """One job's two stops at a cache: :meth:`lookup` before its
+    payload is computed, :meth:`store` after.  The only place a job's
+    key, cache disposition and service time (``wall_s``: lookup +
+    compute + store, queueing excluded) are settled, so the envelope
+    is the same wherever the payload is computed in between.  ``key``
+    is the address the job was admitted under, if already computed."""
+
+    def __init__(self, spec: JobSpec, cache: Optional[ArtifactCache],
+                 key: Optional[str] = None):
+        self.spec = spec
+        self.cacheable = spec.cacheable()
+        self.cache = cache if self.cacheable else None
+        self.key = key if self.cacheable else None
+        self.wall_s = 0.0
+
+    def lookup(self) -> Optional[JobResult]:
+        """The finished result -- a hit, or the failure of a spec whose
+        inputs do not resolve (an unknown benchmark name) -- or None:
+        the payload has to be computed."""
+        start = time.perf_counter()
+        if self.cacheable and self.key is None:
+            try:
+                self.key = self.spec.canonical_key()
+            except ReproError as exc:
+                return JobResult.failed(
+                    self.spec.kind, exc,
+                    wall_s=time.perf_counter() - start)
+        payload = None if self.cache is None else self.cache.get(self.key)
+        self.wall_s = time.perf_counter() - start
+        if payload is None:
+            return None
+        return JobResult(True, self.spec.kind, self.key, payload=payload,
+                         wall_s=self.wall_s, cache="hit")
+
+    def store(self, computed: JobResult) -> JobResult:
+        """Finish a computed result: key and disposition on the
+        envelope, payload into the cache.  A store that fails
+        (unwritable directory, full disk) is counted by the cache
+        (``put_errors``) and costs the job nothing."""
+        start = time.perf_counter()
+        computed.key = self.key
+        if self.cache is not None:
+            computed.cache = "miss"
+            if computed.ok:
+                try:
+                    self.cache.put(self.key, computed.payload)
+                except OSError:
+                    pass
+        computed.wall_s += self.wall_s + time.perf_counter() - start
+        return computed
+
+
 def execute_job(spec: JobSpec,
                 cache: Optional[ArtifactCache] = None,
                 worker: Optional[int] = None) -> JobResult:
-    """Run one job, consulting and feeding ``cache`` when given.
+    """Run one job in this process, consulting and feeding ``cache``
+    when given.
 
     Never raises for job-level failures: compile/simulator/service
     errors come back as an ``ok=False`` result whose ``error`` object
     carries the same class name and exit code the CLI would use.
     (Worker *crashes* are a different story -- the pool handles those.)
     """
-    start = time.perf_counter()
-    try:
-        key = spec.canonical_key() if spec.kind != "selftest" else None
-    except ReproError as exc:
-        # Resolution failures (e.g. an unknown benchmark name) are
-        # job-level errors too, not pool-crashing exceptions.
-        return JobResult(
-            False, spec.kind, None,
-            error={"type": type(exc).__name__, "message": str(exc),
-                   "code": exit_code_for(exc)},
-            wall_s=time.perf_counter() - start, worker=worker)
-    cacheable = cache is not None and spec.cacheable()
-    if cacheable:
-        payload = cache.get(key)
-        if payload is not None:
-            return JobResult(True, spec.kind, key, payload=payload,
-                             wall_s=time.perf_counter() - start,
-                             cache="hit", worker=worker)
-    try:
-        resolved = spec.resolved()
-        payload = _compute_payload(spec, resolved)
-    except (ReproError, OSError, ValueError, KeyError,
-            AssertionError) as exc:
-        try:
-            code = exit_code_for(exc)
-        except TypeError:
-            code = 1
-        return JobResult(
-            False, spec.kind, key,
-            error={"type": type(exc).__name__, "message": str(exc),
-                   "code": code},
-            wall_s=time.perf_counter() - start,
-            cache="miss" if cacheable else None, worker=worker)
-    if cacheable:
-        cache.put(key, payload)
-    return JobResult(True, spec.kind, key, payload=payload,
-                     wall_s=time.perf_counter() - start,
-                     cache="miss" if cacheable else None, worker=worker)
+    job = CachedJob(spec, cache)
+    result = job.lookup()
+    if result is None:
+        result = job.store(compute_job(spec))
+    result.worker = worker
+    return result

@@ -1,14 +1,20 @@
 """Multi-process worker pool with warm pipelines and bounded requeue.
 
-Jobs fan out over ``workers`` OS processes, each holding a *warm*
-pipeline (the per-process compile memo in :mod:`repro.service.jobs`)
-and its own :class:`~repro.service.cache.ArtifactCache` view over the
-shared on-disk store.
+The pool owns exactly one cache, in the parent process, in front of
+its workers (:class:`~repro.service.cache.ArtifactCache`, or the
+fleet's three-tier one when a store URL is given).  A job is looked up
+in the submitting thread: a hit is finished there, never crosses a
+process boundary, and is answered while every worker is busy.  A miss
+fans out to one of ``workers`` OS processes, each a pure function of
+the spec with a *warm* pipeline (the per-process compile memo in
+:mod:`repro.service.jobs`), and the thread that waits for the job
+stores its payload -- never the collector thread, so a slow store
+delays the job that missed and nothing else.
 
-The parent is the scheduler: it keeps the authoritative job table and
-dispatches at most one job at a time to each worker over a per-worker
-queue.  That makes crash attribution exact -- if a worker dies, the
-parent knows precisely which job it owned without trusting any
+The parent is also the scheduler: it keeps the authoritative job table
+and dispatches at most one job at a time to each worker over a
+per-worker queue.  That makes crash attribution exact -- if a worker
+dies, the parent knows precisely which job it owned without trusting any
 worker-side announcement (a crashing process loses whatever its queue
 feeder thread had buffered).  A collector thread drains completions,
 polices liveness and per-attempt timeouts, and requeues victims with
@@ -27,9 +33,9 @@ Guarantees:
   worker terminated and replaced, and the job is retried or failed
   with a structured error once the budget is exhausted.
 
-``workers=0`` runs jobs inline in the calling process (no
+``workers=0`` computes misses inline in the submitting thread (no
 subprocesses) -- the serial baseline and the mode embedded servers use
-on single-core hosts.
+on single-core hosts -- and differs in nothing else.
 
 :class:`JobAdmission` is the door a server puts in front of the pool.
 """
@@ -48,55 +54,28 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError, ServiceError, error_body
 from repro.obs.metrics import ServiceMetrics
 from repro.service.cache import DEFAULT_CACHE_DIR, ArtifactCache
-from repro.service.jobs import JobResult, JobSpec, execute_job
+from repro.service.jobs import CachedJob, JobResult, JobSpec, compute_job
 
 
-def _make_cache(cache_dir: Optional[str],
-                store_url: Optional[str]) -> ArtifactCache:
-    """The two local tiers, plus the fleet's remote store tier when a
-    store URL is configured (imported lazily: plain pools must not pay
-    for the fleet package)."""
-    if store_url is None:
-        return ArtifactCache(cache_dir)
-    from repro.fleet.store import make_worker_cache
-    return make_worker_cache(cache_dir, store_url)
-
-
-def _store_delta(cache: ArtifactCache) -> Optional[Dict[str, int]]:
-    """Remote-store counter deltas accumulated since the last report
-    (None for plain caches and quiet periods)."""
-    pop = getattr(cache, "pop_store_delta", None)
-    return pop() if pop is not None else None
-
-
-def _worker_main(worker_id: int, task_q, result_q,
-                 cache_dir: Optional[str],
-                 store_url: Optional[str] = None) -> None:
+def _worker_main(worker_id: int, task_q, result_q) -> None:
     """Worker process loop: pull (job_id, spec, attempts) tuples from
-    this worker's own queue, execute, report on the shared result
-    queue.  Runs until it receives the ``None`` sentinel."""
-    cache = _make_cache(cache_dir, store_url)
+    this worker's own queue, compute, report ``(job_id, worker_id,
+    result)`` on the shared result queue.  Runs until it receives the
+    ``None`` sentinel."""
     while True:
         item = task_q.get()
         if item is None:
             return
         job_id, spec_dict, attempts = item
         try:
-            spec = JobSpec.from_dict(spec_dict)
-            result = execute_job(spec, cache, worker=worker_id)
-            result.attempts = attempts
+            result = compute_job(JobSpec.from_dict(spec_dict), worker_id)
         except BaseException as exc:  # never hang the parent silently
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            result = JobResult(
-                False, spec_dict.get("kind", "unknown"), None,
-                error={"type": type(exc).__name__, "message": str(exc),
-                       "code": 6},
-                worker=worker_id, attempts=attempts)
-        # Ship remote-store counter movement alongside the result so
-        # the parent's ServiceMetrics sees the whole fleet picture.
-        result_q.put((job_id, worker_id, result.to_dict(),
-                      _store_delta(cache)))
+            result = JobResult.failed(spec_dict.get("kind", "unknown"),
+                                      exc, 6, worker=worker_id)
+        result.attempts = attempts
+        result_q.put((job_id, worker_id, result.to_dict()))
 
 
 class WorkerPool:
@@ -112,7 +91,6 @@ class WorkerPool:
                  timeout_s: Optional[float] = None,
                  max_attempts: int = 3,
                  backoff_s: float = 0.05,
-                 start_method: Optional[str] = None,
                  metrics: Optional[ServiceMetrics] = None,
                  store_url: Optional[str] = None):
         if workers < 0:
@@ -127,17 +105,26 @@ class WorkerPool:
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.metrics = metrics or ServiceMetrics()
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        #: The pool's one cache, whatever the worker count: the two
+        #: local tiers, plus the fleet's remote store under a store URL
+        #: (imported lazily: plain pools do not pay for the package).
+        if store_url is None:
+            self.cache = ArtifactCache(cache_dir)
+        else:
+            from repro.fleet.store import FleetCache, RemoteStore
+            self.cache = FleetCache(cache_dir, RemoteStore(store_url))
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         self._started = False
         self._closing = False
         self._cond = threading.Condition()
         self._next_id = 0
-        # job_id -> {"spec", "attempts", "dispatched_at", "worker"}
+        # job_id -> {"spec", "job", "attempts", "dispatched_at", "worker"}
         self._pending: Dict[int, Dict[str, object]] = {}
-        self._results: Dict[int, JobResult] = {}
+        # job_id -> (result, the CachedJob still to store it or None)
+        self._results: Dict[int, Tuple[JobResult,
+                                       Optional[CachedJob]]] = {}
         self._backlog: Deque[int] = deque()
         self._deferred: List[Tuple[float, int]] = []
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
@@ -145,9 +132,6 @@ class WorkerPool:
         self._busy: Dict[int, Optional[int]] = {}
         self._result_q = None
         self._collector: Optional[threading.Thread] = None
-        #: Inline-mode cache (workers == 0 executes in-process).
-        self._inline_cache = _make_cache(cache_dir, store_url) \
-            if workers == 0 else None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -172,8 +156,7 @@ class WorkerPool:
         task_q = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_q, self._result_q, self.cache_dir,
-                  self.store_url),
+            args=(worker_id, task_q, self._result_q),
             name=f"repro-worker-{worker_id}", daemon=True)
         proc.start()
         with self._cond:
@@ -188,11 +171,9 @@ class WorkerPool:
             self._closing = True
             for job_id, entry in list(self._pending.items()):
                 if job_id not in self._results:
-                    self._results[job_id] = JobResult(
-                        False, entry["spec"]["kind"], None,
-                        error={"type": "ServiceError",
-                               "message": "pool closed before the job "
-                                          "completed", "code": 6})
+                    self._results[job_id] = (JobResult.failed(
+                        entry["spec"]["kind"], ServiceError(
+                            "pool closed before the job completed")), None)
             self._pending.clear()
             self._backlog.clear()
             self._cond.notify_all()
@@ -218,35 +199,40 @@ class WorkerPool:
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, spec: JobSpec) -> int:
-        """Enqueue a job; returns its id.  In inline mode (workers=0)
-        the job executes synchronously before this returns."""
+    def submit(self, spec: JobSpec, key: Optional[str] = None) -> int:
+        """Look the job up (under ``key``, if the caller admitted it
+        under one) and enqueue a miss; returns its id.  A hit is
+        finished before this returns and reaches no queue; in inline
+        mode (workers=0) so is a miss, computed and stored here."""
         if not self._started:
             self.start()
         if self._closing:
             raise ServiceError("pool is closed")
-        spec_dict = spec.to_dict()
+        job = CachedJob(spec, self.cache, key)
+        result = job.lookup()   # first: if it raises, nothing was counted
         with self._cond:
             job_id = self._next_id
             self._next_id += 1
         self.metrics.incr("jobs_submitted")
         self.metrics.adjust_queue_depth(+1)
-        if self.workers == 0:
-            result = execute_job(spec, self._inline_cache)
-            self._fold_store_delta(_store_delta(self._inline_cache))
+        if result is None and self.workers == 0:
+            result = job.store(compute_job(spec))
+        if result is not None:
             self._finish(job_id, result)
-            return job_id
-        with self._cond:
-            self._pending[job_id] = {"spec": spec_dict, "attempts": 1,
-                                     "dispatched_at": None,
-                                     "worker": None}
-            self._backlog.append(job_id)
-        self._dispatch()
+        else:
+            with self._cond:
+                self._pending[job_id] = {
+                    "spec": spec.to_dict(), "job": job, "attempts": 1,
+                    "dispatched_at": None, "worker": None}
+                self._backlog.append(job_id)
+            self._dispatch()
         return job_id
 
     def wait(self, job_id: int,
              timeout: Optional[float] = None) -> JobResult:
-        """Block until a submitted job completes; returns its result."""
+        """Block until a submitted job completes; returns its result.
+        A payload a worker computed is stored here, by the thread that
+        waited for it."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while job_id not in self._results:
@@ -256,18 +242,24 @@ class WorkerPool:
                     if remaining <= 0:
                         raise ServiceError(
                             f"timed out waiting for job {job_id}")
-                if job_id not in self._pending and not self._closing \
-                        and self.workers != 0:
+                if job_id not in self._pending and not self._closing:
                     raise ServiceError(f"unknown job id {job_id}")
                 self._cond.wait(timeout=remaining
                                 if remaining is not None else 0.5)
-            return self._results.pop(job_id)
+            result, job = self._results.pop(job_id)
+        if job is not None:
+            result = job.store(result)
+        self.metrics.observe_job(result.wall_s,
+                                 None if result.cache is None
+                                 else result.cache == "hit",
+                                 ok=result.ok)
+        return result
 
-    def run_job(self, spec: JobSpec,
-                timeout: Optional[float] = None) -> JobResult:
+    def run_job(self, spec: JobSpec, timeout: Optional[float] = None,
+                key: Optional[str] = None) -> JobResult:
         """Submit one job and wait for it (thread-safe; the server's
         executor threads call this concurrently)."""
-        return self.wait(self.submit(spec), timeout=timeout)
+        return self.wait(self.submit(spec, key), timeout=timeout)
 
     def run_batch(self, specs: Sequence[JobSpec],
                   timeout: Optional[float] = None) -> List[JobResult]:
@@ -300,22 +292,14 @@ class WorkerPool:
 
     # -- completion & resilience ------------------------------------------
 
-    def _fold_store_delta(self,
-                          delta: Optional[Dict[str, int]]) -> None:
-        if not delta:
-            return
-        for name, amount in delta.items():
-            self.metrics.incr(name, amount)
-
-    def _finish(self, job_id: int, result: JobResult) -> None:
+    def _finish(self, job_id: int, result: JobResult,
+                job: Optional[CachedJob] = None) -> None:
+        """Hand a result to whoever waits for it; ``job`` when the
+        payload was just computed and is still to be stored."""
         self.metrics.adjust_queue_depth(-1)
-        self.metrics.observe_job(result.wall_s,
-                                 None if result.cache is None
-                                 else result.cache == "hit",
-                                 ok=result.ok)
         with self._cond:
             self._pending.pop(job_id, None)
-            self._results[job_id] = result
+            self._results[job_id] = (result, job)
             self._cond.notify_all()
 
     def _collect(self) -> None:
@@ -330,14 +314,14 @@ class WorkerPool:
             except queue.Empty:
                 message = None
             if message is not None:
-                job_id, worker_id, body, store_delta = message
-                self._fold_store_delta(store_delta)
+                job_id, worker_id, body = message
                 with self._cond:
                     if self._busy.get(worker_id) == job_id:
                         self._busy[worker_id] = None
-                    known = job_id in self._pending
-                if known:
-                    self._finish(job_id, JobResult.from_dict(body))
+                    entry = self._pending.get(job_id)
+                if entry is not None:
+                    self._finish(job_id, JobResult.from_dict(body),
+                                 entry["job"])
             self._flush_deferred()
             self._police_workers()
             self._dispatch()
@@ -398,13 +382,10 @@ class WorkerPool:
                 return
             attempts = entry["attempts"]
             if attempts >= self.max_attempts:
-                result = JobResult(
-                    False, entry["spec"]["kind"], None,
-                    error={"type": "ServiceError",
-                           "message": f"worker crashed or timed out; "
-                                      f"gave up after {attempts} "
-                                      f"attempt(s)", "code": 6},
-                    attempts=attempts)
+                result = JobResult.failed(
+                    entry["spec"]["kind"], ServiceError(
+                        f"worker crashed or timed out; gave up after "
+                        f"{attempts} attempt(s)"), attempts=attempts)
             else:
                 entry["attempts"] = attempts + 1
                 entry["dispatched_at"] = None
@@ -420,12 +401,16 @@ class WorkerPool:
     # -- reporting ---------------------------------------------------------
 
     def metrics_snapshot(self) -> Dict[str, object]:
+        """``/metrics``: the service counters, the cache's snapshot
+        under ``cache``, the remote tier's probe counts read from it."""
         data = self.metrics.to_dict()
         data["workers"] = self.workers
         if self.store_url is not None:
             data["store_url"] = self.store_url
-        if self._inline_cache is not None:
-            data["cache"] = self._inline_cache.snapshot()
+        data["cache"] = self.cache.snapshot()
+        remote = data["cache"].get("remote", {})
+        for name in ("hits", "misses", "puts", "fallbacks"):
+            data[f"store_{name}"] = remote.get(name, 0)
         return data
 
     def __repr__(self) -> str:
@@ -451,11 +436,12 @@ class JobAdmission:
         self.metrics = pool.metrics
         self._inflight: Dict[str, asyncio.Future] = {}
         self._admitted = 0
-        # Executor threads bridge the async loop to the blocking pool;
-        # enough of them to keep every worker fed plus headroom for
-        # cache hits, which never reach a worker.
+        # Executor threads bridge the async loop to the blocking pool.
+        # Over workers a thread only looks up, waits and stores, so
+        # every admitted job gets one and a hit never queues behind
+        # misses; inline (workers=0) the threads compute, so few.
         self._executor = ThreadPoolExecutor(
-            max_workers=max(4, 2 * max(pool.workers, 1)),
+            max_workers=max(4, max_queue_depth if pool.workers else 0),
             thread_name_prefix="serve-job")
 
     @property
@@ -501,13 +487,10 @@ class JobAdmission:
         self._admitted += 1
         try:
             result = await loop.run_in_executor(
-                self._executor, self.pool.run_job, spec)
+                self._executor, self.pool.run_job, spec, None, key)
             future.set_result(result)
         except Exception as exc:
-            result = JobResult(
-                False, spec.kind, key,
-                error={"type": type(exc).__name__,
-                       "message": str(exc), "code": 6})
+            result = JobResult.failed(spec.kind, exc, 6, key=key)
             future.set_result(result)
         finally:
             self._admitted -= 1

@@ -3,7 +3,10 @@ Figures 3, 4 and 8 plus the pipelining/blocking machinery."""
 
 import pytest
 
+from repro.comm import selection
 from repro.comm.optimizer import CommConfig, optimize_program
+from repro.config import RunConfig
+from repro.harness.pipeline import compile_earthc, execute
 from repro.simple import nodes as s
 from repro.simple.validate import validate_program
 from tests.conftest import run_both, to_simple
@@ -300,3 +303,72 @@ class TestSelectionDiscipline:
                 return t;
             }
         """)
+
+
+class TestNonSpeculativeReads:
+    """``speculative_reads=False`` (paper footnote 2's nilness option):
+    a read may only be placed where its base pointer is known non-nil.
+    The nilness analysis runs for that configuration alone."""
+
+    SOURCE = POINT + """
+        double guarded(struct point *p) {
+            int i; double r;
+            r = 0.0;
+            if (p != 0) {
+                for (i = 0; i < 10; i = i + 1) { r = r + p->x; }
+            }
+            return r;
+        }
+    """
+
+    @staticmethod
+    def _guard_and_read(func):
+        """(the ``if (p != 0)``, the one remote read of ``p->x``)."""
+        [guard] = [st for st in func.body.walk()
+                   if isinstance(st, s.IfStmt)]
+        [read] = remote_reads(func)
+        return guard, read
+
+    def test_speculative_read_is_hoisted_above_the_nil_test(self):
+        simple, _ = optimized(self.SOURCE)
+        func = simple.function("guarded")
+        guard, read = self._guard_and_read(func)
+        top = func.body.stmts
+        assert top.index(read) < top.index(guard)
+
+    def test_read_stays_under_the_nil_test_that_guards_it(self):
+        simple, _ = optimized(self.SOURCE, speculative_reads=False)
+        func = simple.function("guarded")
+        guard, read = self._guard_and_read(func)
+        assert read not in func.body.stmts
+        # Hoisted out of the loop, as far as the guard and no further.
+        assert read is guard.then_seq.stmts[0]
+
+    def test_both_settings_compute_the_same_value(self):
+        main = self.SOURCE + """
+            int main() {
+                struct point *p;
+                p = (struct point *) malloc(sizeof(struct point)) @ 1;
+                p->x = 1.5;
+                return (int) (guarded(p) + guarded(0));
+            }
+        """
+        values = {
+            speculative: execute(
+                compile_earthc(main, optimize=True, config=CommConfig(
+                    speculative_reads=speculative)),
+                config=RunConfig(nodes=2)).value
+            for speculative in (True, False)}
+        assert values == {True: 15, False: 15}
+
+    def test_nilness_runs_only_when_reads_are_not_speculative(
+            self, monkeypatch):
+        calls = []
+        analyze = selection.analyze_nilness
+        monkeypatch.setattr(
+            selection, "analyze_nilness",
+            lambda func: calls.append(func.name) or analyze(func))
+        optimized(self.SOURCE)
+        assert calls == []
+        optimized(self.SOURCE, speculative_reads=False)
+        assert "guarded" in calls

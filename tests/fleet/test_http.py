@@ -1,4 +1,4 @@
-"""HttpGateway: routes, status mapping, framing, keep-alive, replay."""
+"""HttpGateway: routes, status mapping, framing, keep-alive."""
 
 import json
 import socket
@@ -48,29 +48,123 @@ class TestRoutes:
         assert second["result"]["cache"] == "hit"
         assert second["result"]["payload"] == first["result"]["payload"]
 
-    def test_replay_returns_the_stored_envelope(self, gateway):
+    def test_a_job_id_is_not_a_route(self, gateway):
+        # The envelope keeps its id; nothing is kept under it.
         _, submitted = gateway.request("POST", "/v1/jobs",
                                        body=_run_spec(2))
-        job_id = submitted["id"]
-        status, replayed = gateway.request("GET", f"/v1/jobs/{job_id}")
-        assert status == 200
-        assert replayed == submitted
-
-    def test_replay_unknown_id_is_404(self, gateway):
-        status, body = gateway.request("GET", "/v1/jobs/99999")
+        status, body = gateway.request("GET",
+                                       f"/v1/jobs/{submitted['id']}")
         assert status == 404
         assert body["error"]["type"] == "NotFound"
-
-    def test_replay_non_integer_id_is_400(self, gateway):
-        status, body = gateway.request("GET", "/v1/jobs/nope")
-        assert status == 400
-        assert body["error"]["type"] == "BadRequest"
 
     def test_ids_are_sequential(self, gateway):
         ids = [gateway.request("POST", "/v1/jobs",
                                body=_run_spec(n))[1]["id"]
                for n in (10, 11, 12)]
         assert ids == [ids[0], ids[0] + 1, ids[0] + 2]
+
+
+class TestGatewayCache:
+    """``/metrics`` carries the pool's one cache at every worker count."""
+
+    def test_two_worker_gateway_reports_its_cache(self, tmp_path):
+        from tests.fleet.conftest import start_gateway
+        live = start_gateway(workers=2, cache_dir=str(tmp_path / "d"))
+        try:
+            spec = _run_spec(5)
+            assert live.request("POST", "/v1/jobs",
+                                body=spec)[1]["result"]["cache"] == "miss"
+            hit = live.request("POST", "/v1/jobs", body=spec)[1]["result"]
+            assert hit["cache"] == "hit" and hit["worker"] is None
+            metrics = live.request("GET", "/metrics")[1]["metrics"]
+            assert metrics["workers"] == 2
+            cache = metrics["cache"]
+            assert {"memory_hits", "disk_hits", "evictions",
+                    "corrupt_entries", "put_errors"} <= set(cache)
+            assert cache["memory_hits"] == 1 and cache["puts"] == 1
+            assert metrics["store_hits"] == metrics["store_puts"] == 0
+        finally:
+            live.close()
+
+    def test_corrupt_entry_is_recomputed_and_counted(self, tmp_path):
+        import os
+        from tests.fleet.conftest import start_gateway
+        root = str(tmp_path / "d")
+        spec = _run_spec(6)
+        first = start_gateway(workers=2, cache_dir=root)
+        try:
+            primed = first.request("POST", "/v1/jobs",
+                                   body=spec)[1]["result"]
+        finally:
+            first.close()
+        key = primed["key"]
+        path = os.path.join(root, "objects", key[:2], f"{key}.json")
+        with open(path, "r+") as handle:
+            handle.truncate(10)
+        second = start_gateway(workers=2, cache_dir=root)
+        try:
+            again = second.request("POST", "/v1/jobs",
+                                   body=spec)[1]["result"]
+            assert again["cache"] == "miss"
+            assert again["payload"] == primed["payload"]
+            metrics = second.request("GET", "/metrics")[1]["metrics"]
+            assert metrics["cache"]["corrupt_entries"] == 1
+        finally:
+            second.close()
+
+    def test_unwritable_cache_dir_does_not_fail_the_job(self):
+        from tests.fleet.conftest import start_gateway
+        live = start_gateway(workers=1, cache_dir="/dev/null/x")
+        try:
+            status, body = live.request("POST", "/v1/jobs",
+                                        body=_run_spec(7))
+            assert status == 200 and body["ok"]
+            assert body["result"]["cache"] == "miss"
+            assert body["result"]["payload"]["run"]["value"] == 8
+            metrics = live.request("GET", "/metrics")[1]["metrics"]
+            assert metrics["cache"]["put_errors"] == 1
+            assert metrics["jobs_failed"] == 0
+        finally:
+            live.close()
+
+    def test_hit_is_answered_behind_a_backlog_of_misses(self):
+        """More misses in flight than ``max(4, 2 * workers)`` -- the
+        thread count admission's executor once had: every admitted job
+        has a thread to wait in, so the hit does not queue for one."""
+        import threading
+        import time
+        from tests.fleet.conftest import start_gateway
+        live = start_gateway(workers=1)
+        sleepers = 6
+
+        def park(n):
+            try:
+                live.request("POST", "/v1/jobs", timeout=60, body=JobSpec(
+                    "selftest", selftest={"behavior": "sleep",
+                                          "seconds": 30 + n}).to_dict())
+            except OSError:     # the gateway closes under it
+                pass
+
+        try:
+            spec = _run_spec(8)
+            primed = live.request("POST", "/v1/jobs", body=spec)[1]["result"]
+            assert primed["cache"] == "miss"
+            for n in range(sleepers):
+                threading.Thread(target=park, args=(n,),
+                                 daemon=True).start()
+            for _ in range(500):
+                if live.request("GET", "/metrics")[1]["inflight"] == sleepers:
+                    break
+                time.sleep(0.02)
+            else:
+                raise AssertionError("the sleepers were never admitted")
+            begin = time.monotonic()
+            hit = live.request("POST", "/v1/jobs", body=spec)[1]["result"]
+            assert time.monotonic() - begin < 1.0
+            assert hit["cache"] == "hit" and hit["worker"] is None
+            assert hit["payload"] == primed["payload"]
+        finally:
+            live.close()
 
 
 class TestErrorMapping:
@@ -151,13 +245,13 @@ class TestWireFraming:
                      b"Content-Length: 50\r\n\r\n{}")
         assert response.startswith(b"HTTP/1.1 400 ")
 
-    def test_non_ascii_digit_job_id_is_400(self, gateway):
-        # "\xb2".isdigit() is true and int("\xb2") raises: the replay
-        # id must be refused, not crash the connection task.
+    def test_non_ascii_path_is_a_structured_404(self, gateway):
+        # Whatever bytes the path carries, the answer is a response,
+        # never a crashed connection task.
         response = self._raw(
             gateway, b"GET /v1/jobs/\xb2 HTTP/1.1\r\nHost: x\r\n\r\n")
-        assert response.startswith(b"HTTP/1.1 400 ")
-        assert b'"BadRequest"' in response
+        assert response.startswith(b"HTTP/1.1 404 ")
+        assert b'"NotFound"' in response
 
     def test_raising_handler_is_a_structured_500(self, gateway,
                                                  monkeypatch):

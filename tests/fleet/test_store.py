@@ -104,16 +104,6 @@ class TestRemoteStore:
         assert remote._consecutive_failures == 0
         assert remote.get(_key("flip")) == PAYLOAD
 
-    def test_pop_delta_reports_increments_once(self, store):
-        remote = RemoteStore(store.url)
-        key = _key("delta")
-        remote.put(key, PAYLOAD)
-        remote.get(key)
-        assert remote.pop_delta() == {"store_hits": 1, "store_puts": 1}
-        assert remote.pop_delta() is None
-        remote.get(_key("delta-miss"))
-        assert remote.pop_delta() == {"store_misses": 1}
-
 
 class TestFleetCache:
     def test_local_miss_fills_from_remote_then_hits_locally(
@@ -173,6 +163,78 @@ class TestFleetCache:
                            RemoteStore(store.url))
         snap = cache.snapshot()
         assert snap["remote"]["url"] == store.url
+
+
+class TestGatewayStoreCounters:
+    """``store_*`` in ``/metrics`` are the one cache's remote tier,
+    read in place: each probe counted once, however often asked."""
+
+    def test_each_probe_is_counted_once(self, store, tmp_path):
+        from repro.service.jobs import JobSpec
+        from tests.fleet.conftest import start_gateway
+
+        def store_counters(gateway):
+            metrics = gateway.request("GET", "/metrics")[1]["metrics"]
+            return {name: metrics[f"store_{name}"]
+                    for name in ("hits", "misses", "puts", "fallbacks")}
+
+        spec = JobSpec("run", source="int main(int n) { return n; }",
+                       nodes=1, args=[4]).to_dict()
+        first = start_gateway(workers=2, cache_dir=str(tmp_path / "a"),
+                              store_url=store.url)
+        try:
+            assert first.request("POST", "/v1/jobs", body=spec)[0] == 200
+            cold = {"hits": 0, "misses": 1, "puts": 1, "fallbacks": 0}
+            assert store_counters(first) == cold
+            assert store_counters(first) == cold      # read, not popped
+            # A local hit never reaches the store.
+            assert first.request("POST", "/v1/jobs", body=spec)[0] == 200
+            assert store_counters(first) == cold
+        finally:
+            first.close()
+        second = start_gateway(workers=2, cache_dir=str(tmp_path / "b"),
+                               store_url=store.url)
+        try:
+            status, body = second.request("POST", "/v1/jobs", body=spec)
+            assert status == 200 and body["result"]["cache"] == "hit"
+            assert store_counters(second) == {
+                "hits": 1, "misses": 0, "puts": 0, "fallbacks": 0}
+        finally:
+            second.close()
+
+    def test_unwritable_cache_dir_still_fills_from_the_store(
+            self, store, tmp_path):
+        """The remote tier holds the payload, the local disk refuses
+        it: the job is a hit all the same, and nothing leaks."""
+        from repro.service.jobs import JobSpec
+        from tests.fleet.conftest import start_gateway
+        spec = JobSpec("run", source="int main(int n) { return n; }",
+                       nodes=1, args=[5]).to_dict()
+        first = start_gateway(workers=1, cache_dir=str(tmp_path / "a"),
+                              store_url=store.url)
+        try:
+            primed = first.request("POST", "/v1/jobs",
+                                   body=spec)[1]["result"]
+        finally:
+            first.close()
+        # /dev/null is not a directory: every disk write raises.
+        second = start_gateway(workers=1, cache_dir="/dev/null/x",
+                               store_url=store.url)
+        try:
+            for memory_hits in (0, 1):      # from the store, from memory
+                status, body = second.request("POST", "/v1/jobs",
+                                              body=spec)
+                assert status == 200 and body["ok"]
+                assert body["result"]["cache"] == "hit"
+                assert body["result"]["payload"] == primed["payload"]
+                metrics = second.request("GET", "/metrics")[1]["metrics"]
+                assert metrics["cache"]["memory_hits"] == memory_hits
+                assert metrics["cache"]["put_errors"] == 1
+                assert metrics["store_hits"] == 1
+                assert metrics["queue_depth"] == 0
+                assert metrics["jobs_failed"] == 0
+        finally:
+            second.close()
 
 
 class TestGatewayDegradation:

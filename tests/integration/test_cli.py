@@ -265,6 +265,27 @@ class TestExitCodes:
         assert payload["error"]["code"] == 4
         assert "budget" in payload["error"]["message"]
 
+    def test_call_depth_past_the_host_stack_is_a_runtime_error(
+            self, tmp_path, capsys):
+        deep = tmp_path / "deep.ec"
+        deep.write_text("int f(int n) { int r; if (n == 0) return 0; "
+                        "r = f(n - 1); return r + 1; }\n"
+                        "int main(int n) { return f(n); }\n")
+        payload = self._json_error(
+            capsys, [str(deep), "--run", "--json", "--args", "5000"], 4)
+        assert payload["error"]["type"] == "InterpreterError"
+        assert "recursion limit" in payload["error"]["message"]
+
+    def test_nesting_past_the_host_stack_is_a_compile_error(
+            self, tmp_path, capsys):
+        deep = tmp_path / "deep.ec"
+        deep.write_text("int main() { return " + "(" * 3000 + "1"
+                        + ")" * 3000 + "; }\n")
+        payload = self._json_error(
+            capsys, [str(deep), "--run", "--json"], 3)
+        assert payload["error"]["type"] == "FrontendError"
+        assert str(deep) in payload["error"]["message"]
+
     def test_max_stmts_must_be_positive(self, source_file, capsys):
         assert main([source_file, "--run", "--max-stmts", "0"]) == 2
 

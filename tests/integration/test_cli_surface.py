@@ -225,3 +225,43 @@ def test_bad_flag_value_is_a_one_line_usage_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+#: Every "comma-separated integers" flag goes through the one parser
+#: (``config.int_list``): case -> (argv, the flag its error names);
+#: FILE stands for a source file that is read but never parsed.
+NUMBER_LISTS = {
+    "driver": (["FILE", "--run", "--args", "abc"], "--args"),
+    "driver-json": (["FILE", "--run", "--args", "abc", "--json"],
+                    "--args"),
+    "submit": (["submit", "FILE", "--args", "abc"], "--args"),
+    "submit-json": (["submit", "FILE", "--args", "abc", "--json"],
+                    "--args"),
+    "batch": (["batch", "--nodes", "a,b"], "--nodes"),
+    "batch-json": (["batch", "--nodes", "a,b", "--json"], "--nodes"),
+    "genjobs": (["genjobs", "--rcache", "1,x"], "--rcache"),
+    "report": (["--nodes", "x"], "--nodes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMBER_LISTS))
+def test_bad_number_list_is_a_usage_error(case, tmp_path, capsys):
+    import json
+    from repro.harness import report
+    source = tmp_path / "prog.ec"
+    source.write_text("int main() { return 0; }\n")
+    argv, flag = NUMBER_LISTS[case]
+    argv = [str(source) if arg == "FILE" else arg for arg in argv]
+    entry = report.main if case == "report" else main
+    assert entry(argv) == 2
+    captured = capsys.readouterr()
+    if case.endswith("-json"):
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "UsageError" and error["code"] == 2
+        assert flag in error["message"]
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} needs "
+                                       f"comma-separated integers")
+        assert captured.err.count("\n") == 1

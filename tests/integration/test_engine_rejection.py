@@ -2,7 +2,8 @@
 structured form of the entry it arrived through, with a message that
 lists the engines there are (the one ``ENGINES``) -- and so is every
 other run-option value ``RunConfig`` refuses: at the entry, before any
-worker sees the job."""
+worker sees the job.  A program the host's stack cannot hold is refused
+the same way at both ends of the pipeline, never with a traceback."""
 
 import dataclasses
 
@@ -162,3 +163,67 @@ def test_bad_run_option_is_rejected_at_the_entry(entry, case, tmp_path,
                                                  capsys):
     message = entry(case, tmp_path, capsys)
     assert BAD_OPTIONS[case][2] in message
+
+
+# ---------------------------------------------------------------------------
+# A program deeper than the host's stack is a structured error
+# ---------------------------------------------------------------------------
+
+_RECURSIVE = ("int f(int n) { int r; if (n == 0) return 0; "
+              "r = f(n - 1); return r + 1; }\n"
+              "int main(int n) { return f(n); }\n")
+
+#: case -> (source, run options, exit code, error type, a word of the
+#: message).  Two programs nest deeper than the compiler can recurse;
+#: one calls deeper than either engine can.
+TOO_DEEP = {
+    "parens": ("int main() { return " + "(" * 3000 + "1" + ")" * 3000
+               + "; }\n", {}, 3, "FrontendError", "nest too deeply"),
+    "ifs": ("int main() { int x; x = 0;\n" + "if (x == 0) {\n" * 1500
+            + "x = 1;\n" + "}\n" * 1500 + "return x; }\n",
+            {}, 3, "FrontendError", "nest too deeply"),
+    "calls-codegen": (_RECURSIVE, {"args": [5000], "engine": "codegen"},
+                      4, "InterpreterError", "codegen engine"),
+    "calls-ast": (_RECURSIVE, {"args": [5000], "engine": "ast"},
+                  4, "InterpreterError", "ast engine"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_DEEP))
+def test_too_deep_program_on_the_command_line(case, tmp_path, capsys):
+    source, options, code, _, word = TOO_DEEP[case]
+    path = tmp_path / "deep.ec"
+    path.write_text(source)
+    argv = [str(path), "--run"]
+    if options:
+        argv += ["--args", "5000", "--engine", options["engine"]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and word in captured.err
+    assert captured.err.count("\n") == 1
+    if code == 3:
+        assert str(path) in captured.err
+
+
+@pytest.fixture(scope="module")
+def one_worker_gateway():
+    gateway = start_gateway(workers=1)
+    yield gateway
+    gateway.close()
+
+
+@pytest.mark.parametrize("case", sorted(TOO_DEEP))
+def test_too_deep_program_as_a_job(case, one_worker_gateway):
+    from repro.service.jobs import execute_job
+    source, options, code, error_type, word = TOO_DEEP[case]
+    spec = JobSpec("run", source=source, filename="deep.ec", nodes=1,
+                   **options)
+    in_process = execute_job(spec)           # never raises
+    status, body = one_worker_gateway.request("POST", "/v1/jobs",
+                                              body=spec.to_dict())
+    assert status == 422 and body["ok"] is False
+    for error in (in_process.error, body["result"]["error"]):
+        assert error["type"] == error_type and error["code"] == code
+        assert word in error["message"]
+    assert body["result"]["worker"] == 0

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -157,3 +159,55 @@ class TestDiskTier:
         cache.put(key, {"x": 5})
         assert cache.get(key) == {"x": 5}
         assert cache.memory_hits == 0 and cache.disk_hits == 1
+
+    def test_failed_disk_write_is_counted_and_raised(self):
+        cache = ArtifactCache("/dev/null/not-a-directory")
+        with pytest.raises(OSError):
+            cache.put("44" + "0" * 62, {"x": 6})
+        assert cache.put_errors == 1 and cache.puts == 1
+        # The memory tier keeps what the disk refused.
+        assert cache.get("44" + "0" * 62) == {"x": 6}
+
+
+class TestSharedByThreads:
+    """A pool's one cache is shared by its executor threads: no probe
+    or store may be lost from the counters, whatever the interleaving."""
+
+    THREADS, ROUNDS, KEYS = 8, 150, 12
+
+    def test_counters_survive_concurrent_probes(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path / "cache"), memory_entries=4)
+        keys = [f"{n:02x}" + "0" * 62 for n in range(self.KEYS)]
+        puts = [0] * self.THREADS
+        wrong = []
+
+        def worker(index):
+            for step in range(self.ROUNDS):
+                key = keys[(index + step) % self.KEYS]
+                found = cache.get(key)
+                if found is None:
+                    cache.put(key, {"key": key})
+                    puts[index] += 1
+                elif found != {"key": key}:
+                    wrong.append((key, found))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,),
+                                        daemon=True)
+                       for i in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        snap = cache.snapshot()
+        assert snap["hits"] + snap["misses"] == self.THREADS * self.ROUNDS
+        assert snap["memory_hits"] + snap["disk_hits"] == snap["hits"]
+        assert snap["misses"] == snap["puts"] == sum(puts)
+        assert snap["memory_entries"] <= 4
+        assert snap["put_errors"] == snap["corrupt_entries"] == 0

@@ -1,10 +1,17 @@
-"""WorkerPool: scheduling, crash/timeout resilience, determinism."""
+"""WorkerPool: its one cache, scheduling, crash/timeout resilience,
+determinism."""
+
+import asyncio
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.jobs import JobSpec
-from repro.service.pool import WorkerPool
+from repro.service.cache import ArtifactCache
+from repro.service.jobs import JobSpec, execute_job
+from repro.service.pool import JobAdmission, WorkerPool
 
 SOURCE = "int main(int n) { return n * 2; }"
 
@@ -23,7 +30,7 @@ class TestInlineMode:
                                           nodes=1, args=[21]))
             assert result.ok and result.payload["run"]["value"] == 42
 
-    def test_inline_cache_hits(self, tmp_path):
+    def test_inline_mode_hits_the_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         with WorkerPool(workers=0, cache_dir=cache_dir) as pool:
             spec = JobSpec("run", source=SOURCE, nodes=1, args=[3])
@@ -37,6 +44,148 @@ class TestInlineMode:
         with WorkerPool(workers=0, cache_dir=None) as pool:
             results = pool.run_batch([_echo(i) for i in range(5)])
             assert [r.payload["echo"] for r in results] == list(range(5))
+
+
+class TestOneCache:
+    """The cache sits in front of the workers, once, in the parent."""
+
+    A = JobSpec("run", source=SOURCE, nodes=1, args=[1])
+    B = JobSpec("run", source=SOURCE, nodes=1, args=[2])
+
+    def test_memory_only_pool_computes_a_job_once(self):
+        # Whichever worker computed A, the pool remembers it.
+        with WorkerPool(workers=2, cache_dir=None) as pool:
+            first = pool.run_batch([self.A, self.B], timeout=60)
+            second = pool.run_batch([self.B, self.A], timeout=60)
+            assert [r.cache for r in first] == ["miss", "miss"]
+            assert [r.cache for r in second] == ["hit", "hit"]
+            assert second[0].payload == first[1].payload
+            assert second[1].payload == first[0].payload
+            snap = pool.metrics_snapshot()
+            assert snap["cache_misses"] == 2 and snap["cache_hits"] == 2
+            assert snap["cache"]["memory_hits"] == 2
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_repeat_inside_one_batch(self, workers):
+        # Inline, a miss is stored before the next lookup; over
+        # workers every lookup of a batch precedes every store.
+        with WorkerPool(workers, cache_dir=None) as pool:
+            batch = pool.run_batch([self.A, self.A], timeout=60)
+            assert [r.cache for r in batch] == \
+                ["miss", "hit" if workers == 0 else "miss"]
+            assert batch[0].payload == batch[1].payload
+            assert pool.run_job(self.A, timeout=60).cache == "hit"
+
+    def test_inline_submit_stores_without_a_wait(self):
+        with WorkerPool(workers=0, cache_dir=None) as pool:
+            pool.submit(self.A)             # never waited for
+            assert pool.run_job(self.A).cache == "hit"
+            assert pool.metrics_snapshot()["cache"]["puts"] == 1
+
+    def test_hit_is_answered_while_every_worker_is_busy(self):
+        with WorkerPool(workers=1, cache_dir=None) as pool:
+            primed = pool.run_job(self.A, timeout=60)
+            assert primed.cache == "miss" and primed.worker == 0
+            pool.submit(JobSpec("selftest",
+                                selftest={"behavior": "sleep",
+                                          "seconds": 30}))
+            begin = time.monotonic()
+            hit = pool.run_job(self.A, timeout=5)
+            assert time.monotonic() - begin < 1.0
+            assert hit.cache == "hit" and hit.worker is None
+            assert hit.payload == primed.payload
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_unwritable_cache_dir_does_not_fail_the_job(self, workers):
+        # /dev/null is not a directory: every disk write raises.
+        with WorkerPool(workers, cache_dir="/dev/null/x") as pool:
+            result = pool.run_job(self.A, timeout=60)
+            assert result.ok and result.cache == "miss"
+            assert result.payload["run"]["value"] == 2
+            cache = pool.metrics_snapshot()["cache"]
+            assert cache["put_errors"] == 1 and cache["puts"] == 1
+            # The memory tier kept it.
+            assert pool.run_job(self.A, timeout=60).cache == "hit"
+
+    def test_unwritable_cache_dir_in_process(self):
+        cache = ArtifactCache("/dev/null/x")
+        result = execute_job(self.A, cache)
+        assert result.ok and result.cache == "miss"
+        assert result.payload["run"]["value"] == 2
+        assert cache.snapshot()["put_errors"] == 1
+
+    def test_admitted_job_is_keyed_once(self, monkeypatch):
+        calls = []
+        canonical_key = JobSpec.canonical_key
+
+        def counting(spec):
+            calls.append(spec.kind)
+            return canonical_key(spec)
+
+        monkeypatch.setattr(JobSpec, "canonical_key", counting)
+        with WorkerPool(workers=0, cache_dir=None) as pool:
+            admission = JobAdmission(pool)
+            try:
+                response = asyncio.run(admission.submit(self.A.to_dict()))
+            finally:
+                admission.shutdown()
+        assert response["result"]["cache"] == "miss"
+        assert response["result"]["key"] == canonical_key(self.A)
+        assert calls == ["run"]
+
+    def test_concurrent_callers_lose_no_job(self):
+        """More caller threads than cores, hits and misses mixed: every
+        job is answered and every one is counted exactly once."""
+        specs = [JobSpec("run", source=SOURCE, nodes=1, args=[n])
+                 for n in range(4)]
+        threads, rounds = 8, 6
+        values = [[] for _ in range(threads)]
+
+        def caller(index, pool):
+            for step in range(rounds):
+                n = (index + step) % len(specs)
+                result = pool.run_job(specs[n], timeout=60)
+                values[index].append(
+                    result.ok and result.payload["run"]["value"] == 2 * n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(workers=2, cache_dir=None) as pool:
+                callers = [threading.Thread(target=caller,
+                                            args=(i, pool), daemon=True)
+                           for i in range(threads)]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=120)
+                assert not any(t.is_alive() for t in callers)
+                snap = pool.metrics_snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert values == [[True] * rounds] * threads
+        total = threads * rounds
+        assert snap["jobs_submitted"] == snap["jobs_completed"] == total
+        assert snap["cache_hits"] + snap["cache_misses"] == total
+        assert snap["cache_hits"] == snap["cache"]["hits"]
+        assert snap["cache"]["puts"] == snap["cache_misses"]
+        assert snap["queue_depth"] == 0 and snap["jobs_failed"] == 0
+
+    def test_envelope_is_the_same_wherever_it_is_computed(self):
+        def run_twice(run):
+            miss, hit = run(self.A).to_dict(), run(self.A).to_dict()
+            for envelope in (miss, hit):
+                assert envelope.pop("wall_s") > 0
+            return miss, hit
+
+        cache = ArtifactCache(None)
+        in_process = run_twice(lambda spec: execute_job(spec, cache))
+        for workers in (0, 1):
+            with WorkerPool(workers, cache_dir=None) as pool:
+                miss, hit = run_twice(
+                    lambda spec: pool.run_job(spec, timeout=60))
+            assert miss.pop("worker") == (None if workers == 0 else 0)
+            assert (miss | {"worker": None}, hit) == in_process
 
 
 class TestValidation:
