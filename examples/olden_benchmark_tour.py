@@ -8,7 +8,7 @@ Run:  python examples/olden_benchmark_tour.py [--nodes N]
 
 import argparse
 
-from repro.harness.experiments import run_benchmark
+from repro import RunConfig, run_three_ways
 from repro.olden.loader import catalog
 
 
@@ -23,8 +23,11 @@ def main():
           f"{'optim':>9}{'impr%':>7} | {'ops simple -> optimized'}")
     print("-" * 86)
     for spec in catalog():
-        results = run_benchmark(spec.name, num_nodes=args.nodes,
-                                small=not args.full)
+        run_args = spec.default_args if args.full else spec.small_args
+        results = run_three_ways(
+            spec.source(), spec.name, inline=spec.inline,
+            config=RunConfig(nodes=args.nodes, args=tuple(run_args),
+                             max_stmts=spec.max_stmts))
         seq = results["sequential"]
         simple = results["simple"]
         optimized = results["optimized"]

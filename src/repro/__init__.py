@@ -10,7 +10,7 @@ The package contains a complete toolchain:
   read/write sets, locality and nilness analyses;
 * :mod:`repro.comm` -- the paper's contribution: possible-placement
   analysis and communication selection (pipelining / blocking), plus
-  redundant remote access elimination and the Table I cost model;
+  redundant remote access elimination;
 * :mod:`repro.backend` -- the Threaded-C fiber partitioner;
 * :mod:`repro.earth` -- a discrete-event EARTH-MANNA simulator, with an
   optional per-node remote-data cache (:mod:`repro.earth.rcache`);
@@ -49,10 +49,11 @@ overrides beside it.  The optimizer's heuristic knobs live in
 (``execute(compiled, num_nodes=4, ...)`` is a ``TypeError``), the
 ``LOOP_FREQUENCY_FACTOR``-style module constants -- and the
 closure engine: ``engine`` is ``"codegen"`` (default) or
-``"ast"``.
+``"ast"``.  2.1 removed the separate cost-model class: Table I is
+:class:`MachineParams`, the blocking decision
+:meth:`OptConfig.should_block`.
 """
 
-from repro.comm.costmodel import CommCostModel
 from repro.comm.optconfig import OptConfig
 from repro.comm.optimizer import (
     CommConfig,
@@ -77,11 +78,10 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "ArtifactCache",
-    "CommCostModel",
     "CommConfig",
     "CommunicationOptimizer",
     "CompiledProgram",

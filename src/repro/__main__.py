@@ -71,7 +71,7 @@ from repro.errors import (
     error_body,
     exit_code_for,
 )
-from repro.harness.pipeline import compile_earthc, execute
+from repro.harness.pipeline import CONFIGURATIONS, compile_earthc, execute
 from repro.obs import TraceMetrics, export_chrome_trace
 from repro.simple import nodes as s
 from repro.simple.printer import print_function
@@ -480,7 +480,6 @@ def _serve_main(argv) -> int:
             store_url=store_url)
         serve_gateway_forever(pool, opts.host, opts.port,
                               max_queue_depth=opts.max_queue_depth,
-                              store_url=store_url,
                               ready_callback=ready)
 
     return _run_server(opts.port, serve)
@@ -578,7 +577,7 @@ def _render_job(result, label: str = None) -> str:
                      f"time={run.get('time_ns', 0) / 1e6:.3f}ms "
                      f"simulated on {run.get('num_nodes')} node(s)")
     else:
-        for name in ("sequential", "simple", "optimized", "rcached"):
+        for name in CONFIGURATIONS:
             entry = payload.get(name)
             if entry:
                 lines.append(f"  {name:<11}"

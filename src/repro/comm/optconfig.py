@@ -143,6 +143,34 @@ class OptConfig:
         """Is a tuple with this frequency certain to execute?"""
         return freq >= 1.0 - self.freq_eps
 
+    def should_block(self, num_accesses: int, expected_accesses: float,
+                     words_needed: int, struct_words: int) -> bool:
+        """Choose blocked communication for a group of accesses through
+        one pointer (the paper: "pipelining is better for two remote
+        accesses, but blocked communication is better for three or
+        more", shifting back towards pipelined when the struct is very
+        large compared to the fields actually required).
+
+        ``num_accesses`` is the number of distinct field locations the
+        block move would serve -- the paper's "threshold of three"
+        operates on this count (its Fig. 11b blocks sum_adjacent, whose
+        switch-arm reads each carry adjusted frequency well below 1).
+        ``expected_accesses`` (frequencies capped at 1, summed) guards
+        profitability: a blkmov costs about 1.4 scalar reads of EU time
+        (Table I: 2602 ns against 1908 ns pipelined), so it must be
+        expected to replace at least ``min_expected_accesses`` scalar
+        operations per execution.
+        """
+        if num_accesses < self.block_access_threshold:
+            return False
+        if expected_accesses < self.min_expected_accesses - 1e-9:
+            return False
+        if words_needed <= 0:
+            return False
+        if struct_words > self.max_spurious_ratio * words_needed:
+            return False
+        return True
+
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:

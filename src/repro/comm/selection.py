@@ -9,10 +9,11 @@ Consumes the possible-placement annotations and transforms the function:
   grouped by base pointer, each group is either *pipelined* (one
   ``comm<k> = p->f`` split-phase read per field, issued back-to-back) or
   *blocked* (one ``blkmov`` into a local ``bcomm<k>`` struct, accesses
-  redirected to its fields) following the cost model's threshold-of-three
-  rule.  Each origin statement in the tuple's Dlist is rewritten to use
-  the communication variable -- which also erases redundant reads (a
-  merged tuple rewrites several origins to one comm variable).
+  redirected to its fields) following the threshold-of-three rule
+  (:meth:`OptConfig.should_block`).  Each origin statement in the
+  tuple's Dlist is rewritten to use the communication variable -- which
+  also erases redundant reads (a merged tuple rewrites several origins
+  to one comm variable).
 
 * **writes** -- a bottom-up traversal selects the *latest* point.  A
   pipelined write captures the stored value in a fresh comm variable at
@@ -36,7 +37,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.nilness import NilnessResult, analyze_nilness
-from repro.comm.costmodel import CommCostModel
 from repro.comm.optconfig import OptConfig
 from repro.comm.placement import PlacementResult
 from repro.comm.tuples import CommSet, CommTuple, SelectedOp
@@ -110,9 +110,6 @@ class CommSelection:
         self.speculative_reads = speculative_reads
         self.enable_blocking = enable_blocking
         self.opt = opt if opt is not None else OptConfig()
-        # The decision thresholds come from the opt config (the plain
-        # CommCostModel at legacy defaults).
-        self.cost_model = CommCostModel.from_opt(self.opt)
         self.stats = stats if stats is not None else SelectionStats()
         self.selected_reads: Set[SelectedOp] = set()
         self.selected_writes: Set[SelectedOp] = set()
@@ -121,23 +118,6 @@ class CommSelection:
         self.label_map: Dict[int, s.Stmt] = func.label_map()
 
     # -- entry points -----------------------------------------------------------
-
-    def run(self) -> SelectionStats:
-        """Both phases, re-deriving the write-phase annotations.
-
-        A read hoisted to its earliest point and a write of the same
-        location sunk to its latest point -- each individually safe
-        against the *original* program -- may cross each other, making
-        the read observe the pre-store value.  The write phase therefore
-        always runs against a fresh placement analysis of the
-        read-transformed tree, where the inserted comm reads kill write
-        sinking past them.
-        """
-        from repro.comm.placement import analyze_placement
-        self.run_reads()
-        self.placement = analyze_placement(self.func, self.conn, self.opt)
-        self.run_writes()
-        return self.stats
 
     def run_reads(self) -> SelectionStats:
         """Phase R: earliest placement of reads (top-down)."""
@@ -234,12 +214,12 @@ class CommSelection:
         """May this group be considered for a block move at all?  The
         legacy gate demands one certain access; the probabilistic gate
         also admits groups whose *summed* expected accesses clear the
-        cost model's profitability floor even when no single access is
-        certain (three half-likely branch arms justify one blkmov)."""
+        profitability floor even when no single access is certain
+        (three half-likely branch arms justify one blkmov)."""
         if any(self._is_strong(t) for t in field_tuples):
             return True
         if self.opt.probabilistic:
-            return expected >= self.cost_model.min_expected_accesses - 1e-9
+            return expected >= self.opt.min_expected_accesses - 1e-9
         return False
 
     def _safe_deref(self, base: str, label: int) -> bool:
@@ -280,12 +260,12 @@ class CommSelection:
                 span_end = max(span_end, offset + field_type.size_words())
             if not self._group_blockable(field_tuples, expected):
                 pass
-            elif self.cost_model.should_block(
+            elif self.opt.should_block(
                     len(field_tuples), expected, words_needed,
                     struct.size_words()):
                 block_words = struct.size_words()
             elif self.opt.blkmov_shape == "prefix" \
-                    and self.cost_model.should_block(
+                    and self.opt.should_block(
                         len(field_tuples), expected, words_needed,
                         span_end):
                 # Prefix block move: the struct as a whole is too large
@@ -430,7 +410,7 @@ class CommSelection:
                 words_needed += field_type.size_words()
                 expected += self._expected_accesses(tup)
             if self._group_blockable(field_tuples, expected) \
-                    and self.cost_model.should_block(
+                    and self.opt.should_block(
                         len(field_tuples), expected, words_needed,
                         struct.size_words()):
                 region = self._find_block_region(seq, stmt, base,

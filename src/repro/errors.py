@@ -117,7 +117,13 @@ class UsageError(ReproError):
 
 class ServiceError(ReproError):
     """Compile-service failure: malformed job, unreachable server,
-    worker crash budget exhausted, cache corruption..."""
+    worker crash budget exhausted, cache corruption...  ``code`` is
+    its exit code when that is not the class's own: a failed job
+    raised as an error keeps the job's."""
+
+    def __init__(self, message: str, code: "int | None" = None):
+        super().__init__(message)
+        self.code = code
 
 
 # -- CLI exit codes -----------------------------------------------------------
@@ -173,7 +179,7 @@ def exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, UsageError):
         return EXIT_USAGE
     if isinstance(exc, ServiceError):
-        return EXIT_SERVICE
+        return exc.code or EXIT_SERVICE
     if isinstance(exc, SimulatorError):
         return EXIT_RUNTIME
     if isinstance(exc, OSError):

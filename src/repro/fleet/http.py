@@ -270,11 +270,9 @@ class HttpGateway(HttpServerBase):
     admission core (single-flight dedup + backpressure)."""
 
     def __init__(self, pool: WorkerPool, host: str = "127.0.0.1",
-                 port: int = 0, max_queue_depth: int = 64,
-                 store_url: Optional[str] = None):
+                 port: int = 0, max_queue_depth: int = 64):
         super().__init__(host, port)
         self.pool = pool
-        self.store_url = store_url
         self.metrics = pool.metrics
         self.admission = JobAdmission(pool,
                                       max_queue_depth=max_queue_depth)
@@ -298,13 +296,13 @@ class HttpGateway(HttpServerBase):
             return 200, {"ok": True, "role": "gateway",
                          "version": PIPELINE_VERSION,
                          "workers": self.pool.workers,
-                         "store": self.store_url}, (), False
+                         "store": self.pool.store_url}, (), False
         if path == "/metrics":
             self._require(method, "GET", path)
             return 200, {"ok": True,
                          "metrics": self.pool.metrics_snapshot(),
                          "inflight": self.admission.inflight,
-                         "store": self.store_url}, (), False
+                         "store": self.pool.store_url}, (), False
         if path == "/v1/jobs":
             self._require(method, "POST", path)
             return await self._submit(request)
@@ -364,14 +362,13 @@ def run_until_shutdown(make_server, ready_callback=None) -> None:
 
 def serve_gateway_forever(pool: WorkerPool, host: str = "127.0.0.1",
                           port: int = 7781, max_queue_depth: int = 64,
-                          store_url: Optional[str] = None,
                           ready_callback=None) -> None:
     """Blocking entry point of ``python -m repro serve``; closes the
     pool on the way out."""
     try:
         run_until_shutdown(
             lambda: HttpGateway(pool, host, port,
-                                max_queue_depth=max_queue_depth,
-                                store_url=store_url), ready_callback)
+                                max_queue_depth=max_queue_depth),
+            ready_callback)
     finally:
         pool.close()

@@ -4,13 +4,23 @@
   (Table I): sequential and pipelined read/write/blkmov costs measured
   end-to-end through the simulator (not read off the constants).
 * :func:`table2_rows` -- the benchmark inventory (Table II analogue).
-* :func:`run_benchmark` / :func:`measure_table3` -- per-benchmark
-  sequential/simple/optimized times over processor counts (Table III),
-  optionally extended with a fourth *rcached* configuration: the
-  optimized program re-run with the per-node remote-data cache
-  (:mod:`repro.earth.rcache`) enabled at its default geometry.
+* :func:`measure_table3` -- per-benchmark sequential/simple/optimized
+  times over processor counts (Table III), optionally extended with a
+  fourth *rcached* configuration: the optimized program re-run with
+  the per-node remote-data cache (:mod:`repro.earth.rcache`) enabled
+  at its default geometry.
 * :func:`measure_fig10` -- normalized dynamic communication operation
   counts split into read-data / write-data / blkmov (Figure 10).
+* :func:`measure_opt_sweep` -- the optimized leg under the legacy vs
+  probabilistic heuristic presets.
+
+Everything below Table II is one path: a measurement names the legs it
+needs -- ``(benchmark, configuration, processors)``, each a plain
+``run`` job (:func:`leg_job`) over a row of
+:data:`~repro.harness.pipeline.CONFIGURATIONS` -- runs them through one
+:class:`~repro.service.pool.WorkerPool` and reads its rows from the
+payloads.  Hand every measurement the same pool and a leg two tables
+share is computed once.
 
 Each function returns plain data structures; ``format_*`` helpers render
 them in the paper's layout.  ``python -m repro.harness.report`` prints
@@ -22,15 +32,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import RunConfig
-from repro.earth.interpreter import RunResult
+from repro.earth.stats import MachineStats
 from repro.harness.pipeline import (
+    CONFIGURATIONS,
+    check_same_value,
     compile_earthc,
     execute,
-    run_four_ways,
-    run_three_ways,
     simple_baseline_config,
 )
-from repro.olden.loader import catalog, get_benchmark
+from repro.olden.loader import catalog
+from repro.service.jobs import JobSpec
+from repro.service.pool import WorkerPool
 
 # ---------------------------------------------------------------------------
 # Table I: communication costs
@@ -253,21 +265,67 @@ class BenchmarkRow:
                 f"impr={self.improvement_pct:.2f}%)")
 
 
-def run_benchmark(name: str, num_nodes: int = 4,
-                  small: bool = False,
-                  rcache: bool = False) -> Dict[str, object]:
-    """Compile and run one benchmark three ways (four with
-    ``rcache=True``); returns the RunResults keyed
-    ``sequential``/``simple``/``optimized`` (/``rcached``)."""
-    spec = get_benchmark(name)
-    args = spec.small_args if small else spec.default_args
-    config = RunConfig(nodes=num_nodes, args=tuple(args),
-                       max_stmts=spec.max_stmts)
-    if rcache:
-        return run_four_ways(spec.source(), spec.name, config=config,
-                             inline=spec.inline)
-    return run_three_ways(spec.source(), spec.name, config=config,
-                          inline=spec.inline)
+def _catalog_names(benchmarks: Optional[Sequence[str]]) -> Sequence[str]:
+    return benchmarks if benchmarks is not None \
+        else [spec.name for spec in catalog()]
+
+
+def leg_job(benchmark: str, configuration: str, processors: int,
+            small: bool = False,
+            run: Optional[RunConfig] = None) -> JobSpec:
+    """One :data:`~repro.harness.pipeline.CONFIGURATIONS` leg of one
+    catalog benchmark as a plain ``run`` job -- the unit every
+    measurement below is made of, and the leg's content address.
+    ``run`` carries options the caller wants on every leg (``opt``
+    reaches only the tuned ones); the configuration's pins win."""
+    leg = CONFIGURATIONS[configuration]
+    config = leg.run_config((run or RunConfig()).replace(nodes=processors))
+    return JobSpec("run", benchmark=benchmark, small=small,
+                   optimize=leg.optimize, config=leg.preset,
+                   **dict(config.wire(), args=None, max_stmts=None))
+
+
+def run_legs(jobs: Dict[object, JobSpec],
+             pool: Optional[WorkerPool] = None) -> Dict[object, dict]:
+    """Run ``jobs`` through ``pool`` -- the caller's, or a private
+    inline memory-only one -- and return each one's ``payload["run"]``
+    under its key.  Jobs with one content address are one leg: it runs
+    once and answers every key.  A failed job raises."""
+    if pool is None:
+        with WorkerPool(0, cache_dir=None) as private:
+            return run_legs(jobs, private)
+    addresses = {key: job.canonical_key() for key, job in jobs.items()}
+    distinct = {addresses[key]: job for key, job in jobs.items()}
+    results = dict(zip(distinct, pool.run_batch(list(distinct.values()))))
+    return {key: results[address].raise_if_failed().payload["run"]
+            for key, address in addresses.items()}
+
+
+def measure_bundles(processor_counts: Sequence[int],
+                    benchmarks: Optional[Sequence[str]] = None,
+                    small: bool = False, rcache: bool = False,
+                    pool: Optional[WorkerPool] = None
+                    ) -> Dict[Tuple[str, int], Dict[str, dict]]:
+    """``{(benchmark, processors): {configuration: run payload}}`` --
+    what one ``three-way`` (``four-way`` with ``rcache``) job per pair
+    would return, made of :func:`leg_job` legs: ``sequential`` pins its
+    node count, so a benchmark has one such leg however many counts
+    are swept.  The legs that meet at a pair must agree on the
+    program's value (checked)."""
+    runs = run_legs({
+        (name, processors, configuration): leg_job(
+            name, configuration, processors, small)
+        for name in _catalog_names(benchmarks)
+        for processors in processor_counts
+        for configuration, leg in CONFIGURATIONS.items()
+        if rcache or not leg.cached}, pool)
+    bundles: Dict[Tuple[str, int], Dict[str, dict]] = {}
+    for (name, processors, configuration), run in runs.items():
+        bundles.setdefault((name, processors), {})[configuration] = run
+    for bundle in bundles.values():
+        check_same_value({configuration: run["value"]
+                          for configuration, run in bundle.items()})
+    return bundles
 
 
 def measure_table3(
@@ -275,23 +333,15 @@ def measure_table3(
     benchmarks: Optional[Sequence[str]] = None,
     small: bool = False,
     rcache: bool = False,
+    pool: Optional[WorkerPool] = None,
 ) -> List[BenchmarkRow]:
-    rows: List[BenchmarkRow] = []
-    names = benchmarks if benchmarks is not None \
-        else [spec.name for spec in catalog()]
-    for name in names:
-        seq_ns: Optional[float] = None
-        for processors in processor_counts:
-            results = run_benchmark(name, processors, small=small,
-                                    rcache=rcache)
-            if seq_ns is None:
-                seq_ns = results["sequential"].time_ns
-            rows.append(BenchmarkRow(
-                name, processors, seq_ns,
-                results["simple"].time_ns,
-                results["optimized"].time_ns,
-                results["rcached"].time_ns if rcache else None))
-    return rows
+    bundles = measure_bundles(processor_counts, benchmarks, small,
+                              rcache, pool)
+    return [BenchmarkRow(
+        name, processors, bundle["sequential"]["time_ns"],
+        bundle["simple"]["time_ns"], bundle["optimized"]["time_ns"],
+        bundle["rcached"]["time_ns"] if rcache else None)
+        for (name, processors), bundle in bundles.items()]
 
 
 def format_table3(rows: List[BenchmarkRow]) -> str:
@@ -370,116 +420,39 @@ class Fig10Bar:
 
 def measure_fig10(num_nodes: int = 16,
                   benchmarks: Optional[Sequence[str]] = None,
-                  small: bool = False) -> List[Fig10Bar]:
-    bars: List[Fig10Bar] = []
-    names = benchmarks if benchmarks is not None \
-        else [spec.name for spec in catalog()]
-    for name in names:
-        results = run_benchmark(name, num_nodes, small=small)
-        bars.append(Fig10Bar(
-            name,
-            results["simple"].stats.comm_breakdown(),
-            results["optimized"].stats.comm_breakdown()))
-    return bars
+                  small: bool = False,
+                  pool: Optional[WorkerPool] = None) -> List[Fig10Bar]:
+    bundles = measure_bundles([num_nodes], benchmarks, small, pool=pool)
+    return [Fig10Bar(
+        name,
+        MachineStats.from_snapshot(
+            bundle["simple"]["stats"]).comm_breakdown(),
+        MachineStats.from_snapshot(
+            bundle["optimized"]["stats"]).comm_breakdown())
+        for (name, _), bundle in bundles.items()]
 
 
 # ---------------------------------------------------------------------------
-# Batch-backed sweeps (the service's pooled Table III / Figure 10 path)
+# Bundle sweeps as service jobs (``python -m repro batch``)
 # ---------------------------------------------------------------------------
 
 
 def sweep_jobs(processor_counts: Sequence[int],
                benchmarks: Optional[Sequence[str]] = None,
                small: bool = False, kind: str = "three-way",
-               run: Optional[RunConfig] = None) -> List[object]:
+               run: Optional[RunConfig] = None) -> List[JobSpec]:
     """The benchmark-by-processors cross product as service
     :class:`~repro.service.jobs.JobSpec` objects -- what
-    ``python -m repro batch`` and the pooled measurement helpers feed a
+    ``python -m repro batch`` feeds a
     :class:`~repro.service.pool.WorkerPool`.  ``run`` carries the run
     options every job shares (engine, faults, cache geometry, ...);
     the sweep sets the node count, the benchmark catalog the
     arguments and statement budget."""
-    from repro.service.jobs import JobSpec
-    names = benchmarks if benchmarks is not None \
-        else [spec.name for spec in catalog()]
     options = dict((run or RunConfig()).wire(), args=None, max_stmts=None)
     return [JobSpec(kind, benchmark=name, small=small,
                     **dict(options, nodes=processors))
-            for name in names for processors in processor_counts]
-
-
-def rows_from_payloads(jobs: Sequence[object],
-                       results: Sequence[object]) -> List[BenchmarkRow]:
-    """Reconstruct Table III rows from three-way (or four-way) job
-    payloads.
-
-    Matches :func:`measure_table3`'s convention: every row of one
-    benchmark shares the sequential baseline of that benchmark's first
-    (lowest) processor count."""
-    rows: List[BenchmarkRow] = []
-    seq_ns: Dict[str, float] = {}
-    for job, result in zip(jobs, results):
-        payload = result.raise_if_failed().payload
-        name = job.benchmark
-        if name not in seq_ns:
-            seq_ns[name] = payload["sequential"]["time_ns"]
-        rcached = payload.get("rcached")
-        rows.append(BenchmarkRow(
-            name, job.run.nodes, seq_ns[name],
-            payload["simple"]["time_ns"],
-            payload["optimized"]["time_ns"],
-            rcached["time_ns"] if rcached else None))
-    return rows
-
-
-def fig10_bars_from_payloads(jobs: Sequence[object],
-                             results: Sequence[object]) -> List[Fig10Bar]:
-    """Reconstruct Figure 10 bars from three-way job payloads."""
-    from repro.earth.stats import MachineStats
-    bars: List[Fig10Bar] = []
-    for job, result in zip(jobs, results):
-        payload = result.raise_if_failed().payload
-        bars.append(Fig10Bar(
-            job.benchmark,
-            MachineStats.from_snapshot(
-                payload["simple"]["stats"]).comm_breakdown(),
-            MachineStats.from_snapshot(
-                payload["optimized"]["stats"]).comm_breakdown()))
-    return bars
-
-
-def measure_table3_pooled(
-    processor_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    benchmarks: Optional[Sequence[str]] = None,
-    small: bool = False,
-    workers: int = 2,
-    cache_dir: Optional[str] = None,
-    rcache: bool = False,
-) -> List[BenchmarkRow]:
-    """:func:`measure_table3` through the service worker pool: same
-    rows (payloads are deterministic), computed by ``workers``
-    processes with content-addressed caching when ``cache_dir`` is
-    set.  ``rcache=True`` runs four-way jobs, adding the remote-cache
-    column at the default geometry."""
-    from repro.service.pool import WorkerPool
-    kind = "four-way" if rcache else "three-way"
-    jobs = sweep_jobs(processor_counts, benchmarks, small=small,
-                      kind=kind)
-    with WorkerPool(workers, cache_dir=cache_dir) as pool:
-        results = pool.run_batch(jobs)
-    return rows_from_payloads(jobs, results)
-
-
-def measure_fig10_pooled(num_nodes: int = 16,
-                         benchmarks: Optional[Sequence[str]] = None,
-                         small: bool = False, workers: int = 2,
-                         cache_dir: Optional[str] = None) -> List[Fig10Bar]:
-    """:func:`measure_fig10` through the service worker pool."""
-    from repro.service.pool import WorkerPool
-    jobs = sweep_jobs([num_nodes], benchmarks, small=small)
-    with WorkerPool(workers, cache_dir=cache_dir) as pool:
-        results = pool.run_batch(jobs)
-    return fig10_bars_from_payloads(jobs, results)
+            for name in _catalog_names(benchmarks)
+            for processors in processor_counts]
 
 
 # ---------------------------------------------------------------------------
@@ -487,36 +460,32 @@ def measure_fig10_pooled(num_nodes: int = 16,
 # ---------------------------------------------------------------------------
 
 
-def utilization_metrics(results: Dict[str, RunResult]
-                        ) -> Dict[str, Dict[str, object]]:
-    """Machine-readable metrics for one ``run_three_ways`` result set:
-    per-configuration run time, per-node EU/SU utilization, and the
-    stats snapshot (``report --metrics-json`` writes it)."""
-    return {
-        name: {
-            "time_ns": result.time_ns,
-            "nodes": result.num_nodes,
-            "utilization": result.utilization(),
-            "stats": result.stats.snapshot(),
-        }
-        for name, result in results.items()
-    }
-
-
 def measure_utilization(name: str, num_nodes: int = 4,
-                        small: bool = False,
-                        rcache: bool = False) -> Dict[str, Dict[str, object]]:
-    """Run one benchmark three (or, with ``rcache``, four) ways and
-    return its utilization metrics (see :func:`utilization_metrics`)."""
-    return utilization_metrics(run_benchmark(name, num_nodes, small=small,
-                                             rcache=rcache))
+                        small: bool = False, rcache: bool = False,
+                        pool: Optional[WorkerPool] = None
+                        ) -> Dict[str, Dict[str, object]]:
+    """Machine-readable metrics of one benchmark's three (with
+    ``rcache``, four) configurations: per-configuration run time,
+    per-node EU/SU utilization, and the stats snapshot (``report
+    --metrics-json`` writes it)."""
+    bundle = measure_bundles([num_nodes], [name], small, rcache,
+                             pool)[name, num_nodes]
+    return {
+        configuration: {
+            "time_ns": run["time_ns"],
+            "nodes": run["num_nodes"],
+            "utilization": run["utilization"],
+            "stats": run["stats"],
+        }
+        for configuration, run in bundle.items()
+    }
 
 
 def format_utilization(name: str,
                        metrics: Dict[str, Dict[str, object]]) -> str:
     lines = [f"Utilization: {name} "
              f"(EU/SU busy fraction per node)"]
-    for config in ("sequential", "simple", "optimized", "rcached"):
+    for config in CONFIGURATIONS:
         if config not in metrics:
             continue
         entry = metrics[config]
@@ -587,36 +556,32 @@ class OptSweepRow:
                 f"{self.legacy_remote_ops} -> {self.prob_remote_ops})")
 
 
-def _remote_ops(stats) -> int:
-    return (stats.remote_reads + stats.remote_writes
-            + stats.remote_blkmovs)
-
-
 def measure_opt_sweep(num_nodes: int = 4,
                       benchmarks: Optional[Sequence[str]] = None,
-                      small: bool = False) -> List[OptSweepRow]:
-    """Compile every benchmark's optimized leg under both OptConfig
-    presets and compare dynamic remote-operation counts."""
+                      small: bool = False,
+                      pool: Optional[WorkerPool] = None
+                      ) -> List[OptSweepRow]:
+    """Run every benchmark's optimized leg under both OptConfig
+    presets and compare dynamic remote-operation counts.  The legacy
+    leg carries no ``opt`` at all -- ``OptConfig()`` is legacy
+    bit-for-bit -- so it *is* Table III's ``optimized`` leg, address
+    included."""
+    names = _catalog_names(benchmarks)
+    presets = {"legacy": None,
+               "probabilistic": RunConfig(opt="probabilistic")}
+    runs = run_legs({(name, preset): leg_job(name, "optimized", num_nodes,
+                                             small, run)
+                     for name in names
+                     for preset, run in presets.items()}, pool)
     rows: List[OptSweepRow] = []
-    names = benchmarks if benchmarks is not None \
-        else [spec.name for spec in catalog()]
     for name in names:
-        spec = get_benchmark(name)
-        args = spec.small_args if small else spec.default_args
-        config = RunConfig(nodes=num_nodes, args=tuple(args),
-                           max_stmts=spec.max_stmts)
-        results = {}
-        for preset in ("legacy", "probabilistic"):
-            compiled = compile_earthc(spec.source(), spec.name,
-                                      optimize=True, inline=spec.inline,
-                                      opt=preset)
-            results[preset] = execute(compiled, config=config)
-        legacy, prob = results["legacy"], results["probabilistic"]
+        legacy, prob = runs[name, "legacy"], runs[name, "probabilistic"]
         rows.append(OptSweepRow(
             name, num_nodes,
-            _remote_ops(legacy.stats), _remote_ops(prob.stats),
-            legacy.time_ns, prob.time_ns,
-            legacy.value == prob.value))
+            MachineStats.from_snapshot(legacy["stats"]).total_remote_ops,
+            MachineStats.from_snapshot(prob["stats"]).total_remote_ops,
+            legacy["time_ns"], prob["time_ns"],
+            legacy["value"] == prob["value"]))
     return rows
 
 

@@ -3,10 +3,12 @@
 ``compile_earthc`` drives: parse -> goto elimination -> (optional)
 inlining -> type check -> simplify -> (optional) communication
 optimization.  ``execute`` runs a compiled program on a fresh simulated
-machine.  ``run_three_ways`` produces the paper's three configurations
-(sequential C / simple / optimized) for one source program, and
-``run_four_ways`` adds the remote-cache configuration on top -- the
-building blocks of the Table III and Figure 10 harnesses.
+machine.  :data:`CONFIGURATIONS` declares the paper's configurations
+(sequential C / simple / optimized, plus the remote-cache one) once, as
+data; ``run_three_ways`` / ``run_four_ways`` run one source program
+under them in this process, and the Table III / Figure 10 harness
+(:mod:`repro.harness.experiments`) turns the same rows into service
+``run`` jobs.
 
 Run options travel as one :class:`repro.config.RunConfig` (``config=``).
 Live object overrides -- an instantiated ``MachineParams``, ``Tracer``,
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from typing import Dict, Optional, Set, Union
+from typing import Dict, Mapping, NamedTuple, Optional, Set, Union
 
 from repro.backend.threaded import render_threaded_program
 from repro.comm.optconfig import OptConfig, resolve_opt
@@ -32,6 +34,7 @@ from repro.errors import FrontendError, UsageError
 from repro.earth.interpreter import Interpreter, RunResult
 from repro.earth.machine import Machine
 from repro.earth.params import MachineParams
+from repro.earth.rcache import DEFAULT_CAPACITY, DEFAULT_LINE_WORDS
 from repro.frontend.goto_elim import eliminate_gotos
 from repro.frontend.inline import inline_functions
 from repro.frontend.parser import parse_program
@@ -215,6 +218,71 @@ def execute(
     return interpreter.run(config.entry, config.args)
 
 
+class Configuration(NamedTuple):
+    """One row of :data:`CONFIGURATIONS`: how one of the paper's
+    configurations is compiled, and what it fixes about the run."""
+
+    #: ``compile_earthc(optimize=...)``.
+    optimize: bool
+    #: The :data:`CONFIG_PRESETS` name it compiles under.
+    preset: str
+    #: Do the caller's heuristics (``RunConfig.opt``, ``comm_config=``)
+    #: apply?  Only to the legs that measure the optimizer: the others
+    #: are the paper's fixed baselines, and a baseline compiled under
+    #: somebody's heuristics is no baseline.
+    tuned: bool
+    #: Does it run with the per-node remote-data cache on?
+    cached: bool
+    #: The :class:`RunConfig` fields it pins whatever the caller asks.
+    pins: Mapping[str, object]
+
+    def run_config(self, config: RunConfig) -> RunConfig:
+        """The :class:`RunConfig` this configuration runs under when
+        the caller asks for ``config``: its pins applied, ``opt``
+        dropped unless :attr:`tuned`, the cache off -- or, on the
+        cached leg, at the default geometry when ``config`` names
+        none."""
+        changes = dict(self.pins)
+        if not self.tuned:
+            changes["opt"] = None
+        if not self.cached:
+            changes.update(rcache_capacity=0,
+                           rcache_line_words=DEFAULT_LINE_WORDS)
+        elif config.rcache_capacity == 0:
+            changes.update(rcache_capacity=DEFAULT_CAPACITY,
+                           rcache_line_words=DEFAULT_LINE_WORDS)
+        return config.replace(**changes)
+
+
+#: The paper's configurations, in Table III's column order -- the one
+#: definition behind ``run_three_ways`` / ``run_four_ways``, the
+#: ``three-way`` / ``four-way`` job kinds and every harness leg:
+#:
+#: * ``sequential`` -- 1 node, no EARTH overheads (Table III column 1);
+#: * ``simple`` -- without communication optimization.  Like the
+#:   paper's simple versions, this still goes through locality analysis
+#:   and Phase III thread generation, so remote operations are
+#:   split-phase with sync-on-use -- they just are not *moved*, merged,
+#:   or blocked;
+#: * ``optimized`` -- after communication optimization;
+#: * ``rcached`` -- the *optimized* program re-run with the per-node
+#:   remote-data cache enabled (:mod:`repro.earth.rcache`).
+CONFIGURATIONS: Dict[str, Configuration] = {
+    "sequential": Configuration(
+        optimize=False, preset="default", tuned=False, cached=False,
+        pins={"nodes": 1, "params": "sequential-c"}),
+    "simple": Configuration(
+        optimize=True, preset="simple-baseline", tuned=False,
+        cached=False, pins={}),
+    "optimized": Configuration(
+        optimize=True, preset="default", tuned=True, cached=False,
+        pins={}),
+    "rcached": Configuration(
+        optimize=True, preset="default", tuned=True, cached=True,
+        pins={}),
+}
+
+
 def run_three_ways(
     source: str,
     filename: str = "<benchmark>",
@@ -224,16 +292,8 @@ def run_three_ways(
     faults: Optional[FaultPlan] = None,
     comm_config: Optional[CommConfig] = None,
 ) -> Dict[str, RunResult]:
-    """The paper's three configurations of one program.
-
-    * ``sequential`` -- 1 node, no EARTH overheads (Table III column 1);
-    * ``simple`` -- ``config.nodes`` nodes, without communication
-      optimization.  Like the paper's simple versions, this still goes
-      through locality analysis and Phase III thread generation, so
-      remote operations are split-phase with sync-on-use -- they just
-      are not *moved*, merged, or blocked;
-    * ``optimized`` -- ``config.nodes`` nodes, after communication
-      optimization.
+    """The paper's three configurations of one program: the uncached
+    rows of :data:`CONFIGURATIONS`, keyed by name.
 
     ``config`` is the run-side :class:`~repro.config.RunConfig`
     (default: 4 nodes; its rcache fields are ignored here -- the cached
@@ -250,9 +310,8 @@ def run_three_ways(
     if faults is not None:
         # A live plan is an override: its spec replaces the config's.
         config = config.replace(faults=faults.spec())
-    results, _ = _run_configurations(source, filename, config, inline,
-                                     comm_config, rcached=False)
-    return results
+    return _run_configurations(source, filename, config, inline,
+                               comm_config, rcached=False)
 
 
 def run_four_ways(
@@ -263,8 +322,7 @@ def run_four_ways(
     comm_config: Optional[CommConfig] = None,
 ) -> Dict[str, RunResult]:
     """Table III's fourth configuration on top of the paper's three:
-    ``rcached`` re-runs the *optimized* program with the per-node
-    remote-data cache enabled (:mod:`repro.earth.rcache`).
+    every row of :data:`CONFIGURATIONS`.
 
     The cache geometry comes from ``config``'s rcache fields; a config
     without one (capacity 0) gets the default geometry
@@ -272,52 +330,44 @@ def run_four_ways(
     :data:`~repro.earth.rcache.DEFAULT_LINE_WORDS` words).  All four
     configurations must compute the same value (checked) -- with the
     cache enabled this doubles as a coherence oracle."""
-    from repro.earth.rcache import DEFAULT_CAPACITY, DEFAULT_LINE_WORDS
     if config is None:
         config = RunConfig(nodes=4)
-    if config.rcache_capacity == 0:
-        config = config.replace(rcache_capacity=DEFAULT_CAPACITY,
-                                rcache_line_words=DEFAULT_LINE_WORDS)
-    results, _ = _run_configurations(source, filename, config, inline,
-                                     comm_config, rcached=True)
-    return results
+    return _run_configurations(source, filename, config, inline,
+                               comm_config, rcached=True)
 
 
 def _run_configurations(source, filename, config: RunConfig, inline,
                         comm_config: Optional[CommConfig],
-                        rcached: bool):
-    """Shared engine of ``run_three_ways`` / ``run_four_ways``."""
+                        rcached: bool) -> Dict[str, RunResult]:
+    """Shared engine of ``run_three_ways`` / ``run_four_ways``: each
+    distinct set of compile options is compiled once (``rcached``
+    re-runs the ``optimized`` program)."""
     results: Dict[str, RunResult] = {}
-    base = config.replace(rcache_capacity=0)
+    compiled: Dict[tuple, CompiledProgram] = {}
+    for name, leg in CONFIGURATIONS.items():
+        if leg.cached and not rcached:
+            continue
+        options = (leg.optimize, leg.preset, leg.tuned)
+        if options not in compiled:
+            comm = resolve_config(leg.preset)
+            if leg.tuned and comm_config is not None:
+                comm = comm_config
+            compiled[options] = compile_earthc(
+                source, filename, optimize=leg.optimize, config=comm,
+                inline=inline, opt=config.opt if leg.tuned else None)
+        results[name] = execute(compiled[options],
+                                config=leg.run_config(config))
+    check_same_value({name: result.value
+                      for name, result in results.items()})
+    return results
 
-    sequential = compile_earthc(source, filename, optimize=False,
-                                inline=inline)
-    results["sequential"] = execute(
-        sequential, params=MachineParams.sequential_c(),
-        config=base.replace(nodes=1))
 
-    simple = compile_earthc(source, filename, optimize=True,
-                            config=simple_baseline_config(),
-                            inline=inline)
-    results["simple"] = execute(simple, config=base)
-
-    # Heuristic knobs from the RunConfig apply to the optimized leg
-    # only -- ``simple`` is the paper's fixed baseline.
-    optimized = compile_earthc(source, filename, optimize=True,
-                               config=comm_config, inline=inline,
-                               opt=config.opt)
-    results["optimized"] = execute(optimized, config=base)
-
-    if rcached:
-        results["rcached"] = execute(optimized, config=config)
-
-    values = {name: result.value for name, result in results.items()}
-    if len({_norm(v) for v in values.values()}) != 1:
+def check_same_value(values: Dict[str, object]) -> None:
+    """The optimizer moves communication, never meaning: every
+    configuration of one program computes one value."""
+    if len({_norm(value) for value in values.values()}) != 1:
         raise AssertionError(
             f"configurations disagree on the program result: {values}")
-    compiled = {"sequential": sequential, "simple": simple,
-                "optimized": optimized}
-    return results, compiled
 
 
 def run(

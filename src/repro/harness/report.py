@@ -25,8 +25,9 @@ import json
 import sys
 import time
 
-from repro.config import int_list
-from repro.errors import EXIT_USAGE, UsageError
+from repro.__main__ import _emit_error
+from repro.config import RunConfig, int_list
+from repro.errors import ReproError, UsageError
 from repro.harness.experiments import (
     format_fig10,
     format_opt_sweep,
@@ -35,14 +36,13 @@ from repro.harness.experiments import (
     format_table3,
     format_utilization,
     measure_fig10,
-    measure_fig10_pooled,
     measure_opt_sweep,
     measure_table1,
     measure_table3,
-    measure_table3_pooled,
     measure_utilization,
 )
-from repro.olden.loader import catalog
+from repro.olden.loader import catalog, get_benchmark
+from repro.service.pool import WorkerPool
 
 
 def main(argv=None) -> int:
@@ -68,25 +68,50 @@ def main(argv=None) -> int:
                              "(per-benchmark EU/SU utilization for the "
                              "simple and optimized configurations)")
     parser.add_argument("--workers", type=int, default=0,
-                        help="run Table III / Figure 10 through the "
-                             "service worker pool with this many "
-                             "processes (0 = in-process; default)")
+                        help="worker processes of the pool every "
+                             "benchmark leg runs through (0 = inline, "
+                             "in this process; default)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="with --workers: content-addressed "
-                             "artifact cache root (default: no disk "
-                             "cache)")
+                        help="content-addressed artifact cache root: a "
+                             "leg found there is not run again, so an "
+                             "interrupted report resumes (default: "
+                             "memory only)")
     args = parser.parse_args(argv)
 
+    # Everything the run can refuse, it refuses before the first table.
     try:
         processor_counts = int_list(args.nodes, "--nodes")
         if not processor_counts:
             raise UsageError("--nodes needs at least one processor count")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    benchmarks = args.benchmarks.split(",") if args.benchmarks else None
+        for processors in processor_counts:
+            RunConfig(nodes=processors)
+        if args.workers < 0:
+            raise UsageError(f"--workers must be >= 0, got {args.workers}")
+        benchmarks = args.benchmarks.split(",") if args.benchmarks \
+            else [spec.name for spec in catalog()]
+        for name in benchmarks:
+            try:
+                get_benchmark(name)
+            except KeyError as exc:
+                raise UsageError(exc.args[0]) from None
+        if args.metrics_json:
+            open(args.metrics_json, "a").close()
+    except (UsageError, OSError) as exc:
+        return _emit_error(exc, json_mode=False)
 
     start = time.time()
+    try:
+        with WorkerPool(args.workers, cache_dir=args.cache_dir) as pool:
+            _report(args, processor_counts, benchmarks, pool)
+    except (ReproError, OSError, AssertionError) as exc:
+        return _emit_error(exc, json_mode=False)
+    print(f"(total harness time: {time.time() - start:.1f}s wall)")
+    return 0
+
+
+def _report(args, processor_counts, benchmarks, pool: WorkerPool) -> None:
+    """Print every table.  All benchmark legs go through ``pool``, so
+    a leg another table already ran is a cache hit."""
     print("=" * 72)
     print(format_table1(measure_table1()))
     print()
@@ -94,52 +119,36 @@ def main(argv=None) -> int:
     print(format_table2())
     print()
     print("=" * 72)
-    if args.workers > 0:
-        rows = measure_table3_pooled(processor_counts, benchmarks,
-                                     small=args.small,
-                                     workers=args.workers,
-                                     cache_dir=args.cache_dir,
-                                     rcache=args.rcache)
-    else:
-        rows = measure_table3(processor_counts, benchmarks,
-                              small=args.small, rcache=args.rcache)
+    rows = measure_table3(processor_counts, benchmarks, small=args.small,
+                          rcache=args.rcache, pool=pool)
     print(format_table3(rows))
     print()
     print("=" * 72)
-    if args.workers > 0:
-        bars = measure_fig10_pooled(max(processor_counts), benchmarks,
-                                    small=args.small,
-                                    workers=args.workers,
-                                    cache_dir=args.cache_dir)
-    else:
-        bars = measure_fig10(max(processor_counts), benchmarks,
-                             small=args.small)
+    bars = measure_fig10(max(processor_counts), benchmarks,
+                         small=args.small, pool=pool)
     print(format_fig10(bars))
     print()
     if args.opt_sweep:
         print("=" * 72)
         rows = measure_opt_sweep(min(4, max(processor_counts)),
-                                 benchmarks, small=args.small)
+                                 benchmarks, small=args.small, pool=pool)
         print(format_opt_sweep(rows))
         print()
     if args.metrics_json:
-        names = benchmarks if benchmarks is not None \
-            else [spec.name for spec in catalog()]
         nodes = max(processor_counts)
         metrics = {}
         print("=" * 72)
-        for name in names:
+        for name in benchmarks:
             metrics[name] = measure_utilization(name, nodes,
                                                 small=args.small,
-                                                rcache=args.rcache)
+                                                rcache=args.rcache,
+                                                pool=pool)
             print(format_utilization(name, metrics[name]))
         with open(args.metrics_json, "w") as handle:
             json.dump({"nodes": nodes, "benchmarks": metrics}, handle,
                       indent=2, sort_keys=True)
         print(f"(metrics written to {args.metrics_json})")
         print()
-    print(f"(total harness time: {time.time() - start:.1f}s wall)")
-    return 0
 
 
 if __name__ == "__main__":

@@ -124,11 +124,11 @@ class ServiceMetrics:
         self.hit_latency = LatencyHistogram()
         self.miss_latency = LatencyHistogram()
 
-    def incr(self, name: str, amount: int = 1) -> None:
+    def incr(self, name: str) -> None:
         if name not in self.COUNTERS:
             raise ValueError(f"unknown service counter {name!r}")
         with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
+            setattr(self, name, getattr(self, name) + 1)
 
     def adjust_queue_depth(self, delta: int) -> None:
         with self._lock:
@@ -168,33 +168,6 @@ class ServiceMetrics:
             payload["hit_latency"] = self.hit_latency.to_dict()
             payload["miss_latency"] = self.miss_latency.to_dict()
             return payload
-
-    def format_text(self) -> str:
-        data = self.to_dict()
-        lines = ["== service metrics",
-                 f"  jobs: {data['jobs_submitted']} submitted, "
-                 f"{data['jobs_completed']} completed, "
-                 f"{data['jobs_failed']} failed",
-                 f"  cache: {data['cache_hits']} hits, "
-                 f"{data['cache_misses']} misses "
-                 f"(hit rate {100 * data['cache_hit_rate']:.1f}%), "
-                 f"{data['singleflight_hits']} single-flight joins",
-                 f"  queue: depth {data['queue_depth']} "
-                 f"(peak {data['peak_queue_depth']}), "
-                 f"{data['rejected_busy']} rejected busy",
-                 f"  resilience: {data['jobs_requeued']} requeued, "
-                 f"{data['worker_crashes']} crashes, "
-                 f"{data['job_timeouts']} timeouts"]
-        if data["http_requests"]:
-            lines.append(f"  http: {data['http_requests']} requests, "
-                         f"{data['http_errors']} errors")
-        lat = data["latency"]
-        if lat["count"]:
-            buckets = " ".join(f"{k}:{v}" for k, v
-                               in lat["buckets"].items())
-            lines.append(f"  latency: mean {lat['mean_s'] * 1e3:.1f}ms "
-                         f"max {lat['max_s'] * 1e3:.1f}ms  {buckets}")
-        return "\n".join(lines)
 
 
 class TraceMetrics:

@@ -48,6 +48,7 @@ from repro.earth.interpreter import RunResult
 from repro.errors import ReproError, ServiceError, error_body, exit_code_for
 from repro.harness.pipeline import (
     CONFIG_PRESETS,
+    CONFIGURATIONS,
     PIPELINE_VERSION,
     CompiledProgram,
     compile_earthc,
@@ -220,15 +221,15 @@ class JobSpec:
                 else self.run.opt.to_json(),
             }
         if self.kind != "compile":
+            run = self.run.replace(**changes) if changes else self.run
             if self.kind == "three-way":
-                # run_three_ways ignores the cache fields; normalize
-                # them out of the key so equivalent jobs share an
-                # address.
-                changes.update(rcache_capacity=0, rcache_line_words=16)
+                # run_three_ways ignores the cache fields; the key is
+                # over what its widest leg runs under, so equivalent
+                # jobs share an address.
+                run = CONFIGURATIONS["optimized"].run_config(run)
             # The config's canonical JSON form is embedded verbatim:
             # every run option -- current and future -- lands in the
             # cache key without per-field bookkeeping here.
-            run = self.run.replace(**changes) if changes else self.run
             resolved["run"] = run.to_json()
         return resolved
 
@@ -308,7 +309,8 @@ class JobResult:
             error = self.error or {}
             raise ServiceError(
                 f"job failed [{error.get('type', 'unknown')}]: "
-                f"{error.get('message', 'no message')}")
+                f"{error.get('message', 'no message')}",
+                code=error.get("code"))
         return self
 
     def __repr__(self) -> str:

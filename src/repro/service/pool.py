@@ -91,7 +91,6 @@ class WorkerPool:
                  timeout_s: Optional[float] = None,
                  max_attempts: int = 3,
                  backoff_s: float = 0.05,
-                 metrics: Optional[ServiceMetrics] = None,
                  store_url: Optional[str] = None):
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
@@ -104,7 +103,7 @@ class WorkerPool:
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = ServiceMetrics()
         #: The pool's one cache, whatever the worker count: the two
         #: local tiers, plus the fleet's remote store under a store URL
         #: (imported lazily: plain pools do not pay for the package).

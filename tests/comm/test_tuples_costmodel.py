@@ -1,8 +1,6 @@
-"""Tuple algebra and cost model tests."""
+"""Tuple algebra and blocking-decision tests."""
 
-import pytest
-
-from repro.comm.costmodel import CommCostModel
+from repro.comm.optconfig import OptConfig
 from repro.comm.tuples import CommSet, CommTuple, selected_ops
 from repro.frontend.types import FieldPath
 
@@ -69,23 +67,15 @@ class TestCommSet:
 
 
 class TestCostModel:
-    def test_table1_defaults(self):
-        model = CommCostModel()
-        assert model.read_cost(pipelined=True) == 1908.0
-        assert model.read_cost(pipelined=False) == 7109.0
-        assert model.write_cost(pipelined=True) == 1749.0
-        assert model.blkmov_cost(1, pipelined=True) == 2602.0
-        assert model.blkmov_cost(1, pipelined=False) == 9700.0
-
     def test_threshold_of_three_accesses(self):
-        model = CommCostModel()
+        model = OptConfig()
         # Two accesses pipeline (paper Fig 8's t group)...
         assert not model.should_block(2, 2.0, 4, 4)
         # ...three block (Fig 8's p group).
         assert model.should_block(3, 3.0, 5, 5)
 
     def test_expected_frequency_floor(self):
-        model = CommCostModel()
+        model = OptConfig()
         # Five syntactic accesses but expected below the floor: the
         # block move would rarely pay for itself.
         assert not model.should_block(5, 1.5, 5, 7)
@@ -93,20 +83,15 @@ class TestCostModel:
         assert model.should_block(5, 2.0, 5, 7)
 
     def test_spurious_field_correction(self):
-        model = CommCostModel()
+        model = OptConfig()
         # 3 needed words inside a giant 100-word struct: pipeline.
         assert not model.should_block(3, 3.0, 3, 100)
         assert model.should_block(3, 3.0, 3, 12)
 
     def test_zero_words_never_blocks(self):
-        model = CommCostModel()
+        model = OptConfig()
         assert not model.should_block(5, 5.0, 0, 8)
 
-    def test_sync_extras(self):
-        model = CommCostModel()
-        assert model.read_sync_extra_ns() == pytest.approx(5201.0)
-        assert model.write_sync_extra_ns() == pytest.approx(4709.0)
-
     def test_custom_threshold(self):
-        model = CommCostModel(block_access_threshold=2)
+        model = OptConfig(block_access_threshold=2)
         assert model.should_block(2, 2.0, 4, 4)

@@ -56,8 +56,8 @@ def start_gateway(workers=0, cache_dir=None, max_queue_depth=64,
         pool = WorkerPool(workers, cache_dir=cache_dir,
                           store_url=store_url)
     return LiveServer(serve_gateway_forever, (pool,),
-                      {"port": 0, "max_queue_depth": max_queue_depth,
-                       "store_url": store_url}, "gateway")
+                      {"port": 0, "max_queue_depth": max_queue_depth},
+                      "gateway")
 
 
 def start_store(root):

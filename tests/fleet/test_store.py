@@ -202,6 +202,23 @@ class TestGatewayStoreCounters:
         finally:
             second.close()
 
+    def test_the_gateway_names_its_pools_store(self, store, gateway):
+        """One source of truth: ``store_url`` is given once, to the
+        pool, and both status routes read it there."""
+        from repro.service.pool import WorkerPool
+        from tests.fleet.conftest import start_gateway
+        backed = start_gateway(pool=WorkerPool(0, cache_dir=None,
+                                               store_url=store.url))
+        try:
+            for route in ("/healthz", "/metrics"):
+                assert backed.request("GET", route)[1]["store"] \
+                    == store.url
+                assert gateway.request("GET", route)[1]["store"] is None
+            assert backed.request("GET", "/metrics")[1]["metrics"][
+                "store_url"] == store.url
+        finally:
+            backed.close()
+
     def test_unwritable_cache_dir_still_fills_from_the_store(
             self, store, tmp_path):
         """The remote tier holds the payload, the local disk refuses

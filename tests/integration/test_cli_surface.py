@@ -265,3 +265,43 @@ def test_bad_number_list_is_a_usage_error(case, tmp_path, capsys):
         assert captured.err.startswith(f"error: {flag} needs "
                                        f"comma-separated integers")
         assert captured.err.count("\n") == 1
+
+
+#: What ``report`` refuses, it refuses before the first table: case ->
+#: (argv, exit code, what the one stderr line says).  DIR stands for a
+#: directory that does not exist.
+REPORT_REFUSALS = {
+    "benchmark": (["--benchmarks", "power,nosuch"], 2,
+                  "unknown benchmark 'nosuch'"),
+    "nodes": (["--nodes", "1,0"], 2, "nodes must be >= 1, got 0"),
+    "metrics-path": (["--metrics-json", "DIR/m.json"], 5, "DIR/m.json"),
+    "workers": (["--workers", "-1"], 2, "--workers must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_REFUSALS))
+def test_report_refuses_before_the_first_table(case, tmp_path, capsys):
+    from repro.harness import report
+    argv, code, message = REPORT_REFUSALS[case]
+    missing = str(tmp_path / "missing")
+    argv = ["--small"] + [arg.replace("DIR", missing) for arg in argv]
+    assert report.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message.replace("DIR", missing) in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_report_ends_on_a_failed_jobs_own_code(monkeypatch, capsys):
+    """A leg that fails mid-run is one ``error:`` line and the exit
+    code the main CLI gives that failure (4: a simulator error)."""
+    from repro.harness import report
+    from repro.olden.loader import get_benchmark
+    monkeypatch.setattr(get_benchmark("power"), "max_stmts", 10)
+    assert report.main(["--small", "--nodes", "1",
+                        "--benchmarks", "power"]) == 4
+    captured = capsys.readouterr()
+    assert "Table II" in captured.out and "Table III" not in captured.out
+    assert captured.err.startswith("error: job failed [")
+    assert captured.err.count("\n") == 1

@@ -1,22 +1,27 @@
-"""Report driver (--metrics-json, --workers) and the batch-backed
-sweep helpers in repro.harness.experiments."""
+"""Report driver (--metrics-json, --workers, --cache-dir) and the one
+path under it in repro.harness.experiments: CONFIGURATIONS legs as
+``run`` jobs through one pool."""
 
 import json
+from collections import OrderedDict
 
 import pytest
 
 from repro.config import RunConfig
+from repro.errors import ServiceError
 from repro.harness.experiments import (
-    fig10_bars_from_payloads,
+    leg_job,
+    measure_bundles,
     measure_fig10,
-    measure_fig10_pooled,
     measure_table3,
-    measure_table3_pooled,
-    rows_from_payloads,
     sweep_jobs,
 )
+from repro.harness.pipeline import CONFIGURATIONS
 from repro.harness.report import main as report_main
-from repro.service.jobs import JobResult
+from repro.olden.loader import catalog, get_benchmark
+from repro.service import jobs as service_jobs
+from repro.service.jobs import JobSpec, execute_job
+from repro.service.pool import WorkerPool
 
 
 class TestSweepJobs:
@@ -38,67 +43,150 @@ class TestSweepJobs:
         assert jobs[0].run.faults == {"seed": 3}
 
 
-class TestPayloadReconstruction:
-    def _fake(self, time_seq, time_simple, time_opt, reads=2):
-        stats = {"remote_reads": reads, "remote_writes": 1,
-                 "remote_blkmovs": 0, "remote_blkmov_words": 0}
-        def entry(t):
-            return {"value": 1, "time_ns": t, "output": [],
-                    "num_nodes": 1, "stats": stats, "utilization": {}}
-        return JobResult(True, "three-way", "k", payload={
-            "sequential": entry(time_seq),
-            "simple": entry(time_simple),
-            "optimized": entry(time_opt)})
+class TestConfigurationsAreRunJobs:
+    """``three-way`` / ``four-way`` are bundles of plain ``run`` jobs:
+    every leg the harness builds from CONFIGURATIONS returns what the
+    bundle job returns under that name."""
 
-    def test_rows_share_the_first_sequential_baseline(self):
-        jobs = sweep_jobs([1, 4], benchmarks=["power"], small=True)
-        results = [self._fake(100.0, 90.0, 80.0),
-                   self._fake(999.0, 50.0, 40.0)]
-        rows = rows_from_payloads(jobs, results)
-        assert [r.processors for r in rows] == [1, 4]
-        # Row 2's own sequential time (999) is ignored: the benchmark's
-        # first row sets the baseline, as measure_table3 does.
-        assert rows[1].sequential_ns == 100.0
-        assert rows[1].optimized_speedup == pytest.approx(2.5)
+    @pytest.mark.parametrize("name", [spec.name for spec in catalog()])
+    @pytest.mark.parametrize("nodes", [1, 4])
+    def test_each_leg_is_the_bundles_entry(self, name, nodes):
+        bundle = execute_job(JobSpec(
+            "four-way", benchmark=name, small=True,
+            nodes=nodes)).raise_if_failed().payload
+        assert list(bundle) == list(CONFIGURATIONS)
+        for configuration in CONFIGURATIONS:
+            leg = execute_job(leg_job(name, configuration, nodes,
+                                      small=True)).raise_if_failed()
+            assert leg.payload["run"] == bundle[configuration]
 
-    def test_failed_payload_raises(self):
-        jobs = sweep_jobs([1], benchmarks=["power"], small=True)
-        bad = JobResult(False, "three-way", None,
-                        error={"type": "X", "message": "boom",
-                               "code": 6})
-        with pytest.raises(Exception, match="boom"):
-            rows_from_payloads(jobs, [bad])
+    def test_heuristics_reach_only_the_tuned_legs(self):
+        run = RunConfig(opt="probabilistic")
+        for configuration, leg in CONFIGURATIONS.items():
+            job = leg_job("power", configuration, 4, small=True, run=run)
+            assert (job.run.opt is not None) == leg.tuned, configuration
+        assert [name for name, leg in CONFIGURATIONS.items()
+                if leg.tuned] == ["optimized", "rcached"]
+
+    def test_sequential_pins_its_machine(self):
+        job = leg_job("power", "sequential", 16, small=True)
+        assert job.run.nodes == 1 and job.run.params == "sequential-c"
+        assert job.canonical_key() == \
+            leg_job("power", "sequential", 2, small=True).canonical_key()
 
 
-class TestPooledSweepsMatchInProcess:
-    def test_table3_rows_identical(self):
-        direct = measure_table3((1, 2), benchmarks=["power"],
-                                small=True)
-        pooled = measure_table3_pooled((1, 2), benchmarks=["power"],
-                                       small=True, workers=0)
-        assert len(pooled) == len(direct)
-        for mine, theirs in zip(pooled, direct):
-            assert mine.benchmark == theirs.benchmark
-            assert mine.processors == theirs.processors
-            assert mine.sequential_ns == theirs.sequential_ns
-            assert mine.simple_ns == theirs.simple_ns
-            assert mine.optimized_ns == theirs.optimized_ns
+class TestOnePath:
+    def test_rows_share_the_benchmarks_one_sequential_leg(self):
+        bundles = measure_bundles([1, 2, 4], ["power"], small=True)
+        assert list(bundles) == [("power", 1), ("power", 2), ("power", 4)]
+        first = bundles["power", 1]["sequential"]
+        assert all(bundle["sequential"] is first
+                   for bundle in bundles.values())
 
-    def test_fig10_bars_identical(self):
-        direct = measure_fig10(2, benchmarks=["power"], small=True)
-        pooled = measure_fig10_pooled(2, benchmarks=["power"],
-                                      small=True, workers=0)
-        assert len(pooled) == 1
-        assert pooled[0].simple_counts == direct[0].simple_counts
-        assert pooled[0].optimized_counts == direct[0].optimized_counts
+    def test_a_failed_leg_raises_with_its_code(self, monkeypatch):
+        monkeypatch.setattr(get_benchmark("power"), "max_stmts", 10)
+        with pytest.raises(ServiceError, match="budget") as failure:
+            measure_table3((1,), benchmarks=["power"], small=True)
+        assert failure.value.code == 4      # a simulator error's
 
-    def test_fig10_reconstruction_from_execute(self):
-        jobs = sweep_jobs([2], benchmarks=["power"], small=True)
-        from repro.service.jobs import execute_job
-        bars = fig10_bars_from_payloads(
-            jobs, [execute_job(job) for job in jobs])
-        assert bars[0].benchmark == "power"
+    def test_an_unknown_benchmark_raises(self):
+        with pytest.raises(ServiceError, match="unknown benchmark"):
+            measure_table3((1,), benchmarks=["nosuch"], small=True)
+
+    def test_legs_that_disagree_raise(self, monkeypatch):
+        real = service_jobs.run_payload
+
+        def skewed(result):
+            payload = real(result)
+            if result.num_nodes == 2:
+                payload["value"] += 1
+            return payload
+
+        monkeypatch.setattr(service_jobs, "run_payload", skewed)
+        with pytest.raises(AssertionError, match="disagree"):
+            measure_table3((2,), benchmarks=["power"], small=True)
+
+    def test_the_pool_changes_no_number(self):
+        inline = measure_table3((1, 2), benchmarks=["power"], small=True,
+                                rcache=True)
+        with WorkerPool(2, cache_dir=None) as pool:
+            pooled = measure_table3((1, 2), benchmarks=["power"],
+                                    small=True, rcache=True, pool=pool)
+            bars = measure_fig10(2, benchmarks=["power"], small=True,
+                                 pool=pool)
+            # Figure 10 read Table III's legs: nothing new was run.
+            assert pool.metrics.cache_misses == 7
+            assert pool.metrics.cache_hits == 3
+        assert [vars(row) for row in pooled] == \
+            [vars(row) for row in inline]
+        (direct,) = measure_fig10(2, benchmarks=["power"], small=True)
+        assert bars[0].simple_counts == direct.simple_counts
+        assert bars[0].optimized_counts == direct.optimized_counts
         assert bars[0].simple_total > bars[0].optimized_total > 0
+
+
+class _Calls:
+    """Counts what the service executor compiles and simulates (the
+    Table I probes call the harness's own names and are not seen)."""
+
+    def __init__(self, monkeypatch):
+        self.compiles = []
+        self.simulations = 0
+        real_compile = service_jobs.compile_earthc
+        real_execute = service_jobs.execute
+
+        def compile_earthc(source, filename, **options):
+            # The options that differ between a benchmark's programs.
+            self.compiles.append((filename, options["optimize"],
+                                  options["config"], repr(options["opt"])))
+            return real_compile(source, filename, **options)
+
+        def execute(compiled, **options):
+            self.simulations += 1
+            return real_execute(compiled, **options)
+
+        monkeypatch.setattr(service_jobs, "compile_earthc", compile_earthc)
+        monkeypatch.setattr(service_jobs, "execute", execute)
+        # A memo other tests warmed would hide compiles.
+        monkeypatch.setattr(service_jobs, "_COMPILE_MEMO", OrderedDict())
+
+
+class TestEachLegOnce:
+    ARGV = ["--small", "--nodes", "1,2", "--benchmarks", "power,tsp",
+            "--rcache", "--opt-sweep"]
+
+    def test_every_table_shares_one_pool(self, monkeypatch, tmp_path,
+                                         capsys):
+        calls = _Calls(monkeypatch)
+        out = tmp_path / "metrics.json"
+        assert report_main(self.ARGV + ["--metrics-json", str(out)]) == 0
+        # Per benchmark: one sequential leg, three legs at each of the
+        # two counts, one probabilistic leg.  Figure 10, the sweep's
+        # legacy row and --metrics-json add none.
+        assert calls.simulations == 2 * (1 + 2 * 3 + 1)
+        # ... over four programs each: sequential, simple, optimized,
+        # optimized under the probabilistic heuristics.
+        assert len(calls.compiles) == 2 * 4
+        assert len(set(calls.compiles)) == len(calls.compiles)
+        assert set(json.loads(out.read_text())["benchmarks"]["tsp"]) \
+            == set(CONFIGURATIONS)
+
+    def test_a_second_report_over_the_cache_dir_simulates_nothing(
+            self, monkeypatch, tmp_path, capsys):
+        argv = self.ARGV + ["--cache-dir", str(tmp_path / "cache")]
+        assert report_main(argv) == 0
+        first = capsys.readouterr().out
+        calls = _Calls(monkeypatch)
+        assert report_main(argv) == 0
+        second = capsys.readouterr().out
+        assert calls.simulations == 0 and calls.compiles == []
+
+        def tables(text):
+            return [line for line in text.splitlines()
+                    if not line.startswith("(total harness time")]
+
+        assert tables(second) == tables(first)
+        assert "Table III" in first and "OptConfig sweep" in first
 
 
 class TestReportDriver:
