@@ -51,7 +51,10 @@ overrides beside it.  The optimizer's heuristic knobs live in
 closure engine: ``engine`` is ``"codegen"`` (default) or
 ``"ast"``.  2.1 removed the separate cost-model class: Table I is
 :class:`MachineParams`, the blocking decision
-:meth:`OptConfig.should_block`.
+:meth:`OptConfig.should_block`.  2.2 removed the bundle job kinds from
+the wire (a job is ``compile`` or ``run``; the paper's three/four
+configurations are a sweep of ``run`` jobs, ``batch``'s default) and
+the load-test verb with its generator (``bench/`` is the load harness).
 """
 
 from repro.comm.optconfig import OptConfig
@@ -78,7 +81,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.1.0"
+__version__ = "2.2.0"
 
 __all__ = [
     "ArtifactCache",

@@ -5,7 +5,6 @@
     python -m repro submit [options]           send one job to a gateway
     python -m repro batch [options]            run a job sweep (pool/gateway)
     python -m repro fleet-store [options]      shared artifact blob store
-    python -m repro loadtest [options]         open-loop fleet load test
     python -m repro genjobs [options]          seeded synthetic job stream
 
 Compiles an EARTH-C file and, on request, prints its SIMPLE form, its
@@ -32,7 +31,6 @@ Examples::
     python -m repro serve --workers 4 --port 7781 --store 127.0.0.1:7792
     python -m repro submit --benchmark power --small --nodes 4 --json
     python -m repro batch --benchmarks power,tsp --nodes 1,2,4 --workers 4
-    python -m repro loadtest --targets 127.0.0.1:7781 --rate 20 --total 200
     python -m repro genjobs --seed 7 --count 20 --output jobs.json
     python -m repro batch --jobs jobs.json --workers 4
 
@@ -71,13 +69,12 @@ from repro.errors import (
     error_body,
     exit_code_for,
 )
-from repro.harness.pipeline import CONFIGURATIONS, compile_earthc, execute
+from repro.harness.pipeline import compile_earthc, execute
 from repro.obs import TraceMetrics, export_chrome_trace
 from repro.simple import nodes as s
 from repro.simple.printer import print_function
 
-SERVICE_VERBS = ("serve", "submit", "batch",
-                 "fleet-store", "loadtest", "genjobs")
+SERVICE_VERBS = ("serve", "submit", "batch", "fleet-store", "genjobs")
 
 
 def _emit_error(exc: BaseException, json_mode: bool,
@@ -389,23 +386,28 @@ def _service_main(verb: str, argv) -> int:
         return _submit_main(argv)
     if verb == "fleet-store":
         return _fleet_store_main(argv)
-    if verb == "loadtest":
-        return _loadtest_main(argv)
     if verb == "genjobs":
         return _genjobs_main(argv)
     return _batch_main(argv)
 
 
+def _checked_port(port: int, flag: str = "--port") -> int:
+    """``port``, refused before any socket is bound or opened when no
+    socket can have it."""
+    if not 0 <= port <= 65535:
+        raise UsageError(f"{flag} must be in 0..65535, got {port}")
+    return port
+
+
 def _run_server(port: int, serve) -> int:
     """Run ``serve()``, a blocking server entry point listening on
     ``port``, until it is shut down; returns the exit code."""
-    if not 0 <= port <= 65535:
-        return _usage_error(f"--port must be in 0..65535, got {port}")
     try:
+        _checked_port(port)
         serve()
     except KeyboardInterrupt:
         return EXIT_OK
-    except (ServiceError, OSError) as exc:
+    except (UsageError, ServiceError, OSError) as exc:
         return _emit_error(exc, False)
     return EXIT_OK
 
@@ -456,6 +458,9 @@ def _serve_main(argv) -> int:
                             f"{opts.max_attempts}")
     if opts.timeout is not None and opts.timeout <= 0:
         return _usage_error(f"--timeout must be > 0, got {opts.timeout}")
+    if opts.max_queue_depth < 1:
+        return _usage_error(f"--max-queue-depth must be >= 1, got "
+                            f"{opts.max_queue_depth}")
     store_url = None
     if opts.store is not None:
         from repro.fleet.store import parse_store_url
@@ -496,8 +501,7 @@ def _submit_main(argv) -> int:
     parser.add_argument("--benchmark", default=None,
                         help="bundled Olden benchmark name")
     parser.add_argument("--kind", default="run",
-                        choices=("compile", "run", "three-way",
-                                 "four-way"))
+                        choices=("compile", "run"))
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7781)
     _add_run_flags(parser, "--nodes", "--rcache-capacity",
@@ -537,7 +541,7 @@ def _submit_main(argv) -> int:
                        config=opts.config, inline=opts.inline,
                        small=opts.small, args=run_args,
                        **cli_run_options(opts))
-        with ServiceClient(opts.host, opts.port,
+        with ServiceClient(opts.host, _checked_port(opts.port),
                            timeout=opts.timeout) as client:
             result = client.submit(spec)
     except (ReproError, ValueError) as exc:
@@ -576,17 +580,17 @@ def _render_job(result, label: str = None) -> str:
         lines.append(f"  result={run.get('value')}  "
                      f"time={run.get('time_ns', 0) / 1e6:.3f}ms "
                      f"simulated on {run.get('num_nodes')} node(s)")
-    else:
-        for name in CONFIGURATIONS:
-            entry = payload.get(name)
-            if entry:
-                lines.append(f"  {name:<11}"
-                             f"{entry['time_ns'] / 1e6:>10.3f}ms  "
-                             f"value={entry['value']}")
     return "\n".join(lines)
 
 
 def _batch_main(argv) -> int:
+    from repro.harness.experiments import (
+        BUNDLE_SWEEPS,
+        bundle_jobs,
+        bundles_of,
+        run_legs,
+        sweep_jobs,
+    )
     from repro.service import (
         DEFAULT_CACHE_DIR,
         JobSpec,
@@ -611,7 +615,13 @@ def _batch_main(argv) -> int:
                              "sweep (default 1,2,4)")
     parser.add_argument("--kind", default="three-way",
                         choices=("compile", "run", "three-way",
-                                 "four-way"))
+                                 "four-way"),
+                        help="what the sweep holds per benchmark and "
+                             "processor count: one job of that kind, or "
+                             "the paper's sequential / simple / optimized "
+                             "configurations (four-way: and the cached "
+                             "one), one run job each (default "
+                             "%(default)s)")
     parser.add_argument("--small", action="store_true",
                         help="use reduced problem sizes")
     _add_run_flags(parser, "--engine", "--rcache-capacity",
@@ -632,6 +642,12 @@ def _batch_main(argv) -> int:
                         help="print the JSON result array on stdout")
     opts = parser.parse_args(argv)
 
+    if opts.workers < 0:
+        return _usage_error(f"--workers must be >= 0, got {opts.workers}",
+                            opts.json)
+    #: (benchmark, processors, configuration) -> job, when the sweep is
+    #: of the paper's bundles.
+    legs = None
     try:
         if opts.jobs is not None:
             try:
@@ -647,13 +663,17 @@ def _batch_main(argv) -> int:
                                     "array of job specs", opts.json)
             specs = [JobSpec.from_dict(entry) for entry in raw]
         else:
-            from repro.harness.experiments import sweep_jobs
             benchmarks = opts.benchmarks.split(",") \
                 if opts.benchmarks else None
             counts = int_list(opts.node_counts, "--nodes")
-            specs = sweep_jobs(counts, benchmarks, small=opts.small,
-                               kind=opts.kind,
-                               run=RunConfig.from_cli_args(opts))
+            run = RunConfig.from_cli_args(opts)
+            if opts.kind in BUNDLE_SWEEPS:
+                legs = bundle_jobs(counts, benchmarks, opts.small,
+                                   BUNDLE_SWEEPS[opts.kind], run)
+                specs = list(legs.values())
+            else:
+                specs = sweep_jobs(counts, benchmarks, small=opts.small,
+                                   kind=opts.kind, run=run)
         if not specs:
             return _usage_error("batch has no jobs to run", opts.json)
 
@@ -662,16 +682,35 @@ def _batch_main(argv) -> int:
             if not host or not port_text.isdigit():
                 return _usage_error("--connect needs HOST:PORT",
                                     opts.json)
-            with ServiceClient(host, int(port_text)) as client:
-                results = client.batch(specs)
+            runner = ServiceClient(host, _checked_port(int(port_text),
+                                                       "--connect port"))
+            run_batch = runner.batch
         else:
-            cache_dir = None if opts.no_cache else opts.cache_dir
-            with WorkerPool(opts.workers, cache_dir=cache_dir) as pool:
-                results = pool.run_batch(specs)
-    except (ReproError, ValueError) as exc:
+            runner = WorkerPool(
+                opts.workers,
+                cache_dir=None if opts.no_cache else opts.cache_dir)
+            run_batch = runner.run_batch
+        with runner:
+            if legs is None:
+                results = run_batch(specs)
+            else:
+                results = list(run_legs(legs, run_batch).values())
+                if all(result.ok for result in results):
+                    bundles_of({label: result.payload["run"]
+                                for label, result in zip(legs, results)})
+    except (ReproError, ValueError, AssertionError) as exc:
         return _emit_error(exc, opts.json)
 
     dump = [result.to_dict() for result in results]
+    if legs is None:
+        labels = [f"{spec.benchmark or spec.filename or '<inline>'} "
+                  f"p={spec.run.nodes}" for spec in specs]
+    else:
+        labels = [f"{name} p={processors} {configuration}"
+                  for name, processors, configuration in legs]
+        dump = [dict(zip(("benchmark", "processors", "configuration"),
+                         label), **entry)
+                for label, entry in zip(legs, dump)]
     if opts.output is not None:
         try:
             with open(opts.output, "w") as handle:
@@ -681,10 +720,8 @@ def _batch_main(argv) -> int:
     if opts.json:
         print(json.dumps(dump, indent=2, sort_keys=True))
     else:
-        for spec, result in zip(specs, results):
-            label = spec.benchmark or spec.filename or "<inline>"
-            print(_render_job(result,
-                              label=f"{label} p={spec.run.nodes}"))
+        for label, result in zip(labels, results):
+            print(_render_job(result, label=label))
         failed = sum(1 for result in results if not result.ok)
         hits = sum(1 for result in results if result.cache == "hit")
         print(f"batch: {len(results) - failed}/{len(results)} ok, "
@@ -698,7 +735,7 @@ def _batch_main(argv) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fleet verbs: fleet-store / loadtest
+# Fleet verbs: fleet-store / genjobs
 # ---------------------------------------------------------------------------
 
 
@@ -724,113 +761,6 @@ def _fleet_store_main(argv) -> int:
 
     return _run_server(opts.port, lambda: serve_store_forever(
         opts.cache_dir, opts.host, opts.port, ready_callback=ready))
-
-
-def _loadtest_main(argv) -> int:
-    from repro.fleet import LoadGenerator
-    from repro.fleet.store import parse_store_url
-    from repro.service import JobSpec
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro loadtest",
-        description="Seeded open-loop load test against one or more "
-                    "`serve` gateways")
-    parser.add_argument("--targets", required=True,
-                        metavar="HOST:PORT[,HOST:PORT...]",
-                        help="comma-separated gateway addresses")
-    parser.add_argument("--benchmarks", default=None,
-                        help="comma-separated Olden benchmark mix "
-                             "(default: the full catalog; 'none' for "
-                             "a purely generated mix)")
-    parser.add_argument("--generated", type=int, default=0,
-                        metavar="N",
-                        help="add N seeded synthetic workload jobs "
-                             "to the mix (repro.workload)")
-    parser.add_argument("--generated-seed", type=int, default=None,
-                        metavar="SEED",
-                        help="workload generation seed (default: "
-                             "--seed)")
-    parser.add_argument("--kind", default="run",
-                        choices=("compile", "run"))
-    _add_run_flags(parser, "--engine", "--nodes", nodes=2)
-    parser.add_argument("--small", action="store_true", default=True,
-                        help="use reduced problem sizes (default on)")
-    parser.add_argument("--full-size", dest="small",
-                        action="store_false",
-                        help="use catalog problem sizes")
-    parser.add_argument("--rate", type=float, default=10.0,
-                        help="offered arrival rate in req/s "
-                             "(default 10)")
-    parser.add_argument("--total", type=int, default=100,
-                        help="number of arrivals (default 100)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="schedule seed (default 0)")
-    parser.add_argument("--concurrency", type=int, default=32,
-                        help="client thread cap (default 32)")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="per-request timeout in seconds")
-    parser.add_argument("--output", default=None, metavar="FILE",
-                        help="write the JSON report to FILE")
-    opts = parser.parse_args(argv)
-
-    targets = []
-    for part in opts.targets.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            targets.append(parse_store_url(part))
-        except ValueError as exc:
-            return _usage_error(str(exc))
-    if not targets:
-        return _usage_error("--targets needs at least one HOST:PORT")
-
-    if opts.benchmarks is None:
-        from repro.olden.loader import catalog
-        benchmarks = [spec.name for spec in catalog()]
-    elif opts.benchmarks.strip().lower() == "none":
-        benchmarks = []
-    else:
-        benchmarks = [part.strip()
-                      for part in opts.benchmarks.split(",")
-                      if part.strip()]
-    try:
-        jobs = [JobSpec(opts.kind, benchmark=name, small=opts.small,
-                        **cli_run_options(opts)).to_dict()
-                for name in benchmarks]
-        if opts.generated:
-            from repro.workload import generate_jobs
-            seed = opts.seed if opts.generated_seed is None \
-                else opts.generated_seed
-            jobs += [job.to_dict(opts.kind)
-                     for job in generate_jobs(seed, opts.generated,
-                                              nodes=(opts.nodes,),
-                                              engines=(opts.engine,))]
-    except ReproError as exc:
-        return _emit_error(exc, False)
-    if not jobs:
-        return _usage_error("the job mix is empty: give --benchmarks "
-                            "and/or --generated N")
-
-    try:
-        generator = LoadGenerator(targets, jobs, rate=opts.rate,
-                                  total=opts.total, seed=opts.seed,
-                                  concurrency=opts.concurrency,
-                                  timeout_s=opts.timeout)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    report = generator.run()
-
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if opts.output is not None:
-        try:
-            with open(opts.output, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            return _emit_error(exc, False)
-    print(text)
-    failures = report["transport_errors"] + report["other_failures"]
-    return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
 def _genjobs_main(argv) -> int:
@@ -872,8 +802,7 @@ def _genjobs_main(argv) -> int:
                         help="comma-separated rcache-capacity pool "
                              "in lines (default 0)")
     parser.add_argument("--kind", default="run",
-                        choices=("compile", "run", "three-way",
-                                 "four-way"))
+                        choices=("compile", "run"))
     parser.add_argument("--sources", default=None, metavar="DIR",
                         help="also write each generated program as "
                              "DIR/<name>.ec")
@@ -887,6 +816,8 @@ def _genjobs_main(argv) -> int:
         if not sep or not low.strip().isdigit() \
                 or not high.strip().isdigit():
             raise ValueError(f"{flag} needs LO:HI, got {text!r}")
+        if int(low) > int(high):
+            raise ValueError(f"{flag} needs LO <= HI, got {text!r}")
         return int(low), int(high)
 
     try:

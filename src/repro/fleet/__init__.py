@@ -1,5 +1,5 @@
-"""Fleet serving: the HTTP gateway, a shared object store, a load
-harness.
+"""Fleet serving: the HTTP gateway, a shared object store, a process
+launcher.
 
 :mod:`repro.service` makes the pipeline cacheable and poolable; this
 package puts it on the network and lets several hosts share what they
@@ -20,10 +20,9 @@ compute:
   client, one breaker, in the parent process -- with single-flight
   fill, PUT-if-absent writes, and graceful degradation to local-only
   when the store is unreachable;
-* :mod:`repro.fleet.loadgen` -- a seeded open-loop load harness that
-  spawns an N-server fleet sharing one store and records p50/p99
-  latency, saturation throughput, and store hit rates (``bench/``
-  drives the same launcher for its ``serve-*`` workloads).
+* :mod:`repro.fleet.loadgen` -- the launcher: gateways and stores as
+  real OS processes (``bench/``, the one load harness, drives it for
+  its ``serve-*`` workloads).
 
 Content addressing is what makes the shared tier safe:
 ``PIPELINE_VERSION`` is part of every key, so two hosts running
@@ -31,7 +30,7 @@ different pipeline versions can share a store without ever serving each
 other stale payloads -- a stale key simply never matches.
 
 The dependency runs one way, fleet -> service.  CLI verbs: ``python -m
-repro serve`` / ``fleet-store`` / ``loadtest``.
+repro serve`` / ``fleet-store``.
 """
 
 from repro.fleet.http import (
@@ -47,10 +46,8 @@ from repro.fleet.store import (
 )
 from repro.fleet.loadgen import (
     FleetProcess,
-    LoadGenerator,
     launch_gateway,
     launch_store,
-    percentile,
 )
 
 __all__ = [
@@ -62,8 +59,6 @@ __all__ = [
     "RemoteStore",
     "serve_store_forever",
     "FleetProcess",
-    "LoadGenerator",
     "launch_gateway",
     "launch_store",
-    "percentile",
 ]

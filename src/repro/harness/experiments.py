@@ -20,7 +20,9 @@ needs -- ``(benchmark, configuration, processors)``, each a plain
 :data:`~repro.harness.pipeline.CONFIGURATIONS` -- runs them through one
 :class:`~repro.service.pool.WorkerPool` and reads its rows from the
 payloads.  Hand every measurement the same pool and a leg two tables
-share is computed once.
+share is computed once.  ``python -m repro batch`` sweeps the same legs
+(:func:`bundle_jobs`, :func:`run_legs`, :func:`bundles_of`), so a cache
+directory the report filled answers it, and the other way round.
 
 Each function returns plain data structures; ``format_*`` helpers render
 them in the paper's layout.  ``python -m repro.harness.report`` prints
@@ -41,7 +43,7 @@ from repro.harness.pipeline import (
     simple_baseline_config,
 )
 from repro.olden.loader import catalog
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobResult, JobSpec
 from repro.service.pool import WorkerPool
 
 # ---------------------------------------------------------------------------
@@ -285,40 +287,54 @@ def leg_job(benchmark: str, configuration: str, processors: int,
                    **dict(config.wire(), args=None, max_stmts=None))
 
 
+def bundle_jobs(processor_counts: Sequence[int],
+                benchmarks: Optional[Sequence[str]] = None,
+                small: bool = False, rcache: bool = False,
+                run: Optional[RunConfig] = None
+                ) -> Dict[Tuple[str, int, str], JobSpec]:
+    """The paper's bundle -- its three configurations, four with
+    ``rcache`` -- at every (benchmark, processors) pair, as
+    :func:`leg_job` legs under ``(benchmark, processors,
+    configuration)``.  ``sequential`` pins its node count, so a
+    benchmark's legs of that name share one content address however
+    many counts are swept."""
+    return {(name, processors, configuration): leg_job(
+                name, configuration, processors, small, run)
+            for name in _catalog_names(benchmarks)
+            for processors in processor_counts
+            for configuration, leg in CONFIGURATIONS.items()
+            if rcache or not leg.cached}
+
+
 def run_legs(jobs: Dict[object, JobSpec],
-             pool: Optional[WorkerPool] = None) -> Dict[object, dict]:
-    """Run ``jobs`` through ``pool`` -- the caller's, or a private
-    inline memory-only one -- and return each one's ``payload["run"]``
-    under its key.  Jobs with one content address are one leg: it runs
-    once and answers every key.  A failed job raises."""
-    if pool is None:
-        with WorkerPool(0, cache_dir=None) as private:
-            return run_legs(jobs, private)
+             run_batch) -> Dict[object, JobResult]:
+    """Run ``jobs`` through ``run_batch`` -- ``WorkerPool.run_batch`` or
+    ``ServiceClient.batch``: specs in, results out, in order -- and
+    return each one's result under its key.  Jobs with one content
+    address are one leg: it runs once and answers every key."""
     addresses = {key: job.canonical_key() for key, job in jobs.items()}
     distinct = {addresses[key]: job for key, job in jobs.items()}
-    results = dict(zip(distinct, pool.run_batch(list(distinct.values()))))
-    return {key: results[address].raise_if_failed().payload["run"]
-            for key, address in addresses.items()}
+    results = dict(zip(distinct, run_batch(list(distinct.values()))))
+    return {key: results[address] for key, address in addresses.items()}
 
 
-def measure_bundles(processor_counts: Sequence[int],
-                    benchmarks: Optional[Sequence[str]] = None,
-                    small: bool = False, rcache: bool = False,
-                    pool: Optional[WorkerPool] = None
-                    ) -> Dict[Tuple[str, int], Dict[str, dict]]:
-    """``{(benchmark, processors): {configuration: run payload}}`` --
-    what one ``three-way`` (``four-way`` with ``rcache``) job per pair
-    would return, made of :func:`leg_job` legs: ``sequential`` pins its
-    node count, so a benchmark has one such leg however many counts
-    are swept.  The legs that meet at a pair must agree on the
-    program's value (checked)."""
-    runs = run_legs({
-        (name, processors, configuration): leg_job(
-            name, configuration, processors, small)
-        for name in _catalog_names(benchmarks)
-        for processors in processor_counts
-        for configuration, leg in CONFIGURATIONS.items()
-        if rcache or not leg.cached}, pool)
+def _leg_runs(jobs: Dict[object, JobSpec],
+              pool: Optional[WorkerPool]) -> Dict[object, dict]:
+    """Each job's ``payload["run"]``, run through ``pool`` -- the
+    caller's, or a private inline memory-only one.  A failed job
+    raises."""
+    if pool is None:
+        with WorkerPool(0, cache_dir=None) as private:
+            return _leg_runs(jobs, private)
+    return {key: result.raise_if_failed().payload["run"]
+            for key, result in run_legs(jobs, pool.run_batch).items()}
+
+
+def bundles_of(runs: Dict[Tuple[str, int, str], dict]
+               ) -> Dict[Tuple[str, int], Dict[str, dict]]:
+    """:func:`bundle_jobs` legs' run payloads as ``{(benchmark,
+    processors): {configuration: run payload}}``.  The legs that meet
+    at a pair must agree on the program's value (checked)."""
     bundles: Dict[Tuple[str, int], Dict[str, dict]] = {}
     for (name, processors, configuration), run in runs.items():
         bundles.setdefault((name, processors), {})[configuration] = run
@@ -326,6 +342,17 @@ def measure_bundles(processor_counts: Sequence[int],
         check_same_value({configuration: run["value"]
                           for configuration, run in bundle.items()})
     return bundles
+
+
+def measure_bundles(processor_counts: Sequence[int],
+                    benchmarks: Optional[Sequence[str]] = None,
+                    small: bool = False, rcache: bool = False,
+                    pool: Optional[WorkerPool] = None
+                    ) -> Dict[Tuple[str, int], Dict[str, dict]]:
+    """Every :func:`bundle_jobs` leg run through ``pool``, as
+    :func:`bundles_of` groups them."""
+    return bundles_of(_leg_runs(
+        bundle_jobs(processor_counts, benchmarks, small, rcache), pool))
 
 
 def measure_table3(
@@ -433,18 +460,20 @@ def measure_fig10(num_nodes: int = 16,
 
 
 # ---------------------------------------------------------------------------
-# Bundle sweeps as service jobs (``python -m repro batch``)
+# What ``python -m repro batch`` sweeps
 # ---------------------------------------------------------------------------
+
+#: ``batch --kind``'s two names for a sweep of the paper's bundle ->
+#: with the cached leg? (:func:`bundle_jobs`' ``rcache``).
+BUNDLE_SWEEPS = {"three-way": False, "four-way": True}
 
 
 def sweep_jobs(processor_counts: Sequence[int],
                benchmarks: Optional[Sequence[str]] = None,
-               small: bool = False, kind: str = "three-way",
+               small: bool = False, kind: str = "run",
                run: Optional[RunConfig] = None) -> List[JobSpec]:
-    """The benchmark-by-processors cross product as service
-    :class:`~repro.service.jobs.JobSpec` objects -- what
-    ``python -m repro batch`` feeds a
-    :class:`~repro.service.pool.WorkerPool`.  ``run`` carries the run
+    """The benchmark-by-processors cross product as plain ``kind``
+    jobs (``batch --kind compile | run``).  ``run`` carries the run
     options every job shares (engine, faults, cache geometry, ...);
     the sweep sets the node count, the benchmark catalog the
     arguments and statement budget."""
@@ -460,24 +489,28 @@ def sweep_jobs(processor_counts: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
-def measure_utilization(name: str, num_nodes: int = 4,
+def measure_utilization(num_nodes: int = 4,
+                        benchmarks: Optional[Sequence[str]] = None,
                         small: bool = False, rcache: bool = False,
                         pool: Optional[WorkerPool] = None
-                        ) -> Dict[str, Dict[str, object]]:
-    """Machine-readable metrics of one benchmark's three (with
+                        ) -> Dict[str, Dict[str, Dict[str, object]]]:
+    """Machine-readable metrics of each benchmark's three (with
     ``rcache``, four) configurations: per-configuration run time,
     per-node EU/SU utilization, and the stats snapshot (``report
     --metrics-json`` writes it)."""
-    bundle = measure_bundles([num_nodes], [name], small, rcache,
-                             pool)[name, num_nodes]
+    bundles = measure_bundles([num_nodes], benchmarks, small, rcache,
+                              pool)
     return {
-        configuration: {
-            "time_ns": run["time_ns"],
-            "nodes": run["num_nodes"],
-            "utilization": run["utilization"],
-            "stats": run["stats"],
+        name: {
+            configuration: {
+                "time_ns": run["time_ns"],
+                "nodes": run["num_nodes"],
+                "utilization": run["utilization"],
+                "stats": run["stats"],
+            }
+            for configuration, run in bundle.items()
         }
-        for configuration, run in bundle.items()
+        for (name, _), bundle in bundles.items()
     }
 
 
@@ -569,10 +602,10 @@ def measure_opt_sweep(num_nodes: int = 4,
     names = _catalog_names(benchmarks)
     presets = {"legacy": None,
                "probabilistic": RunConfig(opt="probabilistic")}
-    runs = run_legs({(name, preset): leg_job(name, "optimized", num_nodes,
-                                             small, run)
-                     for name in names
-                     for preset, run in presets.items()}, pool)
+    runs = _leg_runs({(name, preset): leg_job(name, "optimized", num_nodes,
+                                              small, run)
+                      for name in names
+                      for preset, run in presets.items()}, pool)
     rows: List[OptSweepRow] = []
     for name in names:
         legacy, prob = runs[name, "legacy"], runs[name, "probabilistic"]

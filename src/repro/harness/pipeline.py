@@ -255,8 +255,8 @@ class Configuration(NamedTuple):
 
 
 #: The paper's configurations, in Table III's column order -- the one
-#: definition behind ``run_three_ways`` / ``run_four_ways``, the
-#: ``three-way`` / ``four-way`` job kinds and every harness leg:
+#: definition behind ``run_three_ways`` / ``run_four_ways`` and every
+#: harness and ``batch`` leg:
 #:
 #: * ``sequential`` -- 1 node, no EARTH overheads (Table III column 1);
 #: * ``simple`` -- without communication optimization.  Like the

@@ -136,14 +136,11 @@ def _report(args, processor_counts, benchmarks, pool: WorkerPool) -> None:
         print()
     if args.metrics_json:
         nodes = max(processor_counts)
-        metrics = {}
+        metrics = measure_utilization(nodes, benchmarks, small=args.small,
+                                      rcache=args.rcache, pool=pool)
         print("=" * 72)
-        for name in benchmarks:
-            metrics[name] = measure_utilization(name, nodes,
-                                                small=args.small,
-                                                rcache=args.rcache,
-                                                pool=pool)
-            print(format_utilization(name, metrics[name]))
+        for name, entry in metrics.items():
+            print(format_utilization(name, entry))
         with open(args.metrics_json, "w") as handle:
             json.dump({"nodes": nodes, "benchmarks": metrics}, handle,
                       indent=2, sort_keys=True)

@@ -10,9 +10,10 @@ safe to farm out to worker processes.  Layers, bottom up:
   content-addressed artifact store keyed by SHA-256 of (canonicalized
   source, options, pipeline version);
 * :mod:`repro.service.jobs` -- JSON-serializable :class:`JobSpec` /
-  :class:`JobResult`, the pure ``compute_job`` every worker runs, and
-  the one lookup-before / store-after step around it (``CachedJob``;
-  ``execute_job`` is the two in one process);
+  :class:`JobResult` (a job is one compile and at most one run:
+  kinds ``compile`` and ``run``), the pure ``compute_job`` every
+  worker runs, and the one lookup-before / store-after step around it
+  (``CachedJob``; ``execute_job`` is the two in one process);
 * :mod:`repro.service.pool` -- crash-tolerant multiprocessing
   :class:`WorkerPool` with one cache in the parent, in front of its
   workers, warm pipelines, per-attempt timeouts, and bounded

@@ -5,21 +5,20 @@ A :class:`JobSpec` names everything a worker needs to reproduce one
 pipeline product, with no live objects attached -- jobs cross process
 boundaries as JSON.  :func:`compute_job` is the pure half (all a pool
 worker runs), :class:`CachedJob` the one definition of lookup-before /
-store-after, :func:`execute_job` the two in one process.  Four public
-kinds:
+store-after, :func:`execute_job` the two in one process.  A job is one
+compile and at most one run -- two public kinds:
 
 * ``compile`` -- run the compile pipeline, return the deterministic
   compile payload (SIMPLE + Threaded-C listings, optimizer counters);
 * ``run`` -- compile then execute on the simulator (engine, node
-  count, machine-parameter preset, optional fault plan);
-* ``three-way`` -- the paper's sequential/simple/optimized triple via
-  :func:`~repro.harness.pipeline.run_three_ways` (the unit of the
-  Table III / Figure 10 batch sweeps);
-* ``four-way`` -- the triple plus the remote-cache configuration
-  (:func:`~repro.harness.pipeline.run_four_ways`, Table III's fourth
-  column).
+  count, machine-parameter preset, optional fault plan).
 
-A fifth internal kind, ``selftest``, exists for the service's own
+The paper's sequential/simple/optimized(/rcached) comparison is not a
+kind: it is a composition of ``run`` jobs, one per configuration
+(:func:`repro.harness.experiments.leg_job`), so every leg has a content
+address of its own and is computed once whoever asks for it.
+
+A third internal kind, ``selftest``, exists for the service's own
 tests and smoke checks (echo a value, sleep, fail, or hard-crash the
 worker); it is never cached.
 
@@ -48,14 +47,11 @@ from repro.earth.interpreter import RunResult
 from repro.errors import ReproError, ServiceError, error_body, exit_code_for
 from repro.harness.pipeline import (
     CONFIG_PRESETS,
-    CONFIGURATIONS,
     PIPELINE_VERSION,
     CompiledProgram,
     compile_earthc,
     execute,
     resolve_config,
-    run_four_ways,
-    run_three_ways,
 )
 from repro.service.cache import (
     ArtifactCache,
@@ -63,7 +59,7 @@ from repro.service.cache import (
     canonicalize_source,
 )
 
-JOB_KINDS = ("compile", "run", "three-way", "four-way", "selftest")
+JOB_KINDS = ("compile", "run", "selftest")
 
 _SELFTEST_BEHAVIORS = ("echo", "sleep", "fail", "crash")
 
@@ -188,7 +184,7 @@ class JobSpec:
         if self.kind == "selftest":
             return {"kind": "selftest", "selftest": self.selftest}
         inline = self.inline
-        #: What the catalog (and the job kind) settle about the run.
+        #: What the catalog settles about the run.
         changes: Dict[str, object] = {}
         if self.benchmark is not None:
             spec = self._spec_from_catalog()
@@ -211,22 +207,16 @@ class JobSpec:
             "filename": filename,
             "inline": inline,
             "version": PIPELINE_VERSION,
-        }
-        if self.kind in ("compile", "run"):
-            resolved["options"] = {
+            "options": {
                 "optimize": self.optimize,
                 "config": self.config,
                 "reorder_fields": self.reorder_fields,
                 "opt": None if self.run.opt is None
                 else self.run.opt.to_json(),
-            }
-        if self.kind != "compile":
+            },
+        }
+        if self.kind == "run":
             run = self.run.replace(**changes) if changes else self.run
-            if self.kind == "three-way":
-                # run_three_ways ignores the cache fields; the key is
-                # over what its widest leg runs under, so equivalent
-                # jobs share an address.
-                run = CONFIGURATIONS["optimized"].run_config(run)
             # The config's canonical JSON form is embedded verbatim:
             # every run option -- current and future -- lands in the
             # cache key without per-field bookkeeping here.
@@ -368,7 +358,7 @@ _COMPILE_MEMO_LIMIT = 32
 
 
 def _compile_for(resolved: Dict[str, object]) -> CompiledProgram:
-    options = resolved.get("options") or {}
+    options = resolved["options"]
     memo_key = cache_key({
         "source": resolved["source"],
         "inline": resolved["inline"],
@@ -382,11 +372,11 @@ def _compile_for(resolved: Dict[str, object]) -> CompiledProgram:
     inline = resolved["inline"]
     compiled = compile_earthc(
         resolved["source"], resolved["filename"],
-        optimize=options.get("optimize", True),
-        config=resolve_config(options.get("config", "default")),
+        optimize=options["optimize"],
+        config=resolve_config(options["config"]),
         inline=set(inline) if isinstance(inline, list) else inline,
-        reorder_fields=options.get("reorder_fields", False),
-        opt=options.get("opt"))
+        reorder_fields=options["reorder_fields"],
+        opt=options["opt"])
     _COMPILE_MEMO[memo_key] = compiled
     while len(_COMPILE_MEMO) > _COMPILE_MEMO_LIMIT:
         _COMPILE_MEMO.popitem(last=False)
@@ -415,23 +405,11 @@ def _compute_payload(spec: JobSpec,
         return _execute_selftest(spec)
     if spec.kind == "compile":
         return compile_payload(_compile_for(resolved))
-    config = RunConfig.from_json(resolved["run"])
-    if spec.kind == "run":
-        compiled = _compile_for(resolved)
-        result = execute(compiled, config=config)
-        return {"run": run_payload(result),
-                "compile": compile_payload(compiled)}
-    # three-way / four-way
-    inline = resolved["inline"]
-    inline = set(inline) if isinstance(inline, list) else inline
-    if spec.kind == "four-way":
-        results = run_four_ways(resolved["source"], resolved["filename"],
-                                config=config, inline=inline)
-    else:
-        results = run_three_ways(resolved["source"], resolved["filename"],
-                                 config=config, inline=inline)
-    return {name: run_payload(result)
-            for name, result in results.items()}
+    compiled = _compile_for(resolved)
+    result = execute(compiled,
+                     config=RunConfig.from_json(resolved["run"]))
+    return {"run": run_payload(result),
+            "compile": compile_payload(compiled)}
 
 
 def compute_job(spec: JobSpec, worker: Optional[int] = None) -> JobResult:

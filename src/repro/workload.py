@@ -4,12 +4,10 @@ Generalizes the ad-hoc program strategies in
 ``tests/property/gen_programs.py`` into a reusable library: a stream
 of small-but-real EARTH-C programs over linked heap structures, plus
 the :class:`repro.service.jobs.JobSpec` wrappers that run them, all a
-pure function of one seed.  Three consumers share it:
+pure function of one seed.  Two consumers share it:
 
 * ``python -m repro genjobs`` emits a JSON job array compatible with
   ``python -m repro batch --jobs``;
-* ``python -m repro loadtest --generated N`` mixes synthetic jobs into
-  the open-loop fleet stream;
 * the property/fleet test suites soak the whole stack (parser through
   HTTP gateway) on programs nobody hand-wrote.
 
@@ -366,6 +364,7 @@ class WorkloadJob:
         return f"{self.name}.ec"
 
     def spec(self, kind: str = "run") -> JobSpec:
+        """This job as a ``compile`` or ``run`` :class:`JobSpec`."""
         return JobSpec(kind, source=self.source,
                        filename=self.filename, optimize=True,
                        **dict(self.run.wire(), args=self.args,

@@ -2,12 +2,12 @@
 byte-identical to the in-process pipeline.
 
 For every Olden benchmark, with and without a seeded fault profile,
-the three-way payload the HTTP gateway answers (``POST /v1/jobs``)
-must be plain-``==`` identical to in-process :func:`run_three_ways`
-(ground truth), checked **cold** (the gateway computes into its own
-empty disk cache) and **warm** (the second submission replays the
-cached payload bit-for-bit).  A fleet is only sound if the wire cannot
-change the answer."""
+the payloads the HTTP gateway answers (``POST /v1/jobs``) for the
+three configurations' ``run`` legs must be plain-``==`` identical to
+in-process :func:`run_three_ways` (ground truth), checked **cold**
+(the gateway computes into its own empty disk cache) and **warm** (the
+second submission replays the cached payload bit-for-bit).  A fleet is
+only sound if the wire cannot change the answer."""
 
 import os
 
@@ -15,9 +15,10 @@ import pytest
 
 from repro.config import RunConfig
 from repro.earth.faults import FaultPlan, plan_from_cli
-from repro.harness.pipeline import run_three_ways
+from repro.harness.experiments import leg_job
+from repro.harness.pipeline import CONFIGURATIONS, run_three_ways
 from repro.olden.loader import catalog
-from repro.service.jobs import JobSpec, run_payload
+from repro.service.jobs import run_payload
 
 FAULT_SEED = 29
 FAULT_CASES = (None, "mild")
@@ -44,9 +45,14 @@ def _matrix():
             or spec.name in FAULTED_BENCHMARKS]
 
 
-def _job(spec, profile):
-    return JobSpec("three-way", benchmark=spec.name, nodes=2,
-                   small=True, faults=_fault_dict(profile))
+def _jobs(spec, profile):
+    """The cell's three configurations (the uncached ones, what
+    ``run_three_ways`` runs): configuration -> its ``run`` leg."""
+    run = RunConfig(faults=_fault_dict(profile))
+    return {configuration: leg_job(spec.name, configuration, 2,
+                                   small=True, run=run)
+            for configuration, leg in CONFIGURATIONS.items()
+            if not leg.cached}
 
 
 @pytest.fixture(scope="module")
@@ -78,24 +84,28 @@ def http_gateway(tmp_path_factory):
     live.close()
 
 
-def _http_submit(gateway, job):
-    status, body = gateway.request("POST", "/v1/jobs",
-                                   body=job.to_dict(), timeout=600)
-    assert status == 200, body
-    return body["result"]
+def _http_submit(gateway, jobs, cache):
+    """Post every leg; configuration -> run payload (the references'
+    shape).  Each answer must carry disposition ``cache``."""
+    payload = {}
+    for configuration, job in jobs.items():
+        status, body = gateway.request("POST", "/v1/jobs",
+                                       body=job.to_dict(), timeout=600)
+        assert status == 200, body
+        assert body["result"]["cache"] == cache
+        payload[configuration] = body["result"]["payload"]["run"]
+    return payload
 
 
 def test_http_path_matches_in_process_cold_and_warm(references,
                                                     http_gateway):
     for spec, profile in _matrix():
-        job = _job(spec, profile)
-        cold = _http_submit(http_gateway, job)
-        assert cold["cache"] == "miss"
-        assert cold["payload"] == references[(spec.name, profile)], \
+        jobs = _jobs(spec, profile)
+        cold = _http_submit(http_gateway, jobs, "miss")
+        assert cold == references[(spec.name, profile)], \
             f"{spec.name}/faults={profile} diverged over HTTP (cold)"
-        warm = _http_submit(http_gateway, job)
-        assert warm["cache"] == "hit"
-        assert warm["payload"] == cold["payload"], \
+        warm = _http_submit(http_gateway, jobs, "hit")
+        assert warm == cold, \
             f"{spec.name}/faults={profile} warm HTTP replay diverged"
 
 

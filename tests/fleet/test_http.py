@@ -184,11 +184,15 @@ class TestErrorMapping:
         assert status == 400
         assert body["ok"] is False
 
-    def test_unknown_job_kind_is_400(self, gateway):
-        status, body = gateway.request("POST", "/v1/jobs",
-                                       body={"kind": "transmogrify"})
+    @pytest.mark.parametrize("kind", ["transmogrify", "three-way",
+                                      "four-way"])
+    def test_unknown_job_kind_is_400(self, gateway, kind):
+        status, body = gateway.request(
+            "POST", "/v1/jobs",
+            body={"kind": kind, "benchmark": "power", "small": True})
         assert status == 400
-        assert "unknown job kind" in body["error"]["message"]
+        assert body["error"]["message"] == (
+            f"unknown job kind {kind!r} (known: compile, run, selftest)")
 
     def test_compile_failure_is_422_with_job_error(self, gateway):
         status, body = gateway.request(

@@ -48,11 +48,6 @@ OPTION_STRINGS = {
     "fleet-store": """
         --cache-dir --help --host --port -h
         """,
-    "loadtest": """
-        --benchmarks --concurrency --engine --full-size --generated
-        --generated-seed --help --kind --nodes --output --rate --seed
-        --small --targets --timeout --total -h
-        """,
     "genjobs": """
         --count --engines --fault-profiles --help --kind --mixes
         --nodes --output --rcache --seed --shapes --sizes --sources
@@ -89,7 +84,7 @@ def test_option_strings_of_help(verb, capsys):
 def test_distinct_flags_across_the_verbs():
     flags = {flag for text in OPTION_STRINGS.values()
              for flag in text.split()} - {"-h", "--help", "-O"}
-    assert len(flags) == 67   # + 5 of harness.report / shard.scenarios
+    assert len(flags) == 60   # + 5 of harness.report / shard.scenarios
 
 
 def test_every_run_flag_row_names_a_run_config_field():
@@ -175,23 +170,89 @@ def test_submit_carries_every_run_flag(capsys):
                                    small=True).canonical_key()
 
 
-def test_loadtest_builds_its_mix_from_the_run_flags(capsys):
+def test_batch_connect_sweeps_legs_through_the_gateway(capsys):
     import json
     from tests.fleet.conftest import start_gateway
-    gateway = start_gateway(workers=0)
+    server = start_gateway(workers=0)
+    argv = ["batch", "--benchmarks", "power", "--small", "--nodes",
+            "1,2", "--kind", "four-way", "--connect",
+            f"127.0.0.1:{server.port}", "--json"]
     try:
-        code = main(["loadtest", "--targets",
-                     f"127.0.0.1:{gateway.port}", "--benchmarks",
-                     "power", "--generated", "1", "--nodes", "2",
-                     "--engine", "ast", "--rate", "100", "--total", "4"])
-        status, body = gateway.request("GET", "/metrics")
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        _, body = server.request("GET", "/metrics")
     finally:
-        gateway.close()
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0 and report["ok"] == 4
-    assert report["transport_errors"] == report["other_failures"] == 0
-    # Two distinct jobs in the mix, each computed once.
-    assert body["metrics"]["cache_misses"] == 2
+        server.close()
+    assert [(r["processors"], r["configuration"]) for r in cold] == [
+        (nodes, configuration) for nodes in (1, 2)
+        for configuration in ("sequential", "simple", "optimized",
+                              "rcached")]
+    assert all(r["ok"] and r["kind"] == "run" for r in cold)
+    assert {r["cache"] for r in cold} == {"miss"}
+    assert {r["cache"] for r in warm} == {"hit"}
+    assert [r["payload"] for r in warm] == [r["payload"] for r in cold]
+    # Eight results, seven addresses: the sequential leg was posted
+    # once per batch.
+    assert body["metrics"]["cache_misses"] == 7
+    assert body["metrics"]["cache_hits"] == 7
+
+
+def test_batch_labels_each_leg(tmp_path, capsys):
+    import json
+    out = tmp_path / "legs.json"
+    assert main(["batch", "--benchmarks", "power", "--small", "--nodes",
+                 "2", "--workers", "0", "--no-cache", "--output",
+                 str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[::2]] == [
+        "power p=2 sequential", "power p=2 simple", "power p=2 optimized",
+        "batch"]
+    assert lines[0].startswith("power p=2 sequential: run  cache=miss")
+    assert lines[1].endswith("simulated on 1 node(s)")
+    assert lines[-1] == (f"batch: 3/3 ok, 0 cache hit(s), written to "
+                         f"{out}")
+    assert [(r["benchmark"], r["processors"], r["configuration"])
+            for r in json.loads(out.read_text())] == [
+        ("power", 2, "sequential"), ("power", 2, "simple"),
+        ("power", 2, "optimized")]
+
+
+def test_batch_ends_on_a_failed_legs_own_code(monkeypatch, capsys):
+    """Failed legs are reported like any failed job (4: a simulator
+    error); there is no value to compare, so no comparison is made."""
+    from repro.olden.loader import get_benchmark
+    monkeypatch.setattr(get_benchmark("power"), "max_stmts", 10)
+    assert main(["batch", "--benchmarks", "power", "--small", "--nodes",
+                 "1", "--workers", "0", "--no-cache"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.count("FAILED [") == 3
+    assert captured.out.splitlines()[-1] == "batch: 0/3 ok, 0 cache hit(s)"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("kind", ["three-way", "four-way"])
+def test_batch_refuses_a_bundle_kind_in_a_jobs_file(kind, tmp_path,
+                                                    capsys):
+    """The sweep shapes ``batch --kind`` names are not job kinds."""
+    import json
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([{"kind": kind, "benchmark": "power",
+                                 "small": True}]))
+    assert main(["batch", "--jobs", str(jobs), "--workers", "0",
+                 "--no-cache"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown job kind {kind!r} "
+                            "(known: compile, run, selftest)\n")
+
+
+@pytest.mark.parametrize("verb", ["submit", "genjobs"])
+def test_one_job_verbs_offer_the_two_public_kinds(verb, capsys):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    assert "--kind {compile,run}" in capsys.readouterr().out
 
 
 def test_genjobs_is_the_generator_stream(capsys):
@@ -213,18 +274,38 @@ def test_genjobs_is_the_generator_stream(capsys):
 @pytest.mark.parametrize("argv", [
     ["genjobs", "--nodes", "0", "--count", "1"],
     ["genjobs", "--engines", "closure", "--count", "1"],
+    ["genjobs", "--sizes", "5:3"],
+    ["genjobs", "--sweeps", "3:1"],
     ["serve", "--workers", "-1"],
     ["serve", "--max-attempts", "0"],
+    ["serve", "--max-queue-depth", "0"],
+    ["serve", "--max-queue-depth", "-1"],
     ["serve", "--port", "99999"],
     ["serve", "--timeout", "-1"],
     ["fleet-store", "--port", "99999", "--cache-dir", "unused"],
-], ids=lambda argv: "-".join(argv[:2]).replace("--", ""))
-def test_bad_flag_value_is_a_one_line_usage_error(argv, capsys):
+    ["submit", "--port", "99999", "--benchmark", "power"],
+    ["submit", "--port", "-1", "--benchmark", "power"],
+    ["batch", "--connect", "127.0.0.1:99999", "--benchmarks", "power"],
+    ["batch", "--workers", "-1", "--benchmarks", "power"],
+], ids=lambda argv: "-".join(argv[:3]).replace("--", ""))
+def test_bad_flag_value_is_a_one_line_usage_error(argv, capsys,
+                                                  monkeypatch):
+    import socket
+
+    def no_sockets(*args, **kwargs):
+        raise AssertionError("refused before any socket is opened")
+
+    # A bad value is refused before anything is bound or connected.
+    monkeypatch.setattr(socket, "socket", no_sockets)
+    monkeypatch.setattr(socket, "create_connection", no_sockets)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    if argv[:2] not in (["genjobs", "--nodes"], ["genjobs", "--engines"]):
+        # (those two are refused by RunConfig, in its field's name)
+        assert captured.err.startswith(f"error: {argv[1]} ")
 
 
 #: Every "comma-separated integers" flag goes through the one parser

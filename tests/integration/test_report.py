@@ -1,26 +1,37 @@
 """Report driver (--metrics-json, --workers, --cache-dir) and the one
-path under it in repro.harness.experiments: CONFIGURATIONS legs as
-``run`` jobs through one pool."""
+path under it and under ``batch``'s bundle sweeps in
+repro.harness.experiments: CONFIGURATIONS legs as ``run`` jobs through
+one pool, under one address each."""
 
 import json
+import os
 from collections import OrderedDict
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.config import RunConfig
+from repro.earth.faults import plan_from_cli
 from repro.errors import ServiceError
 from repro.harness.experiments import (
+    bundle_jobs,
     leg_job,
     measure_bundles,
     measure_fig10,
     measure_table3,
+    measure_utilization,
+    run_legs,
     sweep_jobs,
 )
-from repro.harness.pipeline import CONFIGURATIONS
+from repro.harness.pipeline import (
+    CONFIGURATIONS,
+    run_four_ways,
+    run_three_ways,
+)
 from repro.harness.report import main as report_main
 from repro.olden.loader import catalog, get_benchmark
 from repro.service import jobs as service_jobs
-from repro.service.jobs import JobSpec, execute_job
+from repro.service.jobs import execute_job, run_payload
 from repro.service.pool import WorkerPool
 
 
@@ -30,7 +41,7 @@ class TestSweepJobs:
                           small=True)
         assert [(j.benchmark, j.run.nodes) for j in jobs] == \
             [("power", 1), ("power", 2), ("tsp", 1), ("tsp", 2)]
-        assert all(j.kind == "three-way" and j.small for j in jobs)
+        assert all(j.small for j in jobs)
 
     def test_defaults_to_the_full_catalog(self):
         jobs = sweep_jobs([4])
@@ -43,17 +54,27 @@ class TestSweepJobs:
         assert jobs[0].run.faults == {"seed": 3}
 
 
+def _in_process(name, nodes, run_ways=run_four_ways, **run_options):
+    """The reference: ``run_three_ways`` / ``run_four_ways`` on the
+    catalog's small problem, each result's deterministic payload."""
+    spec = get_benchmark(name)
+    results = run_ways(
+        spec.source(), spec.filename, inline=spec.inline,
+        config=RunConfig(nodes=nodes, args=tuple(spec.small_args),
+                         max_stmts=spec.max_stmts, **run_options))
+    return {configuration: run_payload(result)
+            for configuration, result in results.items()}
+
+
 class TestConfigurationsAreRunJobs:
-    """``three-way`` / ``four-way`` are bundles of plain ``run`` jobs:
-    every leg the harness builds from CONFIGURATIONS returns what the
-    bundle job returns under that name."""
+    """The paper's bundle is a composition of plain ``run`` jobs: every
+    leg the harness builds from CONFIGURATIONS returns what
+    ``run_four_ways`` computes in process under that name."""
 
     @pytest.mark.parametrize("name", [spec.name for spec in catalog()])
     @pytest.mark.parametrize("nodes", [1, 4])
     def test_each_leg_is_the_bundles_entry(self, name, nodes):
-        bundle = execute_job(JobSpec(
-            "four-way", benchmark=name, small=True,
-            nodes=nodes)).raise_if_failed().payload
+        bundle = _in_process(name, nodes)
         assert list(bundle) == list(CONFIGURATIONS)
         for configuration in CONFIGURATIONS:
             leg = execute_job(leg_job(name, configuration, nodes,
@@ -75,6 +96,19 @@ class TestConfigurationsAreRunJobs:
             leg_job("power", "sequential", 2, small=True).canonical_key()
 
 
+def _skew_two_node_values(monkeypatch):
+    """Make every served two-node run return a value off by one."""
+    real = service_jobs.run_payload
+
+    def skewed(result):
+        payload = real(result)
+        if result.num_nodes == 2:
+            payload["value"] += 1
+        return payload
+
+    monkeypatch.setattr(service_jobs, "run_payload", skewed)
+
+
 class TestOnePath:
     def test_rows_share_the_benchmarks_one_sequential_leg(self):
         bundles = measure_bundles([1, 2, 4], ["power"], small=True)
@@ -82,6 +116,34 @@ class TestOnePath:
         first = bundles["power", 1]["sequential"]
         assert all(bundle["sequential"] is first
                    for bundle in bundles.values())
+
+    def test_jobs_with_one_address_are_submitted_once(self):
+        jobs = bundle_jobs([1, 2, 4], ["power"], small=True)
+        submitted = []
+
+        def run_batch(specs):
+            submitted.extend(specs)
+            return [execute_job(spec) for spec in specs]
+
+        results = run_legs(jobs, run_batch)
+        assert list(results) == list(jobs) and len(jobs) == 3 * 3
+        assert len(submitted) == 1 + 3 * 2
+        assert len({id(results["power", nodes, "sequential"])
+                    for nodes in (1, 2, 4)}) == 1
+
+    def test_utilization_takes_the_benchmark_list(self):
+        metrics = measure_utilization(2, ["power", "tsp"], small=True,
+                                      rcache=True)
+        bundles = measure_bundles([2], ["power", "tsp"], small=True,
+                                  rcache=True)
+        assert list(metrics) == ["power", "tsp"]
+        for name, entry in metrics.items():
+            assert list(entry) == list(CONFIGURATIONS)
+            for configuration, run in bundles[name, 2].items():
+                assert entry[configuration] == {
+                    "time_ns": run["time_ns"], "nodes": run["num_nodes"],
+                    "utilization": run["utilization"],
+                    "stats": run["stats"]}
 
     def test_a_failed_leg_raises_with_its_code(self, monkeypatch):
         monkeypatch.setattr(get_benchmark("power"), "max_stmts", 10)
@@ -94,15 +156,7 @@ class TestOnePath:
             measure_table3((1,), benchmarks=["nosuch"], small=True)
 
     def test_legs_that_disagree_raise(self, monkeypatch):
-        real = service_jobs.run_payload
-
-        def skewed(result):
-            payload = real(result)
-            if result.num_nodes == 2:
-                payload["value"] += 1
-            return payload
-
-        monkeypatch.setattr(service_jobs, "run_payload", skewed)
+        _skew_two_node_values(monkeypatch)
         with pytest.raises(AssertionError, match="disagree"):
             measure_table3((2,), benchmarks=["power"], small=True)
 
@@ -187,6 +241,82 @@ class TestEachLegOnce:
 
         assert tables(second) == tables(first)
         assert "Table III" in first and "OptConfig sweep" in first
+
+
+class TestBatchSweepsLegs:
+    """``batch --kind three-way | four-way`` sweeps the legs ``report``
+    sweeps: ``run`` jobs, each address once, one address space."""
+
+    SWEEP = ["--small", "--benchmarks", "power,tsp", "--nodes", "1,2"]
+    ARGV = ["batch", *SWEEP, "--workers", "0", "--json"]
+    RUN_FLAGS = ["--faults", "7", "--fault-profile", "lossy",
+                 "--opt-preset", "probabilistic", "--engine", "ast",
+                 "--rcache-capacity", "32", "--rcache-line", "8"]
+
+    def _swept(self, capsys, reference):
+        """Check the dump on stdout: one ok ``run`` result per
+        (benchmark, processors, configuration), in sweep order, each
+        equal to ``reference(benchmark, processors)``'s entry."""
+        results = json.loads(capsys.readouterr().out)
+        expected = {(name, nodes, configuration): payload
+                    for name in ("power", "tsp") for nodes in (1, 2)
+                    for configuration, payload
+                    in reference(name, nodes).items()}
+        assert [(r["benchmark"], r["processors"], r["configuration"])
+                for r in results] == list(expected)
+        assert all(r["ok"] and r["kind"] == "run" for r in results)
+        assert [r["payload"]["run"] for r in results] \
+            == list(expected.values())
+        return results
+
+    def test_each_address_runs_once(self, monkeypatch, capsys):
+        calls = _Calls(monkeypatch)
+        assert repro_main(self.ARGV + ["--no-cache"]) == 0
+        # Per benchmark: three programs; one sequential run and the
+        # other two configurations at each of the two counts.
+        assert len(calls.compiles) == 2 * 3
+        assert calls.simulations == 2 * (1 + 2 * 2)
+        self._swept(capsys, lambda name, nodes: _in_process(
+            name, nodes, run_three_ways))
+
+    def test_run_flags_reach_every_leg(self, capsys):
+        assert repro_main(self.ARGV + ["--no-cache", "--kind", "four-way"]
+                          + self.RUN_FLAGS) == 0
+        results = self._swept(capsys, lambda name, nodes: _in_process(
+            name, nodes, engine="ast", opt="probabilistic",
+            faults=plan_from_cli(7, "lossy", None, None).spec(),
+            rcache_capacity=32, rcache_line_words=8))
+        assert len(results) == 2 * 2 * len(CONFIGURATIONS)
+
+    def test_legs_that_disagree_end_the_batch(self, monkeypatch, capsys):
+        _skew_two_node_values(monkeypatch)
+        assert repro_main(["batch", "--small", "--benchmarks", "power",
+                           "--nodes", "2", "--workers", "0",
+                           "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: configurations disagree on the program result")
+        assert captured.err.count("\n") == 1
+
+    def test_report_and_batch_share_every_address(self, monkeypatch,
+                                                  tmp_path, capsys):
+        cache = tmp_path / "cache"
+
+        def objects():
+            return sum(len(files) for _, _, files in os.walk(cache))
+
+        assert report_main(self.SWEEP + ["--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        held = objects()
+        assert held == 2 * (1 + 2 * 2)
+        calls = _Calls(monkeypatch)
+        assert repro_main(self.ARGV + ["--cache-dir", str(cache)]) == 0
+        assert calls.simulations == 0 and calls.compiles == []
+        results = self._swept(capsys, lambda name, nodes: _in_process(
+            name, nodes, run_three_ways))
+        assert all(r["cache"] == "hit" for r in results)
+        assert objects() == held
 
 
 class TestReportDriver:

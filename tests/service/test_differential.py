@@ -2,12 +2,13 @@
 the in-process pipeline.
 
 For every Olden benchmark, both engines, with and without a fault
-profile, the payload a :class:`WorkerPool` returns must equal --
-as a plain ``==`` on the JSON-safe payload dicts, i.e. bit-identical
-values, simulated times, output, stats, and utilization -- what
-:func:`run_three_ways` computes in-process.  Checked cold (workers=1,
-computing into a shared disk cache), warm (workers=2, all cache hits),
-and fresh at workers=4 (no cache: worker count cannot change results).
+profile, the payloads a :class:`WorkerPool` returns for the three
+configurations' ``run`` legs must equal -- as a plain ``==`` on the
+JSON-safe payload dicts, i.e. bit-identical values, simulated times,
+output, stats, and utilization -- what :func:`run_three_ways`
+computes in-process.  Checked cold (workers=1, computing into a shared
+disk cache), warm (workers=2, all cache hits), and fresh at workers=4
+(no cache: worker count cannot change results).
 """
 
 import os
@@ -16,9 +17,10 @@ import pytest
 
 from repro.earth.faults import FaultPlan, plan_from_cli
 from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
-from repro.harness.pipeline import run_three_ways
+from repro.harness.experiments import leg_job
+from repro.harness.pipeline import CONFIGURATIONS, run_three_ways
 from repro.olden.loader import catalog
-from repro.service.jobs import JobSpec, run_payload
+from repro.service.jobs import run_payload
 from repro.service.pool import WorkerPool
 from repro.config import RunConfig
 
@@ -54,10 +56,33 @@ def _matrix():
     return cells
 
 
-def _job(spec, engine, profile):
-    return JobSpec("three-way", benchmark=spec.name, nodes=2,
-                   small=True, engine=engine,
-                   faults=_fault_dict(profile))
+#: What ``run_three_ways`` runs: the uncached configurations.
+LEGS = [name for name, leg in CONFIGURATIONS.items() if not leg.cached]
+
+
+def _jobs(spec, engine, profile):
+    """One cell's three configurations, a ``run`` job per leg."""
+    run = RunConfig(engine=engine, faults=_fault_dict(profile))
+    return [leg_job(spec.name, configuration, 2, small=True, run=run)
+            for configuration in LEGS]
+
+
+def _served(pool, cells, cache):
+    """One payload per cell, shaped like its reference (configuration
+    -> run payload), from one ``run_batch`` over every leg; each leg
+    must be ok and come back with disposition ``cache``."""
+    results = iter(pool.run_batch(
+        [job for cell in cells for job in _jobs(*cell)], timeout=600))
+    served = []
+    for _ in cells:
+        payload = {}
+        for configuration in LEGS:
+            result = next(results)
+            assert result.ok, result.error
+            assert result.cache == cache
+            payload[configuration] = result.payload["run"]
+        served.append(payload)
+    return served
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +112,10 @@ def cache_dir(tmp_path_factory):
 def test_cold_worker_matches_in_process(references, cache_dir):
     """workers=1, empty cache: every job computes and must reproduce
     the in-process payload exactly."""
-    jobs = [_job(*cell) for cell in _matrix()]
     with WorkerPool(workers=1, cache_dir=cache_dir) as pool:
-        results = pool.run_batch(jobs, timeout=600)
-    for (spec, engine, profile), result in zip(_matrix(), results):
-        assert result.ok, result.error
-        assert result.cache == "miss"
-        assert result.payload == \
+        served = _served(pool, _matrix(), "miss")
+    for (spec, engine, profile), payload in zip(_matrix(), served):
+        assert payload == \
             references[(spec.name, engine, profile)], \
             f"{spec.name}/{engine}/faults={profile} diverged (cold)"
 
@@ -101,13 +123,10 @@ def test_cold_worker_matches_in_process(references, cache_dir):
 def test_warm_cache_replays_bit_identically(references, cache_dir):
     """workers=2 over the cache the cold run filled: every job is a
     hit, and hits serve the exact payload the cold computation made."""
-    jobs = [_job(*cell) for cell in _matrix()]
     with WorkerPool(workers=2, cache_dir=cache_dir) as pool:
-        results = pool.run_batch(jobs, timeout=600)
-    for (spec, engine, profile), result in zip(_matrix(), results):
-        assert result.ok, result.error
-        assert result.cache == "hit"
-        assert result.payload == \
+        served = _served(pool, _matrix(), "hit")
+    for (spec, engine, profile), payload in zip(_matrix(), served):
+        assert payload == \
             references[(spec.name, engine, profile)], \
             f"{spec.name}/{engine}/faults={profile} diverged (warm)"
 
@@ -120,12 +139,10 @@ def test_four_workers_compute_the_same_results(references):
     cold run, which uses a different worker count than the
     references.)"""
     cells = [cell for cell in _matrix() if cell[1] == DEFAULT_ENGINE]
-    jobs = [_job(*cell) for cell in cells]
     with WorkerPool(workers=4, cache_dir=None) as pool:
-        results = pool.run_batch(jobs, timeout=600)
-    for (spec, engine, profile), result in zip(cells, results):
-        assert result.ok, result.error
-        assert result.cache == "miss"  # memory-only tier, all fresh
-        assert result.payload == \
+        # "miss": a memory-only tier, all fresh.
+        served = _served(pool, cells, "miss")
+    for (spec, engine, profile), payload in zip(cells, served):
+        assert payload == \
             references[(spec.name, engine, profile)], \
             f"{spec.name}/{engine}/faults={profile} diverged (w=4)"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.errors import ServiceError
+from repro.harness.experiments import leg_job
 from repro.harness.pipeline import PIPELINE_VERSION, run_three_ways
 from repro.olden.loader import get_benchmark
 from repro.service.cache import ArtifactCache
@@ -21,9 +22,15 @@ int main(int n) { return add(n, 10); }
 
 
 class TestSpecValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ServiceError, match="unknown job kind"):
-            JobSpec("transmogrify", source=SOURCE)
+    @pytest.mark.parametrize("kind", ["transmogrify", "three-way",
+                                      "four-way"])
+    def test_unknown_kind_rejected(self, kind):
+        """The paper's bundles are sweeps of ``run`` legs, not kinds:
+        their old names are refused like any other."""
+        with pytest.raises(ServiceError) as refusal:
+            JobSpec(kind, source=SOURCE)
+        assert str(refusal.value) == (f"unknown job kind {kind!r} "
+                                      "(known: compile, run, selftest)")
 
     def test_source_xor_benchmark(self):
         with pytest.raises(ServiceError, match="exactly one"):
@@ -98,11 +105,11 @@ class TestSerialization:
 class TestContentAddressing:
     def test_benchmark_and_source_jobs_share_an_address(self):
         spec = get_benchmark("power")
-        by_name = JobSpec("three-way", benchmark="power", nodes=2,
+        by_name = JobSpec("run", benchmark="power", nodes=2,
                           small=True)
         inline = spec.inline if isinstance(spec.inline, bool) \
             else sorted(spec.inline)
-        by_source = JobSpec("three-way", source=spec.source(),
+        by_source = JobSpec("run", source=spec.source(),
                             filename=by_name.resolved()["filename"],
                             nodes=2, inline=inline,
                             max_stmts=spec.max_stmts,
@@ -146,15 +153,15 @@ class TestExecuteJob:
         assert result.payload["run"]["time_ns"] > 0
 
     def test_three_way_matches_in_process_pipeline(self):
-        result = execute_job(JobSpec("three-way", benchmark="power",
-                                     nodes=2, small=True))
         spec = get_benchmark("power")
         reference = run_three_ways(
             spec.source(), spec.name, inline=spec.inline,
             config=RunConfig(nodes=2, args=tuple(spec.small_args),
                              max_stmts=spec.max_stmts))
-        assert result.payload == {name: run_payload(r)
-                                  for name, r in reference.items()}
+        served = {name: execute_job(leg_job("power", name, 2, small=True))
+                  .payload["run"] for name in reference}
+        assert served == {name: run_payload(r)
+                          for name, r in reference.items()}
 
     def test_error_carries_exit_code(self):
         result = execute_job(JobSpec("compile",
@@ -195,7 +202,7 @@ class TestExecuteJob:
 
 
 # ---------------------------------------------------------------------------
-# Golden pins: the wire dict and the cache address of six fixed specs
+# Golden pins: the wire dict and the cache address of four fixed specs
 # ---------------------------------------------------------------------------
 
 PIN_SOURCE = ("int add(int a, int b) { return a + b; }\n"
@@ -246,20 +253,6 @@ GOLDEN = {
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         "5c0d5160aa8d73d72ef7e5513f7d3724"
         "e6677c29e99cd40e18a8f8ca1adb4dbf"),
-    "three-way": (
-        dict(kind="three-way", source=PIN_SOURCE, args=[3],
-             rcache_capacity=32, rcache_line_words=8),
-        dict(kind="three-way", source=PIN_SOURCE, args=[3],
-             rcache_capacity=32, rcache_line_words=8),
-        "dcfaad3470df6c9d5681156b74a64f4f"
-        "ea9373bf0e8d98880311e6252e7c55ca"),
-    "four-way": (
-        dict(kind="four-way", source=PIN_SOURCE, nodes=8, args=[3],
-             params="sequential-c"),
-        dict(kind="four-way", source=PIN_SOURCE, nodes=8, args=[3],
-             params="sequential-c"),
-        "3250bb7fd9dadc2f89a2861855a6d51c"
-        "09ced5d977ab7de0208184dabfc8710c"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),

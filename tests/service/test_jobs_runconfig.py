@@ -2,16 +2,15 @@
 
 The cache key embeds the full serialized run config, so *every* run
 option -- current and future -- changes the key automatically.  These
-tests pin the aliasing rules that matter: run/four-way keys vary with
-the rcache geometry, three-way keys normalize it away (the three legs
-ignore the cache), and four-way jobs round-trip and execute end to end.
+tests pin the aliasing rules that matter: run keys vary with the rcache
+geometry and the engine, and a cached run executes end to end.
 """
 
 import pytest
 
 from repro.config import RunConfig
 from repro.errors import ServiceError
-from repro.service.jobs import JOB_KINDS, JobSpec, execute_job
+from repro.service.jobs import JobSpec, execute_job
 
 SOURCE = """
 int main()
@@ -48,48 +47,20 @@ class TestCacheKeys:
         assert spec(rcache_capacity=64, rcache_line_words=8) \
             .canonical_key() != spec(rcache_capacity=64).canonical_key()
 
-    def test_three_way_key_ignores_rcache_fields(self):
-        # run_three_ways never builds a cache, so equivalent jobs must
-        # share cached payloads regardless of the requested geometry.
-        base = spec(kind="three-way").canonical_key()
-        assert spec(kind="three-way",
-                    rcache_capacity=64).canonical_key() == base
-        assert spec(kind="three-way", rcache_capacity=64,
-                    rcache_line_words=8).canonical_key() == base
-
-    def test_four_way_key_keeps_rcache_fields(self):
-        assert spec(kind="four-way",
-                    rcache_capacity=64).canonical_key() \
-            != spec(kind="four-way").canonical_key()
-
     def test_engine_never_aliases_cached_runs(self):
         assert spec(engine="ast").canonical_key() \
             != spec(engine="codegen").canonical_key()
 
 
-class TestFourWayJobs:
-    def test_kind_is_registered(self):
-        assert "four-way" in JOB_KINDS
-
-    def test_round_trips_through_dict(self):
-        job = spec(kind="four-way", rcache_capacity=32,
-                   rcache_line_words=8)
-        restored = JobSpec.from_dict(job.to_dict())
-        assert restored.run.rcache_capacity == 32
-        assert restored.run.rcache_line_words == 8
-        assert restored.canonical_key() == job.canonical_key()
-
-    def test_executes_all_four_legs(self):
-        result = execute_job(spec(kind="four-way", rcache_capacity=8))
-        result.raise_if_failed()
-        payload = result.payload
-        assert set(payload) == {"sequential", "simple", "optimized",
-                                "rcached"}
-        rcached, optimized = payload["rcached"], payload["optimized"]
+class TestCachedRuns:
+    def test_cached_run_of_the_optimized_program(self):
+        optimized = execute_job(spec()).raise_if_failed().payload["run"]
+        rcached = execute_job(spec(rcache_capacity=8)) \
+            .raise_if_failed().payload["run"]
         assert rcached["value"] == optimized["value"] == 42
-        # The rcached leg runs the *optimized* program, whose forwarding
-        # already removed this toy's reuse; the leg still reports the
-        # cache counters so real workloads surface their hits.
+        # The optimizer's forwarding already removed this toy's reuse;
+        # the cached run still reports the cache counters so real
+        # workloads surface their hits.
         assert "rcache_hits" in rcached["stats"]
 
     def test_run_job_reports_cache_counters(self):
