@@ -15,9 +15,7 @@ Reproduces, step by step:
 Run:  python examples/closest_point_walkthrough.py
 """
 
-from repro.analysis.connection import ConnectionInfo
-from repro.analysis.points_to import analyze_points_to
-from repro.analysis.rw_sets import EffectsAnalysis
+from repro.analysis.connection import analyze_connection
 from repro.comm.placement import analyze_placement
 from repro.frontend.goto_elim import eliminate_gotos
 from repro.frontend.parser import parse_program
@@ -82,8 +80,7 @@ def main():
     print()
 
     # --- Figure 7: possible-placement annotations -----------------------
-    pts = analyze_points_to(simple)
-    conn = ConnectionInfo(simple, pts, EffectsAnalysis(simple, pts))
+    conn = analyze_connection(simple)
     placement = analyze_placement(func, conn)
 
     print("=" * 72)

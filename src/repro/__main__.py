@@ -47,9 +47,8 @@ import json
 import os
 import sys
 
-from repro.analysis.connection import ConnectionInfo
-from repro.analysis.points_to import analyze_points_to
-from repro.analysis.rw_sets import EffectsAnalysis
+from repro.analysis.connection import analyze_connection
+from repro.comm.optconfig import OptConfig
 from repro.comm.placement import analyze_placement
 from repro.config import (
     ASSEMBLED_FIELDS,
@@ -177,9 +176,8 @@ def _selected_functions(compiled, only):
 
 
 def _show_tuples(compiled, only, opt=None):
-    simple = compiled.simple
-    pts = analyze_points_to(simple)
-    conn = ConnectionInfo(simple, pts, EffectsAnalysis(simple, pts))
+    opt = opt or OptConfig()
+    conn = analyze_connection(compiled.simple, opt.branch_weight)
     for function in _selected_functions(compiled, only):
         placement = analyze_placement(function, conn, opt)
         print(f"== RemoteReads / RemoteWrites per statement: "

@@ -19,20 +19,16 @@ Figure 5/6 consume.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.analysis.points_to import PointsToResult
-from repro.analysis.rw_sets import EffectsAnalysis, FieldKey
+from repro.analysis.points_to import (
+    PointsToResult,
+    analyze_points_to,
+    path_key,
+)
+from repro.analysis.rw_sets import EffectsAnalysis, keys_overlap
 from repro.frontend.types import FieldPath
 from repro.simple import nodes as s
-
-
-def path_key(path: Optional[FieldPath]) -> FieldKey:
-    """Field key of a communication tuple's field component (``None``
-    means a whole-object / scalar-deref access)."""
-    if path is None:
-        return ("*",)
-    return tuple(path.names)
 
 
 class ConnectionInfo:
@@ -72,7 +68,17 @@ class ConnectionInfo:
         for effect in table.values():
             if effect.base != base:
                 continue
-            from repro.analysis.rw_sets import keys_overlap
             if keys_overlap(effect.key, key):
                 return True
         return False
+
+
+def analyze_connection(program: s.SimpleProgram,
+                       branch_prob: float = 0.5) -> ConnectionInfo:
+    """Build the alias facts of ``program`` as it stands now: solve
+    points-to (``branch_prob`` weights its likelihood channel only),
+    decorate every statement with its read/write sets, and wrap both in
+    the query interface.  This is the one place the three are put
+    together; whoever changes statements afterwards asks again."""
+    pts = analyze_points_to(program, branch_prob)
+    return ConnectionInfo(program, pts, EffectsAnalysis(program, pts))

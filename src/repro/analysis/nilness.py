@@ -24,10 +24,10 @@ of every statement, the set of variables *definitely non-nil*:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Set
 
-from repro.analysis.rw_sets import EffectsAnalysis
 from repro.simple import nodes as s
+from repro.simple.traversal import basic_defs
 
 
 class NilnessResult:
@@ -36,18 +36,13 @@ class NilnessResult:
     def __init__(self, before: Dict[int, FrozenSet[str]]):
         self._before = before
 
-    def nonnil_before(self, label: int) -> FrozenSet[str]:
-        return self._before.get(label, frozenset())
-
     def is_nonnil_before(self, label: int, var: str) -> bool:
         return var in self._before.get(label, frozenset())
 
 
 class NilnessAnalysis:
-    def __init__(self, func: s.SimpleFunction,
-                 effects: Optional[EffectsAnalysis] = None):
+    def __init__(self, func: s.SimpleFunction):
         self.func = func
-        self.effects = effects
         self._before: Dict[int, Set[str]] = {}
 
     def run(self) -> NilnessResult:
@@ -61,7 +56,6 @@ class NilnessAnalysis:
 
     def _written_vars(self, stmt: s.Stmt) -> Set[str]:
         """Variables a statement may (transitively) write."""
-        from repro.simple.traversal import basic_defs
         written: Set[str] = set()
         for child in stmt.walk():
             if isinstance(child, s.BasicStmt):

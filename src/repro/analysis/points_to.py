@@ -50,7 +50,11 @@ Holder = Tuple  # pointer holder
 STAR = "*"
 
 
-def _field_key(path) -> Tuple[str, ...]:
+def path_key(path) -> Tuple[str, ...]:
+    """Field key of an access's field path: its names, or ``(STAR,)``
+    for ``None`` (a whole-object / scalar-deref access).  Points-to
+    holders, heap effects and communication tuples all key fields this
+    way."""
     return tuple(path.names) if path is not None else (STAR,)
 
 
@@ -229,7 +233,7 @@ class PointsToAnalysis:
             self._field_stores.append(
                 (self._var_holder(func, lhs.base),
                  self._rhs_source(func, rhs),
-                 _field_key(lhs.path), prob))
+                 path_key(lhs.path), prob))
             return
         elif isinstance(lhs, s.DerefWriteLV):
             self._field_stores.append(
@@ -247,7 +251,7 @@ class PointsToAnalysis:
                 self._add_copy(
                     source,
                     (("structvar", func.name, lhs.struct_var),
-                     _field_key(lhs.path)), prob)
+                     path_key(lhs.path)), prob)
             return
         if dst is None:
             return
@@ -277,7 +281,7 @@ class PointsToAnalysis:
         elif isinstance(rhs, s.FieldReadRhs):
             self._field_loads.append(
                 (self._var_holder(func, rhs.base), dst,
-                 _field_key(rhs.path), prob))
+                 path_key(rhs.path), prob))
         elif isinstance(rhs, s.DerefReadRhs):
             self._field_loads.append(
                 (self._var_holder(func, rhs.base), dst, (STAR,), prob))
@@ -287,7 +291,7 @@ class PointsToAnalysis:
         elif isinstance(rhs, s.StructFieldReadRhs):
             self._add_copy(
                 (("structvar", func.name, rhs.struct_var),
-                 _field_key(rhs.path)),
+                 path_key(rhs.path)),
                 dst, prob)
 
     def _rhs_source(self, func: s.SimpleFunction,

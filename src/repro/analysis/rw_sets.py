@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.points_to import STAR, PointsToResult
+from repro.analysis.points_to import STAR, PointsToResult, path_key
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs, basic_uses, cond_uses
 
@@ -33,6 +33,17 @@ from repro.simple.traversal import basic_defs, basic_uses, cond_uses
 UNKNOWN = ("unknown",)
 
 FieldKey = Tuple[str, ...]
+
+_HEAP_READS = (s.FieldReadRhs, s.DerefReadRhs, s.IndexReadRhs)
+_HEAP_WRITES = (s.FieldWriteLV, s.DerefWriteLV, s.IndexWriteLV)
+
+
+def access_key(access) -> FieldKey:
+    """Field key of a heap read or write node: its field path, or the
+    whole object for a scalar deref or an indexed access."""
+    if isinstance(access, (s.FieldReadRhs, s.FieldWriteLV)):
+        return path_key(access.path)
+    return (STAR,)
 
 
 def keys_overlap(a: FieldKey, b: FieldKey) -> bool:
@@ -123,15 +134,20 @@ class Effects:
 class EffectsAnalysis:
     """Computes per-statement effects with interprocedural summaries.
 
-    Create once per program (after points-to), then query
+    Create once per program state (after points-to), then query
     :meth:`effects`, :meth:`var_written` and :meth:`accessed_via_alias`.
+    The analysis keeps one table, ``(function, label) -> Effects``.
+    Every basic statement is entered at construction, so the table
+    describes the program as it stood then; a compound statement is
+    aggregated from its children on first query, and so is a statement
+    a pass inserted later.
     """
 
     def __init__(self, program: s.SimpleProgram, pts: PointsToResult):
         self.program = program
         self.pts = pts
         self._summaries: Dict[str, Effects] = {}
-        self._cache: Dict[Tuple[str, int], Effects] = {}
+        self._table: Dict[Tuple[str, int], Effects] = {}
         self._compute_summaries()
 
     # -- public queries -----------------------------------------------------------
@@ -140,11 +156,10 @@ class EffectsAnalysis:
         """The full effect set of ``stmt`` (compound statements aggregate
         children, calls import callee summaries)."""
         key = (func.name, stmt.label)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._stmt_effects(func, stmt)
-            self._cache[key] = cached
-        return cached
+        found = self._table.get(key)
+        if found is None:
+            found = self._table[key] = self._stmt_effects(func, stmt)
+        return found
 
     def var_written(self, func: s.SimpleFunction, name: str,
                     stmt: s.Stmt) -> bool:
@@ -183,25 +198,54 @@ class EffectsAnalysis:
     # -- summaries ------------------------------------------------------------------
 
     def _compute_summaries(self) -> None:
-        for name in self.program.functions:
-            self._summaries[name] = Effects()
-        changed = True
-        while changed:
-            changed = False
-            for name, func in self.program.functions.items():
-                fresh = Effects()
-                locals_ = set(func.variables)
-                for stmt in func.body.basic_stmts():
-                    fresh.merge(self._basic_effects(func, stmt),
-                                drop_locals_of=locals_, anonymize=True)
-                if self._summaries[name].merge(fresh):
-                    changed = True
+        """Enter every basic statement's own effects in the table, solve
+        ``summary(f) = own(f) + summary(g) for each g that f calls``
+        (f's locals dropped, heap bases anonymized) by propagating over
+        the call edges until nothing grows, then import each callee's
+        summary at its call sites."""
+        functions = self.program.functions
+        call_sites: List[Tuple[Effects, s.CallStmt]] = []
+        callers: Dict[str, List[str]] = {name: [] for name in functions}
+        locals_of = {name: set(func.variables)
+                     for name, func in functions.items()}
+        for name, func in functions.items():
+            summary = self._summaries[name] = Effects()
+            for stmt in func.body.basic_stmts():
+                own = self._table[name, stmt.label] = \
+                    self._basic_effects(func, stmt)
+                summary.merge(own, drop_locals_of=locals_of[name],
+                              anonymize=True)
+                if isinstance(stmt, s.CallStmt) and stmt.func in functions:
+                    call_sites.append((own, stmt))
+                    if name not in callers[stmt.func]:
+                        callers[stmt.func].append(name)
+        grown = list(functions)
+        while grown:
+            callee = grown.pop()
+            for caller in callers[callee]:
+                if self._summaries[caller].merge(
+                        self._summaries[callee],
+                        drop_locals_of=locals_of[caller],
+                        anonymize=True):
+                    grown.append(caller)
+        for own, stmt in call_sites:
+            self._import_callee(own, stmt)
+
+    def _import_callee(self, effects: Effects, stmt: s.BasicStmt) -> None:
+        """A call to a program function has the callee's summary among
+        its effects; built-ins have no heap effects beyond their
+        arguments."""
+        if isinstance(stmt, s.CallStmt) and stmt.func in self._summaries:
+            effects.merge(self._summaries[stmt.func], anonymize=True)
 
     # -- per-statement computation ------------------------------------------------------
 
     def _stmt_effects(self, func: s.SimpleFunction, stmt: s.Stmt) -> Effects:
+        """Effects of a statement the table does not hold yet."""
         if isinstance(stmt, s.BasicStmt):
-            return self._basic_effects(func, stmt)
+            effects = self._basic_effects(func, stmt)
+            self._import_callee(effects, stmt)
+            return effects
         effects = Effects()
         if isinstance(stmt, (s.IfStmt, s.WhileStmt, s.DoStmt,
                              s.ForallStmt)):
@@ -214,13 +258,19 @@ class EffectsAnalysis:
 
     def _basic_effects(self, func: s.SimpleFunction,
                        stmt: s.BasicStmt) -> Effects:
+        """The statement's own effects: everything but what a callee
+        does."""
         effects = Effects()
         effects.var_reads |= basic_uses(stmt)
         effects.var_writes |= basic_defs(stmt)
 
         if isinstance(stmt, s.AssignStmt):
-            self._rhs_heap(func, effects, stmt.rhs)
-            self._lhs_heap(func, effects, stmt.lhs)
+            if isinstance(stmt.rhs, _HEAP_READS):
+                self._add_ptr_effect(func, effects, stmt.rhs.base,
+                                     access_key(stmt.rhs), write=False)
+            if isinstance(stmt.lhs, _HEAP_WRITES):
+                self._add_ptr_effect(func, effects, stmt.lhs.base,
+                                     access_key(stmt.lhs), write=True)
         elif isinstance(stmt, s.BlkmovStmt):
             if stmt.src[0] == "ptr":
                 self._add_ptr_effect(func, effects, stmt.src[1], (STAR,),
@@ -228,39 +278,9 @@ class EffectsAnalysis:
             if stmt.dst[0] == "ptr":
                 self._add_ptr_effect(func, effects, stmt.dst[1], (STAR,),
                                      write=True)
-        elif isinstance(stmt, s.CallStmt):
-            callee = self.program.functions.get(stmt.func)
-            if callee is not None:
-                effects.merge(self._summaries[stmt.func],
-                              anonymize=True)
-            # Built-ins have no heap effects beyond their arguments.
         elif isinstance(stmt, s.SharedOpStmt):
             effects.shared_vars.add(stmt.shared_var)
         return effects
-
-    def _rhs_heap(self, func: s.SimpleFunction, effects: Effects,
-                  rhs: s.Rhs) -> None:
-        if isinstance(rhs, s.FieldReadRhs):
-            self._add_ptr_effect(func, effects, rhs.base,
-                                 tuple(rhs.path.names), write=False)
-        elif isinstance(rhs, s.DerefReadRhs):
-            self._add_ptr_effect(func, effects, rhs.base, (STAR,),
-                                 write=False)
-        elif isinstance(rhs, s.IndexReadRhs):
-            self._add_ptr_effect(func, effects, rhs.base, (STAR,),
-                                 write=False)
-
-    def _lhs_heap(self, func: s.SimpleFunction, effects: Effects,
-                  lhs: s.LValue) -> None:
-        if isinstance(lhs, s.FieldWriteLV):
-            self._add_ptr_effect(func, effects, lhs.base,
-                                 tuple(lhs.path.names), write=True)
-        elif isinstance(lhs, s.DerefWriteLV):
-            self._add_ptr_effect(func, effects, lhs.base, (STAR,),
-                                 write=True)
-        elif isinstance(lhs, s.IndexWriteLV):
-            self._add_ptr_effect(func, effects, lhs.base, (STAR,),
-                                 write=True)
 
     def _add_ptr_effect(self, func: s.SimpleFunction, effects: Effects,
                         base: str, key: FieldKey, write: bool) -> None:

@@ -31,14 +31,19 @@ schedule.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.analysis.connection import ConnectionInfo, path_key
-from repro.analysis.rw_sets import keys_overlap
+from repro.analysis.connection import ConnectionInfo
+from repro.analysis.rw_sets import (
+    UNKNOWN,
+    FieldKey,
+    access_key,
+    keys_overlap,
+)
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs
 
-AvailKey = Tuple[str, Optional[Tuple[str, ...]]]
+AvailKey = Tuple[str, FieldKey]
 
 
 class ForwardingStats:
@@ -75,12 +80,9 @@ class _Avail:
                     and operand.name == var]:
             del self.entries[key]
 
-    def kill_overlapping(self, base: str, key) -> None:
-        field = key if key is not None else ("*",)
+    def kill_overlapping(self, base: str, field: FieldKey) -> None:
         for existing in [k for k in self.entries if k[0] == base]:
-            existing_field = existing[1] if existing[1] is not None \
-                else ("*",)
-            if keys_overlap(existing_field, field):
+            if keys_overlap(existing[1], field):
                 del self.entries[existing]
 
 
@@ -148,11 +150,10 @@ class ForwardingPass:
             # line code comes from _transfer_basic instead.
             for key in list(avail.entries):
                 base, field = key
-                field_key = field if field is not None else ("*",)
-                if not keys_overlap(effect.key, field_key):
+                if not keys_overlap(effect.key, field):
                     continue
                 targets = self.conn.pts.points_to(self.func.name, base)
-                if effect.loc == ("unknown",) or not targets \
+                if effect.loc == UNKNOWN or not targets \
                         or effect.loc in targets:
                     del avail.entries[key]
 
@@ -186,10 +187,7 @@ class ForwardingPass:
 
         # 1. Try to forward a remote read.
         if isinstance(rhs, (s.FieldReadRhs, s.DerefReadRhs)) and rhs.remote:
-            key: AvailKey = (rhs.base,
-                             rhs.path.names if isinstance(
-                                 rhs, s.FieldReadRhs) else None)
-            entry = avail.entries.get(key)
+            entry = avail.entries.get((rhs.base, access_key(rhs)))
             if entry is not None:
                 operand, from_store = entry
                 stmt.rhs = s.OperandRhs(operand)
@@ -208,44 +206,32 @@ class ForwardingPass:
                             s.IndexWriteLV)):
             # Direct heap write: kill aliased entries (other bases whose
             # objects overlap) and overlapping entries of this base.
-            lhs_key = lhs.path.names if isinstance(lhs, s.FieldWriteLV) \
-                else None
-            self._kill_aliased_writes(avail, lhs.base, lhs_key)
-            avail.kill_overlapping(lhs.base, lhs_key)
+            self._kill_aliased_writes(avail, lhs.base, access_key(lhs))
+            avail.kill_overlapping(lhs.base, access_key(lhs))
 
         # 3. Record new availability.
         if isinstance(lhs, s.VarLV) and \
                 isinstance(rhs, (s.FieldReadRhs, s.DerefReadRhs)) and \
                 rhs.remote:
-            read_key: AvailKey = (rhs.base,
-                                  rhs.path.names if isinstance(
-                                      rhs, s.FieldReadRhs) else None)
             if lhs.name != rhs.base:
-                avail.entries[read_key] = (s.VarUse(lhs.name), False)
-        elif isinstance(lhs, s.FieldWriteLV) and \
+                avail.entries[(rhs.base, access_key(rhs))] = \
+                    (s.VarUse(lhs.name), False)
+        elif isinstance(lhs, (s.FieldWriteLV, s.DerefWriteLV)) and \
                 isinstance(rhs, s.OperandRhs) and lhs.remote:
             operand = rhs.operand
             if not (isinstance(operand, s.VarUse)
                     and operand.name == lhs.base):
-                avail.entries[(lhs.base, lhs.path.names)] = (operand, True)
-        elif isinstance(lhs, s.DerefWriteLV) and \
-                isinstance(rhs, s.OperandRhs) and lhs.remote:
-            operand = rhs.operand
-            if not (isinstance(operand, s.VarUse)
-                    and operand.name == lhs.base):
-                avail.entries[(lhs.base, None)] = (operand, True)
+                avail.entries[(lhs.base, access_key(lhs))] = (operand, True)
 
     def _kill_aliased_writes(self, avail: _Avail, base: str,
-                             key) -> None:
+                             field: FieldKey) -> None:
         """A direct write through ``base`` may also hit entries recorded
         under other pointers that share objects with ``base``."""
-        field = key if key is not None else ("*",)
         for existing in list(avail.entries):
             other_base, other_field = existing
             if other_base == base:
                 continue
-            other_key = other_field if other_field is not None else ("*",)
-            if not keys_overlap(field, other_key):
+            if not keys_overlap(field, other_field):
                 continue
             if self.conn.connected(self.func.name, base,
                                    self.func.name, other_base):

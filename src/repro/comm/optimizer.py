@@ -21,17 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.connection import ConnectionInfo
+from repro.analysis.connection import analyze_connection
 from repro.analysis.locality import (
     LocalityResult,
     analyze_locality,
     mark_private_sites,
 )
-from repro.analysis.points_to import analyze_points_to
-from repro.analysis.rw_sets import EffectsAnalysis
 from repro.comm.forwarding import ForwardingStats, forward_remote_values
 from repro.comm.optconfig import OptConfig
-from repro.comm.placement import PlacementResult, analyze_placement
+from repro.comm.placement import analyze_placement
 from repro.comm.selection import CommSelection, SelectionStats
 from repro.obs.profile import PassProfile, timed_pass
 from repro.simple import nodes as s
@@ -69,7 +67,6 @@ class OptimizationReport:
     def __init__(self):
         self.locality: Optional[LocalityResult] = None
         self.forwarding: Dict[str, ForwardingStats] = {}
-        self.placements: Dict[str, PlacementResult] = {}
         self.selections: Dict[str, SelectionStats] = {}
         #: One :class:`~repro.obs.profile.PassProfile` per optimizer
         #: pass, in execution order (timing + work counters).
@@ -121,6 +118,14 @@ class CommunicationOptimizer:
             else OptConfig()
 
     def run(self) -> OptimizationReport:
+        """Run the enabled passes in order, in place.
+
+        Forwarding and the two selection phases rewrite and insert
+        statements, and the kill rules must read the alias facts of the
+        statements as they now are.  So each of them, and the
+        private-line marking that follows selection, starts from its own
+        :func:`~repro.analysis.connection.analyze_connection`: one
+        points-to solve and one effects table per phase."""
         report = OptimizationReport()
         config = self.config
 
@@ -134,7 +139,8 @@ class CommunicationOptimizer:
 
         if config.enable_forwarding:
             with timed_pass(report.passes, "forwarding") as profile:
-                conn = self._fresh_connection()
+                conn = analyze_connection(self.program,
+                                          self.opt.branch_weight)
                 for function in self.program.functions.values():
                     report.forwarding[function.name] = \
                         forward_remote_values(function, conn)
@@ -149,12 +155,14 @@ class CommunicationOptimizer:
             # Phase R: earliest placement of reads, all functions.
             with timed_pass(report.passes, "place/select reads") \
                     as profile:
-                conn = self._fresh_connection()
+                conn = analyze_connection(self.program,
+                                          self.opt.branch_weight)
+                read_placements = []
                 read_selections = {}
                 for function in self.program.functions.values():
                     placement = analyze_placement(function, conn,
                                                   self.opt)
-                    report.placements[function.name] = placement
+                    read_placements.append(placement)
                     selection = CommSelection(
                         function, placement, conn,
                         speculative_reads=config.speculative_reads,
@@ -162,7 +170,7 @@ class CommunicationOptimizer:
                         opt=self.opt)
                     selection.run_reads()
                     read_selections[function.name] = selection
-            self._placement_counters(profile, report.placements.values())
+            self._placement_counters(profile, read_placements)
             stats = [sel.stats for sel in read_selections.values()]
             profile.counters["pipelined_reads"] = sum(
                 s.pipelined_reads for s in stats)
@@ -177,7 +185,8 @@ class CommunicationOptimizer:
             # cross).
             with timed_pass(report.passes, "place/select writes") \
                     as profile:
-                conn = self._fresh_connection()
+                conn = analyze_connection(self.program,
+                                          self.opt.branch_weight)
                 write_placements = []
                 for function in self.program.functions.values():
                     placement = analyze_placement(function, conn,
@@ -214,7 +223,8 @@ class CommunicationOptimizer:
             # Last: the points-to facts must cover the comm statements
             # selection inserted.
             with timed_pass(report.passes, "private lines") as profile:
-                conn = self._fresh_connection()
+                conn = analyze_connection(self.program,
+                                          self.opt.branch_weight)
                 private = mark_private_sites(self.program, conn.pts)
             profile.counters["private_sites"] = private
 
@@ -228,13 +238,6 @@ class CommunicationOptimizer:
             p.tuples_generated for p in placements)
         profile.counters["tuples_killed"] = sum(
             p.tuples_killed for p in placements)
-
-    def _fresh_connection(self) -> ConnectionInfo:
-        """(Re)build the alias information for the current program
-        state -- cheap at benchmark scale, and keeps every pass exact."""
-        pts = analyze_points_to(self.program, self.opt.branch_weight)
-        effects = EffectsAnalysis(self.program, pts)
-        return ConnectionInfo(self.program, pts, effects)
 
 
 def _mark_residual_split_phase(function: s.SimpleFunction) -> int:

@@ -40,6 +40,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.analysis.connection import ConnectionInfo
+from repro.analysis.points_to import path_key
+from repro.analysis.rw_sets import keys_overlap
 from repro.comm.optconfig import OptConfig
 from repro.comm.tuples import CommSet, CommTuple
 from repro.simple import nodes as s
@@ -326,8 +328,6 @@ class PlacementAnalysis:
                 continue
             write = inner.remote_write()
             if write is not None and write.base == tup.base:
-                from repro.analysis.connection import path_key
-                from repro.analysis.rw_sets import keys_overlap
                 if keys_overlap(path_key(write.path), path_key(tup.path)):
                     return True
         return False

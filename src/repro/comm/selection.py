@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.nilness import NilnessResult, analyze_nilness
+from repro.analysis.rw_sets import UNKNOWN
 from repro.comm.optconfig import OptConfig
 from repro.comm.placement import PlacementResult
 from repro.comm.tuples import CommSet, CommTuple, SelectedOp
@@ -539,7 +540,7 @@ class CommSelection:
                 # with the fields the block write will write back.
                 effects = self.conn.effects.effects(self.func, inner)
                 for effect in effects.heap_writes.values():
-                    if effect.loc == ("unknown",) or not targets \
+                    if effect.loc == UNKNOWN or not targets \
                             or effect.loc in targets:
                         return False
         return True

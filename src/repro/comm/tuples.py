@@ -151,10 +151,3 @@ class CommSet:
 #: Hash-table entry of communication selection: one selected remote
 #: memory operation ``(p, f, d)``.
 SelectedOp = Tuple[str, Optional[Tuple[str, ...]], int]
-
-
-def selected_ops(t: CommTuple) -> Iterator[SelectedOp]:
-    """All ``(p, f, d)`` entries a tuple contributes to the hash table."""
-    key = t.key
-    for d in t.dlist:
-        yield (key[0], key[1], d)

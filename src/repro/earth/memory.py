@@ -97,7 +97,6 @@ class NodeMemory:
         #: Sparse storage for arena offsets (>= REMOTE_ARENA_BASE),
         #: materialized by writes; absent words are uninitialized.
         self._arena: Dict[int, Word] = {}
-        self.allocated_words = 0
         #: Half-open ``[start, end)`` offset ranges of blocks allocated
         #: with ``private=True`` (provably never remotely accessed, per
         #: :func:`~repro.analysis.locality.mark_private_sites`).  Bump
@@ -115,7 +114,6 @@ class NodeMemory:
             raise MemoryFault(
                 f"local heap exhausted ({offset} words)", self.node)
         self._words.extend([None] * words)
-        self.allocated_words += words
         if private:
             self._private_ranges.append((offset, offset + words))
         return make_address(self.node, offset)
@@ -195,7 +193,6 @@ class GlobalMemory:
         #: Bump counters for the arenas: (target, origin) -> next
         #: offset.  Only code running on ``origin`` bumps its slices.
         self._arena_next: Dict[Tuple[int, int], int] = {}
-        self._arena_allocated = 0
         #: Optional per-node remote-data cache (earth/rcache.py).  The
         #: machine attaches it so every mutation of global memory --
         #: regardless of which code path performs it -- invalidates
@@ -244,7 +241,6 @@ class GlobalMemory:
             raise MemoryFault(
                 f"arena slice for origin {origin} exhausted", node)
         self._arena_next[key] = offset + words
-        self._arena_allocated += words
         return make_address(node, offset)
 
     def read_word(self, address: int) -> Word:
@@ -280,7 +276,3 @@ class GlobalMemory:
                 self.rcache.store_applied(address, len(values))
         self.nodes[node_of(address)].write_block(
             offset_of(address), values)
-
-    def total_allocated_words(self) -> int:
-        return sum(node.allocated_words for node in self.nodes) \
-            + self._arena_allocated

@@ -22,12 +22,9 @@ it and the call becomes a reference to a fresh result variable.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.frontend import ast_nodes as ast
-
-_inline_counter = itertools.count(1)
 
 #: Statements per function body above which we refuse to inline.
 DEFAULT_MAX_STMTS = 30
@@ -186,8 +183,8 @@ class Inliner:
         self.program = program
         self.max_stmts = max_stmts
         self.only = only
-        self.graph = _call_graph(program)
-        self.inlinable = self._find_inlinable()
+        #: Call sites expanded so far, over every round; also the serial
+        #: that keeps one expansion's renamed locals apart from the next.
         self.inlined_calls = 0
 
     def _find_inlinable(self) -> Dict[str, ast.FunctionDecl]:
@@ -210,10 +207,15 @@ class Inliner:
         return table
 
     def run(self) -> int:
+        """One pass over the program as it now stands; returns how many
+        call sites this pass expanded."""
+        self.graph = _call_graph(self.program)
+        self.inlinable = self._find_inlinable()
+        before = self.inlined_calls
         for func in self.program.functions:
             func.body.stmts = self._process_block(func.body.stmts,
                                                   func.name)
-        return self.inlined_calls
+        return self.inlined_calls - before
 
     # -- block processing ----------------------------------------------------------
 
@@ -319,7 +321,7 @@ class Inliner:
     def _inline_call(self, call: ast.Call, target: ast.FunctionDecl,
                      prelude: List[ast.Stmt]) -> ast.Expr:
         self.inlined_calls += 1
-        serial = next(_inline_counter)
+        serial = self.inlined_calls
         mapping: Dict[str, str] = {}
         for node in ast.walk(target.body):
             if isinstance(node, ast.VarDecl):
@@ -368,10 +370,8 @@ def inline_functions(program: ast.Program,
     Runs up to ``max_rounds`` passes so calls cloned from inlined bodies
     get expanded too (bounded to keep code growth in check).
     """
-    total = 0
+    inliner = Inliner(program, max_stmts, only)
     for _ in range(max_rounds):
-        expanded = Inliner(program, max_stmts, only).run()
-        total += expanded
-        if expanded == 0:
+        if inliner.run() == 0:
             break
-    return total
+    return inliner.inlined_calls

@@ -1,4 +1,4 @@
-"""Hand-written lexer for the EARTH-C dialect.
+"""Lexer for the EARTH-C dialect: one compiled pattern, one scan.
 
 Produces a list of :class:`Token`.  EARTH-C extensions over the C subset:
 
@@ -10,7 +10,8 @@ Produces a list of :class:`Token`.  EARTH-C extensions over the C subset:
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import List
 
 from repro.errors import LexError, SourceLocation
 
@@ -61,195 +62,113 @@ class Token:
         return f"Token({self.kind}, {self.text!r} @ {self.loc})"
 
 
-class Lexer:
-    """Tokenizes one EARTH-C source string."""
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0",
+            "\\": "\\", "'": "'", '"': '"'}
+_ESCAPE = r"\\[%s]" % "".join(map(re.escape, _ESCAPES))
+_STRING_BODY = r'(?:[^"\\\n]|%s)*' % _ESCAPE
 
-    def __init__(self, source: str, filename: str = "<input>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+# One match is the trivia before a token (blanks, comments, and
+# preprocessor lines, which are skipped whole: the dialect has no
+# preprocessor but benchmark sources may keep decorative directives)
+# followed by the token, whose kind is the name of the group that
+# matched.  No token group matches at the end of input, at a malformed
+# literal or comment, or at a character the dialect does not have:
+# :func:`_lex_error` says which.
+_TOKEN = re.compile("".join((
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|#[^\n]*|/\*.*?\*/)*)",
+    r"(?:(?P<word>[^\W\d]\w*)",
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)",
+    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)",
+    r"|(?P<char>'(?:[^'\\]|%s)')" % _ESCAPE,
+    r'|(?P<string>"%s")' % _STRING_BODY,
+    r"|(?P<op>(?!/\*)(?:%s|[%s]))" % (
+        "|".join(map(re.escape, _MULTI_OPS)), re.escape(_SINGLE_OPS)),
+    r")?")), re.DOTALL)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 
-    # -- low-level cursor helpers ------------------------------------------
 
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.filename, self.line, self.column)
+def _unquote(literal: str) -> str:
+    """The decoded value of a quoted char or string literal."""
+    body = literal[1:-1]
+    if "\\" in body:
+        return _ESCAPED.sub(lambda match: _ESCAPES[match.group(1)], body)
+    return body
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
 
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    # -- whitespace and comments -------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            elif ch == "#":
-                # Preprocessor lines (e.g. #include) are skipped whole; the
-                # dialect has no preprocessor but benchmark sources may keep
-                # decorative directives.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # -- token scanners -----------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        saw_dot = False
-        saw_exp = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.source[start:self.pos]
-            return Token("int", text, loc, value=int(text, 16))
-        while True:
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not saw_dot and not saw_exp:
-                saw_dot = True
-                self._advance()
-            elif ch in "eE" and not saw_exp and self.pos > start:
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    saw_exp = True
-                    self._advance()
-                    if self._peek() in "+-":
-                        self._advance()
-                else:
-                    break
-            else:
-                break
-        text = self.source[start:self.pos]
-        if saw_dot or saw_exp:
-            return Token("float", text, loc, value=float(text))
-        return Token("int", text, loc, value=int(text))
-
-    def _scan_identifier(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start:self.pos]
-        if text in KEYWORDS:
-            return Token("keyword", text, loc)
-        return Token("id", text, loc)
-
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0",
-                "\\": "\\", "'": "'", '"': '"'}
-
-    def _scan_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "\\":
-            self._advance()
-            esc = self._advance()
-            if esc not in self._ESCAPES:
-                raise LexError(f"bad escape \\{esc}", loc)
-            value = self._ESCAPES[esc]
-        elif ch == "" or ch == "'":
-            raise LexError("empty character literal", loc)
-        else:
-            value = self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", loc)
-        self._advance()
-        return Token("char", f"'{value}'", loc, value=value)
-
-    def _scan_string(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "" or ch == "\n":
-                raise LexError("unterminated string literal", loc)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._advance()
-                if esc not in self._ESCAPES:
-                    raise LexError(f"bad escape \\{esc}", loc)
-                chars.append(self._ESCAPES[esc])
-            else:
-                chars.append(self._advance())
-        value = "".join(chars)
-        return Token("string", f'"{value}"', loc, value=value)
-
-    def _scan_operator(self) -> Token:
-        loc = self._loc()
-        for op in _MULTI_OPS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, loc)
-        ch = self._peek()
-        if ch in _SINGLE_OPS:
-            self._advance()
-            return Token("op", ch, loc)
-        raise LexError(f"unexpected character {ch!r}", loc)
-
-    # -- public API -----------------------------------------------------------
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token("eof", "", self._loc())
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._scan_number()
-        if ch.isalpha() or ch == "_":
-            return self._scan_identifier()
-        if ch == "'":
-            return self._scan_char()
-        if ch == '"':
-            return self._scan_string()
-        return self._scan_operator()
-
-    def tokenize(self) -> List[Token]:
-        tokens: List[Token] = []
-        while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind == "eof":
-                return tokens
+def _lex_error(source: str, pos: int, loc: SourceLocation) -> LexError:
+    """Why no token starts at ``source[pos]`` (which is not the end)."""
+    ch = source[pos]
+    if source.startswith("/*", pos):
+        return LexError("unterminated block comment", loc)
+    if ch == "'":
+        body = source[pos + 1:pos + 2]
+        if body == "\\":
+            esc = source[pos + 2:pos + 3]
+            if esc not in _ESCAPES:
+                return LexError(f"bad escape \\{esc}", loc)
+        elif body in ("", "'"):
+            return LexError("empty character literal", loc)
+        return LexError("unterminated character literal", loc)
+    if ch == '"':
+        # The longest well-formed body ends where the literal goes wrong:
+        # at a bad escape, or at the end of the line or of the input.
+        end = _STRING_PREFIX.match(source, pos + 1).end()
+        if source.startswith("\\", end):
+            return LexError(f"bad escape \\{source[end + 1:end + 2]}", loc)
+        return LexError("unterminated string literal", loc)
+    return LexError(f"unexpected character {ch!r}", loc)
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Tokenize ``source``, returning a list ending with an EOF token."""
-    return Lexer(source, filename).tokenize()
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    pos, line, line_start = 0, 1, 0
+    while True:
+        found = match(source, pos)
+        start = found.end("trivia")
+        if start != pos:
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, start) + 1
+        loc = SourceLocation(filename, line, start - line_start + 1)
+        kind = found.lastgroup
+        if kind == "trivia":
+            if start < len(source):
+                raise _lex_error(source, start, loc)
+            append(Token("eof", "", loc))
+            return tokens
+        pos = found.end()
+        text = source[start:pos]
+        if kind == "word":
+            append(Token("keyword" if text in KEYWORDS else "id", text, loc))
+        elif kind == "op":
+            append(Token("op", text, loc))
+        elif kind == "number":
+            if "." in text or "e" in text or "E" in text:
+                append(Token("float", text, loc, value=float(text)))
+                continue
+            try:
+                value = int(text)
+            except ValueError:
+                # Longer than the interpreter's int/str conversion limit.
+                raise LexError("integer literal too long", loc) from None
+            append(Token("int", text, loc, value=value))
+        elif kind == "hex":
+            if len(text) == 2:
+                raise LexError(
+                    f"hexadecimal literal {text!r} has no digits", loc)
+            append(Token("int", text, loc, value=int(text, 16)))
+        else:
+            # The token's text is its canonical spelling: the decoded
+            # value between the quotes.
+            value = _unquote(text)
+            quote = text[0]
+            append(Token(kind, f"{quote}{value}{quote}", loc, value=value))
+            if text[1] == "\n":
+                # A raw newline is a legal character literal.
+                line += 1
+                line_start = pos - 1

@@ -50,10 +50,6 @@ class Type:
         return isinstance(self, ScalarType) and self.kind != "void"
 
     @property
-    def is_floating(self) -> bool:
-        return isinstance(self, ScalarType) and self.kind in ("float", "double")
-
-    @property
     def is_integral(self) -> bool:
         return isinstance(self, ScalarType) and self.kind in ("char", "int")
 
@@ -115,11 +111,6 @@ class PointerType(Type):
         if self.is_local:
             return self
         return PointerType(self.target, is_local=True)
-
-    def without_locality(self) -> "PointerType":
-        if not self.is_local:
-            return self
-        return PointerType(self.target, is_local=False)
 
     def __repr__(self) -> str:
         return f"PointerType({self.target!r}, is_local={self.is_local})"

@@ -9,7 +9,7 @@ here because every analysis needs them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set
 
 from repro.errors import TransformError
 from repro.simple import nodes as s
@@ -98,30 +98,8 @@ def cond_uses(cond: s.CondExpr) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Parent map and splicing
+# Splicing
 # ---------------------------------------------------------------------------
-
-
-def parent_map(root: s.Stmt) -> Dict[int, s.Stmt]:
-    """Map from each descendant's label to its parent statement."""
-    parents: Dict[int, s.Stmt] = {}
-    for stmt in root.walk():
-        for child in stmt.children():
-            parents[child.label] = stmt
-    return parents
-
-
-def enclosing_seq(root: s.Stmt, target: s.Stmt,
-                  parents: Optional[Dict[int, s.Stmt]] = None) -> s.SeqStmt:
-    """The :class:`SeqStmt` that directly contains ``target``."""
-    if parents is None:
-        parents = parent_map(root)
-    parent = parents.get(target.label)
-    if not isinstance(parent, s.SeqStmt):
-        raise TransformError(
-            f"statement S{target.label} is not inside a sequence "
-            f"(parent: {parent!r})")
-    return parent
 
 
 def insert_before(seq: s.SeqStmt, target: s.Stmt,
@@ -138,30 +116,12 @@ def insert_after(seq: s.SeqStmt, target: s.Stmt,
     seq.stmts[index + 1:index + 1] = list(new_stmts)
 
 
-def replace_stmt(seq: s.SeqStmt, target: s.Stmt,
-                 replacements: Iterable[s.Stmt]) -> None:
-    """Replace ``target`` in ``seq`` with ``replacements`` (may be empty)."""
-    index = _index_of(seq, target)
-    seq.stmts[index:index + 1] = list(replacements)
-
-
 def _index_of(seq: s.SeqStmt, target: s.Stmt) -> int:
     for index, stmt in enumerate(seq.stmts):
         if stmt is target:
             return index
     raise TransformError(
         f"statement S{target.label} not found in sequence S{seq.label}")
-
-
-def remove_nops(root: s.Stmt) -> None:
-    """Delete :class:`NopStmt` placeholders from every sequence under
-    ``root`` (in place)."""
-    for stmt in root.walk():
-        if isinstance(stmt, s.SeqStmt):
-            stmt.stmts = [
-                child for child in stmt.stmts
-                if not isinstance(child, s.NopStmt)
-            ]
 
 
 # ---------------------------------------------------------------------------

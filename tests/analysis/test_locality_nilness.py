@@ -125,7 +125,8 @@ class TestNilness:
         result = analyze_nilness(func)
         for stmt in func.body.walk():
             if predicate(stmt):
-                return result.nonnil_before(stmt.label)
+                return {var for var in func.variables
+                        if result.is_nonnil_before(stmt.label, var)}
         raise AssertionError("statement not found")
 
     @staticmethod

@@ -1,9 +1,15 @@
 """Read/write set (effects) analysis tests."""
 
+import collections
+import pathlib
+
+import repro
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.points_to import analyze_points_to
 from repro.analysis.rw_sets import EffectsAnalysis, keys_overlap
 from repro.frontend.types import FieldPath
+from repro.harness.pipeline import compile_earthc
+from repro.olden.loader import get_benchmark
 from repro.simple import nodes as s
 from tests.conftest import to_simple
 
@@ -230,3 +236,67 @@ class TestAliasQueries:
         """)
         assert conn.connected("f", "p", "f", "q")
         assert not conn.connected("f", "p", "f", "r")
+
+
+class TestOneEffectsTable:
+    """An analysis decorates each basic statement once, however many
+    summary rounds and queries follow."""
+
+    def count_basic_effects(self, monkeypatch):
+        calls = collections.Counter()
+        original = EffectsAnalysis._basic_effects
+
+        def counted(analysis, func, stmt):
+            # Keyed by the analysis itself, which also keeps it alive:
+            # a freed one's id could be reused by the next phase's.
+            calls[analysis, func.name, stmt.label] += 1
+            return original(analysis, func, stmt)
+
+        monkeypatch.setattr(EffectsAnalysis, "_basic_effects", counted)
+        return calls
+
+    def test_recursive_summaries_and_repeated_queries(self, monkeypatch):
+        calls = self.count_basic_effects(monkeypatch)
+        simple, effects, conn = build(NODE + """
+            int g;
+            int odd(struct node *p);
+            int even(struct node *p) {
+                if (p == NULL) return 1;
+                g = g + 1;
+                return odd(p->next);
+            }
+            int odd(struct node *p) {
+                if (p == NULL) return 0;
+                p->v = g;
+                return even(p->next);
+            }
+            int f(struct node *p) { return even(p); }
+        """)
+        for _ in range(2):
+            for func in simple.functions.values():
+                for stmt in func.body.walk():
+                    effects.effects(func, stmt)
+        basic = sum(len(list(func.body.basic_stmts()))
+                    for func in simple.functions.values())
+        assert len(calls) == basic and set(calls.values()) == {1}
+        # The mutual recursion did reach its fixed point.
+        assert "g" in effects.summary("f").var_writes
+        assert effects.summary("f").heap_writes
+
+    def test_whole_optimizing_compile(self, monkeypatch):
+        calls = self.count_basic_effects(monkeypatch)
+        spec = get_benchmark("health")
+        compile_earthc(spec.source(), spec.filename, optimize=True,
+                       opt="probabilistic")
+        analyses = {key[0] for key in calls}
+        assert len(analyses) == 4    # forwarding, reads, writes, private
+        assert set(calls.values()) == {1}
+
+    def test_one_construction_site_in_the_product(self):
+        root = pathlib.Path(repro.__file__).parent
+        sites = [str(path.relative_to(root))
+                 for path in sorted(root.rglob("*.py"))
+                 if path.name != "rw_sets.py"
+                 for line in path.read_text().splitlines()
+                 if "EffectsAnalysis(" in line]
+        assert sites == ["analysis/connection.py"]

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.analysis.connection import ConnectionInfo
-from repro.analysis.points_to import analyze_points_to
-from repro.analysis.rw_sets import EffectsAnalysis
+from repro.analysis.connection import analyze_connection
 from repro.comm.forwarding import forward_remote_values
 from repro.simple import nodes as s
 from tests.conftest import run_both, to_simple
@@ -14,8 +12,7 @@ NODE = "struct node { int v; int w; struct node *next; };"
 
 def forwarded(source, func_name):
     simple = to_simple(source)
-    pts = analyze_points_to(simple)
-    conn = ConnectionInfo(simple, pts, EffectsAnalysis(simple, pts))
+    conn = analyze_connection(simple)
     stats = forward_remote_values(simple.function(func_name), conn)
     return simple, stats
 

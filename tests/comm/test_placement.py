@@ -7,9 +7,7 @@ the closest-point program, including the frequency arithmetic
 
 import pytest
 
-from repro.analysis.connection import ConnectionInfo
-from repro.analysis.points_to import analyze_points_to
-from repro.analysis.rw_sets import EffectsAnalysis
+from repro.analysis.connection import analyze_connection
 from repro.comm.placement import analyze_placement
 from repro.simple import nodes as s
 from tests.conftest import to_simple
@@ -52,8 +50,7 @@ double find_close(struct point *head, struct point *t, double epsilon)
 
 def analyzed(source, func_name):
     simple = to_simple(source)
-    pts = analyze_points_to(simple)
-    conn = ConnectionInfo(simple, pts, EffectsAnalysis(simple, pts))
+    conn = analyze_connection(simple)
     func = simple.function(func_name)
     return func, analyze_placement(func, conn)
 

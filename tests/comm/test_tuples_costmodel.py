@@ -1,7 +1,7 @@
 """Tuple algebra and blocking-decision tests."""
 
 from repro.comm.optconfig import OptConfig
-from repro.comm.tuples import CommSet, CommTuple, selected_ops
+from repro.comm.tuples import CommSet, CommTuple
 from repro.frontend.types import FieldPath
 
 
@@ -30,10 +30,6 @@ class TestCommTuple:
 
     def test_scaled(self):
         assert t("p", "x", 4, 1).scaled(0.5).freq == 2.0
-
-    def test_selected_ops_enumeration(self):
-        ops = set(selected_ops(t("p", "x", 1, 3, 9)))
-        assert ops == {("p", ("x",), 3), ("p", ("x",), 9)}
 
     def test_repr_matches_paper_style(self):
         assert repr(t("t", "x", 11, 11, 4)) == "(t->x, 11, S4:S11)"

@@ -49,12 +49,6 @@ class TestAllocation:
         with pytest.raises(MemoryFault):
             memory.allocate(0, 0)
 
-    def test_total_allocated_words(self):
-        memory = GlobalMemory(2)
-        memory.allocate(0, 4)
-        memory.allocate(1, 6)
-        assert memory.total_allocated_words() == 10
-
 
 class TestAccess:
     def test_write_then_read(self):

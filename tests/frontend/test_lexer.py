@@ -171,3 +171,50 @@ class TestErrorsAndLocations:
         token = tokenize("while")[0]
         assert token.is_keyword("while")
         assert not token.is_op("while")
+
+
+class TestMalformedLiterals:
+    """Every refusal is a LexError carrying the literal's location."""
+
+    @pytest.mark.parametrize("source, message", [
+        ("x = 0x;", "hexadecimal literal '0x' has no digits"),
+        ("x = 0XZ;", "hexadecimal literal '0X' has no digits"),
+        pytest.param("x = " + "9" * 5000 + ";", "integer literal too long",
+                     id="int-beyond-the-conversion-limit"),
+        ("x = /* never ends", "unterminated block comment"),
+        ("x = 'ab';", "unterminated character literal"),
+        ("x = '';", "empty character literal"),
+        ("x = '", "empty character literal"),
+        (r"x = '\q';", r"bad escape \q"),
+        ("x = '\\", "bad escape \\"),
+        ('x = "open', "unterminated string literal"),
+        ('x = "open\n";', "unterminated string literal"),
+        (r'x = "a\q" "', r"bad escape \q"),
+        ("x = $;", "unexpected character '$'"),
+        ("x = \f;", "unexpected character '\\x0c'"),
+    ])
+    def test_message_and_location(self, source, message):
+        with pytest.raises(LexError) as info:
+            tokenize("\n  " + source, "bad.ec")
+        assert str(info.value) == f"bad.ec:2:7: {message}"
+
+    def test_hex_digits_stop_at_the_first_non_hex_character(self):
+        assert [(t.kind, t.text, t.value) for t in tokenize("0x1G")[:-1]] \
+            == [("int", "0x1", 1), ("id", "G", None)]
+
+    def test_number_forms(self):
+        assert [(t.kind, t.text) for t in tokenize("1. 1.e2 1e+ 1..2 007")[:-1]] \
+            == [("float", "1."), ("float", "1.e2"), ("int", "1"),
+                ("id", "e"), ("op", "+"), ("float", "1."), ("float", ".2"),
+                ("int", "007")]
+
+    def test_literal_text_is_the_decoded_spelling(self):
+        string, char = tokenize(r'"a\tb" ' + r"'\n'")[:-1]
+        assert (string.text, string.value) == ('"a\tb"', "a\tb")
+        assert (char.text, char.value) == ("'\n'", "\n")
+
+    def test_locations_after_comments_and_a_raw_newline_character(self):
+        tokens = tokenize("a /* x\n y */ b // z\n#pragma\n '\n' c")
+        assert [(t.text, t.loc.line, t.loc.column) for t in tokens] == [
+            ("a", 1, 1), ("b", 2, 7), ("'\n'", 4, 2), ("c", 5, 3),
+            ("", 5, 4)]

@@ -6,6 +6,7 @@ worker sees the job.  A program the host's stack cannot hold is refused
 the same way at both ends of the pipeline, never with a traceback."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -175,8 +176,11 @@ _RECURSIVE = ("int f(int n) { int r; if (n == 0) return 0; "
 
 #: case -> (source, run options, exit code, error type, a word of the
 #: message).  Two programs nest deeper than the compiler can recurse;
-#: one calls deeper than either engine can.
+#: one calls deeper than either engine can; one spells a token the
+#: lexer has to refuse itself (``int('0x', 16)`` would raise for it).
 TOO_DEEP = {
+    "hex-no-digits": ("int main() { return 0x; }\n", {}, 3, "LexError",
+                      "has no digits"),
     "parens": ("int main() { return " + "(" * 3000 + "1" + ")" * 3000
                + "; }\n", {}, 3, "FrontendError", "nest too deeply"),
     "ifs": ("int main() { int x; x = 0;\n" + "if (x == 0) {\n" * 1500
@@ -204,6 +208,17 @@ def test_too_deep_program_on_the_command_line(case, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     if code == 3:
         assert str(path) in captured.err
+
+
+def test_malformed_literal_under_json_is_the_error_object(tmp_path, capsys):
+    path = tmp_path / "hex.ec"
+    path.write_text(TOO_DEEP["hex-no-digits"][0])
+    assert main([str(path), "--run", "--json"]) == 3
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert error["type"] == "LexError" and error["code"] == 3
+    assert f"{path}:1:21" in error["message"]
 
 
 @pytest.fixture(scope="module")

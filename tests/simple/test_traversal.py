@@ -9,12 +9,8 @@ from repro.simple.traversal import (
     basic_defs,
     basic_uses,
     clone_stmt,
-    enclosing_seq,
     insert_after,
     insert_before,
-    parent_map,
-    remove_nops,
-    replace_stmt,
 )
 
 
@@ -69,39 +65,10 @@ class TestSplicing:
         insert_after(seq, b, [new2])
         assert seq.stmts == [a, new, b, new2]
 
-    def test_replace_stmt(self):
-        a, b = assign("a", "z"), assign("b", "z")
-        seq = s.SeqStmt([a, b])
-        replacement = assign("c", "z")
-        replace_stmt(seq, a, [replacement])
-        assert seq.stmts == [replacement, b]
-
-    def test_replace_with_empty_deletes(self):
-        a = assign("a", "z")
-        seq = s.SeqStmt([a])
-        replace_stmt(seq, a, [])
-        assert seq.stmts == []
-
     def test_missing_target_raises(self):
         seq = s.SeqStmt([assign("a", "z")])
         with pytest.raises(TransformError):
             insert_before(seq, assign("b", "z"), [])
-
-    def test_parent_map_and_enclosing_seq(self):
-        inner = assign("a", "z")
-        body = s.SeqStmt([inner])
-        loop = s.WhileStmt(s.CondExpr(s.Const(1)), body)
-        root = s.SeqStmt([loop])
-        parents = parent_map(root)
-        assert parents[inner.label] is body
-        assert parents[loop.label] is root
-        assert enclosing_seq(root, inner) is body
-
-    def test_remove_nops(self):
-        keep = assign("a", "z")
-        seq = s.SeqStmt([s.NopStmt(), keep, s.NopStmt()])
-        remove_nops(seq)
-        assert seq.stmts == [keep]
 
 
 class TestClone:
