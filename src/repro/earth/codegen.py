@@ -12,30 +12,33 @@ into a per-function namespace:
 * frame variables become Python locals (``x`` -> ``v_x``), so variable
   access is a fast-local load instead of a dict operation;
 * maximal runs of purely-local statements become straight-line code
-  under a single batched budget update and one ``("busy", total)``
-  yield;
-* ``yield`` survives only at genuine split-phase points: remote loads
-  and stores, sync-slot waits, ``malloc``, ``blkmov``, shared-variable
-  operations, placed invocations (spawn + result wait), calls
-  (``yield from`` into the callee), and par/forall spawn + join;
+  under a single batched budget update and one in-place add of their
+  total EU time to the machine's slice clock (``_clk[0] += total``);
+* what never blocks -- remote loads and stores, ``malloc``, ``blkmov``,
+  shared-variable operations, spawns, result fulfills, ``printf`` -- is
+  a plain call into the machine (``_issue`` / ``_spawn`` / ``_fulfill``
+  / ``_print``) from inside the running slice;
+* ``yield`` survives only where a fiber blocks (sync-on-use,
+  synchronous remote operations, placed-call results, par/forall
+  joins, trailing split-phase writes): emitted code tests
+  ``slot.ready`` inline and takes ``slot.value``, or yields the bare
+  :class:`~repro.earth.machine.Slot`; calls ``yield from`` the callee;
 * field offsets, operand readers, binop/coercion selection, global
   addresses and constant busy costs are resolved at codegen time, and
   coercions are elided where the operand's type already guarantees the
   representation (e.g. ``int(x)`` on a value that is provably an
   ``int``).
 
-The generator protocol and the ``Machine`` action vocabulary (``busy``
-/ ``issue`` / ``wait`` / ``spawn`` / ``fulfill``) are the walker's, so
-tracing, statistics and the causality model are untouched, and the
-engine is *bit-identical* to it: values, ``MachineStats``, ``time_ns``
-and traces all match, including under fault plans and with the
-remote-data cache enabled.  Every machine parameter is a multiple of
-0.5 ns, so float summation is exact and coalescing ``busy`` amounts
-cannot change ``time_ns``.  Sync-wait ordering is replicated exactly:
-the generator builds the same name sets the walker's ``_sync_uses``
-builds at run time, sorted the same way, and filters them down to the
-names that can ever hold a pending
-:class:`~repro.earth.machine.Slot`.
+The one-yield contract and the ``Machine`` entry points (with their
+re-entrancy invariant: :mod:`repro.earth.machine`) are the walker's
+too, whatever tracer, fault plan, remote-data cache or shard port is
+attached, so the engine is *bit-identical* to it: values,
+``MachineStats``, ``time_ns`` and traces all match.  Every machine
+parameter is a multiple of 0.5 ns, so float summation is exact and
+coalescing busy amounts cannot change ``time_ns``.  Sync-wait ordering
+is replicated exactly: the generator builds the same name sets the
+walker's ``_sync_uses`` builds at run time, sorted the same way, and
+filters them down to the names that can ever hold a pending ``Slot``.
 
 Known (accepted) divergence: the statement budget is charged per fused
 block, so a run that exhausts ``max_stmts`` may abort a few statements
@@ -70,7 +73,6 @@ from repro.earth.interpreter import (
     SharedCell,
     WalkedFunction,
     _c_div,
-    _c_int,
     _c_mod,
     _normalize_word,
 )
@@ -119,11 +121,11 @@ def _op_mod(left, right):
 
 
 def _char_coerce(value):
-    return _c_int(value) & 0xFF
+    return int(value) & 0xFF
 
 
 _KIND_COERCE: Dict[str, Callable] = {
-    "int": _c_int,
+    "int": int,
     "char": _char_coerce,
     "float": float,
     "double": float,
@@ -194,10 +196,9 @@ def _faddr(base, offset):
 # Map the coercion callables (as chosen by ``_coerce_fn``) to source
 # fragments; ``%s`` is the operand expression.
 _COERCE_FMT = {
-    _c_int: "_ci(%s)",
-    _char_coerce: "(_ci(%s) & 255)",
-    float: "float(%s)",
     int: "int(%s)",
+    _char_coerce: "(int(%s) & 255)",
+    float: "float(%s)",
 }
 
 # Declared-type "kind" lattice used for coercion elision: 'int' means
@@ -395,6 +396,21 @@ class _CodeGenerator:
     def w(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
+    def w_busy(self, ns: float) -> None:
+        """Occupy the EU: advance the slice clock in place."""
+        self.w(f"_clk[0] += {ns!r}")
+
+    def w_wait(self, slot: str) -> None:
+        """The protocol's one yield: park on ``slot`` unless ready."""
+        self.w(f"if not {slot}.ready:")
+        self.w(f"    yield {slot}")
+
+    def w_take(self, slot: str) -> str:
+        """``w_wait`` into a new temp that takes the slot's value."""
+        t = self.tmp()
+        self.w(f"{t} = {slot}.value if {slot}.ready else (yield {slot})")
+        return t
+
     def tmp(self) -> str:
         self._tmp += 1
         return f"_t{self._tmp}"
@@ -424,7 +440,6 @@ class _CodeGenerator:
             "Fiber": Fiber,
             "JoinCounter": JoinCounter,
             "_nw": _normalize_word,
-            "_ci": _c_int,
             "_op_div": _op_div,
             "_op_mod": _op_mod,
             "_chkread": _chkread,
@@ -438,7 +453,11 @@ class _CodeGenerator:
             "_engine": self.engine,
             "_mem_read": memory.read_word,
             "_mem_write": memory.write_word,
-            "_output": machine.output,
+            "_clk": machine.clock,
+            "_issue": machine.issue,
+            "_spawn": machine.spawn,
+            "_fulfill": machine.signal,
+            "_print": machine.print,
             "_tracer": machine.tracer,
             "_NODE_SPAN": NODE_SPAN,
             "_FILLER": FILLER,
@@ -508,11 +527,12 @@ class _CodeGenerator:
         code = _CODE_CACHE.get(source)
         if code is None:
             code = compile(source, f"<codegen:{fname}>", "exec")
-            _CODE_CACHE[source] = code
-            if len(_CODE_CACHE) > _CODE_CACHE_LIMIT:
-                _CODE_CACHE.popitem(last=False)
-        else:
-            _CODE_CACHE.move_to_end(source)
+        # Threads share this cache (``serve --workers 0``) and may evict
+        # the entry just looked up: the LRU touch is remove + re-insert.
+        _CODE_CACHE.pop(source, None)
+        _CODE_CACHE[source] = code
+        if len(_CODE_CACHE) > _CODE_CACHE_LIMIT:
+            _CODE_CACHE.popitem(last=False)
         exec(code, self.ns)
         return GeneratedFunction(func, self.ns["invoke"], source)
 
@@ -521,9 +541,9 @@ class _CodeGenerator:
         return -- inlined at every main-context return site."""
         self.w("for _sl in _out:")
         self.w("    if not _sl.ready:")
-        self.w('        yield ("wait", _sl)')
+        self.w("        yield _sl")
         self.w("if result_slot is not None:")
-        self.w('    yield ("fulfill", result_slot, _ret)')
+        self.w("    _fulfill(result_slot, _ret)")
         self.w("return _ret")
 
     # -- sequences and fusion ----------------------------------------------
@@ -566,7 +586,7 @@ class _CodeGenerator:
         self.w("if _interp._stmts_left <= 0:")
         self.w("    raise InterpreterError(_BUDGET_MSG)")
         self.w(f"_stats.basic_stmts_executed += {count}")
-        self.w(f'yield ("busy", {busy!r})')
+        self.w_busy(busy)
         for effect in effects:
             effect(ctx)
 
@@ -619,7 +639,7 @@ class _CodeGenerator:
         def emit(ctx):
             self._emit_prologue(stmt)
             self._emit_sync(entries)
-            self.w(f'yield ("busy", {busy!r})')
+            self.w_busy(busy)
             if effect is not None:
                 effect(ctx)
         return ("gen", emit)
@@ -640,13 +660,11 @@ class _CodeGenerator:
             v = self.var(name)
             fmt = _COERCE_FMT.get(coerce)
             self.w(f"if type({v}) is Slot:")
-            t = self.tmp()
-            self.w(f'    {t} = yield ("wait", {v})')
-            if fmt is None:
-                self.w(f"    {v} = {t}")
-            else:
-                self.w(f"    {v} = {t} if isinstance({t}, list) "
-                       f"else {fmt % t}")
+            self.indent += 1
+            t = self.w_take(v)
+            self.w(f"{v} = {t}" if fmt is None else
+                   f"{v} = {t} if isinstance({t}, list) else {fmt % t}")
+            self.indent -= 1
             self.mark(name)
 
     # -- expressions ---------------------------------------------------------
@@ -669,7 +687,7 @@ class _CodeGenerator:
         fn = _coerce_fn(type_)
         if fn is None:
             return expr
-        target = "int" if fn in (_c_int, int) else \
+        target = "int" if fn is int else \
             "float" if fn is float else None
         if target is not None and kind == target:
             return expr
@@ -752,7 +770,7 @@ class _CodeGenerator:
             if rhs.op == "!":
                 return f"(0 if {expr} else 1)", "int"
             if rhs.op == "~":
-                inner = expr if kind == "int" else f"_ci({expr})"
+                inner = expr if kind == "int" else f"int({expr})"
                 return f"(~{inner})", "int"
             raise _Uncompilable(rhs)
         if isinstance(rhs, s.BinaryRhs):
@@ -763,9 +781,9 @@ class _CodeGenerator:
             expr, kind = self._x_operand(rhs.operand)
             if rhs.kind == "int":
                 return (expr, "int") if kind == "int" \
-                    else (f"_ci({expr})", "int")
+                    else (f"int({expr})", "int")
             if rhs.kind == "char":
-                inner = expr if kind == "int" else f"_ci({expr})"
+                inner = expr if kind == "int" else f"int({expr})"
                 return f"({inner} & 255)", "int"
             if rhs.kind in ("float", "double"):
                 return (expr, "float") if kind == "float" \
@@ -937,13 +955,12 @@ class _CodeGenerator:
         ts = self.tmp()
         double = field_type.size_words() == 2
         self.w(f"{ts} = Slot('write')")
-        self.w(f'yield ("issue", "write", {ta} // _NODE_SPAN, '
-               f'{words!r}, ("write", {ta}, {tc}, {double!r}), {ts}, '
-               f'{ta})')
+        self.w(f'_issue("write", {ta} // _NODE_SPAN, {words!r}, '
+               f'("write", {ta}, {tc}, {double!r}), {ts}, {ta})')
         if split:
             self.w(f"{ctx.out}.append({ts})")
         else:
-            self.w(f'yield ("wait", {ts})')
+            self.w_wait(ts)
 
     # -- assignments ---------------------------------------------------------
 
@@ -983,7 +1000,7 @@ class _CodeGenerator:
                     self._emit_prologue(stmt)
                     self._emit_sync(
                         self._sync_entries_for_basic(stmt))
-                    self.w(f'yield ("busy", {local_ns!r})')
+                    self.w_busy(local_ns)
                     tv, _ = self._emit_local_read_value(rhs)
                     # NB the walker passes value_type (always truthy)
                     # as the split flag here; replicated for exactness.
@@ -1003,7 +1020,7 @@ class _CodeGenerator:
         def emit_assign(ctx):
             self._emit_prologue(stmt)
             self._emit_sync(self._sync_entries_for_basic(stmt))
-            self.w(f'yield ("busy", {local_ns!r})')
+            self.w_busy(local_ns)
             expr, kind = self._x_rhs(rhs)
             t = self.tmp()
             self.w(f"{t} = {expr}")
@@ -1014,7 +1031,7 @@ class _CodeGenerator:
     def _gen_remote_read(self, stmt, rhs, lhs, ctx: _EmitCtx) -> None:
         self._emit_prologue(stmt)
         self._emit_sync(self._sync_entries_for_basic(stmt))
-        self.w(f'yield ("busy", {self.local_ns!r})')
+        self.w_busy(self.local_ns)
         addr, _, value_type = self._x_access(rhs)
         ta = self.tmp()
         self.w(f"{ta} = {addr}")
@@ -1023,8 +1040,8 @@ class _CodeGenerator:
         tn = self.tmp()
         self.w(f"{tn} = {ta} // _NODE_SPAN if {ta} != 0 else node")
         words = value_type.size_words() or 1
-        self.w(f'yield ("issue", "read", {tn}, {words!r}, '
-               f'("read", {ta}), {ts}, {ta})')
+        self.w(f'_issue("read", {tn}, {words!r}, ("read", {ta}), '
+               f'{ts}, {ta})')
         if stmt.split_phase and isinstance(lhs, s.VarLV):
             if lhs.name not in self.func.variables:
                 raise _Uncompilable(lhs)
@@ -1032,8 +1049,7 @@ class _CodeGenerator:
             self.w(f"{self.var(lhs.name)} = {ts}")
             self.mark(lhs.name)
             return
-        tv = self.tmp()
-        self.w(f'{tv} = yield ("wait", {ts})')
+        tv = self.w_take(ts)
         self._emit_store_value(lhs, tv, None, stmt.split_phase, ctx)
 
     # -- calls ---------------------------------------------------------------
@@ -1094,7 +1110,7 @@ class _CodeGenerator:
                 arg_temps.append(t)
             args_list = "[" + ", ".join(arg_temps) + "]"
             if stmt.placement is None:
-                self.w(f'yield ("busy", {call_ns!r})')
+                self.w_busy(call_ns)
                 tc = self.tmp()
                 self.w(f"{tc} = {cell_key}[0]")
                 self.w(f"if {tc} is None:")
@@ -1141,10 +1157,9 @@ class _CodeGenerator:
             self.w(f"{tf}.spawn_desc = ({name!r}, {args_list}, {ts})")
             # The cross-node request hop rides the network inside the
             # machine's spawn handling; the EU only pays the issue.
-            self.w(f'yield ("busy", {call_ns!r})')
-            self.w(f'yield ("spawn", {tf})')
-            tv = self.tmp()
-            self.w(f'{tv} = yield ("wait", {ts})')
+            self.w_busy(call_ns)
+            self.w(f"_spawn({tf})")
+            tv = self.w_take(ts)
             if stmt.target is not None:
                 self._emit_store_var(stmt.target, tv, None)
         return ("gen", emit_call)
@@ -1166,10 +1181,9 @@ class _CodeGenerator:
             self.w(f"{tn} = node")
         ts = self.tmp()
         self.w(f"{ts} = Slot('malloc')")
-        self.w(f'yield ("issue", "malloc", {tn}, {tw}, '
+        self.w(f'_issue("malloc", {tn}, {tw}, '
                f'("alloc", {tn}, {tw}, node, {stmt.private!r}), {ts})')
-        tv = self.tmp()
-        self.w(f'{tv} = yield ("wait", {ts})')
+        tv = self.w_take(ts)
         self._emit_store_var(stmt.target, tv, None)
 
     def _gen_blkmov(self, stmt: s.BlkmovStmt, ctx: _EmitCtx) -> None:
@@ -1219,21 +1233,20 @@ class _CodeGenerator:
         self.w(f"{trn}, {top} = _blkmov({src_arg}, {dst_arg}, "
                f"{words!r}, node, {ts}, {lazy!r})")
         addr_arg = tdst if dst_is_ptr else "None"
-        self.w(f'yield ("issue", "blkmov", {trn}, {words!r}, '
-               f'{top}, {ts}, {addr_arg})')
+        self.w(f'_issue("blkmov", {trn}, {words!r}, {top}, {ts}, '
+               f'{addr_arg})')
         if not dst_is_ptr:
             if lazy:
                 self.w(f"{self.var(dst_name)} = {ts}")
                 self.mark(dst_name)
                 return
-            td = self.tmp()
-            self.w(f'{td} = yield ("wait", {ts})')
+            td = self.w_take(ts)
             self.w(f"{tdb}[{dst_off!r}:{dst_off + words!r}] = {td}")
             return
         if split:
             self.w(f"{ctx.out}.append({ts})")
             return
-        self.w(f'yield ("wait", {ts})')
+        self.w_wait(ts)
 
     def _gen_shared(self, stmt: s.SharedOpStmt, ctx: _EmitCtx) -> None:
         op = stmt.op
@@ -1276,11 +1289,9 @@ class _CodeGenerator:
         if tg is not None:
             operation = (f'{operation} if {tg} else '
                          f'("sharedf", {tc}, {op!r}, {value_temp})')
-        self.w(f'yield ("issue", "shared", {tc}.owner, 1, '
-               f'{operation}, {ts})')
+        self.w(f'_issue("shared", {tc}.owner, 1, {operation}, {ts})')
         if op == "valueof":
-            tv = self.tmp()
-            self.w(f'{tv} = yield ("wait", {ts})')
+            tv = self.w_take(ts)
             self._emit_store_var(stmt.target, tv, None)
         else:
             self.w(f"{ctx.out}.append({ts})")
@@ -1288,7 +1299,7 @@ class _CodeGenerator:
     def _gen_return(self, stmt: s.ReturnStmt, ctx: _EmitCtx) -> None:
         self._emit_prologue(stmt)
         self._emit_sync(self._sync_entries_for_basic(stmt))
-        self.w(f'yield ("busy", {self.local_ns!r})')
+        self.w_busy(self.local_ns)
         if stmt.value is not None:
             vexpr, _ = self._x_operand(stmt.value)
         else:
@@ -1320,7 +1331,7 @@ class _CodeGenerator:
         self.w("except (TypeError, ValueError) as _e:")
         self.w("    raise InterpreterError("
                "'printf format error: %s' % (_e,)) from _e")
-        self.w(f"_output.append({tt})")
+        self.w(f"_print({tt})")
 
     # -- compound statements -------------------------------------------------
 
@@ -1351,7 +1362,7 @@ class _CodeGenerator:
 
     def _gen_if(self, stmt: s.IfStmt, ctx: _EmitCtx) -> None:
         self._emit_sync(self._sync_entries(stmt.cond.variables()))
-        self.w(f'yield ("busy", {self.local_ns!r})')
+        self.w_busy(self.local_ns)
         self.w(f"if {self._x_cond(stmt.cond)}:")
         self.indent += 1
         self._emit_suite(stmt.then_seq, ctx)
@@ -1367,7 +1378,7 @@ class _CodeGenerator:
         self.w("while True:")
         self.indent += 1
         self._emit_sync(entries)
-        self.w(f'yield ("busy", {self.local_ns!r})')
+        self.w_busy(self.local_ns)
         self.w(f"if not ({self._x_cond(stmt.cond)}):")
         self.w("    break")
         self.emit_seq(stmt.body, ctx)
@@ -1380,7 +1391,7 @@ class _CodeGenerator:
         self.indent += 1
         self.emit_seq(stmt.body, ctx)
         self._emit_sync(entries)
-        self.w(f'yield ("busy", {self.local_ns!r})')
+        self.w_busy(self.local_ns)
         self.w(f"if not ({self._x_cond(stmt.cond)}):")
         self.w("    break")
         self.indent -= 1
@@ -1389,7 +1400,7 @@ class _CodeGenerator:
     def _gen_switch(self, stmt: s.SwitchStmt, ctx: _EmitCtx) -> None:
         self._emit_sync(
             self._sync_entries(stmt.scrutinee.variables()))
-        self.w(f'yield ("busy", {self.local_ns!r})')
+        self.w_busy(self.local_ns)
         sexpr, _ = self._x_operand(stmt.scrutinee)
         t = self.tmp()
         self.w(f"{t} = {sexpr}")
@@ -1447,9 +1458,9 @@ class _CodeGenerator:
             self.w(f"{tf} = Fiber({bname}(), node, "
                    f"name={branch_name!r})")
             self.w(f"{tf}.on_done.append({join}.child_done)")
-            self.w(f'yield ("spawn", {tf})')
-        self.w(f'yield ("wait", {join}.slot)')
-        self.w(f'yield ("busy", {self.params.join_ns!r})')
+            self.w(f"_spawn({tf})")
+        self.w_wait(f"{join}.slot")
+        self.w_busy(self.params.join_ns)
 
     def _gen_forall(self, stmt: s.ForallStmt, ctx: _EmitCtx) -> None:
         n = self.defn()
@@ -1466,7 +1477,7 @@ class _CodeGenerator:
         self.w("while True:")
         self.indent += 1
         self._emit_sync(entries)
-        self.w(f'yield ("busy", {self.local_ns!r})')
+        self.w_busy(self.local_ns)
         self.w(f"if not ({self._x_cond(stmt.cond)}):")
         self.w("    break")
         # Iteration generator; default arguments snapshot the frame
@@ -1492,7 +1503,7 @@ class _CodeGenerator:
         self.indent -= 1
         self.w(f"for _sl in {iout}:")
         self.w("    if not _sl.ready:")
-        self.w('        yield ("wait", _sl)')
+        self.w("        yield _sl")
         self.w(f"if {sig}:")
         self.w(f"    raise InterpreterError({err!r})")
         self.w("return")
@@ -1503,7 +1514,7 @@ class _CodeGenerator:
         self.w(f"{tf} = Fiber({itname}(), node, "
                f"name={(self.func.name + ':forall')!r})")
         self.w(f"{ch}.append({tf})")
-        self.w(f'yield ("spawn", {tf})')
+        self.w(f"_spawn({tf})")
         # step runs in the enclosing context.
         self.emit_seq(stmt.step, ctx)
         self.indent -= 1
@@ -1520,5 +1531,5 @@ class _CodeGenerator:
         self.w(f"        {join}.child_done(_machine, 0.0)")
         self.w("    else:")
         self.w(f"        _f.on_done.append({join}.child_done)")
-        self.w(f'yield ("wait", {join}.slot)')
-        self.w(f'yield ("busy", {self.params.join_ns!r})')
+        self.w_wait(f"{join}.slot")
+        self.w_busy(self.params.join_ns)

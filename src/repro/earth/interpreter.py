@@ -147,7 +147,7 @@ class WalkedFunction:
         value = yield from self._interp._exec_function(
             self.function, args, node)
         if result_slot is not None:
-            yield ("fulfill", result_slot, value)
+            self._interp.machine.signal(result_slot, value)
         return value
 
 
@@ -254,6 +254,9 @@ class Interpreter:
         fiber.id = fiber_id
         return fiber
 
+    def _busy(self, ns: float) -> None:
+        self.machine.clock[0] += ns   # occupy the running fiber's EU
+
     # -- globals --------------------------------------------------------------------
 
     def _init_globals(self) -> None:
@@ -296,7 +299,7 @@ class Interpreter:
         # the activation disappears.
         for slot in act.outstanding:
             if not slot.ready:
-                yield ("wait", slot)
+                yield slot
         act.outstanding.clear()
         if signal is not None:
             return signal[1]
@@ -333,14 +336,14 @@ class Interpreter:
             return (yield from self._exec_seq(act, stmt))
         if isinstance(stmt, s.IfStmt):
             yield from self._sync_names(act, stmt.cond.variables())
-            yield ("busy", self.machine.params.local_stmt_ns)
+            self._busy(self.machine.params.local_stmt_ns)
             if self._eval_cond(act, stmt.cond):
                 return (yield from self._exec_seq(act, stmt.then_seq))
             return (yield from self._exec_seq(act, stmt.else_seq))
         if isinstance(stmt, s.WhileStmt):
             while True:
                 yield from self._sync_names(act, stmt.cond.variables())
-                yield ("busy", self.machine.params.local_stmt_ns)
+                self._busy(self.machine.params.local_stmt_ns)
                 if not self._eval_cond(act, stmt.cond):
                     return None
                 signal = yield from self._exec_seq(act, stmt.body)
@@ -352,13 +355,13 @@ class Interpreter:
                 if signal is not None:
                     return signal
                 yield from self._sync_names(act, stmt.cond.variables())
-                yield ("busy", self.machine.params.local_stmt_ns)
+                self._busy(self.machine.params.local_stmt_ns)
                 if not self._eval_cond(act, stmt.cond):
                     return None
         if isinstance(stmt, s.SwitchStmt):
             yield from self._sync_names(
                 act, stmt.scrutinee.variables())
-            yield ("busy", self.machine.params.local_stmt_ns)
+            self._busy(self.machine.params.local_stmt_ns)
             value = self._eval_operand(act, stmt.scrutinee)
             for case_value, seq in stmt.cases:
                 if value == case_value:
@@ -388,9 +391,10 @@ class Interpreter:
             fiber = Fiber(branch_body(branch), act.node,
                           name=f"{act.function.name}:par")
             fiber.on_done.append(join.child_done)
-            yield ("spawn", fiber)
-        yield ("wait", join.slot)
-        yield ("busy", self.machine.params.join_ns)
+            self.machine.spawn(fiber)
+        if not join.slot.ready:
+            yield join.slot
+        self._busy(self.machine.params.join_ns)
         return None
 
     def _exec_forall(self, act: Activation, stmt: s.ForallStmt):
@@ -398,21 +402,19 @@ class Interpreter:
         if signal is not None:
             return signal
         children: List[Fiber] = []
-        pending: List[JoinCounter] = []
         while True:
             yield from self._sync_names(act, stmt.cond.variables())
-            yield ("busy", self.machine.params.local_stmt_ns)
+            self._busy(self.machine.params.local_stmt_ns)
             if not self._eval_cond(act, stmt.cond):
                 break
             iter_act = Activation(act.function, act.node)
             iter_act.frame = self._copy_frame(act.frame)
-            iter_act.outstanding = []
 
             def iteration(iact=iter_act):
                 signal = yield from self._exec_seq(iact, stmt.body)
                 for slot in iact.outstanding:
                     if not slot.ready:
-                        yield ("wait", slot)
+                        yield slot
                 if signal is not None:
                     raise InterpreterError(
                         f"{act.function.name}: return inside forall body "
@@ -421,7 +423,7 @@ class Interpreter:
             fiber = Fiber(iteration(), act.node,
                           name=f"{act.function.name}:forall")
             children.append(fiber)
-            yield ("spawn", fiber)
+            self.machine.spawn(fiber)
             signal = yield from self._exec_seq(act, stmt.step)
             if signal is not None:
                 return signal
@@ -431,8 +433,9 @@ class Interpreter:
                 join.child_done(self.machine, 0.0)
             else:
                 fiber.on_done.append(join.child_done)
-        yield ("wait", join.slot)
-        yield ("busy", self.machine.params.join_ns)
+        if not join.slot.ready:
+            yield join.slot
+        self._busy(self.machine.params.join_ns)
         return None
 
     @staticmethod
@@ -474,20 +477,20 @@ class Interpreter:
         if isinstance(stmt, s.SharedOpStmt):
             return (yield from self._exec_shared(act, stmt))
         if isinstance(stmt, s.ReturnStmt):
-            yield ("busy", self.machine.params.local_stmt_ns)
+            self._busy(self.machine.params.local_stmt_ns)
             value: Value = 0
             if stmt.value is not None:
                 value = self._eval_operand(act, stmt.value)
             return ("ret", value)
         if isinstance(stmt, s.PrintStmt):
-            yield ("busy", 1000.0)
+            self._busy(1000.0)
             values = [self._eval_operand(act, arg) for arg in stmt.args]
             try:
                 text = stmt.format % tuple(values)
             except (TypeError, ValueError) as exc:
                 raise InterpreterError(
                     f"printf format error: {exc}") from exc
-            yield ("print", text)
+            self.machine.print(text)
             return None
         if isinstance(stmt, s.NopStmt):
             return None
@@ -515,7 +518,7 @@ class Interpreter:
         for name in names:
             value = act.frame.get(name)
             if isinstance(value, Slot):
-                resolved = yield ("wait", value)
+                resolved = value.value if value.ready else (yield value)
                 var = act.function.variables.get(name)
                 if var is not None and not isinstance(resolved, list):
                     resolved = self._coerce(var.type, resolved)
@@ -531,7 +534,7 @@ class Interpreter:
         # Remote/heap read on the right-hand side?
         if isinstance(rhs, (s.FieldReadRhs, s.DerefReadRhs,
                             s.IndexReadRhs)):
-            yield ("busy", params.local_stmt_ns)
+            self._busy(params.local_stmt_ns)
             address, value_type = self._access_address(act, rhs)
             if not getattr(rhs, "remote", False):
                 value = self._load_local(address, act)
@@ -539,19 +542,19 @@ class Interpreter:
                 return None
             slot = Slot(f"read@{stmt.label}")
             target = node_of(address) if address != 0 else act.node
-            yield ("issue", "read", target,
-                   value_type.size_words() or 1, ("read", address), slot,
-                   address)
+            self.machine.issue("read", target,
+                               value_type.size_words() or 1,
+                               ("read", address), slot, address)
             if stmt.split_phase and isinstance(lhs, s.VarLV):
                 act.frame[lhs.name] = slot
                 return None
-            value = yield ("wait", slot)
+            value = slot.value if slot.ready else (yield slot)
             yield from self._store_lvalue(act, lhs, value,
                                           stmt.split_phase)
             return None
 
         # Plain computation on the right.
-        yield ("busy", params.local_stmt_ns)
+        self._busy(params.local_stmt_ns)
         value = self._eval_rhs(act, rhs)
         yield from self._store_lvalue(act, lhs, value, stmt.split_phase)
         return None
@@ -594,13 +597,14 @@ class Interpreter:
                 memory.write_word(address + 1, FILLER)
             return
         slot = Slot("write")
-        yield ("issue", "write", node_of(address),
-               field_type.size_words() or 1,
-               ("write", address, coerced, double), slot, address)
+        self.machine.issue("write", node_of(address),
+                           field_type.size_words() or 1,
+                           ("write", address, coerced, double), slot,
+                           address)
         if split_phase:
             act.outstanding.append(slot)
-        else:
-            yield ("wait", slot)
+        elif not slot.ready:
+            yield slot
 
     # -- address & value helpers -----------------------------------------------------------
 
@@ -770,24 +774,24 @@ class Interpreter:
         params = self.machine.params
         name = stmt.func
         if name in _MATH_BUILTINS:
-            yield ("busy", _MATH_COST_NS)
+            self._busy(_MATH_COST_NS)
             arg = self._eval_operand(act, stmt.args[0])
             value = _MATH_BUILTINS[name](float(arg))
             if stmt.target is not None:
                 self._store_var(act, stmt.target, value)
             return None
         if name == "num_nodes":
-            yield ("busy", params.local_stmt_ns)
+            self._busy(params.local_stmt_ns)
             if stmt.target is not None:
                 self._store_var(act, stmt.target, self.machine.num_nodes)
             return None
         if name == "my_node":
-            yield ("busy", params.local_stmt_ns)
+            self._busy(params.local_stmt_ns)
             if stmt.target is not None:
                 self._store_var(act, stmt.target, act.node)
             return None
         if name == "owner_of":
-            yield ("busy", params.local_stmt_ns)
+            self._busy(params.local_stmt_ns)
             pointer = self._eval_operand(act, stmt.args[0])
             if stmt.target is not None:
                 self._store_var(act, stmt.target, node_of(int(pointer)))
@@ -801,7 +805,7 @@ class Interpreter:
 
         if stmt.placement is None:
             # Ordinary call: runs inline in the current fiber.
-            yield ("busy", params.call_overhead_ns)
+            self._busy(params.call_overhead_ns)
             value = yield from self._activation(callee, args, act.node)
             if stmt.target is not None:
                 self._store_var(act, stmt.target, value)
@@ -817,20 +821,17 @@ class Interpreter:
         # Pin the consuming node: a fulfill arriving from another node
         # pays the call-return network leg.
         result_slot.node = act.node
-
-        def remote_body():
-            value = yield from self._activation(callee, args,
-                                                target_node)
-            yield ("fulfill", result_slot, value)
-
-        fiber = Fiber(remote_body(), target_node, name=name)
+        fiber = Fiber(self._function(name).invoke(args, target_node,
+                                                  result_slot),
+                      target_node, name=name)
         fiber.spawn_desc = (name, list(args), result_slot)
         # The cross-node request hop rides the network (the machine
         # delays the remote spawn by ``read_one_way_ns``); the caller's
         # EU only pays the issue overhead.
-        yield ("busy", params.call_overhead_ns)
-        yield ("spawn", fiber)
-        value = yield ("wait", result_slot)
+        self._busy(params.call_overhead_ns)
+        self.machine.spawn(fiber)
+        value = result_slot.value if result_slot.ready \
+            else (yield result_slot)
         if stmt.target is not None:
             self._store_var(act, stmt.target, value)
         return None
@@ -870,9 +871,10 @@ class Interpreter:
         else:
             target = act.node
         slot = Slot("malloc")
-        yield ("issue", "malloc", target, words,
-               ("alloc", target, words, act.node, stmt.private), slot)
-        value = yield ("wait", slot)
+        self.machine.issue(
+            "malloc", target, words,
+            ("alloc", target, words, act.node, stmt.private), slot)
+        value = slot.value if slot.ready else (yield slot)
         self._store_var(act, stmt.target, value)
         return None
 
@@ -898,8 +900,8 @@ class Interpreter:
         slot = Slot(f"blkmov@{stmt.label}")
         target, operation = self._applier.blkmov(
             src, dst, words, act.node, slot, lazy_local_fill)
-        yield ("issue", "blkmov", target, words, operation, slot,
-               None if dst_local else dst)
+        self.machine.issue("blkmov", target, words, operation, slot,
+                           None if dst_local else dst)
 
         if dst_local:
             buffer, offset = dst
@@ -908,13 +910,13 @@ class Interpreter:
                 # buffer's name and the delivered word list replaces it.
                 act.frame[stmt.dst[1]] = slot
                 return None
-            data = yield ("wait", slot)
+            data = slot.value if slot.ready else (yield slot)
             buffer[offset:offset + words] = data
             return None
         if stmt.split_phase:
             act.outstanding.append(slot)
-            return None
-        yield ("wait", slot)
+        elif not slot.ready:
+            yield slot
         return None
 
     # -- shared variables ----------------------------------------------------------------------------
@@ -941,9 +943,9 @@ class Interpreter:
         # says so (a ShardError at shipment).
         operation = (("sharedg", stmt.shared_var, op, value) if is_global
                      else ("sharedf", cell, op, value))
-        yield ("issue", "shared", cell.owner, 1, operation, slot)
+        self.machine.issue("shared", cell.owner, 1, operation, slot)
         if op == "valueof":
-            result = yield ("wait", slot)
+            result = slot.value if slot.ready else (yield slot)
             self._store_var(act, stmt.target, result)
         else:
             act.outstanding.append(slot)
@@ -965,11 +967,8 @@ class Interpreter:
         return self._shared_global(name, gvar)
 
 
-def _c_int(value) -> int:
-    """C truncation-toward-zero conversion to int."""
-    if isinstance(value, float):
-        return int(value)  # Python int() truncates toward zero
-    return int(value)
+#: C conversion to int truncates toward zero, and so does Python's.
+_c_int = int
 
 
 def _apply_binop(op: str, left, right):

@@ -8,10 +8,16 @@ network (one-way latency), is serviced by the target SU (serialized --
 SU contention is modeled), and the reply fulfills a :class:`Slot` that
 consumers synchronize on.
 
-Fibers are Python generators yielding actions:
+Fibers are Python generators that yield exactly one thing -- the
+:class:`Slot` they are blocked on -- and only when it is not ready (the
+EU switches to another ready fiber; the slot's value is sent in on
+resume; a fiber that yields a ready slot gets its value straight back).
+Everything that never blocks is a plain call made from inside the
+running slice, whose EU-local time is ``machine.clock[0]``, set when
+the slice starts and read back when the fiber parks or finishes:
 
-* ``("busy", ns)`` -- occupy the EU;
-* ``("issue", kind, target_node, words, operation, slot[, addr])``
+* ``machine.clock[0] += ns`` -- occupy the EU;
+* ``machine.issue(kind, target_node, words, operation, slot[, addr])``
   -- start a split-phase operation (``kind`` in
   read/write/blkmov/shared/malloc).  ``operation`` is a value naming
   the side effect; wherever the request takes effect -- the local fast
@@ -22,9 +28,17 @@ Fibers are Python generators yielding actions:
   (:mod:`repro.earth.operations`); a bare machine's default applier
   just calls ``operation()``.  ``addr`` is the touched global address
   (feeds the remote-data cache; optional);
-* ``("wait", slot)`` -- block until a slot is fulfilled (the EU switches
-  to another ready fiber);
-* ``("spawn", fiber)`` -- put a new fiber on its node's ready queue.
+* ``machine.spawn(fiber)`` -- put a new fiber on its node's ready queue;
+* ``machine.signal(slot, value)`` -- fulfill a slot from the running
+  fiber's node (a call's result; pays the return network leg when the
+  slot is consumed on another node);
+* ``machine.print(text)`` -- append one line of program output.
+
+These advance the slice clock and schedule events; they never run a
+fiber.  Invariant: a fiber runs only inside ``_execute``, entered only
+from the event pump (``_run_node`` / ``_direct_resume``) and never
+re-entered, so "the running slice" is one fiber machine-wide; an entry
+point called with no slice running raises ``SimulatorError``.
 
 A fiber performing a *synchronous* remote operation issues and
 immediately waits -- reproducing Table I's sequential cost; back-to-back
@@ -110,6 +124,9 @@ _EV_TIMEOUT = 3  # retry timeout at the origin
 _EV_RET = 4      # cross-node call-return delivery
 _EV_INVAL = 5    # delayed cache invalidation firing at a holder
 _EV_RUN = 9      # EU runner (at most one pending per node)
+
+
+_NO_SLICE = "Machine.%s() called with no fiber slice running"
 
 
 def _call_operation(operation):
@@ -282,6 +299,9 @@ class Machine:
         #: ``apply(operation)`` -> the slot value.  The interpreter
         #: installs :class:`repro.earth.operations.Applier`.
         self.apply: Callable[[object], object] = _call_operation
+        #: The running slice's fiber (``None`` between slices) and clock.
+        self._slice: Optional[Fiber] = None
+        self.clock = [0.0]
 
         self._events: List[Tuple[float, tuple, Callable[[], None]]] = []
         self._ready: List[List[Tuple[float, int, Fiber]]] = [
@@ -418,93 +438,47 @@ class Machine:
             self._kick(node, start)
             return
         heapq.heappop(self._ready[node])
+        self._execute(fiber)
+
+    def _execute(self, fiber: Fiber) -> None:
+        """Run one slice, starting now: resume the fiber until it
+        yields the slot it is blocked on, or finishes."""
+        if self._slice is not None:
+            raise SimulatorError(
+                f"{fiber!r} resumed inside the slice of {self._slice!r}")
+        node = fiber.node
         self._running[node] = True
-        t = start
+        t = self.time
         if self._last_fiber[node] is not None \
                 and self._last_fiber[node] != fiber.id:
             t += self.params.ctx_switch_ns
             self.stats.context_switches += 1
         self._last_fiber[node] = fiber.id
-        resume_value = None
+        send_value = None
         if fiber.resume_slot is not None:
-            resume_value = fiber.resume_slot.value
+            send_value = fiber.resume_slot.value
             fiber.resume_slot = None
-        self._execute(fiber, t, resume_value)
-
-    def _execute(self, fiber: Fiber, t: float, send_value) -> None:
-        """Run the fiber until it blocks or finishes, starting at local
-        time ``t``."""
-        node = fiber.node
-        params = self.params
-        gen = fiber.gen
         tracer = self.tracer
-        t0 = t
+        clock = self.clock
+        clock[0] = t0 = t
         if self.rcache is not None:
             self.rcache.now = t
         if tracer is not None:
             tracer.emit("fiber_start", t, node, fiber=fiber.id,
                         name=fiber.name)
+        self._slice = fiber
         try:
-            while True:
-                action = gen.send(send_value)
-                send_value = None
-                kind = action[0]
-                if kind == "busy":
-                    t += action[1]
-                elif kind == "issue":
-                    _tag, op, target, words, operation, slot = action[:6]
-                    t = self._issue(fiber, t, op, target, words,
-                                    operation, slot,
-                                    action[6] if len(action) > 6
-                                    else None)
-                elif kind == "wait":
-                    slot: Slot = action[1]
-                    if slot.ready:
-                        send_value = slot.value
-                        continue
-                    slot.waiters.append(fiber)
-                    fiber.resume_slot = slot
-                    self._parked_count += 1
-                    self.eu_busy_ns[node] += t - t0
-                    if tracer is not None:
-                        tracer.emit("fiber_block", t, node,
-                                    fiber=fiber.id, name=fiber.name,
-                                    slot=slot.label)
-                        tracer.emit("eu_span", t0, node, dur=t - t0,
-                                    fiber=fiber.id, name=fiber.name)
-                    self._release_eu(node, t)
-                    return
-                elif kind == "spawn":
-                    child: Fiber = action[1]
-                    t += params.spawn_ns
-                    if child.id is None:
-                        child.id = self._assign_fiber_id(node)
-                    if child.node == node:
-                        self.add_fiber(child, earliest=t)
-                    elif self.faults is not None:
-                        self._spawn_resilient(node, t, child)
-                    elif self.port is not None \
-                            and not self.port.owns(child.node):
-                        self.port.send_spawn(
-                            child, t + params.read_one_way_ns)
-                    else:
-                        # The invoke token crosses the network like a
-                        # read-sized request.
-                        self.add_fiber(
-                            child,
-                            earliest=t + params.read_one_way_ns)
-                elif kind == "fulfill":
-                    self._fulfill_from(node, action[1], action[2], t)
-                elif kind == "print":
-                    if self._tag_events:
-                        self._out_tags.append(
-                            (self._cur_ord, len(self.output)))
-                    self.output.append(action[1])
-                else:  # pragma: no cover
-                    raise SimulatorError(f"unknown action {action!r}")
+            slot: Optional[Slot] = fiber.gen.send(send_value)
+            while slot.ready:  # the fiber did not test before yielding
+                slot = fiber.gen.send(slot.value)
         except StopIteration:
+            slot = None
+        finally:
+            self._slice = None
+        t = clock[0]
+        self.eu_busy_ns[node] += t - t0
+        if slot is None:
             fiber.done = True
-            self.eu_busy_ns[node] += t - t0
             if tracer is not None:
                 tracer.emit("fiber_done", t, node, fiber=fiber.id,
                             name=fiber.name)
@@ -512,62 +486,96 @@ class Machine:
                             fiber=fiber.id, name=fiber.name)
             for callback in fiber.on_done:
                 callback(self, t)
-            self._release_eu(node, t)
-
-    def _release_eu(self, node: int, t: float) -> None:
+        else:
+            slot.waiters.append(fiber)
+            fiber.resume_slot = slot
+            self._parked_count += 1
+            if tracer is not None:
+                tracer.emit("fiber_block", t, node, fiber=fiber.id,
+                            name=fiber.name, slot=slot.label)
+                tracer.emit("eu_span", t0, node, dur=t - t0,
+                            fiber=fiber.id, name=fiber.name)
         self._eu_free[node] = t
         self._running[node] = False
         self._kick(node, t)
 
-    # -- split-phase operations ----------------------------------------------------
+    # -- entry points of the running slice ------------------------------------------
 
-    def _issue(self, fiber: Fiber, t: float, op: str, target: int,
-               words: int, operation: object, slot: Optional[Slot],
-               addr: Optional[int] = None) -> float:
-        """Issue one operation; returns the new fiber-local time.
+    def print(self, text: str) -> None:
+        """Append one line of program output."""
+        if self._slice is None:
+            raise SimulatorError(_NO_SLICE % "print")
+        if self._tag_events:
+            self._out_tags.append((self._cur_ord, len(self.output)))
+        self.output.append(text)
 
-        ``addr`` is the global memory address the operation touches
-        (read address, write address, or blkmov *destination*), when the
-        issuing engine knows it -- it only feeds the remote-data cache
-        and is optional: issue actions without it simply bypass the
-        cache."""
+    def spawn(self, child: Fiber) -> None:
+        """Put ``child`` on its node's ready queue (one network
+        latency from now when that is another node)."""
+        if self._slice is None:
+            raise SimulatorError(_NO_SLICE % "spawn")
+        node = self._slice.node
         params = self.params
-        node = fiber.node
+        self.clock[0] = t = self.clock[0] + params.spawn_ns
+        if child.id is None:
+            child.id = self._assign_fiber_id(node)
+        if child.node == node:
+            self.add_fiber(child, earliest=t)
+        elif self.faults is not None:
+            # The invoke token rides the data operations' reliable
+            # channel, so the callee cannot start before earlier
+            # same-channel split-phase writes applied (the clean network
+            # orders them by timing alone; a dropped write retried late
+            # would let the callee read uninitialized memory).
+            self._send_resilient(node, t, "spawn", child.node, child,
+                                 None, 0)
+        elif self.port is not None and not self.port.owns(child.node):
+            self.port.send_spawn(child, t + params.read_one_way_ns)
+        else:
+            # The invoke token crosses the network like a read-sized
+            # request.
+            self.add_fiber(child, earliest=t + params.read_one_way_ns)
+
+    def issue(self, op: str, target: int, words: int, operation: object,
+              slot: Optional[Slot], addr: Optional[int] = None) -> None:
+        """Issue one split-phase operation from the running fiber and
+        charge its EU.  ``addr`` (read / write address or blkmov
+        *destination*) only feeds the remote-data cache; optional."""
+        if self._slice is None:
+            raise SimulatorError(_NO_SLICE % "issue")
+        node = self._slice.node
+        params = self.params
+        clock = self.clock
+        t = clock[0]
+        here = target == node  # does it take effect on this node, now?
         if op == "shared":
             self.stats.shared_ops += 1
-            t += params.shared_op_ns
-            if target == node:
-                value = self.apply(operation)
-                if slot is not None:
-                    self.fulfill(slot, value, t)
-                return t
-            self._send_request(node, t, "write", target, operation, slot,
-                               1)
-            return t
-        if op == "malloc":
-            if target == node:
-                t += params.malloc_ns
-            else:
+            clock[0] = t = t + params.shared_op_ns
+            if not here:
+                self._send_request(node, t, "write", target, operation,
+                                   slot, 1)
+                return
+        elif op == "malloc":
+            cost = params.malloc_ns
+            if not here:
                 # Remote allocation stays instantaneous at the origin:
                 # it bumps the origin's slice of the target's arena
                 # address space (repro.earth.memory), so no message is
-                # needed even when the target node lives on another
-                # shard.
-                t += params.malloc_ns + params.remote_malloc_extra_ns
-            value = self.apply(operation)
-            if slot is not None:
-                self.fulfill(slot, value, t)
-            return t
-        # read / write / blkmov
-        if target == node:
-            t += params.local_op_cost(op, words)
+                # needed even when the target lives on another shard.
+                cost += params.remote_malloc_extra_ns
+                here = True
+            clock[0] = t = t + cost
+        elif here:  # read / write / blkmov
+            clock[0] = t = t + params.local_op_cost(op, words)
             self._count_op(op, local=True, words=words)
             if self.rcache is not None:
                 self.rcache.now = t
+        if here:
             value = self.apply(operation)
             if slot is not None:
                 self.fulfill(slot, value, t)
-            return t
+            return
+        # read / write / blkmov on another node
         rcache = self.rcache
         if rcache is not None and addr:
             rcache.now = t
@@ -577,7 +585,7 @@ class Machine:
                     # Served entirely at the EU: no issue cost, no
                     # network legs, no remote_reads count -- the cache
                     # removed the message.
-                    t += params.rcache_hit_ns
+                    clock[0] = t = t + params.rcache_hit_ns
                     self.stats.rcache_hits += 1
                     if self.tracer is not None:
                         self.tracer.emit(
@@ -585,7 +593,7 @@ class Machine:
                             addr=addr, site=self.tracer.current_site)
                     if slot is not None:
                         self.fulfill(slot, value, t)
-                    return t
+                    return
                 self.stats.rcache_misses += 1
                 operation = ("fill", node, addr, operation)
             else:
@@ -595,11 +603,10 @@ class Machine:
                 # this write's reply confirms completion.
                 rcache.invalidate_node(node, addr, words, at=t)
                 rcache.writer_block(node, addr, words)
-        t += params.issue_cost(op, words)
+        clock[0] = t = t + params.issue_cost(op, words)
         self._count_op(op, local=False, words=words)
         self._send_request(node, t, op, target, operation, slot, words,
                            addr=addr)
-        return t
 
     def _request_leg(self, op: str, words: int) -> Tuple[float, float]:
         """``(one_way, su_time)`` of one request: its network latency
@@ -781,17 +788,6 @@ class Machine:
         if self.port is not None and not self.port.owns(target):
             self._inflight[(origin, target, chan_seq)] = pending
         self._launch_attempt(pending, t, one_way, su_time)
-
-    def _spawn_resilient(self, origin: int, t: float,
-                         child: Fiber) -> None:
-        """Remote invoke tokens ride the same reliable channel as data
-        operations, so a spawned callee can never start before earlier
-        same-channel split-phase writes have applied.  (The clean
-        network guarantees that ordering by timing alone; a dropped
-        write retried after the callee started would otherwise let it
-        read uninitialized memory.)"""
-        self._send_resilient(origin, t, "spawn", child.node, child,
-                             None, 0)
 
     def _launch_attempt(self, pending: "_PendingOp", t: float,
                         one_way: float, su_time: float) -> None:
@@ -1042,13 +1038,15 @@ class Machine:
 
     # -- slots -----------------------------------------------------------------------
 
-    def _fulfill_from(self, node: int, slot, value,
-                      t: float) -> None:
-        """Fulfill ``slot`` from code running on ``node``.  Same-node
-        (or unpinned) slots complete instantly; a slot consumed on
-        another node pays one network latency -- the return leg of a
-        remote call -- keyed per (dst, src) so delivery order is
-        intrinsic."""
+    def signal(self, slot: Slot, value) -> None:
+        """Fulfill ``slot`` from the running fiber.  Same-node (or
+        unpinned) slots complete instantly; a slot consumed on another
+        node pays one network latency -- the return leg of a remote
+        call -- keyed per (dst, src) so delivery order is intrinsic."""
+        if self._slice is None:
+            raise SimulatorError(_NO_SLICE % "signal")
+        node = self._slice.node
+        t = self.clock[0]
         dst = slot.node
         if dst is None or dst == node:
             self.fulfill(slot, value, t)
@@ -1137,18 +1135,7 @@ class Machine:
         # start = max(ready_at, eu_free, self.time) equals self.time
         # here: the event fired at max(ready_at, eu_free) and the
         # eu_free guard above rules out later advancement.
-        self._running[node] = True
-        t = self.time
-        if self._last_fiber[node] is not None \
-                and self._last_fiber[node] != fiber.id:
-            t += self.params.ctx_switch_ns
-            self.stats.context_switches += 1
-        self._last_fiber[node] = fiber.id
-        resume_value = None
-        if fiber.resume_slot is not None:
-            resume_value = fiber.resume_slot.value
-            fiber.resume_slot = None
-        self._execute(fiber, t, resume_value)
+        self._execute(fiber)
 
     # -- cache invalidation transport ----------------------------------------------
 

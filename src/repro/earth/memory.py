@@ -243,36 +243,39 @@ class GlobalMemory:
         self._arena_next[key] = offset + words
         return make_address(node, offset)
 
+    # (node_of / offset_of written out: once per simulated access.)
     def read_word(self, address: int) -> Word:
         if address == 0:
             raise MemoryFault("nil dereference (read)")
-        return self.nodes[node_of(address)].read(offset_of(address))
+        return self.nodes[address // NODE_SPAN].read(address % NODE_SPAN)
 
     def write_word(self, address: int, value: Word) -> None:
         if address == 0:
             raise MemoryFault("nil dereference (write)")
+        memory = self.nodes[address // NODE_SPAN]
+        offset = address % NODE_SPAN
         if self.rcache is not None:
-            if self._has_private and self.nodes[node_of(address)] \
-                    .is_private(offset_of(address)):
+            if self._has_private and memory.is_private(offset):
                 self.rcache.note_private_skip()
             else:
                 self.rcache.store_applied(address, 1)
-        self.nodes[node_of(address)].write(offset_of(address), value)
+        memory.write(offset, value)
 
     def read_block(self, address: int, words: int) -> List[Word]:
         if address == 0:
             raise MemoryFault("nil dereference (block read)")
-        return self.nodes[node_of(address)].read_block(
-            offset_of(address), words)
+        return self.nodes[address // NODE_SPAN].read_block(
+            address % NODE_SPAN, words)
 
     def write_block(self, address: int, values: List[Word]) -> None:
         if address == 0:
             raise MemoryFault("nil dereference (block write)")
+        memory = self.nodes[address // NODE_SPAN]
+        offset = address % NODE_SPAN
         if self.rcache is not None:
-            if self._has_private and self.nodes[node_of(address)] \
-                    .is_private(offset_of(address), len(values)):
+            if self._has_private \
+                    and memory.is_private(offset, len(values)):
                 self.rcache.note_private_skip()
             else:
                 self.rcache.store_applied(address, len(values))
-        self.nodes[node_of(address)].write_block(
-            offset_of(address), values)
+        memory.write_block(offset, values)

@@ -1,7 +1,7 @@
 """Remote operations as data, and the one function that executes them.
 
 An engine never hands the machine a callable: the ``operation`` element
-of an ``("issue", ...)`` action is a plain tuple naming a side effect on
+of a ``Machine.issue(...)`` call is a plain tuple naming a side effect on
 machine state, and :class:`Applier` is the only code that says what each
 kind does.  The machine calls it wherever an issued operation takes
 effect -- the local fast path, the target SU of either protocol, a
@@ -133,7 +133,7 @@ class Applier:
 
     def blkmov(self, src, dst, words: int, node: int, slot, lazy: bool):
         """Classify one block move issued on ``node`` -> ``(target,
-        operation)`` for its issue action.
+        operation)`` for its ``Machine.issue`` call.
 
         An endpoint is a global address or a frame buffer ``(list,
         offset)``; a buffer and a nil pointer count as being on

@@ -43,7 +43,7 @@ class SlotProxy:
     whose real object lives on the spawning shard.
 
     A cross-shard placed call ships its ``spawn_desc`` with the real
-    slot replaced by a proxy; the callee's ``("fulfill", proxy, value)``
+    slot replaced by a proxy; the callee's ``signal(proxy, value)``
     turns into a ``ret`` message carrying ``ref`` back, and the origin
     worker resolves ``ref`` to the real slot before delivery.  Only the
     consuming node (for the return network leg) and the registry key

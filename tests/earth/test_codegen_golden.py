@@ -72,69 +72,69 @@ GOLDEN_SUM_CHAIN = textwrap.dedent("""\
         if _interp._stmts_left <= 0:
             raise InterpreterError(_BUDGET_MSG)
         _stats.basic_stmts_executed += 1
-        yield ("busy", 60.0)
+        _clk[0] += 60.0
         v_total = 0
         while True:
-            yield ("busy", 60.0)
+            _clk[0] += 60.0
             if not (v_head != 0):
                 break
             _interp._stmts_left -= 1
             if _interp._stmts_left <= 0:
                 raise InterpreterError(_BUDGET_MSG)
             _stats.basic_stmts_executed += 1
-            yield ("busy", 60.0)
+            _clk[0] += 60.0
             _t1 = v_head
             _t2 = (_t1 + 1 if _t1 != 0 else 0)
             _t3 = Slot('read@26')
             _t4 = _t2 // _NODE_SPAN if _t2 != 0 else node
-            yield ("issue", "read", _t4, 1, ("read", _t2), _t3, _t2)
+            _issue("read", _t4, 1, ("read", _t2), _t3, _t2)
             v_comm1 = _t3
             _interp._stmts_left -= 1
             if _interp._stmts_left <= 0:
                 raise InterpreterError(_BUDGET_MSG)
             _stats.basic_stmts_executed += 1
-            yield ("busy", 60.0)
+            _clk[0] += 60.0
             _t5 = v_head
             _t6 = Slot('read@10')
             _t7 = _t5 // _NODE_SPAN if _t5 != 0 else node
-            yield ("issue", "read", _t7, 1, ("read", _t5), _t6, _t5)
+            _issue("read", _t7, 1, ("read", _t5), _t6, _t5)
             v_temp_1 = _t6
             _interp._stmts_left -= 1
             if _interp._stmts_left <= 0:
                 raise InterpreterError(_BUDGET_MSG)
             _stats.basic_stmts_executed += 1
             if type(v_temp_1) is Slot:
-                _t8 = yield ("wait", v_temp_1)
-                v_temp_1 = _t8 if isinstance(_t8, list) else _ci(_t8)
-            yield ("busy", 60.0)
+                _t8 = v_temp_1.value if v_temp_1.ready else (yield v_temp_1)
+                v_temp_1 = _t8 if isinstance(_t8, list) else int(_t8)
+            _clk[0] += 60.0
             v_total = (v_total + _chkread(v_temp_1, 'temp_1'))
             _interp._stmts_left -= 1
             if _interp._stmts_left <= 0:
                 raise InterpreterError(_BUDGET_MSG)
             _stats.basic_stmts_executed += 1
             if type(v_comm1) is Slot:
-                _t9 = yield ("wait", v_comm1)
+                _t9 = v_comm1.value if v_comm1.ready else (yield v_comm1)
                 v_comm1 = _t9 if isinstance(_t9, list) else int(_t9)
-            yield ("busy", 60.0)
+            _clk[0] += 60.0
             v_head = _chkread(v_comm1, 'comm1')
         _interp._stmts_left -= 1
         if _interp._stmts_left <= 0:
             raise InterpreterError(_BUDGET_MSG)
         _stats.basic_stmts_executed += 1
-        yield ("busy", 60.0)
+        _clk[0] += 60.0
         _ret = v_total
         for _sl in _out:
             if not _sl.ready:
-                yield ("wait", _sl)
+                yield _sl
         if result_slot is not None:
-            yield ("fulfill", result_slot, _ret)
+            _fulfill(result_slot, _ret)
         return _ret
         _ret = 0
         for _sl in _out:
             if not _sl.ready:
-                yield ("wait", _sl)
+                yield _sl
         if result_slot is not None:
-            yield ("fulfill", result_slot, _ret)
+            _fulfill(result_slot, _ret)
         return _ret
         yield  # unreachable; keeps this a generator
 """)

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.config import RunConfig
 from repro.earth.machine import Fiber, JoinCounter, Machine, Slot
 from repro.earth.params import MachineParams
 from repro.errors import SimulatorError
+from repro.harness.pipeline import compile_earthc, execute
+from repro.obs.trace import Tracer
+from repro.olden.loader import get_benchmark
+from repro.shard.runner import run_sharded
 
 
 def run_fiber(machine, gen, node=0):
@@ -26,8 +31,9 @@ class TestBusy:
         machine = Machine(1)
 
         def gen():
-            yield ("busy", 1000.0)
-            yield ("busy", 500.0)
+            machine.clock[0] += 1000.0
+            machine.clock[0] += 500.0
+            yield from ()  # a fiber is a generator
             return 7
 
         done = run_fiber(machine, gen)
@@ -44,9 +50,9 @@ class TestSplitPhase:
 
         def gen():
             slot = Slot("r")
-            yield ("issue", "read", 1, 1,
-                   lambda: machine.memory.read_word(addr), slot)
-            value = yield ("wait", slot)
+            machine.issue("read", 1, 1,
+                          lambda: machine.memory.read_word(addr), slot)
+            value = yield slot
             return value
 
         done = run_fiber(machine, gen)
@@ -64,9 +70,9 @@ class TestSplitPhase:
 
         def gen():
             slot = Slot("r")
-            yield ("issue", "read", 0, 1,
-                   lambda: machine.memory.read_word(addr), slot)
-            value = yield ("wait", slot)
+            machine.issue("read", 0, 1,
+                          lambda: machine.memory.read_word(addr), slot)
+            value = yield slot  # ready already: sent straight back
             return value
 
         done = run_fiber(machine, gen)
@@ -86,12 +92,13 @@ class TestSplitPhase:
             def gen():
                 slots = [Slot(f"r{i}") for i in range(k)]
                 for i in range(k):
-                    yield ("issue", "read", 1, 1,
-                           lambda i=i: machine.memory.read_word(addr + i),
-                           slots[i])
+                    machine.issue(
+                        "read", 1, 1,
+                        lambda i=i: machine.memory.read_word(addr + i),
+                        slots[i])
                 total = 0
                 for slot in slots:
-                    total += yield ("wait", slot)
+                    total += slot.value if slot.ready else (yield slot)
                 return total
             return gen
 
@@ -119,10 +126,10 @@ class TestSplitPhase:
         def reader(node, offset):
             def gen():
                 slot = Slot("r")
-                yield ("issue", "read", 2, 1,
-                       lambda: machine.memory.read_word(addr + offset),
-                       slot)
-                yield ("wait", slot)
+                machine.issue(
+                    "read", 2, 1,
+                    lambda: machine.memory.read_word(addr + offset), slot)
+                yield slot
                 return None
             done = {}
 
@@ -148,8 +155,9 @@ class TestFibersAndSlots:
 
         def child(tag):
             def gen():
-                yield ("busy", 100.0)
+                machine.clock[0] += 100.0
                 order.append(tag)
+                yield from ()  # a fiber is a generator
             return gen
 
         def parent():
@@ -157,8 +165,8 @@ class TestFibersAndSlots:
             for i, node in enumerate((0, 1)):
                 fiber = Fiber(child(i)(), node)
                 fiber.on_done.append(join.child_done)
-                yield ("spawn", fiber)
-            yield ("wait", join.slot)
+                machine.spawn(fiber)
+            yield join.slot
             order.append("joined")
             return len(order)
 
@@ -172,13 +180,14 @@ class TestFibersAndSlots:
 
         def blocked():
             slot = Slot("r")
-            yield ("issue", "read", 1, 1, lambda: 1, slot)
-            yield ("wait", slot)
+            machine.issue("read", 1, 1, lambda: 1, slot)
+            yield slot
             trace.append("blocked-done")
 
         def filler():
-            yield ("busy", 50.0)
+            machine.clock[0] += 50.0
             trace.append("filler-done")
+            yield from ()  # a fiber is a generator
 
         f1 = Fiber(blocked(), 0)
         f2 = Fiber(filler(), 0)
@@ -193,7 +202,7 @@ class TestFibersAndSlots:
 
         def gen():
             slot = Slot("never")
-            yield ("wait", slot)
+            yield slot
 
         machine.add_fiber(Fiber(gen(), 0))
         with pytest.raises(SimulatorError, match="deadlock"):
@@ -211,11 +220,12 @@ class TestFibersAndSlots:
         slot = Slot("x")
 
         def producer():
-            yield ("busy", 10.0)
-            yield ("fulfill", slot, 42)
+            machine.clock[0] += 10.0
+            machine.signal(slot, 42)
+            yield from ()  # a fiber is a generator
 
         def consumer():
-            value = yield ("wait", slot)
+            value = yield slot
             return value
 
         machine.add_fiber(Fiber(producer(), 0))
@@ -230,8 +240,8 @@ class TestFibersAndSlots:
             def worker(k):
                 def gen():
                     slot = Slot("r")
-                    yield ("issue", "read", 1, 1, lambda: k, slot)
-                    value = yield ("wait", slot)
+                    machine.issue("read", 1, 1, lambda: k, slot)
+                    value = yield slot
                     results.append((k, value))
                 return gen
 
@@ -243,3 +253,95 @@ class TestFibersAndSlots:
         first = build_and_run()
         second = build_and_run()
         assert first == second
+
+
+def _empty_fiber(node=0):
+    def gen():
+        yield from ()
+    return Fiber(gen(), node)
+
+
+class TestSliceContract:
+    """A fiber yields only the slot it is blocked on; everything else
+    is a call made from inside the running slice."""
+
+    @pytest.mark.parametrize("call", [
+        lambda m: m.issue("read", 0, 1, lambda: 1, Slot("r")),
+        lambda m: m.spawn(_empty_fiber()),
+        lambda m: m.signal(Slot("s"), 1),
+        lambda m: m.print("text"),
+    ], ids=["issue", "spawn", "signal", "print"])
+    def test_entry_point_outside_a_slice_raises(self, call):
+        machine = Machine(2)
+        with pytest.raises(SimulatorError, match="no fiber slice"):
+            call(machine)
+        # ... and once the only slice is over.
+        machine.add_fiber(_empty_fiber())
+        machine.run()
+        with pytest.raises(SimulatorError, match="no fiber slice"):
+            call(machine)
+        assert machine.output == [] and machine.time == 0.0
+
+    def test_slices_do_not_nest(self):
+        machine = Machine(1)
+
+        def gen():
+            machine._execute(_empty_fiber())
+            yield from ()
+
+        machine.add_fiber(Fiber(gen(), 0))
+        with pytest.raises(SimulatorError, match="inside the slice"):
+            machine.run()
+
+    @pytest.mark.parametrize("name", ["treeadd", "health"])
+    def test_every_resumption_blocks_or_ends_the_fiber(self, monkeypatch,
+                                                       name):
+        """Generator resumptions == fibers started + parks: emitted
+        code crosses into the machine's scheduler only to block."""
+        resumptions = [0]
+
+        class CountingGen:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def send(self, value):
+                resumptions[0] += 1
+                return self.gen.send(value)
+
+        add_fiber = Machine.add_fiber
+
+        def counting_add_fiber(self, fiber, *args, **kwargs):
+            fiber.gen = CountingGen(fiber.gen)
+            add_fiber(self, fiber, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "add_fiber", counting_add_fiber)
+        spec = get_benchmark(name)
+        compiled = compile_earthc(spec.source(), spec.filename,
+                                  optimize=True, inline=spec.inline)
+        result = execute(compiled, tracer=Tracer(), config=RunConfig(
+            nodes=4, args=tuple(spec.small_args), engine="codegen"))
+        parks = len(result.tracer.events_of("fiber_block"))
+        assert parks > 0 and result.stats.remote_reads > 0
+        assert resumptions[0] == result.stats.fibers_spawned + parks
+
+    @pytest.mark.parametrize("engine", ["ast", "codegen"])
+    def test_program_output_survives_sharding(self, engine):
+        """``printf`` is ``Machine.print`` on both engines, so every
+        line carries the event tag a shard merge orders output by
+        (generated code used to append to the output list directly and
+        a sharded codegen run printed nothing)."""
+        compiled = compile_earthc("""
+            int work(int k) { printf("node %d\\n", k); return k; }
+            int main() {
+                int a; int b;
+                a = work(1) @ 1;
+                b = work(2) @ 0;
+                printf("sum %d\\n", a + b);
+                return a + b;
+            }""", optimize=True)
+        config = RunConfig(nodes=2, engine=engine)
+        single = execute(compiled, config=config)
+        sharded = run_sharded(compiled.simple, config.replace(shards=2),
+                              inline=True)
+        assert single.output == ["node 1\n", "node 2\n", "sum 3\n"]
+        assert sharded.output == single.output
