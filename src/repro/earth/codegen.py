@@ -11,18 +11,22 @@ into a per-function namespace:
 
 * frame variables become Python locals (``x`` -> ``v_x``), so variable
   access is a fast-local load instead of a dict operation;
-* maximal runs of purely-local statements become straight-line code
-  under a single batched budget update and one in-place add of their
-  total EU time to the machine's slice clock (``_clk[0] += total``);
+* each maximal run of basic statements charges the one statement
+  counter, which is also the budget, once (``_stats.basic_stmts_executed
+  += n``), and its purely-local stretches become straight-line code
+  under one in-place add of their total EU time to the machine's slice
+  clock (``_clk[0] += total``);
 * what never blocks -- remote loads and stores, ``malloc``, ``blkmov``,
   shared-variable operations, spawns, result fulfills, ``printf`` -- is
   a plain call into the machine (``_issue`` / ``_spawn`` / ``_fulfill``
-  / ``_print``) from inside the running slice;
-* ``yield`` survives only where a fiber blocks (sync-on-use,
-  synchronous remote operations, placed-call results, par/forall
-  joins, trailing split-phase writes): emitted code tests
-  ``slot.ready`` inline and takes ``slot.value``, or yields the bare
-  :class:`~repro.earth.machine.Slot`; calls ``yield from`` the callee;
+  / ``_print``) from inside the running slice.  ``_issue`` returns the
+  value of an operation that completed at issue, and a
+  :class:`~repro.earth.machine.Slot` only for one in flight;
+* ``yield`` survives only where a fiber blocks (sync-on-use, remote
+  operations in flight, placed-call results, par/forall joins, trailing
+  split-phase writes -- ``_out``, omitted where none can occur):
+  emitted code tests ``type(r) is Slot`` / ``slot.ready`` inline and
+  takes the value, or yields the bare slot; calls ``yield from``;
 * field offsets, operand readers, binop/coercion selection, global
   addresses and constant busy costs are resolved at codegen time, and
   coercions are elided where the operand's type already guarantees the
@@ -40,11 +44,12 @@ is replicated exactly: the generator builds the same name sets the
 walker's ``_sync_uses`` builds at run time, sorted the same way, and
 filters them down to the names that can ever hold a pending ``Slot``.
 
-Known (accepted) divergence: the statement budget is charged per fused
-block, so a run that exhausts ``max_stmts`` may abort a few statements
-earlier than the walker would.  Both raise the same
-``InterpreterError`` for any program whose total statement count
-reaches the budget; completing runs are unaffected.
+Known (accepted) divergence: the statement counter is charged per
+straight-line run, so a run that exhausts ``max_stmts`` may abort up to
+one such run earlier than the walker would.  Whether a program raises
+the budget ``InterpreterError`` or completes is the same function of
+its statement count on both engines, and ``basic_stmts_executed`` is
+exact for every completing run.
 
 Anything the generator cannot prove it can emit faithfully -- a
 dynamically shadowed global, a name that is not a Python identifier,
@@ -67,6 +72,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.earth.interpreter import (
+    BUDGET_MSG,
     _MATH_BUILTINS,
     _MATH_COST_NS,
     Interpreter,
@@ -207,6 +213,7 @@ _COERCE_FMT = {
 _KIND_OF_SCALAR = {"int": "int", "char": "int",
                    "float": "float", "double": "float"}
 
+_HEAP_READS = (s.FieldReadRhs, s.DerefReadRhs, s.IndexReadRhs)
 _COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 _BITOPS = ("&", "|", "^", "<<", ">>")
 
@@ -292,10 +299,11 @@ class _EmitCtx:
 
     __slots__ = ("mode", "out", "sig", "err")
 
-    def __init__(self, mode: str, out: str, sig: Optional[str] = None,
-                 err: Optional[str] = None):
+    def __init__(self, mode: str, out: Optional[str],
+                 sig: Optional[str] = None, err: Optional[str] = None):
         self.mode = mode      # "main" | "par" | "forall"
         self.out = out        # outstanding list variable name
+        #                       (None: nothing can be left outstanding)
         self.sig = sig        # forall: signal flag variable name
         self.err = err        # par/forall: error message
 
@@ -315,9 +323,7 @@ class _CodeGenerator:
         self.tracer = engine.machine.tracer
         self.func = func
         self.local_ns = self.params.local_stmt_ns
-        self._budget_msg = (
-            f"statement budget exhausted ({self.interp.max_stmts}); "
-            f"probable infinite loop")
+        self.max_stmts = self.interp.max_stmts
         self.slotcap = self._slot_capable_names(func)
         # Slot-capable names NOT declared in the function live in frames
         # only transiently (dynamic shadowing of a global); those need
@@ -344,9 +350,7 @@ class _CodeGenerator:
         for stmt in func.body.walk():
             if isinstance(stmt, s.AssignStmt) and stmt.split_phase \
                     and isinstance(stmt.lhs, s.VarLV) \
-                    and isinstance(stmt.rhs, (s.FieldReadRhs,
-                                              s.DerefReadRhs,
-                                              s.IndexReadRhs)) \
+                    and isinstance(stmt.rhs, _HEAP_READS) \
                     and stmt.rhs.remote:
                 names.add(stmt.lhs.name)
             elif isinstance(stmt, s.BlkmovStmt) and stmt.split_phase \
@@ -383,6 +387,22 @@ class _CodeGenerator:
             entries.append((name, coerce))
         return tuple(entries)
 
+    def _leaves_outstanding(self, stmt: s.Stmt) -> bool:
+        """Can ``stmt`` leave an operation outstanding?  Case for case
+        the ``w_settle(..., True, ctx)`` emitters below; a forall body
+        is skipped, its iterations keep their own list."""
+        if isinstance(stmt, s.AssignStmt):
+            return not self._store_is_pure(stmt.lhs) and (
+                stmt.split_phase or (isinstance(stmt.rhs, _HEAP_READS)
+                                     and not stmt.rhs.remote))
+        if isinstance(stmt, s.BlkmovStmt):
+            return stmt.split_phase and stmt.dst[0] == "ptr"
+        if isinstance(stmt, s.SharedOpStmt):
+            return stmt.op != "valueof"
+        kids = (stmt.init, stmt.step) if isinstance(stmt, s.ForallStmt) \
+            else stmt.children()
+        return any(self._leaves_outstanding(kid) for kid in kids)
+
     def _lookup_type(self, name: str) -> Type:
         var = self.func.variables.get(name)
         if var is None:
@@ -405,11 +425,32 @@ class _CodeGenerator:
         self.w(f"if not {slot}.ready:")
         self.w(f"    yield {slot}")
 
-    def w_take(self, slot: str) -> str:
-        """``w_wait`` into a new temp that takes the slot's value."""
+    def w_issue(self, args: str) -> str:
+        """A new temp: the operation's value if it completed at issue,
+        else the Slot its reply will fulfil."""
         t = self.tmp()
-        self.w(f"{t} = {slot}.value if {slot}.ready else (yield {slot})")
+        self.w(f"{t} = _issue({args})")
         return t
+
+    def w_result(self, r: str, fmt: Optional[str] = None) -> None:
+        """Use of a ``w_issue`` temp or a slot-capable variable: if it
+        holds a Slot, take the value (``fmt``: and coerce a scalar)."""
+        self.w(f"if type({r}) is Slot:")
+        self.w(f"    {r} = {r}.value if {r}.ready else (yield {r})")
+        if fmt is not None:
+            self.w(f"    {r} = {r} if isinstance({r}, list) else {fmt % r}")
+
+    def w_settle(self, r: str, split: bool, ctx: _EmitCtx) -> None:
+        """A store in flight is left outstanding (``split``) or waited."""
+        self.w(f"if type({r}) is Slot:")
+        self.indent += 1
+        if not split:
+            self.w_wait(r)
+        elif ctx.out is None:   # _leaves_outstanding missed a case
+            raise _Uncompilable("outstanding list elided")
+        else:
+            self.w(f"{ctx.out}.append({r})")
+        self.indent -= 1
 
     def tmp(self) -> str:
         self._tmp += 1
@@ -447,7 +488,6 @@ class _CodeGenerator:
             "_sbuf": _sbuf,
             "_shchk": _shchk,
             "_faddr": _faddr,
-            "_interp": self.interp,
             "_stats": self.stats,
             "_machine": machine,
             "_engine": self.engine,
@@ -461,7 +501,7 @@ class _CodeGenerator:
             "_tracer": machine.tracer,
             "_NODE_SPAN": NODE_SPAN,
             "_FILLER": FILLER,
-            "_BUDGET_MSG": self._budget_msg,
+            "_BUDGET_MSG": BUDGET_MSG % self.max_stmts,
             "_shg": self.interp._shared_global,
             "_blkmov": self.interp._applier.blkmov,
         })
@@ -514,11 +554,13 @@ class _CodeGenerator:
                        f"{v.type.size_words()}")
             else:
                 self.w(f"{self.var(name)} = {_zero_of(v.type)!r}")
-        self.w("_out = []")
-        ctx = _EmitCtx("main", "_out")
+        # No list of outstanding operations where none can be left.
+        ctx = _EmitCtx("main", "_out" if self._leaves_outstanding(func.body)
+                       else None)
+        if ctx.out:
+            self.w("_out = []")
         self.emit_seq(func.body, ctx)
-        self.w(f"_ret = {_zero_of(func.return_type)!r}")
-        self._emit_main_epilogue()
+        self._emit_main_epilogue(repr(_zero_of(func.return_type)), ctx)
         self.w("yield  # unreachable; keeps this a generator")
         self.indent -= 1
         source = "\n".join(
@@ -536,12 +578,14 @@ class _CodeGenerator:
         exec(code, self.ns)
         return GeneratedFunction(func, self.ns["invoke"], source)
 
-    def _emit_main_epilogue(self) -> None:
+    def _emit_main_epilogue(self, value: str, ctx: _EmitCtx) -> None:
         """Wait trailing split-phase slots, fulfil the result slot,
         return -- inlined at every main-context return site."""
-        self.w("for _sl in _out:")
-        self.w("    if not _sl.ready:")
-        self.w("        yield _sl")
+        self.w(f"_ret = {value}")
+        if ctx.out:
+            self.w("for _sl in _out:")
+            self.w("    if not _sl.ready:")
+            self.w("        yield _sl")
         self.w("if result_slot is not None:")
         self.w("    _fulfill(result_slot, _ret)")
         self.w("return _ret")
@@ -549,26 +593,42 @@ class _CodeGenerator:
     # -- sequences and fusion ----------------------------------------------
 
     def emit_seq(self, seq: s.SeqStmt, ctx: _EmitCtx) -> None:
-        """Fuse maximal runs of purely-local statements into one
-        straight-line block with a single batched budget update and one
-        busy yield."""
+        """Charge each maximal run of basic statements to the statement
+        counter once, and fuse the run's purely-local stretches into
+        straight-line code under one add of their total EU time.  An
+        operation ends a clock block (the machine reads ``_clk[0]``)
+        but not a count; a compound statement or a ``return`` does (a
+        taken return skips what follows, and the count stays exact)."""
         items: List[s.Stmt] = []
         self._flatten_stmts(seq, items)
         classified = [self._classify(stmt) for stmt in items]
         i, n = 0, len(items)
+        counted = 0  # items[:counted] are charged (or compound)
         while i < n:
-            kind = classified[i][0]
-            if kind == "pure":
-                j = i
+            if i == counted:
+                counted += 1
+                if isinstance(items[i], s.BasicStmt):
+                    while counted < n \
+                            and isinstance(items[counted], s.BasicStmt) \
+                            and not isinstance(items[counted - 1],
+                                               s.ReturnStmt):
+                        counted += 1
+                    self.w(f"_stats.basic_stmts_executed += "
+                           f"{counted - i}")
+                    self.w(f"if _stats.basic_stmts_executed >= "
+                           f"{self.max_stmts!r}:")
+                    self.w("    raise InterpreterError(_BUDGET_MSG)")
+            if classified[i][0] == "pure":
                 busy = 0.0
                 effects = []
-                while j < n and classified[j][0] == "pure":
-                    busy += classified[j][1]
-                    if classified[j][2] is not None:
-                        effects.append(classified[j][2])
-                    j += 1
-                self._emit_block(busy, j - i, effects, ctx)
-                i = j
+                while i < n and classified[i][0] == "pure":
+                    busy += classified[i][1]
+                    if classified[i][2] is not None:
+                        effects.append(classified[i][2])
+                    i += 1
+                self.w_busy(busy)
+                for effect in effects:
+                    effect(ctx)
             else:
                 classified[i][1](ctx)
                 i += 1
@@ -579,16 +639,6 @@ class _CodeGenerator:
                 self._flatten_stmts(stmt, items)
             else:
                 items.append(stmt)
-
-    def _emit_block(self, busy: float, count: int, effects,
-                    ctx: _EmitCtx) -> None:
-        self.w(f"_interp._stmts_left -= {count}")
-        self.w("if _interp._stmts_left <= 0:")
-        self.w("    raise InterpreterError(_BUDGET_MSG)")
-        self.w(f"_stats.basic_stmts_executed += {count}")
-        self.w_busy(busy)
-        for effect in effects:
-            effect(ctx)
 
     # -- statement dispatch -------------------------------------------------
 
@@ -638,7 +688,6 @@ class _CodeGenerator:
 
         def emit(ctx):
             self._emit_prologue(stmt)
-            self._emit_sync(entries)
             self.w_busy(busy)
             if effect is not None:
                 effect(ctx)
@@ -647,24 +696,16 @@ class _CodeGenerator:
     # -- per-statement prologue / sync --------------------------------------
 
     def _emit_prologue(self, stmt: s.BasicStmt) -> None:
-        self.w("_interp._stmts_left -= 1")
-        self.w("if _interp._stmts_left <= 0:")
-        self.w("    raise InterpreterError(_BUDGET_MSG)")
-        self.w("_stats.basic_stmts_executed += 1")
+        """Callsite attribution for the operations ``stmt`` issues,
+        then sync-on-use of what it consumes."""
         if self.tracer is not None:
             self.w(f"_tracer.current_site = "
                    f"({self.func.name!r}, {stmt.label!r})")
+        self._emit_sync(self._sync_entries_for_basic(stmt))
 
     def _emit_sync(self, entries) -> None:
         for name, coerce in entries:
-            v = self.var(name)
-            fmt = _COERCE_FMT.get(coerce)
-            self.w(f"if type({v}) is Slot:")
-            self.indent += 1
-            t = self.w_take(v)
-            self.w(f"{v} = {t}" if fmt is None else
-                   f"{v} = {t} if isinstance({t}, list) else {fmt % t}")
-            self.indent -= 1
+            self.w_result(self.var(name), _COERCE_FMT.get(coerce))
             self.mark(name)
 
     # -- expressions ---------------------------------------------------------
@@ -952,15 +993,11 @@ class _CodeGenerator:
         tc = self.tmp()
         self.w(f"{tc} = {self._coerce_expr(field_type, value, kind)}")
         words = field_type.size_words() or 1
-        ts = self.tmp()
         double = field_type.size_words() == 2
-        self.w(f"{ts} = Slot('write')")
-        self.w(f'_issue("write", {ta} // _NODE_SPAN, {words!r}, '
-               f'("write", {ta}, {tc}, {double!r}), {ts}, {ta})')
-        if split:
-            self.w(f"{ctx.out}.append({ts})")
-        else:
-            self.w_wait(ts)
+        self.w_settle(self.w_issue(
+            f'"write", {ta} // _NODE_SPAN, {words!r}, '
+            f'("write", {ta}, {tc}, {double!r}), "write", {ta}'),
+            split, ctx)
 
     # -- assignments ---------------------------------------------------------
 
@@ -986,8 +1023,7 @@ class _CodeGenerator:
     def _gen_assign(self, stmt: s.AssignStmt):
         rhs, lhs = stmt.rhs, stmt.lhs
         local_ns = self.local_ns
-        if isinstance(rhs, (s.FieldReadRhs, s.DerefReadRhs,
-                            s.IndexReadRhs)):
+        if isinstance(rhs, _HEAP_READS):
             if not rhs.remote:
                 if self._store_is_pure(lhs):
                     def effect(ctx):
@@ -998,8 +1034,6 @@ class _CodeGenerator:
 
                 def emit_local_remote(ctx):
                     self._emit_prologue(stmt)
-                    self._emit_sync(
-                        self._sync_entries_for_basic(stmt))
                     self.w_busy(local_ns)
                     tv, _ = self._emit_local_read_value(rhs)
                     # NB the walker passes value_type (always truthy)
@@ -1019,7 +1053,6 @@ class _CodeGenerator:
 
         def emit_assign(ctx):
             self._emit_prologue(stmt)
-            self._emit_sync(self._sync_entries_for_basic(stmt))
             self.w_busy(local_ns)
             expr, kind = self._x_rhs(rhs)
             t = self.tmp()
@@ -1030,26 +1063,28 @@ class _CodeGenerator:
 
     def _gen_remote_read(self, stmt, rhs, lhs, ctx: _EmitCtx) -> None:
         self._emit_prologue(stmt)
-        self._emit_sync(self._sync_entries_for_basic(stmt))
         self.w_busy(self.local_ns)
         addr, _, value_type = self._x_access(rhs)
         ta = self.tmp()
         self.w(f"{ta} = {addr}")
-        ts = self.tmp()
-        self.w(f"{ts} = Slot({('read@' + str(stmt.label))!r})")
         tn = self.tmp()
         self.w(f"{tn} = {ta} // _NODE_SPAN if {ta} != 0 else node")
         words = value_type.size_words() or 1
-        self.w(f'_issue("read", {tn}, {words!r}, ("read", {ta}), '
-               f'{ts}, {ta})')
+        tv = self.w_issue(f'"read", {tn}, {words!r}, ("read", {ta}), '
+                          f'{("read@" + str(stmt.label))!r}, {ta}')
         if stmt.split_phase and isinstance(lhs, s.VarLV):
-            if lhs.name not in self.func.variables:
+            var = self.func.variables.get(lhs.name)
+            if var is None:
                 raise _Uncompilable(lhs)
-            # The pending Slot itself goes into the variable, raw.
-            self.w(f"{self.var(lhs.name)} = {ts}")
+            # The pending Slot itself goes into the variable, raw; a
+            # value that completed at issue, as _emit_sync delivers it.
+            v = self.var(lhs.name)
+            fmt = _COERCE_FMT.get(_coerce_fn(var.type))
+            self.w(f"{v} = {tv}" if fmt is None else
+                   f"{v} = {tv} if type({tv}) is Slot else {fmt % tv}")
             self.mark(lhs.name)
             return
-        tv = self.w_take(ts)
+        self.w_result(tv)
         self._emit_store_value(lhs, tv, None, stmt.split_phase, ctx)
 
     # -- calls ---------------------------------------------------------------
@@ -1095,13 +1130,11 @@ class _CodeGenerator:
                                           effect_owner)
         if name not in self.program.functions:
             raise _Uncompilable(name)
-        entries = self._sync_entries_for_basic(stmt)
         cell_key = self._ns_cell(name)
         call_ns = self.params.call_overhead_ns
 
         def emit_call(ctx):
             self._emit_prologue(stmt)
-            self._emit_sync(entries)
             arg_temps = []
             for a in stmt.args:
                 expr, _ = self._x_operand(a)
@@ -1159,7 +1192,8 @@ class _CodeGenerator:
             # machine's spawn handling; the EU only pays the issue.
             self.w_busy(call_ns)
             self.w(f"_spawn({tf})")
-            tv = self.w_take(ts)
+            tv = self.tmp()
+            self.w(f"{tv} = {ts}.value if {ts}.ready else (yield {ts})")
             if stmt.target is not None:
                 self._emit_store_var(stmt.target, tv, None)
         return ("gen", emit_call)
@@ -1168,7 +1202,6 @@ class _CodeGenerator:
 
     def _gen_alloc(self, stmt: s.AllocStmt, ctx: _EmitCtx) -> None:
         self._emit_prologue(stmt)
-        self._emit_sync(self._sync_entries_for_basic(stmt))
         wexpr, wk = self._x_operand(stmt.words)
         tw = self.tmp()
         self.w(f"{tw} = {wexpr if wk == 'int' else f'int({wexpr})'}")
@@ -1179,74 +1212,51 @@ class _CodeGenerator:
             self.w(f"{tn} = {inner} % {self.machine.num_nodes!r}")
         else:
             self.w(f"{tn} = node")
-        ts = self.tmp()
-        self.w(f"{ts} = Slot('malloc')")
-        self.w(f'_issue("malloc", {tn}, {tw}, '
-               f'("alloc", {tn}, {tw}, node, {stmt.private!r}), {ts})')
-        tv = self.w_take(ts)
+        # An allocation always completes at issue.
+        tv = self.w_issue(
+            f'"malloc", {tn}, {tw}, '
+            f'("alloc", {tn}, {tw}, node, {stmt.private!r}), "malloc"')
         self._emit_store_var(stmt.target, tv, None)
+
+    def _x_endpoint(self, endpoint) -> Tuple[str, str]:
+        """One blkmov endpoint as ``_blkmov`` takes it (the walker's
+        ``_endpoint``) -> ``(argument, temp)``: a global address in
+        ``temp``, or ``(buffer in temp, offset)``."""
+        kind, name, offset = endpoint
+        t = self.tmp()
+        if kind == "ptr":
+            pexpr, _ = self._x_pointer(name)
+            self.w(f"{t} = {pexpr}")
+            self.w(f"{t} = {t} + {offset!r} if {t} != 0 else 0")
+            return t, t
+        if name not in self.func.variables:
+            raise _Uncompilable(name)
+        self.w(f"{t} = _sbuf({self.var(name)}, {name!r})")
+        return f"({t}, {offset!r})", t
 
     def _gen_blkmov(self, stmt: s.BlkmovStmt, ctx: _EmitCtx) -> None:
         words = stmt.words
-        split = stmt.split_phase
-        src_kind, src_name, src_off = stmt.src
-        dst_kind, dst_name, dst_off = stmt.dst
-        src_is_ptr = src_kind == "ptr"
-        dst_is_ptr = dst_kind == "ptr"
-        lazy = (not dst_is_ptr) and split and dst_off == 0
-        if not src_is_ptr and src_name not in self.func.variables:
-            raise _Uncompilable(src_name)
-        if not dst_is_ptr and dst_name not in self.func.variables:
-            raise _Uncompilable(dst_name)
+        _, dst_name, dst_off = stmt.dst
+        dst_is_ptr = stmt.dst[0] == "ptr"
+        lazy = (not dst_is_ptr) and stmt.split_phase and dst_off == 0
         self._emit_prologue(stmt)
-        self._emit_sync(self._sync_entries_for_basic(stmt))
-        if src_is_ptr:
-            pexpr, _ = self._x_pointer(src_name)
-            tb = self.tmp()
-            self.w(f"{tb} = {pexpr}")
-            tsrc = self.tmp()
-            self.w(f"{tsrc} = {tb} + {src_off!r} "
-                   f"if {tb} != 0 else 0")
-            src_arg = tsrc
-        else:
-            tsb = self.tmp()
-            self.w(f"{tsb} = _sbuf({self.var(src_name)}, "
-                   f"{src_name!r})")
-            src_arg = f"({tsb}, {src_off!r})"
+        src_arg, _ = self._x_endpoint(stmt.src)
+        dst_arg, tdst = self._x_endpoint(stmt.dst)
+        trn, top, tpost = self.tmp(), self.tmp(), self.tmp()
+        self.w(f"{trn}, {top}, {tpost} = _blkmov({src_arg}, {dst_arg}, "
+               f"{words!r}, node, {lazy!r})")
+        td = self.w_issue(
+            f'"blkmov", {trn}, {words!r}, {top}, '
+            f'{("blkmov@" + str(stmt.label))!r}, '
+            f'{tdst if dst_is_ptr else None}, {tpost}')
         if dst_is_ptr:
-            pexpr, _ = self._x_pointer(dst_name)
-            tb = self.tmp()
-            self.w(f"{tb} = {pexpr}")
-            tdst = self.tmp()
-            self.w(f"{tdst} = {tb} + {dst_off!r} "
-                   f"if {tb} != 0 else 0")
-            dst_arg = tdst
+            self.w_settle(td, stmt.split_phase, ctx)
+        elif lazy:  # the delivered word list, or the pending Slot
+            self.w(f"{self.var(dst_name)} = {td}")
+            self.mark(dst_name)
         else:
-            tdb = self.tmp()
-            self.w(f"{tdb} = _sbuf({self.var(dst_name)}, "
-                   f"{dst_name!r})")
-            dst_arg = f"({tdb}, {dst_off!r})"
-        ts = self.tmp()
-        self.w(f"{ts} = Slot({('blkmov@' + str(stmt.label))!r})")
-        trn = self.tmp()
-        top = self.tmp()
-        self.w(f"{trn}, {top} = _blkmov({src_arg}, {dst_arg}, "
-               f"{words!r}, node, {ts}, {lazy!r})")
-        addr_arg = tdst if dst_is_ptr else "None"
-        self.w(f'_issue("blkmov", {trn}, {words!r}, {top}, {ts}, '
-               f'{addr_arg})')
-        if not dst_is_ptr:
-            if lazy:
-                self.w(f"{self.var(dst_name)} = {ts}")
-                self.mark(dst_name)
-                return
-            td = self.w_take(ts)
-            self.w(f"{tdb}[{dst_off!r}:{dst_off + words!r}] = {td}")
-            return
-        if split:
-            self.w(f"{ctx.out}.append({ts})")
-            return
-        self.w_wait(ts)
+            self.w_result(td)
+            self.w(f"{tdst}[{dst_off!r}:{dst_off + words!r}] = {td}")
 
     def _gen_shared(self, stmt: s.SharedOpStmt, ctx: _EmitCtx) -> None:
         op = stmt.op
@@ -1255,7 +1265,6 @@ class _CodeGenerator:
         global_ok = gvar is not None and gvar.is_shared
         declared = name in self.func.variables
         self._emit_prologue(stmt)
-        self._emit_sync(self._sync_entries_for_basic(stmt))
         unknown_msg = f"unknown shared variable {name!r}"
         tc = self.tmp()
         tg = None
@@ -1283,30 +1292,27 @@ class _CodeGenerator:
             vexpr, _ = self._x_operand(stmt.value)
             value_temp = self.tmp()
             self.w(f"{value_temp} = {vexpr}")
-        ts = self.tmp()
-        self.w(f"{ts} = Slot({('shared:' + op)!r})")
         operation = f'("sharedg", {name!r}, {op!r}, {value_temp})'
         if tg is not None:
             operation = (f'{operation} if {tg} else '
                          f'("sharedf", {tc}, {op!r}, {value_temp})')
-        self.w(f'_issue("shared", {tc}.owner, 1, {operation}, {ts})')
+        tv = self.w_issue(f'"shared", {tc}.owner, 1, {operation}, '
+                          f'{("shared:" + op)!r}')
         if op == "valueof":
-            tv = self.w_take(ts)
+            self.w_result(tv)
             self._emit_store_var(stmt.target, tv, None)
         else:
-            self.w(f"{ctx.out}.append({ts})")
+            self.w_settle(tv, True, ctx)
 
     def _gen_return(self, stmt: s.ReturnStmt, ctx: _EmitCtx) -> None:
         self._emit_prologue(stmt)
-        self._emit_sync(self._sync_entries_for_basic(stmt))
         self.w_busy(self.local_ns)
         if stmt.value is not None:
             vexpr, _ = self._x_operand(stmt.value)
         else:
             vexpr = "0"
         if ctx.mode == "main":
-            self.w(f"_ret = {vexpr}")
-            self._emit_main_epilogue()
+            self._emit_main_epilogue(vexpr, ctx)
         elif ctx.mode == "par":
             t = self.tmp()
             self.w(f"{t} = {vexpr}")

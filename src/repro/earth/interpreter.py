@@ -61,6 +61,9 @@ _MATH_BUILTINS = {
 
 _MATH_COST_NS = 400.0
 
+#: Raised by both engines once ``basic_stmts_executed`` reaches ``max_stmts``.
+BUDGET_MSG = "statement budget exhausted (%d); probable infinite loop"
+
 
 class SharedCell:
     """Storage for one EARTH-C shared variable."""
@@ -161,7 +164,7 @@ class Interpreter:
     """
 
     __slots__ = ("program", "machine", "max_stmts", "engine",
-                 "_stmts_left", "_globals_ready", "_finish_time",
+                 "_globals_ready", "_finish_time",
                  "_shared_globals", "_codegen", "_applier")
 
     def __init__(self, program: s.SimpleProgram, machine: Machine,
@@ -174,7 +177,6 @@ class Interpreter:
         self.machine = machine
         self.max_stmts = max_stmts
         self.engine = engine
-        self._stmts_left = max_stmts
         self._globals_ready = False
         self._finish_time = 0.0
         self._shared_globals: Dict[str, SharedCell] = {}
@@ -453,12 +455,11 @@ class Interpreter:
     # ======================================================================
 
     def _exec_basic(self, act: Activation, stmt: s.BasicStmt):
-        self._stmts_left -= 1
-        if self._stmts_left <= 0:
-            raise InterpreterError(
-                f"statement budget exhausted ({self.max_stmts}); "
-                f"probable infinite loop")
-        self.machine.stats.basic_stmts_executed += 1
+        # The statement counter is the budget.
+        stats = self.machine.stats
+        stats.basic_stmts_executed += 1
+        if stats.basic_stmts_executed >= self.max_stmts:
+            raise InterpreterError(BUDGET_MSG % self.max_stmts)
         tracer = self.machine.tracer
         if tracer is not None:
             # Callsite attribution: remote ops issued while this
@@ -471,7 +472,7 @@ class Interpreter:
         if isinstance(stmt, s.CallStmt):
             return (yield from self._exec_call(act, stmt))
         if isinstance(stmt, s.AllocStmt):
-            return (yield from self._exec_alloc(act, stmt))
+            return self._exec_alloc(act, stmt)
         if isinstance(stmt, s.BlkmovStmt):
             return (yield from self._exec_blkmov(act, stmt))
         if isinstance(stmt, s.SharedOpStmt):
@@ -518,11 +519,18 @@ class Interpreter:
         for name in names:
             value = act.frame.get(name)
             if isinstance(value, Slot):
-                resolved = value.value if value.ready else (yield value)
-                var = act.function.variables.get(name)
-                if var is not None and not isinstance(resolved, list):
-                    resolved = self._coerce(var.type, resolved)
-                act.frame[name] = resolved
+                self._land(act, name, value.value if value.ready
+                           else (yield value))
+
+    def _land(self, act: Activation, name: str, value) -> None:
+        """What a split-phase operation into ``name`` leaves in the
+        frame: the pending Slot itself, raw, for sync-on-use; its value
+        (delivered, or complete at issue) coerced to the variable."""
+        if type(value) is not Slot:
+            var = act.function.variables.get(name)
+            if var is not None and not isinstance(value, list):
+                value = self._coerce(var.type, value)
+        act.frame[name] = value
 
     # -- assignments -------------------------------------------------------------------
 
@@ -540,15 +548,15 @@ class Interpreter:
                 value = self._load_local(address, act)
                 yield from self._store_lvalue(act, lhs, value, value_type)
                 return None
-            slot = Slot(f"read@{stmt.label}")
             target = node_of(address) if address != 0 else act.node
-            self.machine.issue("read", target,
-                               value_type.size_words() or 1,
-                               ("read", address), slot, address)
+            value = self.machine.issue(
+                "read", target, value_type.size_words() or 1,
+                ("read", address), f"read@{stmt.label}", address)
             if stmt.split_phase and isinstance(lhs, s.VarLV):
-                act.frame[lhs.name] = slot
+                self._land(act, lhs.name, value)
                 return None
-            value = slot.value if slot.ready else (yield slot)
+            if type(value) is Slot:
+                value = value.value if value.ready else (yield value)
             yield from self._store_lvalue(act, lhs, value,
                                           stmt.split_phase)
             return None
@@ -596,15 +604,14 @@ class Interpreter:
             if double:
                 memory.write_word(address + 1, FILLER)
             return
-        slot = Slot("write")
-        self.machine.issue("write", node_of(address),
-                           field_type.size_words() or 1,
-                           ("write", address, coerced, double), slot,
-                           address)
-        if split_phase:
-            act.outstanding.append(slot)
-        elif not slot.ready:
-            yield slot
+        slot = self.machine.issue(
+            "write", node_of(address), field_type.size_words() or 1,
+            ("write", address, coerced, double), "write", address)
+        if type(slot) is Slot:  # in flight
+            if split_phase:
+                act.outstanding.append(slot)
+            elif not slot.ready:
+                yield slot
 
     # -- address & value helpers -----------------------------------------------------------
 
@@ -863,20 +870,17 @@ class Interpreter:
 
     # -- malloc / blkmov / shared ------------------------------------------------------------------
 
-    def _exec_alloc(self, act: Activation, stmt: s.AllocStmt):
+    def _exec_alloc(self, act: Activation, stmt: s.AllocStmt) -> None:
         words = int(self._eval_operand(act, stmt.words))
         if stmt.node is not None:
             target = int(self._eval_operand(act, stmt.node)) \
                 % self.machine.num_nodes
         else:
             target = act.node
-        slot = Slot("malloc")
-        self.machine.issue(
+        # An allocation always completes at issue.
+        self._store_var(act, stmt.target, self.machine.issue(
             "malloc", target, words,
-            ("alloc", target, words, act.node, stmt.private), slot)
-        value = slot.value if slot.ready else (yield slot)
-        self._store_var(act, stmt.target, value)
-        return None
+            ("alloc", target, words, act.node, stmt.private), "malloc"))
 
     def _endpoint(self, act: Activation, endpoint):
         """One blkmov endpoint as the applier's classification takes
@@ -897,26 +901,27 @@ class Interpreter:
         dst_local = stmt.dst[0] == "local"
         lazy_local_fill = (dst_local and stmt.split_phase
                            and stmt.dst[2] == 0)
-        slot = Slot(f"blkmov@{stmt.label}")
-        target, operation = self._applier.blkmov(
-            src, dst, words, act.node, slot, lazy_local_fill)
-        self.machine.issue("blkmov", target, words, operation, slot,
-                           None if dst_local else dst)
+        target, operation, post = self._applier.blkmov(
+            src, dst, words, act.node, lazy_local_fill)
+        result = self.machine.issue(
+            "blkmov", target, words, operation, f"blkmov@{stmt.label}",
+            None if dst_local else dst, post)
 
         if dst_local:
-            buffer, offset = dst
             if lazy_local_fill:
-                # The frame holds the slot; consumers synchronize on the
-                # buffer's name and the delivered word list replaces it.
-                act.frame[stmt.dst[1]] = slot
+                # Consumers synchronize on the buffer's name and the
+                # delivered word list replaces it.
+                self._land(act, stmt.dst[1], result)
                 return None
-            data = slot.value if slot.ready else (yield slot)
-            buffer[offset:offset + words] = data
-            return None
-        if stmt.split_phase:
-            act.outstanding.append(slot)
-        elif not slot.ready:
-            yield slot
+            buffer, offset = dst
+            if type(result) is Slot:
+                result = result.value if result.ready else (yield result)
+            buffer[offset:offset + words] = result
+        elif type(result) is Slot:  # in flight
+            if stmt.split_phase:
+                act.outstanding.append(result)
+            elif not result.ready:
+                yield result
         return None
 
     # -- shared variables ----------------------------------------------------------------------------
@@ -937,18 +942,19 @@ class Interpreter:
         if stmt.value is not None:
             value = self._eval_operand(act, stmt.value)
         op = stmt.op
-        slot = Slot(f"shared:{op}")
         # A global cell travels by name; a frame-declared cell is a
         # live object the owning shard cannot rebuild, and its kind
         # says so (a ShardError at shipment).
         operation = (("sharedg", stmt.shared_var, op, value) if is_global
                      else ("sharedf", cell, op, value))
-        self.machine.issue("shared", cell.owner, 1, operation, slot)
+        result = self.machine.issue("shared", cell.owner, 1, operation,
+                                    f"shared:{op}")
         if op == "valueof":
-            result = slot.value if slot.ready else (yield slot)
+            if type(result) is Slot:
+                result = result.value if result.ready else (yield result)
             self._store_var(act, stmt.target, result)
-        else:
-            act.outstanding.append(slot)
+        elif type(result) is Slot:  # in flight
+            act.outstanding.append(result)
         return None
 
     def _shared_global(self, name: str, gvar: s.SimpleVar) -> SharedCell:

@@ -5,8 +5,8 @@ ready queue, and a Synchronization Unit (SU) servicing remote requests
 (paper Section 5.1/Figure 9).  Remote memory operations are split-phase:
 the EU pays an *issue* cost and continues; the request crosses the
 network (one-way latency), is serviced by the target SU (serialized --
-SU contention is modeled), and the reply fulfills a :class:`Slot` that
-consumers synchronize on.
+SU contention is modeled), and the reply fulfills the :class:`Slot`
+that ``issue`` returned and consumers synchronize on.
 
 Fibers are Python generators that yield exactly one thing -- the
 :class:`Slot` they are blocked on -- and only when it is not ready (the
@@ -17,17 +17,20 @@ running slice, whose EU-local time is ``machine.clock[0]``, set when
 the slice starts and read back when the fiber parks or finishes:
 
 * ``machine.clock[0] += ns`` -- occupy the EU;
-* ``machine.issue(kind, target_node, words, operation, slot[, addr])``
-  -- start a split-phase operation (``kind`` in
+* ``machine.issue(kind, target_node, words, operation, label[, addr[,
+  post]])`` -- start an operation (``kind`` in
   read/write/blkmov/shared/malloc).  ``operation`` is a value naming
-  the side effect; wherever the request takes effect -- the local fast
-  path, the target SU, another shard's machine -- the machine hands it
-  to ``Machine.apply(operation)`` and fulfills ``slot`` with the
-  result.  The interpreter installs the applier that gives the
-  engines' operation tuples their meaning
-  (:mod:`repro.earth.operations`); a bare machine's default applier
-  just calls ``operation()``.  ``addr`` is the touched global address
-  (feeds the remote-data cache; optional);
+  the side effect; wherever it takes effect -- the local fast path,
+  the target SU, another shard's machine -- the machine hands it to
+  ``Machine.apply(operation)``.  One that completes inside the call
+  (target on the issuing node, ``malloc``, remote-cache hit) *returns
+  its value*; only one that goes in flight gets a :class:`Slot`, built
+  by the machine with ``label`` and the delivery hook ``post``,
+  returned (``type(r) is Slot``) and fulfilled by the reply.  The
+  interpreter installs the applier that gives the engines' operation
+  tuples their meaning (:mod:`repro.earth.operations`); a bare
+  machine's default applier just calls ``operation()``.  ``addr`` is
+  the touched global address (feeds the remote-data cache; optional);
 * ``machine.spawn(fiber)`` -- put a new fiber on its node's ready queue;
 * ``machine.signal(slot, value)`` -- fulfill a slot from the running
   fiber's node (a call's result; pays the return network leg when the
@@ -128,6 +131,9 @@ _EV_RUN = 9      # EU runner (at most one pending per node)
 
 _NO_SLICE = "Machine.%s() called with no fiber slice running"
 
+#: The operation names ``Machine.issue`` takes.
+_OPS = frozenset(("read", "write", "blkmov", "malloc", "shared"))
+
 
 def _call_operation(operation):
     """The default applier: the operation is itself the effect."""
@@ -140,7 +146,7 @@ class Slot:
     __slots__ = ("ready", "value", "waiters", "label", "trace", "node",
                  "post")
 
-    def __init__(self, label: str = ""):
+    def __init__(self, label: str = "", post: Optional[Callable] = None):
         self.ready = False
         self.value = None
         self.waiters: List["Fiber"] = []
@@ -156,7 +162,7 @@ class Slot:
         self.node: Optional[int] = None
         #: Optional origin-side hook applied to the value at delivery
         #: (a pulled blkmov writes its destination block here).
-        self.post: Optional[Callable[[object], object]] = None
+        self.post = post
 
     def __repr__(self) -> str:
         state = "ready" if self.ready else "pending"
@@ -537,24 +543,32 @@ class Machine:
             self.add_fiber(child, earliest=t + params.read_one_way_ns)
 
     def issue(self, op: str, target: int, words: int, operation: object,
-              slot: Optional[Slot], addr: Optional[int] = None) -> None:
-        """Issue one split-phase operation from the running fiber and
-        charge its EU.  ``addr`` (read / write address or blkmov
+              label: str, addr: Optional[int] = None,
+              post: Optional[Callable[[object], object]] = None):
+        """Issue one operation from the running fiber and charge its
+        EU.  Returns its value when it took effect inside the call
+        (target on this node, any ``malloc``, a remote-cache hit), else
+        the :class:`Slot` the reply will fulfil, built here with
+        ``label`` and ``post``.  ``addr`` (read / write address or blkmov
         *destination*) only feeds the remote-data cache; optional."""
         if self._slice is None:
             raise SimulatorError(_NO_SLICE % "issue")
+        if op not in _OPS:
+            raise SimulatorError(f"unknown op {op}")
         node = self._slice.node
         params = self.params
+        stats = self.stats
         clock = self.clock
         t = clock[0]
         here = target == node  # does it take effect on this node, now?
         if op == "shared":
-            self.stats.shared_ops += 1
+            stats.shared_ops += 1
             clock[0] = t = t + params.shared_op_ns
             if not here:
+                slot = Slot(label)
                 self._send_request(node, t, "write", target, operation,
                                    slot, 1)
-                return
+                return slot
         elif op == "malloc":
             cost = params.malloc_ns
             if not here:
@@ -564,17 +578,19 @@ class Machine:
                 # needed even when the target lives on another shard.
                 cost += params.remote_malloc_extra_ns
                 here = True
-            clock[0] = t = t + cost
-        elif here:  # read / write / blkmov
+            clock[0] = t + cost
+        elif here:  # read / write / blkmov: a runtime call
             clock[0] = t = t + params.local_op_cost(op, words)
-            self._count_op(op, local=True, words=words)
+            if op == "read":
+                stats.local_reads += 1
+            elif op == "write":
+                stats.local_writes += 1
+            else:
+                stats.local_blkmovs += 1
             if self.rcache is not None:
                 self.rcache.now = t
         if here:
-            value = self.apply(operation)
-            if slot is not None:
-                self.fulfill(slot, value, t)
-            return
+            return self.apply(operation)
         # read / write / blkmov on another node
         rcache = self.rcache
         if rcache is not None and addr:
@@ -586,15 +602,13 @@ class Machine:
                     # network legs, no remote_reads count -- the cache
                     # removed the message.
                     clock[0] = t = t + params.rcache_hit_ns
-                    self.stats.rcache_hits += 1
+                    stats.rcache_hits += 1
                     if self.tracer is not None:
                         self.tracer.emit(
                             "cache_hit", t, node, target=target,
                             addr=addr, site=self.tracer.current_site)
-                    if slot is not None:
-                        self.fulfill(slot, value, t)
-                    return
-                self.stats.rcache_misses += 1
+                    return value
+                stats.rcache_misses += 1
                 operation = ("fill", node, addr, operation)
             else:
                 # write / blkmov destination: drop the issuing node's
@@ -604,9 +618,17 @@ class Machine:
                 rcache.invalidate_node(node, addr, words, at=t)
                 rcache.writer_block(node, addr, words)
         clock[0] = t = t + params.issue_cost(op, words)
-        self._count_op(op, local=False, words=words)
+        if op == "read":
+            stats.remote_reads += 1
+        elif op == "write":
+            stats.remote_writes += 1
+        else:
+            stats.remote_blkmovs += 1
+            stats.remote_blkmov_words += words
+        slot = Slot(label, post)
         self._send_request(node, t, op, target, operation, slot, words,
                            addr=addr)
+        return slot
 
     def _request_leg(self, op: str, words: int) -> Tuple[float, float]:
         """``(one_way, su_time)`` of one request: its network latency
@@ -627,7 +649,7 @@ class Machine:
         return one_way, su_time
 
     def _send_request(self, origin: int, t: float, op: str, target: int,
-                      operation: object, slot: Optional[Slot],
+                      operation: object, slot: Slot,
                       words: int, addr: Optional[int] = None) -> None:
         if self.faults is not None:
             self._send_resilient(origin, t, op, target, operation, slot,
@@ -648,18 +670,16 @@ class Machine:
                         words=words, site=tracer.current_site, id=op_id)
             tracer.emit("net_send", t, origin, op=op, dst=target,
                         latency=one_way, words=words, id=op_id)
-            if slot is not None:
-                slot.trace = (op_id, origin)
+            slot.trace = (op_id, origin)
 
         if self.port is not None and not self.port.owns(target):
-            if slot is not None:
-                pending = _PendingOp(op, origin, target, words, None,
-                                     slot, op_id, chan_seq, addr=addr)
-                self._inflight[(origin, target, chan_seq)] = pending
+            self._inflight[(origin, target, chan_seq)] = _PendingOp(
+                op, origin, target, words, None, slot, op_id, chan_seq,
+                addr=addr)
             self.port.send_request(
                 op=op, origin=origin, target=target, words=words,
                 chan_seq=chan_seq, attempt=1, arrival=arrival,
-                operation=operation, has_slot=slot is not None,
+                operation=operation, has_slot=True,
                 op_id=op_id, resilient=False)
             return
 
@@ -675,10 +695,9 @@ class Machine:
                        slot: Optional[Slot], arrival: float,
                        one_way: float, su_time: float,
                        op_id: Optional[object], chan_seq: int,
-                       addr: Optional[int] = None,
-                       reply_via_port: bool = False,
-                       has_slot: bool = False) -> None:
-        """Target-SU half of the clean (fault-free) protocol."""
+                       addr: Optional[int] = None) -> None:
+        """Target-SU half of the clean (fault-free) protocol; ``slot``
+        is ``None`` when the origin's reply slot is on another shard."""
         tracer = self.tracer
         su_start = max(arrival, self._su_free[target])
         su_done = su_start + su_time
@@ -694,24 +713,15 @@ class Machine:
             self.rcache.now = su_done
         value = self.apply(operation)
         reply_at = su_done + one_way
-        if reply_via_port:
-            if has_slot:
-                self.port.send_reply(
-                    origin=origin, target=target, chan_seq=chan_seq,
-                    value=value, reply_at=reply_at, reply_seq=1,
-                    attempts=1)
-            elif tracer is not None:
-                tracer.emit("fulfill", su_done, origin, id=op_id)
+        if slot is None:
+            self.port.send_reply(
+                origin=origin, target=target, chan_seq=chan_seq,
+                value=value, reply_at=reply_at, reply_seq=1, attempts=1)
             return
-        if slot is not None:
-            self._schedule(
-                reply_at, (_EV_REPLY, origin, target, chan_seq, 1),
-                lambda: self._deliver_clean(op, origin, slot, value,
-                                            reply_at, addr, words))
-        elif tracer is not None:
-            # No reply slot: the operation logically completes when
-            # the SU is done with it.
-            tracer.emit("fulfill", su_done, origin, id=op_id)
+        self._schedule(
+            reply_at, (_EV_REPLY, origin, target, chan_seq, 1),
+            lambda: self._deliver_clean(op, origin, slot, value,
+                                        reply_at, addr, words))
 
     def _deliver_clean(self, op: str, origin: int, slot: Slot, value,
                        reply_at: float, addr: Optional[int],
@@ -876,8 +886,7 @@ class Machine:
                 arrival, (_EV_ARRIVE, target, origin, chan_seq, attempt),
                 lambda: self._service_clean(
                     op, origin, target, words, operation, None, arrival,
-                    one_way, su_time, op_id, chan_seq,
-                    reply_via_port=True, has_slot=has_slot))
+                    one_way, su_time, op_id, chan_seq))
             return
         key = (origin, target, chan_seq)
         pending = self._remote_served.get(key)
@@ -1014,27 +1023,6 @@ class Machine:
                        (_EV_REPLY, pending.origin, pending.target,
                         pending.chan_seq, pending.reply_seq),
                        deliver)
-
-    def _count_op(self, op: str, local: bool, words: int) -> None:
-        stats = self.stats
-        if op == "read":
-            if local:
-                stats.local_reads += 1
-            else:
-                stats.remote_reads += 1
-        elif op == "write":
-            if local:
-                stats.local_writes += 1
-            else:
-                stats.remote_writes += 1
-        elif op == "blkmov":
-            if local:
-                stats.local_blkmovs += 1
-            else:
-                stats.remote_blkmovs += 1
-                stats.remote_blkmov_words += words
-        else:  # pragma: no cover
-            raise SimulatorError(f"unknown op {op}")
 
     # -- slots -----------------------------------------------------------------------
 

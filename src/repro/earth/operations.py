@@ -9,7 +9,7 @@ shard worker serving a request that crossed processes -- so one run has
 one point at which every word moved is visible as a value.
 
 ==========================================  ==============================
-operation                                   effect -> slot value
+operation                                   effect -> value
 ==========================================  ==============================
 ``("read", addr)``                          one word; nil delivers 0 and
                                             is counted (a fault under
@@ -22,8 +22,8 @@ operation                                   effect -> slot value
                                             delivers its snapshot)
 ``("bwrite", dst, data)``                   store a block snapshotted at
                                             issue time
-``("bread", src, words)``                   -> the block; the origin's
-                                            ``slot.post`` lands it
+``("bread", src, words)``                   -> the block; the reply
+                                            slot's ``post`` lands it
 ``("bxfer", src, dst, words)``              copy between two nodes, both
                                             foreign to the issuer
 ``("sharedg", name, op, value)``            atomic op on a global shared
@@ -74,8 +74,8 @@ class Applier:
         self.shared_cell = shared_cell
 
     def __call__(self, operation: tuple):
-        """Apply ``operation`` now; returns the value its slot is
-        fulfilled with."""
+        """Apply ``operation`` now; returns its value (what ``issue``
+        returns, or the reply slot is fulfilled with)."""
         kind = operation[0]
         memory = self.memory
         if kind == "read":
@@ -131,9 +131,9 @@ class Applier:
         if self.strict_nil_reads:
             raise MemoryFault(what)
 
-    def blkmov(self, src, dst, words: int, node: int, slot, lazy: bool):
+    def blkmov(self, src, dst, words: int, node: int, lazy: bool):
         """Classify one block move issued on ``node`` -> ``(target,
-        operation)`` for its ``Machine.issue`` call.
+        operation, post)`` for its ``Machine.issue`` call.
 
         An endpoint is a global address or a frame buffer ``(list,
         offset)``; a buffer and a nil pointer count as being on
@@ -141,11 +141,12 @@ class Applier:
         the data leaves with the request (and that is what lets the
         request cross a shard boundary).  A source elsewhere with the
         destination here is a pull: the servicing SU reads the block,
-        the reply carries it, and ``slot.post`` applies the destination
-        effect at delivery.  ``lazy`` marks a split-phase move filling a
-        whole frame buffer, whose consumers receive the delivered list
-        in place of the buffer -- so the buffer's tail beyond ``words``
-        is captured now and appended."""
+        the reply carries it, and ``post`` (the reply slot's delivery
+        hook; ``None`` otherwise) applies the destination effect.
+        ``lazy`` marks a split-phase move filling a whole frame buffer,
+        whose consumers receive the delivered list in place of the
+        buffer -- so the buffer's tail beyond ``words`` is captured now
+        and appended."""
         memory = self.memory
         src_buffer = isinstance(src, tuple)
         dst_buffer = isinstance(dst, tuple)
@@ -154,19 +155,18 @@ class Applier:
         target = dst_node if dst_node != node else src_node
         tail = dst[0][words:] if lazy else None
         if dst_node != target:
-            if dst_buffer:
-                if tail:
-                    slot.post = lambda data: list(data) + tail
-            else:
+            post = None
+            if not dst_buffer:
                 def post(data):
                     if dst == 0:
                         raise MemoryFault("nil blkmov destination")
                     memory.write_block(dst, data)
                     return None
-                slot.post = post
-            return target, ("bread", src, words)
+            elif tail:
+                post = lambda data: list(data) + tail
+            return target, ("bread", src, words), post
         if src_node != node:
-            return target, ("bxfer", src, dst, words)
+            return target, ("bxfer", src, dst, words), None
         if src_buffer:
             buffer, offset = src
             data = buffer[offset:offset + words]
@@ -176,5 +176,5 @@ class Applier:
         else:
             data = memory.read_block(src, words)
         if dst_buffer:
-            return target, ("value", data + tail if tail else data)
-        return target, ("bwrite", dst, data)
+            return target, ("value", data + tail if tail else data), None
+        return target, ("bwrite", dst, data), None

@@ -5,12 +5,13 @@ function into specialized Python text; the emitted source *is* the
 engine's behaviour, so accidental drift (a reordered check, a lost
 fusion, a changed yield point) should be visible in review as a plain
 text diff.  This pins the complete emitted source for one small
-split-phase function covering the main shapes: fused basic runs with
-a batched statement budget, split-phase remote reads landing a Slot in
-a local, sync-on-use with coercion, checked reads, and the inlined
-return epilogue.
+split-phase function covering the main shapes: one statement-counter
+charge per straight-line run, fused local stretches, split-phase remote
+reads landing a Slot (or, complete at issue, the coerced value) in a
+local, sync-on-use with coercion, checked reads, and the inlined
+return epilogue of a function that carries no ``_out`` list.
 
-Statement labels embed in the source (``Slot('read@N')``); they are
+Statement labels embed in the source (``'read@N'``); they are
 numbered per compilation, so the text is a function of the program
 alone -- which is also what lets a recompile of the same source reuse
 the cached code objects (last test).
@@ -67,72 +68,48 @@ GOLDEN_SUM_CHAIN = textwrap.dedent("""\
         v_total = 0
         v_temp_1 = 0
         v_comm1 = 0
-        _out = []
-        _interp._stmts_left -= 1
-        if _interp._stmts_left <= 0:
-            raise InterpreterError(_BUDGET_MSG)
         _stats.basic_stmts_executed += 1
+        if _stats.basic_stmts_executed >= 200000000:
+            raise InterpreterError(_BUDGET_MSG)
         _clk[0] += 60.0
         v_total = 0
         while True:
             _clk[0] += 60.0
             if not (v_head != 0):
                 break
-            _interp._stmts_left -= 1
-            if _interp._stmts_left <= 0:
+            _stats.basic_stmts_executed += 4
+            if _stats.basic_stmts_executed >= 200000000:
                 raise InterpreterError(_BUDGET_MSG)
-            _stats.basic_stmts_executed += 1
             _clk[0] += 60.0
             _t1 = v_head
             _t2 = (_t1 + 1 if _t1 != 0 else 0)
-            _t3 = Slot('read@26')
-            _t4 = _t2 // _NODE_SPAN if _t2 != 0 else node
-            _issue("read", _t4, 1, ("read", _t2), _t3, _t2)
-            v_comm1 = _t3
-            _interp._stmts_left -= 1
-            if _interp._stmts_left <= 0:
-                raise InterpreterError(_BUDGET_MSG)
-            _stats.basic_stmts_executed += 1
+            _t3 = _t2 // _NODE_SPAN if _t2 != 0 else node
+            _t4 = _issue("read", _t3, 1, ("read", _t2), 'read@26', _t2)
+            v_comm1 = _t4 if type(_t4) is Slot else int(_t4)
             _clk[0] += 60.0
             _t5 = v_head
-            _t6 = Slot('read@10')
-            _t7 = _t5 // _NODE_SPAN if _t5 != 0 else node
-            _issue("read", _t7, 1, ("read", _t5), _t6, _t5)
-            v_temp_1 = _t6
-            _interp._stmts_left -= 1
-            if _interp._stmts_left <= 0:
-                raise InterpreterError(_BUDGET_MSG)
-            _stats.basic_stmts_executed += 1
+            _t6 = _t5 // _NODE_SPAN if _t5 != 0 else node
+            _t7 = _issue("read", _t6, 1, ("read", _t5), 'read@10', _t5)
+            v_temp_1 = _t7 if type(_t7) is Slot else int(_t7)
             if type(v_temp_1) is Slot:
-                _t8 = v_temp_1.value if v_temp_1.ready else (yield v_temp_1)
-                v_temp_1 = _t8 if isinstance(_t8, list) else int(_t8)
+                v_temp_1 = v_temp_1.value if v_temp_1.ready else (yield v_temp_1)
+                v_temp_1 = v_temp_1 if isinstance(v_temp_1, list) else int(v_temp_1)
             _clk[0] += 60.0
             v_total = (v_total + _chkread(v_temp_1, 'temp_1'))
-            _interp._stmts_left -= 1
-            if _interp._stmts_left <= 0:
-                raise InterpreterError(_BUDGET_MSG)
-            _stats.basic_stmts_executed += 1
             if type(v_comm1) is Slot:
-                _t9 = v_comm1.value if v_comm1.ready else (yield v_comm1)
-                v_comm1 = _t9 if isinstance(_t9, list) else int(_t9)
+                v_comm1 = v_comm1.value if v_comm1.ready else (yield v_comm1)
+                v_comm1 = v_comm1 if isinstance(v_comm1, list) else int(v_comm1)
             _clk[0] += 60.0
             v_head = _chkread(v_comm1, 'comm1')
-        _interp._stmts_left -= 1
-        if _interp._stmts_left <= 0:
-            raise InterpreterError(_BUDGET_MSG)
         _stats.basic_stmts_executed += 1
+        if _stats.basic_stmts_executed >= 200000000:
+            raise InterpreterError(_BUDGET_MSG)
         _clk[0] += 60.0
         _ret = v_total
-        for _sl in _out:
-            if not _sl.ready:
-                yield _sl
         if result_slot is not None:
             _fulfill(result_slot, _ret)
         return _ret
         _ret = 0
-        for _sl in _out:
-            if not _sl.ready:
-                yield _sl
         if result_slot is not None:
             _fulfill(result_slot, _ret)
         return _ret

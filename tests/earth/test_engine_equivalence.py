@@ -142,6 +142,57 @@ def test_olden_identical_faults_rcache(name, faulted, rcache):
              rcache_capacity=rcache)
 
 
+@pytest.mark.parametrize("name", [spec.name for spec in catalog()])
+def test_olden_identical_optimized_on_one_node(name):
+    """Optimized code on one node: every split-phase operation
+    completes at issue, so what lands in a variable there must be what
+    sync-on-use would have delivered."""
+    spec = next(s for s in catalog() if s.name == name)
+    compiled = compile_earthc(spec.source(), spec.filename,
+                              optimize=True, inline=spec.inline)
+    _compare(compiled, 1, args=spec.small_args, max_stmts=spec.max_stmts)
+
+
+def test_split_phase_read_completing_at_issue_is_coerced():
+    """A split-phase read whose target is the issuing node lands its
+    value as sync-on-use delivers a remote one: coerced to the
+    variable's type (a ``char`` wraps; an ``int`` word read through a
+    ``double *`` becomes a float, so ``d / 2`` does not truncate)."""
+    source = """
+    struct rec { int big; int small; };
+    int as_char(struct rec *p) {
+        char c;
+        c = p->small;
+        return c;
+    }
+    int as_double(struct rec *p) {
+        double d; double *q;
+        q = (double *) p;
+        d = *q;
+        return (int) (d / 2 * 2);
+    }
+    int main() {
+        struct rec *here; struct rec *there;
+        here = (struct rec *) malloc(sizeof(struct rec)) @ 0;
+        there = (struct rec *) malloc(sizeof(struct rec)) @ 1;
+        here->big = 7; here->small = 300;
+        there->big = 9; there->small = 513;
+        return as_char(here) * 1000000 + as_double(here) * 10000
+            + as_char(there) * 100 + as_double(there);
+    }
+    """
+    compiled = compile_earthc(source, optimize=True)
+    for function, variable in (("as_char", "c"), ("as_double", "d")):
+        landed = [stmt.lhs.name for stmt
+                  in compiled.simple.functions[function].body.walk()
+                  if getattr(stmt, "split_phase", False)]
+        assert landed == [variable]
+    _compare(compiled, 2)
+    result = execute(compiled, config=RunConfig(nodes=2))
+    assert result.value == 44070109
+    assert result.stats.local_reads == result.stats.remote_reads == 2
+
+
 #: Full default-size equivalence is a slow sweep; it rides only under
 #: the ``ci`` hypothesis profile (HYPOTHESIS_PROFILE=ci or CI=...),
 #: exactly like the heavyweight property budgets in tests/conftest.py.

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.earth.interpreter import Interpreter
+from repro.earth.interpreter import ENGINES, Interpreter
 from repro.earth.machine import Machine
 from repro.earth.params import MachineParams
 from repro.errors import InterpreterError, MemoryFault
 from repro.harness.pipeline import compile_earthc, execute
 from repro.config import RunConfig
+from repro.olden.loader import get_benchmark
 from tests.conftest import run_value
 
 NODE = "struct node { int v; struct node *next; };"
@@ -315,14 +316,38 @@ class TestParallelism:
 
 
 class TestRuntimeChecks:
-    def test_statement_budget(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_statement_budget(self, engine):
         compiled = compile_earthc(
             "int main() { int i; i = 0; while (1) { i = i + 1; } "
             "return i; }")
         machine = Machine(1)
-        interp = Interpreter(compiled.simple, machine, max_stmts=10_000)
+        interp = Interpreter(compiled.simple, machine, max_stmts=1000,
+                             engine=engine)
         with pytest.raises(InterpreterError, match="budget"):
             interp.run("main")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", ["treeadd", "health"])
+    def test_budget_boundary_is_the_statement_count(self, name, engine):
+        """``basic_stmts_executed`` is the budget: a run that executes
+        ``n`` basic statements raises under ``max_stmts = n`` and
+        completes, with the same stats, under ``n + 1`` -- wherever
+        the engine charges the counter."""
+        spec = get_benchmark(name)
+        compiled = compile_earthc(spec.source(), spec.filename,
+                                  optimize=True, inline=spec.inline)
+        config = RunConfig(nodes=4, args=tuple(spec.small_args),
+                           engine=engine)
+        free = execute(compiled, config=config)
+        n = free.stats.basic_stmts_executed
+        assert n > 1000
+        with pytest.raises(InterpreterError, match="budget"):
+            execute(compiled, config=config.replace(max_stmts=n))
+        tight = execute(compiled, config=config.replace(max_stmts=n + 1))
+        assert tight.value == free.value
+        assert tight.time_ns == free.time_ns
+        assert tight.stats.snapshot() == free.stats.snapshot()
 
     def test_unknown_entry(self):
         compiled = compile_earthc("int main() { return 0; }")

@@ -49,9 +49,8 @@ class TestSplitPhase:
         machine.memory.write_word(addr, 99)
 
         def gen():
-            slot = Slot("r")
-            machine.issue("read", 1, 1,
-                          lambda: machine.memory.read_word(addr), slot)
+            slot = machine.issue(
+                "read", 1, 1, lambda: machine.memory.read_word(addr), "r")
             value = yield slot
             return value
 
@@ -69,10 +68,10 @@ class TestSplitPhase:
         machine.memory.write_word(addr, 5)
 
         def gen():
-            slot = Slot("r")
-            machine.issue("read", 0, 1,
-                          lambda: machine.memory.read_word(addr), slot)
-            value = yield slot  # ready already: sent straight back
+            # Completes inside the call: the value, not a slot.
+            value = machine.issue(
+                "read", 0, 1, lambda: machine.memory.read_word(addr), "r")
+            yield from ()  # a fiber is a generator
             return value
 
         done = run_fiber(machine, gen)
@@ -90,12 +89,12 @@ class TestSplitPhase:
 
         def make(k):
             def gen():
-                slots = [Slot(f"r{i}") for i in range(k)]
-                for i in range(k):
+                slots = [
                     machine.issue(
                         "read", 1, 1,
                         lambda i=i: machine.memory.read_word(addr + i),
-                        slots[i])
+                        f"r{i}")
+                    for i in range(k)]
                 total = 0
                 for slot in slots:
                     total += slot.value if slot.ready else (yield slot)
@@ -125,11 +124,9 @@ class TestSplitPhase:
 
         def reader(node, offset):
             def gen():
-                slot = Slot("r")
-                machine.issue(
+                yield machine.issue(
                     "read", 2, 1,
-                    lambda: machine.memory.read_word(addr + offset), slot)
-                yield slot
+                    lambda: machine.memory.read_word(addr + offset), "r")
                 return None
             done = {}
 
@@ -179,9 +176,7 @@ class TestFibersAndSlots:
         trace = []
 
         def blocked():
-            slot = Slot("r")
-            machine.issue("read", 1, 1, lambda: 1, slot)
-            yield slot
+            yield machine.issue("read", 1, 1, lambda: 1, "r")
             trace.append("blocked-done")
 
         def filler():
@@ -239,9 +234,8 @@ class TestFibersAndSlots:
 
             def worker(k):
                 def gen():
-                    slot = Slot("r")
-                    machine.issue("read", 1, 1, lambda: k, slot)
-                    value = yield slot
+                    value = yield machine.issue(
+                        "read", 1, 1, lambda: k, "r")
                     results.append((k, value))
                 return gen
 
@@ -266,7 +260,7 @@ class TestSliceContract:
     is a call made from inside the running slice."""
 
     @pytest.mark.parametrize("call", [
-        lambda m: m.issue("read", 0, 1, lambda: 1, Slot("r")),
+        lambda m: m.issue("read", 0, 1, lambda: 1, "r"),
         lambda m: m.spawn(_empty_fiber()),
         lambda m: m.signal(Slot("s"), 1),
         lambda m: m.print("text"),
@@ -281,6 +275,25 @@ class TestSliceContract:
         with pytest.raises(SimulatorError, match="no fiber slice"):
             call(machine)
         assert machine.output == [] and machine.time == 0.0
+
+    @pytest.mark.parametrize("target", [0, 1], ids=["own", "other"])
+    def test_unknown_operation_name_is_one_error_clock_untouched(
+            self, target):
+        machine = Machine(2)
+        seen = {}
+
+        def gen():
+            machine.clock[0] += 100.0
+            try:
+                machine.issue("bogus", target, 1, lambda: 1, "b")
+            except SimulatorError as error:
+                seen["error"] = str(error)
+            seen["clock"] = machine.clock[0]
+            yield from ()  # a fiber is a generator
+
+        run_fiber(machine, gen)
+        assert seen == {"error": "unknown op bogus", "clock": 100.0}
+        assert machine.stats.total_comm_ops == 0
 
     def test_slices_do_not_nest(self):
         machine = Machine(1)
@@ -323,6 +336,53 @@ class TestSliceContract:
         parks = len(result.tracer.events_of("fiber_block"))
         assert parks > 0 and result.stats.remote_reads > 0
         assert resumptions[0] == result.stats.fibers_spawned + parks
+
+    @pytest.mark.parametrize("engine", ["ast", "codegen"])
+    @pytest.mark.parametrize("name", ["treeadd", "health"])
+    def test_a_slot_exists_only_for_an_operation_in_flight(
+            self, monkeypatch, name, engine):
+        """Slots built inside ``Machine.issue`` == requests it put on
+        the network: an operation that completes at issue returns its
+        value and builds none.  Outside ``issue`` the engines build
+        slots only for call results and joins."""
+        in_issue = [False]
+        issues, built, sent, others = [0], [0], [0], set()
+        issue, init = Machine.issue, Slot.__init__
+        send = Machine._send_request
+
+        def counting_issue(self, *args, **kwargs):
+            issues[0] += 1
+            in_issue[0] = True
+            try:
+                result = issue(self, *args, **kwargs)
+            finally:
+                in_issue[0] = False
+            assert type(result) is not Slot or not result.ready
+            return result
+
+        def counting_init(self, label="", *args, **kwargs):
+            if in_issue[0]:
+                built[0] += 1
+            else:
+                others.add(label.split(":")[0])
+            init(self, label, *args, **kwargs)
+
+        def counting_send(self, *args, **kwargs):
+            assert in_issue[0]
+            sent[0] += 1
+            send(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "issue", counting_issue)
+        monkeypatch.setattr(Slot, "__init__", counting_init)
+        monkeypatch.setattr(Machine, "_send_request", counting_send)
+        spec = get_benchmark(name)
+        compiled = compile_earthc(spec.source(), spec.filename,
+                                  optimize=True, inline=spec.inline)
+        result = execute(compiled, config=RunConfig(
+            nodes=4, args=tuple(spec.small_args), engine=engine))
+        assert result.stats.total_remote_ops > 0
+        assert 0 < built[0] == sent[0] < issues[0]
+        assert others <= {"call", "join", "result"}
 
     @pytest.mark.parametrize("engine", ["ast", "codegen"])
     def test_program_output_survives_sharding(self, engine):

@@ -107,27 +107,26 @@ class TestBlkmov:
     def test_push_writes_the_issue_time_snapshot(self):
         apply, memory, (a0, a1) = bare()
         put(memory, a0, [1, 2, 3])
-        slot = Slot("mv")
-        target, operation = apply.blkmov(a0, a1, 3, 0, slot, False)
+        target, operation, post = apply.blkmov(a0, a1, 3, 0, False)
         assert (target, operation) == (1, ("bwrite", a1, [1, 2, 3]))
         put(memory, a0, [9, 9, 9])  # mutated before the SU serves it
         assert apply(operation) is None
         assert memory.read_block(a1, 3) == [1, 2, 3]
-        assert slot.post is None
+        assert post is None
 
     def test_push_from_a_frame_buffer_and_from_nil(self):
         apply, memory, (_, a1) = bare()
         buffer = [0, 7, 8, 0]
-        assert apply.blkmov((buffer, 1), a1, 2, 0, Slot("mv"), False) \
-            == (1, ("bwrite", a1, [7, 8]))
-        assert apply.blkmov(0, a1, 2, 0, Slot("mv"), False) \
-            == (1, ("bwrite", a1, [0, 0]))
+        assert apply.blkmov((buffer, 1), a1, 2, 0, False) \
+            == (1, ("bwrite", a1, [7, 8]), None)
+        assert apply.blkmov(0, a1, 2, 0, False) \
+            == (1, ("bwrite", a1, [0, 0]), None)
         assert apply.stats.speculative_nil_reads == 1
 
     def test_strict_nil_source_faults_at_issue(self):
         apply, _, (_, a1) = bare(strict=True)
         with pytest.raises(MemoryFault, match="nil blkmov source"):
-            apply.blkmov(0, a1, 2, 0, Slot("mv"), False)
+            apply.blkmov(0, a1, 2, 0, False)
 
     def test_pull_lands_at_delivery_through_slot_post(self):
         machine = Machine(2)
@@ -135,9 +134,9 @@ class TestBlkmov:
         a0, a1 = memory.allocate(0, 4), memory.allocate(1, 4)
         put(memory, a1, [4, 5, 6])
         apply = Applier(memory, machine.stats)
-        slot = Slot("mv")
-        target, operation = apply.blkmov(a1, a0, 3, 0, slot, False)
+        target, operation, post = apply.blkmov(a1, a0, 3, 0, False)
         assert (target, operation) == (1, ("bread", a1, 3))
+        slot = Slot("mv", post)
         reply = apply(operation)
         assert reply == [4, 5, 6]
         assert memory.read_block(a0, 3) == [None] * 3  # not yet
@@ -147,25 +146,23 @@ class TestBlkmov:
 
     def test_pull_into_nil_faults_at_delivery(self):
         apply, _, (_, a1) = bare()
-        slot = Slot("mv")
-        _, operation = apply.blkmov(a1, 0, 2, 0, slot, False)
+        _, operation, post = apply.blkmov(a1, 0, 2, 0, False)
         with pytest.raises(MemoryFault, match="nil blkmov destination"):
-            slot.post(apply(operation))
+            post(apply(operation))
 
     def test_lazy_pull_appends_the_buffers_tail(self):
         apply, memory, (_, a1) = bare()
         put(memory, a1, [4, 5])
         buffer = [0, 0, 8, 9]
-        slot = Slot("mv")
-        target, operation = apply.blkmov(a1, (buffer, 0), 2, 0, slot, True)
+        target, operation, post = apply.blkmov(a1, (buffer, 0), 2, 0, True)
         assert (target, operation) == (1, ("bread", a1, 2))
-        assert slot.post(apply(operation)) == [4, 5, 8, 9]
+        assert post(apply(operation)) == [4, 5, 8, 9]
 
     def test_both_remote_copies_at_the_destination(self):
         apply, memory, (_, a1, a2) = bare(nodes=3)
         put(memory, a1, [1, 2])
-        target, operation = apply.blkmov(a1, a2, 2, 0, Slot("mv"), False)
-        assert (target, operation) == (2, ("bxfer", a1, a2, 2))
+        target, operation, post = apply.blkmov(a1, a2, 2, 0, False)
+        assert (target, operation, post) == (2, ("bxfer", a1, a2, 2), None)
         put(memory, a1, [3, 4])  # read when served, not when issued
         apply(operation)
         assert memory.read_block(a2, 2) == [3, 4]
@@ -176,20 +173,19 @@ class TestBlkmov:
                                                         delivered):
         apply, memory, (a0, _) = bare()
         put(memory, a0, [1, 2])
-        target, operation = apply.blkmov(a0, ([0, 0, 8, 9], 0), 2, 0,
-                                         Slot("mv"), lazy)
-        assert (target, operation) == (0, ("value", delivered))
+        target, operation, post = apply.blkmov(a0, ([0, 0, 8, 9], 0), 2,
+                                               0, lazy)
+        assert (target, operation, post) == (0, ("value", delivered), None)
         assert apply(operation) == delivered
 
     def test_local_move_between_addresses_and_into_nil(self):
         apply, memory, (a0, _) = bare()
         put(memory, a0, [1, 2])
-        target, operation = apply.blkmov(a0, a0 + 4, 2, 0, Slot("mv"),
-                                         False)
+        target, operation, _ = apply.blkmov(a0, a0 + 4, 2, 0, False)
         assert (target, operation) == (0, ("bwrite", a0 + 4, [1, 2]))
         apply(operation)
         assert memory.read_block(a0 + 4, 2) == [1, 2]
-        _, into_nil = apply.blkmov(a0, 0, 2, 0, Slot("mv"), False)
+        _, into_nil, _ = apply.blkmov(a0, 0, 2, 0, False)
         with pytest.raises(MemoryFault, match="nil blkmov destination"):
             apply(into_nil)
 
