@@ -79,6 +79,8 @@ def analyze_connection(program: s.SimpleProgram,
     points-to (``branch_prob`` weights its likelihood channel only),
     decorate every statement with its read/write sets, and wrap both in
     the query interface.  This is the one place the three are put
-    together; whoever changes statements afterwards asks again."""
+    together; whoever changes statements afterwards asks again (the
+    optimizer does exactly that: it keeps the result across a phase
+    that changed none, ``CommunicationOptimizer._facts``)."""
     pts = analyze_points_to(program, branch_prob)
     return ConnectionInfo(program, pts, EffectsAnalysis(program, pts))

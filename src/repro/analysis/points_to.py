@@ -257,8 +257,7 @@ class PointsToAnalysis:
             return
         # Source side.
         if isinstance(rhs, (s.OperandRhs, s.ConvertRhs)):
-            operand = rhs.operand if isinstance(rhs, s.ConvertRhs) \
-                else rhs.operand
+            operand = rhs.operand
             if isinstance(operand, s.VarUse) and \
                     self._is_pointerish(func, operand.name):
                 self._add_copy(self._var_holder(func, operand.name), dst,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.connection import analyze_connection
+from repro.analysis.connection import ConnectionInfo, analyze_connection
 from repro.analysis.locality import (
     LocalityResult,
     analyze_locality,
@@ -116,6 +116,21 @@ class CommunicationOptimizer:
         self.config = config or CommConfig()
         self.opt = self.config.opt if self.config.opt is not None \
             else OptConfig()
+        self._conn: Optional[ConnectionInfo] = None
+
+    def _facts(self) -> ConnectionInfo:
+        """The alias facts of the program as it now stands: solved on
+        first use and again after any phase that :meth:`_rewrote`."""
+        if self._conn is None:
+            self._conn = analyze_connection(self.program,
+                                            self.opt.branch_weight)
+        return self._conn
+
+    def _rewrote(self, count: int) -> None:
+        """``count`` statements were inserted, replaced or re-targeted;
+        unless that is none, the facts are stale."""
+        if count:
+            self._conn = None
 
     def run(self) -> OptimizationReport:
         """Run the enabled passes in order, in place.
@@ -123,9 +138,12 @@ class CommunicationOptimizer:
         Forwarding and the two selection phases rewrite and insert
         statements, and the kill rules must read the alias facts of the
         statements as they now are.  So each of them, and the
-        private-line marking that follows selection, starts from its own
-        :func:`~repro.analysis.connection.analyze_connection`: one
-        points-to solve and one effects table per phase."""
+        private-line marking that follows selection, asks
+        :meth:`_facts`, which re-solves (one points-to solve, one
+        effects table) iff a phase reported a rewrite since the last
+        solve: the facts are a function of the statements alone.  Not
+        ROADMAP 3(a)'s reuse *across* rewrites -- no consumer ever
+        reads facts older than a statement."""
         report = OptimizationReport()
         config = self.config
 
@@ -139,11 +157,11 @@ class CommunicationOptimizer:
 
         if config.enable_forwarding:
             with timed_pass(report.passes, "forwarding") as profile:
-                conn = analyze_connection(self.program,
-                                          self.opt.branch_weight)
+                conn = self._facts()
                 for function in self.program.functions.values():
                     report.forwarding[function.name] = \
                         forward_remote_values(function, conn)
+            self._rewrote(report.total_forwarded())
             profile.counters["reads_forwarded"] = sum(
                 stat.reads_forwarded
                 for stat in report.forwarding.values())
@@ -155,8 +173,7 @@ class CommunicationOptimizer:
             # Phase R: earliest placement of reads, all functions.
             with timed_pass(report.passes, "place/select reads") \
                     as profile:
-                conn = analyze_connection(self.program,
-                                          self.opt.branch_weight)
+                conn = self._facts()
                 read_placements = []
                 read_selections = {}
                 for function in self.program.functions.values():
@@ -178,6 +195,8 @@ class CommunicationOptimizer:
                 s.blocked_read_groups for s in stats)
             profile.counters["redundant_reads_merged"] = sum(
                 s.redundant_reads_merged for s in stats)
+            self._rewrote(sum(s.pipelined_reads + s.blocked_read_groups
+                              + s.redundant_reads_merged for s in stats))
             # Phase W: latest placement of writes, against a fresh
             # analysis of the read-transformed program -- the inserted
             # comm reads must kill write sinking past them (otherwise a
@@ -185,8 +204,7 @@ class CommunicationOptimizer:
             # cross).
             with timed_pass(report.passes, "place/select writes") \
                     as profile:
-                conn = analyze_connection(self.program,
-                                          self.opt.branch_weight)
+                conn = self._facts()
                 write_placements = []
                 for function in self.program.functions.values():
                     placement = analyze_placement(function, conn,
@@ -211,6 +229,8 @@ class CommunicationOptimizer:
             profile.counters["blkmov_merges"] = sum(
                 s.blocked_read_groups + s.blocked_write_groups
                 for s in stats)
+            self._rewrote(sum(s.pipelined_writes + s.blocked_write_groups
+                              for s in stats))
 
         if config.split_phase_residuals:
             with timed_pass(report.passes, "split-phase") as profile:
@@ -223,9 +243,8 @@ class CommunicationOptimizer:
             # Last: the points-to facts must cover the comm statements
             # selection inserted.
             with timed_pass(report.passes, "private lines") as profile:
-                conn = analyze_connection(self.program,
-                                          self.opt.branch_weight)
-                private = mark_private_sites(self.program, conn.pts)
+                private = mark_private_sites(self.program,
+                                             self._facts().pts)
             profile.counters["private_sites"] = private
 
         with timed_pass(report.passes, "validate"):

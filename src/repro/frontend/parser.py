@@ -41,8 +41,9 @@ class Parser:
     # -- token stream helpers -------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if not offset:  # `_next` stops at the sticky `eof`: in range
+            return self.tokens[self.index]
+        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
 
     def _next(self) -> Token:
         token = self.tokens[self.index]
@@ -93,12 +94,8 @@ class Parser:
     def _parse_base_type(self) -> Tuple[Type, bool]:
         """Parse the type-specifier prefix; returns ``(type, is_shared)``."""
         is_shared = bool(self._accept_keyword("shared"))
+        # Prefix position only: the paper writes `shared int`.
         token = self._peek()
-        if not is_shared:
-            # `shared` may also follow the base type (`int shared x`
-            # is not allowed; the paper writes `shared int`), so only the
-            # prefix position is accepted.
-            pass
         if token.is_keyword("struct"):
             self._next()
             name_token = self._expect_id()
@@ -457,7 +454,8 @@ class Parser:
             return ast.CondExpr(cond, then_value, else_value, token.loc)
         return cond
 
-    # Binary operator precedence climbing, lowest binding first.
+    # The grammar's ten binary levels, lowest binding first; every
+    # level is left-associative.  `_LEVEL_OF` is this table inverted.
     _PRECEDENCE: List[List[str]] = [
         ["||"],
         ["&&"],
@@ -470,17 +468,22 @@ class Parser:
         ["+", "-"],
         ["*", "/", "%"],
     ]
+    _LEVEL_OF: Dict[str, int] = {
+        op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
 
-    def _parse_binary_expr(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary_expr()
-        left = self._parse_binary_expr(level + 1)
-        ops = self._PRECEDENCE[level]
-        while self._peek().kind == "op" and self._peek().text in ops:
-            token = self._next()
+    def _parse_binary_expr(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: one operand, then every operator that
+        binds at ``min_level`` or tighter, each with a right side parsed
+        one level up (which is what makes the level left-associative)."""
+        left = self._parse_unary_expr()
+        while True:
+            token = self._peek()
+            level = self._LEVEL_OF.get(token.text, -1)
+            if token.kind != "op" or level < min_level:
+                return left
+            self._next()
             right = self._parse_binary_expr(level + 1)
             left = ast.BinOp(token.text, left, right, token.loc)
-        return left
 
     def _parse_unary_expr(self) -> ast.Expr:
         token = self._peek()

@@ -541,6 +541,14 @@ class Simplifier:
             return self._lower_ternary(expr)
         if isinstance(expr, ast.BinOp) and expr.op in ("&&", "||"):
             return self._lower_short_circuit(expr)
+        if isinstance(expr, (ast.Assign, ast.IncDec)):
+            # Lowering it would have to decide whether `(p->f = v)`
+            # re-reads a remote field.
+            what = "an assignment" if isinstance(expr, ast.Assign) \
+                else f"`{expr.op}`"
+            raise SimplifyError(
+                f"{expr.loc}: {what} used as a value is not supported; "
+                f"make it a statement of its own")
         rhs = self._lower_rhs(expr)
         if isinstance(rhs, s.OperandRhs):
             return rhs.operand
@@ -743,15 +751,13 @@ class Simplifier:
             return ("var", self._resolve_name(expr.name))
         if isinstance(expr, ast.Deref):
             ptr = self._lower_ptr_var(expr.pointer)
-            ptr_type = self._var_type(ptr)
-            assert isinstance(ptr_type, PointerType)
+            ptr_type = self._pointer_type(ptr, expr)
             return ("deref", ptr, self._is_remote_ptr(ptr_type),
                     ptr_type.target)
         if isinstance(expr, ast.Index):
             base = self._lower_ptr_var(expr.base)
             index = self._lower_value(expr.index)
-            base_type = self._var_type(base)
-            assert isinstance(base_type, PointerType)
+            base_type = self._pointer_type(base, expr)
             elem = base_type.target
             if elem.size_words() != 1 and not elem.is_struct:
                 # Scale the index for multi-word scalars (double).
@@ -766,11 +772,22 @@ class Simplifier:
             return self._resolve_field_access(expr)
         raise SimplifyError(f"not an access expression: {expr!r}")
 
+    def _pointer_type(self, name: str, expr: ast.Expr) -> PointerType:
+        """The type of the variable ``expr`` dereferences or indexes.
+        The type checker decays an array variable to a pointer; SIMPLE
+        has no addressable array variables to decay."""
+        var_type = self._var_type(name)
+        if not isinstance(var_type, PointerType):
+            raise SimplifyError(
+                f"{expr.loc}: {name!r} is declared {var_type}, and only "
+                f"a pointer can be indexed or dereferenced (array "
+                f"variables are not supported; use a heap object)")
+        return var_type
+
     def _resolve_field_access(self, expr: ast.FieldAccess):
         if expr.arrow:
             ptr = self._lower_ptr_var(expr.base)
-            ptr_type = self._var_type(ptr)
-            assert isinstance(ptr_type, PointerType)
+            ptr_type = self._pointer_type(ptr, expr)
             struct = ptr_type.target
             assert isinstance(struct, StructType)
             path = FieldPath.single(expr.field)

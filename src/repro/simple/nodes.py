@@ -501,10 +501,13 @@ class Stmt:
         return ()
 
     def walk(self) -> Iterator["Stmt"]:
-        """This statement and all descendants, preorder."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """This statement and all descendants, preorder, in one frame."""
+        stack: List[Stmt] = [self]
+        while stack:
+            stmt = stack.pop()
+            yield stmt  # its children are read once it has been yielded
+            if not isinstance(stmt, BasicStmt):
+                stack.extend(reversed(stmt.children()))
 
     def basic_stmts(self) -> Iterator["BasicStmt"]:
         for stmt in self.walk():

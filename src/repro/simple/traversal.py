@@ -32,14 +32,11 @@ def basic_uses(stmt: s.BasicStmt) -> Set[str]:
             uses.update(operand.variables())
         if isinstance(stmt.rhs, s.StructFieldReadRhs):
             uses.add(stmt.rhs.struct_var)
-        if isinstance(stmt.rhs, (s.AddrOfRhs,)):
-            # Taking an address reads nothing, but the variable escapes;
-            # escape handling is done by points-to analysis.
-            pass
+        # An `AddrOfRhs` reads nothing (the escape is points-to's
+        # business); a `StructFieldWriteLV` is a partial def, see
+        # basic_defs.
         for operand in stmt.lhs.operands():
             uses.update(operand.variables())
-        if isinstance(stmt.lhs, s.StructFieldWriteLV):
-            pass  # partial def; see basic_defs
     elif isinstance(stmt, s.CallStmt):
         for arg in stmt.args:
             uses.update(arg.variables())

@@ -270,6 +270,44 @@ class TestRestrictions:
                 }
             """)
 
+    @pytest.mark.parametrize("body,what,column", [
+        ("a = b = 3;", "an assignment", 7),
+        ("a = i++;", "`++`", 6),
+        ("a = --i;", "`--`", 5),
+        ("if ((a = b) != 0) a = 1;", "an assignment", 8),
+        ("a = id(a = 4);", "an assignment", 10),
+        ("return (a = 3);", "an assignment", 11),
+    ])
+    def test_assignment_used_as_a_value_is_named(self, body, what, column):
+        """Not "nests too deeply": `_lower_value` and `_lower_rhs` used
+        to hand the node to each other until the host stack ran out."""
+        with pytest.raises(SimplifyError) as refused:
+            to_simple("int id(int x) { return x; }\n"
+                      "int main() { int a; int b; int i;\n"
+                      + body + "\nreturn a; }")
+        assert str(refused.value).startswith(
+            f"<test>:3:{column}: {what} used as a value is not supported")
+
+    def test_statement_position_assignments_still_lower(self):
+        assert run_value("int main() { int a; int i; i = 2; i++; --i; "
+                         "for (a = 0; a < 3; a++) i += a; return i; }") == 5
+
+    @pytest.mark.parametrize("decl,use,loc", [
+        ("int g[4];", "g[1] = 5; return g[1];", "2:15"),
+        ("int g[4];", "*g = 5; return 0;", "2:14"),
+        ("", "int a[4]; a[1] = 5; return a[1];", "2:25"),
+        (NODE + " struct node g[2];", "g->v = 1; return 0;", "2:15"),
+    ])
+    def test_array_variable_access_is_named_with_its_location(
+            self, decl, use, loc):
+        """Was a bare ``AssertionError`` out of `_resolve_access`."""
+        with pytest.raises(SimplifyError) as refused:
+            to_simple(decl + "\nint main() { " + use + " }")
+        name = "g" if decl else "a"
+        assert str(refused.value).startswith(
+            f"<test>:{loc}: {name!r} is declared ")
+        assert "array variables are not supported" in str(refused.value)
+
 
 class TestGlobals:
     def test_global_initializer(self):

@@ -177,8 +177,16 @@ _RECURSIVE = ("int f(int n) { int r; if (n == 0) return 0; "
 #: case -> (source, run options, exit code, error type, a word of the
 #: message).  Two programs nest deeper than the compiler can recurse;
 #: one calls deeper than either engine can; one spells a token the
-#: lexer has to refuse itself (``int('0x', 16)`` would raise for it).
+#: lexer has to refuse itself (``int('0x', 16)`` would raise for it);
+#: two use a construct the simplifier has to refuse by name and place
+#: (neither is a nesting problem, and neither may be a traceback).
 TOO_DEEP = {
+    "assign-as-value": ("int main() { int a; int b; a = b = 3; "
+                        "return a; }\n", {}, 3, "SimplifyError",
+                        "deep.ec:1:34: an assignment used as a value"),
+    "array-variable": ("int g[4];\nint main() { g[1] = 5; "
+                       "return g[1]; }\n", {}, 3, "SimplifyError",
+                       "deep.ec:2:15: 'g' is declared int[4]"),
     "hex-no-digits": ("int main() { return 0x; }\n", {}, 3, "LexError",
                       "has no digits"),
     "parens": ("int main() { return " + "(" * 3000 + "1" + ")" * 3000
