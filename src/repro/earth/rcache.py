@@ -38,9 +38,10 @@ cache state is touched only by the shard that owns the involved node.
   :meth:`store_applied`: the home looks up the line's granted holders
   and sends each one an invalidation that fires
   ``rcache_inval_ns`` later (``Machine.send_inval``).  A firing
-  invalidation drops the holder's copy only if it was snapped *before*
-  the store (:meth:`fire_inval`), and raises a per-line high-water
-  mark that blocks installs of older in-flight snapshots.
+  invalidation drops the holder's copy only if it was snapped no later
+  than the store -- an equal instant counts as stale
+  (:meth:`fire_inval`) -- and raises a per-line high-water mark that
+  blocks installs of in-flight snapshots that are not newer.
 * **The writer itself** gets synchronous treatment, because a fiber
   must read its own writes: its copies of a written line drop at
   *issue* time (:meth:`invalidate_node`) and installs of the line are
@@ -241,12 +242,12 @@ class RemoteCache:
 
     def install(self, fill: _Fill, at: float) -> object:
         """Deliver a fill at the reader: install the snapshot (unless a
-        newer store already invalidated it, or one of the reader's own
-        writes to the line is in flight) and return the carried read
-        value."""
+        store at or after its instant already invalidated it, or one of
+        the reader's own writes to the line is in flight) and return
+        the carried read value."""
         node, key = fill.node, fill.key
         if self._blocked.get((node, key), 0) == 0 \
-                and fill.snap_t >= self._inval_hw.get((node, key), -1.0):
+                and fill.snap_t > self._inval_hw.get((node, key), -1.0):
             lines = self._lines[node]
             if key not in lines and len(lines) >= self.capacity:
                 lines.popitem(last=False)
@@ -283,13 +284,17 @@ class RemoteCache:
     def fire_inval(self, holder: int, key: _LineKey, t_w: float,
                    at: float) -> None:
         """An invalidation message arrives at ``holder``: drop its copy
-        if the copy predates the store, and raise the high-water mark
-        so older in-flight snapshots of the line cannot install."""
+        if the copy was snapped no later than the store, and raise the
+        high-water mark so in-flight snapshots of the line that are not
+        newer than the store cannot install.  A snapshot taken at the
+        store's own instant counts as stale: under fault injection a
+        parked read and a later write of the same channel drain at one
+        instant, read first."""
         hw_key = (holder, key)
         if t_w > self._inval_hw.get(hw_key, -1.0):
             self._inval_hw[hw_key] = t_w
         entry = self._lines[holder].get(key)
-        if entry is not None and entry[0] < t_w:
+        if entry is not None and entry[0] <= t_w:
             del self._lines[holder][key]
             self._note_inval(holder, key, at)
 

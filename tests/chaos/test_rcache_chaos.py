@@ -96,6 +96,39 @@ def test_retried_writes_apply_exactly_once(compiled, name):
     assert faulty.stats.remote_writes == clean.stats.remote_writes
 
 
+#: Fault runs in which a read parked behind a lost request and a later
+#: write to the same line drained at one instant: the read's snapshot
+#: and the write's store carried equal timestamps, and an equal instant
+#: used to count as fresh, so the stale line survived the write's
+#: invalidation.  ``(nodes, profile, seed, value once served stale)``;
+#: the last row only went wrong when drained replies took their own
+#: latency.
+STALE_AT_EQUAL_INSTANT = [
+    (4, "lossy", 0, 96135),
+    (8, "chaos", 1, 70557),
+    (8, "chaos", 4, 96135),
+    (8, "lossy", 4, 96135),
+    (4, "lossy", 9, 83375),
+    (4, "mild", 9, 82119),
+    (4, "mild", 7, 82179),
+]
+
+
+@pytest.mark.parametrize("nodes,profile,seed,stale_value",
+                         STALE_AT_EQUAL_INSTANT)
+def test_snapshot_at_the_store_instant_is_stale(compiled, nodes, profile,
+                                                seed, stale_value):
+    spec = get_benchmark("em3d")
+    config = RunConfig(nodes=nodes, args=tuple(spec.small_args))
+    clean = execute(compiled["em3d"], config=config)
+    cached = execute(compiled["em3d"], config=config.replace(
+        rcache_capacity=64, rcache_line_words=16,
+        faults=dict(PROFILES[profile], seed=seed)))
+    assert clean.value == 82104 != stale_value
+    assert cached.value == clean.value
+    assert cached.output == clean.output
+
+
 @CHAOS
 @given(heap_programs(), fault_configs)
 def test_cached_equals_uncached_under_faults(source, fault_config):
