@@ -159,9 +159,9 @@ class MachineParams:
         potentially crosses shard processes -- is delayed by at least
         one of these latencies past the event that produced it, so a
         shard may safely simulate one whole window before exchanging
-        messages at a barrier.  (The resilient protocol only adds
-        non-negative jitter and stalls, and timeouts/retries fire on
-        the origin shard, so the bound survives fault injection.)
+        messages at a barrier.  (A fault plan only adds non-negative
+        jitter and stalls, and timeouts/retries fire on the origin
+        shard, so the bound survives fault injection.)
         """
         window = min(self.read_one_way_ns, self.write_one_way_ns,
                      self.blkmov_one_way_ns)

@@ -7,12 +7,11 @@ whose node it owns ever run, and only owned nodes' heaps are
 authoritative.  Effects targeting foreign nodes leave through the
 :class:`ShardPort` as :mod:`repro.shard.messages` tuples; the
 coordinator delivers them at the next window barrier and
-:meth:`ShardWorker.apply` turns them back into scheduled machine
-events via the machine's ``recv_remote_request`` /
-``deliver_remote_reply`` / ``deliver_ret`` / ``deliver_inval`` entry
-points (whose event keys are *identical* to the ones the
-single-process machine uses, which is what makes the merged event
-order bit-identical).
+:meth:`ShardWorker.apply` hands each one to the machine's
+``recv_remote_request`` / ``deliver_remote_reply`` / ``deliver_ret`` /
+``deliver_inval`` entry point.  Those build the event keys in the same
+machine methods the single-process machine schedules through, which is
+what makes the merged event order bit-identical.
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.config import RunConfig
 from repro.earth.interpreter import Interpreter
-from repro.earth.machine import (
-    _EV_REPLY,
-    Fiber,
-    Machine,
-    Slot,
-)
+from repro.earth.machine import Fiber, Machine, Slot
 from repro.earth.memory import node_of
 from repro.errors import ShardError
 from repro.shard import messages
@@ -197,16 +191,7 @@ class ShardWorker:
                     *kw["operation"])
             self.machine.recv_remote_request(**kw)
         elif kind == "rep":
-            kw = message[1]
-            machine = self.machine
-            reply_at = kw["reply_at"]
-            machine._schedule(
-                reply_at,
-                (_EV_REPLY, kw["origin"], kw["target"], kw["chan_seq"],
-                 kw["reply_seq"]),
-                lambda: machine.deliver_remote_reply(
-                    kw["origin"], kw["target"], kw["chan_seq"],
-                    kw["value"], reply_at, kw["attempts"]))
+            self.machine.deliver_remote_reply(**message[1])
         elif kind == "spawn":
             *recipe, earliest, tag = message[1:]
             self.machine.add_fiber(self.interp.placed_fiber(*recipe),
