@@ -4,7 +4,7 @@ An engine never hands the machine a callable: the ``operation`` element
 of a ``Machine.issue(...)`` call is a plain tuple naming a side effect on
 machine state, and :class:`Applier` is the only code that says what each
 kind does.  The machine calls it wherever an issued operation takes
-effect -- the local fast path, the target SU of either protocol, a
+effect -- the local fast path, the target SU of a split-phase request, a
 shard worker serving a request that crossed processes -- so one run has
 one point at which every word moved is visible as a value.
 
