@@ -504,6 +504,8 @@ class _CodeGenerator:
             "_BUDGET_MSG": BUDGET_MSG % self.max_stmts,
             "_shg": self.interp._shared_global,
             "_blkmov": self.interp._applier.blkmov,
+            "_ptr_to_buf": self.interp._applier.ptr_to_buf,
+            "_buf_to_ptr": self.interp._applier.buf_to_ptr,
         })
 
     def _ns_cell(self, callee: str) -> str:
@@ -1243,8 +1245,16 @@ class _CodeGenerator:
         src_arg, _ = self._x_endpoint(stmt.src)
         dst_arg, tdst = self._x_endpoint(stmt.dst)
         trn, top, tpost = self.tmp(), self.tmp(), self.tmp()
-        self.w(f"{trn}, {top}, {tpost} = _blkmov({src_arg}, {dst_arg}, "
-               f"{words!r}, node, {lazy!r})")
+        # The endpoint shapes are fixed per statement: call the
+        # applier's classifier for this shape, not the walker's.
+        shape = (stmt.src[0], stmt.dst[0])
+        args = f"{src_arg}, {dst_arg}, {words!r}, node"
+        if shape == ("local", "ptr"):
+            call = f"_buf_to_ptr({args})"
+        else:
+            fn = "_ptr_to_buf" if shape == ("ptr", "local") else "_blkmov"
+            call = f"{fn}({args}, {lazy!r})"
+        self.w(f"{trn}, {top}, {tpost} = {call}")
         td = self.w_issue(
             f'"blkmov", {trn}, {words!r}, {top}, '
             f'{("blkmov@" + str(stmt.label))!r}, '

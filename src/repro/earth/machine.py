@@ -39,9 +39,9 @@ the slice starts and read back when the fiber parks or finishes:
 
 These advance the slice clock and schedule events; they never run a
 fiber.  Invariant: a fiber runs only inside ``_execute``, entered only
-from the event pump (``_run_node`` / ``_direct_resume``) and never
-re-entered, so "the running slice" is one fiber machine-wide; an entry
-point called with no slice running raises ``SimulatorError``.
+from the event pump's EU runner (``_run``) and never re-entered, so
+"the running slice" is one fiber machine-wide; an entry point called
+with no slice running raises ``SimulatorError``.
 
 A fiber performing a *synchronous* remote operation issues and
 immediately waits -- reproducing Table I's sequential cost; back-to-back
@@ -72,6 +72,12 @@ sequence numbers are always on, and every effect that crosses nodes is
 delayed by at least one network latency -- including call returns
 (``read_one_way_ns``) and third-party cache invalidations
 (``rcache_inval_ns``).
+
+A heap entry is ``(time, key, seq, a, b)``.  ``key[0]`` is the event
+class (an ``_EV_*`` rank), and the pump dispatches on it through one
+handler table built per machine, as ``on[key[0]](a, b, time)`` -- no
+closure per event.  ``seq``, a push counter, only breaks ties between
+duplicate ``(time, key)`` runner polls, so payloads are never compared.
 
 Remote-data cache: with ``MachineParams.rcache_capacity > 0`` each node
 keeps a software cache of remote lines (:mod:`repro.earth.rcache`).  A
@@ -116,7 +122,8 @@ request path and the shard worker call: ``_at_arrival``, ``_at_reply``,
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from itertools import count
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.earth.memory import GlobalMemory
@@ -219,8 +226,8 @@ class _PendingOp:
 
     def __init__(self, op: str, origin: int, target: int, words: int,
                  operation: object, slot: Optional["Slot"],
-                 op_id: Optional[object], chan_seq: int, one_way: float,
-                 su_time: float, addr: Optional[int] = None):
+                 op_id: Optional[object], chan_seq: int, leg: tuple,
+                 addr: Optional[int] = None):
         self.op = op
         self.origin = origin
         self.target = target
@@ -233,10 +240,11 @@ class _PendingOp:
         #: Position in the (origin, target) channel: the SU applies
         #: requests from one origin in this order.
         self.chan_seq = chan_seq
-        #: :meth:`Machine._request_leg`: the network latency of this
-        #: request's legs (its reply reuses it) and its SU service time.
-        self.one_way = one_way
-        self.su_time = su_time
+        #: The network latency of this request's legs (its reply reuses
+        #: it) and its SU service time, from the machine's ``_legs`` row
+        #: ``(one_way, su_time, su_per_word)`` for ``op``.
+        self.one_way, su_time, su_per_word = leg
+        self.su_time = su_time + su_per_word * words
         self.addr = addr
         self.attempts = 0
         self.applied = False
@@ -325,7 +333,27 @@ class Machine:
         self._slice: Optional[Fiber] = None
         self.clock = [0.0]
 
-        self._events: List[Tuple[float, tuple, Callable[[], None]]] = []
+        # ``(time, key, seq, a, b)`` entries and their handler per event
+        # class (module docstring, "Deterministic event order").
+        self._events: List[Tuple[float, tuple, int, object, object]] = []
+        self._seq = count()
+        self._on = {_EV_ARRIVE: self._serve, _EV_REPLY: self._complete,
+                    _EV_TIMEOUT: self._timeout, _EV_RET: self.fulfill,
+                    _EV_INVAL: self._fire_inval, _EV_RUN: self._run}
+        params = self.params
+        su = params.su_service_ns
+        #: ``op -> (one_way, su_time, su_per_word)``: a request's network
+        #: latency (its reply reuses it) and its SU service time.  The
+        #: invoke token of a spawn rides the network like a read-sized
+        #: request (keeps every cross-node effect -- retried spawns
+        #: included -- at least one network latency after the event that
+        #: produced it, the shard-window bound).
+        self._legs = {
+            "read": (params.one_way_latency("read"), su, 0.0),
+            "write": (params.one_way_latency("write"), su, 0.0),
+            "blkmov": (params.one_way_latency("blkmov"), su,
+                       params.su_blkmov_per_word_ns),
+            "spawn": (params.read_one_way_ns, su, 0.0)}
         self._ready: List[List[Tuple[float, int, Fiber]]] = [
             [] for _ in range(num_nodes)]
         self._running = [False] * num_nodes
@@ -336,12 +364,6 @@ class Machine:
         # fiber's wake-up time depends only on its own ``earliest``,
         # never on when add_fiber happened to be called.
         self._run_pending: List[Optional[float]] = [None] * num_nodes
-        self._event_seq = 0
-        # One pre-bound runner thunk per node: _kick fires thousands of
-        # times per run and must not allocate a fresh closure each time.
-        self._run_thunks = [
-            (lambda node=node: self._run_node(node))
-            for node in range(num_nodes)]
         self._eu_free = [0.0] * num_nodes
         self._su_free = [0.0] * num_nodes
         self._last_fiber: List[Optional[int]] = [None] * num_nodes
@@ -373,17 +395,10 @@ class Machine:
 
     # -- event machinery ----------------------------------------------------------
 
-    def _schedule(self, time: float, key: tuple,
-                  fn: Callable[[], None]) -> None:
-        # The monotonic tiebreaker keeps duplicate (time, key) entries
-        # (possible for RUN polls) from ever comparing the thunks.
-        self._event_seq += 1
-        heapq.heappush(self._events, (time, key, self._event_seq, fn))
-
     def _assign_fiber_id(self, spawning_node: int) -> int:
-        count = self._fiber_next[spawning_node]
-        self._fiber_next[spawning_node] = count + 1
-        return spawning_node + self.num_nodes * count
+        spawned = self._fiber_next[spawning_node]
+        self._fiber_next[spawning_node] = spawned + 1
+        return spawning_node + self.num_nodes * spawned
 
     def add_fiber(self, fiber: Fiber, earliest: float = 0.0,
                   _tag: Optional[tuple] = None) -> None:
@@ -393,8 +408,7 @@ class Machine:
         if self.tracer is not None:
             self.tracer.emit("fiber_spawn", earliest, fiber.node,
                              fiber=fiber.id, name=fiber.name, _at=_tag)
-        heapq.heappush(self._ready[fiber.node],
-                       (earliest, fiber.id, fiber))
+        heappush(self._ready[fiber.node], (earliest, fiber.id, fiber))
         self._kick(fiber.node, earliest)
 
     def _kick(self, node: int, at_time: float) -> None:
@@ -406,23 +420,25 @@ class Machine:
         if pending is not None and pending <= start:
             return
         self._run_pending[node] = start
-        self._schedule(start, (_EV_RUN, node), self._run_thunks[node])
+        heappush(self._events,
+                 (start, (_EV_RUN, node), next(self._seq), node, None))
 
     def _pump(self, horizon: Optional[float] = None) -> None:
         events = self._events
+        on = self._on
         tag = self._tag_events
         tracer = self.tracer
         while events:
             if horizon is not None and events[0][0] >= horizon:
                 break
-            time, key, _seq, fn = heapq.heappop(events)
+            time, key, _seq, a, b = heappop(events)
             if time > self.time:
                 self.time = time
             if tag:
                 self._cur_ord = (time, key)
                 if tracer is not None:
                     tracer.ord = self._cur_ord
-            fn()
+            on[key[0]](a, b, time)
 
     def run(self) -> None:
         """Process events until the machine is quiescent."""
@@ -452,16 +468,35 @@ class Machine:
 
     # -- EU execution -------------------------------------------------------------
 
-    def _run_node(self, node: int) -> None:
+    def _run(self, at, fiber: Optional[Fiber], _time: float) -> None:
+        """The EU runner (``_EV_RUN``).  ``(node, None)`` is ``_kick``'s
+        poll: start the node's first ready fiber if it may start now.
+        ``(ready_at, fiber)`` is ``fulfill``'s resume of a sole waiter
+        that never visited the ready heap, equivalent to a heappush of
+        ``(ready_at, fiber.id, fiber)`` and then the poll.  It falls
+        back to exactly that if the node started running, an
+        earlier-ranked fiber arrived, or the EU became busy past this
+        event's time meanwhile (an earlier RUN can interleave)."""
+        node = at if fiber is None else fiber.node
         self._run_pending[node] = None
-        if self._running[node] or not self._ready[node]:
+        ready = self._ready[node]
+        if fiber is not None:
+            if not (self._running[node] or self._eu_free[node] > self.time
+                    or (ready and ready[0][:2] < (at, fiber.id))):
+                # start = max(ready_at, eu_free, self.time) equals
+                # self.time: the event fired at max(ready_at, eu_free)
+                # and the eu_free guard rules out later advancement.
+                self._execute(fiber)
+                return
+            heappush(ready, (at, fiber.id, fiber))
+        if self._running[node] or not ready:
             return
-        earliest, _fid, fiber = self._ready[node][0]
+        earliest, _fid, fiber = ready[0]
         start = max(earliest, self._eu_free[node], self.time)
         if start > self.time:
             self._kick(node, start)
             return
-        heapq.heappop(self._ready[node])
+        heappop(ready)
         self._execute(fiber)
 
     def _execute(self, fiber: Fiber) -> None:
@@ -521,7 +556,8 @@ class Machine:
                             fiber=fiber.id, name=fiber.name)
         self._eu_free[node] = t
         self._running[node] = False
-        self._kick(node, t)
+        if self._ready[node]:
+            self._kick(node, t)
 
     # -- entry points of the running slice ------------------------------------------
 
@@ -648,41 +684,25 @@ class Machine:
                            addr=addr)
         return slot
 
-    def _request_leg(self, op: str, words: int) -> Tuple[float, float]:
-        """``(one_way, su_time)`` of one request: its network latency
-        (the reply leg reuses it) and its service time at the target
-        SU."""
-        params = self.params
-        if op == "spawn":
-            # The invoke token rides the network like a read-sized
-            # request (keeps every cross-node effect -- including
-            # retried spawns -- at least one network latency after the
-            # event that produced it, the shard-window bound).
-            one_way = params.read_one_way_ns
-        else:
-            one_way = params.one_way_latency(op)
-        su_time = params.su_service_ns
-        if op == "blkmov":
-            su_time += params.su_blkmov_per_word_ns * words
-        return one_way, su_time
-
     def _at_arrival(self, pending: "_PendingOp", arrival: float,
                     attempt: int) -> None:
         """Schedule one attempt's arrival at the target SU: the one
         place its event key is built (the request path and the shard
         worker)."""
-        self._schedule(arrival, (_EV_ARRIVE, pending.target, pending.origin,
-                                 pending.chan_seq, attempt),
-                       lambda: self._serve(pending, arrival))
+        heappush(self._events,
+                 (arrival, (_EV_ARRIVE, pending.target, pending.origin,
+                            pending.chan_seq, attempt),
+                  next(self._seq), pending, None))
 
     def _at_reply(self, pending: "_PendingOp", value, reply_at: float,
                   reply_seq: int) -> None:
         """Schedule one reply's delivery at the origin: the one place
         its event key is built (the request path and the shard
         worker)."""
-        self._schedule(reply_at, (_EV_REPLY, pending.origin, pending.target,
-                                  pending.chan_seq, reply_seq),
-                       lambda: self._complete(pending, value, reply_at))
+        heappush(self._events,
+                 (reply_at, (_EV_REPLY, pending.origin, pending.target,
+                             pending.chan_seq, reply_seq),
+                  next(self._seq), pending, value))
 
     # -- the request path -----------------------------------------------------------
 
@@ -705,8 +725,7 @@ class Machine:
         chan_seq = self._chan_next.get(chan, 1)
         self._chan_next[chan] = chan_seq + 1
         pending = _PendingOp(op, origin, target, words, operation, slot,
-                             op_id, chan_seq, *self._request_leg(op, words),
-                             addr=addr)
+                             op_id, chan_seq, self._legs[op], addr)
         if self.port is not None and not self.port.owns(target):
             self._inflight[(origin, target, chan_seq)] = pending
         self._send(pending, t)
@@ -724,11 +743,10 @@ class Machine:
             params = self.params
             deadline = t + params.retry_timeout_ns \
                 * (params.retry_backoff ** (attempt - 1))
-            self._schedule(deadline,
-                           (_EV_TIMEOUT, pending.origin, pending.target,
-                            pending.chan_seq, attempt),
-                           lambda: self._timeout(pending, attempt,
-                                                 deadline))
+            heappush(self._events,
+                     (deadline, (_EV_TIMEOUT, pending.origin, pending.target,
+                                 pending.chan_seq, attempt),
+                      next(self._seq), pending, attempt))
             dropped, extra = faults.leg("request", pending.origin,
                                         pending.target, pending.chan_seq,
                                         attempt)
@@ -753,7 +771,7 @@ class Machine:
                 target=pending.target, words=pending.words,
                 chan_seq=pending.chan_seq, attempt=attempt,
                 arrival=arrival, operation=pending.operation,
-                has_slot=pending.slot is not None, op_id=pending.op_id)
+                op_id=pending.op_id)
             return
         self._at_arrival(pending, arrival, attempt)
 
@@ -786,27 +804,25 @@ class Machine:
     def recv_remote_request(self, op: str, origin: int, target: int,
                             words: int, chan_seq: int, attempt: int,
                             arrival: float, operation: object,
-                            has_slot: bool, op_id: Optional[object]) -> None:
+                            op_id: Optional[object]) -> None:
         """Target-side entry for a request that crossed shards (called
         by the shard worker at message application): find or build the
         target's record -- kept as the dedup table only under a fault
         plan, the one case a request can arrive twice -- and schedule
-        its arrival.  ``has_slot`` is carried but not read here: only
-        the origin's record fulfils a slot."""
+        its arrival."""
         key = (origin, target, chan_seq)
         pending = self._remote_served.get(key)
         if pending is None:
             pending = _PendingOp(op, origin, target, words, operation,
-                                 None, op_id, chan_seq,
-                                 *self._request_leg(op, words))
+                                 None, op_id, chan_seq, self._legs[op])
             if self.faults is not None:
                 self._remote_served[key] = pending
         self._at_arrival(pending, arrival, attempt)
 
-    def _serve(self, pending: "_PendingOp", arrival: float) -> None:
-        """Target-SU half of the request path: serve one arrived
-        request.  Under a fault plan its side effect applies exactly
-        once and in channel order."""
+    def _serve(self, pending: "_PendingOp", _none, arrival: float) -> None:
+        """Target-SU half of the request path (``_EV_ARRIVE``): serve
+        one arrived request.  Under a fault plan its side effect applies
+        exactly once and in channel order."""
         target = pending.target
         faults = self.faults
         tracer = self.tracer
@@ -966,8 +982,8 @@ class Machine:
         """Schedule a call-return delivery: the one place its event key
         is built (the shard worker calls it for a return that arrived
         through the port, its slot already resolved)."""
-        self._schedule(at, (_EV_RET, dst, src, seq),
-                       lambda: self.fulfill(slot, value, at))
+        heappush(self._events,
+                 (at, (_EV_RET, dst, src, seq), next(self._seq), slot, value))
 
     def fulfill(self, slot: Slot, value, time: float) -> None:
         if slot.ready:
@@ -1002,41 +1018,17 @@ class Machine:
                 eu_free = self._eu_free[node]
                 start = time if time >= eu_free else eu_free
                 self._run_pending[node] = start
-                self._schedule(
-                    start, (_EV_RUN, node),
-                    lambda: self._direct_resume(node, fiber, time))
+                heappush(self._events, (start, (_EV_RUN, node),
+                                        next(self._seq), time, fiber))
                 return
         self._parked_count -= len(waiters)
         for fiber in waiters:
-            heapq.heappush(self._ready[fiber.node],
-                           (time, fiber.id, fiber))
+            heappush(self._ready[fiber.node], (time, fiber.id, fiber))
             self._kick(fiber.node, time)
             if tracer is not None:
                 tracer.emit("fiber_resume", time, fiber.node,
                             fiber=fiber.id, slot=slot.label)
         slot.waiters.clear()
-
-    def _direct_resume(self, node: int, fiber: Fiber, ready_at: float
-                       ) -> None:
-        """Resume ``fiber`` without it having visited the ready heap.
-
-        Equivalent to a heappush of ``(ready_at, fiber.id, fiber)``
-        followed by ``_run_node``: if the node started running, an
-        earlier-ranked fiber arrived, or the EU became busy past this
-        event's time meanwhile (an earlier RUN can interleave), fall
-        back to exactly that."""
-        self._run_pending[node] = None
-        ready = self._ready[node]
-        if self._running[node] or \
-                (ready and ready[0][:2] < (ready_at, fiber.id)) or \
-                self._eu_free[node] > self.time:
-            heapq.heappush(ready, (ready_at, fiber.id, fiber))
-            self._run_node(node)
-            return
-        # start = max(ready_at, eu_free, self.time) equals self.time
-        # here: the event fired at max(ready_at, eu_free) and the
-        # eu_free guard above rules out later advancement.
-        self._execute(fiber)
 
     # -- cache invalidation transport ----------------------------------------------
 
@@ -1058,6 +1050,11 @@ class Machine:
         """Schedule an invalidation's firing at ``holder``: the one
         place its event key is built (the shard worker calls it for one
         that arrived through the port)."""
-        self._schedule(at, (_EV_INVAL, holder, key[0], key[1], t_w, seq),
-                       lambda: self.rcache.fire_inval(holder, key, t_w,
-                                                      at))
+        heappush(self._events,
+                 (at, (_EV_INVAL, holder, key[0], key[1], t_w, seq),
+                  next(self._seq), (holder, key), t_w))
+
+    def _fire_inval(self, line: tuple, t_w: float, at: float) -> None:
+        """``_EV_INVAL``: the invalidation of ``line`` = ``(holder,
+        key)`` for a store applied at ``t_w`` arrives at the holder."""
+        self.rcache.fire_inval(line[0], line[1], t_w, at)

@@ -146,35 +146,61 @@ class Applier:
         ``lazy`` marks a split-phase move filling a whole frame buffer,
         whose consumers receive the delivered list in place of the
         buffer -- so the buffer's tail beyond ``words`` is captured now
-        and appended."""
-        memory = self.memory
-        src_buffer = isinstance(src, tuple)
-        dst_buffer = isinstance(dst, tuple)
-        src_node = node if src_buffer or src == 0 else src // NODE_SPAN
-        dst_node = node if dst_buffer or dst == 0 else dst // NODE_SPAN
-        target = dst_node if dst_node != node else src_node
-        tail = dst[0][words:] if lazy else None
-        if dst_node != target:
-            post = None
-            if not dst_buffer:
-                def post(data):
-                    if dst == 0:
-                        raise MemoryFault("nil blkmov destination")
-                    memory.write_block(dst, data)
-                    return None
-            elif tail:
-                post = lambda data: list(data) + tail
-            return target, ("bread", src, words), post
-        if src_node != node:
-            return target, ("bxfer", src, dst, words), None
-        if src_buffer:
-            buffer, offset = src
+        and appended.
+
+        This is the walker's entry point, which tells the endpoint
+        shapes apart at run time.  Emitted code knows the shapes per
+        statement and calls :meth:`ptr_to_buf` or :meth:`buf_to_ptr`
+        itself; a move between two pointers or two buffers is
+        classified here."""
+        if isinstance(dst, tuple):
+            if not isinstance(src, tuple):
+                return self.ptr_to_buf(src, dst, words, node, lazy)
+            buffer, offset = src  # buffer -> buffer: a copy on node
             data = buffer[offset:offset + words]
-        elif src == 0:
+            if lazy:
+                data += dst[0][words:]
+            return node, ("value", data), None
+        if isinstance(src, tuple):
+            return self.buf_to_ptr(src, dst, words, node)
+        src_node = node if src == 0 else src // NODE_SPAN
+        dst_node = node if dst == 0 else dst // NODE_SPAN
+        if src_node == node:
+            return dst_node, ("bwrite", dst, self._snapshot(src, words)), None
+        if dst_node != node:
+            return dst_node, ("bxfer", src, dst, words), None
+        memory = self.memory
+
+        def post(data):
+            if dst == 0:
+                raise MemoryFault("nil blkmov destination")
+            memory.write_block(dst, data)
+            return None
+        return src_node, ("bread", src, words), post
+
+    def ptr_to_buf(self, src: int, dst: tuple, words: int, node: int,
+                   lazy: bool):
+        """:meth:`blkmov` from a global address into a frame buffer: a
+        pull when the source is on another node, else a value."""
+        tail = dst[0][words:] if lazy else None
+        src_node = src // NODE_SPAN
+        if src and src_node != node:
+            return src_node, ("bread", src, words), (
+                (lambda data: list(data) + tail) if tail else None)
+        data = self._snapshot(src, words)
+        return node, ("value", data + tail if tail else data), None
+
+    def buf_to_ptr(self, src: tuple, dst: int, words: int, node: int):
+        """:meth:`blkmov` from a frame buffer to a global address: the
+        snapshot leaves with the request."""
+        buffer, offset = src
+        return (dst // NODE_SPAN if dst else node), (
+            "bwrite", dst, buffer[offset:offset + words]), None
+
+    def _snapshot(self, src: int, words: int) -> list:
+        """The block at ``src`` on the issuing node, read now; a nil
+        source reads as zeros (counted)."""
+        if src == 0:
             self._nil_read("nil blkmov source")
-            data = [0] * words
-        else:
-            data = memory.read_block(src, words)
-        if dst_buffer:
-            return target, ("value", data + tail if tail else data), None
-        return target, ("bwrite", dst, data), None
+            return [0] * words
+        return self.memory.read_block(src, words)

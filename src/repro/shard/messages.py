@@ -11,7 +11,7 @@ kind       payload                                             routed to
 ``req``    one attempt of a split-phase request on the         target's
            machine's request path, with or without a fault      shard
            plan: ``op, origin, target, words, chan_seq,
-           attempt, arrival, operation, has_slot, op_id``
+           attempt, arrival, operation, op_id``
            (``operation`` is the operation tuple of
            :mod:`repro.earth.operations`; a spawn under a
            fault plan carries the fiber's recipe)

@@ -1,13 +1,13 @@
 """Guard: fault-injection support must not tax the zero-fault path.
 
-The resilient protocol is a separate branch taken only when a
-FaultPlan is attached; with ``faults=None`` the machine runs the
-original code (the golden tests pin its *simulated* results
-bit-for-bit).  This module guards the *host-time* side with a
-deliberately generous throughput floor -- the interpreter sustains
-roughly half a million SIMPLE statements per second on a development
-machine, so a 50k floor only trips on a real hot-path regression, not
-on CI noise.
+Every split-phase request takes the machine's one request path, with
+or without a FaultPlan; its fault steps sit under ``faults is not
+None`` tests, so with ``faults=None`` they cost one attribute test each
+(the golden tests pin the *simulated* results bit-for-bit).  This
+module guards the *host-time* side with a deliberately generous
+throughput floor -- the interpreter sustains roughly half a million
+SIMPLE statements per second on a development machine, so a 50k floor
+only trips on a real hot-path regression, not on CI noise.
 """
 
 import time

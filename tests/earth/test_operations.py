@@ -220,8 +220,7 @@ class TestOperationsAreData:
     def test_frame_cell_shared_op_cannot_be_shipped(self):
         port = ShardPort(0, Partition(2, 2), None)
         request = dict(op="write", origin=0, target=1, words=1,
-                       chan_seq=1, attempt=1, arrival=10.0, has_slot=True,
-                       op_id=None)
+                       chan_seq=1, attempt=1, arrival=10.0, op_id=None)
         with pytest.raises(ShardError, match="frame-declared"):
             port.send_request(
                 operation=("sharedf", SharedCell(0, 1), "addto", 1),
@@ -234,8 +233,7 @@ class TestOperationsAreData:
     def test_both_remote_blkmov_cannot_straddle_shards(self):
         port = ShardPort(0, Partition(4, 2), None)
         request = dict(op="blkmov", origin=0, target=3, words=2,
-                       chan_seq=1, attempt=1, arrival=10.0, has_slot=True,
-                       op_id=None)
+                       chan_seq=1, attempt=1, arrival=10.0, op_id=None)
         with pytest.raises(ShardError, match="different shards"):
             port.send_request(
                 operation=("bxfer", make_address(2, 16),
