@@ -19,12 +19,27 @@ Pointer *holders* (things that contain pointers):
 
 * ``("var", func, name)`` -- a local/param pointer variable;
 * ``("gvar", name)`` -- a global pointer variable;
+* ``("ret", func)`` -- a function's returned pointer;
 * ``(loc, field_key)`` -- a pointer field of an abstract location, where
   ``field_key`` is a tuple of field names or ``"*"`` for unknown
   offsets (array elements, scalar derefs).
 
-The solver is a straightforward worklist over subset constraints with
-complex (field dereference) rules re-derived as points-to sets grow.
+The solver propagates differences over a worklist.  Every constraint
+becomes a weighted copy edge ``src -> dst`` (``pts(dst) >= pts(src)``):
+assignments, argument and return passing give them directly; a field
+load through ``p``, a field store through ``p`` and a struct copy
+between two endpoints derive them as ``p`` gains objects.  A holder
+whose set or likelihoods grew is queued with just the locations that
+changed, and only those travel along its out-edges; a location new to a
+dereferenced pointer links the holders it reaches then.  A per-object
+field index (object -> field key -> points-to set) names the fields a
+load or a struct copy reaches without scanning the table, and the edge
+from a field holder created later is added when it is created.
+
+:class:`PointsToResult` freezes each solved set once.  A query names a
+variable the way its function sees it -- the function's own variable,
+else the global -- and an empty answer means *unknown*: it may alias
+anything.
 
 Alongside the subset lattice the solver carries a *likelihood* channel:
 every constraint is weighted by the probability that its statement
@@ -40,17 +55,18 @@ pointers that are only assigned on rare paths
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.simple import nodes as s
 
 Loc = Tuple  # abstract location
 Holder = Tuple  # pointer holder
+FieldKey = Tuple[str, ...]
 
 STAR = "*"
 
 
-def path_key(path) -> Tuple[str, ...]:
+def path_key(path) -> FieldKey:
     """Field key of an access's field path: its names, or ``(STAR,)``
     for ``None`` (a whole-object / scalar-deref access).  Points-to
     holders, heap effects and communication tuples all key fields this
@@ -58,21 +74,39 @@ def path_key(path) -> Tuple[str, ...]:
     return tuple(path.names) if path is not None else (STAR,)
 
 
+def keys_overlap(a: FieldKey, b: FieldKey) -> bool:
+    """May two field keys touch overlapping words?  A key is a path of
+    field names or ``("*",)`` (whole object / unknown offset).  Nested
+    struct fields overlap when one path is a prefix of the other."""
+    if a == (STAR,) or b == (STAR,):
+        return True
+    shorter = min(len(a), len(b))
+    return a[:shorter] == b[:shorter]
+
+
 class PointsToResult:
     """Query interface over the solved constraint system."""
 
     def __init__(self, sets: Dict[Holder, Set[Loc]],
-                 like: Optional[Dict[Holder, Dict[Loc, float]]] = None):
-        self._sets = sets
-        self._like = like if like is not None else {}
+                 like: Dict[Holder, Dict[Loc, float]],
+                 functions: Dict[str, s.SimpleFunction]):
+        self._sets = {holder: frozenset(locs)
+                      for holder, locs in sets.items()}
+        self._like = like
+        self._functions = functions
+
+    def _holder(self, func: str, var: str) -> Holder:
+        """``var`` as ``func`` sees it: its own variable, else a global
+        (globals use ``func=""``)."""
+        function = self._functions.get(func)
+        if function is not None and var in function.variables:
+            return ("var", func, var)
+        return ("gvar", var)
 
     def points_to(self, func: str, var: str) -> FrozenSet[Loc]:
-        """Locations the pointer variable ``var`` of ``func`` may target
-        (globals use ``func=""``)."""
-        found = self._sets.get(("var", func, var))
-        if found is None:
-            found = self._sets.get(("gvar", var), set())
-        return frozenset(found)
+        """Locations the pointer variable ``var`` of ``func`` may target;
+        empty means unknown."""
+        return self._sets.get(self._holder(func, var), frozenset())
 
     def likelihood(self, func: str, var: str) -> float:
         """Probability (in ``[0, 1]``) that ``var`` of ``func`` holds a
@@ -80,21 +114,20 @@ class PointsToResult:
         allocation site it may target.  Conservatively ``1.0`` for
         pointers the analysis knows nothing about (unknown must not
         discount anything)."""
-        holder: Holder = ("var", func, var)
+        holder = self._holder(func, var)
         pts = self._sets.get(holder)
-        if pts is None:
-            holder = ("gvar", var)
-            pts = self._sets.get(holder)
         if not pts:
             return 1.0
-        per_obj = self._like.get(holder, {})
+        per_obj = self._like[holder]
         return max(min(per_obj.get(loc, 1.0), 1.0) for loc in pts)
 
     def may_alias_objects(self, func_a: str, var_a: str,
                           func_b: str, var_b: str) -> bool:
-        """May the two pointers target the same abstract object?"""
-        return bool(self.points_to(func_a, var_a)
-                    & self.points_to(func_b, var_b))
+        """May the two pointers target the same abstract object?  An
+        empty set is unknown, so it may alias anything."""
+        a = self.points_to(func_a, var_a)
+        b = self.points_to(func_b, var_b)
+        return not a or not b or not a.isdisjoint(b)
 
 
 class PointsToAnalysis:
@@ -107,19 +140,32 @@ class PointsToAnalysis:
         #: ``1/alternatives``); threaded from
         #: :class:`~repro.comm.optconfig.OptConfig.branch_weight`.
         self.branch_prob = branch_prob
-        # subset edges: src holder -> dst holders (pts(dst) >= pts(src))
-        self._copy_edges: Dict[Holder, Set[Holder]] = {}
         self._sets: Dict[Holder, Set[Loc]] = {}
-        # complex constraints, re-applied as sets grow; the trailing
-        # float is the constraint's execution probability
-        self._field_loads: List[
-            Tuple[Holder, Holder, Tuple[str, ...], float]] = []
-        self._field_stores: List[
-            Tuple[Holder, Holder, Tuple[str, ...], float]] = []
-        self._struct_copies: List[Tuple] = []
-        # likelihood channel: per-edge weight and per-fact max-product
-        self._edge_prob: Dict[Tuple[Holder, Holder], float] = {}
+        # likelihood channel: per-fact max-product path weight
         self._like: Dict[Holder, Dict[Loc, float]] = {}
+        # copy edges, given and derived: src -> {dst: weight}, meaning
+        # pts(dst) >= pts(src) and like(dst) >= like(src) * weight
+        self._succ: Dict[Holder, Dict[Holder, float]] = {}
+        # the field index: object -> field key -> pts((object, key))
+        self._fields: Dict[Loc, Dict[FieldKey, Set[Loc]]] = {}
+        # complex constraints, keyed by the pointer they dereference;
+        # the float is the statement's execution probability
+        self._loads: Dict[Holder, List[Tuple[Holder, FieldKey, float]]] = {}
+        self._stores: Dict[Holder,
+                           List[Tuple[Holder, FieldKey, float]]] = {}
+        # struct copies through a pointer: pointer -> (objects at the
+        # other end, weight, whether the pointer is the source)
+        self._blkmovs: Dict[Holder, List[Tuple[Set[Loc], float, bool]]] = {}
+        # per object: the loads that read it and the objects its fields
+        # are copied into, so a field holder created later is linked
+        self._readers: Dict[Loc, List[Tuple[FieldKey, Holder, float]]] = {}
+        self._copiers: Dict[Loc, Dict[Loc, float]] = {}
+        # the worklist: holders with the locations that changed since
+        # they were last visited; and per dereferenced pointer the
+        # locations its complex constraints have been linked for
+        self._work: List[Holder] = []
+        self._changed: Dict[Holder, Set[Loc]] = {}
+        self._linked: Dict[Holder, Set[Loc]] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -127,47 +173,26 @@ class PointsToAnalysis:
         for function in self.program.functions.values():
             self._collect_function(function)
         self._solve()
-        return PointsToResult(self._sets, self._like)
+        return PointsToResult(self._sets, self._like,
+                              self.program.functions)
 
     def _var_holder(self, func: s.SimpleFunction, name: str) -> Holder:
         if name in func.variables:
             return ("var", func.name, name)
         return ("gvar", name)
 
-    def _base_points(self, holder: Holder) -> Set[Loc]:
-        return self._sets.setdefault(holder, set())
-
     def _add_copy(self, src: Holder, dst: Holder,
                   prob: float = 1.0) -> None:
-        self._copy_edges.setdefault(src, set()).add(dst)
-        key = (src, dst)
-        if prob > self._edge_prob.get(key, 0.0):
-            self._edge_prob[key] = prob
+        out = self._succ.setdefault(src, {})
+        if prob > out.get(dst, 0.0):
+            out[dst] = prob
 
     def _add_base(self, holder: Holder, loc: Loc, prob: float) -> None:
         """Record a base points-to fact with its path probability."""
-        self._base_points(holder).add(loc)
-        per = self._like.setdefault(holder, {})
+        self._pts_of(holder).add(loc)
+        per = self._like[holder]
         if prob > per.get(loc, 0.0):
             per[loc] = prob
-
-    def _raise_like(self, dst: Holder, locs: Iterable[Loc],
-                    src_like: Dict[Loc, float], factor: float) -> bool:
-        """Max-product propagation: ``like(dst, loc) >= like(src, loc)
-        * factor``.  Missing source entries contribute nothing (they
-        fill in on a later fixpoint iteration).  Terminates because
-        weights are <= 1, so cycles never raise a value further."""
-        per = self._like.setdefault(dst, {})
-        raised = False
-        for loc in locs:
-            src = src_like.get(loc)
-            if src is None:
-                continue
-            cand = src * factor
-            if cand > per.get(loc, 0.0) + 1e-12:
-                per[loc] = cand
-                raised = True
-        return raised
 
     def _is_pointerish(self, func: s.SimpleFunction, name: str) -> bool:
         var = func.variables.get(name) or self.program.globals.get(name)
@@ -181,9 +206,22 @@ class PointsToAnalysis:
         """Structure-aware preorder walk (same statement order as
         ``Stmt.walk``) threading the execution probability of the
         enclosing control path."""
-        if isinstance(stmt, s.SeqStmt):
+        if isinstance(stmt, s.AssignStmt):
+            self._collect_assign(func, stmt, prob)
+        elif isinstance(stmt, s.SeqStmt):
             for child in stmt.stmts:
                 self._collect_stmt(func, child, prob)
+        elif isinstance(stmt, s.CallStmt):
+            self._collect_call(func, stmt, prob)
+        elif isinstance(stmt, s.AllocStmt):
+            self._add_base(self._var_holder(func, stmt.target),
+                           ("heap", stmt.site), prob)
+        elif isinstance(stmt, s.ReturnStmt):
+            if stmt.value is not None and \
+                    isinstance(stmt.value, s.VarUse) and \
+                    self._is_pointerish(func, stmt.value.name):
+                self._add_copy(self._var_holder(func, stmt.value.name),
+                               ("ret", func.name), prob)
         elif isinstance(stmt, s.IfStmt):
             arm = prob * self.branch_prob
             self._collect_stmt(func, stmt.then_seq, arm)
@@ -204,21 +242,8 @@ class PointsToAnalysis:
         elif isinstance(stmt, s.ParStmt):
             for branch in stmt.branches:
                 self._collect_stmt(func, branch, prob)
-        elif isinstance(stmt, s.AssignStmt):
-            self._collect_assign(func, stmt, prob)
-        elif isinstance(stmt, s.AllocStmt):
-            self._add_base(self._var_holder(func, stmt.target),
-                           ("heap", stmt.site), prob)
         elif isinstance(stmt, s.BlkmovStmt):
             self._collect_blkmov(func, stmt, prob)
-        elif isinstance(stmt, s.CallStmt):
-            self._collect_call(func, stmt, prob)
-        elif isinstance(stmt, s.ReturnStmt):
-            if stmt.value is not None and \
-                    isinstance(stmt.value, s.VarUse) and \
-                    self._is_pointerish(func, stmt.value.name):
-                self._add_copy(self._var_holder(func, stmt.value.name),
-                               ("ret", func.name), prob)
 
     def _collect_assign(self, func: s.SimpleFunction,
                         stmt: s.AssignStmt, prob: float = 1.0) -> None:
@@ -230,20 +255,10 @@ class PointsToAnalysis:
             if self._is_pointerish(func, lhs.name):
                 dst = self._var_holder(func, lhs.name)
         elif isinstance(lhs, s.FieldWriteLV):
-            self._field_stores.append(
-                (self._var_holder(func, lhs.base),
-                 self._rhs_source(func, rhs),
-                 path_key(lhs.path), prob))
+            self._add_store(func, lhs.base, rhs, path_key(lhs.path), prob)
             return
-        elif isinstance(lhs, s.DerefWriteLV):
-            self._field_stores.append(
-                (self._var_holder(func, lhs.base),
-                 self._rhs_source(func, rhs), (STAR,), prob))
-            return
-        elif isinstance(lhs, s.IndexWriteLV):
-            self._field_stores.append(
-                (self._var_holder(func, lhs.base),
-                 self._rhs_source(func, rhs), (STAR,), prob))
+        elif isinstance(lhs, (s.DerefWriteLV, s.IndexWriteLV)):
+            self._add_store(func, lhs.base, rhs, (STAR,), prob)
             return
         elif isinstance(lhs, s.StructFieldWriteLV):
             source = self._rhs_source(func, rhs)
@@ -278,20 +293,30 @@ class PointsToAnalysis:
             # accesses through the base).
             self._add_copy(self._var_holder(func, rhs.base), dst, prob)
         elif isinstance(rhs, s.FieldReadRhs):
-            self._field_loads.append(
-                (self._var_holder(func, rhs.base), dst,
-                 path_key(rhs.path), prob))
-        elif isinstance(rhs, s.DerefReadRhs):
-            self._field_loads.append(
-                (self._var_holder(func, rhs.base), dst, (STAR,), prob))
-        elif isinstance(rhs, s.IndexReadRhs):
-            self._field_loads.append(
-                (self._var_holder(func, rhs.base), dst, (STAR,), prob))
+            self._add_load(func, rhs.base, dst, path_key(rhs.path), prob)
+        elif isinstance(rhs, (s.DerefReadRhs, s.IndexReadRhs)):
+            self._add_load(func, rhs.base, dst, (STAR,), prob)
         elif isinstance(rhs, s.StructFieldReadRhs):
             self._add_copy(
                 (("structvar", func.name, rhs.struct_var),
                  path_key(rhs.path)),
                 dst, prob)
+
+    def _add_load(self, func: s.SimpleFunction, base: str, dst: Holder,
+                  key: FieldKey, prob: float) -> None:
+        """``dst >= pts((loc, k))`` for every ``loc`` in ``pts(base)``
+        and every stored key ``k`` overlapping ``key``."""
+        self._loads.setdefault(self._var_holder(func, base), []).append(
+            (dst, key, prob))
+
+    def _add_store(self, func: s.SimpleFunction, base: str, rhs: s.Rhs,
+                   key: FieldKey, prob: float) -> None:
+        """``(loc, key) >= pts(value)`` for every ``loc`` in
+        ``pts(base)``, when the stored value may carry a pointer."""
+        source = self._rhs_source(func, rhs)
+        if source is not None:
+            self._stores.setdefault(self._var_holder(func, base),
+                                    []).append((source, key, prob))
 
     def _rhs_source(self, func: s.SimpleFunction,
                     rhs: s.Rhs) -> Optional[Holder]:
@@ -304,7 +329,30 @@ class PointsToAnalysis:
 
     def _collect_blkmov(self, func: s.SimpleFunction,
                         stmt: s.BlkmovStmt, prob: float = 1.0) -> None:
-        self._struct_copies.append((func.name, stmt.src, stmt.dst, prob))
+        """Every field key flows from the source object(s) to the
+        destination object(s): the objects both ends name now are
+        linked here, and a pointer end links each object it gains
+        later (:meth:`_deref`)."""
+        src = self._endpoint_objects(func, stmt.src)
+        dst = self._endpoint_objects(func, stmt.dst)
+        if stmt.src[0] != "local":
+            self._blkmovs.setdefault(self._var_holder(func, stmt.src[1]),
+                                     []).append((dst, prob, True))
+        if stmt.dst[0] != "local":
+            self._blkmovs.setdefault(self._var_holder(func, stmt.dst[1]),
+                                     []).append((src, prob, False))
+        for src_obj in src:
+            for dst_obj in dst:
+                self._link(src_obj, dst_obj, prob)
+
+    def _endpoint_objects(self, func: s.SimpleFunction,
+                          endpoint) -> Set[Loc]:
+        """The objects a blkmov endpoint names: a local struct, or the
+        live points-to set of the pointer."""
+        kind, name, _offset = endpoint
+        if kind == "local":
+            return {("structvar", func.name, name)}
+        return self._pts_of(self._var_holder(func, name))
 
     def _collect_call(self, func: s.SimpleFunction,
                       stmt: s.CallStmt, prob: float = 1.0) -> None:
@@ -326,106 +374,111 @@ class PointsToAnalysis:
     # -- solving -----------------------------------------------------------------
 
     def _solve(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            # Copy edges.
-            for src, dsts in self._copy_edges.items():
-                src_set = self._base_points(src)
-                if not src_set:
-                    continue
-                src_like = self._like.get(src, {})
-                for dst in dsts:
-                    dst_set = self._base_points(dst)
-                    before = len(dst_set)
-                    dst_set |= src_set
-                    if len(dst_set) != before:
-                        changed = True
-                    if self._raise_like(
-                            dst, src_set, src_like,
-                            self._edge_prob.get((src, dst), 1.0)):
-                        changed = True
-            # Field loads: dst >= pts((loc, key)) for loc in pts(base).
-            for base, dst, key, prob in self._field_loads:
-                dst_set = self._base_points(dst)
-                for loc in list(self._base_points(base)):
-                    for use_key in self._matching_keys(loc, key):
-                        src_set = self._base_points((loc, use_key))
-                        before = len(dst_set)
-                        dst_set |= src_set
-                        if len(dst_set) != before:
-                            changed = True
-                        if self._raise_like(
-                                dst, src_set,
-                                self._like.get((loc, use_key), {}),
-                                prob):
-                            changed = True
-            # Field stores: (loc, key) >= pts(value) for loc in pts(base).
-            for base, source, key, prob in self._field_stores:
-                if source is None:
-                    continue
-                src_set = self._base_points(source)
-                if not src_set:
-                    continue
-                src_like = self._like.get(source, {})
-                for loc in list(self._base_points(base)):
-                    dst_set = self._base_points((loc, key))
-                    before = len(dst_set)
-                    dst_set |= src_set
-                    if len(dst_set) != before:
-                        changed = True
-                    if self._raise_like((loc, key), src_set, src_like,
-                                        prob):
-                        changed = True
-            # Struct copies: every field key flows from src object(s) to
-            # dst object(s).
-            for func_name, src_ep, dst_ep, prob in self._struct_copies:
-                src_objs = self._endpoint_objects(func_name, src_ep)
-                dst_objs = self._endpoint_objects(func_name, dst_ep)
-                for src_obj in src_objs:
-                    for key, src_set in list(self._object_fields(src_obj)):
-                        if not src_set:
-                            continue
-                        src_like = self._like.get((src_obj, key), {})
-                        for dst_obj in dst_objs:
-                            dst_set = self._base_points((dst_obj, key))
-                            before = len(dst_set)
-                            dst_set |= src_set
-                            if len(dst_set) != before:
-                                changed = True
-                            if self._raise_like((dst_obj, key), src_set,
-                                                src_like, prob):
-                                changed = True
+        for holder, locs in self._sets.items():
+            if locs:
+                self._changed[holder] = set(locs)
+                self._work.append(holder)
+        work = self._work
+        succ = self._succ
+        while work:
+            holder = work.pop()
+            changed = self._changed.pop(holder)
+            like = self._like[holder]
+            for dst, weight in succ.get(holder, {}).items():
+                self._flow(dst, changed, like, weight)
+            if holder in self._loads or holder in self._stores \
+                    or holder in self._blkmovs:
+                self._deref(holder, changed)
 
-    def _matching_keys(self, loc: Loc, key: Tuple[str, ...]
-                       ) -> Iterable[Tuple[str, ...]]:
-        """Field keys stored for ``loc`` that may overlap ``key``."""
-        for holder, pts in self._sets.items():
-            if not pts:
+    def _pts_of(self, holder: Holder) -> Set[Loc]:
+        """The holder's points-to set, created empty on first use.  A
+        new field holder enters the field index and takes the edges of
+        the loads and struct copies that already reach its object."""
+        locs = self._sets.get(holder)
+        if locs is not None:
+            return locs
+        locs = self._sets[holder] = set()
+        self._like[holder] = {}
+        if type(holder[0]) is tuple:
+            obj, key = holder
+            self._fields.setdefault(obj, {})[key] = locs
+            for read_key, dst, prob in self._readers.get(obj, ()):
+                if keys_overlap(read_key, key):
+                    self._add_edge(holder, dst, prob)
+            for dst_obj, prob in self._copiers.get(obj, {}).items():
+                self._add_edge(holder, (dst_obj, key), prob)
+        return locs
+
+    def _flow(self, dst: Holder, locs: Set[Loc],
+              src_like: Dict[Loc, float], weight: float) -> None:
+        """``pts(dst) >= locs`` and max-product ``like(dst, loc) >=
+        src_like[loc] * weight`` (a location without a source weight
+        raises nothing); queue what grew."""
+        dst_locs = self._pts_of(dst)
+        dst_like = self._like[dst]
+        grown = []
+        for loc in locs:
+            prob = src_like.get(loc)
+            if prob is not None and \
+                    prob * weight > dst_like.get(loc, 0.0) + 1e-12:
+                dst_like[loc] = prob * weight
+            elif loc in dst_locs:
                 continue
-            if isinstance(holder, tuple) and len(holder) == 2 \
-                    and holder[0] == loc:
-                stored = holder[1]
-                if key == (STAR,) or stored == (STAR,) or stored == key \
-                        or _prefix(stored, key) or _prefix(key, stored):
-                    yield stored
+            dst_locs.add(loc)
+            grown.append(loc)
+        if grown:
+            pending = self._changed.get(dst)
+            if pending is None:
+                self._changed[dst] = set(grown)
+                self._work.append(dst)
+            else:
+                pending.update(grown)
 
-    def _object_fields(self, obj: Loc):
-        for holder, pts in self._sets.items():
-            if isinstance(holder, tuple) and len(holder) == 2 \
-                    and holder[0] == obj:
-                yield holder[1], pts
+    def _add_edge(self, src: Holder, dst: Holder, weight: float) -> None:
+        """A copy edge found while solving: push all of ``pts(src)``
+        along it now, and later growth with the rest of the worklist."""
+        out = self._succ.setdefault(src, {})
+        known = out.get(dst)
+        if known is not None and weight <= known:
+            return
+        out[dst] = weight
+        locs = self._sets.get(src)
+        if locs:
+            self._flow(dst, locs, self._like[src], weight)
 
-    def _endpoint_objects(self, func_name: str, endpoint) -> Set[Loc]:
-        kind, name, _offset = endpoint
-        if kind == "local":
-            return {("structvar", func_name, name)}
-        return set(self._base_points(("var", func_name, name)) or
-                   self._base_points(("gvar", name)))
+    def _link(self, src_obj: Loc, dst_obj: Loc, prob: float) -> None:
+        """A struct copy from ``src_obj`` into ``dst_obj``: each field of
+        the one flows into the same field of the other."""
+        out = self._copiers.setdefault(src_obj, {})
+        known = out.get(dst_obj)
+        if known is not None and prob <= known:
+            return
+        out[dst_obj] = prob
+        for key in self._fields.get(src_obj, ()):
+            self._add_edge((src_obj, key), (dst_obj, key), prob)
 
-
-def _prefix(a: Tuple[str, ...], b: Tuple[str, ...]) -> bool:
-    return len(a) <= len(b) and b[:len(a)] == a
+    def _deref(self, holder: Holder, changed: Set[Loc]) -> None:
+        """Add the edges of the loads, stores and struct copies through
+        the pointer ``holder`` for the objects it newly targets."""
+        linked = self._linked.setdefault(holder, set())
+        fresh = changed - linked
+        if not fresh:
+            return
+        linked |= fresh
+        for loc in fresh:
+            for dst, key, prob in self._loads.get(holder, ()):
+                self._readers.setdefault(loc, []).append((key, dst, prob))
+                for stored in self._fields.get(loc, ()):
+                    if keys_overlap(key, stored):
+                        self._add_edge((loc, stored), dst, prob)
+            for source, key, prob in self._stores.get(holder, ()):
+                self._add_edge(source, (loc, key), prob)
+            for others, prob, outgoing in self._blkmovs.get(holder, ()):
+                for other in others:
+                    if outgoing:
+                        self._link(loc, other, prob)
+                    else:
+                        self._link(other, loc, prob)
 
 
 def analyze_points_to(program: s.SimpleProgram,

@@ -17,22 +17,31 @@ analysis; these drive the kill rules of possible-placement analysis
 * **function summaries** -- heap/global/shared effects of whole calls,
   computed to a fixed point over the (possibly recursive) call graph.
 
-Effects for compound statements aggregate their children (and are cached
-by label), matching the paper's per-statement decoration.
+A function's own summary is one union over its basic statements, built
+in the same pass that decorates them (locals dropped, one anonymized
+record per distinct heap effect).  Summaries then grow along call edges
+until nothing grows; a merge tests containment and copies only what the
+receiver lacks.  Effects for compound statements are one union of their
+children's (kept by label in the one table), matching the paper's
+per-statement decoration.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.points_to import STAR, PointsToResult, path_key
+from repro.analysis.points_to import (
+    STAR,
+    FieldKey,
+    PointsToResult,
+    keys_overlap,
+    path_key,
+)
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs, basic_uses, cond_uses
 
 #: Matches any abstract object in overlap queries.
 UNKNOWN = ("unknown",)
-
-FieldKey = Tuple[str, ...]
 
 _HEAP_READS = (s.FieldReadRhs, s.DerefReadRhs, s.IndexReadRhs)
 _HEAP_WRITES = (s.FieldWriteLV, s.DerefWriteLV, s.IndexWriteLV)
@@ -44,16 +53,6 @@ def access_key(access) -> FieldKey:
     if isinstance(access, (s.FieldReadRhs, s.FieldWriteLV)):
         return path_key(access.path)
     return (STAR,)
-
-
-def keys_overlap(a: FieldKey, b: FieldKey) -> bool:
-    """May two field keys touch overlapping words?  A key is a path of
-    field names or ``("*",)`` (whole object / unknown offset).  Nested
-    struct fields overlap when one path is a prefix of the other."""
-    if a == (STAR,) or b == (STAR,):
-        return True
-    shorter = min(len(a), len(b))
-    return a[:shorter] == b[:shorter]
 
 
 class HeapEffect:
@@ -86,49 +85,59 @@ class Effects:
         self.heap_writes: Dict[Tuple, HeapEffect] = {}
         self.shared_vars: Set[str] = set()
 
-    def add_heap_read(self, effect: HeapEffect) -> None:
-        self.heap_reads[effect.ident()] = effect
-
-    def add_heap_write(self, effect: HeapEffect) -> None:
-        self.heap_writes[effect.ident()] = effect
-
     def merge(self, other: "Effects",
-              drop_locals_of: Optional[Set[str]] = None,
-              anonymize: bool = False) -> bool:
+              drop_locals_of: Optional[FrozenSet[str]] = None) -> bool:
         """Union ``other`` into self; returns True when something new
         was added.  ``drop_locals_of`` filters out variable effects on
         names in that set (used when importing a callee summary into a
-        caller -- callee locals are invisible).  ``anonymize`` clears the
-        base variable of imported heap effects (they are alias accesses
-        from the caller's perspective)."""
-        before = self._size()
+        caller -- callee locals are invisible).  Heap effects are taken
+        as they are; a summary's are anonymized already."""
         var_reads = other.var_reads
         var_writes = other.var_writes
         if drop_locals_of is not None:
             var_reads = var_reads - drop_locals_of
             var_writes = var_writes - drop_locals_of
-        self.var_reads |= var_reads
-        self.var_writes |= var_writes
-        for effect in other.heap_reads.values():
-            if anonymize:
-                effect = HeapEffect(None, effect.loc, effect.key)
-            self.add_heap_read(effect)
-        for effect in other.heap_writes.values():
-            if anonymize:
-                effect = HeapEffect(None, effect.loc, effect.key)
-            self.add_heap_write(effect)
-        self.shared_vars |= other.shared_vars
-        return self._size() != before
-
-    def _size(self) -> int:
-        return (len(self.var_reads) + len(self.var_writes)
-                + len(self.heap_reads) + len(self.heap_writes)
-                + len(self.shared_vars))
+        grew = False
+        for mine, theirs in ((self.var_reads, var_reads),
+                             (self.var_writes, var_writes),
+                             (self.shared_vars, other.shared_vars)):
+            if not theirs <= mine:
+                mine |= theirs
+                grew = True
+        for mine, theirs in ((self.heap_reads, other.heap_reads),
+                             (self.heap_writes, other.heap_writes)):
+            for ident, effect in theirs.items():
+                if ident not in mine:
+                    mine[ident] = effect
+                    grew = True
+        return grew
 
     def __repr__(self) -> str:
         return (f"Effects(vr={sorted(self.var_reads)}, "
                 f"vw={sorted(self.var_writes)}, "
                 f"hr={len(self.heap_reads)}, hw={len(self.heap_writes)})")
+
+
+def _union(parts: List[Effects]) -> Effects:
+    """Everything in ``parts`` in one pass."""
+    union = Effects()
+    for part in parts:
+        union.var_reads |= part.var_reads
+        union.var_writes |= part.var_writes
+        union.shared_vars |= part.shared_vars
+        union.heap_reads.update(part.heap_reads)
+        union.heap_writes.update(part.heap_writes)
+    return union
+
+
+def _anonymized_into(summary: Dict[Tuple, HeapEffect],
+                     table: Dict[Tuple, HeapEffect]) -> None:
+    """A statement's heap effects into a summary with the base variable
+    cleared (a callee's accesses are alias accesses from a caller's
+    perspective): one record per distinct ``(loc, key)``."""
+    for _, loc, key in table:
+        if (None, loc, key) not in summary:
+            summary[None, loc, key] = HeapEffect(None, loc, key)
 
 
 class EffectsAnalysis:
@@ -177,6 +186,8 @@ class EffectsAnalysis:
         effects = self.effects(func, stmt)
         records = (effects.heap_reads if mode == "read"
                    else effects.heap_writes)
+        if not records:
+            return False
         targets = self.pts.points_to(func.name, base)
         for effect in records.values():
             if effect.base == base:
@@ -198,7 +209,8 @@ class EffectsAnalysis:
     # -- summaries ------------------------------------------------------------------
 
     def _compute_summaries(self) -> None:
-        """Enter every basic statement's own effects in the table, solve
+        """Enter every basic statement's own effects in the table and
+        union them into its function's summary in the same pass, solve
         ``summary(f) = own(f) + summary(g) for each g that f calls``
         (f's locals dropped, heap bases anonymized) by propagating over
         the call edges until nothing grows, then import each callee's
@@ -206,27 +218,33 @@ class EffectsAnalysis:
         functions = self.program.functions
         call_sites: List[Tuple[Effects, s.CallStmt]] = []
         callers: Dict[str, List[str]] = {name: [] for name in functions}
-        locals_of = {name: set(func.variables)
+        locals_of = {name: frozenset(func.variables)
                      for name, func in functions.items()}
         for name, func in functions.items():
             summary = self._summaries[name] = Effects()
             for stmt in func.body.basic_stmts():
                 own = self._table[name, stmt.label] = \
                     self._basic_effects(func, stmt)
-                summary.merge(own, drop_locals_of=locals_of[name],
-                              anonymize=True)
+                summary.var_reads |= own.var_reads
+                summary.var_writes |= own.var_writes
+                summary.shared_vars |= own.shared_vars
+                if own.heap_reads:
+                    _anonymized_into(summary.heap_reads, own.heap_reads)
+                if own.heap_writes:
+                    _anonymized_into(summary.heap_writes, own.heap_writes)
                 if isinstance(stmt, s.CallStmt) and stmt.func in functions:
                     call_sites.append((own, stmt))
                     if name not in callers[stmt.func]:
                         callers[stmt.func].append(name)
+            summary.var_reads -= locals_of[name]
+            summary.var_writes -= locals_of[name]
         grown = list(functions)
         while grown:
             callee = grown.pop()
             for caller in callers[callee]:
                 if self._summaries[caller].merge(
                         self._summaries[callee],
-                        drop_locals_of=locals_of[caller],
-                        anonymize=True):
+                        drop_locals_of=locals_of[caller]):
                     grown.append(caller)
         for own, stmt in call_sites:
             self._import_callee(own, stmt)
@@ -236,7 +254,7 @@ class EffectsAnalysis:
         its effects; built-ins have no heap effects beyond their
         arguments."""
         if isinstance(stmt, s.CallStmt) and stmt.func in self._summaries:
-            effects.merge(self._summaries[stmt.func], anonymize=True)
+            effects.merge(self._summaries[stmt.func])
 
     # -- per-statement computation ------------------------------------------------------
 
@@ -246,14 +264,13 @@ class EffectsAnalysis:
             effects = self._basic_effects(func, stmt)
             self._import_callee(effects, stmt)
             return effects
-        effects = Effects()
+        effects = _union([self.effects(func, child)
+                          for child in stmt.children()])
         if isinstance(stmt, (s.IfStmt, s.WhileStmt, s.DoStmt,
                              s.ForallStmt)):
             effects.var_reads |= cond_uses(stmt.cond)
         if isinstance(stmt, s.SwitchStmt):
             effects.var_reads |= set(stmt.scrutinee.variables())
-        for child in stmt.children():
-            effects.merge(self.effects(func, child))
         return effects
 
     def _basic_effects(self, func: s.SimpleFunction,
@@ -261,16 +278,17 @@ class EffectsAnalysis:
         """The statement's own effects: everything but what a callee
         does."""
         effects = Effects()
-        effects.var_reads |= basic_uses(stmt)
-        effects.var_writes |= basic_defs(stmt)
-
+        effects.var_reads = basic_uses(stmt)
+        effects.var_writes = basic_defs(stmt)
         if isinstance(stmt, s.AssignStmt):
-            if isinstance(stmt.rhs, _HEAP_READS):
-                self._add_ptr_effect(func, effects, stmt.rhs.base,
-                                     access_key(stmt.rhs), write=False)
-            if isinstance(stmt.lhs, _HEAP_WRITES):
-                self._add_ptr_effect(func, effects, stmt.lhs.base,
-                                     access_key(stmt.lhs), write=True)
+            rhs = stmt.rhs
+            if isinstance(rhs, _HEAP_READS):
+                self._add_ptr_effect(func, effects, rhs.base,
+                                     access_key(rhs), write=False)
+            lhs = stmt.lhs
+            if isinstance(lhs, _HEAP_WRITES):
+                self._add_ptr_effect(func, effects, lhs.base,
+                                     access_key(lhs), write=True)
         elif isinstance(stmt, s.BlkmovStmt):
             if stmt.src[0] == "ptr":
                 self._add_ptr_effect(func, effects, stmt.src[1], (STAR,),
@@ -287,9 +305,6 @@ class EffectsAnalysis:
         targets: Iterable[Tuple] = self.pts.points_to(func.name, base)
         if not targets:
             targets = [UNKNOWN]
+        table = effects.heap_writes if write else effects.heap_reads
         for loc in targets:
-            effect = HeapEffect(base, loc, key)
-            if write:
-                effects.add_heap_write(effect)
-            else:
-                effects.add_heap_read(effect)
+            table[base, loc, key] = HeapEffect(base, loc, key)

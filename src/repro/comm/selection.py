@@ -42,7 +42,7 @@ from repro.comm.optconfig import OptConfig
 from repro.comm.placement import PlacementResult
 from repro.comm.tuples import CommSet, CommTuple, SelectedOp
 from repro.errors import TransformError
-from repro.frontend.types import StructType
+from repro.frontend.types import StructType, Type
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs, insert_after, insert_before
 
@@ -230,14 +230,18 @@ class CommSelection:
             self.nilness = analyze_nilness(self.func)
         return self.nilness.is_nonnil_before(label, base)
 
-    def _pointee_struct(self, base: str) -> Optional[StructType]:
-        var = self.func.variables.get(base)
-        if var is None:
+    def _pointee(self, base: str) -> Optional[Type]:
+        """What the pointer ``base`` targets: a variable of this function
+        or, failing that, a global of the program."""
+        var = self.func.variables.get(base) or \
+            self.conn.program.globals.get(base)
+        if var is None or not var.type.is_pointer:
             return None
-        if var.type.is_pointer and isinstance(var.type.target,  # type: ignore[attr-defined]
-                                              StructType):
-            return var.type.target  # type: ignore[attr-defined]
-        return None
+        return var.type.target  # type: ignore[attr-defined]
+
+    def _pointee_struct(self, base: str) -> Optional[StructType]:
+        pointee = self._pointee(base)
+        return pointee if isinstance(pointee, StructType) else None
 
     def _select_read_group(self, seq: s.SeqStmt, stmt: s.Stmt, base: str,
                            tuples: List[CommTuple]) -> List[s.Stmt]:
@@ -334,8 +338,7 @@ class CommSelection:
                 s.FieldReadRhs(base, tup.path, True),
                 split_phase=True)
         else:
-            pointee = self.func.var_type(base).target  # type: ignore[attr-defined]
-            comm = self.func.fresh_comm(pointee)
+            comm = self.func.fresh_comm(self._pointee(base))
             read_stmt = s.AssignStmt(
                 s.VarLV(comm), s.DerefReadRhs(base, True),
                 split_phase=True)
@@ -453,7 +456,7 @@ class CommSelection:
             _, field_type = tup.path.resolve(struct)
             lhs: s.LValue = s.FieldWriteLV(base, tup.path, True)
         else:
-            field_type = self.func.var_type(base).target  # type: ignore[attr-defined]
+            field_type = self._pointee(base)
             lhs = s.DerefWriteLV(base, True)
         comm = self.func.fresh_comm(field_type)
         for d in origins:

@@ -1,0 +1,304 @@
+"""The alias facts equal those of a plain reference implementation.
+
+``analysis/points_to.py`` solves with difference propagation over a
+worklist and a per-object field index; ``analysis/rw_sets.py`` builds a
+function's summary as one union and merges by containment.  Kept here
+as the reference are the simpler forms they replaced:
+
+* a round-robin solver that re-applies every constraint until a whole
+  pass changes nothing and finds an object's fields by scanning every
+  holder (it shares only the constraint collection walk);
+* effects aggregated one ``merge`` per statement and per child, each
+  merge copying every record and anonymizing every imported one.
+
+Every solve the optimizer makes (spied on ``analyze_connection``) over
+the ten Olden programs under both presets, 60 generated programs and
+the global-pointer programs is solved both ways on a copy of the
+program as it stood, and the points-to sets, likelihoods (as floats),
+every statement's effects and every function summary must be equal.
+"""
+
+import copy
+import random
+
+import pytest
+
+from repro.analysis.points_to import PointsToAnalysis, keys_overlap
+from repro.analysis.rw_sets import Effects, EffectsAnalysis, HeapEffect
+from repro.comm import optimizer as optimizer_module
+from repro.comm.optconfig import OPT_PRESETS
+from repro.harness.pipeline import compile_earthc
+from repro.olden.loader import catalog
+from repro.simple import nodes as s
+from repro.simple.traversal import cond_uses
+from repro.workload import MIXES, SHAPES, generate_source
+from tests.comm.test_global_pointers import PROGRAMS
+
+
+class ReferencePointsTo(PointsToAnalysis):
+    """The round-robin solver, with a blkmov endpoint resolved through
+    ``_var_holder`` like every other pointer."""
+
+    def __init__(self, program, branch_prob=0.5):
+        super().__init__(program, branch_prob)
+        self._copy_edges = {}
+        self._edge_prob = {}
+        self._field_loads = []
+        self._field_stores = []
+        self._ref_copies = []
+
+    def _base_points(self, holder):
+        return self._sets.setdefault(holder, set())
+
+    def _add_copy(self, src, dst, prob=1.0):
+        self._copy_edges.setdefault(src, set()).add(dst)
+        if prob > self._edge_prob.get((src, dst), 0.0):
+            self._edge_prob[src, dst] = prob
+
+    def _add_base(self, holder, loc, prob):
+        self._base_points(holder).add(loc)
+        per = self._like.setdefault(holder, {})
+        if prob > per.get(loc, 0.0):
+            per[loc] = prob
+
+    def _add_load(self, func, base, dst, key, prob):
+        self._field_loads.append((self._var_holder(func, base), dst, key,
+                                  prob))
+
+    def _add_store(self, func, base, rhs, key, prob):
+        self._field_stores.append((self._var_holder(func, base),
+                                   self._rhs_source(func, rhs), key, prob))
+
+    def _collect_blkmov(self, func, stmt, prob=1.0):
+        self._ref_copies.append((func, stmt.src, stmt.dst, prob))
+
+    def _raise_like(self, dst, locs, src_like, factor):
+        per = self._like.setdefault(dst, {})
+        raised = False
+        for loc in locs:
+            src = src_like.get(loc)
+            if src is None:
+                continue
+            cand = src * factor
+            if cand > per.get(loc, 0.0) + 1e-12:
+                per[loc] = cand
+                raised = True
+        return raised
+
+    def _union_into(self, dst, src_set, src_like, factor):
+        dst_set = self._base_points(dst)
+        before = len(dst_set)
+        dst_set |= src_set
+        raised = self._raise_like(dst, src_set, src_like, factor)
+        return len(dst_set) != before or raised
+
+    def _solve(self):
+        changed = True
+        while changed:
+            changed = False
+            for src, dsts in self._copy_edges.items():
+                src_set = self._base_points(src)
+                if not src_set:
+                    continue
+                for dst in dsts:
+                    changed |= self._union_into(
+                        dst, src_set, self._like.get(src, {}),
+                        self._edge_prob.get((src, dst), 1.0))
+            for base, dst, key, prob in self._field_loads:
+                for loc in list(self._base_points(base)):
+                    for stored, src_set in list(self._object_fields(loc)):
+                        if src_set and keys_overlap(key, stored):
+                            changed |= self._union_into(
+                                dst, src_set,
+                                self._like.get((loc, stored), {}), prob)
+            for base, source, key, prob in self._field_stores:
+                if source is None or not self._base_points(source):
+                    continue
+                src_set = self._base_points(source)
+                for loc in list(self._base_points(base)):
+                    changed |= self._union_into(
+                        (loc, key), src_set, self._like.get(source, {}),
+                        prob)
+            for func, src_ep, dst_ep, prob in self._ref_copies:
+                dst_objs = self._ref_endpoint(func, dst_ep)
+                for src_obj in self._ref_endpoint(func, src_ep):
+                    for key, src_set in list(self._object_fields(src_obj)):
+                        if not src_set:
+                            continue
+                        for dst_obj in dst_objs:
+                            changed |= self._union_into(
+                                (dst_obj, key), src_set,
+                                self._like.get((src_obj, key), {}), prob)
+
+    def _object_fields(self, obj):
+        for holder, pts in self._sets.items():
+            if len(holder) == 2 and holder[0] == obj:
+                yield holder[1], pts
+
+    def _ref_endpoint(self, func, endpoint):
+        kind, name, _offset = endpoint
+        if kind == "local":
+            return {("structvar", func.name, name)}
+        return set(self._base_points(self._var_holder(func, name)))
+
+
+def _merge(into, other, drop_locals_of=None, anonymize=False):
+    """Union ``other`` into ``into``, every record copied and every
+    imported one anonymized afresh; True when ``into`` grew."""
+    before = _size(into)
+    var_reads = other.var_reads
+    var_writes = other.var_writes
+    if drop_locals_of is not None:
+        var_reads = var_reads - drop_locals_of
+        var_writes = var_writes - drop_locals_of
+    into.var_reads |= var_reads
+    into.var_writes |= var_writes
+    for effect in other.heap_reads.values():
+        if anonymize:
+            effect = HeapEffect(None, effect.loc, effect.key)
+        into.heap_reads[effect.ident()] = effect
+    for effect in other.heap_writes.values():
+        if anonymize:
+            effect = HeapEffect(None, effect.loc, effect.key)
+        into.heap_writes[effect.ident()] = effect
+    into.shared_vars |= other.shared_vars
+    return _size(into) != before
+
+
+def _size(effects):
+    return (len(effects.var_reads) + len(effects.var_writes)
+            + len(effects.heap_reads) + len(effects.heap_writes)
+            + len(effects.shared_vars))
+
+
+class ReferenceEffects(EffectsAnalysis):
+    """Summaries and compound statements one merge at a time."""
+
+    def _compute_summaries(self):
+        functions = self.program.functions
+        call_sites = []
+        callers = {name: [] for name in functions}
+        locals_of = {name: set(func.variables)
+                     for name, func in functions.items()}
+        for name, func in functions.items():
+            summary = self._summaries[name] = Effects()
+            for stmt in func.body.basic_stmts():
+                own = self._table[name, stmt.label] = \
+                    self._basic_effects(func, stmt)
+                _merge(summary, own, drop_locals_of=locals_of[name],
+                       anonymize=True)
+                if isinstance(stmt, s.CallStmt) and stmt.func in functions:
+                    call_sites.append((own, stmt))
+                    if name not in callers[stmt.func]:
+                        callers[stmt.func].append(name)
+        grown = list(functions)
+        while grown:
+            callee = grown.pop()
+            for caller in callers[callee]:
+                if _merge(self._summaries[caller], self._summaries[callee],
+                          drop_locals_of=locals_of[caller], anonymize=True):
+                    grown.append(caller)
+        for own, stmt in call_sites:
+            _merge(own, self._summaries[stmt.func], anonymize=True)
+
+    def _stmt_effects(self, func, stmt):
+        if isinstance(stmt, s.BasicStmt):
+            effects = self._basic_effects(func, stmt)
+            if isinstance(stmt, s.CallStmt) and stmt.func in self._summaries:
+                _merge(effects, self._summaries[stmt.func], anonymize=True)
+            return effects
+        effects = Effects()
+        if isinstance(stmt, (s.IfStmt, s.WhileStmt, s.DoStmt,
+                             s.ForallStmt)):
+            effects.var_reads |= cond_uses(stmt.cond)
+        if isinstance(stmt, s.SwitchStmt):
+            effects.var_reads |= set(stmt.scrutinee.variables())
+        for child in stmt.children():
+            _merge(effects, self.effects(func, child))
+        return effects
+
+
+def _facts(analysis):
+    """An analysis's solved tables, without the empty entries the
+    round-robin solver leaves behind."""
+    result = analysis.run()
+    sets = {holder: locs for holder, locs in analysis._sets.items() if locs}
+    like = {holder: per for holder, per in analysis._like.items() if per}
+    return result, sets, like
+
+
+def _effects_view(effects):
+    for ident, effect in list(effects.heap_reads.items()) + \
+            list(effects.heap_writes.items()):
+        assert effect.ident() == ident
+    return (effects.var_reads, effects.var_writes, effects.shared_vars,
+            set(effects.heap_reads), set(effects.heap_writes))
+
+
+def assert_same_facts(program, branch_prob):
+    """Solve ``program`` both ways and compare everything."""
+    result, sets, like = _facts(PointsToAnalysis(program, branch_prob))
+    ref_result, ref_sets, ref_like = _facts(
+        ReferencePointsTo(program, branch_prob))
+    assert sets == ref_sets
+    assert like == ref_like
+    effects = EffectsAnalysis(program, result)
+    reference = ReferenceEffects(program, ref_result)
+    for func in program.functions.values():
+        assert _effects_view(effects.summary(func.name)) == \
+            _effects_view(reference.summary(func.name)), func.name
+        for stmt in func.body.walk():
+            assert _effects_view(effects.effects(func, stmt)) == \
+                _effects_view(reference.effects(func, stmt)), \
+                (func.name, stmt.label)
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Every solve the optimizer makes, checked against the reference
+    on a copy of the program (the optimizer's own facts are untouched)."""
+    seen = []
+    real = optimizer_module.analyze_connection
+
+    def spy(program, branch_prob=0.5):
+        assert_same_facts(copy.deepcopy(program), branch_prob)
+        seen.append(program)
+        return real(program, branch_prob)
+    monkeypatch.setattr(optimizer_module, "analyze_connection", spy)
+    return seen
+
+
+@pytest.mark.parametrize("preset", OPT_PRESETS)
+@pytest.mark.parametrize("spec", catalog(), ids=lambda spec: spec.name)
+def test_olden_solves(compared, spec, preset):
+    compile_earthc(spec.source(), spec.filename, optimize=True,
+                   inline=spec.inline, opt=preset)
+    assert compared
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_generated_solves(compared, seed):
+    rng = random.Random(f"alias-reference-{seed}")
+    shape = SHAPES[seed % len(SHAPES)]
+    mix = sorted(MIXES)[(seed // len(SHAPES)) % len(MIXES)]
+    compile_earthc(generate_source(rng, shape, mix), optimize=True,
+                   opt=OPT_PRESETS[seed % len(OPT_PRESETS)])
+    assert compared
+
+
+@pytest.mark.parametrize("preset", OPT_PRESETS)
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_global_pointer_solves(compared, name, preset):
+    compile_earthc(PROGRAMS[name][0], f"{name}.ec", optimize=True,
+                   opt=preset)
+    assert compared
+
+
+def test_the_reference_sees_the_likelihood_channel():
+    """Not vacuous: some Olden fact has a likelihood below one."""
+    spec = next(spec for spec in catalog() if spec.name == "health")
+    program = compile_earthc(spec.source(), spec.filename,
+                             inline=spec.inline).simple
+    _, _, like = _facts(PointsToAnalysis(program))
+    assert any(value < 1.0 for per in like.values()
+               for value in per.values())

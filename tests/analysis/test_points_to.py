@@ -186,3 +186,55 @@ class TestBlkmovFlow:
         simple = to_simple(source)
         result = analyze_points_to(simple)
         assert result.points_to("f", "q") <= result.points_to("f", "r")
+
+    def test_global_endpoint_is_not_shadowed(self):
+        """A global pointer as a blkmov endpoint is the global's holder:
+        the copy must not leave an empty local one that hides it."""
+        source = NODE + """
+            struct node *g;
+            int f() {
+                struct node buf;
+                struct node *p;
+                p = (struct node *) malloc(sizeof(struct node));
+                g = p;
+                buf = *g;
+                *g = buf;
+                return 0;
+            }
+        """
+        result = analyze_points_to(to_simple(source))
+        assert result.points_to("f", "g") == result.points_to("f", "p")
+        assert result.points_to("f", "g")
+        assert result.may_alias_objects("f", "g", "f", "p")
+
+
+class TestUnknown:
+    def test_an_empty_set_may_alias_anything(self):
+        source = NODE + """
+            int f(struct node *p) {
+                struct node *q;
+                q = (struct node *) malloc(sizeof(struct node));
+                return p->v + q->v;
+            }
+        """
+        result = analyze_points_to(to_simple(source))
+        assert not result.points_to("f", "p")
+        assert result.may_alias_objects("f", "p", "f", "q")
+        assert result.may_alias_objects("f", "q", "f", "p")
+        assert result.likelihood("f", "p") == 1.0
+
+    def test_a_local_hides_a_global_of_the_same_name(self):
+        source = NODE + """
+            struct node *g;
+            int f() {
+                struct node *g;
+                return 0;
+            }
+            int main() {
+                g = (struct node *) malloc(sizeof(struct node));
+                return f();
+            }
+        """
+        result = analyze_points_to(to_simple(source))
+        assert result.points_to("main", "g")
+        assert not result.points_to("f", "g")

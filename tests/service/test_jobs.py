@@ -233,9 +233,10 @@ PIN_WIRE_DEFAULTS = {
     "opt": None}
 
 #: name -> (constructor keywords, wire keys off their default, cache
-#: address).  Recorded at the commit before ``JobSpec`` came to carry
-#: a ``RunConfig`` (pipeline ``2026.09-pr13``); a change here is a change of
-#: the wire format or of every cache address, and needs a
+#: address).  The wire dicts date from the commit before ``JobSpec``
+#: came to carry a ``RunConfig``; the addresses were re-recorded at
+#: pipeline ``2026.10-alias-facts``.  A change here is a change of the
+#: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
 GOLDEN = {
@@ -244,20 +245,20 @@ GOLDEN = {
              inline=["add"], reorder_fields=True),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"], reorder_fields=True),
-        "cbfdef0a245cc22df0cf7324b73bdb32"
-        "1784086098e0804df35eb39d6f258c8d"),
+        "f8ac096cc1cca0c3fed7f7f6bbc834c2"
+        "1d356d3b1b14d710db770e0d4656b983"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "5c0d5160aa8d73d72ef7e5513f7d3724"
-        "e6677c29e99cd40e18a8f8ca1adb4dbf"),
+        "6a22ffb977d7e68d5bd897a8eb2bd122"
+        "aea5034d3d783fa4293db2c83f20df36"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "cdb154bb0dded5b8e5003f9f0e2dc870"
-        "989ce63ec2818113787b4d6f50391855"),
+        "1e595c5009bba518ee8e23b095c37db5"
+        "1bd56e30b8811594ad14d426d15210a0"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -265,14 +266,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, opt=PIN_OPT),
-        "7440e84a94e058fd82e88fb523979ea5"
-        "71e482e6d1badfcd0baf80796a015895"),
+        "abcc9ba03b0beddef4a3d365029d71a5"
+        "f6c9d7f2cf832b077fd44df9407d82b2"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.09-pr13"
+        assert PIPELINE_VERSION == "2026.10-alias-facts"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
