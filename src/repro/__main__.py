@@ -259,7 +259,7 @@ def _compile_main(argv) -> int:
             print(compiled.profile_text())
             print()
         if args.dump_codegen is not None:
-            _dump_codegen(compiled, args.dump_codegen, config.nodes)
+            _dump_codegen(compiled, args.dump_codegen, config)
 
         if args.run:
             if not run_args and args.entry == "main":
@@ -309,19 +309,18 @@ def _compile_main(argv) -> int:
     return EXIT_OK
 
 
-def _dump_codegen(compiled, name, nodes) -> None:
+def _dump_codegen(compiled, name, config) -> None:
     """``--dump-codegen FUNC``: print the source the codegen engine
-    emits for one function (the exact text it executes -- labels, busy
-    costs, and global addresses baked in for ``--nodes``)."""
+    executes for one function under this invocation's run options
+    (labels, busy costs, node count, statement budget, tracer sites and
+    global addresses baked in), from the program's memo, where a
+    following ``--run`` finds it."""
     from repro.earth.codegen import CodegenEngine
-    from repro.earth.interpreter import Interpreter
-    from repro.earth.machine import Machine
-    from repro.earth.params import MachineParams
+    from repro.harness.pipeline import make_interpreter
     if name not in compiled.simple.functions:
         raise ReproError(f"no function named {name!r} "
                          f"(have: {', '.join(compiled.simple.functions)})")
-    interp = Interpreter(compiled.simple, Machine(nodes, MachineParams()),
-                         engine="codegen")
+    interp = make_interpreter(compiled, config.replace(engine="codegen"))
     interp._init_globals()
     engine = CodegenEngine(interp)
     engine.function(name)
@@ -329,7 +328,7 @@ def _dump_codegen(compiled, name, nodes) -> None:
     if source is None:
         print(f"== codegen: {name} fell back to the AST walker")
     else:
-        print(f"== codegen source: {name} (nodes={nodes})")
+        print(f"== codegen source: {name} (nodes={config.nodes})")
         print(source)
 
 

@@ -60,16 +60,30 @@ behaviour authoritative.  Fallback is per-function, never
 whole-program; generated and walked functions call each other through
 the shared engine cells.
 
+Each function is emitted once per program and :class:`EmitContext`.
+The context holds every run fact the text bakes in -- node count,
+statement budget, whether a tracer is attached, and the three
+``MachineParams`` costs the generator reads -- and the generator reads
+the run through it alone; the rest it reads from the program (global
+addresses too: ``Interpreter._init_globals`` lays them out from the
+program alone).  The context is also the key of the program's memo
+(``SimpleProgram.codegen_memo``), which maps ``(function name,
+context)`` to the emitted source with its code object, or to the
+walker for a fallback.  A repeat run -- another fault plan, another
+remote-data cache geometry -- finds its functions there, binds them
+into one namespace per engine and ``exec``\\ s them: it neither walks
+the SIMPLE tree nor emits text.
+
 Debugging: the emitted source of every generated function is kept in
 ``CodegenEngine.sources`` and can be printed with the CLI's
-``--dump-codegen`` flag.
+``--dump-codegen`` flag, which prints it from the memo the run uses.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.earth.interpreter import (
     BUDGET_MSG,
@@ -89,15 +103,20 @@ from repro.frontend.types import PointerType, ScalarType, StructType, Type
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_uses
 
-#: Compiled code objects keyed by emitted source text.  The source
-#: bakes in everything static about a run (statement labels, busy
-#: costs, node count, global addresses), so a fresh Interpreter
-#: re-running the same program regenerates byte-identical source and
-#: can skip the CPython ``compile()`` call -- the dominant cost of
-#: warming this engine up.  Bounded LRU so long-lived service workers
+#: Compiled code objects keyed by emitted source text, the one
+#: process-wide cache.  A repeat run of one program under one emit
+#: context never reaches it (the program's memo has the code); what it
+#: serves is a *recompile* of the same source -- a new
+#: ``SimpleProgram`` whose functions emit byte-identical text, since
+#: statement labels are numbered per compilation -- which then skips
+#: CPython ``compile()``, the dominant cost of warming this engine up.
+#: Bounded LRU so long-lived service workers
 #: cycling through many programs cannot grow it without limit.
 _CODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
 _CODE_CACHE_LIMIT = 512
+
+#: The memo's entry for a function that falls back to the walker.
+_WALKER = "walker"
 
 
 class _Uncompilable(Exception):
@@ -237,23 +256,61 @@ class GeneratedFunction:
         self.source = source
 
 
+class EmitContext(NamedTuple):
+    """Every fact about a run that emitted text bakes in, and so the
+    key (with the function name) of the program's memo: a run whose
+    context is equal binds the same code.  Fault plans, remote-data
+    cache geometry and the other machine parameters are not in it."""
+
+    num_nodes: int
+    max_stmts: int
+    traced: bool
+    local_stmt_ns: float
+    call_overhead_ns: float
+    join_ns: float
+
+    @classmethod
+    def of(cls, interp: Interpreter) -> "EmitContext":
+        machine = interp.machine
+        params = machine.params
+        return cls(machine.num_nodes, interp.max_stmts,
+                   machine.tracer is not None, params.local_stmt_ns,
+                   params.call_overhead_ns, params.join_ns)
+
+
+class _Emitted(NamedTuple):
+    """One function as the memo keeps it: what to ``exec`` and what
+    its namespace needs beyond the engine's own."""
+
+    source: str
+    code: object
+    #: Callees whose engine cells are bound as ``_cf_<name>``.
+    callees: Tuple[str, ...]
+    #: Static ``_mb_*`` / ``_gv_*`` bindings (math builtins, global
+    #: shared variables' declarations).
+    objects: Tuple[Tuple[str, object], ...]
+
+
 class CodegenEngine:
-    """Generates the functions of one ``(program, machine)`` pair
-    lazily and caches the results, with per-function fallback to the
+    """Binds the functions of one ``(program, machine)`` pair lazily,
+    emitting each only when the program's memo has nothing for it under
+    this run's :class:`EmitContext`, with per-function fallback to the
     walker.  Owned by one :class:`Interpreter`."""
 
-    __slots__ = ("interp", "program", "machine", "compiled", "_cells",
-                 "sources", "fallbacks")
+    __slots__ = ("interp", "program", "context", "compiled", "_cells",
+                 "_ns", "sources", "fallbacks")
 
     def __init__(self, interp: Interpreter):
         self.interp = interp
         self.program = interp.program
-        self.machine = interp.machine
+        self.context = EmitContext.of(interp)
         self.compiled: Dict[str, object] = {}
         # Call sites bind a one-element cell per callee so mutually
         # recursive functions can reference each other before they are
-        # generated; the cell is filled on first generation.
+        # bound; the cell is filled on first binding.
         self._cells: Dict[str, list] = {}
+        # One namespace for every function this engine binds.
+        self._ns: Optional[dict] = None
         # Emitted source per generated function (for --dump-codegen
         # and the golden-snapshot test).
         self.sources: Dict[str, str] = {}
@@ -269,22 +326,84 @@ class CodegenEngine:
     def function(self, name: str):
         compiled = self.compiled.get(name)
         if compiled is None:
-            func = self.program.functions.get(name)
-            if func is None:
-                raise InterpreterError(
-                    f"call to unknown function {name!r}")
+            compiled = self.compiled[name] = self._bind(name)
+            self.cell(name)[0] = compiled
+        return compiled
+
+    def _bind(self, name: str):
+        func = self.program.functions.get(name)
+        if func is None:
+            raise InterpreterError(f"call to unknown function {name!r}")
+        memo = self.program.codegen_memo
+        key = (name, self.context)
+        emitted = memo.get(key)
+        if emitted is None:
             try:
-                compiled = _CodeGenerator(self, func).generate()
+                emitted = _CodeGenerator(
+                    self.context, self.program,
+                    self.interp.machine.memory, func).generate()
             except Exception:
                 # Whole-function fallback: the walker is authoritative
                 # for anything codegen cannot prove.
-                self.fallbacks.add(name)
-                compiled = WalkedFunction(self.interp, func)
-            else:
-                self.sources[name] = compiled.source
-            self.compiled[name] = compiled
-            self.cell(name)[0] = compiled
-        return compiled
+                emitted = _WALKER
+            # Two threads running one program may both get here; what
+            # they store is equal.
+            memo[key] = emitted
+        if emitted is _WALKER:
+            self.fallbacks.add(name)
+            return WalkedFunction(self.interp, func)
+        ns = self._ns
+        if ns is None:
+            ns = self._ns = self._namespace()
+        for callee in emitted.callees:
+            ns["_cf_" + callee] = self.cell(callee)
+        ns.update(emitted.objects)
+        exec(emitted.code, ns)
+        self.sources[name] = emitted.source
+        return GeneratedFunction(func, ns["invoke"], emitted.source)
+
+    def _namespace(self) -> dict:
+        """What emitted code refers to by name, bound to this run (each
+        function's ``def invoke`` rebinds ``invoke``, which no emitted
+        code reads)."""
+        interp = self.interp
+        machine = interp.machine
+        memory = machine.memory
+        applier = interp._applier
+        return {
+            "InterpreterError": InterpreterError,
+            "MemoryFault": MemoryFault,
+            "Slot": Slot,
+            "SharedCell": SharedCell,
+            "Fiber": Fiber,
+            "JoinCounter": JoinCounter,
+            "_nw": _normalize_word,
+            "_op_div": _op_div,
+            "_op_mod": _op_mod,
+            "_chkread": _chkread,
+            "_ptr": _ptr,
+            "_sbuf": _sbuf,
+            "_shchk": _shchk,
+            "_faddr": _faddr,
+            "_stats": machine.stats,
+            "_machine": machine,
+            "_engine": self,
+            "_mem_read": memory.read_word,
+            "_mem_write": memory.write_word,
+            "_clk": machine.clock,
+            "_issue": machine.issue,
+            "_spawn": machine.spawn,
+            "_fulfill": machine.signal,
+            "_print": machine.print,
+            "_tracer": machine.tracer,
+            "_NODE_SPAN": NODE_SPAN,
+            "_FILLER": FILLER,
+            "_BUDGET_MSG": BUDGET_MSG % interp.max_stmts,
+            "_shg": interp._shared_global,
+            "_blkmov": applier.blkmov,
+            "_ptr_to_buf": applier.ptr_to_buf,
+            "_buf_to_ptr": applier.buf_to_ptr,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +429,16 @@ class _EmitCtx:
 
 class _CodeGenerator:
     """Emits one Python generator function (``invoke``) per SIMPLE
-    function."""
+    function.  It reads the run only through ``context``, and
+    ``memory`` only for the program's global addresses."""
 
-    def __init__(self, engine: CodegenEngine, func: s.SimpleFunction):
-        self.engine = engine
-        self.interp = engine.interp
-        self.program = engine.program
-        self.machine = engine.machine
-        self.memory = engine.machine.memory
-        self.stats = engine.machine.stats
-        self.params = engine.machine.params
-        self.tracer = engine.machine.tracer
+    def __init__(self, context: EmitContext, program: s.SimpleProgram,
+                 memory, func: s.SimpleFunction):
+        self.ctx = context
+        self.program = program
+        self.memory = memory
         self.func = func
-        self.local_ns = self.params.local_stmt_ns
-        self.max_stmts = self.interp.max_stmts
+        self.local_ns = context.local_stmt_ns
         self.slotcap = self._slot_capable_names(func)
         # Slot-capable names NOT declared in the function live in frames
         # only transiently (dynamic shadowing of a global); those need
@@ -337,7 +452,9 @@ class _CodeGenerator:
         # branches; forall iteration defs discard theirs -- captured
         # names are parameters there).
         self._assigned: List[Set[str]] = [set()]
-        self.ns: Dict[str, object] = {}
+        # What the namespace needs beyond the engine's own (_Emitted).
+        self.callees: Set[str] = set()
+        self.objects: Dict[str, object] = {}
 
     # -- static analyses -----------------------------------------------------
 
@@ -470,62 +587,23 @@ class _CodeGenerator:
 
     # -- namespace ---------------------------------------------------------
 
-    def _build_ns(self) -> None:
-        machine = self.machine
-        memory = self.memory
-        self.ns.update({
-            "InterpreterError": InterpreterError,
-            "MemoryFault": MemoryFault,
-            "Slot": Slot,
-            "SharedCell": SharedCell,
-            "Fiber": Fiber,
-            "JoinCounter": JoinCounter,
-            "_nw": _normalize_word,
-            "_op_div": _op_div,
-            "_op_mod": _op_mod,
-            "_chkread": _chkread,
-            "_ptr": _ptr,
-            "_sbuf": _sbuf,
-            "_shchk": _shchk,
-            "_faddr": _faddr,
-            "_stats": self.stats,
-            "_machine": machine,
-            "_engine": self.engine,
-            "_mem_read": memory.read_word,
-            "_mem_write": memory.write_word,
-            "_clk": machine.clock,
-            "_issue": machine.issue,
-            "_spawn": machine.spawn,
-            "_fulfill": machine.signal,
-            "_print": machine.print,
-            "_tracer": machine.tracer,
-            "_NODE_SPAN": NODE_SPAN,
-            "_FILLER": FILLER,
-            "_BUDGET_MSG": BUDGET_MSG % self.max_stmts,
-            "_shg": self.interp._shared_global,
-            "_blkmov": self.interp._applier.blkmov,
-            "_ptr_to_buf": self.interp._applier.ptr_to_buf,
-            "_buf_to_ptr": self.interp._applier.buf_to_ptr,
-        })
-
     def _ns_cell(self, callee: str) -> str:
-        """Bind the engine cell of ``callee`` into the namespace."""
+        """The namespace name of ``callee``'s engine cell."""
         if not callee.isidentifier():
             raise _Uncompilable(callee)
-        key = f"_cf_{callee}"
-        self.ns[key] = self.engine.cell(callee)
-        return key
+        self.callees.add(callee)
+        return f"_cf_{callee}"
 
     def _ns_obj(self, prefix: str, name: str, obj) -> str:
         if not name.isidentifier():
             raise _Uncompilable(name)
         key = f"{prefix}{name}"
-        self.ns[key] = obj
+        self.objects[key] = obj
         return key
 
     # -- entry -------------------------------------------------------------
 
-    def generate(self) -> GeneratedFunction:
+    def generate(self) -> _Emitted:
         func = self.func
         if self.shadowed:
             # Dynamically shadowed globals need frame-first checks that
@@ -534,7 +612,6 @@ class _CodeGenerator:
         for name in func.variables:
             if not name.isidentifier():
                 raise _Uncompilable(name)
-        self._build_ns()
         fname = func.name
         nparams = len(func.params)
         self.w("def invoke(args, node, result_slot=None):")
@@ -577,8 +654,8 @@ class _CodeGenerator:
         _CODE_CACHE[source] = code
         if len(_CODE_CACHE) > _CODE_CACHE_LIMIT:
             _CODE_CACHE.popitem(last=False)
-        exec(code, self.ns)
-        return GeneratedFunction(func, self.ns["invoke"], source)
+        return _Emitted(source, code, tuple(self.callees),
+                        tuple(self.objects.items()))
 
     def _emit_main_epilogue(self, value: str, ctx: _EmitCtx) -> None:
         """Wait trailing split-phase slots, fulfil the result slot,
@@ -618,7 +695,7 @@ class _CodeGenerator:
                     self.w(f"_stats.basic_stmts_executed += "
                            f"{counted - i}")
                     self.w(f"if _stats.basic_stmts_executed >= "
-                           f"{self.max_stmts!r}:")
+                           f"{self.ctx.max_stmts!r}:")
                     self.w("    raise InterpreterError(_BUDGET_MSG)")
             if classified[i][0] == "pure":
                 busy = 0.0
@@ -700,7 +777,7 @@ class _CodeGenerator:
     def _emit_prologue(self, stmt: s.BasicStmt) -> None:
         """Callsite attribution for the operations ``stmt`` issues,
         then sync-on-use of what it consumes."""
-        if self.tracer is not None:
+        if self.ctx.traced:
             self.w(f"_tracer.current_site = "
                    f"({self.func.name!r}, {stmt.label!r})")
         self._emit_sync(self._sync_entries_for_basic(stmt))
@@ -1110,7 +1187,7 @@ class _CodeGenerator:
             def effect_num(ctx):
                 if stmt.target is not None:
                     self._emit_store_var(
-                        stmt.target, repr(self.machine.num_nodes),
+                        stmt.target, repr(self.ctx.num_nodes),
                         "int")
             return self._pure_or_sync_gen(stmt, local_ns, effect_num)
         if name == "my_node":
@@ -1133,7 +1210,7 @@ class _CodeGenerator:
         if name not in self.program.functions:
             raise _Uncompilable(name)
         cell_key = self._ns_cell(name)
-        call_ns = self.params.call_overhead_ns
+        call_ns = self.ctx.call_overhead_ns
 
         def emit_call(ctx):
             self._emit_prologue(stmt)
@@ -1173,7 +1250,7 @@ class _CodeGenerator:
                 vexpr, vk = self._x_operand(placement[1])
                 inner = vexpr if vk == "int" else f"int({vexpr})"
                 self.w(f"{tn} = {inner} % "
-                       f"{self.machine.num_nodes!r}")
+                       f"{self.ctx.num_nodes!r}")
             else:
                 raise _Uncompilable(placement)
             if not home:
@@ -1211,7 +1288,7 @@ class _CodeGenerator:
         if stmt.node is not None:
             nexpr, nk = self._x_operand(stmt.node)
             inner = nexpr if nk == "int" else f"int({nexpr})"
-            self.w(f"{tn} = {inner} % {self.machine.num_nodes!r}")
+            self.w(f"{tn} = {inner} % {self.ctx.num_nodes!r}")
         else:
             self.w(f"{tn} = node")
         # An allocation always completes at issue.
@@ -1476,7 +1553,7 @@ class _CodeGenerator:
             self.w(f"{tf}.on_done.append({join}.child_done)")
             self.w(f"_spawn({tf})")
         self.w_wait(f"{join}.slot")
-        self.w_busy(self.params.join_ns)
+        self.w_busy(self.ctx.join_ns)
 
     def _gen_forall(self, stmt: s.ForallStmt, ctx: _EmitCtx) -> None:
         n = self.defn()
@@ -1548,4 +1625,4 @@ class _CodeGenerator:
         self.w("    else:")
         self.w(f"        _f.on_done.append({join}.child_done)")
         self.w_wait(f"{join}.slot")
-        self.w_busy(self.params.join_ns)
+        self.w_busy(self.ctx.join_ns)

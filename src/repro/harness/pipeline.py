@@ -203,6 +203,20 @@ def execute(
                 "declarative RunConfig fields instead")
         from repro.shard import run_sharded
         return run_sharded(compiled.simple, config)
+    return make_interpreter(compiled, config, params=params, tracer=tracer,
+                            faults=faults).run(config.entry, config.args)
+
+
+def make_interpreter(
+    compiled: CompiledProgram,
+    config: RunConfig,
+    *,
+    params: Optional[MachineParams] = None,
+    tracer: Optional[Tracer] = None,
+    faults: Optional[FaultPlan] = None,
+) -> Interpreter:
+    """The fresh machine and interpreter :func:`execute` runs
+    ``compiled`` on in one process (the overrides as there)."""
     if params is None:
         params = config.machine_params()
     if tracer is None:
@@ -212,10 +226,8 @@ def execute(
     machine = Machine(config.nodes, params,
                       strict_nil_reads=config.strict_nil_reads,
                       tracer=tracer, faults=faults)
-    interpreter = Interpreter(compiled.simple, machine,
-                              max_stmts=config.max_stmts,
-                              engine=config.engine)
-    return interpreter.run(config.entry, config.args)
+    return Interpreter(compiled.simple, machine, max_stmts=config.max_stmts,
+                       engine=config.engine)
 
 
 class Configuration(NamedTuple):

@@ -955,9 +955,16 @@ class SimpleProgram:
 
     ``global_inits`` maps global variable names to their constant initial
     values (globals live in node 0's memory in the simulator).
+
+    ``codegen_memo`` belongs to the codegen engine
+    (:mod:`repro.earth.codegen`): what it emitted for each function
+    under each emit context, so a repeat run binds code instead of
+    emitting it again.  It is never pickled or copied -- a copy starts
+    empty -- and a program is not rewritten once it has run.
     """
 
-    __slots__ = ("structs", "globals", "global_inits", "functions")
+    __slots__ = ("structs", "globals", "global_inits", "functions",
+                 "codegen_memo")
 
     def __init__(self, structs: Dict[str, StructType],
                  globals: Dict[str, SimpleVar]):
@@ -965,6 +972,16 @@ class SimpleProgram:
         self.globals = dict(globals)
         self.global_inits: Dict[str, Union[int, float]] = {}
         self.functions: Dict[str, SimpleFunction] = {}
+        self.codegen_memo: dict = {}
+
+    def __getstate__(self):
+        return (self.structs, self.globals, self.global_inits,
+                self.functions)
+
+    def __setstate__(self, state) -> None:
+        (self.structs, self.globals, self.global_inits,
+         self.functions) = state
+        self.codegen_memo = {}
 
     def add_function(self, function: SimpleFunction) -> SimpleFunction:
         self.functions[function.name] = function

@@ -35,7 +35,9 @@ def test_hit_survives_eviction_between_lookup_and_touch(monkeypatch):
     cache = EvictingCache(codegen._CODE_CACHE)
     monkeypatch.setattr(codegen, "_CODE_CACHE", cache)
 
-    engine = _engine_of(compiled)
+    # A recompile: the first program's memo would bind its code
+    # without looking in the cache at all.
+    engine = _engine_of(compile_earthc(SOURCE, optimize=True))
     for name in names:
         engine.function(name)
     assert engine.fallbacks == set()

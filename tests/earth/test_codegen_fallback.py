@@ -85,24 +85,25 @@ def _identical(a, b):
     assert a.tracer.dropped == b.tracer.dropped
 
 
-@pytest.fixture(scope="module")
-def programs():
+def _compile(program):
+    """A fresh compile per case: a program remembers what codegen did
+    with each of its functions (``SimpleProgram.codegen_memo``), so a
+    program shared across cases would replay an earlier case's
+    fallbacks."""
+    if program == "rmw_loop":
+        return (compile_earthc(RMW_LOOP, "rmw_loop.ec", optimize=True),
+                RunConfig(nodes=2, trace=True))
     power = get_benchmark("power")
-    return {
-        "rmw_loop": (compile_earthc(RMW_LOOP, "rmw_loop.ec", optimize=True),
-                     RunConfig(nodes=2, trace=True)),
-        "power": (compile_earthc(power.source(), power.filename,
-                                 optimize=True, inline=power.inline),
-                  RunConfig(nodes=4, args=tuple(power.small_args),
-                            trace=True)),
-    }
+    return (compile_earthc(power.source(), power.filename, optimize=True,
+                           inline=power.inline),
+            RunConfig(nodes=4, args=tuple(power.small_args), trace=True))
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 @pytest.mark.parametrize("methods, program", CASES)
-def test_mixed_run_bit_identical_to_ast(monkeypatch, programs, methods,
-                                        program, variant):
-    compiled, config = programs[program]
+def test_mixed_run_bit_identical_to_ast(monkeypatch, methods, program,
+                                        variant):
+    compiled, config = _compile(program)
     config = config.replace(**VARIANTS[variant])
     reference = execute(compiled, config=config.replace(engine="ast"))
     walked, generated = _force_fallback(monkeypatch, methods)
@@ -114,11 +115,11 @@ def test_mixed_run_bit_identical_to_ast(monkeypatch, programs, methods,
 
 
 @pytest.mark.parametrize("methods, program", CASES)
-def test_mixed_run_bit_identical_across_shards(monkeypatch, programs,
-                                               methods, program):
+def test_mixed_run_bit_identical_across_shards(monkeypatch, methods,
+                                               program):
     """Walked activations also start from another shard's spawn
     message (``Interpreter.placed_fiber``)."""
-    compiled, config = programs[program]
+    compiled, config = _compile(program)
     reference = execute(compiled, config=config.replace(engine="ast"))
     walked, _ = _force_fallback(monkeypatch, methods)
     mixed = run_sharded(compiled.simple,
@@ -126,6 +127,27 @@ def test_mixed_run_bit_identical_across_shards(monkeypatch, programs,
                         inline=True)
     _identical(mixed, reference)
     assert walked
+
+
+def test_warm_run_stays_on_the_walker_and_emits_nothing(monkeypatch):
+    """A fallback is remembered with the program: a second run binds
+    the walker for the same functions without emitting any source, and
+    is bit-identical to the first."""
+    compiled, config = _compile("power")
+    walked, generated = _force_fallback(monkeypatch, ("_gen_call",))
+    cold = execute(compiled, config=config)
+    cold_walked, cold_generated = set(walked), set(generated)
+    assert cold_walked and cold_generated
+    walked.clear()
+    generated.clear()
+    emitted = []
+    original = codegen._CodeGenerator.generate
+    monkeypatch.setattr(codegen._CodeGenerator, "generate",
+                        lambda self: emitted.append(self) or original(self))
+    warm = execute(compiled, config=config)
+    assert emitted == []
+    assert walked == cold_walked and generated == cold_generated
+    _identical(warm, cold)
 
 
 @pytest.mark.parametrize("name", [spec.name for spec in catalog()])

@@ -179,6 +179,20 @@ class TestObservability:
                      ]) == 5  # EXIT_IO
         assert "error:" in capsys.readouterr().err
 
+    def test_dump_codegen_prints_the_code_the_run_executes(
+            self, source_file, tmp_path, capsys):
+        # The dump bakes in this invocation's budget and tracer, not a
+        # default machine's.
+        assert main([source_file, "-O", "--dump-codegen", "distance",
+                     "--max-stmts", "5000", "--run", "--nodes", "2",
+                     "--args", "1", "--trace",
+                     str(tmp_path / "t.json")]) == 0
+        out = capsys.readouterr().out
+        assert "== codegen source: distance (nodes=2)" in out
+        assert ">= 5000:" in out and ">= 200000000" not in out
+        assert "_tracer.current_site = ('distance', " in out
+        assert "result  = 5" in out
+
     def test_olden_benchmark_defaults_args(self, capsys):
         import os
         import repro.olden as olden
