@@ -32,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import ReproError
+from repro.errors import UsageError
 
 #: Block-move shape policies for read localization regions:
 #: ``prefix`` (legacy) moves the struct prefix up to the last field
@@ -42,6 +42,11 @@ BLKMOV_SHAPES = ("prefix", "full")
 
 #: Named heuristic presets ``resolve_opt`` accepts.
 OPT_PRESETS = ("legacy", "probabilistic")
+
+#: The Python types each field annotation admits (type(), not
+#: isinstance(): a bool is no number here).
+_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,),
+          "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -88,30 +93,40 @@ class OptConfig:
     private_lines: bool = False
 
     def __post_init__(self):
+        # Types first, as RunConfig does: a job spec arrives as JSON,
+        # where "no" is truthy and true is an int to isinstance().
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            if type(value) not in _TYPES[spec.type]:
+                raise UsageError(f"{spec.name} must be a {spec.type}, "
+                                 f"got {value!r}")
+            if spec.type == "float":
+                # One value, one cache key: 4 and 4.0 serialize apart.
+                object.__setattr__(self, spec.name, float(value))
         if self.loop_weight < 1.0:
-            raise ReproError(
+            raise UsageError(
                 f"loop_weight must be >= 1, got {self.loop_weight}")
         if not 0.0 < self.branch_weight <= 1.0:
-            raise ReproError(
+            raise UsageError(
                 f"branch_weight must be in (0, 1], got "
                 f"{self.branch_weight}")
         if self.freq_eps < 0.0:
-            raise ReproError(
+            raise UsageError(
                 f"freq_eps must be >= 0, got {self.freq_eps}")
         if self.block_access_threshold < 1:
-            raise ReproError(
+            raise UsageError(
                 f"block_access_threshold must be >= 1, got "
                 f"{self.block_access_threshold}")
         if self.min_expected_accesses < 0.0:
-            raise ReproError(
+            raise UsageError(
                 f"min_expected_accesses must be >= 0, got "
                 f"{self.min_expected_accesses}")
         if self.max_spurious_ratio < 1.0:
-            raise ReproError(
+            raise UsageError(
                 f"max_spurious_ratio must be >= 1, got "
                 f"{self.max_spurious_ratio}")
         if self.blkmov_shape not in BLKMOV_SHAPES:
-            raise ReproError(
+            raise UsageError(
                 f"unknown blkmov_shape {self.blkmov_shape!r} "
                 f"(known: {', '.join(BLKMOV_SHAPES)})")
 
@@ -184,12 +199,12 @@ class OptConfig:
         """Inverse of :meth:`to_json`; unknown keys are rejected so
         schema drift between service peers fails loudly."""
         if not isinstance(data, dict):
-            raise ReproError(f"opt config must be an object, got "
+            raise UsageError(f"opt config must be an object, got "
                              f"{type(data).__name__}")
         known = {spec.name for spec in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ReproError(
+            raise UsageError(
                 f"unknown opt config fields: {sorted(unknown)}")
         return cls(**{key: value for key, value in data.items()
                       if value is not None})
@@ -214,11 +229,11 @@ def resolve_opt(value) -> "OptConfig | None":
             return OptConfig.legacy()
         if value == "probabilistic":
             return OptConfig.probabilistic_defaults()
-        raise ReproError(f"unknown opt preset {value!r} "
+        raise UsageError(f"unknown opt preset {value!r} "
                          f"(known: {', '.join(OPT_PRESETS)})")
     if isinstance(value, dict):
         return OptConfig.from_json(value)
-    raise ReproError(f"opt config must be None, a preset name, an "
+    raise UsageError(f"opt config must be None, a preset name, an "
                      f"object, or an OptConfig, got "
                      f"{type(value).__name__}")
 

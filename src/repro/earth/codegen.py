@@ -775,12 +775,13 @@ class _CodeGenerator:
     # -- per-statement prologue / sync --------------------------------------
 
     def _emit_prologue(self, stmt: s.BasicStmt) -> None:
-        """Callsite attribution for the operations ``stmt`` issues,
-        then sync-on-use of what it consumes."""
+        """Sync-on-use of what ``stmt`` consumes, then callsite
+        attribution for the operations it issues (after the sync: while
+        this fiber waits, others move the site)."""
+        self._emit_sync(self._sync_entries_for_basic(stmt))
         if self.ctx.traced:
             self.w(f"_tracer.current_site = "
                    f"({self.func.name!r}, {stmt.label!r})")
-        self._emit_sync(self._sync_entries_for_basic(stmt))
 
     def _emit_sync(self, entries) -> None:
         for name, coerce in entries:

@@ -125,8 +125,9 @@ class RunResult:
 #: (:mod:`repro.earth.codegen`) and falls back per function to the
 #: walker; ``"ast"`` walks the SIMPLE tree (the reference
 #: implementation below).  Both drive the same machine and must
-#: produce identical results -- the differential suite
-#: (tests/earth/test_engine_equivalence.py) pins this.  Defined here
+#: produce identical results -- every engine must reproduce each
+#: engine-free digest of tests/chaos/golden_runs.json, and
+#: tests/earth/test_engine_equivalence.py covers the rest.  Defined here
 #: and nowhere else: every layer that names an engine imports these.
 ENGINES = ("codegen", "ast")
 DEFAULT_ENGINE = "codegen"
@@ -460,12 +461,13 @@ class Interpreter:
         stats.basic_stmts_executed += 1
         if stats.basic_stmts_executed >= self.max_stmts:
             raise InterpreterError(BUDGET_MSG % self.max_stmts)
+        yield from self._sync_uses(act, stmt)
         tracer = self.machine.tracer
         if tracer is not None:
             # Callsite attribution: remote ops issued while this
-            # statement runs are charged to (function, label).
+            # statement runs are charged to (function, label).  Set
+            # after sync-on-use: while this fiber waits, others move it.
             tracer.current_site = (act.function.name, stmt.label)
-        yield from self._sync_uses(act, stmt)
 
         if isinstance(stmt, s.AssignStmt):
             return (yield from self._exec_assign(act, stmt))

@@ -21,7 +21,7 @@ from repro.comm.optconfig import (
     resolve_opt,
 )
 from repro.config import RunConfig, config_digest, opt_from_cli_args
-from repro.errors import ReproError
+from repro.errors import ReproError, UsageError
 from repro.harness.pipeline import compile_earthc, execute
 from repro.olden.loader import get_benchmark
 
@@ -44,6 +44,13 @@ int main(int n)
     return sum;
 }
 """
+
+#: One value of each JSON-ish type, tried against every field ...
+WRONG_TYPE_PROBES = (True, 1, 2.5, "no", None)
+#: ... and refused by each field whose annotation does not admit its
+#: type (an int is a float here; a bool is neither).
+FIELD_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,),
+               "str": (str,)}
 
 
 class TestValueObject:
@@ -73,8 +80,22 @@ class TestValueObject:
         {"blkmov_shape": "suffix"},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ReproError):
+        with pytest.raises(UsageError):
             OptConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [
+        (spec.name, value) for spec in dataclasses.fields(OptConfig)
+        for value in WRONG_TYPE_PROBES
+        if type(value) not in FIELD_TYPES[spec.type]])
+    def test_every_field_refuses_a_wrong_type(self, field, value):
+        """Types as RunConfig checks them: no bool is a number, no
+        number a switch, no truthy string a switch."""
+        with pytest.raises(UsageError, match=f"{field} must be a"):
+            OptConfig(**{field: value})
+
+    def test_an_int_weight_is_the_float_weight(self):
+        assert json.dumps(OptConfig(loop_weight=4).to_json()) \
+            == json.dumps(OptConfig(loop_weight=4.0).to_json())
 
     def test_probabilistic_preset(self):
         opt = OptConfig.probabilistic_defaults()

@@ -4,11 +4,11 @@ The codegen engine (``repro.earth.codegen``) must be *observationally
 bit-identical* to the reference tree walker for every program that
 completes: same result value, same printed output, same
 ``MachineStats`` snapshot, and the same simulated ``time_ns`` down to
-the last bit.  These tests
-drive every bundled example program and every Olden benchmark through
-all engines under the paper's three machine configurations -- the
-Olden set additionally under fault plans and with the remote-data
-cache enabled -- plus Hypothesis-generated programs.
+the last bit.  The Olden programs' zero-fault runs are pinned once, for
+every engine, by ``tests/chaos/test_run_golden.py``; these tests drive
+the bundled example programs through the paper's three configurations,
+the Olden set under a fault plan with and without the remote-data
+cache, and Hypothesis-generated programs.
 """
 
 from __future__ import annotations
@@ -28,25 +28,16 @@ from repro.earth.interpreter import (
     InterpreterError,
 )
 from repro.earth.machine import Machine
-from repro.earth.params import MachineParams
 from repro.harness.pipeline import (
+    CONFIGURATIONS,
     compile_earthc,
     execute,
-    simple_baseline_config,
+    resolve_config,
 )
 from repro.olden.loader import catalog
 from tests.property.gen_programs import heap_programs, scalar_programs
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
-
-#: The paper's three configurations, as (num_nodes, params, optimize,
-#: config) tuples -- mirrors ``run_three_ways`` without recompiling per
-#: engine.
-CONFIGS = {
-    "sequential": (1, MachineParams.sequential_c(), False, None),
-    "simple": (4, None, True, "baseline"),
-    "optimized": (4, None, True, None),
-}
 
 
 def _example_source(filename: str) -> str:
@@ -57,19 +48,11 @@ def _example_source(filename: str) -> str:
     return match.group(1)
 
 
-def _compare(compiled, num_nodes, params=None, args=(),
-             max_stmts=200_000_000, entry="main", faults=None,
-             rcache_capacity=0):
-    """Run every engine on one compiled program; assert bit-identity
-    against the AST reference."""
-    results = {}
-    for engine in ENGINES:
-        results[engine] = execute(
-            compiled, params=params,
-            config=RunConfig(nodes=num_nodes, entry=entry,
-                             args=tuple(args), max_stmts=max_stmts,
-                             engine=engine, faults=faults,
-                             rcache_capacity=rcache_capacity))
+def _compare(compiled, config):
+    """Run ``compiled`` under ``config`` on every engine; assert
+    bit-identity against the AST reference."""
+    results = {engine: execute(compiled, config=config.replace(engine=engine))
+               for engine in ENGINES}
     ast = results["ast"]
     for engine, result in results.items():
         if engine == "ast":
@@ -81,14 +64,16 @@ def _compare(compiled, num_nodes, params=None, args=(),
         assert result.stats.snapshot() == ast.stats.snapshot(), engine
 
 
-def _compare_three_ways(source, filename, args=(), inline=False,
-                        max_stmts=200_000_000, entry="main"):
-    for name, (nodes, params, optimize, cfg) in CONFIGS.items():
-        config = simple_baseline_config() if cfg == "baseline" else None
-        compiled = compile_earthc(source, filename, optimize=optimize,
-                                  config=config, inline=inline)
-        _compare(compiled, nodes, params, args=args,
-                 max_stmts=max_stmts, entry=entry)
+def _compare_three_ways(source, filename, args=(), entry="main"):
+    """:func:`_compare` on each of the paper's three configurations
+    (the uncached rows of ``CONFIGURATIONS``) at 4 nodes."""
+    config = RunConfig(nodes=4, entry=entry, args=tuple(args))
+    for leg in CONFIGURATIONS.values():
+        if leg.cached:
+            continue
+        compiled = compile_earthc(source, filename, optimize=leg.optimize,
+                                  config=resolve_config(leg.preset))
+        _compare(compiled, leg.run_config(config))
 
 
 # ---------------------------------------------------------------------------
@@ -113,44 +98,22 @@ def test_example_programs_identical(filename, entry, args):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", [spec.name for spec in catalog()])
-def test_olden_identical(name):
-    spec = next(s for s in catalog() if s.name == name)
-    _compare_three_ways(spec.source(), spec.filename,
-                        args=spec.small_args, inline=spec.inline,
-                        max_stmts=spec.max_stmts)
-
-
-#: A lossy, jittery network for the ±faults legs below.
+#: A lossy, jittery network.
 FAULT_SPEC = {"seed": 7, "drop_prob": 0.01, "jitter_ns": 2000.0}
 
 
-@pytest.mark.parametrize("faulted", [False, True],
-                         ids=["clean", "faults"])
-@pytest.mark.parametrize("rcache", [0, 64],
-                         ids=["nocache", "rcache"])
+@pytest.mark.parametrize("rcache", [0, 64], ids=["nocache", "rcache"])
 @pytest.mark.parametrize("name", [spec.name for spec in catalog()])
-def test_olden_identical_faults_rcache(name, faulted, rcache):
-    """All engines stay bit-identical under fault plans and with the
-    remote-data cache enabled (optimized program, 4 nodes)."""
+def test_olden_identical_faults_rcache(name, rcache):
+    """All engines stay bit-identical under a fault plan, with and
+    without the remote-data cache (optimized program, 4 nodes)."""
     spec = next(s for s in catalog() if s.name == name)
     compiled = compile_earthc(spec.source(), spec.filename,
                               optimize=True, inline=spec.inline)
-    _compare(compiled, 4, args=spec.small_args,
-             max_stmts=spec.max_stmts,
-             faults=FAULT_SPEC if faulted else None,
-             rcache_capacity=rcache)
-
-
-@pytest.mark.parametrize("name", [spec.name for spec in catalog()])
-def test_olden_identical_optimized_on_one_node(name):
-    """Optimized code on one node: every split-phase operation
-    completes at issue, so what lands in a variable there must be what
-    sync-on-use would have delivered."""
-    spec = next(s for s in catalog() if s.name == name)
-    compiled = compile_earthc(spec.source(), spec.filename,
-                              optimize=True, inline=spec.inline)
-    _compare(compiled, 1, args=spec.small_args, max_stmts=spec.max_stmts)
+    _compare(compiled, RunConfig(nodes=4, args=tuple(spec.small_args),
+                                 max_stmts=spec.max_stmts,
+                                 faults=FAULT_SPEC,
+                                 rcache_capacity=rcache))
 
 
 def test_split_phase_read_completing_at_issue_is_coerced():
@@ -187,7 +150,7 @@ def test_split_phase_read_completing_at_issue_is_coerced():
                   in compiled.simple.functions[function].body.walk()
                   if getattr(stmt, "split_phase", False)]
         assert landed == [variable]
-    _compare(compiled, 2)
+    _compare(compiled, RunConfig(nodes=2))
     result = execute(compiled, config=RunConfig(nodes=2))
     assert result.value == 44070109
     assert result.stats.local_reads == result.stats.remote_reads == 2
@@ -210,8 +173,8 @@ def test_olden_identical_full_size(name):
     spec = next(s for s in catalog() if s.name == name)
     compiled = compile_earthc(spec.source(), spec.filename,
                               optimize=True, inline=spec.inline)
-    _compare(compiled, 16, args=spec.default_args,
-             max_stmts=spec.max_stmts)
+    _compare(compiled, RunConfig(nodes=16, args=tuple(spec.default_args),
+                                 max_stmts=spec.max_stmts))
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +250,11 @@ HEAVY = settings(
 def test_scalar_programs_engines_agree(pair):
     source, _ = pair
     compiled = compile_earthc(source, optimize=True)
-    _compare(compiled, 2, max_stmts=2_000_000)
+    _compare(compiled, RunConfig(nodes=2, max_stmts=2_000_000))
 
 
 @HEAVY
 @given(heap_programs())
 def test_heap_programs_engines_agree(source):
     compiled = compile_earthc(source, optimize=True)
-    _compare(compiled, 4, max_stmts=2_000_000)
+    _compare(compiled, RunConfig(nodes=4, max_stmts=2_000_000))

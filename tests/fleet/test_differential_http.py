@@ -1,77 +1,62 @@
 """Differential acceptance: the served path returns payloads
 byte-identical to the in-process pipeline.
 
-For every Olden benchmark, with and without a seeded fault profile,
-the payloads the HTTP gateway answers (``POST /v1/jobs``) for the
-three configurations' ``run`` legs must be plain-``==`` identical to
-in-process :func:`run_three_ways` (ground truth), checked **cold**
-(the gateway computes into its own empty disk cache) and **warm** (the
+For one clean and one faulted benchmark on the default engine (a job
+is one compile and at most one run, so the wire cannot vary the answer
+per benchmark, engine or fault plan; every engine and fault profile is
+pinned in-process by ``tests/chaos/test_run_golden.py``), the payloads
+the HTTP gateway answers (``POST /v1/jobs``) for the three
+configurations' ``run`` legs must be plain-``==`` identical to
+in-process :func:`run_three_ways` (ground truth), checked **cold** (the
+gateway computes into its own empty disk cache) and **warm** (the
 second submission replays the cached payload bit-for-bit).  A fleet is
 only sound if the wire cannot change the answer."""
-
-import os
 
 import pytest
 
 from repro.config import RunConfig
-from repro.earth.faults import FaultPlan, plan_from_cli
+from repro.earth.faults import plan_from_cli
 from repro.harness.experiments import leg_job
 from repro.harness.pipeline import CONFIGURATIONS, run_three_ways
-from repro.olden.loader import catalog
+from repro.olden.loader import get_benchmark
 from repro.service.jobs import run_payload
 
+#: (benchmark, fault profile) of every cell: one clean, one faulted.
+CELLS = (("power", None), ("treeadd", "mild"))
 FAULT_SEED = 29
-FAULT_CASES = (None, "mild")
 
 
-def _fault_dict(profile):
+def _faults(profile):
     if profile is None:
         return None
     return plan_from_cli(FAULT_SEED, profile, None, None).spec()
 
 
-#: CI runs the faulted leg on the whole catalog; the local tier-1
-#: profile keeps it to a representative third (the chaos suites cover
-#: every benchmark under faults -- this matrix pins the wire).
-_FULL_MATRIX = bool(os.environ.get("CI")) \
-    or os.environ.get("HYPOTHESIS_PROFILE") == "ci"
-FAULTED_BENCHMARKS = ("power", "em3d", "treeadd")
-
-
-def _matrix():
-    return [(spec, profile) for spec in catalog()
-            for profile in FAULT_CASES
-            if profile is None or _FULL_MATRIX
-            or spec.name in FAULTED_BENCHMARKS]
-
-
-def _jobs(spec, profile):
+def _jobs(name, profile):
     """The cell's three configurations (the uncached ones, what
     ``run_three_ways`` runs): configuration -> its ``run`` leg."""
-    run = RunConfig(faults=_fault_dict(profile))
-    return {configuration: leg_job(spec.name, configuration, 2,
+    run = RunConfig(faults=_faults(profile))
+    return {configuration: leg_job(name, configuration, 2,
                                    small=True, run=run)
             for configuration, leg in CONFIGURATIONS.items()
             if not leg.cached}
 
 
+def _in_process(name, profile):
+    """configuration -> run payload, computed in-process."""
+    spec = get_benchmark(name)
+    results = run_three_ways(
+        spec.source(), name, inline=spec.inline,
+        config=RunConfig(nodes=2, args=tuple(spec.small_args),
+                         max_stmts=spec.max_stmts, faults=_faults(profile)))
+    return {configuration: run_payload(result)
+            for configuration, result in results.items()}
+
+
 @pytest.fixture(scope="module")
 def references():
-    """In-process ground truth, keyed (benchmark, fault-profile)."""
-    expected = {}
-    for spec, profile in _matrix():
-        faults = None
-        if profile is not None:
-            faults = FaultPlan.from_spec(_fault_dict(profile))
-        results = run_three_ways(
-            spec.source(), spec.name, inline=spec.inline,
-            faults=faults,
-            config=RunConfig(nodes=2, args=tuple(spec.small_args),
-                             max_stmts=spec.max_stmts))
-        expected[(spec.name, profile)] = {
-            name: run_payload(result)
-            for name, result in results.items()}
-    return expected
+    """In-process ground truth, keyed by cell."""
+    return {cell: _in_process(*cell) for cell in CELLS}
 
 
 @pytest.fixture(scope="module")
@@ -99,25 +84,20 @@ def _http_submit(gateway, jobs, cache):
 
 def test_http_path_matches_in_process_cold_and_warm(references,
                                                     http_gateway):
-    for spec, profile in _matrix():
-        jobs = _jobs(spec, profile)
+    for cell in CELLS:
+        jobs = _jobs(*cell)
         cold = _http_submit(http_gateway, jobs, "miss")
-        assert cold == references[(spec.name, profile)], \
-            f"{spec.name}/faults={profile} diverged over HTTP (cold)"
+        assert cold == references[cell], \
+            f"{cell} diverged over HTTP (cold)"
         warm = _http_submit(http_gateway, jobs, "hit")
-        assert warm == cold, \
-            f"{spec.name}/faults={profile} warm HTTP replay diverged"
+        assert warm == cold, f"{cell} warm HTTP replay diverged"
 
 
 def test_faulted_runs_actually_took_faults(references):
     """Guard against the fault leg silently degenerating into the
-    clean one: the two payloads must differ in simulated time."""
-    faulted_names = {spec.name for spec, profile in _matrix()
-                     if profile is not None}
-    for spec in catalog():
-        if spec.name not in faulted_names:
-            continue
-        clean = references[(spec.name, None)]
-        faulted = references[(spec.name, "mild")]
-        assert clean != faulted, \
-            f"{spec.name}: fault profile had no observable effect"
+    clean one: its payloads must differ from the same benchmark's
+    clean run."""
+    for name, profile in CELLS:
+        if profile is not None:
+            assert references[(name, profile)] != _in_process(name, None), \
+                f"{name}: fault profile had no observable effect"

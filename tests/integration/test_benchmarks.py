@@ -1,13 +1,14 @@
-"""Integration tests over the five Olden benchmarks.
+"""Integration tests over the ten Olden benchmarks.
 
 These run the whole toolchain (frontend -> analyses -> optimizer ->
-simulator) on the scaled-down problem sizes and check the paper's core
-claims at the semantic level:
+simulator) and check the paper's core claims at the semantic level:
 
 * all three configurations (sequential / simple / optimized) compute the
-  same result on every benchmark and node count;
+  same result at 1, 2 and 8 nodes (the 1/4/16-node runs, their
+  determinism and their engine identity are pinned by
+  ``tests/chaos/test_run_golden.py``);
 * the optimized version never performs more communication operations;
-* determinism: repeated runs give bit-identical times and counts.
+* at the default sizes the optimization pays off on every benchmark.
 """
 
 import pytest
@@ -31,13 +32,6 @@ def results():
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("name", BENCHMARKS)
-    def test_three_configurations_agree(self, results, name):
-        # run_three_ways asserts agreement internally; keep an explicit
-        # visible check too.
-        values = {key: r.value for key, r in results[name].items()}
-        assert len(set(values.values())) == 1, values
-
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_nontrivial_result(self, results, name):
         assert results[name]["sequential"].value != 0
@@ -72,21 +66,6 @@ class TestCommunicationClaims:
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_sequential_config_has_no_remote_ops(self, results, name):
         assert results[name]["sequential"].stats.total_remote_ops == 0
-
-
-class TestDeterminism:
-    @pytest.mark.parametrize("name", ["power", "health"])
-    def test_repeat_run_identical(self, name):
-        spec = get_benchmark(name)
-
-        def one():
-            res = run_three_ways(spec.source(), name, inline=spec.inline,
-                                 config=RunConfig(nodes=4,
-                                                  args=tuple(spec.small_args)))
-            return {key: (r.value, r.time_ns, r.stats.snapshot())
-                    for key, r in res.items()}
-
-        assert one() == one()
 
 
 class TestDefaultSizes:

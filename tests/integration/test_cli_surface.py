@@ -374,6 +374,32 @@ def test_report_refuses_before_the_first_table(case, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+#: A bad ``--opt-*`` value is a usage error like any bad run flag:
+#: case -> (the flag and its value, what the error says).
+OPT_REFUSALS = {
+    "loop-weight": (["--opt-loop-weight", "-3"],
+                    "loop_weight must be >= 1, got -3.0"),
+    "block-threshold": (["--opt-block-threshold", "0"],
+                        "block_access_threshold must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPT_REFUSALS))
+def test_bad_opt_flag_is_a_usage_error(case, tmp_path, capsys):
+    import json
+    source = tmp_path / "prog.ec"
+    source.write_text("int main() { return 0; }\n")
+    flag, message = OPT_REFUSALS[case]
+    argv = [str(source), "--run"] + flag
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "UsageError", "code": 2, "message": message}
+
+
 def test_report_ends_on_a_failed_jobs_own_code(monkeypatch, capsys):
     """A leg that fails mid-run is one ``error:`` line and the exit
     code the main CLI gives that failure (4: a simulator error)."""

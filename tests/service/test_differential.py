@@ -1,69 +1,47 @@
 """Differential acceptance test: served results are bit-identical to
 the in-process pipeline.
 
-For every Olden benchmark, both engines, with and without a fault
-profile, the payloads a :class:`WorkerPool` returns for the three
-configurations' ``run`` legs must equal -- as a plain ``==`` on the
-JSON-safe payload dicts, i.e. bit-identical values, simulated times,
-output, stats, and utilization -- what :func:`run_three_ways`
-computes in-process.  Checked cold (workers=1, computing into a shared
-disk cache), warm (workers=2, all cache hits), and fresh at workers=4
-(no cache: worker count cannot change results).
+A job is one compile and at most one run, so the pool cannot vary the
+answer per benchmark, engine or fault plan: one clean and one faulted
+benchmark on the default engine stand for the rest (every engine and
+fault profile is pinned in-process by ``tests/chaos/test_run_golden.py``).
+The payloads a :class:`WorkerPool` returns for the three configurations'
+``run`` legs must equal -- as a plain ``==`` on the JSON-safe payload
+dicts, i.e. bit-identical values, simulated times, output, stats, and
+utilization -- what :func:`run_three_ways` computes in-process.
+Checked cold (workers=1, computing into a shared disk cache), warm
+(workers=2, all cache hits), and fresh at workers=4 (no cache: worker
+count cannot change results).
 """
-
-import os
 
 import pytest
 
-from repro.earth.faults import FaultPlan, plan_from_cli
-from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
+from repro.config import RunConfig
+from repro.earth.faults import plan_from_cli
 from repro.harness.experiments import leg_job
 from repro.harness.pipeline import CONFIGURATIONS, run_three_ways
-from repro.olden.loader import catalog
+from repro.olden.loader import get_benchmark
 from repro.service.jobs import run_payload
 from repro.service.pool import WorkerPool
-from repro.config import RunConfig
 
-#: Matrix axes: execution engine x fault injection (seeded profile).
+#: (benchmark, fault profile) of every cell: one clean, one faulted.
+CELLS = (("power", None), ("treeadd", "mild"))
 FAULT_SEED = 29
-FAULT_CASES = (None, "mild")
-
-#: CI runs the full catalog x engines x faults cross product; the
-#: local tier-1 profile keeps the engine and fault axes to a
-#: representative trio (one paper benchmark, two from the extended
-#: suite) while still covering every benchmark on the default
-#: engine's clean leg.  Engine bit-identity and fault behavior on
-#: every benchmark are already pinned by the engine-equivalence and
-#: chaos suites -- this matrix pins the *service* transport.
-_FULL_MATRIX = bool(os.environ.get("CI")) \
-    or os.environ.get("HYPOTHESIS_PROFILE") == "ci"
-FULL_AXIS_BENCHMARKS = ("power", "em3d", "treeadd")
-
-
-def _fault_dict(profile):
-    if profile is None:
-        return None
-    return plan_from_cli(FAULT_SEED, profile, None, None).spec()
-
-
-def _matrix():
-    cells = []
-    for spec in catalog():
-        full = _FULL_MATRIX or spec.name in FULL_AXIS_BENCHMARKS
-        for engine in ENGINES if full else (DEFAULT_ENGINE,):
-            for profile in FAULT_CASES if full else FAULT_CASES[:1]:
-                cells.append((spec, engine, profile))
-    return cells
-
 
 #: What ``run_three_ways`` runs: the uncached configurations.
 LEGS = [name for name, leg in CONFIGURATIONS.items() if not leg.cached]
 
 
-def _jobs(spec, engine, profile):
+def _faults(profile):
+    if profile is None:
+        return None
+    return plan_from_cli(FAULT_SEED, profile, None, None).spec()
+
+
+def _jobs(name, profile):
     """One cell's three configurations, a ``run`` job per leg."""
-    run = RunConfig(engine=engine, faults=_fault_dict(profile))
-    return [leg_job(spec.name, configuration, 2, small=True, run=run)
+    run = RunConfig(faults=_faults(profile))
+    return [leg_job(name, configuration, 2, small=True, run=run)
             for configuration in LEGS]
 
 
@@ -87,20 +65,18 @@ def _served(pool, cells, cache):
 
 @pytest.fixture(scope="module")
 def references():
-    """In-process ground truth for the full matrix, keyed
-    (benchmark, engine, fault-profile)."""
+    """In-process ground truth, keyed by cell."""
     expected = {}
-    for spec, engine, profile in _matrix():
-        faults = None
-        if profile is not None:
-            faults = FaultPlan.from_spec(_fault_dict(profile))
+    for name, profile in CELLS:
+        spec = get_benchmark(name)
         results = run_three_ways(
-            spec.source(), spec.name, inline=spec.inline, faults=faults,
+            spec.source(), name, inline=spec.inline,
             config=RunConfig(nodes=2, args=tuple(spec.small_args),
-                             max_stmts=spec.max_stmts, engine=engine))
-        expected[(spec.name, engine, profile)] = {
-            name: run_payload(result)
-            for name, result in results.items()}
+                             max_stmts=spec.max_stmts,
+                             faults=_faults(profile)))
+        expected[(name, profile)] = {
+            configuration: run_payload(result)
+            for configuration, result in results.items()}
     return expected
 
 
@@ -113,36 +89,25 @@ def test_cold_worker_matches_in_process(references, cache_dir):
     """workers=1, empty cache: every job computes and must reproduce
     the in-process payload exactly."""
     with WorkerPool(workers=1, cache_dir=cache_dir) as pool:
-        served = _served(pool, _matrix(), "miss")
-    for (spec, engine, profile), payload in zip(_matrix(), served):
-        assert payload == \
-            references[(spec.name, engine, profile)], \
-            f"{spec.name}/{engine}/faults={profile} diverged (cold)"
+        served = _served(pool, CELLS, "miss")
+    for cell, payload in zip(CELLS, served):
+        assert payload == references[cell], f"{cell} diverged (cold)"
 
 
 def test_warm_cache_replays_bit_identically(references, cache_dir):
     """workers=2 over the cache the cold run filled: every job is a
     hit, and hits serve the exact payload the cold computation made."""
     with WorkerPool(workers=2, cache_dir=cache_dir) as pool:
-        served = _served(pool, _matrix(), "hit")
-    for (spec, engine, profile), payload in zip(_matrix(), served):
-        assert payload == \
-            references[(spec.name, engine, profile)], \
-            f"{spec.name}/{engine}/faults={profile} diverged (warm)"
+        served = _served(pool, CELLS, "hit")
+    for cell, payload in zip(CELLS, served):
+        assert payload == references[cell], f"{cell} diverged (warm)"
 
 
 def test_four_workers_compute_the_same_results(references):
-    """workers=4, no cache: recomputed from scratch under maximal
-    interleaving, results must not depend on the worker count.  (The
-    default-engine half of the matrix keeps the recompute affordable;
-    the ast engine's worker-count independence is already covered by the
-    cold run, which uses a different worker count than the
-    references.)"""
-    cells = [cell for cell in _matrix() if cell[1] == DEFAULT_ENGINE]
+    """workers=4, no cache: the faulted cell recomputed from scratch
+    under maximal interleaving must not depend on the worker count."""
+    cell = CELLS[-1]
     with WorkerPool(workers=4, cache_dir=None) as pool:
         # "miss": a memory-only tier, all fresh.
-        served = _served(pool, cells, "miss")
-    for (spec, engine, profile), payload in zip(cells, served):
-        assert payload == \
-            references[(spec.name, engine, profile)], \
-            f"{spec.name}/{engine}/faults={profile} diverged (w=4)"
+        [payload] = _served(pool, [cell], "miss")
+    assert payload == references[cell], f"{cell} diverged (w=4)"

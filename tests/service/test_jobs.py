@@ -50,6 +50,15 @@ class TestSpecValidation:
         with pytest.raises(ServiceError, match="nodes"):
             JobSpec("run", source=SOURCE, nodes=0)
 
+    @pytest.mark.parametrize("opt", [{"probabilistic": "no"},
+                                     {"private_lines": 1},
+                                     {"loop_weight": True}])
+    def test_wrong_typed_opt_rejected(self, opt):
+        """Not read as its truthiness under a cache key of its own."""
+        with pytest.raises(ServiceError, match="must be a"):
+            JobSpec.from_dict({"kind": "run", "benchmark": "power",
+                               "opt": opt})
+
     def test_bad_fault_spec_rejected_eagerly(self):
         with pytest.raises(Exception):
             JobSpec("run", source=SOURCE, faults={"drop_prob": 0.5})
