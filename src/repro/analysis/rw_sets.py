@@ -5,17 +5,20 @@ locations read/written, including heap read/write sets from connection
 analysis; these drive the kill rules of possible-placement analysis
 (``varWritten``, ``accessedViaAlias``).  This module computes:
 
-* **variable effects** -- which stack/global variables a statement reads
-  or writes (directly; stack variables have no aliases in the dialect
-  because taking the address of a stack scalar is rejected);
+* **variable writes** -- which stack/global variables a statement may
+  write (directly; stack variables have no aliases in the dialect
+  because taking the address of a stack scalar is rejected).  Variable
+  *reads* are not kept: no kill rule asks whether a statement reads a
+  variable, only whether it may change one (``varWritten``);
 * **heap effects** -- records ``(base, loc, key)`` meaning "memory of
   abstract object ``loc`` at field key ``key`` is accessed, syntactically
   through pointer variable ``base``".  ``base is None`` for effects
   imported from callees -- the paper's *anchor handle* information:
   an access with the same base variable is a *direct* access, anything
   else is a potential alias access;
-* **function summaries** -- heap/global/shared effects of whole calls,
-  computed to a fixed point over the (possibly recursive) call graph.
+* **function summaries** -- heap and global-variable effects of whole
+  calls, computed to a fixed point over the (possibly recursive) call
+  graph.
 
 A function's own summary is one union over its basic statements, built
 in the same pass that decorates them (locals dropped, one anonymized
@@ -38,7 +41,7 @@ from repro.analysis.points_to import (
     path_key,
 )
 from repro.simple import nodes as s
-from repro.simple.traversal import basic_defs, basic_uses, cond_uses
+from repro.simple.traversal import basic_defs
 
 #: Matches any abstract object in overlap queries.
 UNKNOWN = ("unknown",)
@@ -75,35 +78,27 @@ class HeapEffect:
 class Effects:
     """Aggregated effects of one statement (or one function summary)."""
 
-    __slots__ = ("var_reads", "var_writes", "heap_reads", "heap_writes",
-                 "shared_vars")
+    __slots__ = ("var_writes", "heap_reads", "heap_writes")
 
     def __init__(self):
-        self.var_reads: Set[str] = set()
         self.var_writes: Set[str] = set()
         self.heap_reads: Dict[Tuple, HeapEffect] = {}
         self.heap_writes: Dict[Tuple, HeapEffect] = {}
-        self.shared_vars: Set[str] = set()
 
     def merge(self, other: "Effects",
               drop_locals_of: Optional[FrozenSet[str]] = None) -> bool:
         """Union ``other`` into self; returns True when something new
-        was added.  ``drop_locals_of`` filters out variable effects on
+        was added.  ``drop_locals_of`` filters out variable writes to
         names in that set (used when importing a callee summary into a
         caller -- callee locals are invisible).  Heap effects are taken
         as they are; a summary's are anonymized already."""
-        var_reads = other.var_reads
         var_writes = other.var_writes
         if drop_locals_of is not None:
-            var_reads = var_reads - drop_locals_of
             var_writes = var_writes - drop_locals_of
         grew = False
-        for mine, theirs in ((self.var_reads, var_reads),
-                             (self.var_writes, var_writes),
-                             (self.shared_vars, other.shared_vars)):
-            if not theirs <= mine:
-                mine |= theirs
-                grew = True
+        if not var_writes <= self.var_writes:
+            self.var_writes |= var_writes
+            grew = True
         for mine, theirs in ((self.heap_reads, other.heap_reads),
                              (self.heap_writes, other.heap_writes)):
             for ident, effect in theirs.items():
@@ -113,8 +108,7 @@ class Effects:
         return grew
 
     def __repr__(self) -> str:
-        return (f"Effects(vr={sorted(self.var_reads)}, "
-                f"vw={sorted(self.var_writes)}, "
+        return (f"Effects(vw={sorted(self.var_writes)}, "
                 f"hr={len(self.heap_reads)}, hw={len(self.heap_writes)})")
 
 
@@ -122,9 +116,7 @@ def _union(parts: List[Effects]) -> Effects:
     """Everything in ``parts`` in one pass."""
     union = Effects()
     for part in parts:
-        union.var_reads |= part.var_reads
         union.var_writes |= part.var_writes
-        union.shared_vars |= part.shared_vars
         union.heap_reads.update(part.heap_reads)
         union.heap_writes.update(part.heap_writes)
     return union
@@ -225,9 +217,7 @@ class EffectsAnalysis:
             for stmt in func.body.basic_stmts():
                 own = self._table[name, stmt.label] = \
                     self._basic_effects(func, stmt)
-                summary.var_reads |= own.var_reads
                 summary.var_writes |= own.var_writes
-                summary.shared_vars |= own.shared_vars
                 if own.heap_reads:
                     _anonymized_into(summary.heap_reads, own.heap_reads)
                 if own.heap_writes:
@@ -236,7 +226,6 @@ class EffectsAnalysis:
                     call_sites.append((own, stmt))
                     if name not in callers[stmt.func]:
                         callers[stmt.func].append(name)
-            summary.var_reads -= locals_of[name]
             summary.var_writes -= locals_of[name]
         grown = list(functions)
         while grown:
@@ -264,21 +253,14 @@ class EffectsAnalysis:
             effects = self._basic_effects(func, stmt)
             self._import_callee(effects, stmt)
             return effects
-        effects = _union([self.effects(func, child)
-                          for child in stmt.children()])
-        if isinstance(stmt, (s.IfStmt, s.WhileStmt, s.DoStmt,
-                             s.ForallStmt)):
-            effects.var_reads |= cond_uses(stmt.cond)
-        if isinstance(stmt, s.SwitchStmt):
-            effects.var_reads |= set(stmt.scrutinee.variables())
-        return effects
+        return _union([self.effects(func, child)
+                       for child in stmt.children()])
 
     def _basic_effects(self, func: s.SimpleFunction,
                        stmt: s.BasicStmt) -> Effects:
         """The statement's own effects: everything but what a callee
         does."""
         effects = Effects()
-        effects.var_reads = basic_uses(stmt)
         effects.var_writes = basic_defs(stmt)
         if isinstance(stmt, s.AssignStmt):
             rhs = stmt.rhs
@@ -296,8 +278,6 @@ class EffectsAnalysis:
             if stmt.dst[0] == "ptr":
                 self._add_ptr_effect(func, effects, stmt.dst[1], (STAR,),
                                      write=True)
-        elif isinstance(stmt, s.SharedOpStmt):
-            effects.shared_vars.add(stmt.shared_var)
         return effects
 
     def _add_ptr_effect(self, func: s.SimpleFunction, effects: Effects,

@@ -6,7 +6,9 @@ Runs, in order:
    pointers (companion analysis, Zhu & Hendren PACT'97);
 2. **redundant remote access elimination** -- value forwarding
    (read-read and store-to-load);
-3. **possible-placement analysis** per function;
+3. **possible-placement analysis** per function, one direction per
+   selection phase (RemoteReads for the read phase, RemoteWrites for
+   the write phase);
 4. **communication selection** per function (pipelining / blocking);
 5. marks every remaining remote operation split-phase (the thread
    generator's job in the real compiler) and re-validates the program.
@@ -29,11 +31,11 @@ from repro.analysis.locality import (
 )
 from repro.comm.forwarding import ForwardingStats, forward_remote_values
 from repro.comm.optconfig import OptConfig
-from repro.comm.placement import analyze_placement
+from repro.comm.placement import READ, WRITE, PlacementAnalysis
 from repro.comm.selection import CommSelection, SelectionStats
 from repro.obs.profile import PassProfile, timed_pass
 from repro.simple import nodes as s
-from repro.simple.validate import validate_program
+from repro.simple.validate import ValidationStats, validate_program
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,21 @@ class OptimizationReport:
         #: One :class:`~repro.obs.profile.PassProfile` per optimizer
         #: pass, in execution order (timing + work counters).
         self.passes: List[PassProfile] = []
+        #: What the closing validation walk counted over the optimized
+        #: program.
+        self.validation: Optional[ValidationStats] = None
 
     def total_forwarded(self) -> int:
         return sum(stat.total for stat in self.forwarding.values())
 
     def pass_counters(self) -> Dict[str, int]:
-        """All pass counters flattened into one dict (later passes win
-        on name collisions; names are distinct in practice)."""
+        """All pass counters flattened into one dict, summed over the
+        passes that share a name (both place/select phases count
+        ``tuples_generated`` and ``tuples_killed``)."""
         merged: Dict[str, int] = {}
         for profile in self.passes:
-            merged.update(profile.counters)
+            for name, value in profile.counters.items():
+                merged[name] = merged.get(name, 0) + value
         return merged
 
     def profile_text(self) -> str:
@@ -170,15 +177,16 @@ class CommunicationOptimizer:
                 for stat in report.forwarding.values())
 
         if config.enable_placement:
-            # Phase R: earliest placement of reads, all functions.
+            # Phase R: earliest placement of reads, all functions; it
+            # reads RemoteReads only, so only that direction is placed.
             with timed_pass(report.passes, "place/select reads") \
                     as profile:
                 conn = self._facts()
                 read_placements = []
                 read_selections = {}
                 for function in self.program.functions.values():
-                    placement = analyze_placement(function, conn,
-                                                  self.opt)
+                    placement = PlacementAnalysis(
+                        function, conn, self.opt).run(READ)
                     read_placements.append(placement)
                     selection = CommSelection(
                         function, placement, conn,
@@ -197,18 +205,18 @@ class CommunicationOptimizer:
                 s.redundant_reads_merged for s in stats)
             self._rewrote(sum(s.pipelined_reads + s.blocked_read_groups
                               + s.redundant_reads_merged for s in stats))
-            # Phase W: latest placement of writes, against a fresh
-            # analysis of the read-transformed program -- the inserted
-            # comm reads must kill write sinking past them (otherwise a
-            # hoisted read and a sunk write of the same location could
-            # cross).
+            # Phase W: latest placement of writes (RemoteWrites only),
+            # against a fresh analysis of the read-transformed program
+            # -- the inserted comm reads must kill write sinking past
+            # them (otherwise a hoisted read and a sunk write of the
+            # same location could cross).
             with timed_pass(report.passes, "place/select writes") \
                     as profile:
                 conn = self._facts()
                 write_placements = []
                 for function in self.program.functions.values():
-                    placement = analyze_placement(function, conn,
-                                                  self.opt)
+                    placement = PlacementAnalysis(
+                        function, conn, self.opt).run(WRITE)
                     write_placements.append(placement)
                     prior = read_selections[function.name]
                     selection = CommSelection(
@@ -248,7 +256,7 @@ class CommunicationOptimizer:
             profile.counters["private_sites"] = private
 
         with timed_pass(report.passes, "validate"):
-            validate_program(self.program)
+            report.validation = validate_program(self.program)
         return report
 
     @staticmethod

@@ -8,7 +8,11 @@ Computes, for every statement ``S`` of a function:
   placed *just after* ``S`` (forward propagation: writes move later).
 
 Each analysis is one traversal of the structured SIMPLE tree -- no
-iteration, exactly as in the paper.
+iteration, exactly as in the paper -- and the two are independent, so
+a caller runs only the direction it reads: the optimizer's read phase
+runs RemoteReads alone and its write phase RemoteWrites alone
+(:meth:`PlacementAnalysis.run`); :func:`analyze_placement` runs both,
+for ``--show tuples``.
 
 Kill rules (``varWritten`` / ``accessedViaAlias``) come from
 :class:`~repro.analysis.connection.ConnectionInfo`.  We additionally
@@ -81,9 +85,11 @@ class PlacementAnalysis:
         self.result = PlacementResult(func.name)
         self._returns_cache: Dict[int, bool] = {}
 
-    def run(self) -> PlacementResult:
-        self._collect(self.func.body, READ)
-        self._collect(self.func.body, WRITE)
+    def run(self, *directions: str) -> PlacementResult:
+        """One traversal per direction named: :data:`READ` fills
+        ``reads_before``, :data:`WRITE` fills ``writes_after``."""
+        for access in directions:
+            self._collect(self.func.body, access)
         return self.result
 
     # -- driving rule (collectCommSet) ------------------------------------------
@@ -384,5 +390,6 @@ class PlacementAnalysis:
 def analyze_placement(func: s.SimpleFunction,
                       conn: ConnectionInfo,
                       opt: Optional[OptConfig] = None) -> PlacementResult:
-    """Run possible-placement analysis on one function."""
-    return PlacementAnalysis(func, conn, opt).run()
+    """Run possible-placement analysis on one function, both
+    directions."""
+    return PlacementAnalysis(func, conn, opt).run(READ, WRITE)

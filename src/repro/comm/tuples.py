@@ -41,12 +41,14 @@ class CommTuple:
     the three-field tuple.
     """
 
-    __slots__ = ("base", "path", "freq", "dlist", "prob")
+    __slots__ = ("base", "path", "freq", "dlist", "prob", "key")
 
     def __init__(self, base: str, path: Optional[FieldPath], freq: float,
                  dlist: FrozenSet[int], prob: float = 1.0):
         self.base = base
         self.path = path
+        #: The location it names (:func:`make_key`), computed once.
+        self.key: TupleKey = make_key(base, path)
         self.freq = freq
         self.dlist = frozenset(dlist)
         self.prob = prob
@@ -55,10 +57,6 @@ class CommTuple:
     def single(cls, base: str, path: Optional[FieldPath],
                label: int) -> "CommTuple":
         return cls(base, path, 1.0, frozenset((label,)))
-
-    @property
-    def key(self) -> TupleKey:
-        return make_key(self.base, self.path)
 
     def scaled(self, factor: float) -> "CommTuple":
         """Frequency adjustment (the paper's ``adjustFrequency``).

@@ -17,7 +17,7 @@ Expression nodes carry a ``type`` attribute filled in by the type checker
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SourceLocation
 from repro.frontend.types import Type
@@ -700,8 +700,10 @@ class Program(Node):
                 f"{len(self.functions)} functions)")
 
 
-def walk(node: Node):
-    """Yield ``node`` and all descendants in preorder."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+def walk(node: Node) -> Iterator[Node]:
+    """Yield ``node`` and all descendants in preorder, in one frame."""
+    stack: List[Node] = [node]
+    while stack:
+        node = stack.pop()
+        yield node  # its children are read once it has been yielded
+        stack.extend(reversed(node.children()))

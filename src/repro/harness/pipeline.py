@@ -51,7 +51,7 @@ from repro.simple.validate import validate_program
 #: whenever a change makes ``compile_earthc`` or the simulator produce
 #: different output for the same (source, options) -- stale cached
 #: artifacts then miss instead of serving wrong payloads.
-PIPELINE_VERSION = "2026.10-alias-facts"
+PIPELINE_VERSION = "2026.10-per-direction"
 
 
 class CompiledProgram:
@@ -145,16 +145,16 @@ def compile_earthc(
         with s.label_scope():
             with profile.phase("simplify") as rec:
                 simple = simplify_program(program, symbols)
-            rec.counters["basic_stmts"] = _basic_stmt_count(simple)
             with profile.phase("validate"):
-                validate_program(simple)
+                stats = validate_program(simple)
+            rec.counters["basic_stmts"] = stats.basic_stmts
             report = None
             if optimize:
                 if config is None and opt is not None:
                     config = CommConfig(opt=opt)
                 with profile.phase("optimize") as rec:
                     report = CommunicationOptimizer(simple, config).run()
-                rec.counters["basic_stmts"] = _basic_stmt_count(simple)
+                rec.counters["basic_stmts"] = report.validation.basic_stmts
     except RecursionError:
         # Every phase from the parser to the optimizer's analyses
         # recurses over the program's nesting.
@@ -163,11 +163,6 @@ def compile_earthc(
             f"compile (host recursion limit "
             f"{sys.getrecursionlimit()})") from None
     return CompiledProgram(simple, optimize, report, inlined, profile)
-
-
-def _basic_stmt_count(simple: s.SimpleProgram) -> int:
-    return sum(len(list(function.body.basic_stmts()))
-               for function in simple.functions.values())
 
 
 def execute(

@@ -30,7 +30,6 @@ from repro.comm.optconfig import OPT_PRESETS
 from repro.harness.pipeline import compile_earthc
 from repro.olden.loader import catalog
 from repro.simple import nodes as s
-from repro.simple.traversal import cond_uses
 from repro.workload import MIXES, SHAPES, generate_source
 from tests.comm.test_global_pointers import PROGRAMS
 
@@ -146,12 +145,9 @@ def _merge(into, other, drop_locals_of=None, anonymize=False):
     """Union ``other`` into ``into``, every record copied and every
     imported one anonymized afresh; True when ``into`` grew."""
     before = _size(into)
-    var_reads = other.var_reads
     var_writes = other.var_writes
     if drop_locals_of is not None:
-        var_reads = var_reads - drop_locals_of
         var_writes = var_writes - drop_locals_of
-    into.var_reads |= var_reads
     into.var_writes |= var_writes
     for effect in other.heap_reads.values():
         if anonymize:
@@ -161,14 +157,12 @@ def _merge(into, other, drop_locals_of=None, anonymize=False):
         if anonymize:
             effect = HeapEffect(None, effect.loc, effect.key)
         into.heap_writes[effect.ident()] = effect
-    into.shared_vars |= other.shared_vars
     return _size(into) != before
 
 
 def _size(effects):
-    return (len(effects.var_reads) + len(effects.var_writes)
-            + len(effects.heap_reads) + len(effects.heap_writes)
-            + len(effects.shared_vars))
+    return (len(effects.var_writes) + len(effects.heap_reads)
+            + len(effects.heap_writes))
 
 
 class ReferenceEffects(EffectsAnalysis):
@@ -208,11 +202,6 @@ class ReferenceEffects(EffectsAnalysis):
                 _merge(effects, self._summaries[stmt.func], anonymize=True)
             return effects
         effects = Effects()
-        if isinstance(stmt, (s.IfStmt, s.WhileStmt, s.DoStmt,
-                             s.ForallStmt)):
-            effects.var_reads |= cond_uses(stmt.cond)
-        if isinstance(stmt, s.SwitchStmt):
-            effects.var_reads |= set(stmt.scrutinee.variables())
         for child in stmt.children():
             _merge(effects, self.effects(func, child))
         return effects
@@ -231,8 +220,8 @@ def _effects_view(effects):
     for ident, effect in list(effects.heap_reads.items()) + \
             list(effects.heap_writes.items()):
         assert effect.ident() == ident
-    return (effects.var_reads, effects.var_writes, effects.shared_vars,
-            set(effects.heap_reads), set(effects.heap_writes))
+    return (effects.var_writes, set(effects.heap_reads),
+            set(effects.heap_writes))
 
 
 def assert_same_facts(program, branch_prob):

@@ -237,6 +237,19 @@ class TestInvalidation:
         cache.install(stale, 6.0)         # delivery after the inval
         assert not cache.lookup(0, a)[0]
 
+    def test_a_copy_snapped_at_the_stores_own_instant_is_stale(self):
+        # Equal instants: under fault injection a parked read and a
+        # later write of one channel drain at one instant, read first,
+        # so a copy snapped at the store's own instant predates it.
+        cache, memory, stats = make_cache()
+        a = addr(1, 0)
+        memory.nodes[1].write(16, 1)
+        cache.now = 5.0
+        fill(cache, 0, a)                 # snapped at t=5
+        memory.write_word(a, 2)           # applied at t=5, inval fires
+        assert not cache.lookup(0, a)[0]
+        assert stats.rcache_invalidations == 1
+
     def test_newer_copy_survives_older_inval(self):
         # Invalidations carry the store time: a copy snapped after the
         # store (reordered delivery) is already fresh and must stay.

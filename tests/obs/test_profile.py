@@ -2,6 +2,8 @@
 
 from repro.harness.pipeline import compile_earthc
 from repro.obs.profile import PassProfile, PipelineProfile, timed_pass
+from repro.olden.loader import catalog
+from repro.service.jobs import compile_payload
 from tests.obs.conftest import TRACED_SOURCE
 
 
@@ -74,6 +76,41 @@ class TestCompilePipelineProfiling:
         assert counters["tuples_killed"] >= 0
         assert "pipelined_reads" in counters
         assert "blkmov_merges" in counters
+
+    def test_payload_counters_sum_over_the_passes(self):
+        """Both place/select phases count ``tuples_generated`` and
+        ``tuples_killed``; the payload reports their sum, as
+        ``bench/layers.py`` does."""
+        phases = set()
+        for spec in catalog():
+            compiled = compile_earthc(spec.source(), spec.filename,
+                                      optimize=True, inline=spec.inline)
+            counters = compile_payload(compiled)["optimizer"][
+                "pass_counters"]
+            for name in ("tuples_generated", "tuples_killed"):
+                assert counters[name] == sum(
+                    p.counters.get(name, 0)
+                    for p in compiled.report.passes)
+            phases |= {p.name for p in compiled.report.passes
+                       if p.counters.get("tuples_generated")}
+        assert phases == {"place/select reads", "place/select writes"}
+
+    def test_basic_stmt_counters_are_the_programs_sizes(self):
+        """Taken from the validation walks, they count what a walk of
+        the program as each phase left it counts."""
+        spec = next(spec for spec in catalog() if spec.name == "health")
+
+        def size(simple):
+            return sum(len(list(f.body.basic_stmts()))
+                       for f in simple.functions.values())
+        plain = compile_earthc(spec.source(), spec.filename,
+                               inline=spec.inline)
+        optimized = compile_earthc(spec.source(), spec.filename,
+                                   optimize=True, inline=spec.inline)
+        counters = {p.name: p.counters for p in optimized.profile.phases}
+        assert counters["simplify"]["basic_stmts"] == size(plain.simple)
+        assert counters["optimize"]["basic_stmts"] == \
+            size(optimized.simple) != size(plain.simple)
 
     def test_profile_text_combines_phases_and_passes(self):
         compiled = compile_earthc(TRACED_SOURCE, optimize=True)

@@ -244,7 +244,7 @@ PIN_WIRE_DEFAULTS = {
 #: name -> (constructor keywords, wire keys off their default, cache
 #: address).  The wire dicts date from the commit before ``JobSpec``
 #: came to carry a ``RunConfig``; the addresses were re-recorded at
-#: pipeline ``2026.10-alias-facts``.  A change here is a change of the
+#: pipeline ``2026.10-per-direction``.  A change here is a change of the
 #: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
@@ -254,20 +254,20 @@ GOLDEN = {
              inline=["add"], reorder_fields=True),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"], reorder_fields=True),
-        "f8ac096cc1cca0c3fed7f7f6bbc834c2"
-        "1d356d3b1b14d710db770e0d4656b983"),
+        "22f31eca1c0c3286946109f9fd37a1f8"
+        "9da00a9b7dc8449ad1efa08b52ccab35"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "6a22ffb977d7e68d5bd897a8eb2bd122"
-        "aea5034d3d783fa4293db2c83f20df36"),
+        "404b95da058630d698d910175ba5a800"
+        "c481501aab87273a8cde4b08a76bc856"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "1e595c5009bba518ee8e23b095c37db5"
-        "1bd56e30b8811594ad14d426d15210a0"),
+        "9dce4fe25a3ffc94bf4193458ddb06d5"
+        "1aff2cd43509a7a0b317ba4392614724"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -275,14 +275,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, opt=PIN_OPT),
-        "abcc9ba03b0beddef4a3d365029d71a5"
-        "f6c9d7f2cf832b077fd44df9407d82b2"),
+        "201fbbe5bb2cc8145d9d964acd51bcf2"
+        "2d6b5392d405a4cf3128b0b7a6ff5195"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-alias-facts"
+        assert PIPELINE_VERSION == "2026.10-per-direction"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
