@@ -41,9 +41,9 @@ three names::
 program -- the CLI, :func:`execute`, :func:`run_three_ways` /
 :func:`run_four_ways`, and service jobs.  Live instances of
 :class:`MachineParams`, :class:`Tracer`, and fault plans are keyword
-overrides beside it.  The optimizer's heuristic knobs live in
+overrides beside it.  The optimizer's heuristic preset is
 :class:`OptConfig` (``RunConfig(opt=...)``,
-``compile_source(..., opt=...)``, the ``--opt-*`` CLI flags).
+``compile_source(..., opt=...)``, the ``--opt-preset`` CLI flag).
 
 2.0 removed what 1.x deprecated -- the loose keyword arguments
 (``execute(compiled, num_nodes=4, ...)`` is a ``TypeError``), the
@@ -55,6 +55,10 @@ closure engine: ``engine`` is ``"codegen"`` (default) or
 the wire (a job is ``compile`` or ``run``; the paper's three/four
 configurations are a sweep of ``run`` jobs, ``batch``'s default) and
 the load-test verb with its generator (``bench/`` is the load harness).
+2.3 reduced :class:`OptConfig` to its ``probabilistic`` switch (the
+``legacy`` and ``probabilistic`` presets): the paper's weights are
+constants of :mod:`repro.comm.optconfig`, and the eight tuning flags
+``--opt-loop-weight`` ... ``--opt-private-lines`` are gone.
 """
 
 from repro.comm.optconfig import OptConfig
@@ -81,7 +85,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.2.0"
+__version__ = "2.3.0"
 
 __all__ = [
     "ArtifactCache",

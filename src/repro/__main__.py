@@ -48,11 +48,9 @@ import os
 import sys
 
 from repro.analysis.connection import analyze_connection
-from repro.comm.optconfig import OptConfig
 from repro.comm.placement import analyze_placement
 from repro.config import (
     ASSEMBLED_FIELDS,
-    OPT_FLAGS,
     RUN_FLAGS,
     RunConfig,
     cli_run_options,
@@ -144,7 +142,7 @@ def _parse_args(argv):
                    "--max-stmts", "--engine", "--rcache-capacity",
                    "--rcache-line", "--trace", "--trace-capacity",
                    "--faults", "--fault-drop", "--fault-jitter",
-                   "--fault-profile")
+                   "--fault-profile", "--opt-preset")
     parser.add_argument("--dump-codegen", default=None, metavar="FUNC",
                         help="print the Python source the codegen "
                              "engine emits for FUNC (or a fallback "
@@ -155,13 +153,6 @@ def _parse_args(argv):
                              "result, MachineStats.snapshot(), per-node "
                              "EU/SU utilization) instead of text; "
                              "errors become one-line JSON objects")
-    opt_group = parser.add_argument_group(
-        "optimizer heuristics (OptConfig)",
-        "tuning knobs for -O; defaults reproduce the paper's fixed "
-        "multipliers bit-for-bit")
-    _add_run_flags(opt_group, "--opt-preset")
-    for option, (_, keywords) in OPT_FLAGS.items():
-        opt_group.add_argument(option, **keywords)
     return parser.parse_args(argv)
 
 
@@ -175,11 +166,10 @@ def _selected_functions(compiled, only):
     return [functions[only]]
 
 
-def _show_tuples(compiled, only, opt=None):
-    opt = opt or OptConfig()
-    conn = analyze_connection(compiled.simple, opt.branch_weight)
+def _show_tuples(compiled, only):
+    conn = analyze_connection(compiled.simple)
     for function in _selected_functions(compiled, only):
-        placement = analyze_placement(function, conn, opt)
+        placement = analyze_placement(function, conn)
         print(f"== RemoteReads / RemoteWrites per statement: "
               f"{function.name}")
         for stmt in function.body.walk():
@@ -234,11 +224,10 @@ def _compile_main(argv) -> int:
         # Every run flag is validated here, --run or not.
         config = RunConfig.from_cli_args(args)
         run_args = int_list(args.args, "--args")
-        opt = config.opt
         compiled = compile_earthc(
             source, args.file, optimize=args.optimize,
             inline=args.inline, reorder_fields=args.reorder_fields,
-            opt=opt)
+            opt=config.opt)
 
         if "simple" in shows:
             for function in _selected_functions(compiled, args.function):
@@ -248,7 +237,7 @@ def _compile_main(argv) -> int:
             print(compiled.threaded_listing())
             print()
         if "tuples" in shows:
-            _show_tuples(compiled, args.function, opt)
+            _show_tuples(compiled, args.function)
         if "stats" in shows and compiled.report is not None:
             print("== optimization report")
             for name, stats in compiled.report.selections.items():

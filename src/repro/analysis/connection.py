@@ -73,14 +73,12 @@ class ConnectionInfo:
         return False
 
 
-def analyze_connection(program: s.SimpleProgram,
-                       branch_prob: float = 0.5) -> ConnectionInfo:
+def analyze_connection(program: s.SimpleProgram) -> ConnectionInfo:
     """Build the alias facts of ``program`` as it stands now: solve
-    points-to (``branch_prob`` weights its likelihood channel only),
-    decorate every statement with its read/write sets, and wrap both in
-    the query interface.  This is the one place the three are put
-    together; whoever changes statements afterwards asks again (the
-    optimizer does exactly that: it keeps the result across a phase
-    that changed none, ``CommunicationOptimizer._facts``)."""
-    pts = analyze_points_to(program, branch_prob)
+    points-to, decorate every statement with its read/write sets, and
+    wrap both in the query interface.  This is the one place the three
+    are put together; whoever changes statements afterwards asks again
+    (the optimizer does exactly that: it keeps the result across a
+    phase that changed none, ``CommunicationOptimizer._facts``)."""
+    pts = analyze_points_to(program)
     return ConnectionInfo(program, pts, EffectsAnalysis(program, pts))

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.comm.optconfig import BRANCH_WEIGHT
 from repro.simple import nodes as s
 
 Loc = Tuple  # abstract location
@@ -133,13 +134,8 @@ class PointsToResult:
 class PointsToAnalysis:
     """Builds and solves the constraint system for one program."""
 
-    def __init__(self, program: s.SimpleProgram,
-                 branch_prob: float = 0.5):
+    def __init__(self, program: s.SimpleProgram):
         self.program = program
-        #: Probability weight of one if-arm (switch arms use
-        #: ``1/alternatives``); threaded from
-        #: :class:`~repro.comm.optconfig.OptConfig.branch_weight`.
-        self.branch_prob = branch_prob
         self._sets: Dict[Holder, Set[Loc]] = {}
         # likelihood channel: per-fact max-product path weight
         self._like: Dict[Holder, Dict[Loc, float]] = {}
@@ -223,7 +219,9 @@ class PointsToAnalysis:
                 self._add_copy(self._var_holder(func, stmt.value.name),
                                ("ret", func.name), prob)
         elif isinstance(stmt, s.IfStmt):
-            arm = prob * self.branch_prob
+            # One if-arm runs with the paper's per-arm weight (switch
+            # arms use ``1/alternatives``).
+            arm = prob * BRANCH_WEIGHT
             self._collect_stmt(func, stmt.then_seq, arm)
             self._collect_stmt(func, stmt.else_seq, arm)
         elif isinstance(stmt, s.SwitchStmt):
@@ -481,11 +479,6 @@ class PointsToAnalysis:
                         self._link(other, loc, prob)
 
 
-def analyze_points_to(program: s.SimpleProgram,
-                      branch_prob: float = 0.5) -> PointsToResult:
-    """Run whole-program points-to analysis.
-
-    ``branch_prob`` weights the likelihood channel only (see module
-    docstring); the may-point-to sets are independent of it.
-    """
-    return PointsToAnalysis(program, branch_prob).run()
+def analyze_points_to(program: s.SimpleProgram) -> PointsToResult:
+    """Run whole-program points-to analysis."""
+    return PointsToAnalysis(program).run()

@@ -1,29 +1,23 @@
-"""The one options object for the communication optimizer's heuristics.
+"""The optimizer's fixed weights and its two heuristic presets.
 
-Historically the optimizer's tuning knobs were scattered module-level
-constants: ``placement.LOOP_FREQUENCY_FACTOR`` (the paper's x10-per-loop
-frequency adjustment), ``selection.FREQ_EPS`` (the strong-tuple
-tolerance), ``reorder.LOOP_WEIGHT``, and the cost model's
-threshold-of-three.  Trying a heuristic variant meant editing source,
-and nothing downstream -- service cache keys, report labels, job specs
--- could tell two variants apart.
+The paper fixes its profitability weights: ``adjustFrequency`` scales
+a tuple's frequency x10 out of a loop and /2 out of an ``if`` arm
+(:data:`LOOP_WEIGHT`, :data:`BRANCH_WEIGHT`), a tuple is selected on
+its own when its frequency is at least one (:data:`STRONG_FREQ`), and
+blocked communication pays for three or more accesses unless the
+struct dwarfs the fields read (:data:`MAX_SPURIOUS_RATIO`).  Those are
+module constants; no preset changes them.
 
-:class:`OptConfig` collapses that surface the same way
-:class:`repro.config.RunConfig` collapsed the run kwargs: a frozen,
-JSON-round-trippable value object naming every heuristic knob.  The
-**default construction is the legacy behaviour bit-for-bit**: an
-``OptConfig()`` (or no config at all) must compile every program to
-exactly the output the scattered constants produced.  The
-``probabilistic`` preset switches the selection pass from the paper's
-fixed-multiplier frequencies to the probability channel carried on
-:class:`repro.comm.tuples.CommTuple` (see DESIGN.md section 18) and
-turns on private-line invalidation skipping in the remote-data cache.
-
-The object nests inside :class:`~repro.config.RunConfig` (field
-``opt``), so heuristic variants flow through ``config_digest``, the
-service's content-addressed cache keys, CLI ``--opt-*`` flags, and
-fleet job specs -- cacheable, reportable, sweepable configurations
-instead of code edits.
+:class:`OptConfig` carries the one choice a caller makes: the
+``legacy`` preset (the paper's heuristics, the default) or the
+``probabilistic`` one, which switches the selection pass from the
+paper's fixed-multiplier frequencies to the probability channel
+carried on :class:`repro.comm.tuples.CommTuple` (see DESIGN.md section
+18), admits two-field block moves, and turns on private-line
+invalidation skipping in the remote-data cache.  The object nests
+inside :class:`~repro.config.RunConfig` (field ``opt``), so the preset
+flows through ``config_digest``, the service's content-addressed cache
+keys, the CLI's ``--opt-preset`` and fleet job specs.
 """
 
 from __future__ import annotations
@@ -34,129 +28,65 @@ from typing import Dict
 
 from repro.errors import UsageError
 
-#: Block-move shape policies for read localization regions:
-#: ``prefix`` (legacy) moves the struct prefix up to the last field
-#: actually read (``span_end``); ``full`` only ever moves whole
-#: structs.
-BLKMOV_SHAPES = ("prefix", "full")
+#: Frequency multiplier per enclosing loop (the paper: x10).
+LOOP_WEIGHT = 10.0
+#: Frequency multiplier per conditional arm (the paper: /2).  Also the
+#: per-arm execution probability the tuple ``prob`` channel and the
+#: probabilistic points-to lattice propagate.
+BRANCH_WEIGHT = 0.5
+#: A tuple is "strong" (certain to execute, selected on its own) when
+#: its frequency is at least one, up to float rounding.
+STRONG_FREQ = 1.0 - 1e-9
+#: A struct more than this many times larger than the fields actually
+#: read is not worth moving (spurious-data guard).
+MAX_SPURIOUS_RATIO = 4.0
 
-#: Named heuristic presets ``resolve_opt`` accepts.
+#: The preset names, indexed by ``OptConfig.probabilistic``.
 OPT_PRESETS = ("legacy", "probabilistic")
-
-#: The Python types each field annotation admits (type(), not
-#: isinstance(): a bool is no number here).
-_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,),
-          "str": (str,)}
 
 
 @dataclass(frozen=True)
 class OptConfig:
-    """How the communication optimizer weighs its decisions.
+    """Which heuristic preset the communication optimizer uses.
 
     Frozen and hashable-by-value, like :class:`RunConfig`: two equal
     configs produce byte-identical compiled programs, which is the
-    contract the service cache key needs.  Every field only ever
-    affects *profitability* choices (what to pipeline, what to block,
-    how to weight frequencies); the placement kill predicates are
-    soundness conditions and deliberately take no knob.
+    contract the service cache key needs.  The preset only ever affects
+    *profitability* choices (what to block, how to weigh expected
+    accesses, which lines to mark private); the placement kill
+    predicates are soundness conditions and take no preset.
     """
 
-    #: Frequency multiplier per enclosing loop (paper: x10).
-    loop_weight: float = 10.0
-    #: Frequency multiplier per conditional arm (paper: /2).  Also the
-    #: per-arm execution probability the tuple ``prob`` channel and the
-    #: probabilistic points-to lattice propagate.
-    branch_weight: float = 0.5
-    #: Switch selection from fixed-multiplier frequencies to the
-    #: probability channel: expected access counts become summed
-    #: execution probabilities (weighted by the probabilistic
-    #: points-to lattice), and the blocking gate accepts groups whose
-    #: summed probability clears ``min_expected_accesses`` even when no
-    #: single access is certain.
+    #: Drive selection by the probability channel: expected access
+    #: counts become summed execution probabilities (weighted by the
+    #: probabilistic points-to lattice), the blocking gate accepts
+    #: groups whose summed probability clears
+    #: :attr:`min_expected_accesses` even when no single access is
+    #: certain, and provably-private allocation sites are marked so the
+    #: remote-data cache skips write-through invalidation for them.
     probabilistic: bool = False
-    #: A tuple is "strong" (certain to execute) when its frequency is
-    #: at least ``1 - freq_eps``.
-    freq_eps: float = 1e-9
-    #: Minimum distinct field locations before a block move is
-    #: considered (paper: three).
-    block_access_threshold: int = 3
-    #: Minimum expected scalar accesses a block move must replace.
-    min_expected_accesses: float = 2.0
-    #: A struct more than this many times larger than the fields
-    #: actually read is not worth moving (spurious-data guard).
-    max_spurious_ratio: float = 4.0
-    #: Shape policy for read block moves (see :data:`BLKMOV_SHAPES`).
-    blkmov_shape: str = "prefix"
-    #: Mark provably-private allocation sites so the remote-data cache
-    #: skips write-through invalidation for them (value-identical;
-    #: saves invalidation traffic).
-    private_lines: bool = False
 
     def __post_init__(self):
-        # Types first, as RunConfig does: a job spec arrives as JSON,
-        # where "no" is truthy and true is an int to isinstance().
-        for spec in dataclasses.fields(self):
-            value = getattr(self, spec.name)
-            if type(value) not in _TYPES[spec.type]:
-                raise UsageError(f"{spec.name} must be a {spec.type}, "
-                                 f"got {value!r}")
-            if spec.type == "float":
-                # One value, one cache key: 4 and 4.0 serialize apart.
-                object.__setattr__(self, spec.name, float(value))
-        if self.loop_weight < 1.0:
-            raise UsageError(
-                f"loop_weight must be >= 1, got {self.loop_weight}")
-        if not 0.0 < self.branch_weight <= 1.0:
-            raise UsageError(
-                f"branch_weight must be in (0, 1], got "
-                f"{self.branch_weight}")
-        if self.freq_eps < 0.0:
-            raise UsageError(
-                f"freq_eps must be >= 0, got {self.freq_eps}")
-        if self.block_access_threshold < 1:
-            raise UsageError(
-                f"block_access_threshold must be >= 1, got "
-                f"{self.block_access_threshold}")
-        if self.min_expected_accesses < 0.0:
-            raise UsageError(
-                f"min_expected_accesses must be >= 0, got "
-                f"{self.min_expected_accesses}")
-        if self.max_spurious_ratio < 1.0:
-            raise UsageError(
-                f"max_spurious_ratio must be >= 1, got "
-                f"{self.max_spurious_ratio}")
-        if self.blkmov_shape not in BLKMOV_SHAPES:
-            raise UsageError(
-                f"unknown blkmov_shape {self.blkmov_shape!r} "
-                f"(known: {', '.join(BLKMOV_SHAPES)})")
+        # A job spec arrives as JSON, where "no" and 1 are truthy.
+        if type(self.probabilistic) is not bool:
+            raise UsageError(f"probabilistic must be a bool, got "
+                             f"{self.probabilistic!r}")
 
-    # -- presets -----------------------------------------------------------
+    @property
+    def preset(self) -> str:
+        """The preset's name (:data:`OPT_PRESETS`)."""
+        return OPT_PRESETS[self.probabilistic]
 
-    @classmethod
-    def legacy(cls) -> "OptConfig":
-        """The paper's fixed-multiplier heuristics -- identical to the
-        pre-OptConfig module constants, and to ``OptConfig()``."""
-        return cls()
+    @property
+    def block_access_threshold(self) -> int:
+        """Minimum distinct field locations before a block move is
+        considered: the paper's three, two under ``probabilistic``."""
+        return 2 if self.probabilistic else 3
 
-    @classmethod
-    def probabilistic_defaults(cls) -> "OptConfig":
-        """The probability-weighted heuristics: selection driven by the
-        tuple probability channel, two-field block moves admitted when
-        both accesses are certain, private-line invalidation skipping
-        on.  Tuned so remote-operation counts never increase on the
-        Olden suite (values are engine-identical by construction)."""
-        return cls(probabilistic=True,
-                   block_access_threshold=2,
-                   min_expected_accesses=1.0,
-                   private_lines=True)
-
-    def replace(self, **changes) -> "OptConfig":
-        """A copy with ``changes`` applied (re-validated)."""
-        return dataclasses.replace(self, **changes)
-
-    def is_strong(self, freq: float) -> bool:
-        """Is a tuple with this frequency certain to execute?"""
-        return freq >= 1.0 - self.freq_eps
+    @property
+    def min_expected_accesses(self) -> float:
+        """Minimum expected scalar accesses a block move must replace."""
+        return 1.0 if self.probabilistic else 2.0
 
     def should_block(self, num_accesses: int, expected_accesses: float,
                      words_needed: int, struct_words: int) -> bool:
@@ -182,7 +112,7 @@ class OptConfig:
             return False
         if words_needed <= 0:
             return False
-        if struct_words > self.max_spurious_ratio * words_needed:
+        if struct_words > MAX_SPURIOUS_RATIO * words_needed:
             return False
         return True
 
@@ -190,9 +120,8 @@ class OptConfig:
 
     def to_json(self) -> Dict[str, object]:
         """Stable JSON form; hashed into service cache keys via
-        :meth:`RunConfig.to_json`, so every field changes the key."""
-        return {spec.name: getattr(self, spec.name)
-                for spec in dataclasses.fields(self)}
+        :meth:`RunConfig.to_json`."""
+        return {"probabilistic": self.probabilistic}
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "OptConfig":
@@ -210,12 +139,7 @@ class OptConfig:
                       if value is not None})
 
     def __str__(self) -> str:
-        parts = []
-        for spec in dataclasses.fields(self):
-            value = getattr(self, spec.name)
-            if value != spec.default:
-                parts.append(f"{spec.name}={value}")
-        return f"OptConfig({', '.join(parts) or 'legacy'})"
+        return f"OptConfig({self.preset})"
 
 
 def resolve_opt(value) -> "OptConfig | None":
@@ -225,12 +149,10 @@ def resolve_opt(value) -> "OptConfig | None":
     if value is None or isinstance(value, OptConfig):
         return value
     if isinstance(value, str):
-        if value == "legacy":
-            return OptConfig.legacy()
-        if value == "probabilistic":
-            return OptConfig.probabilistic_defaults()
-        raise UsageError(f"unknown opt preset {value!r} "
-                         f"(known: {', '.join(OPT_PRESETS)})")
+        if value not in OPT_PRESETS:
+            raise UsageError(f"unknown opt preset {value!r} "
+                             f"(known: {', '.join(OPT_PRESETS)})")
+        return OptConfig(probabilistic=value == "probabilistic")
     if isinstance(value, dict):
         return OptConfig.from_json(value)
     raise UsageError(f"opt config must be None, a preset name, an "
@@ -238,4 +160,5 @@ def resolve_opt(value) -> "OptConfig | None":
                      f"{type(value).__name__}")
 
 
-__all__ = ["OptConfig", "resolve_opt", "OPT_PRESETS", "BLKMOV_SHAPES"]
+__all__ = ["OptConfig", "resolve_opt", "OPT_PRESETS", "LOOP_WEIGHT",
+           "BRANCH_WEIGHT", "STRONG_FREQ", "MAX_SPURIOUS_RATIO"]

@@ -47,10 +47,10 @@ class CommConfig:
     False, selection falls back to the nilness analysis (run only
     then).
 
-    ``opt`` carries the heuristic knobs
+    ``opt`` names the heuristic preset
     (:class:`~repro.comm.optconfig.OptConfig`); None means the legacy
-    defaults.  The pass on/off switches stay here -- they change *what
-    the optimizer does*, while OptConfig only changes *how it weighs
+    one.  The pass on/off switches stay here -- they change *what the
+    optimizer does*, while the preset only changes *how it weighs
     choices*.
     """
 
@@ -129,8 +129,7 @@ class CommunicationOptimizer:
         """The alias facts of the program as it now stands: solved on
         first use and again after any phase that :meth:`_rewrote`."""
         if self._conn is None:
-            self._conn = analyze_connection(self.program,
-                                            self.opt.branch_weight)
+            self._conn = analyze_connection(self.program)
         return self._conn
 
     def _rewrote(self, count: int) -> None:
@@ -185,8 +184,7 @@ class CommunicationOptimizer:
                 read_placements = []
                 read_selections = {}
                 for function in self.program.functions.values():
-                    placement = PlacementAnalysis(
-                        function, conn, self.opt).run(READ)
+                    placement = PlacementAnalysis(function, conn).run(READ)
                     read_placements.append(placement)
                     selection = CommSelection(
                         function, placement, conn,
@@ -215,8 +213,7 @@ class CommunicationOptimizer:
                 conn = self._facts()
                 write_placements = []
                 for function in self.program.functions.values():
-                    placement = PlacementAnalysis(
-                        function, conn, self.opt).run(WRITE)
+                    placement = PlacementAnalysis(function, conn).run(WRITE)
                     write_placements.append(placement)
                     prior = read_selections[function.name]
                     selection = CommSelection(
@@ -247,8 +244,9 @@ class CommunicationOptimizer:
                     marked += _mark_residual_split_phase(function)
             profile.counters["residuals_marked"] = marked
 
-        if self.opt.private_lines:
-            # Last: the points-to facts must cover the comm statements
+        if self.opt.probabilistic:
+            # The probabilistic preset also marks private lines.  Last:
+            # the points-to facts must cover the comm statements
             # selection inserted.
             with timed_pass(report.passes, "private lines") as profile:
                 private = mark_private_sites(self.program,

@@ -25,12 +25,13 @@ redundancy wins, and keep the placement analysis unconditionally sound.
 
 Frequency adjustments follow the paper's ``adjustFrequency``: x10 out of
 loops, /2 out of ``if``, /#arms out of ``switch``.  The x10 and /2
-weights are the :class:`~repro.comm.optconfig.OptConfig` defaults
-(``loop_weight`` / ``branch_weight``); alongside the frequency each
-tuple maintains its execution probability (see
-:class:`~repro.comm.tuples.CommTuple`), which only the probabilistic
-selection mode consumes.  Kill decisions never depend on either -- they
-are soundness conditions, not profitability ones.
+weights are the constants :data:`~repro.comm.optconfig.LOOP_WEIGHT` and
+:data:`~repro.comm.optconfig.BRANCH_WEIGHT`, the same under both
+presets, so placement takes no :class:`~repro.comm.optconfig.OptConfig`.
+Alongside the frequency each tuple maintains its execution probability
+(see :class:`~repro.comm.tuples.CommTuple`), which only the
+probabilistic selection mode consumes.  Kill decisions never depend on
+either -- they are soundness conditions, not profitability ones.
 
 Parallel constructs (absent from the paper's figures) are handled
 conservatively: tuples generated inside ``{^...^}`` branches escape only
@@ -46,7 +47,7 @@ from typing import Dict, Optional
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.points_to import path_key
 from repro.analysis.rw_sets import keys_overlap
-from repro.comm.optconfig import OptConfig
+from repro.comm.optconfig import BRANCH_WEIGHT, LOOP_WEIGHT, OptConfig
 from repro.comm.tuples import CommSet, CommTuple
 from repro.simple import nodes as s
 
@@ -77,11 +78,9 @@ class PlacementResult:
 class PlacementAnalysis:
     """Runs possible-placement analysis on one function."""
 
-    def __init__(self, func: s.SimpleFunction, conn: ConnectionInfo,
-                 opt: Optional[OptConfig] = None):
+    def __init__(self, func: s.SimpleFunction, conn: ConnectionInfo):
         self.func = func
         self.conn = conn
-        self.opt = opt if opt is not None else OptConfig()
         self.result = PlacementResult(func.name)
         self._returns_cache: Dict[int, bool] = {}
 
@@ -242,14 +241,13 @@ class PlacementAnalysis:
         then_set = self._collect(stmt.then_seq, access)
         else_set = self._collect(stmt.else_seq, access)
         result = CommSet()
-        arm = self.opt.branch_weight
         if access == READ:
             # Optimistic: reads from either arm may be hoisted (spurious
             # reads are safe), at per-arm frequency.
             for tup in then_set:
-                result.add(tup.scaled(arm))
+                result.add(tup.scaled(BRANCH_WEIGHT))
             for tup in else_set:
-                result.add(tup.scaled(arm))
+                result.add(tup.scaled(BRANCH_WEIGHT))
             return result
         # Writes: only locations written in *all* alternatives may sink
         # below the conditional.
@@ -257,8 +255,8 @@ class PlacementAnalysis:
             other = else_set.get(tup.key)
             if other is None:
                 continue
-            result.add(tup.scaled(arm))
-            result.add(other.scaled(arm))
+            result.add(tup.scaled(BRANCH_WEIGHT))
+            result.add(other.scaled(BRANCH_WEIGHT))
         return result
 
     def _collect_switch(self, stmt: s.SwitchStmt, access: str) -> CommSet:
@@ -298,7 +296,7 @@ class PlacementAnalysis:
                 if self._read_killed_by(tup, stmt):
                     self.result.tuples_killed += 1
                     continue
-                result.add(tup.scaled(self.opt.loop_weight))
+                result.add(tup.scaled(LOOP_WEIGHT))
             return result
         if not self._executes_once(stmt):
             return result
@@ -306,7 +304,7 @@ class PlacementAnalysis:
             if self._write_killed_by_loop(tup, stmt):
                 self.result.tuples_killed += 1
                 continue
-            result.add(tup.scaled(self.opt.loop_weight))
+            result.add(tup.scaled(LOOP_WEIGHT))
         return result
 
     def _write_killed_by_loop(self, tup: CommTuple, loop: s.Stmt) -> bool:
@@ -358,7 +356,7 @@ class PlacementAnalysis:
                 if self._read_killed_by(tup, stmt):
                     self.result.tuples_killed += 1
                 else:
-                    result.add(tup.scaled(self.opt.loop_weight))
+                    result.add(tup.scaled(LOOP_WEIGHT))
             for tup in init_set:
                 if self._read_killed_by(tup, stmt):
                     self.result.tuples_killed += 1
@@ -391,5 +389,6 @@ def analyze_placement(func: s.SimpleFunction,
                       conn: ConnectionInfo,
                       opt: Optional[OptConfig] = None) -> PlacementResult:
     """Run possible-placement analysis on one function, both
-    directions."""
-    return PlacementAnalysis(func, conn, opt).run(READ, WRITE)
+    directions.  ``opt`` is accepted and changes nothing: no preset
+    moves a placement weight (``bench/layers.py`` passes one)."""
+    return PlacementAnalysis(func, conn).run(READ, WRITE)

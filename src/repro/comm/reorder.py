@@ -27,9 +27,9 @@ observable change is communication cost.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.comm.optconfig import OptConfig
+from repro.comm.optconfig import BRANCH_WEIGHT, LOOP_WEIGHT
 from repro.frontend import ast_nodes as ast
 from repro.frontend.types import PointerType, StructType
 
@@ -45,13 +45,8 @@ class ReorderReport:
         return f"ReorderReport(changed={self.changed})"
 
 
-def _access_weights(program: ast.Program,
-                    opt: Optional[OptConfig] = None
-                    ) -> Dict[str, Dict[str, float]]:
+def _access_weights(program: ast.Program) -> Dict[str, Dict[str, float]]:
     """Remote-affinity score per (struct, field), from the typed AST."""
-    opt = opt if opt is not None else OptConfig()
-    loop_weight = opt.loop_weight
-    arm_weight = opt.branch_weight
     scores: Dict[str, Dict[str, float]] = {}
 
     def visit_expr(expr: ast.Expr, weight: float) -> None:
@@ -76,14 +71,14 @@ def _access_weights(program: ast.Program,
 
     def visit_stmt(stmt: ast.Stmt, weight: float) -> None:
         if isinstance(stmt, (ast.While, ast.DoWhile)):
-            visit_expr(stmt.cond, weight * loop_weight)
-            visit_stmt(stmt.body, weight * loop_weight)
+            visit_expr(stmt.cond, weight * LOOP_WEIGHT)
+            visit_stmt(stmt.body, weight * LOOP_WEIGHT)
             return
         if isinstance(stmt, ast.For):
             for part in (stmt.init, stmt.cond, stmt.step):
                 if part is not None:
-                    visit_expr(part, weight * loop_weight)
-            visit_stmt(stmt.body, weight * loop_weight)
+                    visit_expr(part, weight * LOOP_WEIGHT)
+            visit_stmt(stmt.body, weight * LOOP_WEIGHT)
             return
         if isinstance(stmt, ast.Block):
             for child in stmt.stmts:
@@ -95,9 +90,9 @@ def _access_weights(program: ast.Program,
             return
         if isinstance(stmt, ast.If):
             visit_expr(stmt.cond, weight)
-            visit_stmt(stmt.then_body, weight * arm_weight)
+            visit_stmt(stmt.then_body, weight * BRANCH_WEIGHT)
             if stmt.else_body is not None:
-                visit_stmt(stmt.else_body, weight * arm_weight)
+                visit_stmt(stmt.else_body, weight * BRANCH_WEIGHT)
             return
         if isinstance(stmt, ast.Switch):
             visit_expr(stmt.scrutinee, weight)
@@ -117,9 +112,7 @@ def _access_weights(program: ast.Program,
     return scores
 
 
-def reorder_struct_fields(program: ast.Program,
-                          opt: Optional[OptConfig] = None
-                          ) -> ReorderReport:
+def reorder_struct_fields(program: ast.Program) -> ReorderReport:
     """Permute struct member orders by descending remote affinity.
 
     Must run after :func:`~repro.frontend.typecheck.check_program`
@@ -129,7 +122,7 @@ def reorder_struct_fields(program: ast.Program,
     put and programs without remote accesses are untouched.
     """
     report = ReorderReport()
-    report.scores = _access_weights(program, opt)
+    report.scores = _access_weights(program)
     for struct in program.structs:
         per_field = report.scores.get(struct.name, {})
         original = [(field.name, field.type) for field in struct.fields]

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.nilness import NilnessResult, analyze_nilness
 from repro.analysis.rw_sets import UNKNOWN
-from repro.comm.optconfig import OptConfig
+from repro.comm.optconfig import STRONG_FREQ, OptConfig
 from repro.comm.placement import PlacementResult
 from repro.comm.tuples import CommSet, CommTuple, SelectedOp
 from repro.errors import TransformError
@@ -190,7 +190,7 @@ class CommSelection:
 
     def _is_strong(self, tup: CommTuple) -> bool:
         """Frequent enough to be selected on its own (paper: >= 1)."""
-        return self.opt.is_strong(tup.freq)
+        return tup.freq >= STRONG_FREQ
 
     def _expected_accesses(self, tup: CommTuple) -> float:
         """Expected scalar accesses a block move saves for one tuple.
@@ -269,10 +269,8 @@ class CommSelection:
                     len(field_tuples), expected, words_needed,
                     struct.size_words()):
                 block_words = struct.size_words()
-            elif self.opt.blkmov_shape == "prefix" \
-                    and self.opt.should_block(
-                        len(field_tuples), expected, words_needed,
-                        span_end):
+            elif self.opt.should_block(
+                    len(field_tuples), expected, words_needed, span_end):
                 # Prefix block move: the struct as a whole is too large
                 # (spurious-field rule) but the needed fields cluster at
                 # the front -- which field reordering arranges.

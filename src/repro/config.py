@@ -26,12 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.comm.optconfig import (
-    BLKMOV_SHAPES,
-    OPT_PRESETS,
-    OptConfig,
-    resolve_opt,
-)
+from repro.comm.optconfig import OPT_PRESETS, OptConfig, resolve_opt
 from repro.earth.faults import PROFILES, FaultPlan, plan_from_cli
 from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
 from repro.earth.params import MachineParams
@@ -84,13 +79,13 @@ class RunConfig:
     faults: Optional[Dict[str, object]] = None
     trace: bool = field(default=False, metadata=_OFF_WIRE)
     trace_capacity: Optional[int] = field(default=None, metadata=_OFF_WIRE)
-    #: Optimizer heuristic knobs (:class:`~repro.comm.optconfig.OptConfig`),
-    #: or None for the legacy defaults.  Accepts the loose forms job
-    #: specs travel as (preset name, JSON dict) and normalizes them.
-    #: Compile-side, unlike every other field -- carried here so
-    #: heuristic variants flow through ``config_digest``/cache keys and
-    #: the layers that compile-and-run (``run``, ``run_three_ways``,
-    #: service jobs) pick it up without a parallel options object.
+    #: Optimizer heuristic preset (:class:`~repro.comm.optconfig.OptConfig`),
+    #: or None for the legacy one.  Accepts the loose forms job specs
+    #: travel as (preset name, JSON dict) and normalizes them.
+    #: Compile-side, unlike every other field -- carried here so the
+    #: preset flows through ``config_digest``/cache keys and the layers
+    #: that compile-and-run (``run``, ``run_three_ways``, service jobs)
+    #: pick it up without a parallel options object.
     opt: Optional[OptConfig] = None
 
     def __post_init__(self):
@@ -296,18 +291,18 @@ RUN_FLAGS = {
         help="bound trace memory to the most recent N events (ring "
              "buffer; default unbounded)")),
     "--opt-preset": ("opt", dict(
-        choices=sorted(OPT_PRESETS),
-        help="named optimizer heuristic preset (OptConfig); "
-             "individual --opt-* flags override its fields")),
+        choices=OPT_PRESETS,
+        help="optimizer heuristic preset (OptConfig): 'legacy' is the "
+             "paper's fixed multipliers (the default), 'probabilistic' "
+             "weighs blocking by execution probabilities")),
 }
 
 
 #: Fields assembled from several flags (a fault spec from seed + profile
-#: + knobs, the trace switch from a file name, an OptConfig from preset
-#: + ``--opt-*``); their flags default to None, "not given".  Every
-#: other flag's value *is* its field's value, and its default the
-#: field's.
-ASSEMBLED_FIELDS = ("faults", "trace", "opt")
+#: + knobs, the trace switch from a file name); their flags default to
+#: None, "not given".  Every other flag's value *is* its field's value,
+#: and its default the field's.
+ASSEMBLED_FIELDS = ("faults", "trace")
 
 
 def flag_dest(option: str) -> str:
@@ -346,65 +341,7 @@ def cli_run_options(opts) -> Dict[str, object]:
                          "require --faults SEED")
     if "trace" in given:
         options["trace"] = given["trace"] is not None
-    opt = opt_from_cli_args(opts)
-    if opt is not None:
-        options["opt"] = opt
     return options
-
-
-#: The ``--opt-*`` flags: option string -> (OptConfig field, argparse
-#: keywords).  All default to None (False for the switches), "not
-#: given", so they never un-set a preset's field.
-OPT_FLAGS = {
-    "--opt-loop-weight": ("loop_weight", dict(
-        type=float, metavar="W",
-        help="frequency multiplier per enclosing loop (legacy 10)")),
-    "--opt-branch-weight": ("branch_weight", dict(
-        type=float, metavar="W",
-        help="frequency multiplier / execution probability per "
-             "conditional arm (legacy 0.5)")),
-    "--opt-probabilistic": ("probabilistic", dict(
-        action="store_true",
-        help="drive selection by the probability channel instead of "
-             "raw frequencies")),
-    "--opt-block-threshold": ("block_access_threshold", dict(
-        type=int, metavar="N",
-        help="minimum distinct fields before a block move is "
-             "considered (legacy 3)")),
-    "--opt-min-expected": ("min_expected_accesses", dict(
-        type=float, metavar="X",
-        help="minimum expected scalar accesses a block move must "
-             "replace (legacy 2)")),
-    "--opt-spurious-ratio": ("max_spurious_ratio", dict(
-        type=float, metavar="R",
-        help="max struct-size / words-needed ratio for a block move "
-             "(legacy 4)")),
-    "--opt-shape": ("blkmov_shape", dict(
-        choices=BLKMOV_SHAPES,
-        help="read block-move shape policy (legacy 'prefix')")),
-    "--opt-private-lines": ("private_lines", dict(
-        action="store_true",
-        help="skip rcache write-through invalidation for "
-             "provably-private allocations")),
-}
-
-
-def opt_from_cli_args(opts) -> Optional[OptConfig]:
-    """``--opt-*`` argparse flags -> an :class:`OptConfig` (or None
-    when no opt flag was given, meaning "legacy default, unset").
-    ``--opt-preset`` names the base; individual flags override its
-    fields."""
-    preset = getattr(opts, "opt_preset", None)
-    overrides = {}
-    for option, (name, _) in OPT_FLAGS.items():
-        value = getattr(opts, flag_dest(option), None)
-        if value is not None and value is not False:
-            overrides[name] = value
-    if preset is None and not overrides:
-        return None
-    base = resolve_opt(preset) if preset is not None \
-        else OptConfig.legacy()
-    return base.replace(**overrides) if overrides else base
 
 
 def config_digest(config: RunConfig) -> str:
@@ -414,7 +351,6 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-__all__ = ["RunConfig", "OptConfig", "config_digest", "opt_from_cli_args",
-           "cli_run_options", "flag_dest", "int_list", "RUN_FLAGS",
-           "ASSEMBLED_FIELDS", "WIRE_FIELDS", "PARAMS_PRESETS",
-           "OPT_FLAGS", "DEFAULT_MAX_STMTS"]
+__all__ = ["RunConfig", "OptConfig", "config_digest", "cli_run_options",
+           "flag_dest", "int_list", "RUN_FLAGS", "ASSEMBLED_FIELDS",
+           "WIRE_FIELDS", "PARAMS_PRESETS", "DEFAULT_MAX_STMTS"]

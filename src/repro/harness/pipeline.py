@@ -51,7 +51,7 @@ from repro.simple.validate import validate_program
 #: whenever a change makes ``compile_earthc`` or the simulator produce
 #: different output for the same (source, options) -- stale cached
 #: artifacts then miss instead of serving wrong payloads.
-PIPELINE_VERSION = "2026.10-per-direction"
+PIPELINE_VERSION = "2026.10-two-presets"
 
 
 class CompiledProgram:
@@ -106,11 +106,10 @@ def compile_earthc(
     ``reorder_fields`` applies the struct-field reordering extension
     (the paper's stated further work): remotely-accessed fields cluster
     at the front of each struct, improving blocked communication.
-    ``opt`` tunes the optimizer's heuristics (an
+    ``opt`` names the optimizer's heuristic preset (an
     :class:`~repro.comm.optconfig.OptConfig`, preset name, or JSON
-    dict); it also weights ``reorder_fields``.  Passing both ``opt``
-    and a ``config`` that already carries a different one is a
-    contradiction and raises.
+    dict).  Passing both ``opt`` and a ``config`` that already carries
+    a different one is a contradiction and raises.
     """
     opt = resolve_opt(opt)
     if opt is not None and config is not None:
@@ -120,8 +119,6 @@ def compile_earthc(
                 "OptConfig and opt= names a different one")
         # A copy: the caller's object is never mutated.
         config = dataclasses.replace(config, opt=opt)
-    effective_opt = opt if opt is not None else \
-        (config.opt if config is not None else None)
     profile = PipelineProfile()
     try:
         with profile.phase("parse") as rec:
@@ -140,7 +137,7 @@ def compile_earthc(
         if reorder_fields:
             with profile.phase("reorder-fields"):
                 from repro.comm.reorder import reorder_struct_fields
-                reorder_struct_fields(program, effective_opt)
+                reorder_struct_fields(program)
         # Every SIMPLE statement of this program is created in here.
         with s.label_scope():
             with profile.phase("simplify") as rec:

@@ -38,8 +38,8 @@ class ReferencePointsTo(PointsToAnalysis):
     """The round-robin solver, with a blkmov endpoint resolved through
     ``_var_holder`` like every other pointer."""
 
-    def __init__(self, program, branch_prob=0.5):
-        super().__init__(program, branch_prob)
+    def __init__(self, program):
+        super().__init__(program)
         self._copy_edges = {}
         self._edge_prob = {}
         self._field_loads = []
@@ -224,11 +224,10 @@ def _effects_view(effects):
             set(effects.heap_writes))
 
 
-def assert_same_facts(program, branch_prob):
+def assert_same_facts(program):
     """Solve ``program`` both ways and compare everything."""
-    result, sets, like = _facts(PointsToAnalysis(program, branch_prob))
-    ref_result, ref_sets, ref_like = _facts(
-        ReferencePointsTo(program, branch_prob))
+    result, sets, like = _facts(PointsToAnalysis(program))
+    ref_result, ref_sets, ref_like = _facts(ReferencePointsTo(program))
     assert sets == ref_sets
     assert like == ref_like
     effects = EffectsAnalysis(program, result)
@@ -249,10 +248,10 @@ def compared(monkeypatch):
     seen = []
     real = optimizer_module.analyze_connection
 
-    def spy(program, branch_prob=0.5):
-        assert_same_facts(copy.deepcopy(program), branch_prob)
+    def spy(program):
+        assert_same_facts(copy.deepcopy(program))
         seen.append(program)
-        return real(program, branch_prob)
+        return real(program)
     monkeypatch.setattr(optimizer_module, "analyze_connection", spy)
     return seen
 

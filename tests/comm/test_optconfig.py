@@ -1,11 +1,12 @@
 """The OptConfig value object and its legacy-compatibility contract.
 
-Two things are pinned here: the value-object mechanics (validation,
-presets, JSON round trip, resolution of the loose forms), and the two
-behavioural guarantees DESIGN.md section 18 promises -- a default/legacy
-OptConfig compiles byte-identically to the pre-OptConfig optimizer, and
-the probabilistic preset never changes a program's answer while never
-increasing its dynamic remote-operation count.
+Two things are pinned here: the value-object mechanics (one switch,
+two presets, JSON round trip, resolution of the loose forms, the
+paper's weights as constants), and the two behavioural guarantees
+DESIGN.md section 18 promises -- the legacy preset compiles
+byte-identically however it is spelled, and the probabilistic preset
+never changes a program's answer while never increasing its dynamic
+remote-operation count.
 """
 
 import dataclasses
@@ -14,16 +15,13 @@ import json
 import pytest
 
 import repro
-from repro.comm.optconfig import (
-    BLKMOV_SHAPES,
-    OPT_PRESETS,
-    OptConfig,
-    resolve_opt,
-)
-from repro.config import RunConfig, config_digest, opt_from_cli_args
+from repro.comm import optconfig
+from repro.comm.optconfig import OPT_PRESETS, OptConfig, resolve_opt
+from repro.comm.optimizer import CommConfig
+from repro.config import RunConfig, config_digest
 from repro.errors import ReproError, UsageError
 from repro.harness.pipeline import compile_earthc, execute
-from repro.olden.loader import get_benchmark
+from repro.olden.loader import catalog, get_benchmark
 
 SOURCE = """
 struct cell { int a; int b; int c; int d; };
@@ -45,104 +43,86 @@ int main(int n)
 }
 """
 
-#: One value of each JSON-ish type, tried against every field ...
-WRONG_TYPE_PROBES = (True, 1, 2.5, "no", None)
-#: ... and refused by each field whose annotation does not admit its
-#: type (an int is a float here; a bool is neither).
-FIELD_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,),
-               "str": (str,)}
-
 
 class TestValueObject:
+    def test_one_field(self):
+        """The preset switch is the only thing a caller sets."""
+        assert [spec.name for spec in dataclasses.fields(OptConfig)] \
+            == ["probabilistic"]
+
     def test_default_is_legacy(self):
-        assert OptConfig() == OptConfig.legacy()
-        assert not OptConfig().probabilistic
-        assert not OptConfig().private_lines
-        assert OptConfig().block_access_threshold == 3
+        opt = OptConfig()
+        assert not opt.probabilistic
+        assert opt.preset == "legacy"
+        assert opt.block_access_threshold == 3
+        assert opt.min_expected_accesses == 2.0
+
+    def test_probabilistic_preset(self):
+        opt = OptConfig(probabilistic=True)
+        assert opt.preset == "probabilistic"
+        assert opt.block_access_threshold == 2
+        assert opt.min_expected_accesses == 1.0
+
+    def test_paper_weights_are_constants(self):
+        assert optconfig.LOOP_WEIGHT == 10.0
+        assert optconfig.BRANCH_WEIGHT == 0.5
+        assert optconfig.STRONG_FREQ == 1.0 - 1e-9
+        assert optconfig.MAX_SPURIOUS_RATIO == 4.0
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            OptConfig().loop_weight = 5.0
+            OptConfig().probabilistic = True
 
-    def test_replace_revalidates(self):
-        assert OptConfig().replace(loop_weight=4.0).loop_weight == 4.0
-        with pytest.raises(ReproError):
-            OptConfig().replace(loop_weight=0.5)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"loop_weight": 0.0},
-        {"branch_weight": 0.0},
-        {"branch_weight": 1.5},
-        {"freq_eps": -1.0},
-        {"block_access_threshold": 0},
-        {"min_expected_accesses": -0.1},
-        {"max_spurious_ratio": 0.5},
-        {"blkmov_shape": "suffix"},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(UsageError):
-            OptConfig(**kwargs)
-
-    @pytest.mark.parametrize("field,value", [
-        (spec.name, value) for spec in dataclasses.fields(OptConfig)
-        for value in WRONG_TYPE_PROBES
-        if type(value) not in FIELD_TYPES[spec.type]])
-    def test_every_field_refuses_a_wrong_type(self, field, value):
-        """Types as RunConfig checks them: no bool is a number, no
-        number a switch, no truthy string a switch."""
-        with pytest.raises(UsageError, match=f"{field} must be a"):
-            OptConfig(**{field: value})
-
-    def test_an_int_weight_is_the_float_weight(self):
-        assert json.dumps(OptConfig(loop_weight=4).to_json()) \
-            == json.dumps(OptConfig(loop_weight=4.0).to_json())
-
-    def test_probabilistic_preset(self):
-        opt = OptConfig.probabilistic_defaults()
-        assert opt.probabilistic
-        assert opt.private_lines
-        assert opt.block_access_threshold == 2
-        assert opt.min_expected_accesses == 1.0
-        # The frequency multipliers stay the paper's values: only
-        # selection's profitability story changes.
-        assert opt.loop_weight == OptConfig().loop_weight
-        assert opt.branch_weight == OptConfig().branch_weight
+    @pytest.mark.parametrize("value", [1, 0, 2.5, "no", None])
+    def test_the_switch_refuses_a_wrong_type(self, value):
+        """Types as RunConfig checks them: no number or truthy string
+        is a switch."""
+        with pytest.raises(UsageError, match="probabilistic must be a"):
+            OptConfig(probabilistic=value)
 
     def test_json_round_trip(self):
-        for opt in (OptConfig(), OptConfig.probabilistic_defaults(),
-                    OptConfig(loop_weight=3.0, blkmov_shape="full")):
+        for opt in (OptConfig(), OptConfig(probabilistic=True)):
             data = json.loads(json.dumps(opt.to_json()))
+            assert data == {"probabilistic": opt.probabilistic}
             assert OptConfig.from_json(data) == opt
 
-    def test_from_json_rejects_unknown_fields(self):
+    @pytest.mark.parametrize("field", [
+        "loop_weight", "branch_weight", "freq_eps",
+        "block_access_threshold", "min_expected_accesses",
+        "max_spurious_ratio", "blkmov_shape", "private_lines"])
+    def test_from_json_rejects_the_retired_knobs(self, field):
+        """A spec written for the nine-field form fails loudly instead
+        of compiling under a preset it did not ask for."""
         with pytest.raises(ReproError, match="unknown opt config"):
-            OptConfig.from_json({"loop_weight": 2.0, "turbo": True})
+            OptConfig.from_json({"probabilistic": True, field: 1})
+
+    def test_from_json_rejects_a_non_object(self):
         with pytest.raises(ReproError):
             OptConfig.from_json([1, 2, 3])
 
-    def test_str_names_only_non_defaults(self):
+    def test_str_names_the_preset(self):
         assert str(OptConfig()) == "OptConfig(legacy)"
-        text = str(OptConfig(loop_weight=5.0))
-        assert "loop_weight=5.0" in text
-        assert "branch_weight" not in text
+        assert str(OptConfig(probabilistic=True)) \
+            == "OptConfig(probabilistic)"
 
 
 class TestResolveOpt:
     def test_none_and_instances_pass_through(self):
         assert resolve_opt(None) is None
-        opt = OptConfig(loop_weight=2.0)
+        opt = OptConfig(probabilistic=True)
         assert resolve_opt(opt) is opt
 
     def test_presets(self):
-        assert set(OPT_PRESETS) == {"legacy", "probabilistic"}
+        assert OPT_PRESETS == ("legacy", "probabilistic")
+        for name in OPT_PRESETS:
+            assert resolve_opt(name).preset == name
         assert resolve_opt("legacy") == OptConfig()
-        assert resolve_opt("probabilistic") \
-            == OptConfig.probabilistic_defaults()
         with pytest.raises(ReproError, match="unknown opt preset"):
             resolve_opt("turbo")
 
     def test_dict_form(self):
-        assert resolve_opt({"probabilistic": True}).probabilistic
+        assert resolve_opt({"probabilistic": True}) \
+            == resolve_opt("probabilistic")
         with pytest.raises(ReproError):
             resolve_opt(42)
 
@@ -162,17 +142,6 @@ class TestResolveOpt:
         assert config_digest(base) \
             != config_digest(RunConfig(opt="legacy"))
 
-    def test_opt_from_cli_args(self):
-        class Opts:
-            opt_preset = "probabilistic"
-            opt_block_threshold = 4
-            opt_probabilistic = False  # store_true default: not given
-
-        opt = opt_from_cli_args(Opts())
-        assert opt.probabilistic  # preset field survives the False
-        assert opt.block_access_threshold == 4
-        assert opt_from_cli_args(object()) is None
-
 
 class TestLegacyBitIdentity:
     """``opt=None``, ``opt="legacy"`` and an explicit ``OptConfig()``
@@ -180,7 +149,7 @@ class TestLegacyBitIdentity:
 
     def test_listings_identical(self):
         baseline = compile_earthc(SOURCE, optimize=True)
-        for opt in ("legacy", OptConfig(), OptConfig.legacy()):
+        for opt in ("legacy", OptConfig(), {"probabilistic": False}):
             other = compile_earthc(SOURCE, optimize=True, opt=opt)
             assert other.listing() == baseline.listing()
             assert other.threaded_listing() \
@@ -189,6 +158,28 @@ class TestLegacyBitIdentity:
     def test_legacy_never_marks_private_lines(self):
         compiled = compile_earthc(SOURCE, optimize=True, opt="legacy")
         assert "[private]" not in compiled.listing()
+
+    @pytest.mark.parametrize("preset", OPT_PRESETS)
+    @pytest.mark.parametrize("name", [spec.name for spec in catalog()])
+    def test_every_spelling_compiles_alike(self, name, preset):
+        """Equal configs, equal programs: the preset's name, its
+        OptConfig, its wire dict and a CommConfig carrying it compile
+        each Olden benchmark to the same listings (legacy also as no
+        opt at all)."""
+        spec = get_benchmark(name)
+        opt = resolve_opt(preset)
+        spellings = [{"opt": preset}, {"opt": opt},
+                     {"opt": opt.to_json()},
+                     {"config": CommConfig(opt=opt)}]
+        if not opt.probabilistic:
+            spellings.append({})
+        texts = set()
+        for keywords in spellings:
+            compiled = compile_earthc(spec.source(), spec.name,
+                                      optimize=True, inline=spec.inline,
+                                      **keywords)
+            texts.add((compiled.listing(), compiled.threaded_listing()))
+        assert len(texts) == 1
 
 
 class TestProbabilisticPreset:
@@ -213,10 +204,6 @@ class TestProbabilisticPreset:
         assert runs["probabilistic"].output == runs["legacy"].output
         assert remote_ops(runs["probabilistic"]) \
             <= remote_ops(runs["legacy"])
-
-    def test_shapes_constant_is_exhaustive(self):
-        for shape in BLKMOV_SHAPES:
-            OptConfig(blkmov_shape=shape)  # all valid
 
 
 class TestPublicSurface:

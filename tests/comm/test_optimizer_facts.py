@@ -26,9 +26,9 @@ def solves(monkeypatch):
     seen = []
     real = optimizer_module.analyze_connection
 
-    def spy(program, branch_prob=0.5):
+    def spy(program):
         seen.append(print_program(program))
-        return real(program, branch_prob)
+        return real(program)
     monkeypatch.setattr(optimizer_module, "analyze_connection", spy)
     return seen
 

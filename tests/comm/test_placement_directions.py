@@ -42,8 +42,8 @@ def checked(monkeypatch):
         def run(self, *directions):
             assert directions in ((READ,), (WRITE,)), directions
             result = super().run(*directions)
-            both = analyze_placement(self.func, self.conn, self.opt)
-            other = PlacementAnalysis(self.func, self.conn, self.opt).run(
+            both = analyze_placement(self.func, self.conn)
+            other = PlacementAnalysis(self.func, self.conn).run(
                 WRITE if directions == (READ,) else READ)
             if directions == (READ,):
                 assert _table(result.reads_before) == \

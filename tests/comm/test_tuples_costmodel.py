@@ -88,6 +88,9 @@ class TestCostModel:
         model = OptConfig()
         assert not model.should_block(5, 5.0, 0, 8)
 
-    def test_custom_threshold(self):
-        model = OptConfig(block_access_threshold=2)
+    def test_probabilistic_threshold_of_two(self):
+        model = OptConfig(probabilistic=True)
         assert model.should_block(2, 2.0, 4, 4)
+        # Its expected-access floor is one, not two.
+        assert model.should_block(2, 1.0, 4, 4)
+        assert not OptConfig().should_block(2, 2.0, 4, 4)

@@ -1,4 +1,4 @@
-"""Private-line invalidation skipping (OptConfig ``private_lines``).
+"""Private-line invalidation skipping (the ``probabilistic`` preset).
 
 The locality pass marks unplaced allocation sites whose objects are
 provably never the target of a remote access; the memory write hooks
@@ -11,7 +11,6 @@ networks -- and the legacy preset never takes the new path at all.
 
 import pytest
 
-from repro.comm.optconfig import OptConfig
 from repro.config import RunConfig
 from repro.earth.faults import PROFILES
 from repro.earth.interpreter import ENGINES
@@ -82,12 +81,6 @@ class TestMarking:
 
     def test_legacy_marks_nothing(self):
         compiled = compile_earthc(SOURCE, optimize=True, opt="legacy")
-        assert "[private]" not in compiled.listing()
-
-    def test_private_lines_off_marks_nothing(self):
-        opt = OptConfig.probabilistic_defaults().replace(
-            private_lines=False)
-        compiled = compile_earthc(SOURCE, optimize=True, opt=opt)
         assert "[private]" not in compiled.listing()
 
 

@@ -22,12 +22,9 @@ OPTION_STRINGS = {
     "driver": """
         --args --dump-codegen --engine --entry --fault-drop
         --fault-jitter --fault-profile --faults --function --help
-        --inline --json --max-stmts --nodes --opt-block-threshold
-        --opt-branch-weight --opt-loop-weight --opt-min-expected
-        --opt-preset --opt-private-lines --opt-probabilistic
-        --opt-shape --opt-spurious-ratio --optimize --rcache-capacity
-        --rcache-line --reorder-fields --run --shards --show --trace
-        --trace-capacity -O -h
+        --inline --json --max-stmts --nodes --opt-preset --optimize
+        --rcache-capacity --rcache-line --reorder-fields --run --shards
+        --show --trace --trace-capacity -O -h
         """,
     "serve": """
         --cache-dir --help --host --max-attempts --max-queue-depth
@@ -84,7 +81,7 @@ def test_option_strings_of_help(verb, capsys):
 def test_distinct_flags_across_the_verbs():
     flags = {flag for text in OPTION_STRINGS.values()
              for flag in text.split()} - {"-h", "--help", "-O"}
-    assert len(flags) == 60   # + 5 of harness.report / shard.scenarios
+    assert len(flags) == 52   # + 5 of harness.report / shard.scenarios
 
 
 def test_every_run_flag_row_names_a_run_config_field():
@@ -374,30 +371,70 @@ def test_report_refuses_before_the_first_table(case, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-#: A bad ``--opt-*`` value is a usage error like any bad run flag:
-#: case -> (the flag and its value, what the error says).
-OPT_REFUSALS = {
-    "loop-weight": (["--opt-loop-weight", "-3"],
-                    "loop_weight must be >= 1, got -3.0"),
-    "block-threshold": (["--opt-block-threshold", "0"],
-                        "block_access_threshold must be >= 1, got 0"),
-}
+#: The eight tuning flags 2.3 removed: the paper's weights are
+#: constants and ``--opt-preset`` names the only choice left.
+RETIRED_OPT_FLAGS = (
+    ["--opt-loop-weight", "4"], ["--opt-branch-weight", "0.25"],
+    ["--opt-probabilistic"], ["--opt-block-threshold", "2"],
+    ["--opt-min-expected", "1"], ["--opt-spurious-ratio", "8"],
+    ["--opt-shape", "full"], ["--opt-private-lines"])
 
 
-@pytest.mark.parametrize("case", sorted(OPT_REFUSALS))
-def test_bad_opt_flag_is_a_usage_error(case, tmp_path, capsys):
-    import json
+@pytest.mark.parametrize("flag", RETIRED_OPT_FLAGS, ids=lambda f: f[0])
+def test_retired_opt_flag_is_a_usage_error(flag, tmp_path, capsys):
     source = tmp_path / "prog.ec"
     source.write_text("int main() { return 0; }\n")
-    flag, message = OPT_REFUSALS[case]
-    argv = [str(source), "--run"] + flag
-    assert main(argv) == 2
+    with pytest.raises(SystemExit) as info:
+        main([str(source), "-O", "--run"] + flag)
+    assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-    assert main(argv + ["--json"]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == {
-        "type": "UsageError", "code": 2, "message": message}
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+#: A remote struct read in a loop beside a local scratch struct: the
+#: probabilistic preset marks the scratch site ``[private]`` and the
+#: legacy one does not, so the two presets print different listings.
+PRESET_SOURCE = """
+struct pair { int x; int y; };
+
+int main(int n)
+{
+    struct pair *remote;
+    struct pair *scratch;
+    int i;
+    int sum;
+    remote = (struct pair *) malloc(sizeof(struct pair)) @ 1;
+    scratch = (struct pair *) malloc(sizeof(struct pair));
+    remote->x = 5;
+    remote->y = 7;
+    sum = 0;
+    for (i = 0; i < n; i++) {
+        scratch->x = i;
+        sum = sum + remote->x + remote->y + scratch->x;
+    }
+    return sum;
+}
+"""
+
+
+@pytest.mark.parametrize("preset", ["legacy", "probabilistic"])
+def test_opt_preset_flag_compiles_under_that_preset(preset, tmp_path,
+                                                    capsys):
+    """``--opt-preset`` is the one optimizer flag left, and the driver
+    prints what the library compiles under the same preset."""
+    from repro.harness.pipeline import compile_earthc
+    from repro.simple.printer import print_function
+    source = tmp_path / "prog.ec"
+    source.write_text(PRESET_SOURCE)
+    assert main([str(source), "-O", "--opt-preset", preset,
+                 "--show", "simple"]) == 0
+    out = capsys.readouterr().out
+    compiled = compile_earthc(PRESET_SOURCE, str(source), optimize=True,
+                              opt=preset)
+    assert out == "".join(print_function(function) + "\n\n"
+                          for function in compiled.simple.functions.values())
+    assert out.count("[private]") == (preset == "probabilistic")
 
 
 def test_report_ends_on_a_failed_jobs_own_code(monkeypatch, capsys):

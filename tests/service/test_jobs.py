@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm.optconfig import OPT_PRESETS, resolve_opt
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.errors import ServiceError
 from repro.harness.experiments import leg_job
@@ -50,14 +51,31 @@ class TestSpecValidation:
         with pytest.raises(ServiceError, match="nodes"):
             JobSpec("run", source=SOURCE, nodes=0)
 
-    @pytest.mark.parametrize("opt", [{"probabilistic": "no"},
-                                     {"private_lines": 1},
-                                     {"loop_weight": True}])
-    def test_wrong_typed_opt_rejected(self, opt):
-        """Not read as its truthiness under a cache key of its own."""
-        with pytest.raises(ServiceError, match="must be a"):
+    @pytest.mark.parametrize("opt,message", [
+        ({"probabilistic": "no"}, "must be a"),
+        ({"probabilistic": 1}, "must be a"),
+        ({"private_lines": True}, "unknown opt config"),
+        ({"loop_weight": 10.0}, "unknown opt config")])
+    def test_bad_opt_rejected(self, opt, message):
+        """A wrong-typed switch is not read as its truthiness under a
+        cache key of its own, and a retired knob is refused, not
+        dropped."""
+        with pytest.raises(ServiceError, match=message):
             JobSpec.from_dict({"kind": "run", "benchmark": "power",
                                "opt": opt})
+
+    @pytest.mark.parametrize("preset", OPT_PRESETS)
+    def test_one_address_per_preset(self, preset):
+        """A preset's name, its OptConfig and its wire dict are one
+        cache entry, and the other preset's is another."""
+        opt = resolve_opt(preset)
+        keys = {JobSpec("compile", source=SOURCE,
+                        opt=spelling).canonical_key()
+                for spelling in (preset, opt, opt.to_json())}
+        other, = set(OPT_PRESETS) - {preset}
+        assert len(keys) == 1
+        assert JobSpec("compile", source=SOURCE,
+                       opt=other).canonical_key() not in keys
 
     def test_bad_fault_spec_rejected_eagerly(self):
         with pytest.raises(Exception):
@@ -224,12 +242,8 @@ PIN_FAULTS = {
     "su_slowdown_window_ns": 2000000.0, "stall_windows": 2,
     "stall_ns": 500000.0, "horizon_ns": 50000000.0}
 
-#: ``OptConfig.probabilistic_defaults().to_json()``, spelled out.
-PIN_OPT = {
-    "loop_weight": 10.0, "branch_weight": 0.5, "probabilistic": True,
-    "freq_eps": 1e-09, "block_access_threshold": 2,
-    "min_expected_accesses": 1.0, "max_spurious_ratio": 4.0,
-    "blkmov_shape": "prefix", "private_lines": True}
+#: ``resolve_opt("probabilistic").to_json()``, spelled out.
+PIN_OPT = {"probabilistic": True}
 
 #: The 21 wire keys at their defaults.
 PIN_WIRE_DEFAULTS = {
@@ -244,7 +258,7 @@ PIN_WIRE_DEFAULTS = {
 #: name -> (constructor keywords, wire keys off their default, cache
 #: address).  The wire dicts date from the commit before ``JobSpec``
 #: came to carry a ``RunConfig``; the addresses were re-recorded at
-#: pipeline ``2026.10-per-direction``.  A change here is a change of the
+#: pipeline ``2026.10-two-presets``.  A change here is a change of the
 #: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
@@ -254,20 +268,20 @@ GOLDEN = {
              inline=["add"], reorder_fields=True),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"], reorder_fields=True),
-        "22f31eca1c0c3286946109f9fd37a1f8"
-        "9da00a9b7dc8449ad1efa08b52ccab35"),
+        "cdab1cb921b105e92be2296b7e9d6db0"
+        "8ff35cb7c67dd8af730a3795c383a7c6"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "404b95da058630d698d910175ba5a800"
-        "c481501aab87273a8cde4b08a76bc856"),
+        "9c5ba1fb9a4877e0fa1664d8923976af"
+        "d947f9c11e3b85fdf50c95c84b81ae10"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "9dce4fe25a3ffc94bf4193458ddb06d5"
-        "1aff2cd43509a7a0b317ba4392614724"),
+        "c52302dffea37eaffc7518a319c1eb83"
+        "8a2ac62b2267ae69e7a7b071760d2ebe"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -275,14 +289,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, opt=PIN_OPT),
-        "201fbbe5bb2cc8145d9d964acd51bcf2"
-        "2d6b5392d405a4cf3128b0b7a6ff5195"),
+        "607664a133ca114f1a39ba89aa75916a"
+        "829021afaca8c7e41210b39c665e19e0"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-per-direction"
+        assert PIPELINE_VERSION == "2026.10-two-presets"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
