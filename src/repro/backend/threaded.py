@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.simple import nodes as s
-from repro.simple.printer import SimplePrinter
+from repro.simple.printer import basic_text
 from repro.simple.traversal import basic_uses
 
 
@@ -78,8 +78,6 @@ class ThreadGenerator:
     def __init__(self, func: s.SimpleFunction):
         self.func = func
         self.result = ThreadedFunction(func.name)
-        self._printer = SimplePrinter(show_labels=False, mark_remote=False,
-                                      indent="")
         #: Variables whose split-phase producer is outstanding in the
         #: current fiber, mapped to the producing op spelling.
         self._outstanding: Dict[str, str] = {}
@@ -190,13 +188,13 @@ class ThreadGenerator:
             write = stmt.remote_write()
             if read is not None and isinstance(stmt.lhs, s.VarLV):
                 slot = f"SLOT_{stmt.lhs.name}"
-                source = self._printer.print_stmt(stmt).split("=", 1)[1]
+                source = basic_text(stmt).split("=", 1)[1]
                 source = source.strip().rstrip(";")
                 self._emit(f"GET_SYNC({source}, {stmt.lhs.name}, {slot})")
                 self._outstanding[stmt.lhs.name] = slot
                 return
             if write is not None:
-                text = self._printer.print_stmt(stmt).strip().rstrip(";")
+                text = basic_text(stmt).strip().rstrip(";")
                 self._emit(f"DATA_SYNC({text})")
                 return
         if isinstance(stmt, s.BlkmovStmt) and stmt.split_phase:
@@ -207,12 +205,12 @@ class ThreadGenerator:
                 self._outstanding[stmt.dst[1]] = f"SLOT_{stmt.dst[1]}"
             return
         if isinstance(stmt, s.CallStmt) and stmt.placement is not None:
-            text = self._printer.print_stmt(stmt).strip().rstrip(";")
+            text = basic_text(stmt).strip().rstrip(";")
             self._emit(f"INVOKE_REMOTE({text})")
             if stmt.target is not None:
                 self._outstanding[stmt.target] = f"SLOT_{stmt.target}"
             return
-        text = self._printer.print_stmt(stmt).strip()
+        text = basic_text(stmt).strip()
         if text:
             self._emit(text)
 

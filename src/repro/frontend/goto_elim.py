@@ -29,18 +29,11 @@ are ordinary ``int`` declarations the checker then sees.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TransformError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.types import INT
-
-_flag_counter = itertools.count(1)
-
-
-def _fresh_flag(prefix: str) -> str:
-    return f"__{prefix}_{next(_flag_counter)}"
-
 
 def _set_flag(name: str, value: int) -> ast.Stmt:
     return ast.ExprStmt(ast.Assign(ast.VarRef(name), ast.IntLit(value)))
@@ -71,16 +64,21 @@ class _FunctionRewriter:
     ``_rewrite_stmt`` and ``_rewrite_seq`` return ``(statements,
     escaped)`` where ``escaped`` is the set of flag variables that may
     have been raised and not yet consumed -- the enclosing sequence
-    guards its remaining statements with them.
+    guards its remaining statements with them.  Flags are numbered by
+    ``serials``, one counter per program.
     """
 
-    def __init__(self, func: ast.FunctionDecl):
+    def __init__(self, func: ast.FunctionDecl, serials: Iterator[int]):
         self.func = func
+        self.serials = serials
         self.new_decls: List[ast.VarDecl] = []
         self._goto_flags: Dict[str, str] = {}
 
-    def run(self) -> None:
-        self._check_no_backward_goto(self.func.body)
+    def run(self, has_goto: bool) -> None:
+        """Rewrite the body; the backward-goto check runs only when the
+        caller's scan found a ``goto`` in it."""
+        if has_goto:
+            self._check_no_backward_goto(self.func.body)
         body, escaped = self._rewrite_seq(self.func.body.stmts,
                                           break_flag=None, cont_flag=None)
         if escaped:
@@ -95,7 +93,7 @@ class _FunctionRewriter:
     # -- helpers --------------------------------------------------------------
 
     def _declare_flag(self, prefix: str) -> str:
-        name = _fresh_flag(prefix)
+        name = f"__{prefix}_{next(self.serials)}"
         self.new_decls.append(ast.VarDecl(name, INT, init=ast.IntLit(0)))
         return name
 
@@ -124,21 +122,18 @@ class _FunctionRewriter:
                      cont_flag: Optional[str]
                      ) -> Tuple[List[ast.Stmt], Set[str]]:
         result: List[ast.Stmt] = []
-        index = 0
-        while index < len(stmts):
-            stmt = stmts[index]
-            rest = stmts[index + 1:]
+        for index, stmt in enumerate(stmts):
             rewritten, escaped = self._rewrite_stmt(stmt, break_flag,
                                                     cont_flag)
             result.extend(rewritten)
-            if escaped and rest:
-                tail, still = self._guard_tail(rest, break_flag,
-                                               cont_flag, escaped)
+            if escaped:
+                if index + 1 == len(stmts):
+                    return result, escaped
+                tail, still = self._guard_tail(stmts[index + 1:],
+                                               break_flag, cont_flag,
+                                               escaped)
                 result.extend(tail)
                 return result, still
-            if escaped:
-                return result, escaped
-            index += 1
         return result, set()
 
     def _guard_tail(self, rest: List[ast.Stmt],
@@ -337,17 +332,28 @@ def _contains_interrupt(body: ast.Stmt, kind) -> bool:
     return scan(body)
 
 
+#: What makes a function body need the rewrite, besides ``goto``.
+_REWRITTEN = (ast.Break, ast.Continue, ast.For, ast.While, ast.DoWhile)
+
+
 def eliminate_gotos(program: ast.Program) -> ast.Program:
     """Remove goto/break/continue from every function (in place).
 
     Run *before* type checking: the pass introduces new flag variables
-    as ordinary declarations that the checker will then see.
+    as ordinary declarations that the checker will then see.  They are
+    numbered per program (``__brk_1``, ``__cont_2``, ...), so the same
+    source always gets the same names.
     """
+    serials = itertools.count(1)
     for func in program.functions:
-        needs_rewrite = any(
-            isinstance(node, (ast.Break, ast.Continue, ast.Goto, ast.For,
-                              ast.While, ast.DoWhile))
-            for node in ast.walk(func.body))
+        # One scan: does the body need a rewrite, and has it a goto?
+        needs_rewrite = has_goto = False
+        for node in ast.walk(func.body):
+            if isinstance(node, ast.Goto):
+                needs_rewrite = has_goto = True
+                break
+            if isinstance(node, _REWRITTEN):
+                needs_rewrite = True
         if needs_rewrite:
-            _FunctionRewriter(func).run()
+            _FunctionRewriter(func, serials).run(has_goto)
     return program

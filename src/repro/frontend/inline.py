@@ -22,7 +22,7 @@ it and the call becomes a reference to a fresh result variable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, get_type_hints
 
 from repro.frontend import ast_nodes as ast
 
@@ -81,6 +81,22 @@ def _reaches(graph: Dict[str, Set[str]], start: str, goal: str) -> bool:
         seen.add(current)
         stack.extend(graph.get(current, ()))
     return False
+
+
+def _expr_slots(cls: type) -> Tuple[str, ...]:
+    """The slots of ``cls`` that hold one sub-expression, in slot
+    order: those its constructor types as ``Expr``."""
+    hints = get_type_hints(cls.__init__)
+    return tuple(name for name in cls.__slots__
+                 if hints.get(name) is ast.Expr)
+
+
+#: Each expression class's sub-expression slots (``Call.args``, a
+#: list, is visited on its own).
+_EXPR_SLOTS: Dict[type, Tuple[str, ...]] = {
+    cls: _expr_slots(cls) for cls in vars(ast).values()
+    if isinstance(cls, type) and issubclass(cls, ast.Expr)
+    and cls is not ast.Expr}
 
 
 class _Renamer:
@@ -302,13 +318,9 @@ class Inliner:
     def _process_expr(self, expr: ast.Expr, host: str,
                       prelude: List[ast.Stmt]) -> ast.Expr:
         # Post-order: inline innermost calls first.
-        for name in ("left", "right", "operand", "pointer", "base",
-                     "index", "cond", "then_value", "else_value",
-                     "lhs", "rhs"):
-            child = getattr(expr, name, None)
-            if isinstance(child, ast.Expr):
-                setattr(expr, name, self._process_expr(child, host,
-                                                       prelude))
+        for name in _EXPR_SLOTS[type(expr)]:
+            setattr(expr, name, self._process_expr(getattr(expr, name),
+                                                   host, prelude))
         if isinstance(expr, ast.Call):
             expr.args = [self._process_expr(arg, host, prelude)
                          for arg in expr.args]

@@ -5,15 +5,24 @@ EARTH-C extensions (``forall``, ``{^ ... ^}``, ``shared``, ``local``,
 ``@`` placement).  Declarations are C89-style (at the top of a block).
 ``switch`` arms must each end in ``break`` (no fallthrough) which matches
 the structured SIMPLE switch of the paper.
+
+The parser reads the lexer's token arrays by index (``self.index``);
+it builds no object per token.  An operator or keyword test is one
+spelling comparison, a statement is dispatched on its first spelling
+through one table (``Parser._STATEMENTS``), and a token's
+:class:`SourceLocation` is derived from its offset only when an AST
+node or an error cites it, then kept for the next citation.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ParseError
+from repro.errors import ParseError, SourceLocation
 from repro.frontend import ast_nodes as ast
-from repro.frontend.lexer import Token, tokenize
+from repro.frontend.lexer import tokenize
 from repro.frontend.types import (
     ArrayType,
     PointerType,
@@ -22,7 +31,12 @@ from repro.frontend.types import (
     Type,
 )
 
-_SCALAR_KEYWORDS = {"int", "double", "float", "char", "void"}
+_SCALAR_KEYWORDS = frozenset({"int", "double", "float", "char", "void"})
+#: The spellings a declaration starts with, and a cast after its `(`.
+_TYPE_START = _SCALAR_KEYWORDS | {"struct", "shared", "local"}
+_CAST_START = _SCALAR_KEYWORDS | {"struct"}
+
+_NEWLINE = re.compile("\n")
 
 _ASSIGN_OPS = {
     "=": None, "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
@@ -31,81 +45,92 @@ _ASSIGN_OPS = {
 
 
 class Parser:
-    """Parses one translation unit."""
+    """Parses one translation unit; a token is its index into
+    ``kinds`` / ``texts`` / ``values``."""
 
     def __init__(self, source: str, filename: str = "<input>"):
         self.tokens = tokenize(source, filename)
+        self.kinds = self.tokens.kinds
+        self.texts = self.tokens.texts
+        self.values = self.tokens.values
+        #: The ``eof`` token's index, where ``_next`` stops.
+        self.last = len(self.kinds) - 1
         self.index = 0
+        self.filename = filename
+        self._line_starts = [0] + [
+            newline.end() for newline in _NEWLINE.finditer(source)]
+        self._locs: List[Optional[SourceLocation]] = \
+            [None] * len(self.kinds)
         self.structs: Dict[str, StructType] = {}
 
     # -- token stream helpers -------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        if not offset:  # `_next` stops at the sticky `eof`: in range
-            return self.tokens[self.index]
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+    def _loc(self, index: int) -> SourceLocation:
+        """The location of token ``index``, built once."""
+        loc = self._locs[index]
+        if loc is None:
+            offset = self.tokens.offsets[index]
+            line = bisect_right(self._line_starts, offset)
+            loc = self._locs[index] = SourceLocation(
+                self.filename, line, offset - self._line_starts[line - 1] + 1)
+        return loc
 
-    def _next(self) -> Token:
-        token = self.tokens[self.index]
-        if token.kind != "eof":
+    def _text(self, offset: int) -> str:
+        """The spelling ``offset`` tokens ahead (``eof``'s past the end)."""
+        return self.texts[min(self.index + offset, self.last)]
+
+    def _next(self) -> int:
+        index = self.index
+        if index != self.last:
+            self.index = index + 1
+        return index
+
+    def _expect_op(self, text: str) -> int:
+        index = self.index
+        if self.texts[index] != text:
+            raise ParseError(
+                f"expected {text!r}, found {self.texts[index]!r}",
+                self._loc(index))
+        self.index = index + 1
+        return index
+
+    # A keyword is tested as an operator is: by its spelling alone.
+    _expect_keyword = _expect_op
+
+    def _expect_id(self) -> int:
+        index = self.index
+        if self.kinds[index] != "id":
+            raise ParseError(
+                f"expected identifier, found {self.texts[index]!r}",
+                self._loc(index))
+        self.index = index + 1
+        return index
+
+    def _accept_op(self, text: str) -> bool:
+        if self.texts[self.index] == text:
             self.index += 1
-        return token
+            return True
+        return False
 
-    def _expect_op(self, text: str) -> Token:
-        token = self._peek()
-        if not token.is_op(text):
-            raise ParseError(f"expected {text!r}, found {token.text!r}",
-                             token.loc)
-        return self._next()
-
-    def _expect_keyword(self, text: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(text):
-            raise ParseError(f"expected {text!r}, found {token.text!r}",
-                             token.loc)
-        return self._next()
-
-    def _expect_id(self) -> Token:
-        token = self._peek()
-        if token.kind != "id":
-            raise ParseError(f"expected identifier, found {token.text!r}",
-                             token.loc)
-        return self._next()
-
-    def _accept_op(self, text: str) -> Optional[Token]:
-        if self._peek().is_op(text):
-            return self._next()
-        return None
-
-    def _accept_keyword(self, text: str) -> Optional[Token]:
-        if self._peek().is_keyword(text):
-            return self._next()
-        return None
+    _accept_keyword = _accept_op
 
     # -- type parsing -----------------------------------------------------------
 
-    def _at_type_start(self) -> bool:
-        token = self._peek()
-        if token.kind != "keyword":
-            return False
-        return token.text in _SCALAR_KEYWORDS or token.text in (
-            "struct", "shared", "local")
-
     def _parse_base_type(self) -> Tuple[Type, bool]:
         """Parse the type-specifier prefix; returns ``(type, is_shared)``."""
-        is_shared = bool(self._accept_keyword("shared"))
+        is_shared = self._accept_keyword("shared")
         # Prefix position only: the paper writes `shared int`.
-        token = self._peek()
-        if token.is_keyword("struct"):
-            self._next()
-            name_token = self._expect_id()
-            base = self._struct_ref(name_token.text)
-        elif token.kind == "keyword" and token.text in _SCALAR_KEYWORDS:
-            self._next()
-            base = ScalarType(token.text)
+        index = self.index
+        text = self.texts[index]
+        if text == "struct":
+            self.index = index + 1
+            base: Type = self._struct_ref(self.texts[self._expect_id()])
+        elif text in _SCALAR_KEYWORDS:
+            self.index = index + 1
+            base = ScalarType(text)
         else:
-            raise ParseError(f"expected a type, found {token.text!r}",
-                             token.loc)
+            raise ParseError(f"expected a type, found {text!r}",
+                             self._loc(index))
         return base, is_shared
 
     def _struct_ref(self, name: str) -> StructType:
@@ -115,37 +140,41 @@ class Parser:
 
     def _parse_declarator(self, base: Type) -> Tuple[str, Type]:
         """Parse ``local? *...* name ([N])?`` and build the full type."""
-        is_local = bool(self._accept_keyword("local"))
-        stars = 0
-        while self._accept_op("*"):
-            stars += 1
-        name_token = self._expect_id()
+        is_local = self._accept_keyword("local")
         result: Type = base
-        for _ in range(stars):
+        while self._accept_op("*"):
             result = PointerType(result)
+        name = self._expect_id()
         if is_local:
             if not isinstance(result, PointerType):
                 raise ParseError("`local` qualifies pointers only",
-                                 name_token.loc)
+                                 self._loc(name))
             result = result.as_local()
         if self._accept_op("["):
-            size_token = self._peek()
-            if size_token.kind != "int":
+            size = self.index
+            if self.kinds[size] != "int":
                 raise ParseError("array size must be an integer literal",
-                                 size_token.loc)
-            self._next()
+                                 self._loc(size))
+            self.index = size + 1
             self._expect_op("]")
-            result = ArrayType(result, int(size_token.value))  # type: ignore[arg-type]
-        return name_token.text, result
+            result = ArrayType(result, self.values[size])  # type: ignore[arg-type]
+        return self.texts[name], result
+
+    def _parse_pointer_type(self) -> Type:
+        """A type name as ``sizeof`` and casts spell it: base, stars."""
+        full, _ = self._parse_base_type()
+        while self._accept_op("*"):
+            full = PointerType(full)
+        return full
 
     # -- top level -------------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
         globals_: List[ast.GlobalVarDecl] = []
         functions: List[ast.FunctionDecl] = []
-        while self._peek().kind != "eof":
-            if (self._peek().is_keyword("struct")
-                    and self._peek(2).is_op("{")):
+        kinds, texts = self.kinds, self.texts
+        while kinds[self.index] != "eof":
+            if texts[self.index] == "struct" and self._text(2) == "{":
                 self._parse_struct_decl()
                 continue
             self._parse_global_or_function(globals_, functions)
@@ -154,18 +183,16 @@ class Parser:
 
     def _parse_struct_decl(self) -> None:
         self._expect_keyword("struct")
-        name_token = self._expect_id()
-        struct = self._struct_ref(name_token.text)
+        struct = self._struct_ref(self.texts[self._expect_id()])
         self._expect_op("{")
         members: List[Tuple[str, Type]] = []
-        while not self._peek().is_op("}"):
+        while self.texts[self.index] != "}":
             base, is_shared = self._parse_base_type()
             if is_shared:
                 raise ParseError("struct fields cannot be `shared`",
-                                 self._peek().loc)
+                                 self._loc(self.index))
             while True:
-                fname, ftype = self._parse_declarator(base)
-                members.append((fname, ftype))
+                members.append(self._parse_declarator(base))
                 if not self._accept_op(","):
                     break
             self._expect_op(";")
@@ -178,10 +205,10 @@ class Parser:
         globals_: List[ast.GlobalVarDecl],
         functions: List[ast.FunctionDecl],
     ) -> None:
-        loc = self._peek().loc
+        loc = self._loc(self.index)
         base, is_shared = self._parse_base_type()
         name, full_type = self._parse_declarator(base)
-        if self._peek().is_op("("):
+        if self.texts[self.index] == "(":
             if is_shared:
                 raise ParseError("functions cannot be `shared`", loc)
             functions.append(self._parse_function(name, full_type, loc))
@@ -200,19 +227,18 @@ class Parser:
         self._expect_op(";")
 
     def _parse_function(self, name: str, return_type: Type,
-                        loc) -> ast.FunctionDecl:
+                        loc: SourceLocation) -> ast.FunctionDecl:
         self._expect_op("(")
         params: List[ast.Param] = []
-        if not self._peek().is_op(")"):
-            if (self._peek().is_keyword("void")
-                    and self._peek(1).is_op(")")):
-                self._next()
+        if self.texts[self.index] != ")":
+            if self.texts[self.index] == "void" and self._text(1) == ")":
+                self.index += 1
             else:
                 while True:
                     base, is_shared = self._parse_base_type()
                     if is_shared:
                         raise ParseError("parameters cannot be `shared`",
-                                         self._peek().loc)
+                                         self._loc(self.index))
                     pname, ptype = self._parse_declarator(base)
                     params.append(ast.Param(pname, ptype))
                     if not self._accept_op(","):
@@ -228,69 +254,49 @@ class Parser:
     # -- statements --------------------------------------------------------------
 
     def _parse_block(self) -> ast.Block:
-        open_token = self._expect_op("{")
+        start = self._expect_op("{")
         stmts: List[ast.Stmt] = []
-        while not self._peek().is_op("}"):
-            self._parse_block_item(stmts)
-        self._expect_op("}")
-        return ast.Block(stmts, open_token.loc)
+        texts = self.texts
+        while texts[self.index] != "}":
+            if texts[self.index] in _TYPE_START:
+                stmts.extend(self._parse_local_decls())
+            else:
+                stmts.append(self._parse_statement())
+        self.index += 1
+        return ast.Block(stmts, self._loc(start))
 
     def _parse_parallel_seq(self) -> ast.ParallelSeq:
-        open_token = self._expect_op("{^")
+        start = self._expect_op("{^")
         stmts: List[ast.Stmt] = []
-        while not self._peek().is_op("^}"):
+        while self.texts[self.index] != "^}":
             stmts.append(self._parse_statement())
-        self._expect_op("^}")
-        return ast.ParallelSeq(stmts, open_token.loc)
-
-    def _parse_block_item(self, stmts: List[ast.Stmt]) -> None:
-        """Parse one block item; declarations may add several statements
-        (``int a, b;`` splits into one ``VarDecl`` per declarator)."""
-        if self._at_type_start():
-            stmts.extend(self._parse_local_decls())
-        else:
-            stmts.append(self._parse_statement())
+        self.index += 1
+        return ast.ParallelSeq(stmts, self._loc(start))
 
     def _parse_statement(self) -> ast.Stmt:
-        token = self._peek()
-        if token.is_op("{"):
-            return self._parse_block()
-        if token.is_op("{^"):
-            return self._parse_parallel_seq()
-        if token.is_op(";"):
-            self._next()
-            return ast.EmptyStmt(token.loc)
-        if token.kind == "keyword":
-            handler = {
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "do": self._parse_do,
-                "for": self._parse_for,
-                "forall": self._parse_for,
-                "switch": self._parse_switch,
-                "return": self._parse_return,
-                "break": self._parse_break,
-                "continue": self._parse_continue,
-                "goto": self._parse_goto,
-            }.get(token.text)
-            if handler is not None:
-                return handler()
-            if self._at_type_start():
-                raise ParseError(
-                    "declarations are only allowed directly inside a block",
-                    token.loc)
-        if (token.kind == "id" and self._peek(1).is_op(":")
-                and not self._peek(2).is_op(":")):
-            self._next()
-            self._expect_op(":")
+        index = self.index
+        text = self.texts[index]
+        handler = self._STATEMENTS.get(text)
+        if handler is not None:
+            return handler(self)
+        if text == ";":
+            self.index = index + 1
+            return ast.EmptyStmt(self._loc(index))
+        if text in _TYPE_START:
+            raise ParseError(
+                "declarations are only allowed directly inside a block",
+                self._loc(index))
+        if (self.kinds[index] == "id" and self._text(1) == ":"
+                and self._text(2) != ":"):
+            self.index = index + 2
             inner = self._parse_statement()
-            return ast.Labeled(token.text, inner, token.loc)
+            return ast.Labeled(text, inner, self._loc(index))
         expr = self._parse_expression()
         self._expect_op(";")
-        return ast.ExprStmt(expr, token.loc)
+        return ast.ExprStmt(expr, self._loc(index))
 
     def _parse_local_decls(self) -> List[ast.Stmt]:
-        loc = self._peek().loc
+        loc = self._loc(self.index)
         base, is_shared = self._parse_base_type()
         decls: List[ast.Stmt] = []
         while True:
@@ -305,7 +311,7 @@ class Parser:
         return decls
 
     def _parse_if(self) -> ast.Stmt:
-        token = self._expect_keyword("if")
+        start = self._expect_keyword("if")
         self._expect_op("(")
         cond = self._parse_expression()
         self._expect_op(")")
@@ -313,122 +319,138 @@ class Parser:
         else_body = None
         if self._accept_keyword("else"):
             else_body = self._parse_statement()
-        return ast.If(cond, then_body, else_body, token.loc)
+        return ast.If(cond, then_body, else_body, self._loc(start))
 
     def _parse_while(self) -> ast.Stmt:
-        token = self._expect_keyword("while")
+        start = self._expect_keyword("while")
         self._expect_op("(")
         cond = self._parse_expression()
         self._expect_op(")")
         body = self._parse_statement()
-        return ast.While(cond, body, token.loc)
+        return ast.While(cond, body, self._loc(start))
 
     def _parse_do(self) -> ast.Stmt:
-        token = self._expect_keyword("do")
+        start = self._expect_keyword("do")
         body = self._parse_statement()
         self._expect_keyword("while")
         self._expect_op("(")
         cond = self._parse_expression()
         self._expect_op(")")
         self._expect_op(";")
-        return ast.DoWhile(body, cond, token.loc)
+        return ast.DoWhile(body, cond, self._loc(start))
 
     def _parse_for(self) -> ast.Stmt:
-        token = self._next()  # `for` or `forall`
-        is_forall = token.text == "forall"
+        start = self._next()  # `for` or `forall`
         self._expect_op("(")
         init = None
-        if not self._peek().is_op(";"):
+        if self.texts[self.index] != ";":
             init = self._parse_expression()
         self._expect_op(";")
         cond = None
-        if not self._peek().is_op(";"):
+        if self.texts[self.index] != ";":
             cond = self._parse_expression()
         self._expect_op(";")
         step = None
-        if not self._peek().is_op(")"):
+        if self.texts[self.index] != ")":
             step = self._parse_expression()
         self._expect_op(")")
         body = self._parse_statement()
-        return ast.For(init, cond, step, body, is_forall, token.loc)
+        return ast.For(init, cond, step, body,
+                       self.texts[start] == "forall", self._loc(start))
 
     def _parse_switch(self) -> ast.Stmt:
-        token = self._expect_keyword("switch")
+        start = self._expect_keyword("switch")
         self._expect_op("(")
         scrutinee = self._parse_expression()
         self._expect_op(")")
         self._expect_op("{")
         cases: List[ast.SwitchCase] = []
-        while not self._peek().is_op("}"):
-            arm_token = self._peek()
+        texts = self.texts
+        while texts[self.index] != "}":
+            arm = self.index
+            value: Optional[int]
             if self._accept_keyword("case"):
-                value_token = self._next()
-                negative = False
-                if value_token.is_op("-"):
-                    negative = True
-                    value_token = self._next()
-                if value_token.kind != "int":
-                    raise ParseError("case label must be an integer literal",
-                                     value_token.loc)
-                value: Optional[int] = int(value_token.value)  # type: ignore[arg-type]
+                number = self._next()
+                negative = texts[number] == "-"
                 if negative:
-                    value = -value
+                    number = self._next()
+                if self.kinds[number] != "int":
+                    raise ParseError("case label must be an integer literal",
+                                     self._loc(number))
+                value = self.values[number]  # type: ignore[assignment]
+                if negative:
+                    value = -value  # type: ignore[operator]
             elif self._accept_keyword("default"):
                 value = None
             else:
                 raise ParseError(
-                    f"expected `case` or `default`, found {arm_token.text!r}",
-                    arm_token.loc)
+                    f"expected `case` or `default`, found {texts[arm]!r}",
+                    self._loc(arm))
             self._expect_op(":")
             stmts: List[ast.Stmt] = []
             terminated = False
             while True:
-                inner = self._peek()
-                if inner.is_keyword("break"):
-                    self._next()
+                text = texts[self.index]
+                if text == "break":
+                    self.index += 1
                     self._expect_op(";")
                     terminated = True
                     break
-                if inner.is_keyword("return"):
+                if text == "return":
                     stmts.append(self._parse_return())
                     terminated = True
                     break
-                if (inner.is_keyword("case") or inner.is_keyword("default")
-                        or inner.is_op("}")):
+                if text in ("case", "default", "}"):
                     break
                 stmts.append(self._parse_statement())
             if not terminated:
                 raise ParseError(
                     "switch arms must end in `break` or `return` "
-                    "(no fallthrough in the EARTH-C subset)", arm_token.loc)
+                    "(no fallthrough in the EARTH-C subset)", self._loc(arm))
             cases.append(ast.SwitchCase(value, stmts))
         self._expect_op("}")
-        return ast.Switch(scrutinee, cases, token.loc)
+        return ast.Switch(scrutinee, cases, self._loc(start))
 
     def _parse_return(self) -> ast.Stmt:
-        token = self._expect_keyword("return")
+        start = self._expect_keyword("return")
         value = None
-        if not self._peek().is_op(";"):
+        if self.texts[self.index] != ";":
             # Accept both `return expr;` and `return(expr);` spellings.
             value = self._parse_expression()
         self._expect_op(";")
-        return ast.Return(value, token.loc)
+        return ast.Return(value, self._loc(start))
 
     def _parse_break(self) -> ast.Stmt:
-        token = self._expect_keyword("break")
+        start = self._expect_keyword("break")
         self._expect_op(";")
-        return ast.Break(token.loc)
+        return ast.Break(self._loc(start))
 
     def _parse_continue(self) -> ast.Stmt:
-        token = self._expect_keyword("continue")
+        start = self._expect_keyword("continue")
         self._expect_op(";")
-        return ast.Continue(token.loc)
+        return ast.Continue(self._loc(start))
 
     def _parse_goto(self) -> ast.Stmt:
-        token = self._expect_keyword("goto")
+        start = self._expect_keyword("goto")
         label = self._expect_id()
         self._expect_op(";")
-        return ast.Goto(label.text, token.loc)
+        return ast.Goto(self.texts[label], self._loc(start))
+
+    #: What a statement that starts with this spelling is.
+    _STATEMENTS = {
+        "{": _parse_block,
+        "{^": _parse_parallel_seq,
+        "if": _parse_if,
+        "while": _parse_while,
+        "do": _parse_do,
+        "for": _parse_for,
+        "forall": _parse_for,
+        "switch": _parse_switch,
+        "return": _parse_return,
+        "break": _parse_break,
+        "continue": _parse_continue,
+        "goto": _parse_goto,
+    }
 
     # -- expressions -------------------------------------------------------------
 
@@ -437,21 +459,25 @@ class Parser:
 
     def _parse_assignment_expr(self) -> ast.Expr:
         left = self._parse_conditional_expr()
-        token = self._peek()
-        if token.kind == "op" and token.text in _ASSIGN_OPS:
-            self._next()
+        index = self.index
+        text = self.texts[index]
+        if text in _ASSIGN_OPS:
+            self.index = index + 1
             right = self._parse_assignment_expr()
-            return ast.Assign(left, right, _ASSIGN_OPS[token.text], token.loc)
+            return ast.Assign(left, right, _ASSIGN_OPS[text],
+                              self._loc(index))
         return left
 
     def _parse_conditional_expr(self) -> ast.Expr:
         cond = self._parse_binary_expr(0)
-        if self._peek().is_op("?"):
-            token = self._next()
+        index = self.index
+        if self.texts[index] == "?":
+            self.index = index + 1
             then_value = self._parse_expression()
             self._expect_op(":")
             else_value = self._parse_conditional_expr()
-            return ast.CondExpr(cond, then_value, else_value, token.loc)
+            return ast.CondExpr(cond, then_value, else_value,
+                                self._loc(index))
         return cond
 
     # The grammar's ten binary levels, lowest binding first; every
@@ -477,117 +503,101 @@ class Parser:
         one level up (which is what makes the level left-associative)."""
         left = self._parse_unary_expr()
         while True:
-            token = self._peek()
-            level = self._LEVEL_OF.get(token.text, -1)
-            if token.kind != "op" or level < min_level:
+            index = self.index
+            text = self.texts[index]
+            level = self._LEVEL_OF.get(text, -1)
+            if level < min_level:
                 return left
-            self._next()
+            self.index = index + 1
             right = self._parse_binary_expr(level + 1)
-            left = ast.BinOp(token.text, left, right, token.loc)
+            left = ast.BinOp(text, left, right, self._loc(index))
 
     def _parse_unary_expr(self) -> ast.Expr:
-        token = self._peek()
-        if token.is_op("*"):
-            self._next()
-            return ast.Deref(self._parse_unary_expr(), token.loc)
-        if token.is_op("&"):
-            self._next()
-            return ast.AddrOf(self._parse_unary_expr(), token.loc)
-        if token.kind == "op" and token.text in ("-", "!", "~", "+"):
-            self._next()
-            return ast.UnOp(token.text, self._parse_unary_expr(), token.loc)
-        if token.kind == "op" and token.text in ("++", "--"):
-            self._next()
+        index = self.index
+        text = self.texts[index]
+        if text == "*":
+            self.index = index + 1
+            return ast.Deref(self._parse_unary_expr(), self._loc(index))
+        if text == "&":
+            self.index = index + 1
+            return ast.AddrOf(self._parse_unary_expr(), self._loc(index))
+        if text in ("-", "!", "~", "+"):
+            self.index = index + 1
+            return ast.UnOp(text, self._parse_unary_expr(), self._loc(index))
+        if text in ("++", "--"):
+            self.index = index + 1
             operand = self._parse_unary_expr()
-            return ast.IncDec(operand, token.text, True, token.loc)
-        if token.is_keyword("sizeof"):
-            self._next()
+            return ast.IncDec(operand, text, True, self._loc(index))
+        if text == "sizeof":
+            self.index = index + 1
             self._expect_op("(")
-            base, _ = self._parse_base_type()
-            stars = 0
-            while self._accept_op("*"):
-                stars += 1
-            full: Type = base
-            for _ in range(stars):
-                full = PointerType(full)
+            full = self._parse_pointer_type()
             self._expect_op(")")
-            return ast.SizeOf(full, token.loc)
-        if token.is_op("(") and self._is_cast_ahead():
-            self._next()
-            base, _ = self._parse_base_type()
-            stars = 0
-            while self._accept_op("*"):
-                stars += 1
-            full = base
-            for _ in range(stars):
-                full = PointerType(full)
+            return ast.SizeOf(full, self._loc(index))
+        if text == "(" and self._text(1) in _CAST_START:
+            self.index = index + 1
+            full = self._parse_pointer_type()
             self._expect_op(")")
-            return ast.Cast(full, self._parse_unary_expr(), token.loc)
+            return ast.Cast(full, self._parse_unary_expr(), self._loc(index))
         return self._parse_postfix_expr()
-
-    def _is_cast_ahead(self) -> bool:
-        """True when the current ``(`` opens a cast like ``(struct t *)``."""
-        nxt = self._peek(1)
-        if nxt.kind != "keyword":
-            return False
-        return nxt.text in _SCALAR_KEYWORDS or nxt.text == "struct"
 
     def _parse_postfix_expr(self) -> ast.Expr:
         expr = self._parse_primary_expr()
+        texts = self.texts
         while True:
-            token = self._peek()
-            if token.is_op("->"):
-                self._next()
-                field = self._expect_id()
-                expr = ast.FieldAccess(expr, field.text, True, token.loc)
-            elif token.is_op("."):
-                self._next()
-                field = self._expect_id()
-                expr = ast.FieldAccess(expr, field.text, False, token.loc)
-            elif token.is_op("["):
-                self._next()
-                index = self._parse_expression()
+            index = self.index
+            text = texts[index]
+            if text == "->" or text == ".":
+                self.index = index + 1
+                field = texts[self._expect_id()]
+                expr = ast.FieldAccess(expr, field, text == "->",
+                                       self._loc(index))
+            elif text == "[":
+                self.index = index + 1
+                subscript = self._parse_expression()
                 self._expect_op("]")
-                expr = ast.Index(expr, index, token.loc)
-            elif token.kind == "op" and token.text in ("++", "--"):
-                self._next()
-                expr = ast.IncDec(expr, token.text, False, token.loc)
+                expr = ast.Index(expr, subscript, self._loc(index))
+            elif text == "++" or text == "--":
+                self.index = index + 1
+                expr = ast.IncDec(expr, text, False, self._loc(index))
             else:
                 return expr
 
     def _parse_primary_expr(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind == "int":
-            self._next()
-            return ast.IntLit(int(token.value), token.loc)  # type: ignore[arg-type]
-        if token.kind == "float":
-            self._next()
-            return ast.FloatLit(float(token.value), token.loc)  # type: ignore[arg-type]
-        if token.kind == "char":
-            self._next()
-            return ast.CharLit(str(token.value), token.loc)
-        if token.kind == "string":
-            self._next()
-            return ast.StringLit(str(token.value), token.loc)
-        if token.is_keyword("NULL"):
-            self._next()
-            return ast.IntLit(0, token.loc)
-        if token.kind == "id":
-            self._next()
-            if self._peek().is_op("("):
-                return self._parse_call(token)
-            return ast.VarRef(token.text, token.loc)
-        if token.is_op("("):
-            self._next()
+        index = self.index
+        kind = self.kinds[index]
+        if kind == "id":
+            self.index = index + 1
+            if self.texts[index + 1] == "(":
+                return self._parse_call(index)
+            return ast.VarRef(self.texts[index], self._loc(index))
+        if kind == "int":
+            self.index = index + 1
+            return ast.IntLit(self.values[index], self._loc(index))  # type: ignore[arg-type]
+        if kind == "float":
+            self.index = index + 1
+            return ast.FloatLit(self.values[index], self._loc(index))  # type: ignore[arg-type]
+        if kind == "char":
+            self.index = index + 1
+            return ast.CharLit(self.values[index], self._loc(index))  # type: ignore[arg-type]
+        if kind == "string":
+            self.index = index + 1
+            return ast.StringLit(self.values[index], self._loc(index))  # type: ignore[arg-type]
+        text = self.texts[index]
+        if text == "NULL":
+            self.index = index + 1
+            return ast.IntLit(0, self._loc(index))
+        if text == "(":
+            self.index = index + 1
             expr = self._parse_expression()
             self._expect_op(")")
             return expr
-        raise ParseError(f"unexpected token {token.text!r}", token.loc)
+        raise ParseError(f"unexpected token {text!r}", self._loc(index))
 
-    def _parse_call(self, name_token: Token) -> ast.Expr:
+    def _parse_call(self, name: int) -> ast.Expr:
         self._expect_op("(")
         args: List[ast.Expr] = []
-        if not self._peek().is_op(")"):
+        if self.texts[self.index] != ")":
             while True:
                 args.append(self._parse_assignment_expr())
                 if not self._accept_op(","):
@@ -596,21 +606,25 @@ class Parser:
         placement = None
         if self._accept_op("@"):
             placement = self._parse_placement()
-        return ast.Call(name_token.text, args, placement, name_token.loc)
+        return ast.Call(self.texts[name], args, placement, self._loc(name))
 
     def _parse_placement(self) -> ast.Placement:
-        token = self._peek()
-        if token.kind == "id" and token.text == "OWNER_OF":
-            self._next()
+        index = self.index
+        text = self.texts[index]
+        # Neither name is a keyword: an identifier spelled so.
+        if text == "OWNER_OF":
+            self.index = index + 1
             self._expect_op("(")
             expr = self._parse_expression()
             self._expect_op(")")
-            return ast.Placement(ast.Placement.KIND_OWNER_OF, expr, token.loc)
-        if token.kind == "id" and token.text == "HOME":
-            self._next()
-            return ast.Placement(ast.Placement.KIND_HOME, None, token.loc)
+            return ast.Placement(ast.Placement.KIND_OWNER_OF, expr,
+                                 self._loc(index))
+        if text == "HOME":
+            self.index = index + 1
+            return ast.Placement(ast.Placement.KIND_HOME, None,
+                                 self._loc(index))
         expr = self._parse_unary_expr()
-        return ast.Placement(ast.Placement.KIND_NODE, expr, token.loc)
+        return ast.Placement(ast.Placement.KIND_NODE, expr, self._loc(index))
 
 
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:

@@ -73,6 +73,41 @@ def _placement(placement) -> str:
     return f" @{_operand(placement[1])}"
 
 
+def basic_text(stmt: s.BasicStmt) -> str:
+    """One basic statement as a listing spells it, without label,
+    indentation or ``[R]`` mark; a nop is the empty string."""
+    if isinstance(stmt, s.AssignStmt):
+        return f"{_lvalue(stmt.lhs)} = {_rhs(stmt.rhs)};"
+    if isinstance(stmt, s.CallStmt):
+        args = ", ".join(_operand(a) for a in stmt.args)
+        call = f"{stmt.func}({args}){_placement(stmt.placement)}"
+        if stmt.target is not None:
+            call = f"{stmt.target} = {call}"
+        return call + ";"
+    if isinstance(stmt, s.AllocStmt):
+        node = f" @{_operand(stmt.node)}" if stmt.node is not None else ""
+        private = "   [private]" if stmt.private else ""
+        return (f"{stmt.target} = malloc({_operand(stmt.words)})"
+                f"{node};{private}")
+    if isinstance(stmt, s.BlkmovStmt):
+        return (f"blkmov({_endpoint(stmt.src)}, {_endpoint(stmt.dst)}, "
+                f"{stmt.words});")
+    if isinstance(stmt, s.SharedOpStmt):
+        if stmt.op == "valueof":
+            return f"{stmt.target} = valueof(&{stmt.shared_var});"
+        return f"{stmt.op}(&{stmt.shared_var}, {_operand(stmt.value)});"
+    if isinstance(stmt, s.ReturnStmt):
+        if stmt.value is None:
+            return "return;"
+        return f"return {_operand(stmt.value)};"
+    if isinstance(stmt, s.PrintStmt):
+        args = "".join(f", {_operand(a)}" for a in stmt.args)
+        return f"printf({stmt.format!r}{args});"
+    if isinstance(stmt, s.NopStmt):
+        return ""
+    raise TypeError(f"unknown statement {stmt!r}")  # pragma: no cover
+
+
 class SimplePrinter:
     """Renders SIMPLE statements/functions/programs as text."""
 
@@ -130,46 +165,12 @@ class SimplePrinter:
         self._lines.append(body)
 
     def _emit_stmt(self, stmt: s.Stmt, depth: int) -> None:
-        if isinstance(stmt, s.NopStmt):
-            return
-        if isinstance(stmt, s.AssignStmt):
-            self._line(depth, f"{_lvalue(stmt.lhs)} = {_rhs(stmt.rhs)};",
-                       stmt, remote=stmt.is_remote)
-        elif isinstance(stmt, s.CallStmt):
-            args = ", ".join(_operand(a) for a in stmt.args)
-            call = f"{stmt.func}({args}){_placement(stmt.placement)}"
-            if stmt.target is not None:
-                call = f"{stmt.target} = {call}"
-            self._line(depth, call + ";", stmt)
-        elif isinstance(stmt, s.AllocStmt):
-            node = f" @{_operand(stmt.node)}" if stmt.node is not None else ""
-            private = "   [private]" if stmt.private else ""
-            self._line(
-                depth,
-                f"{stmt.target} = malloc({_operand(stmt.words)})"
-                f"{node};{private}",
-                stmt)
-        elif isinstance(stmt, s.BlkmovStmt):
-            self._line(
-                depth,
-                f"blkmov({_endpoint(stmt.src)}, {_endpoint(stmt.dst)}, "
-                f"{stmt.words});",
-                stmt, remote=stmt.is_remote)
-        elif isinstance(stmt, s.SharedOpStmt):
-            if stmt.op == "valueof":
-                text = f"{stmt.target} = valueof(&{stmt.shared_var});"
-            else:
-                text = (f"{stmt.op}(&{stmt.shared_var}, "
-                        f"{_operand(stmt.value)});")
-            self._line(depth, text, stmt)
-        elif isinstance(stmt, s.ReturnStmt):
-            if stmt.value is None:
-                self._line(depth, "return;", stmt)
-            else:
-                self._line(depth, f"return {_operand(stmt.value)};", stmt)
-        elif isinstance(stmt, s.PrintStmt):
-            args = "".join(f", {_operand(a)}" for a in stmt.args)
-            self._line(depth, f"printf({stmt.format!r}{args});", stmt)
+        if isinstance(stmt, s.BasicStmt):
+            if not isinstance(stmt, s.NopStmt):
+                # Only assignments and block moves carry the mark.
+                remote = isinstance(stmt, (s.AssignStmt, s.BlkmovStmt)) \
+                    and stmt.is_remote
+                self._line(depth, basic_text(stmt), stmt, remote=remote)
         elif isinstance(stmt, s.SeqStmt):
             for child in stmt.stmts:
                 self._emit_stmt(child, depth)

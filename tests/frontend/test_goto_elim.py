@@ -7,6 +7,7 @@ from repro.errors import TransformError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.goto_elim import eliminate_gotos
 from repro.frontend.parser import parse_program
+from repro.harness.pipeline import compile_earthc
 from tests.conftest import run_value
 
 
@@ -240,3 +241,38 @@ class TestDoWhile:
             }
         """)
         assert value == 3
+
+
+INTERRUPTS = """
+    int main() {
+        int i; int t; t = 0;
+        for (i = 0; i < 10; i++) {
+            if (i == 2) continue;
+            if (i == 7) break;
+            t = t + i;
+        }
+        if (t > 100) goto done;
+        t = t + 1;
+    done:
+        return t;
+    }
+"""
+
+
+class TestFlagNames:
+    """Flags are numbered per program, so a compile's listing is a
+    function of its source alone."""
+
+    def test_flags_count_from_one_in_each_program(self):
+        program = parse_program(INTERRUPTS)
+        eliminate_gotos(program)
+        names = [stmt.name for stmt in program.functions[0].body.stmts
+                 if isinstance(stmt, ast.VarDecl)
+                 and stmt.name.startswith("__")]
+        assert names == ["__brk_1", "__cont_2", "__goto_done_3"]
+
+    def test_the_same_program_compiles_to_the_same_listing_twice(self):
+        first = compile_earthc(INTERRUPTS).listing()
+        assert "int __goto_done_3;" in first
+        assert compile_earthc(INTERRUPTS).listing() == first
+        assert run_value(INTERRUPTS) == 0 + 1 + 3 + 4 + 5 + 6 + 1

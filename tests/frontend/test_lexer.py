@@ -1,42 +1,69 @@
 """Lexer unit tests."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.errors import LexError
-from repro.frontend.lexer import Token, tokenize
+from repro.frontend.lexer import _MULTI_OPS, _SINGLE_OPS, KEYWORDS, tokenize
+from repro.frontend.parser import Parser
+
+
+class Tok(NamedTuple):
+    """One token read back from the arrays."""
+
+    kind: str
+    text: str
+    value: object
+
+
+def rows(source):
+    """Every token but ``eof``."""
+    tokens = tokenize(source)
+    return [Tok(*row) for row in zip(tokens.kinds, tokens.texts,
+                                     tokens.values)][:-1]
 
 
 def kinds(source):
-    return [t.kind for t in tokenize(source)[:-1]]
+    return tokenize(source).kinds[:-1]
 
 
 def texts(source):
-    return [t.text for t in tokenize(source)[:-1]]
+    return tokenize(source).texts[:-1]
+
+
+def located(source):
+    """Every token, ``eof`` included, as ``(text, line, column)``: the
+    location the parser cites it at."""
+    parser = Parser(source)
+    return [(text, parser._loc(index).line, parser._loc(index).column)
+            for index, text in enumerate(parser.texts)]
 
 
 class TestBasics:
     def test_empty_input_yields_only_eof(self):
         tokens = tokenize("")
         assert len(tokens) == 1
-        assert tokens[0].kind == "eof"
+        assert tokens.kinds == ["eof"]
+        assert tokens.offsets == [0]
 
     def test_identifier(self):
-        (tok,) = tokenize("hello")[:-1]
+        (tok,) = rows("hello")
         assert tok.kind == "id"
         assert tok.text == "hello"
 
     def test_identifier_with_underscore_and_digits(self):
-        (tok,) = tokenize("_my_var2")[:-1]
+        (tok,) = rows("_my_var2")
         assert tok.kind == "id"
 
     def test_keywords_recognized(self):
         for word in ("int", "double", "while", "forall", "shared",
                      "local", "struct", "sizeof", "NULL"):
-            (tok,) = tokenize(word)[:-1]
+            (tok,) = rows(word)
             assert tok.kind == "keyword", word
 
     def test_keyword_prefix_is_identifier(self):
-        (tok,) = tokenize("integer")[:-1]
+        (tok,) = rows("integer")
         assert tok.kind == "id"
 
     def test_whitespace_and_newlines_skipped(self):
@@ -45,30 +72,30 @@ class TestBasics:
 
 class TestNumbers:
     def test_decimal_int(self):
-        (tok,) = tokenize("42")[:-1]
+        (tok,) = rows("42")
         assert tok.kind == "int"
         assert tok.value == 42
 
     def test_hex_int(self):
-        (tok,) = tokenize("0x1F")[:-1]
+        (tok,) = rows("0x1F")
         assert tok.value == 31
 
     def test_float_with_dot(self):
-        (tok,) = tokenize("3.25")[:-1]
+        (tok,) = rows("3.25")
         assert tok.kind == "float"
         assert tok.value == 3.25
 
     def test_float_with_exponent(self):
-        (tok,) = tokenize("1e3")[:-1]
+        (tok,) = rows("1e3")
         assert tok.kind == "float"
         assert tok.value == 1000.0
 
     def test_float_with_negative_exponent(self):
-        (tok,) = tokenize("2.5e-2")[:-1]
+        (tok,) = rows("2.5e-2")
         assert tok.value == 0.025
 
     def test_leading_dot_float(self):
-        (tok,) = tokenize(".5")[:-1]
+        (tok,) = rows(".5")
         assert tok.kind == "float"
         assert tok.value == 0.5
 
@@ -113,21 +140,21 @@ class TestOperators:
 
 class TestLiteralsAndComments:
     def test_char_literal(self):
-        (tok,) = tokenize("'x'")[:-1]
+        (tok,) = rows("'x'")
         assert tok.kind == "char"
         assert tok.value == "x"
 
     def test_char_escape(self):
-        (tok,) = tokenize(r"'\n'")[:-1]
+        (tok,) = rows(r"'\n'")
         assert tok.value == "\n"
 
     def test_string_literal(self):
-        (tok,) = tokenize('"hi there"')[:-1]
+        (tok,) = rows('"hi there"')
         assert tok.kind == "string"
         assert tok.value == "hi there"
 
     def test_string_with_escapes(self):
-        (tok,) = tokenize(r'"a\tb"')[:-1]
+        (tok,) = rows(r'"a\tb"')
         assert tok.value == "a\tb"
 
     def test_line_comment_skipped(self):
@@ -162,15 +189,25 @@ class TestErrorsAndLocations:
             tokenize("a $ b")
 
     def test_line_and_column_tracking(self):
-        tokens = tokenize("a\n  b")
-        assert tokens[0].loc.line == 1
-        assert tokens[1].loc.line == 2
-        assert tokens[1].loc.column == 3
+        (a, b, _) = located("a\n  b")
+        assert a[1] == 1
+        assert b[1] == 2
+        assert b[2] == 3
 
-    def test_token_helpers(self):
-        token = tokenize("while")[0]
-        assert token.is_keyword("while")
-        assert not token.is_op("while")
+    def test_offsets_are_where_tokens_start(self):
+        tokens = tokenize("a\n  b")
+        assert tokens.offsets == [0, 4, 5]
+
+    def test_a_spelling_names_its_token(self):
+        """What lets the parser test for an operator or a keyword by
+        its spelling alone."""
+        tokens = tokenize("while")
+        assert (tokens.kinds[0], tokens.texts[0]) == ("keyword", "while")
+        ops = set(_MULTI_OPS) | set(_SINGLE_OPS)
+        assert "while" not in ops
+        assert not ops & KEYWORDS
+        for op in ops:
+            assert tokenize(op).kinds[:-1] == ["op"], op
 
 
 class TestMalformedLiterals:
@@ -199,22 +236,20 @@ class TestMalformedLiterals:
         assert str(info.value) == f"bad.ec:2:7: {message}"
 
     def test_hex_digits_stop_at_the_first_non_hex_character(self):
-        assert [(t.kind, t.text, t.value) for t in tokenize("0x1G")[:-1]] \
-            == [("int", "0x1", 1), ("id", "G", None)]
+        assert rows("0x1G") == [("int", "0x1", 1), ("id", "G", None)]
 
     def test_number_forms(self):
-        assert [(t.kind, t.text) for t in tokenize("1. 1.e2 1e+ 1..2 007")[:-1]] \
+        assert [(t.kind, t.text) for t in rows("1. 1.e2 1e+ 1..2 007")] \
             == [("float", "1."), ("float", "1.e2"), ("int", "1"),
                 ("id", "e"), ("op", "+"), ("float", "1."), ("float", ".2"),
                 ("int", "007")]
 
     def test_literal_text_is_the_decoded_spelling(self):
-        string, char = tokenize(r'"a\tb" ' + r"'\n'")[:-1]
+        string, char = rows(r'"a\tb" ' + r"'\n'")
         assert (string.text, string.value) == ('"a\tb"', "a\tb")
         assert (char.text, char.value) == ("'\n'", "\n")
 
     def test_locations_after_comments_and_a_raw_newline_character(self):
-        tokens = tokenize("a /* x\n y */ b // z\n#pragma\n '\n' c")
-        assert [(t.text, t.loc.line, t.loc.column) for t in tokens] == [
+        assert located("a /* x\n y */ b // z\n#pragma\n '\n' c") == [
             ("a", 1, 1), ("b", 2, 7), ("'\n'", 4, 2), ("c", 5, 3),
             ("", 5, 4)]

@@ -2,10 +2,11 @@
 descent it replaced.
 
 ``ReferenceParser`` keeps the old ``_parse_binary_expr`` -- one call per
-precedence level per operand, the grammar written as a recursion -- and
-the old clamping ``_peek``; the product parser must build the same AST,
-node for node and location for location, and refuse the same inputs
-with the same ``ParseError`` text.
+precedence level per operand, the grammar written as a recursion, each
+operator tested by kind and spelling -- on the token arrays the product
+parser reads; the product parser must build the same AST, node for node
+and location for location, and refuse the same inputs with the same
+``ParseError`` text.
 """
 
 import random
@@ -24,28 +25,26 @@ from repro.workload import MIXES, SHAPES, generate_source
 
 
 class ReferenceParser(Parser):
-    """The parser as it was at ``84436ca``."""
-
-    def _peek(self, offset=0):
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    """The expression parser as it was at ``84436ca``."""
 
     def _parse_binary_expr(self, level):
         if level >= len(self._PRECEDENCE):
             return self._parse_unary_expr()
         left = self._parse_binary_expr(level + 1)
         ops = self._PRECEDENCE[level]
-        while self._peek().kind == "op" and self._peek().text in ops:
-            token = self._next()
+        while self.kinds[self.index] == "op" and \
+                self.texts[self.index] in ops:
+            index = self._next()
             right = self._parse_binary_expr(level + 1)
-            left = ast.BinOp(token.text, left, right, token.loc)
+            left = ast.BinOp(self.texts[index], left, right,
+                             self._loc(index))
         return left
 
 
 def dump(value):
     """A node as nested plain data: class, every slot, locations and
     types by their text."""
-    if isinstance(value, ast.Node):
+    if isinstance(value, (ast.Node, ast.SwitchCase, ast.Param)):
         slots = [name for cls in type(value).__mro__
                  for name in getattr(cls, "__slots__", ())]
         return (type(value).__name__,

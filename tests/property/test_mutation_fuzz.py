@@ -30,11 +30,7 @@ AWKWARD = ["0x", "0xZ", "1e", "08", ".", "'", '"', "''", "/*", "$", "{^",
 def token_pieces(source):
     """``source`` cut at every token start: the text before the first
     token, then each token with the trivia that follows it."""
-    line_starts = [0]
-    for line in source.splitlines(keepends=True):
-        line_starts.append(line_starts[-1] + len(line))
-    offsets = [line_starts[token.loc.line - 1] + token.loc.column - 1
-               for token in tokenize(source)]
+    offsets = tokenize(source).offsets
     return [source[:offsets[0]]] + [source[start:end] for start, end
                                     in zip(offsets, offsets[1:])]
 

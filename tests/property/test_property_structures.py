@@ -161,7 +161,9 @@ identifier = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True).filter(
 def test_lexer_roundtrips_token_spellings(parts):
     source = " ".join(parts)
     tokens = tokenize(source)
-    assert [t.text for t in tokens[:-1]] == parts
+    assert tokens.texts[:-1] == parts
+    assert tokens.kinds[:-1] == [
+        "int" if part[0].isdigit() else "id" for part in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,29 @@
 """JobSpec/JobResult semantics and the pure execute_job function."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.comm.optconfig import OPT_PRESETS, resolve_opt
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.errors import ServiceError
 from repro.harness.experiments import leg_job
-from repro.harness.pipeline import PIPELINE_VERSION, run_three_ways
+from repro.harness.pipeline import (
+    PIPELINE_VERSION,
+    compile_earthc,
+    run_three_ways,
+)
 from repro.olden.loader import get_benchmark
+from repro.service import jobs
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import (
     JobResult,
     JobSpec,
+    compute_job,
     execute_job,
     run_payload,
 )
+from tests.frontend.test_goto_elim import INTERRUPTS
 
 SOURCE = """
 int add(int a, int b) { return a + b; }
@@ -164,6 +173,19 @@ class TestContentAddressing:
 
 
 class TestExecuteJob:
+    def test_compile_payload_is_a_function_of_the_spec(self, monkeypatch):
+        """Two workers (fresh compile memos) that compiled different
+        programs before give one ``compile`` payload: goto-elimination
+        flags are numbered per program, not per process."""
+        spec = JobSpec("compile", source=INTERRUPTS)
+        monkeypatch.setattr(jobs, "_COMPILE_MEMO", OrderedDict())
+        first = compute_job(spec)
+        compile_earthc(INTERRUPTS.replace("i == 7", "i == 8"))
+        monkeypatch.setattr(jobs, "_COMPILE_MEMO", OrderedDict())
+        second = compute_job(spec)
+        assert first.ok and "__brk_1" in first.payload["listing"]
+        assert second.payload == first.payload
+
     def test_compile_job_payload(self):
         result = execute_job(JobSpec("compile", source=SOURCE))
         assert result.ok and result.cache is None
@@ -258,7 +280,7 @@ PIN_WIRE_DEFAULTS = {
 #: name -> (constructor keywords, wire keys off their default, cache
 #: address).  The wire dicts date from the commit before ``JobSpec``
 #: came to carry a ``RunConfig``; the addresses were re-recorded at
-#: pipeline ``2026.10-two-presets``.  A change here is a change of the
+#: pipeline ``2026.10-program-flags``.  A change here is a change of the
 #: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
@@ -268,20 +290,20 @@ GOLDEN = {
              inline=["add"], reorder_fields=True),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"], reorder_fields=True),
-        "cdab1cb921b105e92be2296b7e9d6db0"
-        "8ff35cb7c67dd8af730a3795c383a7c6"),
+        "f84e96953bca62a2e60ada7ea8ab7f2d"
+        "62437ed54aedfb2ff032872cb976ef52"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "9c5ba1fb9a4877e0fa1664d8923976af"
-        "d947f9c11e3b85fdf50c95c84b81ae10"),
+        "37cbc9f00a1ae0d01a68df5054aebdd4"
+        "3760472004f393f475b1eecdef05f2cc"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "c52302dffea37eaffc7518a319c1eb83"
-        "8a2ac62b2267ae69e7a7b071760d2ebe"),
+        "423696dce2695f0b560130b495319291"
+        "0cd188c538cf0e41f0e8de99232faae9"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -289,14 +311,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, opt=PIN_OPT),
-        "607664a133ca114f1a39ba89aa75916a"
-        "829021afaca8c7e41210b39c665e19e0"),
+        "c836ca7d84ca1aaad90b540a896418ea"
+        "467efd4102528d0b06ba588463e95659"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-two-presets"
+        assert PIPELINE_VERSION == "2026.10-program-flags"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
