@@ -145,9 +145,7 @@ def _parse_args(argv):
                    "--fault-profile", "--opt-preset")
     parser.add_argument("--dump-codegen", default=None, metavar="FUNC",
                         help="print the Python source the codegen "
-                             "engine emits for FUNC (or a fallback "
-                             "notice when it leaves FUNC to the AST "
-                             "walker) and continue")
+                             "engine emits for FUNC and continue")
     parser.add_argument("--json", action="store_true",
                         help="with --run: print one JSON object (run "
                              "result, MachineStats.snapshot(), per-node "
@@ -311,14 +309,9 @@ def _dump_codegen(compiled, name, config) -> None:
                          f"(have: {', '.join(compiled.simple.functions)})")
     interp = make_interpreter(compiled, config.replace(engine="codegen"))
     interp._init_globals()
-    engine = CodegenEngine(interp)
-    engine.function(name)
-    source = engine.sources.get(name)
-    if source is None:
-        print(f"== codegen: {name} fell back to the AST walker")
-    else:
-        print(f"== codegen source: {name} (nodes={config.nodes})")
-        print(source)
+    source = CodegenEngine(interp).function(name).source
+    print(f"== codegen source: {name} (nodes={config.nodes})")
+    print(source)
 
 
 def _catalog_default_args(path):

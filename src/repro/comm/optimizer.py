@@ -274,10 +274,16 @@ def _mark_residual_split_phase(function: s.SimpleFunction) -> int:
     the simulator's sync-on-use semantics models that, so unselected
     remote operations (array element accesses, blkmovs from struct
     assignments) also overlap when data dependences allow.
+
+    A read into a global stays blocking
+    (:meth:`~repro.simple.nodes.SimpleFunction.can_split_read`).
     """
     marked = 0
     for stmt in function.body.basic_stmts():
         if isinstance(stmt, (s.AssignStmt, s.BlkmovStmt)) and stmt.is_remote:
+            if isinstance(stmt, s.AssignStmt) \
+                    and not function.can_split_read(stmt):
+                continue
             stmt.split_phase = True
             marked += 1
     return marked

@@ -314,14 +314,16 @@ class CommSelection:
         """One split-phase scalar read hoisted to this point."""
         origins = sorted(tup.dlist)
         if origins == [stmt.label]:
-            # The tuple never moved and has a single origin: leave the
-            # read in place, just make it split-phase.
             origin = self.label_map[stmt.label]
             assert isinstance(origin, s.AssignStmt)
-            origin.split_phase = True
-            self.selected_reads.add((base, tup.key[1], stmt.label))
-            self.stats.reads_left_in_place += 1
-            return []
+            # The tuple never moved and has a single origin: leave the
+            # read in place, just make it split-phase -- unless it reads
+            # into a global, which gets a comm variable like a moved one.
+            if self.func.can_split_read(origin):
+                origin.split_phase = True
+                self.selected_reads.add((base, tup.key[1], stmt.label))
+                self.stats.reads_left_in_place += 1
+                return []
         if tup.path is not None:
             struct = self._pointee_struct(base)
             if struct is not None:

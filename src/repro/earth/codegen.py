@@ -51,14 +51,16 @@ the budget ``InterpreterError`` or completes is the same function of
 its statement count on both engines, and ``basic_stmts_executed`` is
 exact for every completing run.
 
-Anything the generator cannot prove it can emit faithfully -- a
-dynamically shadowed global, a name that is not a Python identifier,
-an unknown variable or callee, a non-finite float constant -- makes
-the *whole function* fall back to the walker
-(:class:`~repro.earth.interpreter.WalkedFunction`), which keeps error
-behaviour authoritative.  Fallback is per-function, never
-whole-program; generated and walked functions call each other through
-the shared engine cells.
+The generator is total over validated SIMPLE: every function of such
+a program is emitted, and one engine runs the whole program.  What it
+relies on is checked before it runs -- names are identifiers, the type
+checker settles operators and access shapes, the front end refuses
+global struct variables, and ``simple.validate`` refuses a split-phase
+read into a global, so every name that can hold a pending ``Slot`` is
+a frame variable.  A construct outside that (only a hand-built
+program can hold one) is an :class:`~repro.errors.InterpreterError`
+naming the function and the construct, raised when the function is
+bound.
 
 Each function is emitted once per program and :class:`EmitContext`.
 The context holds every run fact the text bakes in -- node count,
@@ -68,11 +70,10 @@ the run through it alone; the rest it reads from the program (global
 addresses too: ``Interpreter._init_globals`` lays them out from the
 program alone).  The context is also the key of the program's memo
 (``SimpleProgram.codegen_memo``), which maps ``(function name,
-context)`` to the emitted source with its code object, or to the
-walker for a fallback.  A repeat run -- another fault plan, another
-remote-data cache geometry -- finds its functions there, binds them
-into one namespace per engine and ``exec``\\ s them: it neither walks
-the SIMPLE tree nor emits text.
+context)`` to the emitted source with its code object.  A repeat run
+-- another fault plan, another remote-data cache geometry -- finds its
+functions there, binds them into one namespace per engine and
+``exec``\\ s them: it neither walks the SIMPLE tree nor emits text.
 
 Debugging: the emitted source of every generated function is kept in
 ``CodegenEngine.sources`` and can be printed with the CLI's
@@ -91,7 +92,6 @@ from repro.earth.interpreter import (
     _MATH_COST_NS,
     Interpreter,
     SharedCell,
-    WalkedFunction,
     _c_div,
     _c_mod,
     _normalize_word,
@@ -114,15 +114,6 @@ from repro.simple.traversal import basic_uses
 #: cycling through many programs cannot grow it without limit.
 _CODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
 _CODE_CACHE_LIMIT = 512
-
-#: The memo's entry for a function that falls back to the walker.
-_WALKER = "walker"
-
-
-class _Uncompilable(Exception):
-    """Internal: this function cannot be emitted faithfully; run it on
-    the walker."""
-
 
 # ---------------------------------------------------------------------------
 # Operator and coercion selection (semantics of
@@ -244,8 +235,7 @@ _BITOPS = ("&", "|", "^", "<<", ">>")
 
 class GeneratedFunction:
     """One SIMPLE function lowered to emitted Python source.  Callers
-    only need ``.invoke`` -- the engine cells hold these and
-    :class:`~repro.earth.interpreter.WalkedFunction` interchangeably."""
+    only need ``.invoke`` (the engine cells hold these)."""
 
     __slots__ = ("name", "function", "invoke", "source")
 
@@ -294,11 +284,11 @@ class _Emitted(NamedTuple):
 class CodegenEngine:
     """Binds the functions of one ``(program, machine)`` pair lazily,
     emitting each only when the program's memo has nothing for it under
-    this run's :class:`EmitContext`, with per-function fallback to the
-    walker.  Owned by one :class:`Interpreter`."""
+    this run's :class:`EmitContext`.  Owned by one
+    :class:`Interpreter`."""
 
     __slots__ = ("interp", "program", "context", "compiled", "_cells",
-                 "_ns", "sources", "fallbacks")
+                 "_ns", "sources")
 
     def __init__(self, interp: Interpreter):
         self.interp = interp
@@ -314,8 +304,6 @@ class CodegenEngine:
         # Emitted source per generated function (for --dump-codegen
         # and the golden-snapshot test).
         self.sources: Dict[str, str] = {}
-        # Functions that fell back to the walker.
-        self.fallbacks: Set[str] = set()
 
     def cell(self, name: str) -> list:
         cell = self._cells.get(name)
@@ -338,20 +326,12 @@ class CodegenEngine:
         key = (name, self.context)
         emitted = memo.get(key)
         if emitted is None:
-            try:
-                emitted = _CodeGenerator(
-                    self.context, self.program,
-                    self.interp.machine.memory, func).generate()
-            except Exception:
-                # Whole-function fallback: the walker is authoritative
-                # for anything codegen cannot prove.
-                emitted = _WALKER
+            emitted = _CodeGenerator(
+                self.context, self.program,
+                self.interp.machine.memory, func).generate()
             # Two threads running one program may both get here; what
             # they store is equal.
             memo[key] = emitted
-        if emitted is _WALKER:
-            self.fallbacks.add(name)
-            return WalkedFunction(self.interp, func)
         ns = self._ns
         if ns is None:
             ns = self._ns = self._namespace()
@@ -440,10 +420,6 @@ class _CodeGenerator:
         self.func = func
         self.local_ns = context.local_stmt_ns
         self.slotcap = self._slot_capable_names(func)
-        # Slot-capable names NOT declared in the function live in frames
-        # only transiently (dynamic shadowing of a global); those need
-        # the walker's frame-first lookup.
-        self.shadowed = self.slotcap - set(func.variables)
         self.lines: List[str] = []
         self.indent = 0
         self._tmp = 0
@@ -525,8 +501,13 @@ class _CodeGenerator:
         if var is None:
             var = self.program.globals.get(name)
         if var is None:
-            raise _Uncompilable(name)
+            raise self._refuse(f"unknown variable {name!r}")
         return var.type
+
+    def _refuse(self, what: str) -> InterpreterError:
+        """The error for a construct validated SIMPLE cannot contain."""
+        return InterpreterError(
+            f"{self.func.name}: codegen cannot emit {what}")
 
     # -- small emission helpers --------------------------------------------
 
@@ -564,7 +545,8 @@ class _CodeGenerator:
         if not split:
             self.w_wait(r)
         elif ctx.out is None:   # _leaves_outstanding missed a case
-            raise _Uncompilable("outstanding list elided")
+            raise self._refuse("a split-phase store with no "
+                               "outstanding list")
         else:
             self.w(f"{ctx.out}.append({r})")
         self.indent -= 1
@@ -582,7 +564,7 @@ class _CodeGenerator:
 
     def var(self, name: str) -> str:
         if not name.isidentifier():
-            raise _Uncompilable(name)
+            raise self._refuse(f"variable name {name!r}")
         return "v_" + name
 
     # -- namespace ---------------------------------------------------------
@@ -590,13 +572,13 @@ class _CodeGenerator:
     def _ns_cell(self, callee: str) -> str:
         """The namespace name of ``callee``'s engine cell."""
         if not callee.isidentifier():
-            raise _Uncompilable(callee)
+            raise self._refuse(f"function name {callee!r}")
         self.callees.add(callee)
         return f"_cf_{callee}"
 
     def _ns_obj(self, prefix: str, name: str, obj) -> str:
         if not name.isidentifier():
-            raise _Uncompilable(name)
+            raise self._refuse(f"name {name!r}")
         key = f"{prefix}{name}"
         self.objects[key] = obj
         return key
@@ -605,13 +587,6 @@ class _CodeGenerator:
 
     def generate(self) -> _Emitted:
         func = self.func
-        if self.shadowed:
-            # Dynamically shadowed globals need frame-first checks that
-            # Python locals cannot express; let the walker do it.
-            raise _Uncompilable("shadowed globals")
-        for name in func.variables:
-            if not name.isidentifier():
-                raise _Uncompilable(name)
         fname = func.name
         nparams = len(func.params)
         self.w("def invoke(args, node, result_slot=None):")
@@ -743,7 +718,7 @@ class _CodeGenerator:
                     stmt, 1000.0, lambda ctx: self._gen_print(stmt))
             if isinstance(stmt, s.NopStmt):
                 return self._pure_or_sync_gen(stmt, 0.0, None)
-            raise _Uncompilable(stmt)
+            raise self._refuse(f"statement {stmt!r}")
         if isinstance(stmt, s.IfStmt):
             return ("gen", lambda ctx: self._gen_if(stmt, ctx))
         if isinstance(stmt, s.WhileStmt):
@@ -756,7 +731,7 @@ class _CodeGenerator:
             return ("gen", lambda ctx: self._gen_par(stmt, ctx))
         if isinstance(stmt, s.ForallStmt):
             return ("gen", lambda ctx: self._gen_forall(stmt, ctx))
-        raise _Uncompilable(stmt)
+        raise self._refuse(f"statement {stmt!r}")
 
     def _pure_or_sync_gen(self, stmt, busy: float, effect):
         """PURE when the statement has no sync entries (so it can fuse);
@@ -828,21 +803,24 @@ class _CodeGenerator:
             # Memory words are untyped (a global can be written through
             # an aliasing pointer), so no kind is assumed.
             return f"_nw(_mem_read({address!r}))", None
-        raise _Uncompilable(name)
+        raise self._refuse(f"unknown variable {name!r}")
 
     def _x_operand(self, operand: s.Operand) -> Tuple[str, Optional[str]]:
         if isinstance(operand, s.Const):
-            value = operand.value
-            if type(value) is int:
-                return repr(value), "int"
-            if type(value) is float:
-                if not math.isfinite(value):
-                    raise _Uncompilable(operand)
-                return repr(value), "float"
-            raise _Uncompilable(operand)
+            return self._x_const(operand.value)
         if isinstance(operand, s.VarUse):
             return self._x_var(operand.name)
-        raise _Uncompilable(operand)
+        raise self._refuse(f"operand {operand!r}")
+
+    def _x_const(self, value) -> Tuple[str, Optional[str]]:
+        if type(value) is int:
+            return repr(value), "int"
+        if type(value) is float:
+            # ``repr`` of a non-finite float (``inf``, ``nan``) is not
+            # a Python expression; ``float('-inf')`` is.
+            return (repr(value) if math.isfinite(value)
+                    else f"float({repr(value)!r})"), "float"
+        raise self._refuse(f"constant {value!r}")
 
     def _x_pointer(self, name: str) -> Tuple[str, Optional[str]]:
         """A variable read that must hold a pointer; the isinstance
@@ -879,7 +857,7 @@ class _CodeGenerator:
             li = left if lk == "int" else f"int({left})"
             ri = right if rk == "int" else f"int({right})"
             return f"({li} {op} {ri})", "int"
-        raise _Uncompilable(op)
+        raise self._refuse(f"operator {op!r}")
 
     def _x_rhs(self, rhs: s.Rhs) -> Tuple[str, Optional[str]]:
         if isinstance(rhs, s.OperandRhs):
@@ -893,7 +871,7 @@ class _CodeGenerator:
             if rhs.op == "~":
                 inner = expr if kind == "int" else f"int({expr})"
                 return f"(~{inner})", "int"
-            raise _Uncompilable(rhs)
+            raise self._refuse(f"unary operator {rhs.op!r}")
         if isinstance(rhs, s.BinaryRhs):
             left, lk = self._x_operand(rhs.left)
             right, rk = self._x_operand(rhs.right)
@@ -913,7 +891,7 @@ class _CodeGenerator:
         if isinstance(rhs, s.AddrOfRhs):
             if self.memory.has_global(rhs.var):
                 return repr(self.memory.global_address(rhs.var)), "int"
-            raise _Uncompilable(rhs)
+            raise self._refuse(f"the address of non-global {rhs.var!r}")
         if isinstance(rhs, s.FieldAddrRhs):
             base, _ = self._x_pointer(rhs.base)
             ptr_type = self._lookup_type(rhs.base)
@@ -929,7 +907,7 @@ class _CodeGenerator:
             word = f"_nw({t}[{offset!r}])"
             return self._coerce_expr(field_type, word, None), \
                 self._kind_of_type(field_type)
-        raise _Uncompilable(rhs)
+        raise self._refuse(f"right-hand side {rhs!r}")
 
     def _x_cond(self, cond: s.CondExpr) -> str:
         """A truthiness expression for an if/while/do condition (the
@@ -956,7 +934,8 @@ class _CodeGenerator:
             ptr_type = self._lookup_type(access.base)
             struct = getattr(ptr_type, "target", None)
             if not isinstance(struct, StructType):
-                raise _Uncompilable(access)
+                raise self._refuse(f"field access {access!r} through a "
+                                   f"non-struct pointer")
             offset, field_type = access.path.resolve(struct)
             if offset == 0:
                 return base, "int", field_type
@@ -968,12 +947,12 @@ class _CodeGenerator:
             base, _ = self._x_pointer(access.base)
             ptr_type = self._lookup_type(access.base)
             if not isinstance(ptr_type, PointerType):
-                raise _Uncompilable(access)
+                raise self._refuse(f"{access!r} through a non-pointer")
             return base, "int", ptr_type.target
         if isinstance(access, (s.IndexReadRhs, s.IndexWriteLV)):
             ptr_type = self._lookup_type(access.base)
             if not isinstance(ptr_type, PointerType):
-                raise _Uncompilable(access)
+                raise self._refuse(f"{access!r} through a non-pointer")
             base, _ = self._x_pointer(access.base)
             tb = self.tmp()
             self.w(f"{tb} = {base}")
@@ -983,7 +962,7 @@ class _CodeGenerator:
             ii = ti if ik == "int" else f"int({ti})"
             return f"({tb} + {ii} if {tb} != 0 else 0)", "int", \
                 ptr_type.target
-        raise _Uncompilable(access)
+        raise self._refuse(f"access {access!r}")
 
     # -- stores --------------------------------------------------------------
 
@@ -1005,7 +984,7 @@ class _CodeGenerator:
             return
         gvar = self.program.globals.get(name)
         if gvar is None:
-            raise _Uncompilable(name)
+            raise self._refuse(f"a store to unknown variable {name!r}")
         address = self.memory.global_address(name)
         coerced = self._coerce_expr(gvar.type, value, kind)
         self.w(f"_mem_write({address!r}, {coerced})")
@@ -1023,7 +1002,8 @@ class _CodeGenerator:
         if isinstance(lhs, s.StructFieldWriteLV):
             name = lhs.struct_var
             if name not in self.func.variables:
-                raise _Uncompilable(lhs)
+                raise self._refuse(f"a field store to non-local struct "
+                                   f"{name!r}")
             struct_type = self.func.var_type(name)
             offset, field_type = lhs.path.resolve(struct_type)
             tv = self.tmp()
@@ -1155,7 +1135,8 @@ class _CodeGenerator:
         if stmt.split_phase and isinstance(lhs, s.VarLV):
             var = self.func.variables.get(lhs.name)
             if var is None:
-                raise _Uncompilable(lhs)
+                raise self._refuse(f"a split-phase read into non-local "
+                                   f"{lhs.name!r}")
             # The pending Slot itself goes into the variable, raw; a
             # value that completed at issue, as _emit_sync delivers it.
             v = self.var(lhs.name)
@@ -1209,7 +1190,7 @@ class _CodeGenerator:
             return self._pure_or_sync_gen(stmt, local_ns,
                                           effect_owner)
         if name not in self.program.functions:
-            raise _Uncompilable(name)
+            raise self._refuse(f"a call to unknown function {name!r}")
         cell_key = self._ns_cell(name)
         call_ns = self.ctx.call_overhead_ns
 
@@ -1253,7 +1234,7 @@ class _CodeGenerator:
                 self.w(f"{tn} = {inner} % "
                        f"{self.ctx.num_nodes!r}")
             else:
-                raise _Uncompilable(placement)
+                raise self._refuse(f"placement {placement!r}")
             if not home:
                 self.w(f"if {tn} != node:")
                 self.w("    _stats.remote_calls += 1")
@@ -1310,7 +1291,8 @@ class _CodeGenerator:
             self.w(f"{t} = {t} + {offset!r} if {t} != 0 else 0")
             return t, t
         if name not in self.func.variables:
-            raise _Uncompilable(name)
+            raise self._refuse(f"blkmov endpoint {name!r}, not a local "
+                               f"struct")
         self.w(f"{t} = _sbuf({self.var(name)}, {name!r})")
         return f"({t}, {offset!r})", t
 
@@ -1500,13 +1482,9 @@ class _CodeGenerator:
         self.w(f"{t} = {sexpr}")
         first = True
         for case_value, seq in stmt.cases:
-            if type(case_value) not in (int, float) or (
-                    type(case_value) is float
-                    and not math.isfinite(case_value)):
-                raise _Uncompilable(stmt)
             kw = "if" if first else "elif"
             first = False
-            self.w(f"{kw} {t} == {case_value!r}:")
+            self.w(f"{kw} {t} == {self._x_const(case_value)[0]}:")
             self.indent += 1
             self._emit_suite(seq, ctx)
             self.indent -= 1

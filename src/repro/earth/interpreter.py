@@ -121,10 +121,10 @@ class RunResult:
                 f"time={self.time_ns / 1e6:.3f}ms, {self.stats!r})")
 
 
-#: Engines: ``"codegen"`` emits specialized Python source per function
-#: (:mod:`repro.earth.codegen`) and falls back per function to the
-#: walker; ``"ast"`` walks the SIMPLE tree (the reference
-#: implementation below).  Both drive the same machine and must
+#: Engines: ``"codegen"`` emits specialized Python source for every
+#: function (:mod:`repro.earth.codegen`); ``"ast"`` walks the SIMPLE
+#: tree (the reference implementation below).  A run uses one of them
+#: for all of its functions.  Both drive the same machine and must
 #: produce identical results -- every engine must reproduce each
 #: engine-free digest of tests/chaos/golden_runs.json, and
 #: tests/earth/test_engine_equivalence.py covers the rest.  Defined here
@@ -134,12 +134,10 @@ DEFAULT_ENGINE = "codegen"
 
 
 class WalkedFunction:
-    """One SIMPLE function run by the AST walker behind the protocol
-    generated functions expose (``.invoke(args, node, result_slot)``),
-    so the two kinds call each other through the same engine cells.
-    This is what the codegen engine falls back to for a function it
-    cannot emit; the function's own callees go back through the engine
-    (:meth:`Interpreter._activation`)."""
+    """One SIMPLE function run by the AST walker (``engine="ast"``)
+    behind the protocol generated functions expose
+    (``.invoke(args, node, result_slot)``): the root fiber and placed
+    calls start an activation through it."""
 
     __slots__ = ("function", "_interp")
 
@@ -815,7 +813,8 @@ class Interpreter:
         if stmt.placement is None:
             # Ordinary call: runs inline in the current fiber.
             self._busy(params.call_overhead_ns)
-            value = yield from self._activation(callee, args, act.node)
+            value = yield from self._exec_function(callee, args,
+                                                   act.node)
             if stmt.target is not None:
                 self._store_var(act, stmt.target, value)
             return None
@@ -844,16 +843,6 @@ class Interpreter:
         if stmt.target is not None:
             self._store_var(act, stmt.target, value)
         return None
-
-    def _activation(self, callee: s.SimpleFunction, args: List[Value],
-                    node: int):
-        """The generator for one activation started by a walked call
-        statement.  Under the codegen engine the walker runs only the
-        functions that fell back, so a callee goes back through the
-        engine."""
-        if self._codegen is not None:
-            return self._codegen.function(callee.name).invoke(args, node)
-        return self._exec_function(callee, args, node)
 
     def _placement_node(self, act: Activation, placement) -> int:
         if placement is None:

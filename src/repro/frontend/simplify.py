@@ -20,7 +20,8 @@ This implements McCAT's "Simplify" phase for our dialect: after the pass,
 Restrictions of the dialect (diagnosed, not silently miscompiled):
 taking the address of a *stack scalar* is unsupported (stack frames are
 not addressable in the simulator; heap and global addresses are);
-struct-by-value parameters/returns are unsupported; ``forall``
+struct-by-value parameters/returns and global struct variables are
+unsupported; ``forall``
 conditions must be simple comparisons of variables/constants.
 """
 
@@ -62,6 +63,11 @@ class Simplifier:
         self.builtins = builtin_symbols()
         globals_: Dict[str, s.SimpleVar] = {}
         for decl in program.globals:
+            if decl.var_type.is_struct:
+                raise SimplifyError(
+                    f"{decl.loc}: global {decl.name!r} is declared "
+                    f"{decl.var_type}; global struct variables are not "
+                    f"supported (use a heap object or a global pointer)")
             globals_[decl.name] = s.SimpleVar(
                 decl.name, decl.var_type, "local", decl.is_shared)
         self.simple = s.SimpleProgram(symbols.structs, globals_)

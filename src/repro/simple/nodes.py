@@ -942,6 +942,14 @@ class SimpleFunction:
     def var_type(self, name: str) -> Type:
         return self.variables[name].type
 
+    def can_split_read(self, stmt: "AssignStmt") -> bool:
+        """May ``stmt``'s remote read be split-phase?  A pending value
+        lands in the frame, where sync-on-use finds it, so not when the
+        destination is a variable other than this function's own (a
+        global)."""
+        lhs = stmt.lhs
+        return not isinstance(lhs, VarLV) or lhs.name in self.variables
+
     def label_map(self) -> Dict[int, Stmt]:
         """Label -> statement for the current body (recomputed on call)."""
         return {stmt.label: stmt for stmt in self.body.walk()}

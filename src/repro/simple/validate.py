@@ -8,17 +8,21 @@ Checks the invariants the analyses rely on:
 * statement labels are unique within a function and each statement
   appears exactly once in the tree;
 * shared variables are only touched by :class:`SharedOpStmt`;
-* ``blkmov`` endpoints have the right kinds.
+* ``blkmov`` endpoints have the right kinds;
+* a split-phase remote read lands in one of the function's own
+  variables, never in a global.
 
-Raises :class:`repro.errors.AnalysisError` on the first violation; returns
-statistics otherwise (handy in tests).
+Raises :class:`repro.errors.AnalysisError` on the first violation (a
+:class:`repro.errors.TransformError` for a split-phase read into a
+global, which only an optimizer pass can produce); returns statistics
+otherwise (handy in tests).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TransformError
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs, basic_uses, cond_uses
 
@@ -93,6 +97,12 @@ def _validate_basic(program: s.SimpleProgram, function: s.SimpleFunction,
               "basic statement with both a remote read and a remote write")
     if read is not None:
         stats.remote_reads += 1
+        if isinstance(stmt, s.AssignStmt) and stmt.split_phase \
+                and not function.can_split_read(stmt):
+            raise TransformError(
+                f"{function.name}: S{stmt.label}: split-phase remote "
+                f"read into {stmt.lhs.name!r}, which is not a variable "
+                f"of the function")
     if write is not None:
         stats.remote_writes += 1
     if isinstance(stmt, s.BlkmovStmt):

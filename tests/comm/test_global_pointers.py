@@ -7,14 +7,20 @@ holder), a write sunk to the end of a function, a read hoisted to the
 top, and a scalar deref through a global ``int *``.  Selection looks a
 base pointer's type up among the function's variables first and the
 program's globals second.
+
+A remote read *into* a global is never split-phase: a pending value
+lands in the frame, so selection gives such a read a comm variable and
+the residual marking leaves it blocking.
 """
 
 import pytest
 
 from repro.__main__ import main
+from repro.comm.optimizer import CommConfig
 from repro.config import RunConfig
 from repro.earth.interpreter import ENGINES
 from repro.harness.pipeline import compile_earthc, execute
+from repro.simple import nodes as s
 
 NODE = "struct node { int v; int w; struct node *next; };\n"
 
@@ -113,3 +119,36 @@ def test_the_optimizer_moves_each_global_access():
                                   optimize=True).report.pass_counters()
         assert counters["pipelined_reads"] + counters["pipelined_writes"], \
             name
+
+
+#: ``g = p->val`` reads a remote word into a global; ``main(5)`` is 5.
+READ_INTO_GLOBAL = """
+struct node { int val; struct node *next; };
+int g;
+int get(struct node *p) { g = p->val; return 0; }
+int main(int n) {
+    struct node *p;
+    p = (struct node *) malloc(sizeof(struct node)) @ 1;
+    p->val = n; get(p); return g;
+}
+"""
+
+
+@pytest.mark.parametrize("placement, hoisted", [
+    (True, True),     # selection: through a comm variable
+    (False, False),   # residual marking only: stays blocking
+], ids=["selection", "residual"])
+def test_read_into_a_global_is_never_split_phase(placement, hoisted):
+    compiled = compile_earthc(
+        READ_INTO_GLOBAL, "global.ec", optimize=True,
+        config=CommConfig(enable_placement=placement))
+    reads = [stmt for stmt in compiled.simple.function("get").body.walk()
+             if isinstance(stmt, s.AssignStmt)
+             and isinstance(stmt.rhs, s.FieldReadRhs)]
+    assert len(reads) == 1
+    assert isinstance(reads[0].lhs, s.VarLV)
+    assert (reads[0].lhs.name != "g") == hoisted
+    assert reads[0].split_phase == hoisted
+    for engine in ENGINES:
+        config = RunConfig(nodes=2, args=(5,), engine=engine)
+        assert execute(compiled, config=config).value == 5, engine

@@ -3,9 +3,8 @@
 ``serve --workers 0`` computes up to four jobs at once in one process,
 so between one thread's lookup in ``codegen._CODE_CACHE`` and its LRU
 touch another thread's insert can evict the entry.  A hit path that
-needs the key to still be there raises ``KeyError``, which the engine
-turns into a silent whole-function fallback to the walker: same
-answer, several times slower.
+needs the key to still be there would fail the job with a
+``KeyError``.
 """
 
 from collections import OrderedDict
@@ -40,6 +39,5 @@ def test_hit_survives_eviction_between_lookup_and_touch(monkeypatch):
     engine = _engine_of(compile_earthc(SOURCE, optimize=True))
     for name in names:
         engine.function(name)
-    assert engine.fallbacks == set()
     assert set(engine.sources) == names
     assert all(source in cache for source in engine.sources.values())

@@ -8,7 +8,10 @@ the last bit.  The Olden programs' zero-fault runs are pinned once, for
 every engine, by ``tests/chaos/test_run_golden.py``; these tests drive
 the bundled example programs through the paper's three configurations,
 the Olden set under a fault plan with and without the remote-data
-cache, and Hypothesis-generated programs.
+cache, programs that read into globals or hold non-finite constants,
+and Hypothesis-generated programs.  Across the three configurations
+the value must also agree: the optimizer moves communication, never
+what a program computes.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.config import RunConfig
+from repro.earth.faults import FaultPlan
 from repro.earth.interpreter import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -35,6 +39,9 @@ from repro.harness.pipeline import (
     resolve_config,
 )
 from repro.olden.loader import catalog
+from repro.shard.runner import run_sharded
+from tests.comm.test_global_pointers import PROGRAMS as GLOBAL_POINTERS
+from tests.comm.test_global_pointers import READ_INTO_GLOBAL
 from tests.property.gen_programs import heap_programs, scalar_programs
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -50,7 +57,7 @@ def _example_source(filename: str) -> str:
 
 def _compare(compiled, config):
     """Run ``compiled`` under ``config`` on every engine; assert
-    bit-identity against the AST reference."""
+    bit-identity against the AST reference, and return the value."""
     results = {engine: execute(compiled, config=config.replace(engine=engine))
                for engine in ENGINES}
     ast = results["ast"]
@@ -62,18 +69,23 @@ def _compare(compiled, config):
         # bit-identical, no rounding
         assert result.time_ns == ast.time_ns, engine
         assert result.stats.snapshot() == ast.stats.snapshot(), engine
+    return ast.value
 
 
 def _compare_three_ways(source, filename, args=(), entry="main"):
     """:func:`_compare` on each of the paper's three configurations
-    (the uncached rows of ``CONFIGURATIONS``) at 4 nodes."""
+    (the uncached rows of ``CONFIGURATIONS``) at 4 nodes; the legs must
+    also agree on the value.  Returns it."""
     config = RunConfig(nodes=4, entry=entry, args=tuple(args))
-    for leg in CONFIGURATIONS.values():
+    values = {}
+    for name, leg in CONFIGURATIONS.items():
         if leg.cached:
             continue
         compiled = compile_earthc(source, filename, optimize=leg.optimize,
                                   config=resolve_config(leg.preset))
-        _compare(compiled, leg.run_config(config))
+        values[name] = _compare(compiled, leg.run_config(config))
+    assert len(set(values.values())) == 1, values
+    return values.popitem()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +103,88 @@ def _compare_three_ways(source, filename, args=(), entry="main"):
 def test_example_programs_identical(filename, entry, args):
     _compare_three_ways(_example_source(filename), filename,
                         entry=entry, args=args)
+
+
+# ---------------------------------------------------------------------------
+# Globals and non-finite constants
+# ---------------------------------------------------------------------------
+
+
+#: name -> (source, args to main, the value every leg computes).
+EDGE_PROGRAMS = {
+    # A remote read whose value lands in a global: it stays blocking or
+    # goes through a comm variable, never split-phase into the global.
+    "global-scalar": (READ_INTO_GLOBAL, (5,), 5),
+    # inf, -inf and nan as constants (one folded at compile time), in a
+    # global, through a remote field and as a comparison operand.
+    "non-finite": ("""
+    struct cell { double d; struct cell *next; };
+    double big;
+    int main(int n) {
+        struct cell *p;
+        double a; double b; double c; double e;
+        int r;
+        p = (struct cell *) malloc(sizeof(struct cell)) @ 1;
+        a = 1e400;
+        b = -1e400;
+        p->d = b;
+        c = a - a;
+        e = 1e400 - 1e400;
+        big = a;
+        r = n;
+        if (c != c) r = r + 1;
+        if (e != e) r = r + 2;
+        if (p->d < 0.0) r = r + 10;
+        if (big > 1e300) r = r + 100;
+        if (p->d == -1e400) r = r + 1000;
+        return r;
+    }
+    """, (5,), 1118),
+    # A global pointer as the base of a hoisted read and a write.
+    "global-pointer": (GLOBAL_POINTERS["moved-read"][0], (),
+                       GLOBAL_POINTERS["moved-read"][1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+def test_edge_programs_identical_and_legs_agree(name):
+    source, args, expected = EDGE_PROGRAMS[name]
+    assert _compare_three_ways(source, f"{name}.ec", args=args) \
+        == expected
+
+
+#: A lossy, jittery network, the remote-data cache, and both.
+VARIANTS = {
+    "faults": {"faults": FaultPlan.from_profile("chaos", 6).spec()},
+    "rcache": {"rcache_capacity": 8},
+    "faults+rcache": {"faults": FaultPlan.from_profile("chaos", 6).spec(),
+                      "rcache_capacity": 8},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+def test_edge_programs_identical_under_faults_and_rcache(name, variant):
+    source, args, expected = EDGE_PROGRAMS[name]
+    compiled = compile_earthc(source, f"{name}.ec", optimize=True)
+    config = RunConfig(nodes=2, args=args, **VARIANTS[variant])
+    assert _compare(compiled, config) == expected
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+def test_edge_programs_identical_across_shards(name, engine):
+    """A placed call's activation may start from another shard's spawn
+    message (``Interpreter.placed_fiber``); every engine runs it."""
+    source, args, expected = EDGE_PROGRAMS[name]
+    compiled = compile_earthc(source, f"{name}.ec", optimize=True)
+    config = RunConfig(nodes=2, args=args, engine=engine)
+    single = execute(compiled, config=config)
+    sharded = run_sharded(compiled.simple, config.replace(shards=2),
+                          inline=True)
+    assert single.value == sharded.value == expected
+    assert single.time_ns == sharded.time_ns
+    assert single.stats.snapshot() == sharded.stats.snapshot()
 
 
 # ---------------------------------------------------------------------------

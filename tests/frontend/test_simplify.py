@@ -308,6 +308,24 @@ class TestRestrictions:
             f"<test>:{loc}: {name!r} is declared ")
         assert "array variables are not supported" in str(refused.value)
 
+    @pytest.mark.parametrize("use", [
+        "gs.x = n; return 0;",               # was a KeyError traceback
+        "return gs.x;",                      # was "not a struct buffer"
+        "struct pt *p; p = &gs; p->x = n; return p->x;",
+        "struct pt *p; p = (struct pt *) malloc(sizeof(struct pt)); "
+        "gs = *p; return 0;",
+        "return n;",
+    ], ids=["field-write", "field-read", "address", "struct-copy",
+            "unused"])
+    def test_global_struct_variable_is_named_with_its_location(self, use):
+        with pytest.raises(SimplifyError) as refused:
+            to_simple("struct pt { int x; int y; };\n"
+                      "struct pt gs;\n"
+                      "int main(int n) { " + use + " }")
+        assert str(refused.value).startswith(
+            "<test>:2:1: global 'gs' is declared struct pt; global struct "
+            "variables are not supported")
+
 
 class TestGlobals:
     def test_global_initializer(self):

@@ -86,6 +86,19 @@ class TestRun:
     def test_missing_file(self, capsys):
         assert main(["/nonexistent/prog.ec"]) == 5  # EXIT_IO
 
+    @pytest.mark.parametrize("engine", ["codegen", "ast"])
+    def test_read_into_a_global_same_result_with_and_without_O(
+            self, engine, tmp_path, capsys):
+        """``-O`` used to print ``result  = 0`` here: the read of
+        ``p->val`` into global ``g`` went split-phase."""
+        from tests.comm.test_global_pointers import READ_INTO_GLOBAL
+        path = tmp_path / "t.ec"
+        path.write_text(READ_INTO_GLOBAL)
+        for flags in ([], ["-O"]):
+            assert main([str(path), *flags, "--run", "--nodes", "2",
+                         "--args", "5", "--engine", engine]) == 0
+            assert "result  = 5\n" in capsys.readouterr().out, flags
+
     def test_compile_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.ec"
         bad.write_text("int main() { return undeclared_var; }")
@@ -193,6 +206,19 @@ class TestObservability:
         assert "_tracer.current_site = ('distance', " in out
         assert "result  = 5" in out
 
+    def test_dump_codegen_emits_non_finite_constants(self, tmp_path,
+                                                     capsys):
+        """``repr(inf)`` is not Python: such a function used to leave
+        the dump to say it fell back to the walker."""
+        path = tmp_path / "inf.ec"
+        path.write_text("int main() { double a; a = 1e400 - 1e400;\n"
+                        "if (a != a) return -1e400 < 0.0; return 0; }")
+        assert main([str(path), "--dump-codegen", "main", "--run"]) == 0
+        out = capsys.readouterr().out
+        assert "== codegen source: main (nodes=1)" in out
+        assert "float('inf')" in out and "float('-inf')" in out
+        assert "result  = 1\n" in out
+
     def test_olden_benchmark_defaults_args(self, capsys):
         import os
         import repro.olden as olden
@@ -299,6 +325,29 @@ class TestExitCodes:
             capsys, [str(deep), "--run", "--json"], 3)
         assert payload["error"]["type"] == "FrontendError"
         assert str(deep) in payload["error"]["message"]
+
+    @pytest.mark.parametrize("use", [
+        "gs.x = n; return 0;",
+        "return gs.x;",
+        "struct pt *p; p = &gs; return p->x;",
+        "struct pt *p; p = (struct pt *) malloc(sizeof(struct pt)); "
+        "gs = *p; return 0;",
+        "return n;",
+    ], ids=["field-write", "field-read", "address", "struct-copy",
+            "unused"])
+    def test_global_struct_variable_is_a_compile_error(self, use,
+                                                       tmp_path, capsys):
+        """A field write was an uncaught ``KeyError`` traceback (exit 1,
+        no JSON line), a field read a run-time ``InterpreterError``."""
+        bad = tmp_path / "gs.ec"
+        bad.write_text("struct pt { int x; int y; };\n"
+                       "struct pt gs;\n"
+                       "int main(int n) { " + use + " }\n")
+        payload = self._json_error(
+            capsys, [str(bad), "-O", "--run", "--json", "--args", "5"], 3)
+        assert payload["error"]["type"] == "SimplifyError"
+        assert payload["error"]["message"].startswith(
+            f"{bad}:2:1: global 'gs' is declared struct pt")
 
     def test_max_stmts_must_be_positive(self, source_file, capsys):
         assert main([source_file, "--run", "--max-stmts", "0"]) == 2

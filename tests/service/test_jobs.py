@@ -280,7 +280,7 @@ PIN_WIRE_DEFAULTS = {
 #: name -> (constructor keywords, wire keys off their default, cache
 #: address).  The wire dicts date from the commit before ``JobSpec``
 #: came to carry a ``RunConfig``; the addresses were re-recorded at
-#: pipeline ``2026.10-program-flags``.  A change here is a change of the
+#: pipeline ``2026.10-frame-reads``.  A change here is a change of the
 #: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
@@ -290,20 +290,20 @@ GOLDEN = {
              inline=["add"], reorder_fields=True),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"], reorder_fields=True),
-        "f84e96953bca62a2e60ada7ea8ab7f2d"
-        "62437ed54aedfb2ff032872cb976ef52"),
+        "44df7ce6f386ea5ee5c7f3e9991bfcf3"
+        "0fe2e37854b6072134ec4920b1983a0b"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "37cbc9f00a1ae0d01a68df5054aebdd4"
-        "3760472004f393f475b1eecdef05f2cc"),
+        "1b655eae9cc7a1b7e7c09dca1b3cd588"
+        "fa52b4380b7a155770b0f5590dee4ac5"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "423696dce2695f0b560130b495319291"
-        "0cd188c538cf0e41f0e8de99232faae9"),
+        "dbfbb645bc4ee0bd401b1cd3bf32c1ac"
+        "3168adc55d4798638e4253ecea94a0a5"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -311,14 +311,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, opt=PIN_OPT),
-        "c836ca7d84ca1aaad90b540a896418ea"
-        "467efd4102528d0b06ba588463e95659"),
+        "c7f993f3e7e31e8223749676a2279b6b"
+        "63015ea7eae1133906c9bf2242767a18"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-program-flags"
+        assert PIPELINE_VERSION == "2026.10-frame-reads"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):

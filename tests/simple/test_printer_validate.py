@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TransformError
 from repro.frontend.types import INT, FieldPath
 from repro.simple import nodes as s
 from repro.simple.printer import print_function, print_stmt
@@ -136,3 +136,20 @@ class TestValidator:
         func.body.stmts.insert(0, bad)
         with pytest.raises(AnalysisError, match="without a target"):
             validate_function(simple, func)
+
+    def test_split_phase_read_into_a_global_detected(self):
+        """A pending value lands in the frame; the engines rely on no
+        split-phase read targeting a global."""
+        simple = to_simple(NODE + """
+            int g;
+            int f(struct node *p) { g = p->v; return g; }
+        """)
+        func = simple.function("f")
+        read = func.body.stmts[0]
+        read.split_phase = True
+        with pytest.raises(TransformError,
+                           match=f"f: S{read.label}: split-phase remote "
+                                 f"read into 'g'"):
+            validate_function(simple, func)
+        read.split_phase = False
+        assert validate_function(simple, func).remote_reads == 1
