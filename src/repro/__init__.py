@@ -58,7 +58,14 @@ the load-test verb with its generator (``bench/`` is the load harness).
 2.3 reduced :class:`OptConfig` to its ``probabilistic`` switch (the
 ``legacy`` and ``probabilistic`` presets): the paper's weights are
 constants of :mod:`repro.comm.optconfig`, and the eight tuning flags
-``--opt-loop-weight`` ... ``--opt-private-lines`` are gone.
+``--opt-loop-weight`` ... ``--opt-private-lines`` are gone.  2.4
+removed the compile options no caller set: struct field reordering
+(``--reorder-fields``, with its keyword on :func:`compile_source` and
+:func:`run` and its job key) and the prefix block moves it fed, so a
+block move copies the whole struct; and the two :class:`CommConfig`
+switches every configuration left on -- locality analysis and
+residual split-phase marking now always run.  The legacy preset,
+however spelled, is the same as no ``opt`` (one cache address).
 """
 
 from repro.comm.optconfig import OptConfig
@@ -85,7 +92,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.3.0"
+__version__ = "2.4.0"
 
 __all__ = [
     "ArtifactCache",

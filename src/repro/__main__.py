@@ -124,9 +124,6 @@ def _parse_args(argv):
                         help="run the communication optimization")
     parser.add_argument("--inline", action="store_true",
                         help="inline small local functions first")
-    parser.add_argument("--reorder-fields", action="store_true",
-                        help="apply the struct field reordering "
-                             "extension")
     parser.add_argument("--show", default="",
                         help="comma list of: simple, threaded, tuples, "
                              "stats, profile")
@@ -224,8 +221,7 @@ def _compile_main(argv) -> int:
         run_args = int_list(args.args, "--args")
         compiled = compile_earthc(
             source, args.file, optimize=args.optimize,
-            inline=args.inline, reorder_fields=args.reorder_fields,
-            opt=config.opt)
+            inline=args.inline, opt=config.opt)
 
         if "simple" in shows:
             for function in _selected_functions(compiled, args.function):

@@ -144,20 +144,21 @@ class OptConfig:
 
 def resolve_opt(value) -> "OptConfig | None":
     """Normalize the loose forms an opt config travels as -- ``None``,
-    a preset name, a JSON dict, or an :class:`OptConfig` -- into an
-    :class:`OptConfig` (or None for "legacy default, unset")."""
-    if value is None or isinstance(value, OptConfig):
-        return value
+    a preset name, a JSON dict, or an :class:`OptConfig` -- into the
+    probabilistic :class:`OptConfig`, or None for the legacy preset
+    however it is spelled: one preset, one cache address."""
     if isinstance(value, str):
         if value not in OPT_PRESETS:
             raise UsageError(f"unknown opt preset {value!r} "
                              f"(known: {', '.join(OPT_PRESETS)})")
-        return OptConfig(probabilistic=value == "probabilistic")
-    if isinstance(value, dict):
-        return OptConfig.from_json(value)
-    raise UsageError(f"opt config must be None, a preset name, an "
-                     f"object, or an OptConfig, got "
-                     f"{type(value).__name__}")
+        value = OptConfig(probabilistic=value == "probabilistic")
+    elif isinstance(value, dict):
+        value = OptConfig.from_json(value)
+    elif value is not None and not isinstance(value, OptConfig):
+        raise UsageError(f"opt config must be None, a preset name, an "
+                         f"object, or an OptConfig, got "
+                         f"{type(value).__name__}")
+    return value if value is not None and value.probabilistic else None
 
 
 __all__ = ["OptConfig", "resolve_opt", "OPT_PRESETS", "LOOP_WEIGHT",

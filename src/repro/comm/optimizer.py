@@ -13,9 +13,13 @@ Runs, in order:
 5. marks every remaining remote operation split-phase (the thread
    generator's job in the real compiler) and re-validates the program.
 
-The unoptimized ("simple") configuration of the paper corresponds to not
-running this driver at all: every remote access then executes as a
-synchronous (sequential-cost) operation in the simulator.
+Steps 1 and 5 always run; :class:`CommConfig` switches 2-4.  The
+paper's unoptimized ("simple") configuration is this driver with 2-4
+off (:func:`repro.harness.pipeline.simple_baseline_config`): locality
+analysis, then split-phase marking of every remote operation, none of
+them moved, merged or blocked.  ``optimize=False`` -- the
+``sequential`` leg's compile -- does not run the driver at all: every
+remote access then executes synchronously.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from repro.simple.validate import ValidationStats, validate_program
 
 @dataclass(frozen=True)
 class CommConfig:
-    """Knobs for the optimization pipeline.
+    """Knobs for the optimization pipeline: which of the passes that
+    move communication run (locality analysis and residual split-phase
+    marking always do).
 
     ``speculative_reads`` mirrors the paper's runtime option of issuing
     remote reads to potentially-invalid addresses (footnote 2); when
@@ -54,12 +60,10 @@ class CommConfig:
     choices*.
     """
 
-    enable_locality: bool = True
     enable_forwarding: bool = True
     enable_placement: bool = True
     enable_blocking: bool = True
     speculative_reads: bool = True
-    split_phase_residuals: bool = True
     opt: Optional[OptConfig] = None
 
 
@@ -153,13 +157,12 @@ class CommunicationOptimizer:
         report = OptimizationReport()
         config = self.config
 
-        if config.enable_locality:
-            with timed_pass(report.passes, "locality") as profile:
-                report.locality = analyze_locality(self.program)
-            profile.counters["local_pointers"] = \
-                len(report.locality.local_vars)
-            profile.counters["demoted_accesses"] = \
-                report.locality.demoted_accesses
+        with timed_pass(report.passes, "locality") as profile:
+            report.locality = analyze_locality(self.program)
+        profile.counters["local_pointers"] = \
+            len(report.locality.local_vars)
+        profile.counters["demoted_accesses"] = \
+            report.locality.demoted_accesses
 
         if config.enable_forwarding:
             with timed_pass(report.passes, "forwarding") as profile:
@@ -237,12 +240,11 @@ class CommunicationOptimizer:
             self._rewrote(sum(s.pipelined_writes + s.blocked_write_groups
                               for s in stats))
 
-        if config.split_phase_residuals:
-            with timed_pass(report.passes, "split-phase") as profile:
-                marked = 0
-                for function in self.program.functions.values():
-                    marked += _mark_residual_split_phase(function)
-            profile.counters["residuals_marked"] = marked
+        with timed_pass(report.passes, "split-phase") as profile:
+            marked = 0
+            for function in self.program.functions.values():
+                marked += _mark_residual_split_phase(function)
+        profile.counters["residuals_marked"] = marked
 
         if self.opt.probabilistic:
             # The probabilistic preset also marks private lines.  Last:

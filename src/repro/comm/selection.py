@@ -59,7 +59,6 @@ class SelectionStats:
         self.reads_left_in_place = 0
         self.writes_left_in_place = 0
         self.redundant_reads_merged = 0
-        self.prefix_blocks = 0
 
     def __repr__(self) -> str:
         return (f"SelectionStats(pr={self.pipelined_reads}, "
@@ -71,25 +70,19 @@ class SelectionStats:
 
 
 class BlockRegion:
-    """A struct localization region created by a blocked read.
+    """A struct localization region created by a blocked read: the
+    whole struct, copied into ``bcomm``."""
 
-    ``words`` is the covered prefix: the full struct, or -- when the
-    struct is too large for the spurious-field rule but the needed
-    fields cluster near offset 0 (see :mod:`repro.comm.reorder`) -- a
-    shorter prefix block move.
-    """
-
-    __slots__ = ("seq", "blkmov", "bcomm", "base", "struct", "words",
+    __slots__ = ("seq", "blkmov", "bcomm", "base", "struct",
                  "redirected_labels")
 
     def __init__(self, seq: s.SeqStmt, blkmov: s.BlkmovStmt, bcomm: str,
-                 base: str, struct: StructType, words: int):
+                 base: str, struct: StructType):
         self.seq = seq
         self.blkmov = blkmov
         self.bcomm = bcomm
         self.base = base
         self.struct = struct
-        self.words = words
         self.redirected_labels: Set[int] = set()
 
 
@@ -223,6 +216,22 @@ class CommSelection:
             return expected >= self.opt.min_expected_accesses - 1e-9
         return False
 
+    def _blocks(self, struct: Optional[StructType],
+                field_tuples: List[CommTuple]) -> bool:
+        """Does one base pointer's group of field accesses move as one
+        whole-struct ``blkmov`` (:meth:`OptConfig.should_block`)?"""
+        if struct is None or not field_tuples or not self.enable_blocking:
+            return False
+        words_needed = 0
+        expected = 0.0
+        for tup in field_tuples:
+            _, field_type = tup.path.resolve(struct)  # type: ignore[union-attr]
+            words_needed += field_type.size_words()
+            expected += self._expected_accesses(tup)
+        return self._group_blockable(field_tuples, expected) \
+            and self.opt.should_block(len(field_tuples), expected,
+                                      words_needed, struct.size_words())
+
     def _safe_deref(self, base: str, label: int) -> bool:
         if self.speculative_reads:
             return True
@@ -253,54 +262,20 @@ class CommSelection:
                         if t.path is None and self._is_strong(t)]
 
         new_stmts: List[s.Stmt] = []
-        block_words = 0
-        if struct is not None and field_tuples and self.enable_blocking:
-            words_needed = 0
-            expected = 0.0
-            span_end = 0
-            for tup in field_tuples:
-                offset, field_type = tup.path.resolve(struct)  # type: ignore[union-attr]
-                words_needed += field_type.size_words()
-                expected += self._expected_accesses(tup)
-                span_end = max(span_end, offset + field_type.size_words())
-            if not self._group_blockable(field_tuples, expected):
-                pass
-            elif self.opt.should_block(
-                    len(field_tuples), expected, words_needed,
-                    struct.size_words()):
-                block_words = struct.size_words()
-            elif self.opt.should_block(
-                    len(field_tuples), expected, words_needed, span_end):
-                # Prefix block move: the struct as a whole is too large
-                # (spurious-field rule) but the needed fields cluster at
-                # the front -- which field reordering arranges.
-                block_words = span_end
-                self.stats.prefix_blocks += 1
-
-        if block_words:
-            assert struct is not None
+        if self._blocks(struct, field_tuples):
             bcomm = self.func.fresh_bcomm(struct)
             blkmov = s.BlkmovStmt(("ptr", base, 0), ("local", bcomm, 0),
-                                  block_words, split_phase=True)
+                                  struct.size_words(), split_phase=True)
             new_stmts.append(blkmov)
-            region = BlockRegion(seq, blkmov, bcomm, base, struct,
-                                 block_words)
+            region = BlockRegion(seq, blkmov, bcomm, base, struct)
             self.block_regions.append(region)
             self.stats.blocked_read_groups += 1
-            leftovers: List[CommTuple] = []
             for tup in field_tuples:
-                offset, field_type = tup.path.resolve(struct)  # type: ignore[union-attr]
-                if offset + field_type.size_words() > block_words:
-                    leftovers.append(tup)  # outside the prefix
-                    continue
                 for d in tup.dlist:
                     self.selected_reads.add((base, tup.key[1], d))
                     self._rewrite_read(d, bcomm=bcomm)
                     region.redirected_labels.add(d)
                     self.stats.blocked_read_accesses += 1
-            for tup in leftovers:
-                if self._is_strong(tup):
-                    new_stmts.extend(self._pipeline_read(stmt, base, tup))
         else:
             for tup in field_tuples:
                 if self._is_strong(tup):
@@ -406,19 +381,9 @@ class CommSelection:
                         if t.path is None and self._is_strong(t)]
 
         region: Optional[BlockRegion] = None
-        if struct is not None and field_tuples and self.enable_blocking:
-            words_needed = 0
-            expected = 0.0
-            for tup in field_tuples:
-                _, field_type = tup.path.resolve(struct)  # type: ignore[union-attr]
-                words_needed += field_type.size_words()
-                expected += self._expected_accesses(tup)
-            if self._group_blockable(field_tuples, expected) \
-                    and self.opt.should_block(
-                        len(field_tuples), expected, words_needed,
-                        struct.size_words()):
-                region = self._find_block_region(seq, stmt, base,
-                                                 field_tuples)
+        if self._blocks(struct, field_tuples):
+            region = self._find_block_region(seq, stmt, base,
+                                             field_tuples)
 
         new_stmts: List[s.Stmt] = []
         if region is not None:
@@ -430,7 +395,7 @@ class CommSelection:
                     self.stats.blocked_write_accesses += 1
             new_stmts.append(s.BlkmovStmt(
                 ("local", region.bcomm, 0), ("ptr", base, 0),
-                region.words, split_phase=True))
+                region.struct.size_words(), split_phase=True))
             self.stats.blocked_write_groups += 1
         else:
             for tup in field_tuples:
@@ -495,14 +460,6 @@ class CommSelection:
             return None
         for region in self.block_regions:
             if region.base != base or region.seq is not seq:
-                continue
-            covered = True
-            for tup in tuples:
-                offset, field_type = tup.path.resolve(region.struct)  # type: ignore[union-attr]
-                if offset + field_type.size_words() > region.words:
-                    covered = False
-                    break
-            if not covered:
                 continue
             try:
                 blk_index = seq.stmts.index(region.blkmov)

@@ -153,17 +153,13 @@ class StructType(Type):
     equal even when obtained from different lookups.
     """
 
-    __slots__ = ("name", "_fields", "_by_name", "_size_words",
-                 "_layout_epoch")
+    __slots__ = ("name", "_fields", "_by_name", "_size_words")
 
     def __init__(self, name: str):
         self.name = name
         self._fields: Optional[List[Field]] = None
         self._by_name: Dict[str, Field] = {}
         self._size_words = 0
-        #: Bumped on every (re-)definition; :meth:`FieldPath.resolve`
-        #: memoizes per epoch so field reordering invalidates caches.
-        self._layout_epoch = 0
 
     @property
     def is_defined(self) -> bool:
@@ -188,7 +184,6 @@ class StructType(Type):
             offset += ftype.size_words()
         self._fields = fields
         self._size_words = offset
-        self._layout_epoch += 1
 
     @property
     def fields(self) -> List[Field]:
@@ -299,14 +294,13 @@ class FieldPath:
         if not names:
             raise TypeError_("empty field path")
         self.names = tuple(names)
-        #: ``id(struct) -> (struct, layout_epoch, offset, type)``.
-        #: Resolving a path is a hot interpreter/analysis operation; the
-        #: layout of a struct only changes when it is re-defined (field
-        #: reordering), which bumps ``_layout_epoch`` and invalidates
-        #: the entry.  The entry keeps a strong reference to the struct
-        #: so the ``id`` key can never be recycled while cached.
-        self._resolve_cache: Dict[int, Tuple[StructType, int, int, Type]] \
-            = {}
+        #: ``id(struct) -> (struct, offset, type)``.  Resolving a path
+        #: is a hot interpreter/analysis operation; a struct's layout is
+        #: fixed once :meth:`StructType.define` installs it (a second
+        #: ``define`` raises).  The entry keeps a strong reference to
+        #: the struct so the ``id`` key can never be recycled while
+        #: cached.
+        self._resolve_cache: Dict[int, Tuple[StructType, int, Type]] = {}
 
     @classmethod
     def single(cls, name: str) -> "FieldPath":
@@ -321,16 +315,14 @@ class FieldPath:
 
     def resolve(self, base: StructType) -> Tuple[int, Type]:
         """Return ``(word_offset, field_type)`` of this path within
-        ``base``.  Results are memoized per base struct layout."""
+        ``base``.  Results are memoized per base struct."""
         if base.__class__ is not StructType:
             return self._resolve_walk(base)
         entry = self._resolve_cache.get(id(base))
-        if entry is not None and entry[0] is base \
-                and entry[1] == base._layout_epoch:
-            return entry[2], entry[3]
+        if entry is not None:
+            return entry[1], entry[2]
         offset, current = self._resolve_walk(base)
-        self._resolve_cache[id(base)] = (base, base._layout_epoch,
-                                         offset, current)
+        self._resolve_cache[id(base)] = (base, offset, current)
         return offset, current
 
     def _resolve_walk(self, base: StructType) -> Tuple[int, Type]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.comm.optconfig import OPT_PRESETS
 from repro.config import RunConfig
 from repro.earth.stats import MachineStats
 from repro.harness.pipeline import (
@@ -596,12 +597,9 @@ def measure_opt_sweep(num_nodes: int = 4,
                       ) -> List[OptSweepRow]:
     """Run every benchmark's optimized leg under both OptConfig
     presets and compare dynamic remote-operation counts.  The legacy
-    leg carries no ``opt`` at all -- ``OptConfig()`` is legacy
-    bit-for-bit -- so it *is* Table III's ``optimized`` leg, address
-    included."""
+    leg is Table III's ``optimized`` leg, address included."""
     names = _catalog_names(benchmarks)
-    presets = {"legacy": None,
-               "probabilistic": RunConfig(opt="probabilistic")}
+    presets = {preset: RunConfig(opt=preset) for preset in OPT_PRESETS}
     runs = _leg_runs({(name, preset): leg_job(name, "optimized", num_nodes,
                                               small, run)
                       for name in names

@@ -51,7 +51,7 @@ from repro.simple.validate import validate_program
 #: whenever a change makes ``compile_earthc`` or the simulator produce
 #: different output for the same (source, options) -- stale cached
 #: artifacts then miss instead of serving wrong payloads.
-PIPELINE_VERSION = "2026.10-frame-reads"
+PIPELINE_VERSION = "2026.10-set-options"
 
 
 class CompiledProgram:
@@ -95,7 +95,6 @@ def compile_earthc(
     optimize: bool = False,
     config: Optional[CommConfig] = None,
     inline: Union[bool, Set[str]] = False,
-    reorder_fields: bool = False,
     opt: "OptConfig | str | dict | None" = None,
 ) -> CompiledProgram:
     """Compile EARTH-C source text.
@@ -103,20 +102,14 @@ def compile_earthc(
     ``optimize`` runs the paper's communication optimization (Phase II).
     ``inline`` enables local function inlining: ``True`` uses the size
     heuristic, a set of names restricts it to those functions.
-    ``reorder_fields`` applies the struct-field reordering extension
-    (the paper's stated further work): remotely-accessed fields cluster
-    at the front of each struct, improving blocked communication.
     ``opt`` names the optimizer's heuristic preset (an
     :class:`~repro.comm.optconfig.OptConfig`, preset name, or JSON
-    dict).  Passing both ``opt`` and a ``config`` that already carries
-    a different one is a contradiction and raises.
+    dict); the legacy preset, however spelled, is the same as none and
+    leaves ``config``'s in force, and the probabilistic one overrides
+    it.
     """
     opt = resolve_opt(opt)
     if opt is not None and config is not None:
-        if config.opt is not None and config.opt != opt:
-            raise UsageError(
-                "conflicting optimizer heuristics: config= carries an "
-                "OptConfig and opt= names a different one")
         # A copy: the caller's object is never mutated.
         config = dataclasses.replace(config, opt=opt)
     profile = PipelineProfile()
@@ -134,10 +127,6 @@ def compile_earthc(
             rec.counters["inlined_calls"] = inlined
         with profile.phase("typecheck"):
             symbols = check_program(program)
-        if reorder_fields:
-            with profile.phase("reorder-fields"):
-                from repro.comm.reorder import reorder_struct_fields
-                reorder_struct_fields(program)
         # Every SIMPLE statement of this program is created in here.
         with s.label_scope():
             with profile.phase("simplify") as rec:
@@ -379,7 +368,6 @@ def run(
     filename: str = "<input>",
     optimize: bool = True,
     inline: Union[bool, Set[str]] = False,
-    reorder_fields: bool = False,
     comm_config: Optional[CommConfig] = None,
     config: Optional[RunConfig] = None,
     params: Optional[MachineParams] = None,
@@ -392,7 +380,6 @@ def run(
     options travel in ``config``."""
     compiled = compile_earthc(source, filename, optimize=optimize,
                               config=comm_config, inline=inline,
-                              reorder_fields=reorder_fields,
                               opt=config.opt if config is not None
                               else None)
     return execute(compiled, params=params, tracer=tracer,
@@ -425,13 +412,8 @@ def simple_baseline_config() -> CommConfig:
     """The paper's *simple* configuration: locality analysis and thread
     generation run (split-phase ops, sync-on-use), but no communication
     movement, redundancy elimination, or blocking."""
-    return CommConfig(
-        enable_locality=True,
-        enable_forwarding=False,
-        enable_placement=False,
-        enable_blocking=False,
-        split_phase_residuals=True,
-    )
+    return CommConfig(enable_forwarding=False, enable_placement=False,
+                      enable_blocking=False)
 
 
 def _norm(value):

@@ -88,7 +88,6 @@ class JobSpec:
         optimize: bool = True,
         config: str = "default",
         inline: Union[bool, Sequence[str]] = False,
-        reorder_fields: bool = False,
         small: bool = False,
         selftest: Optional[Dict[str, object]] = None,
         args: Optional[Sequence[Union[int, float]]] = None,
@@ -139,7 +138,6 @@ class JobSpec:
         self.config = config
         self.inline: Union[bool, List[str]] = (
             sorted(inline) if not isinstance(inline, bool) else inline)
-        self.reorder_fields = bool(reorder_fields)
         self.small = bool(small)
         self.selftest = None if selftest is None else dict(selftest)
         self.args = None if args is None else list(args)
@@ -210,7 +208,6 @@ class JobSpec:
             "options": {
                 "optimize": self.optimize,
                 "config": self.config,
-                "reorder_fields": self.reorder_fields,
                 "opt": None if self.run.opt is None
                 else self.run.opt.to_json(),
             },
@@ -375,7 +372,6 @@ def _compile_for(resolved: Dict[str, object]) -> CompiledProgram:
         optimize=options["optimize"],
         config=resolve_config(options["config"]),
         inline=set(inline) if isinstance(inline, list) else inline,
-        reorder_fields=options["reorder_fields"],
         opt=options["opt"])
     _COMPILE_MEMO[memo_key] = compiled
     while len(_COMPILE_MEMO) > _COMPILE_MEMO_LIMIT:

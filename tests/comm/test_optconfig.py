@@ -114,11 +114,18 @@ class TestResolveOpt:
 
     def test_presets(self):
         assert OPT_PRESETS == ("legacy", "probabilistic")
-        for name in OPT_PRESETS:
-            assert resolve_opt(name).preset == name
-        assert resolve_opt("legacy") == OptConfig()
+        assert resolve_opt("probabilistic") \
+            == OptConfig(probabilistic=True)
         with pytest.raises(ReproError, match="unknown opt preset"):
             resolve_opt("turbo")
+
+    @pytest.mark.parametrize("legacy", ["legacy", OptConfig(),
+                                        {"probabilistic": False}, {}])
+    def test_legacy_is_unset_however_spelled(self, legacy):
+        """One preset, one value: the legacy preset resolves to None
+        whatever form it travels in."""
+        assert resolve_opt(legacy) is None
+        assert RunConfig(opt=legacy) == RunConfig()
 
     def test_dict_form(self):
         assert resolve_opt({"probabilistic": True}) \
@@ -136,11 +143,10 @@ class TestResolveOpt:
         base = RunConfig()
         assert config_digest(base) \
             != config_digest(RunConfig(opt="probabilistic"))
-        # An explicit legacy preset digests differently from unset:
-        # the service must not serve a legacy-pinned artifact for an
-        # unpinned request once defaults drift.
+        # An explicit legacy preset is the same work as no preset, so
+        # it has the same digest.
         assert config_digest(base) \
-            != config_digest(RunConfig(opt="legacy"))
+            == config_digest(RunConfig(opt="legacy"))
 
 
 class TestLegacyBitIdentity:
@@ -167,7 +173,7 @@ class TestLegacyBitIdentity:
         each Olden benchmark to the same listings (legacy also as no
         opt at all)."""
         spec = get_benchmark(name)
-        opt = resolve_opt(preset)
+        opt = OptConfig(probabilistic=preset == "probabilistic")
         spellings = [{"opt": preset}, {"opt": opt},
                      {"opt": opt.to_json()},
                      {"config": CommConfig(opt=opt)}]

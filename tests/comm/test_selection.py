@@ -171,6 +171,50 @@ class TestFigure8Blocking:
         assert len(p_reads) == 3
 
 
+class TestWholeStructRule:
+    """A block move copies the whole struct or nothing.  The three
+    fields read are declared first, but the struct is five times their
+    size, so the spurious-field rule forbids blocking and they are
+    pipelined -- no shorter block move of the leading fields."""
+
+    SOURCE = """
+        struct big { int hot_a; int hot_b; int hot_c;
+                     double cold1; double cold2; double cold3;
+                     double cold4; double cold5; double cold6; };
+        int reader(struct big *p) {
+            int t; int i;
+            t = 0;
+            for (i = 0; i < 10; i++) {
+                t = t + p->hot_a + p->hot_b + p->hot_c;
+            }
+            return t;
+        }
+        int main() {
+            struct big *p;
+            p = (struct big *) malloc(sizeof(struct big)) @ 1;
+            p->hot_a = 1; p->hot_b = 2; p->hot_c = 3;
+            p->cold1 = 9.0;
+            return reader(p);
+        }
+    """
+
+    def test_leading_fields_are_pipelined(self):
+        compiled = compile_earthc(self.SOURCE, optimize=True)
+        func = compiled.simple.function("reader")
+        assert not blkmovs(func)
+        stats = compiled.report.selections["reader"]
+        assert stats.blocked_read_groups == 0
+        assert stats.pipelined_reads == 3
+        assert all(st.split_phase for st in remote_reads(func))
+
+    def test_both_engines_compute_the_value(self):
+        compiled = compile_earthc(self.SOURCE, optimize=True)
+        values = {engine: execute(compiled, config=RunConfig(
+                      nodes=2, engine=engine)).value
+                  for engine in ("codegen", "ast")}
+        assert values == {"codegen": 60, "ast": 60}
+
+
 class TestBlockedWrites:
     # The paper's power pattern (Fig 11a): read fields, compute, write
     # fields -> blkmov in, local accesses, blkmov out.

@@ -194,6 +194,15 @@ class TestErrorMapping:
         assert body["error"]["message"] == (
             f"unknown job kind {kind!r} (known: compile, run, selftest)")
 
+    def test_retired_reorder_fields_key_is_400(self, gateway):
+        status, body = gateway.request(
+            "POST", "/v1/jobs",
+            body={"kind": "compile", "source": SOURCE,
+                  "reorder_fields": True})
+        assert status == 400
+        assert body["error"]["message"] \
+            == "unknown job spec fields: ['reorder_fields']"
+
     def test_compile_failure_is_422_with_job_error(self, gateway):
         status, body = gateway.request(
             "POST", "/v1/jobs",

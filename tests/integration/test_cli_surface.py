@@ -23,8 +23,8 @@ OPTION_STRINGS = {
         --args --dump-codegen --engine --entry --fault-drop
         --fault-jitter --fault-profile --faults --function --help
         --inline --json --max-stmts --nodes --opt-preset --optimize
-        --rcache-capacity --rcache-line --reorder-fields --run --shards
-        --show --trace --trace-capacity -O -h
+        --rcache-capacity --rcache-line --run --shards --show --trace
+        --trace-capacity -O -h
         """,
     "serve": """
         --cache-dir --help --host --max-attempts --max-queue-depth
@@ -81,7 +81,20 @@ def test_option_strings_of_help(verb, capsys):
 def test_distinct_flags_across_the_verbs():
     flags = {flag for text in OPTION_STRINGS.values()
              for flag in text.split()} - {"-h", "--help", "-O"}
-    assert len(flags) == 52   # + 5 of harness.report / shard.scenarios
+    assert len(flags) == 51   # + 5 of harness.report / shard.scenarios
+
+
+def test_retired_flag_is_a_usage_error(tmp_path, capsys):
+    """Field reordering is gone: its flag is refused like any unknown
+    one, with the usage code and no traceback."""
+    program = tmp_path / "t.ec"
+    program.write_text("int main() { return 0; }\n")
+    with pytest.raises(SystemExit) as info:
+        main([str(program), "--reorder-fields"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --reorder-fields" in err
+    assert "Traceback" not in err
 
 
 def test_every_run_flag_row_names_a_run_config_field():

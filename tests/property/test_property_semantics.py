@@ -93,8 +93,6 @@ def test_each_pass_is_individually_safe(source):
         CommConfig(enable_forwarding=False),
         CommConfig(enable_placement=False),
         CommConfig(enable_blocking=False),
-        CommConfig(enable_locality=False),
-        CommConfig(split_phase_residuals=False),
     ):
         compiled = compile_earthc(source, optimize=True, config=config)
         assert execute(compiled, config=RunConfig(nodes=3)).value == reference

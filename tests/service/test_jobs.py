@@ -4,7 +4,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.comm.optconfig import OPT_PRESETS, resolve_opt
+from repro.comm.optconfig import OPT_PRESETS, OptConfig
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.errors import ServiceError
 from repro.harness.experiments import leg_job
@@ -77,7 +77,7 @@ class TestSpecValidation:
     def test_one_address_per_preset(self, preset):
         """A preset's name, its OptConfig and its wire dict are one
         cache entry, and the other preset's is another."""
-        opt = resolve_opt(preset)
+        opt = OptConfig(probabilistic=preset == "probabilistic")
         keys = {JobSpec("compile", source=SOURCE,
                         opt=spelling).canonical_key()
                 for spelling in (preset, opt, opt.to_json())}
@@ -85,6 +85,24 @@ class TestSpecValidation:
         assert len(keys) == 1
         assert JobSpec("compile", source=SOURCE,
                        opt=other).canonical_key() not in keys
+
+    @pytest.mark.parametrize("kind", ["compile", "run"])
+    def test_legacy_is_the_unset_address(self, kind):
+        """A job naming the legacy preset is byte-identical work to
+        one naming no preset, so both have one cache address."""
+        unset = JobSpec(kind, benchmark="power", nodes=4)
+        legacy = JobSpec(kind, benchmark="power", nodes=4, opt="legacy")
+        assert legacy.canonical_key() == unset.canonical_key()
+        assert legacy.to_dict() == unset.to_dict()
+
+    def test_reorder_fields_is_refused(self):
+        """Field reordering is no compile option: a wire job that still
+        carries the key is refused, not compiled without it."""
+        with pytest.raises(ServiceError) as refusal:
+            JobSpec.from_dict({"kind": "compile", "source": SOURCE,
+                               "reorder_fields": True})
+        assert str(refusal.value) \
+            == "unknown job spec fields: ['reorder_fields']"
 
     def test_bad_fault_spec_rejected_eagerly(self):
         with pytest.raises(Exception):
@@ -267,43 +285,42 @@ PIN_FAULTS = {
 #: ``resolve_opt("probabilistic").to_json()``, spelled out.
 PIN_OPT = {"probabilistic": True}
 
-#: The 21 wire keys at their defaults.
+#: The 20 wire keys at their defaults.
 PIN_WIRE_DEFAULTS = {
     "kind": None, "source": None, "benchmark": None, "filename": None,
     "optimize": True, "config": "default", "inline": False,
-    "reorder_fields": False, "nodes": 4, "entry": "main", "args": None,
-    "engine": "codegen", "params": "default", "max_stmts": None,
-    "strict_nil_reads": False, "faults": None, "rcache_capacity": 0,
-    "rcache_line_words": 16, "small": False, "selftest": None,
-    "opt": None}
+    "nodes": 4, "entry": "main", "args": None, "engine": "codegen",
+    "params": "default", "max_stmts": None, "strict_nil_reads": False,
+    "faults": None, "rcache_capacity": 0, "rcache_line_words": 16,
+    "small": False, "selftest": None, "opt": None}
 
 #: name -> (constructor keywords, wire keys off their default, cache
 #: address).  The wire dicts date from the commit before ``JobSpec``
 #: came to carry a ``RunConfig``; the addresses were re-recorded at
-#: pipeline ``2026.10-frame-reads``.  A change here is a change of the
+#: pipeline ``2026.10-set-options``.  A change here is a change of the
 #: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
 GOLDEN = {
     "compile": (
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
-             inline=["add"], reorder_fields=True),
+             inline=["add"]),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
-             inline=["add"], reorder_fields=True),
-        "44df7ce6f386ea5ee5c7f3e9991bfcf3"
-        "0fe2e37854b6072134ec4920b1983a0b"),
+             inline=["add"]),
+        "37f9cb7cebf8309c88044c409fd2613f"
+        "80d6aa0c925d547daafefb019e2b5d86"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "1b655eae9cc7a1b7e7c09dca1b3cd588"
-        "fa52b4380b7a155770b0f5590dee4ac5"),
+        "d08c3d9ce8d2b43bda8ebc897b45946e"
+        "183e95ddf7a7a2364c86cd7506f766d6"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "dbfbb645bc4ee0bd401b1cd3bf32c1ac"
-        "3168adc55d4798638e4253ecea94a0a5"),
+        "a5d936dc044317b2e1ec37df6f15d825"
+        "1b0d2bf2039191cf1f38fda9d9608740"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -311,14 +328,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, opt=PIN_OPT),
-        "c7f993f3e7e31e8223749676a2279b6b"
-        "63015ea7eae1133906c9bf2242767a18"),
+        "79c439b0ec26268bf49c713bb316519c"
+        "3a893760a4c5ebdb4df9a77449a84d49"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-frame-reads"
+        assert PIPELINE_VERSION == "2026.10-set-options"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
@@ -333,8 +350,8 @@ class TestGoldenPins:
         wire fields, and each of those survives the round trip."""
         own = set(PIN_WIRE_DEFAULTS) - set(WIRE_FIELDS)
         assert own == {"kind", "source", "benchmark", "filename",
-                       "optimize", "config", "inline", "reorder_fields",
-                       "small", "selftest"}
+                       "optimize", "config", "inline", "small",
+                       "selftest"}
         assert not {"shards", "trace", "trace_capacity"} & set(WIRE_FIELDS)
         moved = dict(nodes=3, entry="go", args=[1, 2.5], engine="ast",
                      params="sequential-c", max_stmts=99,
