@@ -41,9 +41,9 @@ three names::
 program -- the CLI, :func:`execute`, :func:`run_three_ways` /
 :func:`run_four_ways`, and service jobs.  Live instances of
 :class:`MachineParams`, :class:`Tracer`, and fault plans are keyword
-overrides beside it.  The optimizer's heuristic preset is
-:class:`OptConfig` (``RunConfig(opt=...)``,
-``compile_source(..., opt=...)``, the ``--opt-preset`` CLI flag).
+overrides beside it.  What the optimizer does, heuristic preset
+included, is one :class:`CommConfig` (``compile_source(config=...)``,
+``comm_config=``, a job's ``comm``, ``--opt-preset``).
 
 2.0 removed what 1.x deprecated -- the loose keyword arguments
 (``execute(compiled, num_nodes=4, ...)`` is a ``TypeError``), the
@@ -64,8 +64,10 @@ removed the compile options no caller set: struct field reordering
 :func:`run` and its job key) and the prefix block moves it fed, so a
 block move copies the whole struct; and the two :class:`CommConfig`
 switches every configuration left on -- locality analysis and
-residual split-phase marking now always run.  The legacy preset,
-however spelled, is the same as no ``opt`` (one cache address).
+residual split-phase marking now always run.  2.5 made
+:class:`CommConfig` the one compile key (a job's ``comm``), the legacy
+preset one address however spelled, and ``strict_nil_reads`` on a
+program compiled with ``speculative_reads`` a :class:`UsageError`.
 """
 
 from repro.comm.optconfig import OptConfig
@@ -92,7 +94,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.4.0"
+__version__ = "2.5.0"
 
 __all__ = [
     "ArtifactCache",

@@ -48,6 +48,8 @@ import os
 import sys
 
 from repro.analysis.connection import analyze_connection
+from repro.comm.optconfig import OPT_PRESETS
+from repro.comm.optimizer import CommConfig
 from repro.comm.placement import analyze_placement
 from repro.config import (
     ASSEMBLED_FIELDS,
@@ -109,6 +111,15 @@ def _add_run_flags(parser, *options, **defaults) -> None:
         parser.add_argument(option, **keywords)
 
 
+def _add_opt_preset(parser) -> None:
+    """The optimizer flag, a compile option (``CommConfig(opt=...)``)."""
+    parser.add_argument(
+        "--opt-preset", choices=OPT_PRESETS, default="legacy",
+        help="optimizer heuristic preset (OptConfig): 'legacy' is the "
+             "paper's fixed multipliers (the default), 'probabilistic' "
+             "weighs blocking by execution probabilities")
+
+
 # ---------------------------------------------------------------------------
 # Legacy single-file driver
 # ---------------------------------------------------------------------------
@@ -139,7 +150,8 @@ def _parse_args(argv):
                    "--max-stmts", "--engine", "--rcache-capacity",
                    "--rcache-line", "--trace", "--trace-capacity",
                    "--faults", "--fault-drop", "--fault-jitter",
-                   "--fault-profile", "--opt-preset")
+                   "--fault-profile")
+    _add_opt_preset(parser)
     parser.add_argument("--dump-codegen", default=None, metavar="FUNC",
                         help="print the Python source the codegen "
                              "engine emits for FUNC and continue")
@@ -221,7 +233,7 @@ def _compile_main(argv) -> int:
         run_args = int_list(args.args, "--args")
         compiled = compile_earthc(
             source, args.file, optimize=args.optimize,
-            inline=args.inline, opt=config.opt)
+            config=CommConfig(opt=args.opt_preset), inline=args.inline)
 
         if "simple" in shows:
             for function in _selected_functions(compiled, args.function):
@@ -481,11 +493,10 @@ def _submit_main(argv) -> int:
     parser.add_argument("--port", type=int, default=7781)
     _add_run_flags(parser, "--nodes", "--rcache-capacity",
                    "--rcache-line", "--engine", "--params", "--entry",
-                   "--opt-preset", "--faults", "--fault-profile",
-                   nodes=4)
+                   "--faults", "--fault-profile", nodes=4)
     parser.add_argument("--no-optimize", action="store_true")
     parser.add_argument("--inline", action="store_true")
-    parser.add_argument("--config", default="default")
+    _add_opt_preset(parser)
     parser.add_argument("--args", default="", dest="run_args",
                         help="comma-separated integer arguments")
     parser.add_argument("--small", action="store_true",
@@ -513,7 +524,8 @@ def _submit_main(argv) -> int:
         spec = JobSpec(opts.kind, source=source,
                        benchmark=opts.benchmark, filename=filename,
                        optimize=not opts.no_optimize,
-                       config=opts.config, inline=opts.inline,
+                       comm=CommConfig(opt=opts.opt_preset),
+                       inline=opts.inline,
                        small=opts.small, args=run_args,
                        **cli_run_options(opts))
         with ServiceClient(opts.host, _checked_port(opts.port),
@@ -600,8 +612,8 @@ def _batch_main(argv) -> int:
     parser.add_argument("--small", action="store_true",
                         help="use reduced problem sizes")
     _add_run_flags(parser, "--engine", "--rcache-capacity",
-                   "--rcache-line", "--opt-preset", "--faults",
-                   "--fault-profile")
+                   "--rcache-line", "--faults", "--fault-profile")
+    _add_opt_preset(parser)
     parser.add_argument("--workers", type=int, default=2,
                         help="local worker processes (0 = inline; "
                              "default 2)")
@@ -642,13 +654,14 @@ def _batch_main(argv) -> int:
                 if opts.benchmarks else None
             counts = int_list(opts.node_counts, "--nodes")
             run = RunConfig.from_cli_args(opts)
+            comm = CommConfig(opt=opts.opt_preset)
             if opts.kind in BUNDLE_SWEEPS:
                 legs = bundle_jobs(counts, benchmarks, opts.small,
-                                   BUNDLE_SWEEPS[opts.kind], run)
+                                   BUNDLE_SWEEPS[opts.kind], run, comm)
                 specs = list(legs.values())
             else:
                 specs = sweep_jobs(counts, benchmarks, small=opts.small,
-                                   kind=opts.kind, run=run)
+                                   kind=opts.kind, run=run, comm=comm)
         if not specs:
             return _usage_error("batch has no jobs to run", opts.json)
 

@@ -15,9 +15,9 @@ paper's fixed-multiplier frequencies to the probability channel
 carried on :class:`repro.comm.tuples.CommTuple` (see DESIGN.md section
 18), admits two-field block moves, and turns on private-line
 invalidation skipping in the remote-data cache.  The object nests
-inside :class:`~repro.config.RunConfig` (field ``opt``), so the preset
-flows through ``config_digest``, the service's content-addressed cache
-keys, the CLI's ``--opt-preset`` and fleet job specs.
+inside :class:`~repro.comm.optimizer.CommConfig` (field ``opt``), so
+the preset flows through the service's content-addressed cache keys,
+the CLI's ``--opt-preset`` and job specs' ``comm``.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class OptConfig:
 
     def to_json(self) -> Dict[str, object]:
         """Stable JSON form; hashed into service cache keys via
-        :meth:`RunConfig.to_json`."""
+        :meth:`CommConfig.to_json`."""
         return {"probabilistic": self.probabilistic}
 
     @classmethod

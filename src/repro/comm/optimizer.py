@@ -34,9 +34,10 @@ from repro.analysis.locality import (
     mark_private_sites,
 )
 from repro.comm.forwarding import ForwardingStats, forward_remote_values
-from repro.comm.optconfig import OptConfig
+from repro.comm.optconfig import OptConfig, resolve_opt
 from repro.comm.placement import READ, WRITE, PlacementAnalysis
 from repro.comm.selection import CommSelection, SelectionStats
+from repro.errors import UsageError
 from repro.obs.profile import PassProfile, timed_pass
 from repro.simple import nodes as s
 from repro.simple.validate import ValidationStats, validate_program
@@ -44,20 +45,18 @@ from repro.simple.validate import ValidationStats, validate_program
 
 @dataclass(frozen=True)
 class CommConfig:
-    """Knobs for the optimization pipeline: which of the passes that
-    move communication run (locality analysis and residual split-phase
-    marking always do).
+    """What the optimizer does, the one compile key: which of the
+    passes that move communication run (locality analysis and residual
+    split-phase marking always do), and under which heuristic preset.
 
     ``speculative_reads`` mirrors the paper's runtime option of issuing
     remote reads to potentially-invalid addresses (footnote 2); when
     False, selection falls back to the nilness analysis (run only
     then).
 
-    ``opt`` names the heuristic preset
-    (:class:`~repro.comm.optconfig.OptConfig`); None means the legacy
-    one.  The pass on/off switches stay here -- they change *what the
-    optimizer does*, while the preset only changes *how it weighs
-    choices*.
+    ``opt`` names the heuristic preset in any spelling
+    :func:`~repro.comm.optconfig.resolve_opt` reads, normalised so the
+    legacy one is None however it is spelled.
     """
 
     enable_forwarding: bool = True
@@ -65,6 +64,32 @@ class CommConfig:
     enable_blocking: bool = True
     speculative_reads: bool = True
     opt: Optional[OptConfig] = None
+
+    def __post_init__(self):
+        # A job spec arrives as JSON, where "no" and 1 are truthy.
+        for name in ("enable_forwarding", "enable_placement",
+                     "enable_blocking", "speculative_reads"):
+            if type(getattr(self, name)) is not bool:
+                raise UsageError(f"{name} must be a bool, got "
+                                 f"{getattr(self, name)!r}")
+        object.__setattr__(self, "opt", resolve_opt(self.opt))
+
+    def to_json(self) -> Dict[str, object]:
+        """Stable JSON form (the service's ``comm`` wire key)."""
+        return dict(vars(self), opt=self.opt and self.opt.to_json())
+
+    @classmethod
+    def from_json(cls, data: Dict[str, object]) -> "CommConfig":
+        """Inverse of :meth:`to_json` (a missing field keeps its
+        default)."""
+        if not isinstance(data, dict):
+            raise UsageError(f"comm config must be an object, got "
+                             f"{type(data).__name__}")
+        unknown = data.keys() - cls.__dataclass_fields__.keys()
+        if unknown:
+            raise UsageError(
+                f"unknown comm config fields: {sorted(unknown)}")
+        return cls(**data)
 
 
 class OptimizationReport:
@@ -125,8 +150,7 @@ class CommunicationOptimizer:
                  config: Optional[CommConfig] = None):
         self.program = program
         self.config = config or CommConfig()
-        self.opt = self.config.opt if self.config.opt is not None \
-            else OptConfig()
+        self.opt = self.config.opt or OptConfig()
         self._conn: Optional[ConnectionInfo] = None
 
     def _facts(self) -> ConnectionInfo:

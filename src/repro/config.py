@@ -1,9 +1,10 @@
 """The one declaration of every run option.
 
 :class:`RunConfig` is a frozen, JSON-round-trippable value object that
-names *everything about how to run* a compiled program (compile-side
-options -- source, optimization level, inlining -- stay on
-:func:`~repro.harness.pipeline.compile_earthc`).  A run option's name,
+names *everything about how to run* a compiled program and nothing
+about how it was compiled (source, optimization level, inlining and
+the optimizer's :class:`~repro.comm.optimizer.CommConfig` are
+:func:`~repro.harness.pipeline.compile_earthc`'s).  A run option's name,
 default and legal range are written on it and nowhere else: every run
 layer takes a ``RunConfig``, a service ``JobSpec`` carries one and
 derives its flat wire keys from :data:`WIRE_FIELDS`, the CLI verbs
@@ -26,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.comm.optconfig import OPT_PRESETS, OptConfig, resolve_opt
 from repro.earth.faults import PROFILES, FaultPlan, plan_from_cli
 from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
 from repro.earth.params import MachineParams
@@ -79,14 +79,6 @@ class RunConfig:
     faults: Optional[Dict[str, object]] = None
     trace: bool = field(default=False, metadata=_OFF_WIRE)
     trace_capacity: Optional[int] = field(default=None, metadata=_OFF_WIRE)
-    #: Optimizer heuristic preset (:class:`~repro.comm.optconfig.OptConfig`),
-    #: or None for the legacy one.  Accepts the loose forms job specs
-    #: travel as (preset name, JSON dict) and normalizes them.
-    #: Compile-side, unlike every other field -- carried here so the
-    #: preset flows through ``config_digest``/cache keys and the layers
-    #: that compile-and-run (``run``, ``run_three_ways``, service jobs)
-    #: pick it up without a parallel options object.
-    opt: Optional[OptConfig] = None
 
     def __post_init__(self):
         # Types first: a job spec arrives as JSON, where 2.5, true and
@@ -105,7 +97,6 @@ class RunConfig:
             raise UsageError(f"args must be a sequence of numbers, got "
                              f"{self.args!r}")
         object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "opt", resolve_opt(self.opt))
         if self.nodes < 1:
             raise UsageError(f"nodes must be >= 1, got {self.nodes}")
         if self.shards < 1:
@@ -181,10 +172,7 @@ class RunConfig:
         cache keys, so every field -- current and future -- changes the
         key (the instance dict holds exactly the fields; nothing to
         forget)."""
-        out = dict(vars(self), args=list(self.args))
-        if self.opt is not None:
-            out["opt"] = self.opt.to_json()
-        return out
+        return dict(vars(self), args=list(self.args))
 
     def wire(self) -> Dict[str, object]:
         """The slice of :meth:`to_json` a service job spec carries
@@ -290,11 +278,6 @@ RUN_FLAGS = {
         type=int, metavar="N",
         help="bound trace memory to the most recent N events (ring "
              "buffer; default unbounded)")),
-    "--opt-preset": ("opt", dict(
-        choices=OPT_PRESETS,
-        help="optimizer heuristic preset (OptConfig): 'legacy' is the "
-             "paper's fixed multipliers (the default), 'probabilistic' "
-             "weighs blocking by execution probabilities")),
 }
 
 
@@ -351,6 +334,6 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-__all__ = ["RunConfig", "OptConfig", "config_digest", "cli_run_options",
+__all__ = ["RunConfig", "config_digest", "cli_run_options",
            "flag_dest", "int_list", "RUN_FLAGS", "ASSEMBLED_FIELDS",
            "WIRE_FIELDS", "PARAMS_PRESETS", "DEFAULT_MAX_STMTS"]

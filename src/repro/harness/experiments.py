@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.optconfig import OPT_PRESETS
+from repro.comm.optimizer import CommConfig
 from repro.config import RunConfig
 from repro.earth.stats import MachineStats
 from repro.harness.pipeline import (
@@ -275,23 +276,25 @@ def _catalog_names(benchmarks: Optional[Sequence[str]]) -> Sequence[str]:
 
 def leg_job(benchmark: str, configuration: str, processors: int,
             small: bool = False,
-            run: Optional[RunConfig] = None) -> JobSpec:
+            run: Optional[RunConfig] = None,
+            comm: Optional[CommConfig] = None) -> JobSpec:
     """One :data:`~repro.harness.pipeline.CONFIGURATIONS` leg of one
     catalog benchmark as a plain ``run`` job -- the unit every
     measurement below is made of, and the leg's content address.
-    ``run`` carries options the caller wants on every leg (``opt``
-    reaches only the tuned ones); the configuration's pins win."""
+    ``run`` and ``comm`` carry the options the caller wants on every
+    leg; the configuration's pins and its own ``comm`` win."""
     leg = CONFIGURATIONS[configuration]
     config = leg.run_config((run or RunConfig()).replace(nodes=processors))
     return JobSpec("run", benchmark=benchmark, small=small,
-                   optimize=leg.optimize, config=leg.preset,
+                   optimize=leg.optimize, comm=leg.comm or comm,
                    **dict(config.wire(), args=None, max_stmts=None))
 
 
 def bundle_jobs(processor_counts: Sequence[int],
                 benchmarks: Optional[Sequence[str]] = None,
                 small: bool = False, rcache: bool = False,
-                run: Optional[RunConfig] = None
+                run: Optional[RunConfig] = None,
+                comm: Optional[CommConfig] = None
                 ) -> Dict[Tuple[str, int, str], JobSpec]:
     """The paper's bundle -- its three configurations, four with
     ``rcache`` -- at every (benchmark, processors) pair, as
@@ -300,7 +303,7 @@ def bundle_jobs(processor_counts: Sequence[int],
     benchmark's legs of that name share one content address however
     many counts are swept."""
     return {(name, processors, configuration): leg_job(
-                name, configuration, processors, small, run)
+                name, configuration, processors, small, run, comm)
             for name in _catalog_names(benchmarks)
             for processors in processor_counts
             for configuration, leg in CONFIGURATIONS.items()
@@ -472,14 +475,15 @@ BUNDLE_SWEEPS = {"three-way": False, "four-way": True}
 def sweep_jobs(processor_counts: Sequence[int],
                benchmarks: Optional[Sequence[str]] = None,
                small: bool = False, kind: str = "run",
-               run: Optional[RunConfig] = None) -> List[JobSpec]:
+               run: Optional[RunConfig] = None,
+               comm: Optional[CommConfig] = None) -> List[JobSpec]:
     """The benchmark-by-processors cross product as plain ``kind``
     jobs (``batch --kind compile | run``).  ``run`` carries the run
-    options every job shares (engine, faults, cache geometry, ...);
-    the sweep sets the node count, the benchmark catalog the
-    arguments and statement budget."""
+    options every job shares (engine, faults, cache geometry, ...) and
+    ``comm`` the optimizer's; the sweep sets the node count, the
+    benchmark catalog the arguments and statement budget."""
     options = dict((run or RunConfig()).wire(), args=None, max_stmts=None)
-    return [JobSpec(kind, benchmark=name, small=small,
+    return [JobSpec(kind, benchmark=name, small=small, comm=comm,
                     **dict(options, nodes=processors))
             for name in _catalog_names(benchmarks)
             for processors in processor_counts]
@@ -599,11 +603,10 @@ def measure_opt_sweep(num_nodes: int = 4,
     presets and compare dynamic remote-operation counts.  The legacy
     leg is Table III's ``optimized`` leg, address included."""
     names = _catalog_names(benchmarks)
-    presets = {preset: RunConfig(opt=preset) for preset in OPT_PRESETS}
-    runs = _leg_runs({(name, preset): leg_job(name, "optimized", num_nodes,
-                                              small, run)
-                      for name in names
-                      for preset, run in presets.items()}, pool)
+    runs = _leg_runs({(name, preset): leg_job(
+                          name, "optimized", num_nodes, small,
+                          comm=CommConfig(opt=preset))
+                      for name in names for preset in OPT_PRESETS}, pool)
     rows: List[OptSweepRow] = []
     for name in names:
         legacy, prob = runs[name, "legacy"], runs[name, "probabilistic"]

@@ -10,19 +10,19 @@ under them in this process, and the Table III / Figure 10 harness
 (:mod:`repro.harness.experiments`) turns the same rows into service
 ``run`` jobs.
 
-Run options travel as one :class:`repro.config.RunConfig` (``config=``).
+What the optimizer does is one :class:`CommConfig` (``config=`` on
+:func:`compile_earthc`, ``comm_config=`` where a run follows); run
+options travel as one :class:`repro.config.RunConfig` (``config=``).
 Live object overrides -- an instantiated ``MachineParams``, ``Tracer``,
 or ``FaultPlan`` -- are keyword arguments beside it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from typing import Dict, Mapping, NamedTuple, Optional, Set, Union
 
 from repro.backend.threaded import render_threaded_program
-from repro.comm.optconfig import OptConfig, resolve_opt
 from repro.comm.optimizer import (
     CommConfig,
     CommunicationOptimizer,
@@ -51,22 +51,28 @@ from repro.simple.validate import validate_program
 #: whenever a change makes ``compile_earthc`` or the simulator produce
 #: different output for the same (source, options) -- stale cached
 #: artifacts then miss instead of serving wrong payloads.
-PIPELINE_VERSION = "2026.10-set-options"
+PIPELINE_VERSION = "2026.10-one-compile-key"
 
 
 class CompiledProgram:
     """A SIMPLE program plus everything the pipeline learned about it."""
 
-    def __init__(self, simple: s.SimpleProgram, optimized: bool,
+    def __init__(self, simple: s.SimpleProgram,
+                 comm: Optional[CommConfig],
                  report: Optional[OptimizationReport],
                  inlined_calls: int,
                  profile: Optional[PipelineProfile] = None):
         self.simple = simple
-        self.optimized = optimized
+        #: What the optimizer ran under; None when it did not run.
+        self.comm = comm
         self.report = report
         self.inlined_calls = inlined_calls
         #: Per-phase compile timing (always recorded).
         self.profile = profile or PipelineProfile()
+
+    @property
+    def optimized(self) -> bool:
+        return self.comm is not None
 
     def listing(self) -> str:
         """The SIMPLE listing (deterministic; used by examples/tests)."""
@@ -95,23 +101,16 @@ def compile_earthc(
     optimize: bool = False,
     config: Optional[CommConfig] = None,
     inline: Union[bool, Set[str]] = False,
-    opt: "OptConfig | str | dict | None" = None,
 ) -> CompiledProgram:
     """Compile EARTH-C source text.
 
-    ``optimize`` runs the paper's communication optimization (Phase II).
+    ``optimize`` runs the paper's communication optimization (Phase II)
+    as ``config`` says (None: the defaults).
     ``inline`` enables local function inlining: ``True`` uses the size
     heuristic, a set of names restricts it to those functions.
-    ``opt`` names the optimizer's heuristic preset (an
-    :class:`~repro.comm.optconfig.OptConfig`, preset name, or JSON
-    dict); the legacy preset, however spelled, is the same as none and
-    leaves ``config``'s in force, and the probabilistic one overrides
-    it.
     """
-    opt = resolve_opt(opt)
-    if opt is not None and config is not None:
-        # A copy: the caller's object is never mutated.
-        config = dataclasses.replace(config, opt=opt)
+    if optimize and config is None:
+        config = CommConfig()
     profile = PipelineProfile()
     try:
         with profile.phase("parse") as rec:
@@ -136,8 +135,6 @@ def compile_earthc(
             rec.counters["basic_stmts"] = stats.basic_stmts
             report = None
             if optimize:
-                if config is None and opt is not None:
-                    config = CommConfig(opt=opt)
                 with profile.phase("optimize") as rec:
                     report = CommunicationOptimizer(simple, config).run()
                 rec.counters["basic_stmts"] = report.validation.basic_stmts
@@ -148,7 +145,8 @@ def compile_earthc(
             f"{filename}: expressions or statements nest too deeply to "
             f"compile (host recursion limit "
             f"{sys.getrecursionlimit()})") from None
-    return CompiledProgram(simple, optimize, report, inlined, profile)
+    return CompiledProgram(simple, config if optimize else None, report,
+                           inlined, profile)
 
 
 def execute(
@@ -171,9 +169,16 @@ def execute(
     ``tracer`` attaches a caller-owned :class:`repro.obs.Tracer`;
     ``faults`` attaches an already-built (single-use)
     :class:`repro.earth.faults.FaultPlan` in place of the config's
-    fault spec."""
+    fault spec.  ``strict_nil_reads`` on a program compiled with
+    ``speculative_reads`` is a :class:`UsageError`."""
     if config is None:
         config = RunConfig()
+    if config.strict_nil_reads and compiled.comm is not None \
+            and compiled.comm.speculative_reads:
+        raise UsageError(
+            "strict_nil_reads cannot run a program compiled with "
+            "speculative_reads (compile with "
+            "CommConfig(speculative_reads=False))")
     if config.shards > 1:
         if params is not None or tracer is not None \
                 or faults is not None:
@@ -211,19 +216,24 @@ def make_interpreter(
                        engine=config.engine)
 
 
+def simple_baseline_config() -> CommConfig:
+    """The paper's *simple* configuration: locality analysis and thread
+    generation run (split-phase ops, sync-on-use), but no communication
+    movement, redundancy elimination, blocking, or speculation."""
+    return CommConfig(enable_forwarding=False, enable_placement=False,
+                      enable_blocking=False, speculative_reads=False)
+
+
 class Configuration(NamedTuple):
     """One row of :data:`CONFIGURATIONS`: how one of the paper's
     configurations is compiled, and what it fixes about the run."""
 
     #: ``compile_earthc(optimize=...)``.
     optimize: bool
-    #: The :data:`CONFIG_PRESETS` name it compiles under.
-    preset: str
-    #: Do the caller's heuristics (``RunConfig.opt``, ``comm_config=``)
-    #: apply?  Only to the legs that measure the optimizer: the others
-    #: are the paper's fixed baselines, and a baseline compiled under
-    #: somebody's heuristics is no baseline.
-    tuned: bool
+    #: The :class:`CommConfig` it compiles under, or None: the
+    #: caller's.  A baseline compiled under somebody's heuristics is no
+    #: baseline, so ``simple`` fixes its own.
+    comm: Optional[CommConfig]
     #: Does it run with the per-node remote-data cache on?
     cached: bool
     #: The :class:`RunConfig` fields it pins whatever the caller asks.
@@ -231,13 +241,10 @@ class Configuration(NamedTuple):
 
     def run_config(self, config: RunConfig) -> RunConfig:
         """The :class:`RunConfig` this configuration runs under when
-        the caller asks for ``config``: its pins applied, ``opt``
-        dropped unless :attr:`tuned`, the cache off -- or, on the
-        cached leg, at the default geometry when ``config`` names
-        none."""
+        the caller asks for ``config``: its pins applied, the cache off
+        -- or, on the cached leg, at the default geometry when
+        ``config`` names none."""
         changes = dict(self.pins)
-        if not self.tuned:
-            changes["opt"] = None
         if not self.cached:
             changes.update(rcache_capacity=0,
                            rcache_line_words=DEFAULT_LINE_WORDS)
@@ -262,17 +269,15 @@ class Configuration(NamedTuple):
 #:   remote-data cache enabled (:mod:`repro.earth.rcache`).
 CONFIGURATIONS: Dict[str, Configuration] = {
     "sequential": Configuration(
-        optimize=False, preset="default", tuned=False, cached=False,
+        optimize=False, comm=None, cached=False,
         pins={"nodes": 1, "params": "sequential-c"}),
     "simple": Configuration(
-        optimize=True, preset="simple-baseline", tuned=False,
-        cached=False, pins={}),
+        optimize=True, comm=simple_baseline_config(), cached=False,
+        pins={}),
     "optimized": Configuration(
-        optimize=True, preset="default", tuned=True, cached=False,
-        pins={}),
+        optimize=True, comm=None, cached=False, pins={}),
     "rcached": Configuration(
-        optimize=True, preset="default", tuned=True, cached=True,
-        pins={}),
+        optimize=True, comm=None, cached=True, pins={}),
 }
 
 
@@ -291,7 +296,7 @@ def run_three_ways(
     ``config`` is the run-side :class:`~repro.config.RunConfig`
     (default: 4 nodes; its rcache fields are ignored here -- the cached
     configuration is :func:`run_four_ways`' fourth leg).
-    ``comm_config`` tunes the *optimizer* for the optimized leg.
+    ``comm_config`` configures the *optimizer* for the optimized leg.
 
     All three must compute the same value (checked).  ``faults`` (or
     the config's fault spec) replays the identical seeded fault
@@ -340,14 +345,11 @@ def _run_configurations(source, filename, config: RunConfig, inline,
     for name, leg in CONFIGURATIONS.items():
         if leg.cached and not rcached:
             continue
-        options = (leg.optimize, leg.preset, leg.tuned)
+        options = (leg.optimize, leg.comm or comm_config)
         if options not in compiled:
-            comm = resolve_config(leg.preset)
-            if leg.tuned and comm_config is not None:
-                comm = comm_config
             compiled[options] = compile_earthc(
-                source, filename, optimize=leg.optimize, config=comm,
-                inline=inline, opt=config.opt if leg.tuned else None)
+                source, filename, optimize=leg.optimize,
+                config=options[1], inline=inline)
         results[name] = execute(compiled[options],
                                 config=leg.run_config(config))
     check_same_value({name: result.value
@@ -379,9 +381,7 @@ def run(
     loose kwargs (they configure :func:`compile_earthc`); run-side
     options travel in ``config``."""
     compiled = compile_earthc(source, filename, optimize=optimize,
-                              config=comm_config, inline=inline,
-                              opt=config.opt if config is not None
-                              else None)
+                              config=comm_config, inline=inline)
     return execute(compiled, params=params, tracer=tracer,
                    faults=faults, config=config or RunConfig())
 
@@ -389,31 +389,6 @@ def run(
 #: Public alias: ``repro.compile_source`` is the stable name for the
 #: compile entry point (the historical ``compile_earthc`` stays).
 compile_source = compile_earthc
-
-
-#: Named optimizer configurations a serialized job may request.  Jobs
-#: travel between processes as JSON, so they name a preset instead of
-#: carrying a live :class:`CommConfig`.
-CONFIG_PRESETS = ("default", "simple-baseline")
-
-
-def resolve_config(name: Optional[str]) -> Optional[CommConfig]:
-    """Look up a :data:`CONFIG_PRESETS` name (pure, picklable entry
-    point for cross-process job execution)."""
-    if name is None or name == "default":
-        return None
-    if name == "simple-baseline":
-        return simple_baseline_config()
-    raise ValueError(f"unknown config preset {name!r} "
-                     f"(known: {', '.join(CONFIG_PRESETS)})")
-
-
-def simple_baseline_config() -> CommConfig:
-    """The paper's *simple* configuration: locality analysis and thread
-    generation run (split-phase ops, sync-on-use), but no communication
-    movement, redundancy elimination, or blocking."""
-    return CommConfig(enable_forwarding=False, enable_placement=False,
-                      enable_blocking=False)
 
 
 def _norm(value):

@@ -42,16 +42,15 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.comm.optimizer import CommConfig
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.earth.interpreter import RunResult
 from repro.errors import ReproError, ServiceError, error_body, exit_code_for
 from repro.harness.pipeline import (
-    CONFIG_PRESETS,
     PIPELINE_VERSION,
     CompiledProgram,
     compile_earthc,
     execute,
-    resolve_config,
 )
 from repro.service.cache import (
     ArtifactCache,
@@ -69,8 +68,8 @@ _RUN_KEYS = frozenset(WIRE_FIELDS)
 
 class JobSpec:
     """One serializable unit of service work: what to compile (the
-    fields below) and how to run it (``run``, one
-    :class:`~repro.config.RunConfig`).
+    fields below; ``comm`` is a :class:`CommConfig` or its JSON) and
+    how to run it (``run``, one :class:`~repro.config.RunConfig`).
 
     Construction and the wire form are flat: the spec's own keys and
     every :data:`~repro.config.WIRE_FIELDS` run option side by side
@@ -86,7 +85,7 @@ class JobSpec:
         benchmark: Optional[str] = None,
         filename: Optional[str] = None,
         optimize: bool = True,
-        config: str = "default",
+        comm: Union[CommConfig, Dict[str, object], None] = None,
         inline: Union[bool, Sequence[str]] = False,
         small: bool = False,
         selftest: Optional[Dict[str, object]] = None,
@@ -112,9 +111,6 @@ class JobSpec:
             if text is not None and not isinstance(text, str):
                 raise ServiceError(f"{name} must be a string, got "
                                    f"{type(text).__name__}")
-        if config not in CONFIG_PRESETS:
-            raise ServiceError(f"unknown config preset {config!r} "
-                               f"(known: {', '.join(CONFIG_PRESETS)})")
         unknown = run_options.keys() - _RUN_KEYS
         if unknown:
             raise ServiceError(
@@ -125,9 +121,11 @@ class JobSpec:
             run_options["max_stmts"] = max_stmts
         run_options.setdefault("nodes", 4)   # a job's default machine
         try:
-            # The one validation of every run option, so a bad value
-            # fails at submission, not in a worker.
+            # The one validation of every option, so a bad value fails
+            # at submission, not in a worker.
             self.run = RunConfig(**run_options)
+            if not isinstance(comm, CommConfig):
+                comm = CommConfig.from_json({} if comm is None else comm)
         except ReproError as exc:
             raise ServiceError(str(exc)) from None
         self.kind = kind
@@ -135,7 +133,7 @@ class JobSpec:
         self.benchmark = benchmark
         self.filename = filename
         self.optimize = bool(optimize)
-        self.config = config
+        self.comm = comm
         self.inline: Union[bool, List[str]] = (
             sorted(inline) if not isinstance(inline, bool) else inline)
         self.small = bool(small)
@@ -147,7 +145,8 @@ class JobSpec:
 
     def to_dict(self) -> Dict[str, object]:
         """Full, stable-schema JSON form (the wire format)."""
-        out = {**self.run.wire(), **vars(self)}
+        out = {**self.run.wire(), **vars(self),
+               "comm": self.comm.to_json()}
         del out["run"]
         return out
 
@@ -207,9 +206,8 @@ class JobSpec:
             "version": PIPELINE_VERSION,
             "options": {
                 "optimize": self.optimize,
-                "config": self.config,
-                "opt": None if self.run.opt is None
-                else self.run.opt.to_json(),
+                # Not read without the optimizer: one address.
+                "comm": self.comm.to_json() if self.optimize else None,
             },
         }
         if self.kind == "run":
@@ -366,13 +364,12 @@ def _compile_for(resolved: Dict[str, object]) -> CompiledProgram:
     if compiled is not None:
         _COMPILE_MEMO.move_to_end(memo_key)
         return compiled
-    inline = resolved["inline"]
+    inline, comm = resolved["inline"], options["comm"]
     compiled = compile_earthc(
         resolved["source"], resolved["filename"],
         optimize=options["optimize"],
-        config=resolve_config(options["config"]),
-        inline=set(inline) if isinstance(inline, list) else inline,
-        opt=options["opt"])
+        config=None if comm is None else CommConfig.from_json(comm),
+        inline=set(inline) if isinstance(inline, list) else inline)
     _COMPILE_MEMO[memo_key] = compiled
     while len(_COMPILE_MEMO) > _COMPILE_MEMO_LIMIT:
         _COMPILE_MEMO.popitem(last=False)

@@ -27,6 +27,7 @@ from repro.analysis.points_to import PointsToAnalysis, keys_overlap
 from repro.analysis.rw_sets import Effects, EffectsAnalysis, HeapEffect
 from repro.comm import optimizer as optimizer_module
 from repro.comm.optconfig import OPT_PRESETS
+from repro.comm.optimizer import CommConfig
 from repro.harness.pipeline import compile_earthc
 from repro.olden.loader import catalog
 from repro.simple import nodes as s
@@ -260,7 +261,8 @@ def compared(monkeypatch):
 @pytest.mark.parametrize("spec", catalog(), ids=lambda spec: spec.name)
 def test_olden_solves(compared, spec, preset):
     compile_earthc(spec.source(), spec.filename, optimize=True,
-                   inline=spec.inline, opt=preset)
+                   inline=spec.inline,
+                   config=CommConfig(opt=preset))
     assert compared
 
 
@@ -270,7 +272,7 @@ def test_generated_solves(compared, seed):
     shape = SHAPES[seed % len(SHAPES)]
     mix = sorted(MIXES)[(seed // len(SHAPES)) % len(MIXES)]
     compile_earthc(generate_source(rng, shape, mix), optimize=True,
-                   opt=OPT_PRESETS[seed % len(OPT_PRESETS)])
+                   config=CommConfig(opt=OPT_PRESETS[seed % len(OPT_PRESETS)]))
     assert compared
 
 
@@ -278,7 +280,7 @@ def test_generated_solves(compared, seed):
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_global_pointer_solves(compared, name, preset):
     compile_earthc(PROGRAMS[name][0], f"{name}.ec", optimize=True,
-                   opt=preset)
+                   config=CommConfig(opt=preset))
     assert compared
 
 

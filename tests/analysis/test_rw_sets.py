@@ -287,7 +287,7 @@ class TestOneEffectsTable:
         calls = self.count_basic_effects(monkeypatch)
         spec = get_benchmark("health")
         compile_earthc(spec.source(), spec.filename, optimize=True,
-                       opt="probabilistic")
+                       config=repro.CommConfig(opt="probabilistic"))
         analyses = {key[0] for key in calls}
         assert len(analyses) == 4    # forwarding, reads, writes, private
         assert set(calls.values()) == {1}

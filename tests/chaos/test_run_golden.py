@@ -44,7 +44,6 @@ from repro.harness.pipeline import (
     check_same_value,
     compile_earthc,
     execute,
-    resolve_config,
 )
 from repro.olden.loader import catalog, get_benchmark
 
@@ -62,10 +61,10 @@ FAULT_SEED = 0
 
 
 @functools.lru_cache(maxsize=None)
-def _compile(name, optimize, preset):
+def _compile(name, optimize, comm):
     spec = get_benchmark(name)
     return compile_earthc(spec.source(), spec.filename, optimize=optimize,
-                          config=resolve_config(preset), inline=spec.inline)
+                          config=comm, inline=spec.inline)
 
 
 def _leg(name, leg, **run):
@@ -73,7 +72,7 @@ def _leg(name, leg, **run):
     ``name`` when the caller asks for ``run``."""
     leg = CONFIGURATIONS[leg]
     config = RunConfig(args=tuple(get_benchmark(name).small_args), **run)
-    return _compile(name, leg.optimize, leg.preset), leg.run_config(config)
+    return _compile(name, leg.optimize, leg.comm), leg.run_config(config)
 
 
 def clean_key(name, leg, nodes):

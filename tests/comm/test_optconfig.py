@@ -2,7 +2,8 @@
 
 Two things are pinned here: the value-object mechanics (one switch,
 two presets, JSON round trip, resolution of the loose forms, the
-paper's weights as constants), and the two behavioural guarantees
+paper's weights as constants, and the CommConfig that carries the
+preset as the one compile key), and the two behavioural guarantees
 DESIGN.md section 18 promises -- the legacy preset compiles
 byte-identically however it is spelled, and the probabilistic preset
 never changes a program's answer while never increasing its dynamic
@@ -18,7 +19,7 @@ import repro
 from repro.comm import optconfig
 from repro.comm.optconfig import OPT_PRESETS, OptConfig, resolve_opt
 from repro.comm.optimizer import CommConfig
-from repro.config import RunConfig, config_digest
+from repro.config import RunConfig
 from repro.errors import ReproError, UsageError
 from repro.harness.pipeline import compile_earthc, execute
 from repro.olden.loader import catalog, get_benchmark
@@ -125,7 +126,8 @@ class TestResolveOpt:
         """One preset, one value: the legacy preset resolves to None
         whatever form it travels in."""
         assert resolve_opt(legacy) is None
-        assert RunConfig(opt=legacy) == RunConfig()
+        assert CommConfig(opt=legacy) == CommConfig()
+        assert CommConfig(opt=legacy).opt is None
 
     def test_dict_form(self):
         assert resolve_opt({"probabilistic": True}) \
@@ -133,52 +135,103 @@ class TestResolveOpt:
         with pytest.raises(ReproError):
             resolve_opt(42)
 
-    def test_runconfig_normalizes_opt(self):
-        config = RunConfig(opt="probabilistic")
+    def test_commconfig_normalizes_opt(self):
+        config = CommConfig(opt="probabilistic")
         assert isinstance(config.opt, OptConfig)
         assert config.opt.probabilistic
-        assert RunConfig().opt is None
+        assert CommConfig().opt is None
 
-    def test_opt_changes_config_digest(self):
-        base = RunConfig()
-        assert config_digest(base) \
-            != config_digest(RunConfig(opt="probabilistic"))
+    def test_opt_changes_the_comm_json(self):
+        base = CommConfig().to_json()
+        assert base != CommConfig(opt="probabilistic").to_json()
         # An explicit legacy preset is the same work as no preset, so
-        # it has the same digest.
-        assert config_digest(base) \
-            == config_digest(RunConfig(opt="legacy"))
+        # it has the same JSON form.
+        assert base == CommConfig(opt="legacy").to_json()
+
+
+class TestCommConfig:
+    """What the optimizer does is one value with one JSON form; what
+    a run does has no compile-side field."""
+
+    def test_run_config_describes_only_the_run(self):
+        assert "opt" not in {spec.name
+                             for spec in dataclasses.fields(RunConfig)}
+        with pytest.raises(TypeError):
+            RunConfig(opt="probabilistic")
+
+    @pytest.mark.parametrize("config", [
+        CommConfig(), CommConfig(opt="probabilistic"),
+        CommConfig(enable_blocking=False, speculative_reads=False)])
+    def test_json_round_trip(self, config):
+        data = json.loads(json.dumps(config.to_json()))
+        assert sorted(data) == ["enable_blocking", "enable_forwarding",
+                                "enable_placement", "opt",
+                                "speculative_reads"]
+        assert CommConfig.from_json(data) == config
+
+    def test_a_missing_field_keeps_its_default(self):
+        assert CommConfig.from_json({}) == CommConfig()
+        assert CommConfig.from_json({"speculative_reads": False}) \
+            == CommConfig(speculative_reads=False)
+
+    @pytest.mark.parametrize("field", ["enable_forwarding",
+                                       "enable_placement",
+                                       "enable_blocking",
+                                       "speculative_reads"])
+    @pytest.mark.parametrize("value", [1, "no", None])
+    def test_a_switch_refuses_a_wrong_type(self, field, value):
+        with pytest.raises(UsageError, match=f"{field} must be a bool"):
+            CommConfig.from_json({field: value})
+
+    def test_unknown_fields_are_refused_by_name(self):
+        with pytest.raises(UsageError) as refusal:
+            CommConfig.from_json({"enable_locality": True})
+        assert str(refusal.value) \
+            == "unknown comm config fields: ['enable_locality']"
+        with pytest.raises(UsageError, match="must be an object"):
+            CommConfig.from_json(["opt"])
+
+    def test_a_bad_preset_names_the_field(self):
+        with pytest.raises(UsageError, match="opt config"):
+            CommConfig(opt=42)
+        with pytest.raises(UsageError, match="unknown opt preset"):
+            CommConfig(opt="turbo")
 
 
 class TestLegacyBitIdentity:
-    """``opt=None``, ``opt="legacy"`` and an explicit ``OptConfig()``
-    must produce the same compiled program, byte for byte."""
+    """No ``CommConfig``, ``opt="legacy"`` and an explicit
+    ``OptConfig()`` must produce the same compiled program, byte for
+    byte."""
 
     def test_listings_identical(self):
         baseline = compile_earthc(SOURCE, optimize=True)
         for opt in ("legacy", OptConfig(), {"probabilistic": False}):
-            other = compile_earthc(SOURCE, optimize=True, opt=opt)
+            other = compile_earthc(SOURCE, optimize=True,
+                                   config=CommConfig(opt=opt))
             assert other.listing() == baseline.listing()
             assert other.threaded_listing() \
                 == baseline.threaded_listing()
 
     def test_legacy_never_marks_private_lines(self):
-        compiled = compile_earthc(SOURCE, optimize=True, opt="legacy")
+        compiled = compile_earthc(SOURCE, optimize=True,
+                                  config=CommConfig(opt="legacy"))
         assert "[private]" not in compiled.listing()
 
     @pytest.mark.parametrize("preset", OPT_PRESETS)
     @pytest.mark.parametrize("name", [spec.name for spec in catalog()])
     def test_every_spelling_compiles_alike(self, name, preset):
-        """Equal configs, equal programs: the preset's name, its
-        OptConfig, its wire dict and a CommConfig carrying it compile
-        each Olden benchmark to the same listings (legacy also as no
-        opt at all)."""
+        """Equal configs, equal programs: a CommConfig carrying the
+        preset's name, its OptConfig or its wire dict, and the
+        CommConfig's own JSON form, compile each Olden benchmark to the
+        same listings (legacy also as no CommConfig at all)."""
         spec = get_benchmark(name)
         opt = OptConfig(probabilistic=preset == "probabilistic")
-        spellings = [{"opt": preset}, {"opt": opt},
-                     {"opt": opt.to_json()},
-                     {"config": CommConfig(opt=opt)}]
+        spellings = [{"config": CommConfig(opt=preset)},
+                     {"config": CommConfig(opt=opt)},
+                     {"config": CommConfig(opt=opt.to_json())},
+                     {"config": CommConfig.from_json({"opt": preset})}]
         if not opt.probabilistic:
-            spellings.append({})
+            spellings += [{}, {"config": None}]
         texts = set()
         for keywords in spellings:
             compiled = compile_earthc(spec.source(), spec.name,
@@ -204,7 +257,7 @@ class TestProbabilisticPreset:
         for preset in ("legacy", "probabilistic"):
             compiled = compile_earthc(spec.source(), spec.name,
                                       optimize=True, inline=spec.inline,
-                                      opt=preset)
+                                      config=CommConfig(opt=preset))
             runs[preset] = execute(compiled, config=config)
         assert runs["probabilistic"].value == runs["legacy"].value
         assert runs["probabilistic"].output == runs["legacy"].output

@@ -13,7 +13,7 @@ import pytest
 
 from repro.comm import optimizer as optimizer_module
 from repro.comm.optconfig import OPT_PRESETS
-from repro.comm.optimizer import CommunicationOptimizer
+from repro.comm.optimizer import CommConfig, CommunicationOptimizer
 from repro.harness.pipeline import compile_earthc
 from repro.olden.loader import catalog
 from repro.simple.printer import print_program
@@ -58,7 +58,8 @@ def phases(monkeypatch):
 def _olden(name, preset="legacy"):
     spec = next(spec for spec in catalog() if spec.name == name)
     return compile_earthc(spec.source(), spec.filename, optimize=True,
-                          inline=spec.inline, opt=preset)
+                          inline=spec.inline,
+                          config=CommConfig(opt=preset))
 
 
 def _rewrites(report, private_lines):
@@ -124,7 +125,7 @@ def test_a_zero_rewrite_count_means_it_on_generated_programs(phases, seed):
     shape = SHAPES[seed % len(SHAPES)]
     mix = sorted(MIXES)[(seed // len(SHAPES)) % len(MIXES)]
     compile_earthc(generate_source(rng, shape, mix), optimize=True,
-                   opt=OPT_PRESETS[seed % len(OPT_PRESETS)])
+                   config=CommConfig(opt=OPT_PRESETS[seed % len(OPT_PRESETS)]))
     _assert_counts_are_truthful(phases)
 
 

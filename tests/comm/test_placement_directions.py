@@ -16,6 +16,7 @@ import pytest
 
 from repro.comm import optimizer as optimizer_module
 from repro.comm.optconfig import OPT_PRESETS
+from repro.comm.optimizer import CommConfig
 from repro.comm.placement import (
     READ,
     WRITE,
@@ -73,7 +74,8 @@ def _assert_one_run_per_function_per_phase(seen, compiled):
 @pytest.mark.parametrize("spec", catalog(), ids=lambda spec: spec.name)
 def test_olden_directions(checked, spec, preset):
     compiled = compile_earthc(spec.source(), spec.filename, optimize=True,
-                              inline=spec.inline, opt=preset)
+                              inline=spec.inline,
+                              config=CommConfig(opt=preset))
     _assert_one_run_per_function_per_phase(checked, compiled)
 
 
@@ -84,6 +86,6 @@ def test_generated_directions(checked, seed, preset):
     shape = SHAPES[seed % len(SHAPES)]
     mix = sorted(MIXES)[(seed // len(SHAPES)) % len(MIXES)]
     compiled = compile_earthc(generate_source(rng, shape, mix),
-                              optimize=True, opt=preset)
+                              optimize=True, config=CommConfig(opt=preset))
     _assert_one_run_per_function_per_phase(checked, compiled)
 

@@ -36,7 +36,6 @@ from repro.harness.pipeline import (
     CONFIGURATIONS,
     compile_earthc,
     execute,
-    resolve_config,
 )
 from repro.olden.loader import catalog
 from repro.shard.runner import run_sharded
@@ -82,7 +81,7 @@ def _compare_three_ways(source, filename, args=(), entry="main"):
         if leg.cached:
             continue
         compiled = compile_earthc(source, filename, optimize=leg.optimize,
-                                  config=resolve_config(leg.preset))
+                                  config=leg.comm)
         values[name] = _compare(compiled, leg.run_config(config))
     assert len(set(values.values())) == 1, values
     return values.popitem()[1]

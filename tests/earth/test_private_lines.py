@@ -11,6 +11,7 @@ networks -- and the legacy preset never takes the new path at all.
 
 import pytest
 
+from repro.comm.optimizer import CommConfig
 from repro.config import RunConfig
 from repro.earth.faults import PROFILES
 from repro.earth.interpreter import ENGINES
@@ -48,7 +49,8 @@ EXPECTED = sum(5 + 7 + i + 1 for i in range(6))
 
 
 def compile_private(engine_unused=None):
-    return compile_earthc(SOURCE, optimize=True, opt="probabilistic")
+    return compile_earthc(SOURCE, optimize=True,
+                          config=CommConfig(opt="probabilistic"))
 
 
 class TestMemoryRanges:
@@ -80,7 +82,8 @@ class TestMarking:
         assert compiled.report is not None
 
     def test_legacy_marks_nothing(self):
-        compiled = compile_earthc(SOURCE, optimize=True, opt="legacy")
+        compiled = compile_earthc(SOURCE, optimize=True,
+                                  config=CommConfig(opt="legacy"))
         assert "[private]" not in compiled.listing()
 
 

@@ -194,14 +194,27 @@ class TestErrorMapping:
         assert body["error"]["message"] == (
             f"unknown job kind {kind!r} (known: compile, run, selftest)")
 
-    def test_retired_reorder_fields_key_is_400(self, gateway):
+    @pytest.mark.parametrize("key,value", [
+        ("reorder_fields", True), ("config", "simple-baseline"),
+        ("opt", "probabilistic")])
+    def test_retired_key_is_400(self, gateway, key, value):
         status, body = gateway.request(
             "POST", "/v1/jobs",
-            body={"kind": "compile", "source": SOURCE,
-                  "reorder_fields": True})
+            body={"kind": "compile", "source": SOURCE, key: value})
         assert status == 400
+        assert body["error"]["type"] == "ServiceError"
         assert body["error"]["message"] \
-            == "unknown job spec fields: ['reorder_fields']"
+            == f"unknown job spec fields: ['{key}']"
+
+    def test_strict_nil_reads_of_a_speculating_program_is_400(self,
+                                                              gateway):
+        status, body = gateway.request(
+            "POST", "/v1/jobs",
+            body=JobSpec("run", benchmark="treeadd", small=True,
+                         strict_nil_reads=True).to_dict())
+        assert status == 400
+        assert body["result"]["error"]["type"] == "UsageError"
+        assert body["result"]["error"]["code"] == 2
 
     def test_compile_failure_is_422_with_job_error(self, gateway):
         status, body = gateway.request(

@@ -31,7 +31,7 @@ OPTION_STRINGS = {
         --no-cache --port --store --timeout --workers -h
         """,
     "submit": """
-        --args --benchmark --config --engine --entry --fault-profile
+        --args --benchmark --engine --entry --fault-profile
         --faults --help --host --inline --json --kind --no-optimize
         --nodes --opt-preset --params --port --rcache-capacity
         --rcache-line --small --timeout -h
@@ -81,7 +81,7 @@ def test_option_strings_of_help(verb, capsys):
 def test_distinct_flags_across_the_verbs():
     flags = {flag for text in OPTION_STRINGS.values()
              for flag in text.split()} - {"-h", "--help", "-O"}
-    assert len(flags) == 51   # + 5 of harness.report / shard.scenarios
+    assert len(flags) == 50   # + 5 of harness.report / shard.scenarios
 
 
 def test_retired_flag_is_a_usage_error(tmp_path, capsys):
@@ -131,12 +131,13 @@ RUN_FLAG_ARGV = ["--engine", "ast", "--faults", "3", "--fault-profile",
 
 
 def _keyword_spec(kind, nodes):
+    from repro.comm.optimizer import CommConfig
     from repro.earth.faults import plan_from_cli
     from repro.service.jobs import JobSpec
     return JobSpec(kind, benchmark="power", small=True, nodes=nodes,
                    engine="ast", rcache_capacity=8, rcache_line_words=4,
                    faults=plan_from_cli(3, "mild", None, None).spec(),
-                   opt="probabilistic")
+                   comm=CommConfig(opt="probabilistic"))
 
 
 def test_batch_sweep_carries_every_run_flag(capsys):
@@ -436,6 +437,7 @@ def test_opt_preset_flag_compiles_under_that_preset(preset, tmp_path,
                                                     capsys):
     """``--opt-preset`` is the one optimizer flag left, and the driver
     prints what the library compiles under the same preset."""
+    from repro.comm.optimizer import CommConfig
     from repro.harness.pipeline import compile_earthc
     from repro.simple.printer import print_function
     source = tmp_path / "prog.ec"
@@ -444,7 +446,7 @@ def test_opt_preset_flag_compiles_under_that_preset(preset, tmp_path,
                  "--show", "simple"]) == 0
     out = capsys.readouterr().out
     compiled = compile_earthc(PRESET_SOURCE, str(source), optimize=True,
-                              opt=preset)
+                              config=CommConfig(opt=preset))
     assert out == "".join(print_function(function) + "\n\n"
                           for function in compiled.simple.functions.values())
     assert out.count("[private]") == (preset == "probabilistic")

@@ -22,6 +22,7 @@ import random
 import pytest
 
 from repro.comm.optconfig import OPT_PRESETS
+from repro.comm.optimizer import CommConfig
 from repro.harness.pipeline import compile_earthc
 from repro.olden.loader import catalog
 from repro.service.jobs import compile_payload
@@ -37,7 +38,8 @@ GENERATED = [(shape, mix, seed) for shape in SHAPES
 
 def payload_digest(source, filename, inline, preset):
     compiled = compile_earthc(source, filename, optimize=True,
-                              inline=inline, opt=preset)
+                              inline=inline,
+                              config=CommConfig(opt=preset))
     text = json.dumps(compile_payload(compiled), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 

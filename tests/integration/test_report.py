@@ -10,6 +10,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.__main__ import main as repro_main
+from repro.comm.optimizer import CommConfig
 from repro.config import RunConfig
 from repro.earth.faults import plan_from_cli
 from repro.errors import ServiceError
@@ -27,6 +28,7 @@ from repro.harness.pipeline import (
     CONFIGURATIONS,
     run_four_ways,
     run_three_ways,
+    simple_baseline_config,
 )
 from repro.harness.report import main as report_main
 from repro.olden.loader import catalog, get_benchmark
@@ -54,14 +56,16 @@ class TestSweepJobs:
         assert jobs[0].run.faults == {"seed": 3}
 
 
-def _in_process(name, nodes, run_ways=run_four_ways, **run_options):
+def _in_process(name, nodes, run_ways=run_four_ways, comm_config=None,
+                **run_options):
     """The reference: ``run_three_ways`` / ``run_four_ways`` on the
     catalog's small problem, each result's deterministic payload."""
     spec = get_benchmark(name)
     results = run_ways(
         spec.source(), spec.filename, inline=spec.inline,
         config=RunConfig(nodes=nodes, args=tuple(spec.small_args),
-                         max_stmts=spec.max_stmts, **run_options))
+                         max_stmts=spec.max_stmts, **run_options),
+        comm_config=comm_config)
     return {configuration: run_payload(result)
             for configuration, result in results.items()}
 
@@ -81,13 +85,19 @@ class TestConfigurationsAreRunJobs:
                                       small=True)).raise_if_failed()
             assert leg.payload["run"] == bundle[configuration]
 
-    def test_heuristics_reach_only_the_tuned_legs(self):
-        run = RunConfig(opt="probabilistic")
+    def test_the_callers_comm_reaches_the_legs_without_their_own(self):
+        comm = CommConfig(opt="probabilistic")
         for configuration, leg in CONFIGURATIONS.items():
-            job = leg_job("power", configuration, 4, small=True, run=run)
-            assert (job.run.opt is not None) == leg.tuned, configuration
-        assert [name for name, leg in CONFIGURATIONS.items()
-                if leg.tuned] == ["optimized", "rcached"]
+            job = leg_job("power", configuration, 4, small=True, comm=comm)
+            assert (job.comm == comm) == (leg.comm is None), configuration
+        assert {name: leg.comm for name, leg in CONFIGURATIONS.items()
+                if leg.comm is not None} \
+            == {"simple": simple_baseline_config()}
+        # The sequential leg does not optimize: no CommConfig moves
+        # its address.
+        assert leg_job("power", "sequential", 4, small=True,
+                       comm=comm).canonical_key() \
+            == leg_job("power", "sequential", 4, small=True).canonical_key()
 
     def test_sequential_pins_its_machine(self):
         job = leg_job("power", "sequential", 16, small=True)
@@ -192,7 +202,7 @@ class _Calls:
         def compile_earthc(source, filename, **options):
             # The options that differ between a benchmark's programs.
             self.compiles.append((filename, options["optimize"],
-                                  options["config"], repr(options["opt"])))
+                                  options["config"]))
             return real_compile(source, filename, **options)
 
         def execute(compiled, **options):
@@ -283,7 +293,8 @@ class TestBatchSweepsLegs:
         assert repro_main(self.ARGV + ["--no-cache", "--kind", "four-way"]
                           + self.RUN_FLAGS) == 0
         results = self._swept(capsys, lambda name, nodes: _in_process(
-            name, nodes, engine="ast", opt="probabilistic",
+            name, nodes, engine="ast",
+            comm_config=CommConfig(opt="probabilistic"),
             faults=plan_from_cli(7, "lossy", None, None).spec(),
             rcache_capacity=32, rcache_line_words=8))
         assert len(results) == 2 * 2 * len(CONFIGURATIONS)

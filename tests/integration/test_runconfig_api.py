@@ -22,7 +22,8 @@ from repro.config import (
 )
 from repro.earth.faults import FaultPlan
 from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
-from repro.errors import ReproError
+from repro.errors import ReproError, UsageError
+from repro.harness import pipeline
 from repro.harness.pipeline import (
     compile_earthc,
     compile_source,
@@ -30,6 +31,7 @@ from repro.harness.pipeline import (
     run,
     run_three_ways,
 )
+from repro.olden.loader import get_benchmark
 
 SOURCE = """
 int main()
@@ -181,6 +183,59 @@ class TestRunFunctionSignatures:
                                  faults=FaultPlan.from_profile("mild", 3),
                                  config=RunConfig(nodes=2))
         assert results["optimized"].value == 42
+
+
+class TestStrictNilReadsAndSpeculation:
+    """``strict_nil_reads`` faults on a nil remote read; a program
+    compiled with ``speculative_reads`` issues reads the source guards
+    by a nil test.  The pair is refused before a statement runs."""
+
+    @staticmethod
+    def _treeadd(**comm):
+        spec = get_benchmark("treeadd")
+        compiled = compile_earthc(spec.source(), spec.filename,
+                                  optimize=True, inline=spec.inline,
+                                  config=CommConfig(**comm))
+        return compiled, RunConfig(nodes=4, args=spec.small_args,
+                                   max_stmts=spec.max_stmts,
+                                   strict_nil_reads=True)
+
+    def test_the_program_records_its_comm_config(self):
+        compiled, _ = self._treeadd(speculative_reads=False)
+        assert compiled.comm == CommConfig(speculative_reads=False)
+        assert compile_earthc(SOURCE).comm is None
+        assert compile_earthc(SOURCE, optimize=True).comm == CommConfig()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_the_pair_is_refused_before_any_statement_runs(
+            self, monkeypatch, shards):
+        compiled, config = self._treeadd()
+
+        def no_machine(*args, **kwargs):
+            raise AssertionError("a machine was built")
+
+        monkeypatch.setattr(pipeline, "make_interpreter", no_machine)
+        monkeypatch.setattr("repro.shard.run_sharded", no_machine)
+        with pytest.raises(UsageError) as refusal:
+            execute(compiled, config=config.replace(shards=shards))
+        assert "strict_nil_reads" in str(refusal.value)
+        assert "speculative_reads" in str(refusal.value)
+
+    def test_without_speculation_strict_runs_clean(self):
+        compiled, config = self._treeadd(speculative_reads=False)
+        assert execute(compiled, config=config).value == 47217
+
+    def test_every_configuration_runs_strict_without_speculation(self):
+        """The sequential and simple legs speculate nothing, so the
+        caller's CommConfig decides."""
+        spec = get_benchmark("treeadd")
+        results = run_three_ways(
+            spec.source(), spec.filename, inline=spec.inline,
+            config=RunConfig(nodes=4, args=spec.small_args,
+                             strict_nil_reads=True),
+            comm_config=CommConfig(speculative_reads=False))
+        assert {name: result.value for name, result in results.items()} \
+            == dict.fromkeys(("sequential", "simple", "optimized"), 47217)
 
 
 class TestPublicSurface:

@@ -4,7 +4,8 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.comm.optconfig import OPT_PRESETS, OptConfig
+from repro.comm.optconfig import OPT_PRESETS, OptConfig, resolve_opt
+from repro.comm.optimizer import CommConfig
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.errors import ServiceError
 from repro.harness.experiments import leg_job
@@ -12,6 +13,7 @@ from repro.harness.pipeline import (
     PIPELINE_VERSION,
     compile_earthc,
     run_three_ways,
+    simple_baseline_config,
 )
 from repro.olden.loader import get_benchmark
 from repro.service import jobs
@@ -49,8 +51,8 @@ class TestSpecValidation:
             JobSpec("compile")
 
     def test_bad_presets_rejected(self):
-        with pytest.raises(ServiceError, match="config preset"):
-            JobSpec("compile", source=SOURCE, config="warp")
+        with pytest.raises(ServiceError, match="comm config must be"):
+            JobSpec("compile", source=SOURCE, comm="simple-baseline")
         with pytest.raises(ServiceError, match="params preset"):
             JobSpec("run", source=SOURCE, params="warp")
         with pytest.raises(ServiceError, match="engine"):
@@ -60,49 +62,94 @@ class TestSpecValidation:
         with pytest.raises(ServiceError, match="nodes"):
             JobSpec("run", source=SOURCE, nodes=0)
 
-    @pytest.mark.parametrize("opt,message", [
-        ({"probabilistic": "no"}, "must be a"),
-        ({"probabilistic": 1}, "must be a"),
-        ({"private_lines": True}, "unknown opt config"),
-        ({"loop_weight": 10.0}, "unknown opt config")])
-    def test_bad_opt_rejected(self, opt, message):
+    @pytest.mark.parametrize("comm,message", [
+        ({"opt": {"probabilistic": "no"}}, "probabilistic must be a"),
+        ({"opt": {"probabilistic": 1}}, "probabilistic must be a"),
+        ({"opt": {"private_lines": True}}, "unknown opt config"),
+        ({"opt": {"loop_weight": 10.0}}, "unknown opt config"),
+        ({"opt": 5}, "opt config must be"),
+        ({"enable_blocking": "no"}, "enable_blocking must be a bool"),
+        ({"speculative_reads": 1}, "speculative_reads must be a bool"),
+        ({"enable_locality": True},
+         r"unknown comm config fields: \['enable_locality'\]")])
+    def test_bad_comm_rejected(self, comm, message):
         """A wrong-typed switch is not read as its truthiness under a
-        cache key of its own, and a retired knob is refused, not
-        dropped."""
+        cache key of its own, and an unknown field or a retired knob is
+        refused by name, not dropped."""
         with pytest.raises(ServiceError, match=message):
             JobSpec.from_dict({"kind": "run", "benchmark": "power",
-                               "opt": opt})
+                               "comm": comm})
 
     @pytest.mark.parametrize("preset", OPT_PRESETS)
     def test_one_address_per_preset(self, preset):
-        """A preset's name, its OptConfig and its wire dict are one
-        cache entry, and the other preset's is another."""
+        """A preset's name, its OptConfig and its wire dict, carried by
+        a CommConfig or by the CommConfig's JSON, are one cache entry;
+        the other preset's is another, and so is the simple
+        baseline's."""
         opt = OptConfig(probabilistic=preset == "probabilistic")
+        spellings = [CommConfig(opt=spelling)
+                     for spelling in (preset, opt, opt.to_json())]
+        spellings += [config.to_json() for config in spellings]
+        spellings.append({"opt": preset})
         keys = {JobSpec("compile", source=SOURCE,
-                        opt=spelling).canonical_key()
-                for spelling in (preset, opt, opt.to_json())}
-        other, = set(OPT_PRESETS) - {preset}
+                        comm=comm).canonical_key() for comm in spellings}
         assert len(keys) == 1
-        assert JobSpec("compile", source=SOURCE,
-                       opt=other).canonical_key() not in keys
+        others = {JobSpec("compile", source=SOURCE,
+                          comm=comm).canonical_key()
+                  for comm in (CommConfig(opt=other)
+                               for other in set(OPT_PRESETS) - {preset})}
+        others.add(JobSpec("compile", source=SOURCE,
+                           comm=simple_baseline_config()).canonical_key())
+        assert len(others) == 2 and not others & keys
 
     @pytest.mark.parametrize("kind", ["compile", "run"])
     def test_legacy_is_the_unset_address(self, kind):
-        """A job naming the legacy preset is byte-identical work to
-        one naming no preset, so both have one cache address."""
+        """A job naming the legacy preset, however spelled, is
+        byte-identical work to one naming no CommConfig, so all have
+        one cache address and one wire form; the probabilistic preset
+        and the simple baseline each have another."""
         unset = JobSpec(kind, benchmark="power", nodes=4)
-        legacy = JobSpec(kind, benchmark="power", nodes=4, opt="legacy")
-        assert legacy.canonical_key() == unset.canonical_key()
-        assert legacy.to_dict() == unset.to_dict()
+        for comm in (None, CommConfig(), CommConfig(opt=OptConfig()),
+                     CommConfig(opt=resolve_opt("legacy")), {},
+                     {"opt": "legacy"}):
+            legacy = JobSpec(kind, benchmark="power", nodes=4, comm=comm)
+            assert legacy.canonical_key() == unset.canonical_key(), comm
+            assert legacy.to_dict() == unset.to_dict(), comm
+        keys = {JobSpec(kind, benchmark="power", nodes=4,
+                        comm=comm).canonical_key()
+                for comm in (None, CommConfig(opt="probabilistic"),
+                             simple_baseline_config())}
+        assert len(keys) == 3
 
-    def test_reorder_fields_is_refused(self):
-        """Field reordering is no compile option: a wire job that still
-        carries the key is refused, not compiled without it."""
+    def test_the_preset_is_hashed_once(self):
+        """What the optimizer does is in the compile options alone;
+        the run options carry no compile-side field."""
+        spec = JobSpec("run", benchmark="power",
+                       comm=CommConfig(opt="probabilistic"))
+        resolved = spec.resolved()
+        assert resolved["options"] == {
+            "optimize": True,
+            "comm": CommConfig(opt="probabilistic").to_json()}
+        assert "opt" not in resolved["run"]
+
+    def test_without_the_optimizer_comm_is_not_read(self):
+        plain = JobSpec("compile", source=SOURCE, optimize=False)
+        assert JobSpec("compile", source=SOURCE, optimize=False,
+                       comm=CommConfig(opt="probabilistic")
+                       ).canonical_key() == plain.canonical_key()
+
+    @pytest.mark.parametrize("key,value", [
+        ("reorder_fields", True), ("config", "simple-baseline"),
+        ("opt", "probabilistic"), ("opt", {"probabilistic": False})])
+    def test_retired_keys_are_refused(self, key, value):
+        """Field reordering is no compile option, and ``comm`` is the
+        one compile key: a wire job that still carries a retired key
+        (the named preset, the run-side preset) is refused, not
+        compiled without it."""
         with pytest.raises(ServiceError) as refusal:
             JobSpec.from_dict({"kind": "compile", "source": SOURCE,
-                               "reorder_fields": True})
-        assert str(refusal.value) \
-            == "unknown job spec fields: ['reorder_fields']"
+                               key: value})
+        assert str(refusal.value) == f"unknown job spec fields: ['{key}']"
 
     def test_bad_fault_spec_rejected_eagerly(self):
         with pytest.raises(Exception):
@@ -237,6 +284,22 @@ class TestExecuteJob:
         assert result.error["code"] == 3  # EXIT_COMPILE
         assert result.error["type"]
 
+    def test_strict_nil_reads_of_a_speculating_program_is_refused(self):
+        """A run that asks for strict nil reads of a program compiled
+        with speculative reads is a usage error (exit 2), not a fault
+        partway through; without speculation it runs clean."""
+        refused = execute_job(JobSpec("run", benchmark="treeadd",
+                                      small=True, strict_nil_reads=True))
+        assert not refused.ok
+        assert refused.error["type"] == "UsageError"
+        assert refused.error["code"] == 2
+        assert "strict_nil_reads" in refused.error["message"]
+        assert "speculative_reads" in refused.error["message"]
+        clean = execute_job(JobSpec("run", benchmark="treeadd", small=True,
+                                    strict_nil_reads=True,
+                                    comm={"speculative_reads": False}))
+        assert clean.ok and clean.payload["run"]["value"] == 47217
+
     def test_unknown_benchmark_is_a_job_error(self):
         result = execute_job(JobSpec("run", benchmark="fibonacci"))
         assert not result.ok
@@ -282,22 +345,28 @@ PIN_FAULTS = {
     "su_slowdown_window_ns": 2000000.0, "stall_windows": 2,
     "stall_ns": 500000.0, "horizon_ns": 50000000.0}
 
-#: ``resolve_opt("probabilistic").to_json()``, spelled out.
-PIN_OPT = {"probabilistic": True}
+#: ``CommConfig().to_json()``, spelled out.
+PIN_COMM = {"enable_forwarding": True, "enable_placement": True,
+            "enable_blocking": True, "speculative_reads": True,
+            "opt": None}
 
-#: The 20 wire keys at their defaults.
+#: ``CommConfig(opt="probabilistic").to_json()``, spelled out.
+PIN_COMM_PROB = dict(PIN_COMM, opt={"probabilistic": True})
+
+#: The 19 wire keys at their defaults.
 PIN_WIRE_DEFAULTS = {
     "kind": None, "source": None, "benchmark": None, "filename": None,
-    "optimize": True, "config": "default", "inline": False,
+    "optimize": True, "comm": PIN_COMM, "inline": False,
     "nodes": 4, "entry": "main", "args": None, "engine": "codegen",
     "params": "default", "max_stmts": None, "strict_nil_reads": False,
     "faults": None, "rcache_capacity": 0, "rcache_line_words": 16,
-    "small": False, "selftest": None, "opt": None}
+    "small": False, "selftest": None}
 
 #: name -> (constructor keywords, wire keys off their default, cache
 #: address).  The wire dicts date from the commit before ``JobSpec``
-#: came to carry a ``RunConfig``; the addresses were re-recorded at
-#: pipeline ``2026.10-set-options``.  A change here is a change of the
+#: came to carry a ``RunConfig``, with the compile keys ``config`` /
+#: ``opt`` since folded into ``comm``; the addresses were re-recorded
+#: at pipeline ``2026.10-one-compile-key``.  A change here is a change of the
 #: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
@@ -307,35 +376,35 @@ GOLDEN = {
              inline=["add"]),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"]),
-        "37f9cb7cebf8309c88044c409fd2613f"
-        "80d6aa0c925d547daafefb019e2b5d86"),
+        "c1858fe479bd78be8fb2a37e266ce6bd"
+        "bccd922a3bf2a22edf832c8a2d0e3aae"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "d08c3d9ce8d2b43bda8ebc897b45946e"
-        "183e95ddf7a7a2364c86cd7506f766d6"),
+        "0b0b9cee73fda0619f0482f923bc850d"
+        "26d34a0b124c0cb32771f7ce7b0604c7"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "a5d936dc044317b2e1ec37df6f15d825"
-        "1b0d2bf2039191cf1f38fda9d9608740"),
+        "3f2a61fad7f6796321d8988835f86caf"
+        "ed290eaff23cd71789572e6664bc27d0"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
-             rcache_line_words=4, opt="probabilistic"),
+             rcache_line_words=4, comm=CommConfig(opt="probabilistic")),
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
-             rcache_line_words=4, opt=PIN_OPT),
-        "79c439b0ec26268bf49c713bb316519c"
-        "3a893760a4c5ebdb4df9a77449a84d49"),
+             rcache_line_words=4, comm=PIN_COMM_PROB),
+        "c012bb0505da14342950a82ecaebe1c9"
+        "ab41c0b5e3490285a18babe8b9dfdecc"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-set-options"
+        assert PIPELINE_VERSION == "2026.10-one-compile-key"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
@@ -350,14 +419,13 @@ class TestGoldenPins:
         wire fields, and each of those survives the round trip."""
         own = set(PIN_WIRE_DEFAULTS) - set(WIRE_FIELDS)
         assert own == {"kind", "source", "benchmark", "filename",
-                       "optimize", "config", "inline", "small",
+                       "optimize", "comm", "inline", "small",
                        "selftest"}
         assert not {"shards", "trace", "trace_capacity"} & set(WIRE_FIELDS)
         moved = dict(nodes=3, entry="go", args=[1, 2.5], engine="ast",
                      params="sequential-c", max_stmts=99,
                      strict_nil_reads=True, faults=PIN_FAULTS,
-                     rcache_capacity=7, rcache_line_words=2,
-                     opt=PIN_OPT)
+                     rcache_capacity=7, rcache_line_words=2)
         assert set(moved) == set(WIRE_FIELDS)
         spec = JobSpec("run", source=PIN_SOURCE, **moved)
         wire = spec.to_dict()

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.comm.optconfig import OPT_PRESETS
+from repro.comm.optimizer import CommConfig
 from repro.harness.pipeline import compile_earthc
 from repro.olden.loader import catalog
 from repro.simple import nodes as s
@@ -23,7 +24,8 @@ def reference_walk(stmt):
 @pytest.mark.parametrize("spec", catalog(), ids=lambda spec: spec.name)
 def test_walk_yields_the_reference_sequence(spec, preset):
     program = compile_earthc(spec.source(), spec.filename, optimize=True,
-                             inline=spec.inline, opt=preset).simple
+                             inline=spec.inline,
+                             config=CommConfig(opt=preset)).simple
     compound = 0
     for function in program.functions.values():
         walked = list(function.body.walk())
