@@ -73,9 +73,11 @@ class RunConfig:
     rcache_line_words: int = 16
     max_stmts: int = DEFAULT_MAX_STMTS
     strict_nil_reads: bool = False
-    #: Fault-plan spec dict (:meth:`FaultPlan.spec`), or None for a
-    #: clean network.  A spec, not a plan: plans are single-use, the
-    #: config is reusable -- :meth:`fault_plan` mints a fresh plan.
+    #: Fault-plan spec dict, or None for a clean network; stored
+    #: complete (:meth:`FaultPlan.spec`), so every spelling of one
+    #: schedule is one config.  A spec, not a plan: plans are
+    #: single-use, the config is reusable -- :meth:`fault_plan` mints a
+    #: fresh plan.
     faults: Optional[Dict[str, object]] = None
     trace: bool = field(default=False, metadata=_OFF_WIRE)
     trace_capacity: Optional[int] = field(default=None, metadata=_OFF_WIRE)
@@ -88,6 +90,10 @@ class RunConfig:
                      "rcache_line_words", "max_stmts"):
             if type(getattr(self, name)) is not int:
                 raise UsageError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
+        for name in ("strict_nil_reads", "trace"):
+            if type(getattr(self, name)) is not bool:
+                raise UsageError(f"{name} must be a bool, got "
                                  f"{getattr(self, name)!r}")
         if not isinstance(self.entry, str):
             raise UsageError(f"entry must be a function name, got "
@@ -128,10 +134,11 @@ class RunConfig:
             if not isinstance(self.faults, dict):
                 raise UsageError(f"faults must be a fault spec object, "
                                  f"got {self.faults!r}")
-            object.__setattr__(self, "faults", dict(self.faults))
             # Validate eagerly so a bad spec fails where it was written,
-            # not inside a worker process.
-            FaultPlan.from_spec(self.faults)
+            # not inside a worker process; keep the complete spec, so
+            # one fault schedule has one cache address.
+            object.__setattr__(self, "faults",
+                               FaultPlan.from_spec(self.faults).spec())
 
     # -- materialization ---------------------------------------------------
 

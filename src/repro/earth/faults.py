@@ -65,6 +65,14 @@ PROFILES: Dict[str, Dict[str, float]] = {
 }
 
 
+#: A fault spec's fields, in :meth:`FaultPlan.spec` order.
+_SPEC_FIELDS = ("seed", "drop_prob", "jitter_ns", "su_slowdown_factor",
+                "su_slowdown_windows", "su_slowdown_window_ns",
+                "stall_windows", "stall_ns", "horizon_ns")
+#: The spec fields that count something; the rest are real numbers.
+_COUNTS = ("seed", "su_slowdown_windows", "stall_windows")
+
+
 class FaultPlan:
     """A seeded, reproducible schedule of machine faults.
 
@@ -237,30 +245,30 @@ class FaultPlan:
         lossless: ``FaultPlan.from_spec(plan.spec())`` replays the
         identical fault schedule -- the JSON leg of shipping a plan to
         a worker process."""
-        return {
-            "seed": self.seed,
-            "drop_prob": self.drop_prob,
-            "jitter_ns": self.jitter_ns,
-            "su_slowdown_factor": self.su_slowdown_factor,
-            "su_slowdown_windows": self.su_slowdown_windows,
-            "su_slowdown_window_ns": self.su_slowdown_window_ns,
-            "stall_windows": self.stall_windows,
-            "stall_ns": self.stall_ns,
-            "horizon_ns": self.horizon_ns,
-        }
+        return {name: getattr(self, name) for name in _SPEC_FIELDS}
 
     @classmethod
     def from_spec(cls, spec: Dict[str, object]) -> "FaultPlan":
-        """Rebuild an unbound plan from :meth:`spec` output."""
-        config = dict(spec)
-        try:
-            seed = config.pop("seed")
-        except KeyError:
-            raise FaultPlanError("fault spec is missing 'seed'") from None
-        try:
-            return cls(int(seed), **config)
-        except (TypeError, ValueError) as exc:
-            raise FaultPlanError(f"bad fault spec: {exc}") from None
+        """Rebuild an unbound plan from :meth:`spec` output, or from
+        any subset of it that names the seed.  A field of the wrong
+        type is refused by name, not rounded: a spec arrives as JSON,
+        where ``"3"`` and ``3.7`` are spellable and neither is a
+        seed."""
+        unknown = sorted(set(spec) - set(_SPEC_FIELDS))
+        if unknown:
+            raise FaultPlanError(f"bad fault spec: unknown fields "
+                                 f"{unknown}")
+        if "seed" not in spec:
+            raise FaultPlanError("fault spec is missing 'seed'")
+        for name, value in spec.items():
+            # type(), not isinstance(): a bool is an int to isinstance.
+            if type(value) is int \
+                    or (type(value) is float and name not in _COUNTS):
+                continue
+            kind = "an integer" if name in _COUNTS else "a number"
+            raise FaultPlanError(f"fault spec field {name!r} must be "
+                                 f"{kind}, got {value!r}")
+        return cls(**spec)
 
     # -- reporting ---------------------------------------------------------
 

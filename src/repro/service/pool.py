@@ -165,7 +165,9 @@ class WorkerPool:
 
     def close(self) -> None:
         """Stop workers and the collector.  Pending jobs that never
-        completed are failed with a shutdown error."""
+        completed are failed with a shutdown error, and a worker still
+        computing one is terminated at once: nobody waits for its
+        result, and it writes no cache entry (the parent stores)."""
         with self._cond:
             self._closing = True
             for job_id, entry in list(self._pending.items()):
@@ -175,9 +177,15 @@ class WorkerPool:
                             "pool closed before the job completed")), None)
             self._pending.clear()
             self._backlog.clear()
+            busy = {worker_id for worker_id, owned in self._busy.items()
+                    if owned is not None}
             self._cond.notify_all()
-        for worker_id, task_q in self._task_qs.items():
-            task_q.put(None)
+        for worker_id, proc in self._procs.items():
+            if worker_id in busy:
+                proc.terminate()
+            else:
+                # An idle worker exits on the sentinel.
+                self._task_qs[worker_id].put(None)
         for proc in self._procs.values():
             proc.join(timeout=2.0)
             if proc.is_alive():

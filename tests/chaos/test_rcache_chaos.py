@@ -129,6 +129,31 @@ def test_snapshot_at_the_store_instant_is_stale(compiled, nodes, profile,
     assert cached.output == clean.output
 
 
+@pytest.mark.ci_only
+@pytest.mark.parametrize("nodes", [4, 8])
+@pytest.mark.parametrize("name", ["em3d", "mst", "treeadd"])
+def test_every_seed_and_geometry_keeps_the_clean_value(compiled, name,
+                                                       nodes):
+    """The sweep the stale snapshots above were found in: every
+    profile x seeds 0-9 x a large and a small cache, 120 runs a
+    benchmark and node count, each value and output the clean run's."""
+    spec = get_benchmark(name)
+    config = RunConfig(nodes=nodes, args=tuple(spec.small_args))
+    clean = execute(compiled[name], config=config)
+    wrong = []
+    for profile in sorted(PROFILES):
+        for seed in range(10):
+            for lines, words in ((64, 16), (8, 4)):
+                result = execute(compiled[name], config=config.replace(
+                    rcache_capacity=lines, rcache_line_words=words,
+                    faults=dict(PROFILES[profile], seed=seed)))
+                if (result.value, result.output) \
+                        != (clean.value, clean.output):
+                    wrong.append((profile, seed, f"{lines}x{words}",
+                                  result.value))
+    assert wrong == [], clean.value
+
+
 @CHAOS
 @given(heap_programs(), fault_configs)
 def test_cached_equals_uncached_under_faults(source, fault_config):

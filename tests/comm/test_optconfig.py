@@ -115,6 +115,8 @@ class TestResolveOpt:
 
     def test_presets(self):
         assert OPT_PRESETS == ("legacy", "probabilistic")
+        assert [(CommConfig(opt=name).opt or OptConfig()).preset
+                for name in OPT_PRESETS] == list(OPT_PRESETS)
         assert resolve_opt("probabilistic") \
             == OptConfig(probabilistic=True)
         with pytest.raises(ReproError, match="unknown opt preset"):
@@ -128,6 +130,7 @@ class TestResolveOpt:
         assert resolve_opt(legacy) is None
         assert CommConfig(opt=legacy) == CommConfig()
         assert CommConfig(opt=legacy).opt is None
+        assert CommConfig.from_json({"opt": legacy}).opt is None
 
     def test_dict_form(self):
         assert resolve_opt({"probabilistic": True}) \
@@ -241,28 +244,43 @@ class TestLegacyBitIdentity:
         assert len(texts) == 1
 
 
-class TestProbabilisticPreset:
-    @pytest.mark.parametrize("name", ["treeadd", "mst"])
-    def test_values_equal_and_remote_ops_not_worse(self, name):
+#: The three cheapest Olden programs, run under both presets.
+TRIO = ("power", "treeadd", "mst")
+
+
+@pytest.fixture(scope="module")
+def preset_runs():
+    """benchmark -> preset -> its optimized run at the small size on
+    4 nodes."""
+    runs = {}
+    for name in TRIO:
         spec = get_benchmark(name)
         config = RunConfig(nodes=4, args=tuple(spec.small_args),
                            max_stmts=spec.max_stmts)
-
-        def remote_ops(result):
-            return (result.stats.remote_reads
-                    + result.stats.remote_writes
-                    + result.stats.remote_blkmovs)
-
-        runs = {}
-        for preset in ("legacy", "probabilistic"):
+        for preset in OPT_PRESETS:
             compiled = compile_earthc(spec.source(), spec.name,
                                       optimize=True, inline=spec.inline,
                                       config=CommConfig(opt=preset))
-            runs[preset] = execute(compiled, config=config)
-        assert runs["probabilistic"].value == runs["legacy"].value
-        assert runs["probabilistic"].output == runs["legacy"].output
-        assert remote_ops(runs["probabilistic"]) \
-            <= remote_ops(runs["legacy"])
+            runs.setdefault(name, {})[preset] = execute(compiled,
+                                                        config=config)
+    return runs
+
+
+class TestProbabilisticPreset:
+    @pytest.mark.parametrize("name", TRIO)
+    def test_values_equal_and_remote_ops_not_worse(self, preset_runs,
+                                                   name):
+        legacy = preset_runs[name]["legacy"]
+        prob = preset_runs[name]["probabilistic"]
+        assert prob.value == legacy.value
+        assert prob.output == legacy.output
+        assert prob.stats.total_remote_ops \
+            <= legacy.stats.total_remote_ops
+
+    def test_the_preset_reduces_remote_ops_somewhere(self, preset_runs):
+        assert any(runs["probabilistic"].stats.total_remote_ops
+                   < runs["legacy"].stats.total_remote_ops
+                   for runs in preset_runs.values())
 
 
 class TestPublicSurface:

@@ -19,6 +19,7 @@ the cached code objects (last test).
 
 from __future__ import annotations
 
+import re
 import textwrap
 
 from repro.earth import codegen
@@ -27,6 +28,7 @@ from repro.earth.interpreter import Interpreter
 from repro.earth.machine import Machine
 from repro.earth.params import MachineParams
 from repro.harness.pipeline import compile_earthc
+from repro.olden.loader import get_benchmark
 
 SOURCE = """
 struct cell { int value; struct cell *next; };
@@ -163,3 +165,18 @@ def test_recompiling_the_same_source_reproduces_listing_and_code():
     assert generate(second) == sources
     assert dict(codegen._CODE_CACHE) == cached
     assert all(text in cached for text in sources.values())
+
+
+def test_build_tree_builds_no_slot_for_a_completed_operation():
+    """An operation that completes at issue returns its value, so no
+    write or malloc lands in a ``Slot``, and the statement counter is
+    charged once per straight-line run (23 charges for these seven
+    issues when every issue ended a count)."""
+    spec = get_benchmark("treeadd")
+    engine = _engine_of(compile_earthc(spec.source(), spec.filename,
+                                       optimize=True, inline=spec.inline))
+    source = engine.function("build_tree").source
+    assert re.search(r"Slot\(['\"](write|malloc)['\"]\)", source) is None
+    assert "_stmts_left" not in source
+    assert source.count("_issue(") == 7
+    assert source.count("basic_stmts_executed +=") <= 8

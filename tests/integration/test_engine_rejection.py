@@ -103,11 +103,18 @@ BAD_OPTIONS = {
     "entry=5": ("entry", 5, "entry"),
     "faults=x": ("faults", "x", "fault"),
     "faults.seed=q": ("faults", {"seed": "q"}, "fault"),
+    "faults.seed=3.7": ("faults", {"seed": 3.7}, "'seed'"),
+    "faults.drop_prob=0.1": ("faults", {"seed": 1, "drop_prob": "0.1"},
+                             "'drop_prob'"),
+    "strict_nil_reads=no": ("strict_nil_reads", "no", "strict_nil_reads"),
+    "strict_nil_reads=1": ("strict_nil_reads", 1, "strict_nil_reads"),
 }
 
 #: Cases no command line can spell: the field has no run flag, or any
 #: text is the right type for it.
-NO_FLAG = {"source=5", "args=abc", "entry=5", "faults.seed=q"}
+NO_FLAG = {"source=5", "args=abc", "entry=5", "faults.seed=q",
+           "faults.seed=3.7", "faults.drop_prob=0.1",
+           "strict_nil_reads=no", "strict_nil_reads=1"}
 
 
 def _bad_job(case):

@@ -53,7 +53,9 @@ class TestSweepJobs:
         jobs = sweep_jobs([1], benchmarks=["power"],
                           run=RunConfig(engine="ast", faults={"seed": 3}))
         assert jobs[0].run.engine == "ast"
-        assert jobs[0].run.faults == {"seed": 3}
+        # (stored complete: the spec of the schedule {"seed": 3} names)
+        assert jobs[0].run.faults == plan_from_cli(3, None, None,
+                                                   None).spec()
 
 
 def _in_process(name, nodes, run_ways=run_four_ways, comm_config=None,

@@ -80,6 +80,13 @@ class TestValueObject:
         dict(max_stmts=0),
         dict(trace_capacity=0),
         dict(faults={"seed": 1, "warp_factor": 9}),
+        dict(strict_nil_reads="no"),
+        dict(strict_nil_reads=1),
+        dict(trace="no"),
+        dict(trace=1),
+        dict(faults={"seed": "3"}),
+        dict(faults={"seed": 3.7}),
+        dict(faults={"seed": 1, "drop_prob": "0.1"}),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ReproError):

@@ -7,6 +7,7 @@ import pytest
 from repro.comm.optconfig import OPT_PRESETS, OptConfig, resolve_opt
 from repro.comm.optimizer import CommConfig
 from repro.config import WIRE_FIELDS, RunConfig
+from repro.earth.faults import PROFILES
 from repro.errors import ServiceError
 from repro.harness.experiments import leg_job
 from repro.harness.pipeline import (
@@ -151,9 +152,19 @@ class TestSpecValidation:
                                key: value})
         assert str(refusal.value) == f"unknown job spec fields: ['{key}']"
 
-    def test_bad_fault_spec_rejected_eagerly(self):
-        with pytest.raises(Exception):
-            JobSpec("run", source=SOURCE, faults={"drop_prob": 0.5})
+    @pytest.mark.parametrize("faults,message", [
+        ({"drop_prob": 0.5}, "missing 'seed'"),
+        ({"seed": "3"}, "'seed' must be an integer"),
+        ({"seed": 3.7}, "'seed' must be an integer"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"seed": 3, "drop_prob": "0.1"}, "'drop_prob' must be a number")],
+        ids=["no-seed", "seed=3-text", "seed=3.7", "seed=true",
+             "drop_prob-text"])
+    def test_bad_fault_spec_rejected_eagerly(self, faults, message):
+        """Refused by name, never read as a rounded seed or compared
+        as a string."""
+        with pytest.raises(ServiceError, match=message):
+            JobSpec("run", source=SOURCE, faults=faults)
 
     def test_selftest_needs_behavior(self):
         with pytest.raises(ServiceError, match="behavior"):
@@ -413,6 +424,19 @@ class TestGoldenPins:
         assert spec.to_dict() == {**PIN_WIRE_DEFAULTS, **wire}
         assert spec.canonical_key() == key
         assert JobSpec.from_dict(spec.to_dict()).canonical_key() == key
+
+    @pytest.mark.parametrize("faults", [
+        dict(PROFILES["chaos"], seed=42),
+        dict(PIN_FAULTS, horizon_ns=50_000_000)],
+        ids=["chaos-profile", "int-horizon"])
+    def test_one_fault_schedule_has_one_address(self, faults):
+        """A spec that leaves fields at their defaults, or spells a
+        number as an int, is the complete spec on the wire and in the
+        address."""
+        keywords, wire, key = GOLDEN["faults-rcache-opt"]
+        spec = JobSpec(**dict(keywords, faults=faults))
+        assert spec.to_dict() == {**PIN_WIRE_DEFAULTS, **wire}
+        assert spec.canonical_key() == key
 
     def test_every_wire_run_key_round_trips(self):
         """The flat wire form is the spec's own keys plus RunConfig's

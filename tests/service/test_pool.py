@@ -14,6 +14,9 @@ from repro.service.jobs import JobSpec, execute_job
 from repro.service.pool import JobAdmission, WorkerPool
 
 SOURCE = "int main(int n) { return n * 2; }"
+#: Counts to ``n``: a job that outlasts any test.
+SPIN = ("int main(int n) { int i; int s; s = 0;\n"
+        "  for (i = 0; i < n; i++) { s = s + 1; }\n  return s; }")
 
 
 def _echo(value):
@@ -295,15 +298,25 @@ class TestResilience:
             assert results[0].ok and results[2].ok and results[3].ok
             assert not results[1].ok
 
-    def test_close_fails_pending_jobs(self):
-        pool = WorkerPool(workers=1, cache_dir=None).start()
-        job_id = pool.submit(JobSpec("selftest",
-                                     selftest={"behavior": "sleep",
-                                               "seconds": 30}))
+    def test_close_fails_pending_jobs(self, tmp_path):
+        """The worker still computing a job close() failed is stopped
+        at once, and leaves the disk cache no entry to read: only the
+        parent stores, by an atomic rename."""
+        spin = JobSpec("run", source=SPIN, args=[10 ** 9])
+        pool = WorkerPool(workers=1, cache_dir=str(tmp_path)).start()
+        job_id = pool.submit(spin)
+        time.sleep(0.3)                 # the worker is computing it
+        begin = time.monotonic()
         pool.close()
+        assert time.monotonic() - begin < 1.0
         result = pool.wait(job_id, timeout=5)
         assert not result.ok
         assert "closed" in result.error["message"]
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] \
+            == []
+        cache = ArtifactCache(str(tmp_path))
+        assert cache.get(spin.canonical_key()) is None
+        assert cache.snapshot()["corrupt_entries"] == 0
 
 
 class TestMetrics:
