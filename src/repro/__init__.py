@@ -68,6 +68,10 @@ residual split-phase marking now always run.  2.5 made
 :class:`CommConfig` the one compile key (a job's ``comm``), the legacy
 preset one address however spelled, and ``strict_nil_reads`` on a
 program compiled with ``speculative_reads`` a :class:`UsageError`.
+2.6 made alias facts plain sets: the points-to solver weighs no fact
+and a communication tuple carries only the paper's frequency, so
+selection estimates a tuple's expected accesses as the paper does, its
+frequency capped at one, under both presets.
 """
 
 from repro.comm.optconfig import OptConfig
@@ -94,7 +98,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.5.0"
+__version__ = "2.6.0"
 
 __all__ = [
     "ArtifactCache",

@@ -116,8 +116,10 @@ def _add_opt_preset(parser) -> None:
     parser.add_argument(
         "--opt-preset", choices=OPT_PRESETS, default="legacy",
         help="optimizer heuristic preset (OptConfig): 'legacy' is the "
-             "paper's fixed multipliers (the default), 'probabilistic' "
-             "weighs blocking by execution probabilities")
+             "paper's blocking threshold of three (the default), "
+             "'probabilistic' blocks two fields, blocks a group of "
+             "uncertain accesses expected once in all, and marks "
+             "private cache lines")
 
 
 # ---------------------------------------------------------------------------

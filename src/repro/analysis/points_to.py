@@ -25,12 +25,12 @@ Pointer *holders* (things that contain pointers):
   offsets (array elements, scalar derefs).
 
 The solver propagates differences over a worklist.  Every constraint
-becomes a weighted copy edge ``src -> dst`` (``pts(dst) >= pts(src)``):
+becomes a copy edge ``src -> dst`` (``pts(dst) >= pts(src)``):
 assignments, argument and return passing give them directly; a field
 load through ``p``, a field store through ``p`` and a struct copy
 between two endpoints derive them as ``p`` gains objects.  A holder
-whose set or likelihoods grew is queued with just the locations that
-changed, and only those travel along its out-edges; a location new to a
+whose set grew is queued with just the locations that changed, and
+only those travel along its out-edges; a location new to a
 dereferenced pointer links the holders it reaches then.  A per-object
 field index (object -> field key -> points-to set) names the fields a
 load or a struct copy reaches without scanning the table, and the edge
@@ -40,24 +40,12 @@ from a field holder created later is added when it is created.
 variable the way its function sees it -- the function's own variable,
 else the global -- and an empty answer means *unknown*: it may alias
 anything.
-
-Alongside the subset lattice the solver carries a *likelihood* channel:
-every constraint is weighted by the probability that its statement
-executes at least once per invocation (if-arms halve it, switch arms
-divide by the alternative count, loop bodies keep it -- the paper's
-loops-run-hot assumption), and each points-to fact records the
-max-product path weight from an allocation site.  Likelihoods never
-change the points-to *sets* -- they only let the probabilistic
-communication-selection mode discount expected access counts for
-pointers that are only assigned on rare paths
-(:meth:`PointsToResult.likelihood`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.comm.optconfig import BRANCH_WEIGHT
 from repro.simple import nodes as s
 
 Loc = Tuple  # abstract location
@@ -85,15 +73,15 @@ def keys_overlap(a: FieldKey, b: FieldKey) -> bool:
     return a[:shorter] == b[:shorter]
 
 
+
+
 class PointsToResult:
     """Query interface over the solved constraint system."""
 
     def __init__(self, sets: Dict[Holder, Set[Loc]],
-                 like: Dict[Holder, Dict[Loc, float]],
                  functions: Dict[str, s.SimpleFunction]):
         self._sets = {holder: frozenset(locs)
                       for holder, locs in sets.items()}
-        self._like = like
         self._functions = functions
 
     def _holder(self, func: str, var: str) -> Holder:
@@ -108,19 +96,6 @@ class PointsToResult:
         """Locations the pointer variable ``var`` of ``func`` may target;
         empty means unknown."""
         return self._sets.get(self._holder(func, var), frozenset())
-
-    def likelihood(self, func: str, var: str) -> float:
-        """Probability (in ``[0, 1]``) that ``var`` of ``func`` holds a
-        pointer at all -- the best max-product path weight from any
-        allocation site it may target.  Conservatively ``1.0`` for
-        pointers the analysis knows nothing about (unknown must not
-        discount anything)."""
-        holder = self._holder(func, var)
-        pts = self._sets.get(holder)
-        if not pts:
-            return 1.0
-        per_obj = self._like[holder]
-        return max(min(per_obj.get(loc, 1.0), 1.0) for loc in pts)
 
     def may_alias_objects(self, func_a: str, var_a: str,
                           func_b: str, var_b: str) -> bool:
@@ -137,25 +112,21 @@ class PointsToAnalysis:
     def __init__(self, program: s.SimpleProgram):
         self.program = program
         self._sets: Dict[Holder, Set[Loc]] = {}
-        # likelihood channel: per-fact max-product path weight
-        self._like: Dict[Holder, Dict[Loc, float]] = {}
-        # copy edges, given and derived: src -> {dst: weight}, meaning
-        # pts(dst) >= pts(src) and like(dst) >= like(src) * weight
-        self._succ: Dict[Holder, Dict[Holder, float]] = {}
+        # copy edges, given and derived: src -> dsts, each meaning
+        # pts(dst) >= pts(src)
+        self._succ: Dict[Holder, Set[Holder]] = {}
         # the field index: object -> field key -> pts((object, key))
         self._fields: Dict[Loc, Dict[FieldKey, Set[Loc]]] = {}
-        # complex constraints, keyed by the pointer they dereference;
-        # the float is the statement's execution probability
-        self._loads: Dict[Holder, List[Tuple[Holder, FieldKey, float]]] = {}
-        self._stores: Dict[Holder,
-                           List[Tuple[Holder, FieldKey, float]]] = {}
+        # complex constraints, keyed by the pointer they dereference
+        self._loads: Dict[Holder, List[Tuple[Holder, FieldKey]]] = {}
+        self._stores: Dict[Holder, List[Tuple[Holder, FieldKey]]] = {}
         # struct copies through a pointer: pointer -> (objects at the
-        # other end, weight, whether the pointer is the source)
-        self._blkmovs: Dict[Holder, List[Tuple[Set[Loc], float, bool]]] = {}
+        # other end, whether the pointer is the source)
+        self._blkmovs: Dict[Holder, List[Tuple[Set[Loc], bool]]] = {}
         # per object: the loads that read it and the objects its fields
         # are copied into, so a field holder created later is linked
-        self._readers: Dict[Loc, List[Tuple[FieldKey, Holder, float]]] = {}
-        self._copiers: Dict[Loc, Dict[Loc, float]] = {}
+        self._readers: Dict[Loc, List[Tuple[FieldKey, Holder]]] = {}
+        self._copiers: Dict[Loc, Set[Loc]] = {}
         # the worklist: holders with the locations that changed since
         # they were last visited; and per dereferenced pointer the
         # locations its complex constraints have been linked for
@@ -167,84 +138,45 @@ class PointsToAnalysis:
 
     def run(self) -> PointsToResult:
         for function in self.program.functions.values():
-            self._collect_function(function)
+            self._collect_stmt(function, function.body)
         self._solve()
-        return PointsToResult(self._sets, self._like,
-                              self.program.functions)
+        return PointsToResult(self._sets, self.program.functions)
 
     def _var_holder(self, func: s.SimpleFunction, name: str) -> Holder:
         if name in func.variables:
             return ("var", func.name, name)
         return ("gvar", name)
 
-    def _add_copy(self, src: Holder, dst: Holder,
-                  prob: float = 1.0) -> None:
-        out = self._succ.setdefault(src, {})
-        if prob > out.get(dst, 0.0):
-            out[dst] = prob
-
-    def _add_base(self, holder: Holder, loc: Loc, prob: float) -> None:
-        """Record a base points-to fact with its path probability."""
-        self._pts_of(holder).add(loc)
-        per = self._like[holder]
-        if prob > per.get(loc, 0.0):
-            per[loc] = prob
+    def _add_copy(self, src: Holder, dst: Holder) -> None:
+        self._succ.setdefault(src, set()).add(dst)
 
     def _is_pointerish(self, func: s.SimpleFunction, name: str) -> bool:
         var = func.variables.get(name) or self.program.globals.get(name)
         return var is not None and var.type.is_pointer
 
-    def _collect_function(self, func: s.SimpleFunction) -> None:
-        self._collect_stmt(func, func.body, 1.0)
-
-    def _collect_stmt(self, func: s.SimpleFunction, stmt: s.Stmt,
-                      prob: float) -> None:
-        """Structure-aware preorder walk (same statement order as
-        ``Stmt.walk``) threading the execution probability of the
-        enclosing control path."""
+    def _collect_stmt(self, func: s.SimpleFunction, stmt: s.Stmt) -> None:
+        """Preorder walk (the statement order of ``Stmt.walk``)
+        collecting each basic statement's constraints."""
         if isinstance(stmt, s.AssignStmt):
-            self._collect_assign(func, stmt, prob)
-        elif isinstance(stmt, s.SeqStmt):
-            for child in stmt.stmts:
-                self._collect_stmt(func, child, prob)
+            self._collect_assign(func, stmt)
         elif isinstance(stmt, s.CallStmt):
-            self._collect_call(func, stmt, prob)
+            self._collect_call(func, stmt)
         elif isinstance(stmt, s.AllocStmt):
-            self._add_base(self._var_holder(func, stmt.target),
-                           ("heap", stmt.site), prob)
+            self._pts_of(self._var_holder(func, stmt.target)).add(
+                ("heap", stmt.site))
         elif isinstance(stmt, s.ReturnStmt):
-            if stmt.value is not None and \
-                    isinstance(stmt.value, s.VarUse) and \
+            if isinstance(stmt.value, s.VarUse) and \
                     self._is_pointerish(func, stmt.value.name):
                 self._add_copy(self._var_holder(func, stmt.value.name),
-                               ("ret", func.name), prob)
-        elif isinstance(stmt, s.IfStmt):
-            # One if-arm runs with the paper's per-arm weight (switch
-            # arms use ``1/alternatives``).
-            arm = prob * BRANCH_WEIGHT
-            self._collect_stmt(func, stmt.then_seq, arm)
-            self._collect_stmt(func, stmt.else_seq, arm)
-        elif isinstance(stmt, s.SwitchStmt):
-            arms = max(stmt.num_alternatives, 1)
-            for _, seq in stmt.cases:
-                self._collect_stmt(func, seq, prob / arms)
-            if stmt.default is not None:
-                self._collect_stmt(func, stmt.default, prob / arms)
-        elif isinstance(stmt, (s.WhileStmt, s.DoStmt)):
-            # Loops-run-hot: reaching the loop implies the body runs.
-            self._collect_stmt(func, stmt.body, prob)
-        elif isinstance(stmt, s.ForallStmt):
-            self._collect_stmt(func, stmt.init, prob)
-            self._collect_stmt(func, stmt.body, prob)
-            self._collect_stmt(func, stmt.step, prob)
-        elif isinstance(stmt, s.ParStmt):
-            for branch in stmt.branches:
-                self._collect_stmt(func, branch, prob)
+                               ("ret", func.name))
         elif isinstance(stmt, s.BlkmovStmt):
-            self._collect_blkmov(func, stmt, prob)
+            self._collect_blkmov(func, stmt)
+        else:
+            for child in stmt.children():
+                self._collect_stmt(func, child)
 
     def _collect_assign(self, func: s.SimpleFunction,
-                        stmt: s.AssignStmt, prob: float = 1.0) -> None:
+                        stmt: s.AssignStmt) -> None:
         rhs = stmt.rhs
         lhs = stmt.lhs
         # Destination holder (only pointer-valued destinations matter).
@@ -253,10 +185,10 @@ class PointsToAnalysis:
             if self._is_pointerish(func, lhs.name):
                 dst = self._var_holder(func, lhs.name)
         elif isinstance(lhs, s.FieldWriteLV):
-            self._add_store(func, lhs.base, rhs, path_key(lhs.path), prob)
+            self._add_store(func, lhs.base, rhs, path_key(lhs.path))
             return
         elif isinstance(lhs, (s.DerefWriteLV, s.IndexWriteLV)):
-            self._add_store(func, lhs.base, rhs, (STAR,), prob)
+            self._add_store(func, lhs.base, rhs, (STAR,))
             return
         elif isinstance(lhs, s.StructFieldWriteLV):
             source = self._rhs_source(func, rhs)
@@ -264,7 +196,7 @@ class PointsToAnalysis:
                 self._add_copy(
                     source,
                     (("structvar", func.name, lhs.struct_var),
-                     path_key(lhs.path)), prob)
+                     path_key(lhs.path)))
             return
         if dst is None:
             return
@@ -273,8 +205,7 @@ class PointsToAnalysis:
             operand = rhs.operand
             if isinstance(operand, s.VarUse) and \
                     self._is_pointerish(func, operand.name):
-                self._add_copy(self._var_holder(func, operand.name), dst,
-                               prob)
+                self._add_copy(self._var_holder(func, operand.name), dst)
         elif isinstance(rhs, s.BinaryRhs):
             # Pointer arithmetic: result targets what the pointer side
             # targets.
@@ -282,39 +213,39 @@ class PointsToAnalysis:
                 if isinstance(operand, s.VarUse) and \
                         self._is_pointerish(func, operand.name):
                     self._add_copy(self._var_holder(func, operand.name),
-                                   dst, prob)
+                                   dst)
         elif isinstance(rhs, s.AddrOfRhs):
-            self._add_base(dst, ("global", rhs.var), prob)
+            self._pts_of(dst).add(("global", rhs.var))
         elif isinstance(rhs, s.FieldAddrRhs):
             # An interior pointer: conservatively targets the same
             # objects as the base pointer (accesses through it alias
             # accesses through the base).
-            self._add_copy(self._var_holder(func, rhs.base), dst, prob)
+            self._add_copy(self._var_holder(func, rhs.base), dst)
         elif isinstance(rhs, s.FieldReadRhs):
-            self._add_load(func, rhs.base, dst, path_key(rhs.path), prob)
+            self._add_load(func, rhs.base, dst, path_key(rhs.path))
         elif isinstance(rhs, (s.DerefReadRhs, s.IndexReadRhs)):
-            self._add_load(func, rhs.base, dst, (STAR,), prob)
+            self._add_load(func, rhs.base, dst, (STAR,))
         elif isinstance(rhs, s.StructFieldReadRhs):
             self._add_copy(
                 (("structvar", func.name, rhs.struct_var),
                  path_key(rhs.path)),
-                dst, prob)
+                dst)
 
     def _add_load(self, func: s.SimpleFunction, base: str, dst: Holder,
-                  key: FieldKey, prob: float) -> None:
+                  key: FieldKey) -> None:
         """``dst >= pts((loc, k))`` for every ``loc`` in ``pts(base)``
         and every stored key ``k`` overlapping ``key``."""
         self._loads.setdefault(self._var_holder(func, base), []).append(
-            (dst, key, prob))
+            (dst, key))
 
     def _add_store(self, func: s.SimpleFunction, base: str, rhs: s.Rhs,
-                   key: FieldKey, prob: float) -> None:
+                   key: FieldKey) -> None:
         """``(loc, key) >= pts(value)`` for every ``loc`` in
         ``pts(base)``, when the stored value may carry a pointer."""
         source = self._rhs_source(func, rhs)
         if source is not None:
             self._stores.setdefault(self._var_holder(func, base),
-                                    []).append((source, key, prob))
+                                    []).append((source, key))
 
     def _rhs_source(self, func: s.SimpleFunction,
                     rhs: s.Rhs) -> Optional[Holder]:
@@ -326,7 +257,7 @@ class PointsToAnalysis:
         return None
 
     def _collect_blkmov(self, func: s.SimpleFunction,
-                        stmt: s.BlkmovStmt, prob: float = 1.0) -> None:
+                        stmt: s.BlkmovStmt) -> None:
         """Every field key flows from the source object(s) to the
         destination object(s): the objects both ends name now are
         linked here, and a pointer end links each object it gains
@@ -335,13 +266,13 @@ class PointsToAnalysis:
         dst = self._endpoint_objects(func, stmt.dst)
         if stmt.src[0] != "local":
             self._blkmovs.setdefault(self._var_holder(func, stmt.src[1]),
-                                     []).append((dst, prob, True))
+                                     []).append((dst, True))
         if stmt.dst[0] != "local":
             self._blkmovs.setdefault(self._var_holder(func, stmt.dst[1]),
-                                     []).append((src, prob, False))
+                                     []).append((src, False))
         for src_obj in src:
             for dst_obj in dst:
-                self._link(src_obj, dst_obj, prob)
+                self._link(src_obj, dst_obj)
 
     def _endpoint_objects(self, func: s.SimpleFunction,
                           endpoint) -> Set[Loc]:
@@ -353,7 +284,7 @@ class PointsToAnalysis:
         return self._pts_of(self._var_holder(func, name))
 
     def _collect_call(self, func: s.SimpleFunction,
-                      stmt: s.CallStmt, prob: float = 1.0) -> None:
+                      stmt: s.CallStmt) -> None:
         callee = self.program.functions.get(stmt.func)
         if callee is None:
             return  # builtin: no pointer flow (malloc handled as AllocStmt)
@@ -362,12 +293,12 @@ class PointsToAnalysis:
                     self._is_pointerish(func, arg.name) and \
                     param.type.is_pointer:
                 self._add_copy(self._var_holder(func, arg.name),
-                               ("var", callee.name, param.name), prob)
+                               ("var", callee.name, param.name))
         if stmt.target is not None and \
                 self._is_pointerish(func, stmt.target) and \
                 callee.return_type.is_pointer:
             self._add_copy(("ret", callee.name),
-                           self._var_holder(func, stmt.target), prob)
+                           self._var_holder(func, stmt.target))
 
     # -- solving -----------------------------------------------------------------
 
@@ -381,9 +312,8 @@ class PointsToAnalysis:
         while work:
             holder = work.pop()
             changed = self._changed.pop(holder)
-            like = self._like[holder]
-            for dst, weight in succ.get(holder, {}).items():
-                self._flow(dst, changed, like, weight)
+            for dst in succ.get(holder, ()):
+                self._flow(dst, changed)
             if holder in self._loads or holder in self._stores \
                     or holder in self._blkmovs:
                 self._deref(holder, changed)
@@ -396,64 +326,49 @@ class PointsToAnalysis:
         if locs is not None:
             return locs
         locs = self._sets[holder] = set()
-        self._like[holder] = {}
         if type(holder[0]) is tuple:
             obj, key = holder
             self._fields.setdefault(obj, {})[key] = locs
-            for read_key, dst, prob in self._readers.get(obj, ()):
+            for read_key, dst in self._readers.get(obj, ()):
                 if keys_overlap(read_key, key):
-                    self._add_edge(holder, dst, prob)
-            for dst_obj, prob in self._copiers.get(obj, {}).items():
-                self._add_edge(holder, (dst_obj, key), prob)
+                    self._add_edge(holder, dst)
+            for dst_obj in self._copiers.get(obj, ()):
+                self._add_edge(holder, (dst_obj, key))
         return locs
 
-    def _flow(self, dst: Holder, locs: Set[Loc],
-              src_like: Dict[Loc, float], weight: float) -> None:
-        """``pts(dst) >= locs`` and max-product ``like(dst, loc) >=
-        src_like[loc] * weight`` (a location without a source weight
-        raises nothing); queue what grew."""
+    def _flow(self, dst: Holder, locs: Set[Loc]) -> None:
+        """``pts(dst) >= locs``; queue what grew."""
         dst_locs = self._pts_of(dst)
-        dst_like = self._like[dst]
-        grown = []
-        for loc in locs:
-            prob = src_like.get(loc)
-            if prob is not None and \
-                    prob * weight > dst_like.get(loc, 0.0) + 1e-12:
-                dst_like[loc] = prob * weight
-            elif loc in dst_locs:
-                continue
-            dst_locs.add(loc)
-            grown.append(loc)
+        grown = locs - dst_locs
         if grown:
+            dst_locs |= grown
             pending = self._changed.get(dst)
             if pending is None:
-                self._changed[dst] = set(grown)
+                self._changed[dst] = grown
                 self._work.append(dst)
             else:
-                pending.update(grown)
+                pending |= grown
 
-    def _add_edge(self, src: Holder, dst: Holder, weight: float) -> None:
+    def _add_edge(self, src: Holder, dst: Holder) -> None:
         """A copy edge found while solving: push all of ``pts(src)``
         along it now, and later growth with the rest of the worklist."""
-        out = self._succ.setdefault(src, {})
-        known = out.get(dst)
-        if known is not None and weight <= known:
+        out = self._succ.setdefault(src, set())
+        if dst in out:
             return
-        out[dst] = weight
+        out.add(dst)
         locs = self._sets.get(src)
         if locs:
-            self._flow(dst, locs, self._like[src], weight)
+            self._flow(dst, locs)
 
-    def _link(self, src_obj: Loc, dst_obj: Loc, prob: float) -> None:
+    def _link(self, src_obj: Loc, dst_obj: Loc) -> None:
         """A struct copy from ``src_obj`` into ``dst_obj``: each field of
         the one flows into the same field of the other."""
-        out = self._copiers.setdefault(src_obj, {})
-        known = out.get(dst_obj)
-        if known is not None and prob <= known:
+        out = self._copiers.setdefault(src_obj, set())
+        if dst_obj in out:
             return
-        out[dst_obj] = prob
+        out.add(dst_obj)
         for key in self._fields.get(src_obj, ()):
-            self._add_edge((src_obj, key), (dst_obj, key), prob)
+            self._add_edge((src_obj, key), (dst_obj, key))
 
     def _deref(self, holder: Holder, changed: Set[Loc]) -> None:
         """Add the edges of the loads, stores and struct copies through
@@ -464,19 +379,19 @@ class PointsToAnalysis:
             return
         linked |= fresh
         for loc in fresh:
-            for dst, key, prob in self._loads.get(holder, ()):
-                self._readers.setdefault(loc, []).append((key, dst, prob))
+            for dst, key in self._loads.get(holder, ()):
+                self._readers.setdefault(loc, []).append((key, dst))
                 for stored in self._fields.get(loc, ()):
                     if keys_overlap(key, stored):
-                        self._add_edge((loc, stored), dst, prob)
-            for source, key, prob in self._stores.get(holder, ()):
-                self._add_edge(source, (loc, key), prob)
-            for others, prob, outgoing in self._blkmovs.get(holder, ()):
+                        self._add_edge((loc, stored), dst)
+            for source, key in self._stores.get(holder, ()):
+                self._add_edge(source, (loc, key))
+            for others, outgoing in self._blkmovs.get(holder, ()):
                 for other in others:
                     if outgoing:
-                        self._link(loc, other, prob)
+                        self._link(loc, other)
                     else:
-                        self._link(other, loc, prob)
+                        self._link(other, loc)
 
 
 def analyze_points_to(program: s.SimpleProgram) -> PointsToResult:

@@ -10,14 +10,13 @@ module constants; no preset changes them.
 
 :class:`OptConfig` carries the one choice a caller makes: the
 ``legacy`` preset (the paper's heuristics, the default) or the
-``probabilistic`` one, which switches the selection pass from the
-paper's fixed-multiplier frequencies to the probability channel
-carried on :class:`repro.comm.tuples.CommTuple` (see DESIGN.md section
-18), admits two-field block moves, and turns on private-line
-invalidation skipping in the remote-data cache.  The object nests
-inside :class:`~repro.comm.optimizer.CommConfig` (field ``opt``), so
-the preset flows through the service's content-addressed cache keys,
-the CLI's ``--opt-preset`` and job specs' ``comm``.
+``probabilistic`` one, which admits two-field block moves, lets a
+group of accesses none of which is certain block when their summed
+expected accesses reach one (see DESIGN.md section 18), and turns on
+private-line invalidation skipping in the remote-data cache.  The
+object nests inside :class:`~repro.comm.optimizer.CommConfig` (field
+``opt``), so the preset flows through the service's content-addressed
+cache keys, the CLI's ``--opt-preset`` and job specs' ``comm``.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ from repro.errors import UsageError
 
 #: Frequency multiplier per enclosing loop (the paper: x10).
 LOOP_WEIGHT = 10.0
-#: Frequency multiplier per conditional arm (the paper: /2).  Also the
-#: per-arm execution probability the tuple ``prob`` channel and the
-#: probabilistic points-to lattice propagate.
+#: Frequency multiplier per conditional arm (the paper: /2).
 BRANCH_WEIGHT = 0.5
 #: A tuple is "strong" (certain to execute, selected on its own) when
 #: its frequency is at least one, up to float rounding.
@@ -57,12 +54,10 @@ class OptConfig:
     predicates are soundness conditions and take no preset.
     """
 
-    #: Drive selection by the probability channel: expected access
-    #: counts become summed execution probabilities (weighted by the
-    #: probabilistic points-to lattice), the blocking gate accepts
-    #: groups whose summed probability clears
+    #: Block two-field groups, accept a group whose summed expected
+    #: accesses (frequencies capped at one) clear
     #: :attr:`min_expected_accesses` even when no single access is
-    #: certain, and provably-private allocation sites are marked so the
+    #: certain, and mark provably-private allocation sites so the
     #: remote-data cache skips write-through invalidation for them.
     probabilistic: bool = False
 

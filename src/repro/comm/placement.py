@@ -28,10 +28,8 @@ loops, /2 out of ``if``, /#arms out of ``switch``.  The x10 and /2
 weights are the constants :data:`~repro.comm.optconfig.LOOP_WEIGHT` and
 :data:`~repro.comm.optconfig.BRANCH_WEIGHT`, the same under both
 presets, so placement takes no :class:`~repro.comm.optconfig.OptConfig`.
-Alongside the frequency each tuple maintains its execution probability
-(see :class:`~repro.comm.tuples.CommTuple`), which only the
-probabilistic selection mode consumes.  Kill decisions never depend on
-either -- they are soundness conditions, not profitability ones.
+Kill decisions never depend on frequencies -- they are soundness
+conditions, not profitability ones.
 
 Parallel constructs (absent from the paper's figures) are handled
 conservatively: tuples generated inside ``{^...^}`` branches escape only

@@ -178,30 +178,12 @@ class CommSelection:
             if not self._safe_deref(tup.base, at_label):
                 continue
             groups.setdefault(tup.base, []).append(
-                CommTuple(tup.base, tup.path, tup.freq, fresh, tup.prob))
+                CommTuple(tup.base, tup.path, tup.freq, fresh))
         return groups
 
     def _is_strong(self, tup: CommTuple) -> bool:
         """Frequent enough to be selected on its own (paper: >= 1)."""
         return tup.freq >= STRONG_FREQ
-
-    def _expected_accesses(self, tup: CommTuple) -> float:
-        """Expected scalar accesses a block move saves for one tuple.
-
-        Legacy mode is the paper's estimate: frequency capped at one.
-        Probabilistic mode uses the tuple's execution probability
-        weighted by the points-to lattice's likelihood that the base
-        pointer holds any tracked object at all (a pointer assigned
-        only on rare paths makes its accesses correspondingly rare).
-        A *strong* tuple executes unconditionally, which conditions the
-        likelihood away -- an access that certainly runs certainly
-        dereferences its base -- so it keeps its full weight."""
-        if not self.opt.probabilistic:
-            return min(tup.freq, 1.0)
-        if self._is_strong(tup):
-            return min(tup.freq, 1.0)
-        return tup.prob * self.conn.pts.likelihood(self.func.name,
-                                                   tup.base)
 
     def _group_blockable(self, field_tuples: List[CommTuple],
                          expected: float) -> bool:
@@ -227,7 +209,9 @@ class CommSelection:
         for tup in field_tuples:
             _, field_type = tup.path.resolve(struct)  # type: ignore[union-attr]
             words_needed += field_type.size_words()
-            expected += self._expected_accesses(tup)
+            # Expected scalar accesses saved: the paper's estimate,
+            # frequency capped at one.
+            expected += min(tup.freq, 1.0)
         return self._group_blockable(field_tuples, expected) \
             and self.opt.should_block(len(field_tuples), expected,
                                       words_needed, struct.size_words())

@@ -28,30 +28,18 @@ def make_key(base: str, path: Optional[FieldPath]) -> TupleKey:
 
 
 class CommTuple:
-    """One remote communication expression ``(p, f, n, Dlist)``.
+    """One remote communication expression ``(p, f, n, Dlist)``."""
 
-    Alongside the paper's frequency ``n`` (which loops *multiply*, so
-    it estimates dynamic access counts) each tuple carries ``prob``:
-    the probability that the access executes at least once per
-    function invocation.  Branch scaling reduces both; loop scaling
-    multiplies the frequency but leaves the probability alone (the
-    paper's loops-run-hot assumption).  ``prob`` is a side channel for
-    the probabilistic selection mode -- it is excluded from
-    equality/hash/repr so legacy-mode behaviour is bit-identical to
-    the three-field tuple.
-    """
-
-    __slots__ = ("base", "path", "freq", "dlist", "prob", "key")
+    __slots__ = ("base", "path", "freq", "dlist", "key")
 
     def __init__(self, base: str, path: Optional[FieldPath], freq: float,
-                 dlist: FrozenSet[int], prob: float = 1.0):
+                 dlist: FrozenSet[int]):
         self.base = base
         self.path = path
         #: The location it names (:func:`make_key`), computed once.
         self.key: TupleKey = make_key(base, path)
         self.freq = freq
         self.dlist = frozenset(dlist)
-        self.prob = prob
 
     @classmethod
     def single(cls, base: str, path: Optional[FieldPath],
@@ -59,22 +47,16 @@ class CommTuple:
         return cls(base, path, 1.0, frozenset((label,)))
 
     def scaled(self, factor: float) -> "CommTuple":
-        """Frequency adjustment (the paper's ``adjustFrequency``).
-        Probability scales by ``min(factor, 1)``: branch factors < 1
-        are per-arm execution probabilities, loop factors > 1 estimate
-        iteration counts and do not change the chance of reaching the
-        loop."""
+        """Frequency adjustment (the paper's ``adjustFrequency``)."""
         return CommTuple(self.base, self.path, self.freq * factor,
-                         self.dlist, self.prob * min(factor, 1.0))
+                         self.dlist)
 
     def merged_with(self, other: "CommTuple") -> "CommTuple":
         """The paper's merge: same location, summed frequency, unioned
-        definition lists.  Probabilities sum capped at one -- exact for
-        mutually exclusive arms, a safe upper bound otherwise."""
+        definition lists."""
         assert self.key == other.key
         return CommTuple(self.base, self.path, self.freq + other.freq,
-                         self.dlist | other.dlist,
-                         min(1.0, self.prob + other.prob))
+                         self.dlist | other.dlist)
 
     def __repr__(self) -> str:
         field = str(self.path) if self.path is not None else "*"

@@ -28,17 +28,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.earth.faults import PROFILES, FaultPlan, plan_from_cli
-from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
+from repro.earth.interpreter import DEFAULT_ENGINE, DEFAULT_MAX_STMTS, ENGINES
 from repro.earth.params import MachineParams
+from repro.earth.rcache import DEFAULT_LINE_WORDS
 from repro.errors import ReproError, UsageError
 
 #: Named machine-parameter presets a serialized config may request
 #: (jobs travel as JSON, so they name a preset instead of carrying a
 #: live :class:`MachineParams`).
 PARAMS_PRESETS = ("default", "sequential-c")
-
-#: Default statement budget (infinite-loop guard).
-DEFAULT_MAX_STMTS = 200_000_000
 
 #: Field metadata: how a run is executed or observed, not what it
 #: computes -- such a field stays out of service job specs.
@@ -70,7 +68,7 @@ class RunConfig:
     #: Per-node remote-data cache geometry (``repro.earth.rcache``);
     #: capacity 0 disables the cache entirely.
     rcache_capacity: int = 0
-    rcache_line_words: int = 16
+    rcache_line_words: int = DEFAULT_LINE_WORDS
     max_stmts: int = DEFAULT_MAX_STMTS
     strict_nil_reads: bool = False
     #: Fault-plan spec dict, or None for a clean network; stored

@@ -132,6 +132,10 @@ class RunResult:
 ENGINES = ("codegen", "ast")
 DEFAULT_ENGINE = "codegen"
 
+#: Default statement budget (infinite-loop guard), for every layer
+#: that runs a program.
+DEFAULT_MAX_STMTS = 200_000_000
+
 
 class WalkedFunction:
     """One SIMPLE function run by the AST walker (``engine="ast"``)
@@ -167,7 +171,7 @@ class Interpreter:
                  "_shared_globals", "_codegen", "_applier")
 
     def __init__(self, program: s.SimpleProgram, machine: Machine,
-                 max_stmts: int = 200_000_000,
+                 max_stmts: int = DEFAULT_MAX_STMTS,
                  engine: str = DEFAULT_ENGINE):
         if engine not in ENGINES:
             raise InterpreterError(

@@ -30,6 +30,8 @@ paper's 1-processor "simple" runs slower than pure sequential C).
 
 from __future__ import annotations
 
+from repro.earth.rcache import DEFAULT_LINE_WORDS
+
 
 class MachineParams:
     """Timing knobs of the simulated EARTH-MANNA machine (nanoseconds)."""
@@ -73,7 +75,7 @@ class MachineParams:
         # disables it and keeps the machine byte-identical to the
         # uncached simulator)
         rcache_capacity: int = 0,
-        rcache_line_words: int = 16,
+        rcache_line_words: int = DEFAULT_LINE_WORDS,
         rcache_hit_ns: float = 150.0,
         # Third-party cached copies are dropped this long after the
         # store's side effect lands in global memory (the invalidation

@@ -17,6 +17,8 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.earth.interpreter import DEFAULT_MAX_STMTS
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -33,7 +35,7 @@ class BenchmarkSpec:
         default_args: Sequence[int],
         small_args: Sequence[int],
         inline: Union[bool, Set[str]] = False,
-        max_stmts: int = 200_000_000,
+        max_stmts: int = DEFAULT_MAX_STMTS,
     ):
         self.name = name
         self.filename = filename

@@ -111,6 +111,12 @@ class JobSpec:
             if text is not None and not isinstance(text, str):
                 raise ServiceError(f"{name} must be a string, got "
                                    f"{type(text).__name__}")
+        # A string is a sequence too: "add" would inline 'a' and 'd'.
+        if not isinstance(inline, bool) and not (
+                isinstance(inline, (list, tuple, set, frozenset))
+                and all(isinstance(name, str) for name in inline)):
+            raise ServiceError(f"inline must be a bool or a list of "
+                               f"function names, got {inline!r}")
         unknown = run_options.keys() - _RUN_KEYS
         if unknown:
             raise ServiceError(

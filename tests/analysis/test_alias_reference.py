@@ -14,8 +14,8 @@ as the reference are the simpler forms they replaced:
 Every solve the optimizer makes (spied on ``analyze_connection``) over
 the ten Olden programs under both presets, 60 generated programs and
 the global-pointer programs is solved both ways on a copy of the
-program as it stood, and the points-to sets, likelihoods (as floats),
-every statement's effects and every function summary must be equal.
+program as it stood, and the points-to sets, every statement's
+effects and every function summary must be equal.
 """
 
 import copy
@@ -42,7 +42,6 @@ class ReferencePointsTo(PointsToAnalysis):
     def __init__(self, program):
         super().__init__(program)
         self._copy_edges = {}
-        self._edge_prob = {}
         self._field_loads = []
         self._field_stores = []
         self._ref_copies = []
@@ -50,47 +49,24 @@ class ReferencePointsTo(PointsToAnalysis):
     def _base_points(self, holder):
         return self._sets.setdefault(holder, set())
 
-    def _add_copy(self, src, dst, prob=1.0):
+    def _add_copy(self, src, dst):
         self._copy_edges.setdefault(src, set()).add(dst)
-        if prob > self._edge_prob.get((src, dst), 0.0):
-            self._edge_prob[src, dst] = prob
 
-    def _add_base(self, holder, loc, prob):
-        self._base_points(holder).add(loc)
-        per = self._like.setdefault(holder, {})
-        if prob > per.get(loc, 0.0):
-            per[loc] = prob
+    def _add_load(self, func, base, dst, key):
+        self._field_loads.append((self._var_holder(func, base), dst, key))
 
-    def _add_load(self, func, base, dst, key, prob):
-        self._field_loads.append((self._var_holder(func, base), dst, key,
-                                  prob))
-
-    def _add_store(self, func, base, rhs, key, prob):
+    def _add_store(self, func, base, rhs, key):
         self._field_stores.append((self._var_holder(func, base),
-                                   self._rhs_source(func, rhs), key, prob))
+                                   self._rhs_source(func, rhs), key))
 
-    def _collect_blkmov(self, func, stmt, prob=1.0):
-        self._ref_copies.append((func, stmt.src, stmt.dst, prob))
+    def _collect_blkmov(self, func, stmt):
+        self._ref_copies.append((func, stmt.src, stmt.dst))
 
-    def _raise_like(self, dst, locs, src_like, factor):
-        per = self._like.setdefault(dst, {})
-        raised = False
-        for loc in locs:
-            src = src_like.get(loc)
-            if src is None:
-                continue
-            cand = src * factor
-            if cand > per.get(loc, 0.0) + 1e-12:
-                per[loc] = cand
-                raised = True
-        return raised
-
-    def _union_into(self, dst, src_set, src_like, factor):
+    def _union_into(self, dst, src_set):
         dst_set = self._base_points(dst)
         before = len(dst_set)
         dst_set |= src_set
-        raised = self._raise_like(dst, src_set, src_like, factor)
-        return len(dst_set) != before or raised
+        return len(dst_set) != before
 
     def _solve(self):
         changed = True
@@ -101,34 +77,27 @@ class ReferencePointsTo(PointsToAnalysis):
                 if not src_set:
                     continue
                 for dst in dsts:
-                    changed |= self._union_into(
-                        dst, src_set, self._like.get(src, {}),
-                        self._edge_prob.get((src, dst), 1.0))
-            for base, dst, key, prob in self._field_loads:
+                    changed |= self._union_into(dst, src_set)
+            for base, dst, key in self._field_loads:
                 for loc in list(self._base_points(base)):
                     for stored, src_set in list(self._object_fields(loc)):
                         if src_set and keys_overlap(key, stored):
-                            changed |= self._union_into(
-                                dst, src_set,
-                                self._like.get((loc, stored), {}), prob)
-            for base, source, key, prob in self._field_stores:
+                            changed |= self._union_into(dst, src_set)
+            for base, source, key in self._field_stores:
                 if source is None or not self._base_points(source):
                     continue
                 src_set = self._base_points(source)
                 for loc in list(self._base_points(base)):
-                    changed |= self._union_into(
-                        (loc, key), src_set, self._like.get(source, {}),
-                        prob)
-            for func, src_ep, dst_ep, prob in self._ref_copies:
+                    changed |= self._union_into((loc, key), src_set)
+            for func, src_ep, dst_ep in self._ref_copies:
                 dst_objs = self._ref_endpoint(func, dst_ep)
                 for src_obj in self._ref_endpoint(func, src_ep):
                     for key, src_set in list(self._object_fields(src_obj)):
                         if not src_set:
                             continue
                         for dst_obj in dst_objs:
-                            changed |= self._union_into(
-                                (dst_obj, key), src_set,
-                                self._like.get((src_obj, key), {}), prob)
+                            changed |= self._union_into((dst_obj, key),
+                                                        src_set)
 
     def _object_fields(self, obj):
         for holder, pts in self._sets.items():
@@ -209,12 +178,11 @@ class ReferenceEffects(EffectsAnalysis):
 
 
 def _facts(analysis):
-    """An analysis's solved tables, without the empty entries the
+    """An analysis's solved sets, without the empty entries the
     round-robin solver leaves behind."""
     result = analysis.run()
     sets = {holder: locs for holder, locs in analysis._sets.items() if locs}
-    like = {holder: per for holder, per in analysis._like.items() if per}
-    return result, sets, like
+    return result, sets
 
 
 def _effects_view(effects):
@@ -227,10 +195,9 @@ def _effects_view(effects):
 
 def assert_same_facts(program):
     """Solve ``program`` both ways and compare everything."""
-    result, sets, like = _facts(PointsToAnalysis(program))
-    ref_result, ref_sets, ref_like = _facts(ReferencePointsTo(program))
+    result, sets = _facts(PointsToAnalysis(program))
+    ref_result, ref_sets = _facts(ReferencePointsTo(program))
     assert sets == ref_sets
-    assert like == ref_like
     effects = EffectsAnalysis(program, result)
     reference = ReferenceEffects(program, ref_result)
     for func in program.functions.values():
@@ -283,12 +250,3 @@ def test_global_pointer_solves(compared, name, preset):
                    config=CommConfig(opt=preset))
     assert compared
 
-
-def test_the_reference_sees_the_likelihood_channel():
-    """Not vacuous: some Olden fact has a likelihood below one."""
-    spec = next(spec for spec in catalog() if spec.name == "health")
-    program = compile_earthc(spec.source(), spec.filename,
-                             inline=spec.inline).simple
-    _, _, like = _facts(PointsToAnalysis(program))
-    assert any(value < 1.0 for per in like.values()
-               for value in per.values())

@@ -221,7 +221,6 @@ class TestUnknown:
         assert not result.points_to("f", "p")
         assert result.may_alias_objects("f", "p", "f", "q")
         assert result.may_alias_objects("f", "q", "f", "p")
-        assert result.likelihood("f", "p") == 1.0
 
     def test_a_local_hides_a_global_of_the_same_name(self):
         source = NODE + """

@@ -7,7 +7,9 @@ preset as the one compile key), and the two behavioural guarantees
 DESIGN.md section 18 promises -- the legacy preset compiles
 byte-identically however it is spelled, and the probabilistic preset
 never changes a program's answer while never increasing its dynamic
-remote-operation count.
+remote-operation count.  A hand-built program pins the one estimate
+selection blocks by under both presets: a tuple's expected accesses
+are its frequency capped at one.
 """
 
 import dataclasses
@@ -281,6 +283,64 @@ class TestProbabilisticPreset:
         assert any(runs["probabilistic"].stats.total_remote_ops
                    < runs["legacy"].stats.total_remote_ops
                    for runs in preset_runs.values())
+
+
+#: Two reads through ``p``, one per arm of an ``if``, hoisted above it
+#: with frequency 1/2 each; ``p`` is itself assigned only in if-arms.
+BRANCHY = """
+struct pair { int a; int b; };
+
+int pick(struct pair *q, struct pair *r, int c, int d)
+{
+    struct pair *p;
+    int x;
+    if (c) {
+        p = q;
+    } else {
+        p = r;
+    }
+    if (d) {
+        x = p->a;
+    } else {
+        x = p->b;
+    }
+    return x;
+}
+
+int main()
+{
+    struct pair *q;
+    struct pair *r;
+    q = (struct pair *) malloc(sizeof(struct pair)) @ 1;
+    r = (struct pair *) malloc(sizeof(struct pair)) @ 1;
+    q->a = 1;
+    q->b = 2;
+    r->a = 3;
+    r->b = 4;
+    return pick(q, r, 1, 0);
+}
+"""
+
+
+class TestExpectedAccesses:
+    """A tuple's expected accesses are its frequency capped at one,
+    under both presets: no execution probability or pointer likelihood
+    discounts them."""
+
+    @pytest.mark.parametrize("preset,blocked", [("legacy", 0),
+                                                ("probabilistic", 1)])
+    def test_two_half_likely_reads(self, preset, blocked):
+        """The two frequencies sum to the probabilistic floor of one,
+        so the group blocks there although no read is certain and ``p``
+        is assigned only on a branch; legacy needs three fields."""
+        compiled = compile_earthc(BRANCHY, optimize=True,
+                                  config=CommConfig(opt=preset))
+        stats = compiled.report.selections["pick"]
+        assert (stats.blocked_read_groups, stats.blocked_read_accesses,
+                stats.pipelined_reads) == (blocked, 2 * blocked, 0)
+        assert ("blkmov(p, &bcomm1, 2);" in compiled.listing()) \
+            == bool(blocked)
+        assert execute(compiled, config=RunConfig(nodes=2)).value == 2
 
 
 class TestPublicSurface:

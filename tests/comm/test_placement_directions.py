@@ -6,8 +6,8 @@ makes -- the ten Olden programs and 60 generated ones, under both
 presets -- is checked here against one both-direction
 ``analyze_placement`` of the same function and facts: the phase's
 table (``reads_before`` or ``writes_after``) must be equal tuple for
-tuple, probability included, and the two one-direction runs must
-count what the both-direction run counts.
+tuple, and the two one-direction runs must count what the
+both-direction run counts.
 """
 
 import random
@@ -29,7 +29,7 @@ from repro.workload import MIXES, SHAPES, generate_source
 
 
 def _table(annotations):
-    return {label: [(t.key, t.freq, t.dlist, t.prob) for t in tuples]
+    return {label: [(t.key, t.freq, t.dlist) for t in tuples]
             for label, tuples in annotations.items()}
 
 

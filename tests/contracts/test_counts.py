@@ -38,10 +38,10 @@ COMPILE_CALLS = 497_611
 #: (327,838 with per-statement variable reads and shared variables).
 RW_SETS_LINES = 246_148
 #: Line events in ``analysis/points_to.py`` and ``analysis/rw_sets.py``
-#: (528,065 with whole-table scans; 1,362,002 with a round-robin
-#: solver, a holder scan per field constraint and one merge per
-#: statement).
-ALIAS_FACT_LINES = 440_182
+#: (440,182 with a likelihood per points-to fact; 528,065 with
+#: whole-table scans; 1,362,002 with a round-robin solver, a holder scan
+#: per field constraint and one merge per statement).
+ALIAS_FACT_LINES = 421_735
 #: Python calls from ``earth/machine.py`` over one ten-Olden round at
 #: catalog size on 4 nodes (793,691 with a closure per network leg).
 MACHINE_CALLS = 562_093

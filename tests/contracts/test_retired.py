@@ -44,6 +44,8 @@ _ALWAYS_ON = ("locality analysis and residual split-phase marking "
               "caller turns off")
 _ONE_KEY = ("CommConfig is the one value that says what the optimizer "
             "does; RunConfig describes only the run")
+_SETS = ("alias facts are sets: selection estimates a tuple's expected "
+         "accesses by its frequency capped at one, as the paper does")
 
 RETIRED = (
     Retired(r"loop_weight", "2.3", _KNOBS),
@@ -71,6 +73,10 @@ RETIRED = (
     Retired(r"\bpreset=", "2.5", _ONE_KEY),
     Retired(r"opt=config\.opt|\brun\.opt\b", "2.5", _ONE_KEY),
     Retired(r'"--config"', "2.5", _ONE_KEY),
+    Retired(r"likelihood", "2.6", _SETS),
+    Retired(r"\.prob\b|\bprob=", "2.6", _SETS),
+    Retired(r"_like\b", "2.6", _SETS),
+    Retired(r"BRANCH_WEIGHT", "2.6", _SETS, "analysis/points_to.py"),
 )
 
 

@@ -172,6 +172,24 @@ class TestSpecValidation:
         with pytest.raises(ServiceError, match="behavior"):
             JobSpec("selftest", selftest={"behavior": "explode"})
 
+    @pytest.mark.parametrize("inline", ["add", [1], ["add", None], 1,
+                                        {"add": True}],
+                             ids=["string", "int-list", "none-in-list",
+                                  "int", "object"])
+    def test_inline_is_a_bool_or_function_names(self, inline):
+        """A wire string is not split into one-letter function names
+        (which would inline nothing under an address of its own)."""
+        with pytest.raises(ServiceError, match="inline must be a bool"):
+            JobSpec.from_dict({"kind": "compile", "source": SOURCE,
+                               "inline": inline})
+
+    @pytest.mark.parametrize("inline", [True, False, [], ["add"],
+                                        ("add",), {"add"}])
+    def test_inline_accepts_a_switch_or_names(self, inline):
+        spec = JobSpec("compile", source=SOURCE, inline=inline)
+        assert spec.inline == (inline if isinstance(inline, bool)
+                               else sorted(inline))
+
 
 class TestSerialization:
     def test_round_trip_preserves_canonical_key(self):
@@ -377,7 +395,7 @@ PIN_WIRE_DEFAULTS = {
 #: address).  The wire dicts date from the commit before ``JobSpec``
 #: came to carry a ``RunConfig``, with the compile keys ``config`` /
 #: ``opt`` since folded into ``comm``; the addresses were re-recorded
-#: at pipeline ``2026.10-one-compile-key``.  A change here is a change of the
+#: at pipeline ``2026.10-alias-sets``.  A change here is a change of the
 #: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
@@ -387,20 +405,20 @@ GOLDEN = {
              inline=["add"]),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"]),
-        "c1858fe479bd78be8fb2a37e266ce6bd"
-        "bccd922a3bf2a22edf832c8a2d0e3aae"),
+        "ec7923432e70592390732acb54f8dfb4"
+        "d055d41e70ae016bae4441f4f8ee15ab"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "0b0b9cee73fda0619f0482f923bc850d"
-        "26d34a0b124c0cb32771f7ce7b0604c7"),
+        "88cbf606c6bd9456987b182c25917fe6"
+        "cebc2078fcd19f0143de763300dd5275"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "3f2a61fad7f6796321d8988835f86caf"
-        "ed290eaff23cd71789572e6664bc27d0"),
+        "30553794d8a797323ec9038ddd66476b"
+        "7c7cd5e5bc5d64427221aab71acf5316"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -408,14 +426,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, comm=PIN_COMM_PROB),
-        "c012bb0505da14342950a82ecaebe1c9"
-        "ab41c0b5e3490285a18babe8b9dfdecc"),
+        "156f96589e04740e049c8a5a0868dc41"
+        "b52bfd00ea51c051e383f50c14c45b0a"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-one-compile-key"
+        assert PIPELINE_VERSION == "2026.10-alias-sets"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
