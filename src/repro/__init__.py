@@ -71,7 +71,11 @@ program compiled with ``speculative_reads`` a :class:`UsageError`.
 2.6 made alias facts plain sets: the points-to solver weighs no fact
 and a communication tuple carries only the paper's frequency, so
 selection estimates a tuple's expected accesses as the paper does, its
-frequency capped at one, under both presets.
+frequency capped at one, under both presets.  2.7 removed private-line
+marking, with the allocation mark it printed and the remote-data cache
+counter of the stores it let skip invalidation: the probabilistic
+preset is one blocking rule, :meth:`OptConfig.should_block`, and every
+store under the remote-data cache invalidates the lines it covers.
 """
 
 from repro.comm.optconfig import OptConfig
@@ -98,7 +102,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.6.0"
+__version__ = "2.7.0"
 
 __all__ = [
     "ArtifactCache",

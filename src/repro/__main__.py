@@ -117,9 +117,8 @@ def _add_opt_preset(parser) -> None:
         "--opt-preset", choices=OPT_PRESETS, default="legacy",
         help="optimizer heuristic preset (OptConfig): 'legacy' is the "
              "paper's blocking threshold of three (the default), "
-             "'probabilistic' blocks two fields, blocks a group of "
-             "uncertain accesses expected once in all, and marks "
-             "private cache lines")
+             "'probabilistic' blocks two fields and blocks a group of "
+             "uncertain accesses expected once in all")
 
 
 # ---------------------------------------------------------------------------

@@ -185,47 +185,6 @@ def analyze_locality(program: s.SimpleProgram) -> LocalityResult:
     return LocalityResult(local_vars, demoted)
 
 
-def mark_private_sites(program: s.SimpleProgram, pts) -> int:
-    """Mark provably node-private allocation sites (``stmt.private``).
-
-    An unplaced ``malloc`` (``node is None``) allocates on the executing
-    node's local heap.  If no remote access anywhere in the program can
-    reach its objects -- the allocation site is absent from the
-    points-to set of every remote read/write base -- then no remote
-    cache can ever hold one of its lines, and the simulator may skip
-    write-through invalidation for writes into the block
-    (``rcache_private_skips`` in the machine stats).
-
-    ``pts`` is a :class:`~repro.analysis.points_to.PointsToResult` for
-    the *final* (post-selection) program, so comm reads and blkmovs
-    inserted by the optimizer count as remote accesses.  Bails out
-    (marks nothing) when any remote access goes through a pointer with
-    an empty points-to set: an unknown target could be anything.
-
-    Returns the number of allocation statements marked.
-    """
-    shared_sites: Set[str] = set()
-    for function in program.functions.values():
-        for stmt in function.body.basic_stmts():
-            for access in (stmt.remote_read(), stmt.remote_write()):
-                if access is None:
-                    continue
-                targets = pts.points_to(function.name, access.base)
-                if not targets:
-                    return 0  # unknown target: nothing is provably private
-                for loc in targets:
-                    if loc[0] == "heap":
-                        shared_sites.add(loc[1])
-    marked = 0
-    for function in program.functions.values():
-        for stmt in function.body.basic_stmts():
-            if isinstance(stmt, s.AllocStmt) and stmt.node is None \
-                    and stmt.site not in shared_sites:
-                stmt.private = True
-                marked += 1
-    return marked
-
-
 def _demote_accesses(function: s.SimpleFunction,
                      local_here: Set[str]) -> int:
     demoted = 0

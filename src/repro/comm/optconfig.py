@@ -10,13 +10,13 @@ module constants; no preset changes them.
 
 :class:`OptConfig` carries the one choice a caller makes: the
 ``legacy`` preset (the paper's heuristics, the default) or the
-``probabilistic`` one, which admits two-field block moves, lets a
+``probabilistic`` one, which admits two-field block moves and lets a
 group of accesses none of which is certain block when their summed
-expected accesses reach one (see DESIGN.md section 18), and turns on
-private-line invalidation skipping in the remote-data cache.  The
-object nests inside :class:`~repro.comm.optimizer.CommConfig` (field
-``opt``), so the preset flows through the service's content-addressed
-cache keys, the CLI's ``--opt-preset`` and job specs' ``comm``.
+expected accesses reach one (see DESIGN.md section 18).  Both are one
+blocking rule, :meth:`OptConfig.should_block`.  The object nests
+inside :class:`~repro.comm.optimizer.CommConfig` (field ``opt``), so
+the preset flows through the service's content-addressed cache keys,
+the CLI's ``--opt-preset`` and job specs' ``comm``.
 """
 
 from __future__ import annotations
@@ -49,16 +49,15 @@ class OptConfig:
     Frozen and hashable-by-value, like :class:`RunConfig`: two equal
     configs produce byte-identical compiled programs, which is the
     contract the service cache key needs.  The preset only ever affects
-    *profitability* choices (what to block, how to weigh expected
-    accesses, which lines to mark private); the placement kill
-    predicates are soundness conditions and take no preset.
+    one *profitability* choice, what to block
+    (:meth:`should_block`); the placement kill predicates are soundness
+    conditions and take no preset.
     """
 
-    #: Block two-field groups, accept a group whose summed expected
+    #: Block two-field groups, and accept a group whose summed expected
     #: accesses (frequencies capped at one) clear
     #: :attr:`min_expected_accesses` even when no single access is
-    #: certain, and mark provably-private allocation sites so the
-    #: remote-data cache skips write-through invalidation for them.
+    #: certain.
     probabilistic: bool = False
 
     def __post_init__(self):
@@ -84,7 +83,8 @@ class OptConfig:
         return 1.0 if self.probabilistic else 2.0
 
     def should_block(self, num_accesses: int, expected_accesses: float,
-                     words_needed: int, struct_words: int) -> bool:
+                     words_needed: int, struct_words: int, *,
+                     certain: bool) -> bool:
         """Choose blocked communication for a group of accesses through
         one pointer (the paper: "pipelining is better for two remote
         accesses, but blocked communication is better for three or
@@ -100,7 +100,16 @@ class OptConfig:
         (Table I: 2602 ns against 1908 ns pipelined), so it must be
         expected to replace at least ``min_expected_accesses`` scalar
         operations per execution.
+
+        ``certain`` says one access of the group is certain to execute
+        (frequency at least one).  ``legacy`` demands it; under
+        ``probabilistic`` the floor of one expected access already
+        holds for any group with a certain access, and admits a group
+        of uncertain ones whose expectations sum to one (three
+        half-likely branch arms justify one blkmov).
         """
+        if not certain and not self.probabilistic:
+            return False
         if num_accesses < self.block_access_threshold:
             return False
         if expected_accesses < self.min_expected_accesses - 1e-9:

@@ -28,11 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.connection import ConnectionInfo, analyze_connection
-from repro.analysis.locality import (
-    LocalityResult,
-    analyze_locality,
-    mark_private_sites,
-)
+from repro.analysis.locality import LocalityResult, analyze_locality
 from repro.comm.forwarding import ForwardingStats, forward_remote_values
 from repro.comm.optconfig import OptConfig, resolve_opt
 from repro.comm.placement import READ, WRITE, PlacementAnalysis
@@ -171,8 +167,7 @@ class CommunicationOptimizer:
 
         Forwarding and the two selection phases rewrite and insert
         statements, and the kill rules must read the alias facts of the
-        statements as they now are.  So each of them, and the
-        private-line marking that follows selection, asks
+        statements as they now are.  So each of them asks
         :meth:`_facts`, which re-solves (one points-to solve, one
         effects table) iff a phase reported a rewrite since the last
         solve: the facts are a function of the statements alone.  Not
@@ -269,15 +264,6 @@ class CommunicationOptimizer:
             for function in self.program.functions.values():
                 marked += _mark_residual_split_phase(function)
         profile.counters["residuals_marked"] = marked
-
-        if self.opt.probabilistic:
-            # The probabilistic preset also marks private lines.  Last:
-            # the points-to facts must cover the comm statements
-            # selection inserted.
-            with timed_pass(report.passes, "private lines") as profile:
-                private = mark_private_sites(self.program,
-                                             self._facts().pts)
-            profile.counters["private_sites"] = private
 
         with timed_pass(report.passes, "validate"):
             report.validation = validate_program(self.program)

@@ -185,19 +185,6 @@ class CommSelection:
         """Frequent enough to be selected on its own (paper: >= 1)."""
         return tup.freq >= STRONG_FREQ
 
-    def _group_blockable(self, field_tuples: List[CommTuple],
-                         expected: float) -> bool:
-        """May this group be considered for a block move at all?  The
-        legacy gate demands one certain access; the probabilistic gate
-        also admits groups whose *summed* expected accesses clear the
-        profitability floor even when no single access is certain
-        (three half-likely branch arms justify one blkmov)."""
-        if any(self._is_strong(t) for t in field_tuples):
-            return True
-        if self.opt.probabilistic:
-            return expected >= self.opt.min_expected_accesses - 1e-9
-        return False
-
     def _blocks(self, struct: Optional[StructType],
                 field_tuples: List[CommTuple]) -> bool:
         """Does one base pointer's group of field accesses move as one
@@ -212,9 +199,9 @@ class CommSelection:
             # Expected scalar accesses saved: the paper's estimate,
             # frequency capped at one.
             expected += min(tup.freq, 1.0)
-        return self._group_blockable(field_tuples, expected) \
-            and self.opt.should_block(len(field_tuples), expected,
-                                      words_needed, struct.size_words())
+        return self.opt.should_block(
+            len(field_tuples), expected, words_needed, struct.size_words(),
+            certain=any(self._is_strong(t) for t in field_tuples))
 
     def _safe_deref(self, base: str, label: int) -> bool:
         if self.speculative_reads:

@@ -1276,7 +1276,7 @@ class _CodeGenerator:
         # An allocation always completes at issue.
         tv = self.w_issue(
             f'"malloc", {tn}, {tw}, '
-            f'("alloc", {tn}, {tw}, node, {stmt.private!r}), "malloc"')
+            f'("alloc", {tn}, {tw}, node), "malloc"')
         self._emit_store_var(stmt.target, tv, None)
 
     def _x_endpoint(self, endpoint) -> Tuple[str, str]:

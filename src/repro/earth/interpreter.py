@@ -875,7 +875,7 @@ class Interpreter:
         # An allocation always completes at issue.
         self._store_var(act, stmt.target, self.machine.issue(
             "malloc", target, words,
-            ("alloc", target, words, act.node, stmt.private), "malloc"))
+            ("alloc", target, words, act.node), "malloc"))
 
     def _endpoint(self, act: Activation, endpoint):
         """One blkmov endpoint as the applier's classification takes

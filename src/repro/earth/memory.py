@@ -33,7 +33,6 @@ legitimately hand out the address before any write reaches the target.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Dict, List, Tuple, Union
 
 from repro.errors import MemoryFault
@@ -97,14 +96,8 @@ class NodeMemory:
         #: Sparse storage for arena offsets (>= REMOTE_ARENA_BASE),
         #: materialized by writes; absent words are uninitialized.
         self._arena: Dict[int, Word] = {}
-        #: Half-open ``[start, end)`` offset ranges of blocks allocated
-        #: with ``private=True`` (provably never remotely accessed, per
-        #: :func:`~repro.analysis.locality.mark_private_sites`).  Bump
-        #: allocation appends them in increasing order, so lookups can
-        #: bisect.
-        self._private_ranges: List[Tuple[int, int]] = []
 
-    def allocate(self, words: int, private: bool = False) -> int:
+    def allocate(self, words: int) -> int:
         """Allocate ``words`` words from the dense local heap; returns
         the *global* address."""
         if words <= 0:
@@ -114,21 +107,7 @@ class NodeMemory:
             raise MemoryFault(
                 f"local heap exhausted ({offset} words)", self.node)
         self._words.extend([None] * words)
-        if private:
-            self._private_ranges.append((offset, offset + words))
         return make_address(self.node, offset)
-
-    def is_private(self, offset: int, words: int = 1) -> bool:
-        """Does ``[offset, offset + words)`` lie inside one
-        private-allocated block?"""
-        ranges = self._private_ranges
-        if not ranges:
-            return False
-        index = bisect_right(ranges, (offset, REMOTE_ARENA_BASE)) - 1
-        if index < 0:
-            return False
-        start, end = ranges[index]
-        return start <= offset and offset + words <= end
 
     def read(self, offset: int) -> Word:
         if offset >= REMOTE_ARENA_BASE:
@@ -198,8 +177,6 @@ class GlobalMemory:
         #: regardless of which code path performs it -- invalidates
         #: stale cached copies.
         self.rcache = None
-        #: Fast path: no private block exists anywhere yet.
-        self._has_private = False
 
     # -- global variables ---------------------------------------------------------
 
@@ -217,21 +194,13 @@ class GlobalMemory:
     # -- typed access helpers --------------------------------------------------------
 
     def allocate(self, node: int, words: int,
-                 origin: "int | None" = None,
-                 private: bool = False) -> int:
+                 origin: "int | None" = None) -> int:
         """Allocate ``words`` words of ``node``'s memory.  With an
         ``origin`` other than ``node``, the block comes from the
         origin's slice of the node's remote-allocation arena -- the
-        address is determined entirely by origin-side state.
-
-        ``private`` marks the block as provably never remotely
-        accessed: writes into it skip write-through cache invalidation.
-        Only meaningful for local allocations (unplaced mallocs are the
-        only sites the analysis can mark)."""
+        address is determined entirely by origin-side state."""
         if origin is None or origin == node:
-            if private:
-                self._has_private = True
-            return self.nodes[node].allocate(words, private)
+            return self.nodes[node].allocate(words)
         if words <= 0:
             raise MemoryFault(f"allocation of {words} words", node)
         key = (node, origin)
@@ -255,10 +224,7 @@ class GlobalMemory:
         memory = self.nodes[address // NODE_SPAN]
         offset = address % NODE_SPAN
         if self.rcache is not None:
-            if self._has_private and memory.is_private(offset):
-                self.rcache.note_private_skip()
-            else:
-                self.rcache.store_applied(address, 1)
+            self.rcache.store_applied(address, 1)
         memory.write(offset, value)
 
     def read_block(self, address: int, words: int) -> List[Word]:
@@ -273,9 +239,5 @@ class GlobalMemory:
         memory = self.nodes[address // NODE_SPAN]
         offset = address % NODE_SPAN
         if self.rcache is not None:
-            if self._has_private \
-                    and memory.is_private(offset, len(values)):
-                self.rcache.note_private_skip()
-            else:
-                self.rcache.store_applied(address, len(values))
+            self.rcache.store_applied(address, len(values))
         memory.write_block(offset, values)

@@ -16,7 +16,7 @@ operation                                   effect -> value
                                             ``strict_nil_reads``)
 ``("write", addr, value, double)``          store; a double also stores
                                             :data:`FILLER` behind it
-``("alloc", target, words, origin, priv)``  allocate -> address
+``("alloc", target, words, origin)``        allocate -> address
 ``("value", data)``                         nothing -> ``data`` (a block
                                             move that never left the node
                                             delivers its snapshot)
@@ -94,9 +94,8 @@ class Applier:
             _, node, addr, inner = operation
             return self.rcache.wrap_fill(node, addr, self(inner))
         if kind == "alloc":
-            _, target, words, origin, private = operation
-            return memory.allocate(target, words, origin=origin,
-                                   private=private)
+            _, target, words, origin = operation
+            return memory.allocate(target, words, origin=origin)
         if kind == "value":
             return operation[1]
         if kind == "bwrite":

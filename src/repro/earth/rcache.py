@@ -273,14 +273,6 @@ class RemoteCache:
             for holder in sorted(holders):  # deterministic send order
                 machine.send_inval(holder, key, t_w)
 
-    def note_private_skip(self) -> None:
-        """A store landed in a provably-private block (see
-        :func:`~repro.analysis.locality.mark_private_sites`): no line
-        of it can be cached anywhere, so the directory lookup and
-        invalidation fan-out were skipped entirely.  Counted so the
-        optimization is observable in the stats."""
-        self.stats.rcache_private_skips += 1
-
     def fire_inval(self, holder: int, key: _LineKey, t_w: float,
                    at: float) -> None:
         """An invalidation message arrives at ``holder``: drop its copy

@@ -46,8 +46,6 @@ class MachineStats:
         self.rcache_misses = 0        # remote reads that went to the network
         self.rcache_evictions = 0     # lines displaced by capacity pressure
         self.rcache_invalidations = 0  # cached lines dropped by writes
-        self.rcache_private_skips = 0  # writes to provably-private blocks
-        #                                that skipped invalidation entirely
         # Attempts-to-completion histogram: str(attempts) -> ops that
         # completed after that many sends (the retry/timeout histogram;
         # a Counter so merge() sums per-bucket).

@@ -277,7 +277,9 @@ class FleetCache(ArtifactCache):
         if payload is not None:
             return payload
         # Single-flight remote fill: first misser fetches, concurrent
-        # missers wait and re-probe the local tiers it filled.
+        # missers wait and re-probe the local tiers it filled.  A late
+        # misser can lead after an earlier leader filled them, so a
+        # leader re-probes them (its miss is counted) before fetching.
         with self._fill_lock:
             gate = self._filling.get(key)
             if gate is None:
@@ -290,6 +292,9 @@ class FleetCache(ArtifactCache):
                       * (self.remote.retries + 1) + 1.0)
             return super().get(key)
         try:
+            payload = self._lookup(key)
+            if payload is not None:
+                return payload
             payload = self.remote.get(key)
             if payload is not None:
                 # Fill local tiers only -- the blob came *from* the

@@ -101,6 +101,14 @@ class ArtifactCache:
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The payload stored under ``key``, or None.  A disk hit is
         promoted into the memory tier."""
+        payload = self._lookup(key)
+        if payload is None:
+            with self._lock:
+                self.misses += 1
+        return payload
+
+    def _lookup(self, key: str) -> Optional[Dict[str, object]]:
+        """:meth:`get` without counting a miss."""
         with self._lock:
             payload = self._memory.get(key)
             if payload is not None:
@@ -116,8 +124,6 @@ class ArtifactCache:
                     self.disk_hits += 1
                     self._remember(key, payload)
                 return payload
-        with self._lock:
-            self.misses += 1
         return None
 
     def put(self, key: str, payload: Dict[str, object]) -> None:

@@ -107,10 +107,16 @@ class JobSpec:
                 raise ServiceError(
                     f"{kind} jobs need exactly one of source= or "
                     f"benchmark=")
-        for name, text in (("source", source), ("filename", filename)):
+        for name, text in (("source", source), ("benchmark", benchmark),
+                           ("filename", filename)):
             if text is not None and not isinstance(text, str):
                 raise ServiceError(f"{name} must be a string, got "
                                    f"{type(text).__name__}")
+        # On the wire "no" and 1 are truthy.
+        for name, switch in (("optimize", optimize), ("small", small)):
+            if type(switch) is not bool:
+                raise ServiceError(f"{name} must be a bool, got "
+                                   f"{switch!r}")
         # A string is a sequence too: "add" would inline 'a' and 'd'.
         if not isinstance(inline, bool) and not (
                 isinstance(inline, (list, tuple, set, frozenset))
@@ -138,11 +144,11 @@ class JobSpec:
         self.source = source
         self.benchmark = benchmark
         self.filename = filename
-        self.optimize = bool(optimize)
+        self.optimize = optimize
         self.comm = comm
         self.inline: Union[bool, List[str]] = (
             sorted(inline) if not isinstance(inline, bool) else inline)
-        self.small = bool(small)
+        self.small = small
         self.selftest = None if selftest is None else dict(selftest)
         self.args = None if args is None else list(args)
         self.max_stmts = max_stmts

@@ -591,13 +591,9 @@ class AllocStmt(BasicStmt):
     explicit node (the benchmarks' data-distribution mechanism).
 
     ``site`` identifies the allocation site for heap analysis.
-    ``private`` is set by
-    :func:`~repro.analysis.locality.mark_private_sites`: the block is
-    provably never remotely accessed, so the simulator may skip
-    write-through cache invalidation for it.
     """
 
-    __slots__ = ("target", "words", "node", "site", "struct", "private")
+    __slots__ = ("target", "words", "node", "site", "struct")
 
     def __init__(self, target: str, words: Operand,
                  node: Optional[Operand], site: str,
@@ -608,13 +604,11 @@ class AllocStmt(BasicStmt):
         self.node = node
         self.site = site
         self.struct = struct
-        self.private = False
 
     def __repr__(self) -> str:
-        mark = " private" if self.private else ""
         return (f"AllocStmt(S{self.label}: {self.target} = "
                 f"malloc({self.words!r}) @ {self.node!r} "
-                f"[{self.site}]{mark})")
+                f"[{self.site}])")
 
 
 class BlkmovStmt(BasicStmt):

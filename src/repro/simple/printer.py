@@ -86,9 +86,7 @@ def basic_text(stmt: s.BasicStmt) -> str:
         return call + ";"
     if isinstance(stmt, s.AllocStmt):
         node = f" @{_operand(stmt.node)}" if stmt.node is not None else ""
-        private = "   [private]" if stmt.private else ""
-        return (f"{stmt.target} = malloc({_operand(stmt.words)})"
-                f"{node};{private}")
+        return f"{stmt.target} = malloc({_operand(stmt.words)}){node};"
     if isinstance(stmt, s.BlkmovStmt):
         return (f"blkmov({_endpoint(stmt.src)}, {_endpoint(stmt.dst)}, "
                 f"{stmt.words});")

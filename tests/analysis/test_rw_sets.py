@@ -289,7 +289,7 @@ class TestOneEffectsTable:
         compile_earthc(spec.source(), spec.filename, optimize=True,
                        config=repro.CommConfig(opt="probabilistic"))
         analyses = {key[0] for key in calls}
-        assert len(analyses) == 4    # forwarding, reads, writes, private
+        assert len(analyses) == 3    # forwarding, reads, writes
         assert set(calls.values()) == {1}
 
     def test_one_construction_site_in_the_product(self):

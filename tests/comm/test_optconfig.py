@@ -217,11 +217,6 @@ class TestLegacyBitIdentity:
             assert other.threaded_listing() \
                 == baseline.threaded_listing()
 
-    def test_legacy_never_marks_private_lines(self):
-        compiled = compile_earthc(SOURCE, optimize=True,
-                                  config=CommConfig(opt="legacy"))
-        assert "[private]" not in compiled.listing()
-
     @pytest.mark.parametrize("preset", OPT_PRESETS)
     @pytest.mark.parametrize("name", [spec.name for spec in catalog()])
     def test_every_spelling_compiles_alike(self, name, preset):

@@ -66,31 +66,41 @@ class TestCostModel:
     def test_threshold_of_three_accesses(self):
         model = OptConfig()
         # Two accesses pipeline (paper Fig 8's t group)...
-        assert not model.should_block(2, 2.0, 4, 4)
+        assert not model.should_block(2, 2.0, 4, 4, certain=True)
         # ...three block (Fig 8's p group).
-        assert model.should_block(3, 3.0, 5, 5)
+        assert model.should_block(3, 3.0, 5, 5, certain=True)
 
     def test_expected_frequency_floor(self):
         model = OptConfig()
         # Five syntactic accesses but expected below the floor: the
         # block move would rarely pay for itself.
-        assert not model.should_block(5, 1.5, 5, 7)
+        assert not model.should_block(5, 1.5, 5, 7, certain=True)
         # The paper's sum_adjacent shape: 5 fields, expectation 2.0.
-        assert model.should_block(5, 2.0, 5, 7)
+        assert model.should_block(5, 2.0, 5, 7, certain=True)
 
     def test_spurious_field_correction(self):
         model = OptConfig()
         # 3 needed words inside a giant 100-word struct: pipeline.
-        assert not model.should_block(3, 3.0, 3, 100)
-        assert model.should_block(3, 3.0, 3, 12)
+        assert not model.should_block(3, 3.0, 3, 100, certain=True)
+        assert model.should_block(3, 3.0, 3, 12, certain=True)
 
     def test_zero_words_never_blocks(self):
         model = OptConfig()
-        assert not model.should_block(5, 5.0, 0, 8)
+        assert not model.should_block(5, 5.0, 0, 8, certain=True)
 
     def test_probabilistic_threshold_of_two(self):
         model = OptConfig(probabilistic=True)
-        assert model.should_block(2, 2.0, 4, 4)
+        assert model.should_block(2, 2.0, 4, 4, certain=True)
         # Its expected-access floor is one, not two.
-        assert model.should_block(2, 1.0, 4, 4)
-        assert not OptConfig().should_block(2, 2.0, 4, 4)
+        assert model.should_block(2, 1.0, 4, 4, certain=True)
+        assert not OptConfig().should_block(2, 2.0, 4, 4, certain=True)
+
+    def test_only_probabilistic_blocks_uncertain_accesses(self):
+        # Four half-likely branch arms: legacy needs a certain access,
+        # the probabilistic floor of one expected access does not.
+        assert OptConfig().should_block(4, 2.0, 4, 4, certain=True)
+        assert not OptConfig().should_block(4, 2.0, 4, 4, certain=False)
+        model = OptConfig(probabilistic=True)
+        assert model.should_block(4, 2.0, 4, 4, certain=False)
+        assert model.should_block(3, 1.5, 3, 3, certain=False)
+        assert not model.should_block(3, 0.75, 3, 3, certain=False)

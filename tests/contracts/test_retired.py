@@ -46,6 +46,9 @@ _ONE_KEY = ("CommConfig is the one value that says what the optimizer "
             "does; RunConfig describes only the run")
 _SETS = ("alias facts are sets: selection estimates a tuple's expected "
          "accesses by its frequency capped at one, as the paper does")
+_BLOCKING = ("the probabilistic preset is one blocking rule: private-line "
+             "marking is gone, and every store under the remote-data "
+             "cache invalidates the lines it covers")
 
 RETIRED = (
     Retired(r"loop_weight", "2.3", _KNOBS),
@@ -77,6 +80,11 @@ RETIRED = (
     Retired(r"\.prob\b|\bprob=", "2.6", _SETS),
     Retired(r"_like\b", "2.6", _SETS),
     Retired(r"BRANCH_WEIGHT", "2.6", _SETS, "analysis/points_to.py"),
+    Retired(r"mark_private_sites", "2.7", _BLOCKING),
+    Retired(r"rcache_private_skips", "2.7", _BLOCKING),
+    Retired(r"note_private_skip", "2.7", _BLOCKING),
+    Retired(r"_has_private", "2.7", _BLOCKING),
+    Retired(r"\[private\]", "2.7", _BLOCKING),
 )
 
 

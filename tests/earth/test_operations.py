@@ -62,8 +62,8 @@ class TestKinds:
 
     def test_alloc_on_a_foreign_node_comes_from_the_origins_arena(self):
         apply, _, (a0, _) = bare(words=8)
-        assert apply(("alloc", 0, 4, 0, False)) == a0 + 8
-        assert apply(("alloc", 1, 4, 0, False)) \
+        assert apply(("alloc", 0, 4, 0)) == a0 + 8
+        assert apply(("alloc", 1, 4, 0)) \
             == GlobalMemory(2).allocate(1, 4, origin=0)
 
     @pytest.mark.parametrize("op, value, after, result", [

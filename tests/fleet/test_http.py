@@ -206,6 +206,18 @@ class TestErrorMapping:
         assert body["error"]["message"] \
             == f"unknown job spec fields: ['{key}']"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("optimize", "no", "optimize must be a bool, got 'no'"),
+        ("small", 1, "small must be a bool, got 1")])
+    def test_a_switch_that_is_not_a_bool_is_400(self, gateway, key,
+                                                value, message):
+        status, body = gateway.request(
+            "POST", "/v1/jobs",
+            body={"kind": "run", "benchmark": "power", key: value})
+        assert status == 400
+        assert body["error"]["type"] == "ServiceError"
+        assert body["error"]["message"] == message
+
     def test_strict_nil_reads_of_a_speculating_program_is_400(self,
                                                               gateway):
         status, body = gateway.request(

@@ -105,6 +105,41 @@ class TestRemoteStore:
         assert remote.get(_key("flip")) == PAYLOAD
 
 
+class _CountingRemote:
+    """A store that holds :data:`PAYLOAD` under every key and counts
+    the GETs it answers."""
+
+    timeout_s = 0.1
+    retries = 0
+
+    def __init__(self):
+        self.gets = 0
+
+    def get(self, key):
+        self.gets += 1
+        return PAYLOAD
+
+
+class _HoldThread:
+    """A lock that keeps ``thread`` out until ``release`` is set,
+    setting ``waiting`` when it arrives."""
+
+    def __init__(self, lock, thread, waiting, release):
+        self.lock = lock
+        self.thread = thread
+        self.waiting = waiting
+        self.release = release
+
+    def __enter__(self):
+        if threading.current_thread() is self.thread:
+            self.waiting.set()
+            assert self.release.wait(5)
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
 class TestFleetCache:
     def test_local_miss_fills_from_remote_then_hits_locally(
             self, store, tmp_path):
@@ -147,6 +182,30 @@ class TestFleetCache:
         assert all(result == PAYLOAD for result in results)
         # One leader fetched; followers waited and re-probed locally.
         assert cache.remote.hits == 1
+
+    def test_a_late_misser_does_not_fetch_again(self, tmp_path):
+        """The interleaving that made the test above flaky, forced: a
+        late misser misses locally, and takes the fill lock only after
+        the leader filled the local tiers and dropped its gate.  It
+        leads the fill then, and finds the payload locally."""
+        remote = _CountingRemote()
+        cache = FleetCache(str(tmp_path / "local"), remote)
+        key = _key("late")
+        results = []
+        late = threading.Thread(
+            target=lambda: results.append(cache.get(key)))
+        late_missed = threading.Event()
+        leader_done = threading.Event()
+        cache._fill_lock = _HoldThread(cache._fill_lock, late,
+                                       late_missed, leader_done)
+        late.start()
+        assert late_missed.wait(5)
+        assert cache.get(key) == PAYLOAD          # the leader
+        leader_done.set()
+        late.join(5)
+        assert results == [PAYLOAD]
+        assert remote.gets == 1
+        assert (cache.misses, cache.hits) == (2, 1)
 
     def test_store_outage_degrades_to_local_only(self, tmp_path):
         cache = FleetCache(str(tmp_path / "local"),

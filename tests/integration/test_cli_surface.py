@@ -406,28 +406,25 @@ def test_retired_opt_flag_is_a_usage_error(flag, tmp_path, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
-#: A remote struct read in a loop beside a local scratch struct: the
-#: probabilistic preset marks the scratch site ``[private]`` and the
-#: legacy one does not, so the two presets print different listings.
+#: Two fields read through a pointer parameter: the probabilistic
+#: preset blocks a two-field group into one ``blkmov`` and the legacy
+#: one (threshold of three) pipelines it, so the two presets print
+#: different listings.
 PRESET_SOURCE = """
 struct pair { int x; int y; };
 
-int main(int n)
+int sum(struct pair *p)
+{
+    return p->x + p->y;
+}
+
+int main()
 {
     struct pair *remote;
-    struct pair *scratch;
-    int i;
-    int sum;
     remote = (struct pair *) malloc(sizeof(struct pair)) @ 1;
-    scratch = (struct pair *) malloc(sizeof(struct pair));
     remote->x = 5;
     remote->y = 7;
-    sum = 0;
-    for (i = 0; i < n; i++) {
-        scratch->x = i;
-        sum = sum + remote->x + remote->y + scratch->x;
-    }
-    return sum;
+    return sum(remote);
 }
 """
 
@@ -449,7 +446,7 @@ def test_opt_preset_flag_compiles_under_that_preset(preset, tmp_path,
                               config=CommConfig(opt=preset))
     assert out == "".join(print_function(function) + "\n\n"
                           for function in compiled.simple.functions.values())
-    assert out.count("[private]") == (preset == "probabilistic")
+    assert out.count("blkmov(") == (preset == "probabilistic")
 
 
 def test_report_ends_on_a_failed_jobs_own_code(monkeypatch, capsys):

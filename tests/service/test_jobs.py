@@ -183,6 +183,20 @@ class TestSpecValidation:
             JobSpec.from_dict({"kind": "compile", "source": SOURCE,
                                "inline": inline})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("optimize", "no", "optimize must be a bool"),
+        ("optimize", 0, "optimize must be a bool"),
+        ("small", "no", "small must be a bool"),
+        ("small", 1, "small must be a bool"),
+        ("benchmark", 5, "benchmark must be a string")])
+    def test_switches_are_bools_and_a_benchmark_is_a_name(
+            self, field, value, message):
+        """``"optimize": "no"`` would compile optimized and ``"small":
+        "no"`` run the reduced size."""
+        wire = {"kind": "run", "benchmark": "power", field: value}
+        with pytest.raises(ServiceError, match=message):
+            JobSpec.from_dict(wire)
+
     @pytest.mark.parametrize("inline", [True, False, [], ["add"],
                                         ("add",), {"add"}])
     def test_inline_accepts_a_switch_or_names(self, inline):
@@ -395,7 +409,7 @@ PIN_WIRE_DEFAULTS = {
 #: address).  The wire dicts date from the commit before ``JobSpec``
 #: came to carry a ``RunConfig``, with the compile keys ``config`` /
 #: ``opt`` since folded into ``comm``; the addresses were re-recorded
-#: at pipeline ``2026.10-alias-sets``.  A change here is a change of the
+#: at pipeline ``2026.10-one-blocking-rule``.  A change here is a change of the
 #: wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
@@ -405,20 +419,20 @@ GOLDEN = {
              inline=["add"]),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"]),
-        "ec7923432e70592390732acb54f8dfb4"
-        "d055d41e70ae016bae4441f4f8ee15ab"),
+        "c4544914e9fa22dd06c4fb92249e75d5"
+        "889585144adbc346485626967c1503ba"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "88cbf606c6bd9456987b182c25917fe6"
-        "cebc2078fcd19f0143de763300dd5275"),
+        "e1afba5db3d9c98d23bc95b0987586c1"
+        "8444f74f688feb387c442c2b83fee36d"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "30553794d8a797323ec9038ddd66476b"
-        "7c7cd5e5bc5d64427221aab71acf5316"),
+        "643bf642b1fc2fc27dea268c5071e917"
+        "c00cf9edbbdd1d33c21b1277ffb9e534"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -426,14 +440,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, comm=PIN_COMM_PROB),
-        "156f96589e04740e049c8a5a0868dc41"
-        "b52bfd00ea51c051e383f50c14c45b0a"),
+        "a97de2223f91812c5e3c547612cda045"
+        "458484ce2dc8b21812869f6441b5f99a"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-alias-sets"
+        assert PIPELINE_VERSION == "2026.10-one-blocking-rule"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
