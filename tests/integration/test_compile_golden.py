@@ -4,10 +4,17 @@
 eighteen generated ones (every ``workload`` shape x mix family at two
 fixed seeds) under both optimizer presets, the sha256 of the
 deterministic slice of an optimizing compile (``compile_payload``:
-listings, threaded code, optimizer counters).  A change to the
-frontend, the analyses or the optimizer that is meant to keep behaviour
-must leave every digest alone; one that is meant to move them
-re-records the file with
+listings, threaded code, optimizer counters).
+
+``golden_compile_corpus.json`` holds the same digest for a wider
+corpus, :data:`CORPUS_SIZE` distinct generated programs under both
+presets, one digest per program and preset so that a failure names the
+program.  It takes about half a minute, so it is marked ``ci_only``
+(CI's contracts job runs it).
+
+A change to the frontend, the analyses or the optimizer that is meant
+to keep behaviour must leave every digest alone; one that is meant to
+move them re-records both files with
 
     PYTHONPATH=src python tests/integration/test_compile_golden.py
 
@@ -30,6 +37,11 @@ from repro.workload import MIXES, SHAPES, generate_source
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                            "golden_compile_payloads.json")
+CORPUS_PATH = os.path.join(os.path.dirname(__file__),
+                           "golden_compile_corpus.json")
+
+#: Distinct generated programs in the ``ci_only`` corpus tier.
+CORPUS_SIZE = 600
 
 #: (shape, mix, seed) of every pinned generated program.
 GENERATED = [(shape, mix, seed) for shape in SHAPES
@@ -58,9 +70,37 @@ def generated_digest(shape, mix, seed, preset):
     return payload_digest(source, f"{name}.ec", False, preset)
 
 
-def _golden():
-    with open(GOLDEN_PATH) as handle:
+def corpus():
+    """``(name, source)`` of the corpus tier's programs: the shape x mix
+    families in rotation, bodies drawn from one fixed stream, a source
+    already drawn skipped."""
+    families = [(shape, mix) for shape in SHAPES for mix in sorted(MIXES)]
+    rng = random.Random("golden-corpus")
+    seen = set()
+    programs = []
+    while len(programs) < CORPUS_SIZE:
+        index = len(programs)
+        shape, mix = families[index % len(families)]
+        source = generate_source(rng, shape, mix)
+        if source not in seen:
+            seen.add(source)
+            programs.append((f"corpus-{index:03d}-{shape}-{mix}", source))
+    return programs
+
+
+def corpus_digests(preset):
+    return {f"{name}/{preset}": payload_digest(source, f"{name}.ec",
+                                               False, preset)
+            for name, source in corpus()}
+
+
+def _load(path):
+    with open(path) as handle:
         return json.load(handle)
+
+
+def _golden():
+    return _load(GOLDEN_PATH)
 
 
 @pytest.mark.parametrize("preset", OPT_PRESETS)
@@ -84,6 +124,25 @@ def test_golden_covers_exactly_the_catalog():
         f"{name}/{preset}" for name in names for preset in OPT_PRESETS)
 
 
+@pytest.mark.ci_only
+@pytest.mark.parametrize("preset", OPT_PRESETS)
+def test_corpus_compile_payloads_match_golden(preset):
+    golden = _load(CORPUS_PATH)
+    digests = corpus_digests(preset)
+    assert sorted(golden) == sorted(
+        f"{name}/{each}" for name, _ in corpus() for each in OPT_PRESETS)
+    moved = sorted(key for key, digest in digests.items()
+                   if golden[key] != digest)
+    assert not moved, f"{len(moved)} programs moved: {moved[:20]}"
+
+
+def _record(path, digests):
+    with open(path, "w") as handle:
+        json.dump(digests, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {len(digests)} digests in {path}")
+
+
 if __name__ == "__main__":
     digests = {f"{spec.name}/{preset}": olden_digest(spec, preset)
                for spec in catalog() for preset in OPT_PRESETS}
@@ -91,7 +150,6 @@ if __name__ == "__main__":
         (f"{generated_name(*family)}/{preset}",
          generated_digest(*family, preset))
         for family in GENERATED for preset in OPT_PRESETS)
-    with open(GOLDEN_PATH, "w") as handle:
-        json.dump(digests, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"recorded {len(digests)} digests in {GOLDEN_PATH}")
+    _record(GOLDEN_PATH, digests)
+    _record(CORPUS_PATH, {key: digest for preset in OPT_PRESETS
+                          for key, digest in corpus_digests(preset).items()})
