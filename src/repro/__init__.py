@@ -76,6 +76,12 @@ marking, with the allocation mark it printed and the remote-data cache
 counter of the stores it let skip invalidation: the probabilistic
 preset is one blocking rule, :meth:`OptConfig.should_block`, and every
 store under the remote-data cache invalidates the lines it covers.
+2.8 made a heap effect record the paper's ``(base, loc, key)`` triple,
+a tuple in a set (the record class is gone, and
+:mod:`repro.analysis.rw_sets` is the one reader of a record), and the
+optimizer solves the alias facts once before forwarding, whose rewrites
+they cover, and again before the write phase only if the read phase
+rewrote something.
 """
 
 from repro.comm.optconfig import OptConfig
@@ -102,7 +108,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.7.0"
+__version__ = "2.8.0"
 
 __all__ = [
     "ArtifactCache",

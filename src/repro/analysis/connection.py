@@ -11,7 +11,11 @@ anchor handle):
 * :meth:`connected` -- may two pointers reach the same object;
 * :meth:`var_written` -- the paper's ``varWritten(p, S)``;
 * :meth:`accessed_via_alias` -- the paper's
-  ``accessedViaAlias(p, f, d, S, mode)``.
+  ``accessedViaAlias(p, f, d, S, mode)``;
+* :meth:`accessed_directly` -- the same question through ``p`` itself.
+
+Every heap question is answered by :class:`EffectsAnalysis`, the one
+reader of the records.
 
 This is the exact interface the possible-placement rules of the paper's
 Figure 5/6 consume.
@@ -26,7 +30,7 @@ from repro.analysis.points_to import (
     analyze_points_to,
     path_key,
 )
-from repro.analysis.rw_sets import EffectsAnalysis, keys_overlap
+from repro.analysis.rw_sets import EffectsAnalysis
 from repro.frontend.types import FieldPath
 from repro.simple import nodes as s
 
@@ -60,25 +64,17 @@ class ConnectionInfo:
                           mode: str) -> bool:
         """May the statement access ``base->path`` *through base itself*
         (the direct/anchored case the alias query excludes)?  Used by the
-        sound variants of the kill rules and by blocking-region checks."""
-        assert mode in ("read", "write")
-        records = self.effects.effects(func, stmt)
-        table = records.heap_reads if mode == "read" else records.heap_writes
-        key = path_key(path)
-        for effect in table.values():
-            if effect.base != base:
-                continue
-            if keys_overlap(effect.key, key):
-                return True
-        return False
+        sound variants of the kill rules."""
+        return self.effects.accessed_directly(
+            func, base, path_key(path), stmt, mode)
 
 
 def analyze_connection(program: s.SimpleProgram) -> ConnectionInfo:
     """Build the alias facts of ``program`` as it stands now: solve
     points-to, decorate every statement with its read/write sets, and
     wrap both in the query interface.  This is the one place the three
-    are put together; whoever changes statements afterwards asks again
-    (the optimizer does exactly that: it keeps the result across a
-    phase that changed none, ``CommunicationOptimizer._facts``)."""
+    are put together; whoever changes statements afterwards asks again,
+    unless the change cannot add an access (the optimizer keeps the
+    result across forwarding, ``CommunicationOptimizer.run``)."""
     pts = analyze_points_to(program)
     return ConnectionInfo(program, pts, EffectsAnalysis(program, pts))

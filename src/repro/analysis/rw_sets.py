@@ -10,28 +10,32 @@ analysis; these drive the kill rules of possible-placement analysis
   because taking the address of a stack scalar is rejected).  Variable
   *reads* are not kept: no kill rule asks whether a statement reads a
   variable, only whether it may change one (``varWritten``);
-* **heap effects** -- records ``(base, loc, key)`` meaning "memory of
-  abstract object ``loc`` at field key ``key`` is accessed, syntactically
-  through pointer variable ``base``".  ``base is None`` for effects
-  imported from callees -- the paper's *anchor handle* information:
-  an access with the same base variable is a *direct* access, anything
-  else is a potential alias access;
+* **heap effects** -- sets of records, each the paper's triple
+  ``(base, loc, key)``: "memory of abstract object ``loc`` at field key
+  ``key`` is accessed, syntactically through pointer variable
+  ``base``".  ``base is None`` for effects imported from callees --
+  the paper's *anchor handle* information: an access with the same
+  base variable is a *direct* access, anything else is a potential
+  alias access;
 * **function summaries** -- heap and global-variable effects of whole
   calls, computed to a fixed point over the (possibly recursive) call
   graph.
 
 A function's own summary is one union over its basic statements, built
-in the same pass that decorates them (locals dropped, one anonymized
-record per distinct heap effect).  Summaries then grow along call edges
-until nothing grows; a merge tests containment and copies only what the
-receiver lacks.  Effects for compound statements are one union of their
-children's (kept by label in the one table), matching the paper's
-per-statement decoration.
+in the same pass that decorates them (locals dropped, heap records
+anonymized).  Summaries then grow along call edges until nothing grows;
+a merge is a containment test and a set union.  Effects for compound
+statements are one union of their children's (kept by label in the one
+table), matching the paper's per-statement decoration.
+
+Records are read only here: :func:`may_hit` states what a record may
+touch, and the :class:`EffectsAnalysis` queries are the only way the
+optimizer asks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.points_to import (
     STAR,
@@ -58,21 +62,14 @@ def access_key(access) -> FieldKey:
     return (STAR,)
 
 
-class HeapEffect:
-    """One heap access record."""
+#: One heap access, the paper's triple: ``(base, loc, key)``.
+Record = Tuple[Optional[str], Tuple, FieldKey]
 
-    __slots__ = ("base", "loc", "key")
 
-    def __init__(self, base: Optional[str], loc: Tuple, key: FieldKey):
-        self.base = base
-        self.loc = loc
-        self.key = key
-
-    def ident(self) -> Tuple:
-        return (self.base, self.loc, self.key)
-
-    def __repr__(self) -> str:
-        return f"HeapEffect(base={self.base}, loc={self.loc}, key={self.key})"
+def may_hit(loc: Tuple, targets: Collection[Tuple]) -> bool:
+    """The may-hit rule: may a record of object ``loc`` touch an object
+    in ``targets``, a points-to set (empty: unknown)?"""
+    return loc == UNKNOWN or not targets or loc in targets
 
 
 class Effects:
@@ -82,8 +79,8 @@ class Effects:
 
     def __init__(self):
         self.var_writes: Set[str] = set()
-        self.heap_reads: Dict[Tuple, HeapEffect] = {}
-        self.heap_writes: Dict[Tuple, HeapEffect] = {}
+        self.heap_reads: Set[Record] = set()
+        self.heap_writes: Set[Record] = set()
 
     def merge(self, other: "Effects",
               drop_locals_of: Optional[FrozenSet[str]] = None) -> bool:
@@ -95,17 +92,14 @@ class Effects:
         var_writes = other.var_writes
         if drop_locals_of is not None:
             var_writes = var_writes - drop_locals_of
-        grew = False
-        if not var_writes <= self.var_writes:
-            self.var_writes |= var_writes
-            grew = True
-        for mine, theirs in ((self.heap_reads, other.heap_reads),
-                             (self.heap_writes, other.heap_writes)):
-            for ident, effect in theirs.items():
-                if ident not in mine:
-                    mine[ident] = effect
-                    grew = True
-        return grew
+        if var_writes <= self.var_writes \
+                and other.heap_reads <= self.heap_reads \
+                and other.heap_writes <= self.heap_writes:
+            return False
+        self.var_writes |= var_writes
+        self.heap_reads |= other.heap_reads
+        self.heap_writes |= other.heap_writes
+        return True
 
     def __repr__(self) -> str:
         return (f"Effects(vw={sorted(self.var_writes)}, "
@@ -117,26 +111,24 @@ def _union(parts: List[Effects]) -> Effects:
     union = Effects()
     for part in parts:
         union.var_writes |= part.var_writes
-        union.heap_reads.update(part.heap_reads)
-        union.heap_writes.update(part.heap_writes)
+        union.heap_reads |= part.heap_reads
+        union.heap_writes |= part.heap_writes
     return union
 
 
-def _anonymized_into(summary: Dict[Tuple, HeapEffect],
-                     table: Dict[Tuple, HeapEffect]) -> None:
-    """A statement's heap effects into a summary with the base variable
+def _anonymized_into(summary: Set[Record], records: Set[Record]) -> None:
+    """A statement's heap records into a summary with the base variable
     cleared (a callee's accesses are alias accesses from a caller's
-    perspective): one record per distinct ``(loc, key)``."""
-    for _, loc, key in table:
-        if (None, loc, key) not in summary:
-            summary[None, loc, key] = HeapEffect(None, loc, key)
+    perspective)."""
+    summary |= {(None, loc, key) for _, loc, key in records}
 
 
 class EffectsAnalysis:
     """Computes per-statement effects with interprocedural summaries.
 
     Create once per program state (after points-to), then query
-    :meth:`effects`, :meth:`var_written` and :meth:`accessed_via_alias`.
+    :meth:`effects`, :meth:`var_written`, :meth:`accessed_via_alias`,
+    :meth:`accessed_directly` and :meth:`may_write`.
     The analysis keeps one table, ``(function, label) -> Effects``.
     Every basic statement is entered at construction, so the table
     describes the program as it stood then; a compound statement is
@@ -174,6 +166,24 @@ class EffectsAnalysis:
         statement read (``mode="read"``) or write (``mode="write"``) the
         memory named by ``base->key`` through anything *other than*
         ``base`` itself?"""
+        return self._touches(func, base, key, stmt, mode, direct=False)
+
+    def accessed_directly(self, func: s.SimpleFunction, base: str,
+                          key: FieldKey, stmt: s.Stmt, mode: str) -> bool:
+        """May the statement access ``base->key`` *through base itself*
+        (the direct/anchored case the alias query excludes)?"""
+        return self._touches(func, base, key, stmt, mode, direct=True)
+
+    def may_write(self, func: s.SimpleFunction, base: str, key: FieldKey,
+                  stmt: s.Stmt) -> bool:
+        """May the statement write ``base->key`` through any handle?"""
+        return self._touches(func, base, key, stmt, "write", direct=None)
+
+    def _touches(self, func: s.SimpleFunction, base: str, key: FieldKey,
+                 stmt: s.Stmt, mode: str, direct: Optional[bool]) -> bool:
+        """May a ``mode`` record of the statement hit ``base->key``?
+        ``direct`` keeps only records through ``base`` (True), only
+        records through another handle (False), or all (None)."""
         assert mode in ("read", "write")
         effects = self.effects(func, stmt)
         records = (effects.heap_reads if mode == "read"
@@ -181,17 +191,10 @@ class EffectsAnalysis:
         if not records:
             return False
         targets = self.pts.points_to(func.name, base)
-        for effect in records.values():
-            if effect.base == base:
-                continue  # direct access via the anchor handle
-            if not keys_overlap(effect.key, key):
+        for handle, loc, field in records:
+            if direct is not None and (handle == base) is not direct:
                 continue
-            if effect.loc == UNKNOWN:
-                return True
-            if not targets:
-                # Unknown points-to set for the base: be conservative.
-                return True
-            if effect.loc in targets:
+            if keys_overlap(field, key) and may_hit(loc, targets):
                 return True
         return False
 
@@ -282,9 +285,6 @@ class EffectsAnalysis:
 
     def _add_ptr_effect(self, func: s.SimpleFunction, effects: Effects,
                         base: str, key: FieldKey, write: bool) -> None:
-        targets: Iterable[Tuple] = self.pts.points_to(func.name, base)
-        if not targets:
-            targets = [UNKNOWN]
-        table = effects.heap_writes if write else effects.heap_reads
-        for loc in targets:
-            table[base, loc, key] = HeapEffect(base, loc, key)
+        targets = self.pts.points_to(func.name, base) or (UNKNOWN,)
+        records = effects.heap_writes if write else effects.heap_reads
+        records |= {(base, loc, key) for loc in targets}

@@ -34,12 +34,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.analysis.connection import ConnectionInfo
-from repro.analysis.rw_sets import (
-    UNKNOWN,
-    FieldKey,
-    access_key,
-    keys_overlap,
-)
+from repro.analysis.rw_sets import FieldKey, access_key, keys_overlap
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs
 
@@ -140,22 +135,16 @@ class ForwardingPass:
     # -- invalidation --------------------------------------------------------------
 
     def _invalidate_by_effects(self, avail: _Avail, stmt: s.Stmt) -> None:
-        effects = self.conn.effects.effects(self.func, stmt)
-        for var in effects.var_writes:
+        facts = self.conn.effects
+        for var in facts.effects(self.func, stmt).var_writes:
             avail.kill_base(var)
             avail.kill_holder(var)
-        for effect in effects.heap_writes.values():
-            # Any possibly-overlapping write (direct or aliased within a
-            # compound statement) invalidates; precision inside straight-
-            # line code comes from _transfer_basic instead.
-            for key in list(avail.entries):
-                base, field = key
-                if not keys_overlap(effect.key, field):
-                    continue
-                targets = self.conn.pts.points_to(self.func.name, base)
-                if effect.loc == UNKNOWN or not targets \
-                        or effect.loc in targets:
-                    del avail.entries[key]
+        # Any possibly-overlapping write (direct or aliased within a
+        # compound statement) invalidates; precision inside straight-
+        # line code comes from _transfer_basic instead.
+        for key in list(avail.entries):
+            if facts.may_write(self.func, key[0], key[1], stmt):
+                del avail.entries[key]
 
     # -- basic statement transfer -----------------------------------------------------
 

@@ -147,34 +147,29 @@ class CommunicationOptimizer:
         self.program = program
         self.config = config or CommConfig()
         self.opt = self.config.opt or OptConfig()
-        self._conn: Optional[ConnectionInfo] = None
-
-    def _facts(self) -> ConnectionInfo:
-        """The alias facts of the program as it now stands: solved on
-        first use and again after any phase that :meth:`_rewrote`."""
-        if self._conn is None:
-            self._conn = analyze_connection(self.program)
-        return self._conn
-
-    def _rewrote(self, count: int) -> None:
-        """``count`` statements were inserted, replaced or re-targeted;
-        unless that is none, the facts are stale."""
-        if count:
-            self._conn = None
 
     def run(self) -> OptimizationReport:
         """Run the enabled passes in order, in place.
 
-        Forwarding and the two selection phases rewrite and insert
-        statements, and the kill rules must read the alias facts of the
-        statements as they now are.  So each of them asks
-        :meth:`_facts`, which re-solves (one points-to solve, one
-        effects table) iff a phase reported a rewrite since the last
-        solve: the facts are a function of the statements alone.  Not
-        ROADMAP 3(a)'s reuse *across* rewrites -- no consumer ever
-        reads facts older than a statement."""
+        The kill rules read the alias facts (one points-to solve, one
+        effects table) of the statements they judge, and the facts are
+        solved at most twice:
+
+        * once, before the first pass that reads them.  Forwarding
+          rewrites only by replacing a heap read with a value that was
+          already read or stored: it adds no statement and no access,
+          so every points-to set it leaves is the one it read, and
+          every statement's effects are a subset of those it read.
+          The reads phase uses the same facts; where a forwarded
+          statement's old effects remain, a kill rule can only judge
+          more conservatively;
+        * again before the writes phase, iff the reads phase rewrote
+          something: it inserts comm reads and blkmovs, which must kill
+          write sinking past them (otherwise a hoisted read and a sunk
+          write of the same location could cross)."""
         report = OptimizationReport()
         config = self.config
+        conn: Optional[ConnectionInfo] = None
 
         with timed_pass(report.passes, "locality") as profile:
             report.locality = analyze_locality(self.program)
@@ -185,11 +180,10 @@ class CommunicationOptimizer:
 
         if config.enable_forwarding:
             with timed_pass(report.passes, "forwarding") as profile:
-                conn = self._facts()
+                conn = analyze_connection(self.program)
                 for function in self.program.functions.values():
                     report.forwarding[function.name] = \
                         forward_remote_values(function, conn)
-            self._rewrote(report.total_forwarded())
             profile.counters["reads_forwarded"] = sum(
                 stat.reads_forwarded
                 for stat in report.forwarding.values())
@@ -202,7 +196,8 @@ class CommunicationOptimizer:
             # reads RemoteReads only, so only that direction is placed.
             with timed_pass(report.passes, "place/select reads") \
                     as profile:
-                conn = self._facts()
+                if conn is None:
+                    conn = analyze_connection(self.program)
                 read_placements = []
                 read_selections = {}
                 for function in self.program.functions.values():
@@ -223,16 +218,14 @@ class CommunicationOptimizer:
                 s.blocked_read_groups for s in stats)
             profile.counters["redundant_reads_merged"] = sum(
                 s.redundant_reads_merged for s in stats)
-            self._rewrote(sum(s.pipelined_reads + s.blocked_read_groups
-                              + s.redundant_reads_merged for s in stats))
+            reads_rewrote = any(s.pipelined_reads + s.blocked_read_groups
+                                + s.redundant_reads_merged for s in stats)
             # Phase W: latest placement of writes (RemoteWrites only),
-            # against a fresh analysis of the read-transformed program
-            # -- the inserted comm reads must kill write sinking past
-            # them (otherwise a hoisted read and a sunk write of the
-            # same location could cross).
+            # against the facts of the read-transformed program.
             with timed_pass(report.passes, "place/select writes") \
                     as profile:
-                conn = self._facts()
+                if reads_rewrote:
+                    conn = analyze_connection(self.program)
                 write_placements = []
                 for function in self.program.functions.values():
                     placement = PlacementAnalysis(function, conn).run(WRITE)
@@ -256,8 +249,6 @@ class CommunicationOptimizer:
             profile.counters["blkmov_merges"] = sum(
                 s.blocked_read_groups + s.blocked_write_groups
                 for s in stats)
-            self._rewrote(sum(s.pipelined_writes + s.blocked_write_groups
-                              for s in stats))
 
         with timed_pass(report.passes, "split-phase") as profile:
             marked = 0

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.nilness import NilnessResult, analyze_nilness
-from repro.analysis.rw_sets import UNKNOWN
+from repro.analysis.points_to import STAR
 from repro.comm.optconfig import STRONG_FREQ, OptConfig
 from repro.comm.placement import PlacementResult
 from repro.comm.tuples import CommSet, CommTuple, SelectedOp
@@ -451,7 +451,6 @@ class CommSelection:
         the pointed-to object through any alias, or access it directly
         outside the redirected statements."""
         allowed = origin_labels | region.redirected_labels
-        targets = self.conn.pts.points_to(self.func.name, base)
         for top in seq.stmts[blk_index + 1:point_index + 1]:
             for inner in top.walk():
                 if not isinstance(inner, s.BasicStmt):
@@ -469,9 +468,7 @@ class CommSelection:
                         return False
                 # Any other write that may hit the object is interference
                 # with the fields the block write will write back.
-                effects = self.conn.effects.effects(self.func, inner)
-                for effect in effects.heap_writes.values():
-                    if effect.loc == UNKNOWN or not targets \
-                            or effect.loc in targets:
-                        return False
+                if self.conn.effects.may_write(self.func, base, (STAR,),
+                                               inner):
+                    return False
         return True

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -100,6 +101,11 @@ class RunConfig:
                 type(arg) not in (int, float) for arg in self.args):
             raise UsageError(f"args must be a sequence of numbers, got "
                              f"{self.args!r}")
+        # JSON spells NaN and Infinity too, and neither is an argument.
+        if any(type(arg) is float and not math.isfinite(arg)
+               for arg in self.args):
+            raise UsageError(f"args must be finite numbers, got "
+                             f"{list(self.args)!r}")
         object.__setattr__(self, "args", tuple(self.args))
         if self.nodes < 1:
             raise UsageError(f"nodes must be >= 1, got {self.nodes}")

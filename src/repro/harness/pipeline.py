@@ -51,7 +51,7 @@ from repro.simple.validate import validate_program
 #: whenever a change makes ``compile_earthc`` or the simulator produce
 #: different output for the same (source, options) -- stale cached
 #: artifacts then miss instead of serving wrong payloads.
-PIPELINE_VERSION = "2026.10-one-blocking-rule"
+PIPELINE_VERSION = "2026.10-effect-triples"
 
 
 class CompiledProgram:

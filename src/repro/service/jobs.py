@@ -200,8 +200,7 @@ class JobSpec:
             source = spec.source()
             filename = spec.filename
             if inline is False:
-                inline = sorted(spec.inline) \
-                    if not isinstance(spec.inline, bool) else spec.inline
+                inline = spec.inline
             if self.max_stmts is None:
                 changes["max_stmts"] = spec.max_stmts
             if self.args is None:
@@ -210,6 +209,10 @@ class JobSpec:
         else:
             source = self.source
             filename = self.filename or "<job>"
+        if not isinstance(inline, bool):
+            # One product, one address: a name listed twice inlines
+            # once, and a list of no names inlines nothing.
+            inline = sorted(set(inline)) or False
         resolved = {
             "kind": self.kind,
             "source": canonicalize_source(source),

@@ -9,7 +9,8 @@ as the reference are the simpler forms they replaced:
   pass changes nothing and finds an object's fields by scanning every
   holder (it shares only the constraint collection walk);
 * effects aggregated one ``merge`` per statement and per child, each
-  merge copying every record and anonymizing every imported one.
+  merge adding every ``(base, loc, key)`` record one at a time and
+  anonymizing every imported one.
 
 Every solve the optimizer makes (spied on ``analyze_connection``) over
 the ten Olden programs under both presets, 60 generated programs and
@@ -24,7 +25,7 @@ import random
 import pytest
 
 from repro.analysis.points_to import PointsToAnalysis, keys_overlap
-from repro.analysis.rw_sets import Effects, EffectsAnalysis, HeapEffect
+from repro.analysis.rw_sets import Effects, EffectsAnalysis
 from repro.comm import optimizer as optimizer_module
 from repro.comm.optconfig import OPT_PRESETS
 from repro.comm.optimizer import CommConfig
@@ -112,21 +113,17 @@ class ReferencePointsTo(PointsToAnalysis):
 
 
 def _merge(into, other, drop_locals_of=None, anonymize=False):
-    """Union ``other`` into ``into``, every record copied and every
+    """Union ``other`` into ``into`` one record at a time, every
     imported one anonymized afresh; True when ``into`` grew."""
     before = _size(into)
     var_writes = other.var_writes
     if drop_locals_of is not None:
         var_writes = var_writes - drop_locals_of
     into.var_writes |= var_writes
-    for effect in other.heap_reads.values():
-        if anonymize:
-            effect = HeapEffect(None, effect.loc, effect.key)
-        into.heap_reads[effect.ident()] = effect
-    for effect in other.heap_writes.values():
-        if anonymize:
-            effect = HeapEffect(None, effect.loc, effect.key)
-        into.heap_writes[effect.ident()] = effect
+    for mine, theirs in ((into.heap_reads, other.heap_reads),
+                         (into.heap_writes, other.heap_writes)):
+        for base, loc, key in theirs:
+            mine.add((None if anonymize else base, loc, key))
     return _size(into) != before
 
 
@@ -186,11 +183,10 @@ def _facts(analysis):
 
 
 def _effects_view(effects):
-    for ident, effect in list(effects.heap_reads.items()) + \
-            list(effects.heap_writes.items()):
-        assert effect.ident() == ident
-    return (effects.var_writes, set(effects.heap_reads),
-            set(effects.heap_writes))
+    for records in (effects.heap_reads, effects.heap_writes):
+        assert isinstance(records, set)
+        assert all(len(record) == 3 for record in records)
+    return effects.var_writes, effects.heap_reads, effects.heap_writes
 
 
 def assert_same_facts(program):

@@ -6,7 +6,13 @@ import pathlib
 import repro
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.points_to import analyze_points_to
-from repro.analysis.rw_sets import EffectsAnalysis, keys_overlap
+from repro.analysis.rw_sets import (
+    UNKNOWN,
+    Effects,
+    EffectsAnalysis,
+    keys_overlap,
+    may_hit,
+)
 from repro.frontend.types import FieldPath
 from repro.harness.pipeline import compile_earthc
 from repro.olden.loader import get_benchmark
@@ -47,6 +53,41 @@ class TestKeysOverlap:
         assert not keys_overlap(("a", "b"), ("a", "c"))
 
 
+class TestRecords:
+    """An effect record is the paper's ``(base, loc, key)`` triple."""
+
+    def test_records_are_triples_in_sets(self):
+        simple, effects, _ = build(NODE + """
+            int f(struct node *p) { p->w = p->v; return 0; }
+        """)
+        func = simple.function("f")
+        recorded = effects.effects(func, func.body)
+        assert {(base, key) for base, _, key in recorded.heap_reads} \
+            == {("p", ("v",))}
+        assert {(base, key) for base, _, key in recorded.heap_writes} \
+            == {("p", ("w",))}
+        # An unknown points-to set is one record of the unknown object.
+        assert {loc for _, loc, _ in recorded.heap_reads} == {UNKNOWN}
+
+    def test_a_merge_reports_growth_once(self):
+        simple, effects, _ = build(NODE + """
+            int f(struct node *p) { p->v = 1; return 0; }
+        """)
+        func = simple.function("f")
+        recorded = effects.effects(func, func.body)
+        summary = Effects()
+        assert summary.merge(recorded)
+        assert not summary.merge(recorded)
+        assert summary.heap_writes == recorded.heap_writes
+
+    def test_the_may_hit_rule(self):
+        a, b = ("heap", "f", 1), ("heap", "f", 2)
+        assert may_hit(a, {a, b})
+        assert not may_hit(a, {b})
+        assert may_hit(a, frozenset())       # an empty set is unknown
+        assert may_hit(UNKNOWN, {b})         # so is the unknown object
+
+
 class TestBasicEffects:
     SRC = NODE + """
         int f(struct node *p, struct node *q) {
@@ -63,8 +104,8 @@ class TestBasicEffects:
         read = find_stmt(func, lambda st: isinstance(st, s.AssignStmt)
                          and isinstance(st.rhs, s.FieldReadRhs))
         recorded = effects.effects(func, read)
-        assert any(e.base == "p" and e.key == ("v",)
-                   for e in recorded.heap_reads.values())
+        assert any(base == "p" and key == ("v",)
+                   for base, _, key in recorded.heap_reads)
         assert not recorded.heap_writes
 
     def test_write_effect_recorded(self):
@@ -73,8 +114,8 @@ class TestBasicEffects:
         write = find_stmt(func, lambda st: isinstance(st, s.AssignStmt)
                           and isinstance(st.lhs, s.FieldWriteLV))
         recorded = effects.effects(func, write)
-        assert any(e.base == "q" and e.key == ("w",)
-                   for e in recorded.heap_writes.values())
+        assert any(base == "q" and key == ("w",)
+                   for base, _, key in recorded.heap_writes)
 
     def test_compound_aggregates_children(self):
         simple, effects, _ = build(NODE + """
@@ -88,7 +129,7 @@ class TestBasicEffects:
         loop = find_stmt(func, lambda st: isinstance(st, s.WhileStmt))
         recorded = effects.effects(func, loop)
         assert "p" in recorded.var_writes  # p reassigned in the body
-        assert any(e.key == ("v",) for e in recorded.heap_reads.values())
+        assert any(key == ("v",) for _, _, key in recorded.heap_reads)
 
 
 class TestSummaries:
@@ -101,8 +142,8 @@ class TestSummaries:
         call = find_stmt(func, lambda st: isinstance(st, s.CallStmt)
                          and st.func == "poke")
         recorded = effects.effects(func, call)
-        assert any(e.base is None and e.key == ("v",)
-                   for e in recorded.heap_writes.values())
+        assert any(base is None and key == ("v",)
+                   for base, _, key in recorded.heap_writes)
 
     def test_recursive_summary_converges(self):
         simple, effects, _ = build(NODE + """
@@ -113,7 +154,7 @@ class TestSummaries:
             }
         """)
         summary = effects.summary("walk")
-        assert any(e.key == ("v",) for e in summary.heap_writes.values())
+        assert any(key == ("v",) for _, _, key in summary.heap_writes)
 
     def test_callee_locals_not_in_summary(self):
         simple, effects, _ = build("""
@@ -224,6 +265,25 @@ class TestAliasQueries:
                          and st.func == "set")
         assert conn.var_written(func, "g", call)
 
+    def test_may_write_counts_every_handle(self):
+        simple, effects, conn = build(NODE + """
+            int f() {
+                struct node *p; struct node *q; struct node *r;
+                p = (struct node *) malloc(sizeof(struct node));
+                q = p;
+                r = (struct node *) malloc(sizeof(struct node));
+                q->v = 1;
+                return p->v + r->v;
+            }
+        """)
+        func = simple.function("f")
+        write = find_stmt(func, lambda st: isinstance(st, s.AssignStmt)
+                          and isinstance(st.lhs, s.FieldWriteLV))
+        assert effects.may_write(func, "q", ("v",), write)   # directly
+        assert effects.may_write(func, "p", ("*",), write)   # via alias
+        assert not effects.may_write(func, "p", ("w",), write)
+        assert not effects.may_write(func, "r", ("v",), write)
+
     def test_connected_relation(self):
         simple, effects, conn = build(NODE + """
             int f() {
@@ -289,7 +349,7 @@ class TestOneEffectsTable:
         compile_earthc(spec.source(), spec.filename, optimize=True,
                        config=repro.CommConfig(opt="probabilistic"))
         analyses = {key[0] for key in calls}
-        assert len(analyses) == 3    # forwarding, reads, writes
+        assert len(analyses) == 2    # forwarding and reads, writes
         assert set(calls.values()) == {1}
 
     def test_one_construction_site_in_the_product(self):

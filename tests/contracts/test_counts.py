@@ -8,7 +8,7 @@ version.  A count is taken in a fresh interpreter (this file run as a
 script), so test order, parallel workers and a coverage tracer cannot
 move it, and the profiler it installs cannot replace a coverage
 tracer.  What one compile or run does once is tested where it is cut
-(``tests/comm/test_optimizer_facts.py``: 25 alias-fact solves,
+(``tests/comm/test_optimizer_facts.py``: 20 alias-fact solves,
 ``tests/frontend/test_parser_reference.py``: one parser call per
 operand, ``tests/comm/test_placement_directions.py``: one placement
 traversal per phase); the totals below catch the rest.
@@ -29,19 +29,23 @@ import pytest
 COUNTED_ON = (3, 11)
 
 #: Python call events into the ``repro`` package over the ten Olden
-#: cold compiles (612,327 with token objects, a location per token, a
-#: bound-method table per keyword statement, a ``getattr`` probe of
-#: eleven names per inlined expression, a printer per threaded
+#: cold compiles (497,611 with a ``HeapEffect`` per record and a
+#: re-solve after forwarding; 612,327 with token objects, a location
+#: per token, a bound-method table per keyword statement, a ``getattr``
+#: probe of eleven names per inlined expression, a printer per threaded
 #: statement and two goto-elimination walks).
-COMPILE_CALLS = 497_611
+COMPILE_CALLS = 489_682
 #: Line events in ``analysis/rw_sets.py`` over the same compiles
-#: (327,838 with per-statement variable reads and shared variables).
-RW_SETS_LINES = 246_148
+#: (246,148 with a ``HeapEffect`` per record and a re-solve after
+#: forwarding; 327,838 with per-statement variable reads and shared
+#: variables).
+RW_SETS_LINES = 206_711
 #: Line events in ``analysis/points_to.py`` and ``analysis/rw_sets.py``
-#: (440,182 with a likelihood per points-to fact; 528,065 with
-#: whole-table scans; 1,362,002 with a round-robin solver, a holder scan
-#: per field constraint and one merge per statement).
-ALIAS_FACT_LINES = 421_735
+#: (421,735 with a ``HeapEffect`` per record and a re-solve after
+#: forwarding; 440,182 with a likelihood per points-to fact; 528,065
+#: with whole-table scans; 1,362,002 with a round-robin solver, a
+#: holder scan per field constraint and one merge per statement).
+ALIAS_FACT_LINES = 349_961
 #: Python calls from ``earth/machine.py`` over one ten-Olden round at
 #: catalog size on 4 nodes (793,691 with a closure per network leg).
 MACHINE_CALLS = 562_093

@@ -50,6 +50,13 @@ _BLOCKING = ("the probabilistic preset is one blocking rule: private-line "
              "marking is gone, and every store under the remote-data "
              "cache invalidates the lines it covers")
 
+_TRIPLES = ("an effect record is the paper's (base, loc, key) triple, a "
+            "tuple in a set; analysis/rw_sets.py states the may-hit rule "
+            "once and is the only reader of a record")
+_TWO_SOLVES = ("the optimizer solves the alias facts before forwarding, "
+               "whose rewrites they cover, and again before the write "
+               "phase iff the read phase rewrote something")
+
 RETIRED = (
     Retired(r"loop_weight", "2.3", _KNOBS),
     Retired(r"branch_weight", "2.3", _KNOBS),
@@ -85,6 +92,9 @@ RETIRED = (
     Retired(r"note_private_skip", "2.7", _BLOCKING),
     Retired(r"_has_private", "2.7", _BLOCKING),
     Retired(r"\[private\]", "2.7", _BLOCKING),
+    Retired(r"HeapEffect", "2.8", _TRIPLES),
+    Retired(r"\b_rewrote|\b_facts\(|self\._conn", "2.8", _TWO_SOLVES,
+            "comm/optimizer.py"),
 )
 
 
@@ -103,6 +113,15 @@ def _matches(row: Retired):
 def test_no_retired_name_is_read(row):
     assert list(_matches(row)) == [], \
         f"retired in {row.release}: {row.reason}"
+
+
+def test_only_rw_sets_reads_an_effect_record():
+    """Every other module asks an ``EffectsAnalysis`` query."""
+    pattern = re.compile(r"heap_(reads|writes)")
+    readers = {str(path.relative_to(PACKAGE))
+               for path in PACKAGE.rglob("*.py")
+               if pattern.search(path.read_text())}
+    assert readers == {"analysis/rw_sets.py"}
 
 
 def test_the_scoped_rows_name_a_file():

@@ -218,6 +218,17 @@ class TestErrorMapping:
         assert body["error"]["type"] == "ServiceError"
         assert body["error"]["message"] == message
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_args_are_400(self, gateway, bad):
+        """The request body spells ``NaN`` / ``Infinity``, which the
+        gateway's JSON parser accepts: the refusal names ``args``."""
+        status, body = gateway.request(
+            "POST", "/v1/jobs",
+            body={"kind": "run", "source": SOURCE, "args": [bad]})
+        assert status == 400
+        assert body["error"]["type"] == "ServiceError"
+        assert body["error"]["message"].startswith("args must be finite")
+
     def test_strict_nil_reads_of_a_speculating_program_is_400(self,
                                                               gateway):
         status, body = gateway.request(

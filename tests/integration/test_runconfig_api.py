@@ -92,6 +92,14 @@ class TestValueObject:
         with pytest.raises(ReproError):
             RunConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_args_are_a_usage_error(self, bad, compiled):
+        with pytest.raises(UsageError, match="args must be finite"):
+            RunConfig(args=[4, bad])
+        with pytest.raises(UsageError, match="args must be finite"):
+            execute(compiled, config=RunConfig.from_json({"args": [bad]}))
+
     def test_replace_revalidates(self):
         config = RunConfig(nodes=4)
         assert config.replace(nodes=2).nodes == 2

@@ -1,5 +1,6 @@
 """JobSpec/JobResult semantics and the pure execute_job function."""
 
+import json
 from collections import OrderedDict
 
 import pytest
@@ -62,6 +63,15 @@ class TestSpecValidation:
     def test_bad_nodes_rejected(self):
         with pytest.raises(ServiceError, match="nodes"):
             JobSpec("run", source=SOURCE, nodes=0)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_args_rejected(self, bad):
+        """JSON spells these; a job that carries one is refused, never
+        a ``ValueError`` out of the key or the engine."""
+        args = json.loads(f"[4, {bad}]")
+        with pytest.raises(ServiceError, match="args must be finite"):
+            JobSpec.from_dict({"kind": "run", "source": SOURCE,
+                               "args": args})
 
     @pytest.mark.parametrize("comm,message", [
         ({"opt": {"probabilistic": "no"}}, "probabilistic must be a"),
@@ -260,6 +270,26 @@ class TestContentAddressing:
                             args=list(spec.small_args))
         assert by_name.canonical_key() == by_source.canonical_key()
 
+    @pytest.mark.parametrize("same,other", [
+        ([], False), (["add", "add"], ["add"]), (["b", "a"], ["a", "b"])])
+    def test_one_inline_product_has_one_address(self, same, other):
+        """Each pair compiles the same product."""
+        assert JobSpec("compile", source=SOURCE, inline=same) \
+            .canonical_key() == JobSpec("compile", source=SOURCE,
+                                        inline=other).canonical_key()
+
+    def test_a_benchmark_job_inlines_nothing_when_told(self):
+        """An explicit ``[]`` is not the catalog's default list."""
+        spec = get_benchmark("tsp")
+        assert spec.inline
+        told = JobSpec("compile", benchmark="tsp", inline=[])
+        assert told.resolved()["inline"] is False
+        assert told.canonical_key() \
+            != JobSpec("compile", benchmark="tsp").canonical_key()
+        assert told.canonical_key() == JobSpec(
+            "compile", source=spec.source(),
+            filename=told.resolved()["filename"]).canonical_key()
+
     def test_source_formatting_does_not_change_the_address(self):
         a = JobSpec("compile", source="int main() { return 1; }\n")
         b = JobSpec("compile",
@@ -409,8 +439,8 @@ PIN_WIRE_DEFAULTS = {
 #: address).  The wire dicts date from the commit before ``JobSpec``
 #: came to carry a ``RunConfig``, with the compile keys ``config`` /
 #: ``opt`` since folded into ``comm``; the addresses were re-recorded
-#: at pipeline ``2026.10-one-blocking-rule``.  A change here is a change of the
-#: wire format or of every cache address, and needs a
+#: at pipeline ``2026.10-effect-triples``.  A change here is a change of
+#: the wire format or of every cache address, and needs a
 #: ``PIPELINE_VERSION`` bump -- the two Olden pins also move when
 #: ``power.ec`` / ``tsp.ec`` or their catalog entries do.
 GOLDEN = {
@@ -419,20 +449,20 @@ GOLDEN = {
              inline=["add"]),
         dict(kind="compile", source=PIN_SOURCE, filename="add.ec",
              inline=["add"]),
-        "c4544914e9fa22dd06c4fb92249e75d5"
-        "889585144adbc346485626967c1503ba"),
+        "af742922c7f694b4e179a6217bac83a4"
+        "f94bcd4d24df2ecb38e315ee121e9193"),
     "run": (
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
         dict(kind="run", source=PIN_SOURCE, nodes=2, args=[5],
              engine="ast", max_stmts=5000, strict_nil_reads=True),
-        "e1afba5db3d9c98d23bc95b0987586c1"
-        "8444f74f688feb387c442c2b83fee36d"),
+        "39205cea3ca73c21c4f139d18dfef6f2"
+        "5d80a6db71a05711906a193fabd3cf58"),
     "olden-small": (
         dict(kind="run", benchmark="power", small=True),
         dict(kind="run", benchmark="power", small=True),
-        "643bf642b1fc2fc27dea268c5071e917"
-        "c00cf9edbbdd1d33c21b1277ffb9e534"),
+        "6b608d7e095dd43b5633f18a743acbbb"
+        "569e6f7b2b831737ee2028882860efb2"),
     "faults-rcache-opt": (
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
@@ -440,14 +470,14 @@ GOLDEN = {
         dict(kind="run", benchmark="tsp", small=True, nodes=2,
              faults=PIN_FAULTS, rcache_capacity=64,
              rcache_line_words=4, comm=PIN_COMM_PROB),
-        "a97de2223f91812c5e3c547612cda045"
-        "458484ce2dc8b21812869f6441b5f99a"),
+        "bbdc34f05ff0c3818316365d6e4c0b96"
+        "6afe670e70d25cb9e82752b759d7654d"),
 }
 
 
 class TestGoldenPins:
     def test_pipeline_version_is_the_pinned_one(self):
-        assert PIPELINE_VERSION == "2026.10-one-blocking-rule"
+        assert PIPELINE_VERSION == "2026.10-effect-triples"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wire_dict_and_cache_address(self, name):
