@@ -61,112 +61,111 @@ def _param_locality_fixpoint(
 
     Proving an argument local may require parameter locality of the
     caller, so the analysis iterates to a (monotone, increasing)
-    fixpoint.  Returns, for each function, its full set of local
-    pointers (parameters and locals).
+    fixpoint over each function's pointer definitions and the
+    program's pointer arguments, each gathered once.  Returns, for each
+    function, its full set of local pointers (parameters and locals).
     """
-    local_params: Set[Tuple[str, str]] = set()
-    locals_map: Dict[str, Set[str]] = {name: set()
-                                       for name in program.functions}
+    functions = program.functions.values()
+    defs = {function.name: _pointer_defs(function)
+            for function in functions}
+    # (function, pointer) pairs known local: declared so, or proven.
+    seeds: Set[Tuple[str, str]] = {
+        (function.name, name) for function in functions
+        for name, var in function.variables.items()
+        if var.type.is_pointer and var.type.is_local}
+    # Per pointer argument: (caller, (callee, param), its verdict, or
+    # the caller's variable whose locality decides it).
+    arguments = []
+    for function in functions:
+        for stmt in function.body.basic_stmts():
+            if not isinstance(stmt, s.CallStmt):
+                continue
+            callee = program.functions.get(stmt.func)
+            if callee is None:
+                continue
+            placed = stmt.placement
+            for arg, param in zip(stmt.args, callee.params):
+                if not param.type.is_pointer:
+                    continue
+                if placed is not None and placed[0] == "owner_of":
+                    needs = isinstance(arg, s.VarUse) \
+                        and arg.name == placed[1]
+                elif placed is None:
+                    if isinstance(arg, s.Const):
+                        needs = arg.value == 0
+                    elif isinstance(arg, s.VarUse):
+                        needs = arg.name
+                    else:
+                        needs = False
+                else:
+                    needs = False  # @node / @HOME: unknown destination
+                arguments.append((function.name,
+                                  (callee.name, param.name), needs))
+    locals_map: Dict[str, Set[str]] = {}
     while True:
         # 1. Local pointer sets under the current parameter assumption.
-        for function in program.functions.values():
-            seeded = {p for (fname, p) in local_params
-                      if fname == function.name}
-            for name, var in function.variables.items():
-                if var.type.is_pointer and var.type.is_local:
-                    seeded.add(name)
-            locals_map[function.name] = _local_by_definition(function,
-                                                             seeded)
+        for function in functions:
+            seeded = {p for (fname, p) in seeds if fname == function.name}
+            locals_map[function.name] = _local_by_definition(
+                function, defs[function.name], seeded)
         # 2. Per-call-site verdicts for every (callee, param).
         verdict: Dict[Tuple[str, str], bool] = {}
-        for function in program.functions.values():
-            for stmt in function.body.basic_stmts():
-                if not isinstance(stmt, s.CallStmt):
-                    continue
-                callee = program.functions.get(stmt.func)
-                if callee is None:
-                    continue
-                owner_var = None
-                placed = stmt.placement
-                if placed is not None and placed[0] == "owner_of":
-                    owner_var = placed[1]
-                for arg, param in zip(stmt.args, callee.params):
-                    if not param.type.is_pointer:
-                        continue
-                    key = (callee.name, param.name)
-                    if owner_var is not None:
-                        ok = isinstance(arg, s.VarUse) \
-                            and arg.name == owner_var
-                    elif placed is None:
-                        if isinstance(arg, s.Const):
-                            ok = arg.value == 0
-                        elif isinstance(arg, s.VarUse):
-                            ok = arg.name in locals_map[function.name]
-                        else:
-                            ok = False
-                    else:
-                        ok = False  # @node / @HOME: unknown destination
-                    verdict[key] = verdict.get(key, True) and ok
+        for caller, key, needs in arguments:
+            verdict[key] = verdict.get(key, True) \
+                and _holds(needs, locals_map[caller])
         proven = {key for key, ok in verdict.items() if ok}
-        if proven <= local_params:
+        if proven <= seeds:
             return locals_map
-        local_params |= proven
+        seeds |= proven
 
 
-def _local_by_definition(function: s.SimpleFunction,
-                         seeded: Set[str]) -> Set[str]:
-    """Pointers of ``function`` all of whose definitions produce local
-    addresses.  ``seeded`` are parameters already known local."""
-    # Gather every definition of every pointer variable.
+def _holds(needs, local: Set[str]) -> bool:
+    """A definition's or an argument's verdict: a bool, or the name of
+    the variable whose locality decides it."""
+    return needs in local if isinstance(needs, str) else needs
+
+
+def _pointer_defs(function: s.SimpleFunction) -> Dict[str, list]:
+    """Every definition of every pointer variable of ``function``:
+    True for a local address (an unplaced ``malloc``, a constant), the
+    variable a copy reads, or False."""
     defs: Dict[str, list] = {name: [] for name, var in
                              function.variables.items()
                              if var.type.is_pointer}
     for stmt in function.body.basic_stmts():
         if isinstance(stmt, s.AllocStmt) and stmt.target in defs:
-            defs[stmt.target].append(("alloc_local"
-                                      if stmt.node is None else
-                                      "alloc_placed", stmt))
+            defs[stmt.target].append(stmt.node is None)
         elif isinstance(stmt, s.AssignStmt) and \
                 isinstance(stmt.lhs, s.VarLV) and stmt.lhs.name in defs:
-            rhs = stmt.rhs
-            if isinstance(rhs, s.OperandRhs) and \
-                    isinstance(rhs.operand, s.VarUse):
-                defs[stmt.lhs.name].append(("copy", rhs.operand.name))
-            elif isinstance(rhs, s.OperandRhs) and \
-                    isinstance(rhs.operand, s.Const):
-                defs[stmt.lhs.name].append(("null", None))
-            else:
-                defs[stmt.lhs.name].append(("other", stmt))
+            operand = stmt.rhs.operand \
+                if isinstance(stmt.rhs, s.OperandRhs) else None
+            defs[stmt.lhs.name].append(
+                operand.name if isinstance(operand, s.VarUse)
+                else isinstance(operand, s.Const))
         elif isinstance(stmt, s.CallStmt) and stmt.target in defs:
-            defs[stmt.target].append(("other", stmt))
-        elif isinstance(stmt, s.BlkmovStmt):
-            pass  # blkmov never defines a pointer variable directly
+            defs[stmt.target].append(False)
+        # A blkmov never defines a pointer variable directly.
+    return defs
 
-    # Parameters without the seed are defined "from outside".
+
+def _local_by_definition(function: s.SimpleFunction,
+                         defs: Dict[str, list],
+                         seeded: Set[str]) -> Set[str]:
+    """Pointers of ``function`` all of whose definitions (``defs``)
+    produce local addresses.  ``seeded`` are parameters already known
+    local; the others are defined "from outside", and a pointer never
+    defined stays non-local."""
     local: Set[str] = set(seeded)
-    candidates = set(defs)
-    for param in function.params:
-        if param.type.is_pointer and param.name not in seeded:
-            candidates.discard(param.name)
-
+    outside = {param.name for param in function.params
+               if param.type.is_pointer and param.name not in seeded}
+    candidates = [name for name, definitions in defs.items()
+                  if definitions and name not in outside]
     changed = True
     while changed:
         changed = False
-        for name in list(candidates):
-            if name in local:
-                continue
-            definitions = defs.get(name, [])
-            if not definitions and name not in seeded:
-                continue  # never defined: only NULL-ish, keep non-local
-            ok = True
-            for kind, payload in definitions:
-                if kind in ("alloc_local", "null"):
-                    continue
-                if kind == "copy" and payload in local:
-                    continue
-                ok = False
-                break
-            if ok and definitions:
+        for name in candidates:
+            if name not in local and all(_holds(needs, local)
+                                         for needs in defs[name]):
                 local.add(name)
                 changed = True
     return local

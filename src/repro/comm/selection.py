@@ -109,12 +109,14 @@ class CommSelection:
         self.selected_writes: Set[SelectedOp] = set()
         self.block_regions: List[BlockRegion] = \
             block_regions if block_regions is not None else []
-        self.label_map: Dict[int, s.Stmt] = func.label_map()
+        #: Label -> statement of the tree a phase runs on, built by it.
+        self.label_map: Dict[int, s.Stmt] = {}
 
     # -- entry points -----------------------------------------------------------
 
     def run_reads(self) -> SelectionStats:
         """Phase R: earliest placement of reads (top-down)."""
+        self.label_map = self.func.label_map()
         self._select_reads_in(self.func.body)
         return self.stats
 

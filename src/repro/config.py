@@ -106,6 +106,11 @@ class RunConfig:
                for arg in self.args):
             raise UsageError(f"args must be finite numbers, got "
                              f"{list(self.args)!r}")
+        # A C int (not echoed: a long enough int has no repr).
+        if any(type(arg) is int and not -2**31 <= arg < 2**31
+               for arg in self.args):
+            raise UsageError("args must be 32-bit ints (-2147483648 .. "
+                             "2147483647); one is out of range")
         object.__setattr__(self, "args", tuple(self.args))
         if self.nodes < 1:
             raise UsageError(f"nodes must be >= 1, got {self.nodes}")

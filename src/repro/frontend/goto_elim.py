@@ -307,29 +307,29 @@ class _FunctionRewriter:
         return result, set()
 
 
-def _contains_interrupt(body: ast.Stmt, kind) -> bool:
-    """Does ``body`` contain a break/continue belonging to this loop
-    (i.e. not nested inside an inner loop)?"""
-    def scan(node: ast.Stmt) -> bool:
-        if isinstance(node, kind):
+def _contains_interrupt(node: ast.Stmt, kind) -> bool:
+    """Does ``node`` contain a break/continue belonging to this loop
+    (i.e. not nested inside an inner loop)?  Not a recursive closure:
+    that is a cell <-> function cycle per call, for the collector."""
+    if isinstance(node, kind):
+        return True
+    if isinstance(node, (ast.While, ast.DoWhile, ast.For)):
+        return False  # inner loop captures its own break/continue
+    if isinstance(node, ast.Switch):
+        # Parser consumed case-terminating breaks; any Break inside
+        # case bodies here belongs to the loop.
+        return any(_contains_interrupt(child, kind) for case in node.cases
+                   for child in case.stmts)
+    if isinstance(node, ast.Block):
+        return any(_contains_interrupt(child, kind) for child in node.stmts)
+    if isinstance(node, ast.If):
+        if _contains_interrupt(node.then_body, kind):
             return True
-        if isinstance(node, (ast.While, ast.DoWhile, ast.For)):
-            return False  # inner loop captures its own break/continue
-        if isinstance(node, ast.Switch):
-            # Parser consumed case-terminating breaks; any Break inside
-            # case bodies here belongs to the loop.
-            return any(scan(child) for case in node.cases
-                       for child in case.stmts)
-        if isinstance(node, ast.Block):
-            return any(scan(child) for child in node.stmts)
-        if isinstance(node, ast.If):
-            if scan(node.then_body):
-                return True
-            return node.else_body is not None and scan(node.else_body)
-        if isinstance(node, ast.Labeled):
-            return scan(node.stmt)
-        return False
-    return scan(body)
+        return node.else_body is not None \
+            and _contains_interrupt(node.else_body, kind)
+    if isinstance(node, ast.Labeled):
+        return _contains_interrupt(node.stmt, kind)
+    return False
 
 
 #: What makes a function body need the rewrite, besides ``goto``.

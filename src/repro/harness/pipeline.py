@@ -19,7 +19,11 @@ or ``FaultPlan`` -- are keyword arguments beside it.
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
+import threading
+from contextlib import contextmanager
 from typing import Dict, Mapping, NamedTuple, Optional, Set, Union
 
 from repro.backend.threaded import render_threaded_program
@@ -52,6 +56,49 @@ from repro.simple.validate import validate_program
 #: different output for the same (source, options) -- stale cached
 #: artifacts then miss instead of serving wrong payloads.
 PIPELINE_VERSION = "2026.10-effect-triples"
+
+#: The collector's gen-0 threshold while a compile runs (CPython's
+#: default, 700, re-scans a compile's working set, almost none of it
+#: cyclic, dozens of times a compile; DESIGN section 3).
+COMPILE_GC_THRESHOLD = 10_000
+
+#: Compiles in flight share one raise: the first saves the caller's
+#: threshold triple, the last restores it.
+_pacing_lock = threading.Lock()
+_paced_compiles = 0
+_caller_threshold: Optional[tuple] = None
+
+
+def _forget_pacing() -> None:
+    """In a forked child: only the forking thread, in no compile, runs
+    on, and the lock may be held by a thread that is gone."""
+    global _pacing_lock, _paced_compiles
+    _pacing_lock = threading.Lock()
+    if _paced_compiles:
+        _paced_compiles = 0
+        gc.set_threshold(*_caller_threshold)
+
+
+os.register_at_fork(after_in_child=_forget_pacing)
+
+
+@contextmanager
+def _paced_collector():
+    global _paced_compiles, _caller_threshold
+    with _pacing_lock:
+        if not _paced_compiles:
+            _caller_threshold = gc.get_threshold()
+            if 0 < _caller_threshold[0] < COMPILE_GC_THRESHOLD:
+                gc.set_threshold(COMPILE_GC_THRESHOLD,
+                                 *_caller_threshold[1:])
+        _paced_compiles += 1
+    try:
+        yield
+    finally:
+        with _pacing_lock:
+            _paced_compiles -= 1
+            if not _paced_compiles:
+                gc.set_threshold(*_caller_threshold)
 
 
 class CompiledProgram:
@@ -95,6 +142,7 @@ class CompiledProgram:
         return f"CompiledProgram({tag}, {len(self.simple.functions)} funcs)"
 
 
+@_paced_collector()
 def compile_earthc(
     source: str,
     filename: str = "<input>",
@@ -108,6 +156,10 @@ def compile_earthc(
     as ``config`` says (None: the defaults).
     ``inline`` enables local function inlining: ``True`` uses the size
     heuristic, a set of names restricts it to those functions.
+
+    The phases run with gen-0 raised to :data:`COMPILE_GC_THRESHOLD`,
+    and the caller's ``gc.get_threshold()`` is restored on return and
+    on raise; a higher threshold or a disabled collector is kept.
     """
     if optimize and config is None:
         config = CommConfig()

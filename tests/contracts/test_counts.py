@@ -14,9 +14,11 @@ operand, ``tests/comm/test_placement_directions.py``: one placement
 traversal per phase); the totals below catch the rest.
 
 Print the counts with ``PYTHONPATH=src python
-tests/contracts/test_counts.py compile`` (or ``simulate``).
+tests/contracts/test_counts.py compile`` (or ``simulate``, or
+``collect``).
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -29,12 +31,14 @@ import pytest
 COUNTED_ON = (3, 11)
 
 #: Python call events into the ``repro`` package over the ten Olden
-#: cold compiles (497,611 with a ``HeapEffect`` per record and a
-#: re-solve after forwarding; 612,327 with token objects, a location
+#: cold compiles (489,682 with a locality fixpoint that re-walked every
+#: function per round and a label map built three times per function;
+#: 497,611 with a ``HeapEffect`` per record and a re-solve after
+#: forwarding; 612,327 with token objects, a location
 #: per token, a bound-method table per keyword statement, a ``getattr``
 #: probe of eleven names per inlined expression, a printer per threaded
 #: statement and two goto-elimination walks).
-COMPILE_CALLS = 489_682
+COMPILE_CALLS = 479_683
 #: Line events in ``analysis/rw_sets.py`` over the same compiles
 #: (246,148 with a ``HeapEffect`` per record and a re-solve after
 #: forwarding; 327,838 with per-statement variable reads and shared
@@ -53,6 +57,11 @@ MACHINE_CALLS = 562_093
 #: a second, warm round of the same compiled programs (456 counted;
 #: 75,485 when every run emitted its functions again).
 WARM_EMITTER_CALLS = 600
+#: Bound on the cyclic collector's passes (all generations) over the
+#: ten Olden cold compiles, after a warm-up compile and ``gc.collect()``
+#: (10 gen-0 counted; 79 gen-0 + 7 gen-1 = 86 at the default gen-0
+#: threshold of 700, before a compile paced the collector).
+COLLECTOR_PASSES = 12
 #: Slack on a counted pin.
 SLACK = 1.02
 #: At most this share of the tokens the ten programs hold gets a
@@ -176,7 +185,32 @@ def count_simulate():
             "warm_equals_cold": warm == cold}
 
 
-COUNTERS = {"compile": count_compile, "simulate": count_simulate}
+def count_collections():
+    """The collector's passes per generation over the ten Olden cold
+    compiles."""
+    from repro.harness.pipeline import compile_earthc
+    from repro.olden.loader import catalog
+
+    specs = catalog()
+    compile_earthc(specs[0].source(), specs[0].filename, optimize=True,
+                   inline=specs[0].inline)
+    gc.collect()
+    passes = Counter()
+
+    def started(phase, info):
+        if phase == "start":
+            passes[info["generation"]] += 1
+
+    gc.callbacks.append(started)
+    for spec in specs:
+        compile_earthc(spec.source(), spec.filename, optimize=True,
+                       inline=spec.inline)
+    gc.callbacks.remove(started)
+    return {"passes": dict(passes)}
+
+
+COUNTERS = {"compile": count_compile, "simulate": count_simulate,
+            "collect": count_collections}
 
 
 def _counted(name):
@@ -222,6 +256,12 @@ def test_alias_fact_line_events(compile_counts):
     lines = compile_counts["lines"]
     assert lines["rw_sets.py"] <= RW_SETS_LINES * SLACK, lines
     assert sum(lines.values()) <= ALIAS_FACT_LINES * SLACK, lines
+
+
+@pytest.mark.ci_only
+def test_a_compile_paces_the_collector():
+    passes = _counted("collect")["passes"]
+    assert sum(passes.values()) <= COLLECTOR_PASSES, passes
 
 
 @pytest.mark.ci_only

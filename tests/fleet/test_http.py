@@ -229,6 +229,16 @@ class TestErrorMapping:
         assert body["error"]["type"] == "ServiceError"
         assert body["error"]["message"].startswith("args must be finite")
 
+    @pytest.mark.parametrize("bad", [2**31, 10**400], ids=["2**31", "1e400"])
+    def test_out_of_range_int_args_are_400(self, gateway, bad):
+        status, body = gateway.request(
+            "POST", "/v1/jobs",
+            body={"kind": "run", "source": SOURCE, "args": [bad]})
+        assert status == 400
+        assert body["error"]["type"] == "ServiceError"
+        assert body["error"]["message"].startswith(
+            "args must be 32-bit ints")
+
     def test_strict_nil_reads_of_a_speculating_program_is_400(self,
                                                               gateway):
         status, body = gateway.request(

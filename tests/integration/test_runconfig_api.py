@@ -100,6 +100,22 @@ class TestValueObject:
         with pytest.raises(UsageError, match="args must be finite"):
             execute(compiled, config=RunConfig.from_json({"args": [bad]}))
 
+    @pytest.mark.parametrize("bad", [2**31, -2**31 - 1, 10**400,
+                                     10**5000],
+                             ids=["2**31", "-2**31-1", "1e400", "1e5000"])
+    def test_out_of_range_int_args_are_a_usage_error(self, bad, compiled):
+        """An int argument is a C int; 10**5000 has no repr, so the
+        refusal does not echo it."""
+        with pytest.raises(UsageError, match="args must be 32-bit ints"):
+            RunConfig(args=[4, bad])
+        with pytest.raises(UsageError, match="args must be 32-bit ints"):
+            execute(compiled, config=RunConfig.from_json({"args": [bad]}))
+
+    def test_c_int_range_ends_and_large_floats_are_kept(self):
+        """Floats stay as they are: their conversion is the engine's."""
+        assert RunConfig(args=[2**31 - 1, -2**31, 1e12]).args \
+            == (2**31 - 1, -2**31, 1e12)
+
     def test_replace_revalidates(self):
         config = RunConfig(nodes=4)
         assert config.replace(nodes=2).nodes == 2

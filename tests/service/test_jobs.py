@@ -73,6 +73,16 @@ class TestSpecValidation:
             JobSpec.from_dict({"kind": "run", "source": SOURCE,
                                "args": args})
 
+    @pytest.mark.parametrize("bad", [2**31, -2**31 - 1, 10**400],
+                             ids=["2**31", "-2**31-1", "1e400"])
+    def test_out_of_range_int_args_rejected(self, bad):
+        """Not a 401-digit result: an int argument is a C int."""
+        with pytest.raises(ServiceError, match="args must be 32-bit ints"):
+            execute_job(JobSpec("run", source=SOURCE, args=[bad]))
+        with pytest.raises(ServiceError, match="args must be 32-bit ints"):
+            JobSpec.from_dict({"kind": "run", "source": SOURCE,
+                               "args": [4, bad]})
+
     @pytest.mark.parametrize("comm,message", [
         ({"opt": {"probabilistic": "no"}}, "probabilistic must be a"),
         ({"opt": {"probabilistic": 1}}, "probabilistic must be a"),
