@@ -81,7 +81,11 @@ a tuple in a set (the record class is gone, and
 :mod:`repro.analysis.rw_sets` is the one reader of a record), and the
 optimizer solves the alias facts once before forwarding, whose rewrites
 they cover, and again before the write phase only if the read phase
-rewrote something.
+rewrote something.  2.9 made what the optimizer did one log,
+:attr:`OptimizationReport.log`, one record per rewrite (function, rule,
+base, the labels it consumed and emitted); its counters are counts over
+the log, and the hand-kept per-function selection and forwarding
+stats objects are gone.
 """
 
 from repro.comm.optconfig import OptConfig
@@ -108,7 +112,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "2.8.0"
+__version__ = "2.9.0"
 
 __all__ = [
     "ArtifactCache",

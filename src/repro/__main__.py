@@ -174,9 +174,9 @@ def _selected_functions(compiled, only):
     return [functions[only]]
 
 
-def _show_tuples(compiled, only):
+def _show_tuples(compiled, functions):
     conn = analyze_connection(compiled.simple)
-    for function in _selected_functions(compiled, only):
+    for function in functions:
         placement = analyze_placement(function, conn)
         print(f"== RemoteReads / RemoteWrites per statement: "
               f"{function.name}")
@@ -235,21 +235,22 @@ def _compile_main(argv) -> int:
         compiled = compile_earthc(
             source, args.file, optimize=args.optimize,
             config=CommConfig(opt=args.opt_preset), inline=args.inline)
+        functions = _selected_functions(compiled, args.function)
 
         if "simple" in shows:
-            for function in _selected_functions(compiled, args.function):
+            for function in functions:
                 print(print_function(function))
                 print()
         if "threaded" in shows:
             print(compiled.threaded_listing())
             print()
         if "tuples" in shows:
-            _show_tuples(compiled, args.function)
+            _show_tuples(compiled, functions)
         if "stats" in shows and compiled.report is not None:
-            print("== optimization report")
-            for name, stats in compiled.report.selections.items():
-                forwarding = compiled.report.forwarding.get(name)
-                print(f"  {name:<24} {stats} forwarding={forwarding}")
+            print("== optimization report: one line per rewrite")
+            for record in compiled.report.log:
+                if args.function in (None, record.function):
+                    print(f"  {record}")
             print()
         if "profile" in shows:
             print(compiled.profile_text())

@@ -31,28 +31,15 @@ schedule.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.rw_sets import FieldKey, access_key, keys_overlap
+from repro.comm.tuples import Rewrite
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs
 
 AvailKey = Tuple[str, FieldKey]
-
-
-class ForwardingStats:
-    def __init__(self):
-        self.reads_forwarded = 0
-        self.stores_forwarded = 0
-
-    @property
-    def total(self) -> int:
-        return self.reads_forwarded + self.stores_forwarded
-
-    def __repr__(self) -> str:
-        return (f"ForwardingStats(read-read={self.reads_forwarded}, "
-                f"write-read={self.stores_forwarded})")
 
 
 class _Avail:
@@ -82,16 +69,17 @@ class _Avail:
 
 
 class ForwardingPass:
-    """Applies value forwarding to one function, in place."""
+    """Applies value forwarding to one function, in place, logging
+    each read it replaces."""
 
-    def __init__(self, func: s.SimpleFunction, conn: ConnectionInfo):
+    def __init__(self, func: s.SimpleFunction, conn: ConnectionInfo,
+                 log: List[Rewrite]):
         self.func = func
         self.conn = conn
-        self.stats = ForwardingStats()
+        self.log = log
 
-    def run(self) -> ForwardingStats:
+    def run(self) -> None:
         self._process_seq(self.func.body, _Avail())
-        return self.stats
 
     # -- sequence walking ---------------------------------------------------------
 
@@ -180,10 +168,10 @@ class ForwardingPass:
             if entry is not None:
                 operand, from_store = entry
                 stmt.rhs = s.OperandRhs(operand)
-                if from_store:
-                    self.stats.stores_forwarded += 1
-                else:
-                    self.stats.reads_forwarded += 1
+                self.log.append(Rewrite(
+                    self.func.name,
+                    "forward-store" if from_store else "forward-load",
+                    rhs.base, (stmt.label,)))
                 rhs = stmt.rhs
 
         # 2. Invalidate by this statement's writes.
@@ -227,7 +215,7 @@ class ForwardingPass:
                 del avail.entries[existing]
 
 
-def forward_remote_values(func: s.SimpleFunction,
-                          conn: ConnectionInfo) -> ForwardingStats:
+def forward_remote_values(func: s.SimpleFunction, conn: ConnectionInfo,
+                          log: List[Rewrite]) -> None:
     """Run the forwarding pass on one function (in place)."""
-    return ForwardingPass(func, conn).run()
+    ForwardingPass(func, conn, log).run()

@@ -24,15 +24,17 @@ remote access then executes synchronously.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.connection import ConnectionInfo, analyze_connection
 from repro.analysis.locality import LocalityResult, analyze_locality
-from repro.comm.forwarding import ForwardingStats, forward_remote_values
+from repro.comm.forwarding import forward_remote_values
 from repro.comm.optconfig import OptConfig, resolve_opt
 from repro.comm.placement import READ, WRITE, PlacementAnalysis
-from repro.comm.selection import CommSelection, SelectionStats
+from repro.comm.selection import CommSelection
+from repro.comm.tuples import Rewrite
 from repro.errors import UsageError
 from repro.obs.profile import PassProfile, timed_pass
 from repro.simple import nodes as s
@@ -93,8 +95,9 @@ class OptimizationReport:
 
     def __init__(self):
         self.locality: Optional[LocalityResult] = None
-        self.forwarding: Dict[str, ForwardingStats] = {}
-        self.selections: Dict[str, SelectionStats] = {}
+        #: One record per rewrite of forwarding and selection, in the
+        #: order they were made.
+        self.log: List[Rewrite] = []
         #: One :class:`~repro.obs.profile.PassProfile` per optimizer
         #: pass, in execution order (timing + work counters).
         self.passes: List[PassProfile] = []
@@ -102,8 +105,27 @@ class OptimizationReport:
         #: program.
         self.validation: Optional[ValidationStats] = None
 
+    def counters(self, function: Optional[str] = None) -> Dict[str, int]:
+        """The rewrite counters, counted over the log (over one
+        function's records when ``function`` is given)."""
+        log = [r for r in self.log if function in (None, r.function)]
+        rules = Counter(r.rule for r in log)
+        return {
+            "reads_forwarded": rules["forward-load"],
+            "stores_forwarded": rules["forward-store"],
+            "pipelined_reads": rules["pipeline-read"],
+            "blocked_read_groups": rules["block-read"],
+            "redundant_reads_merged": sum(
+                len(r.consumed) - 1 for r in log
+                if r.rule == "pipeline-read"),
+            "pipelined_writes": rules["pipeline-write"],
+            "blocked_write_groups": rules["block-write"],
+            "blkmov_merges": rules["block-read"] + rules["block-write"],
+        }
+
     def total_forwarded(self) -> int:
-        return sum(stat.total for stat in self.forwarding.values())
+        counters = self.counters()
+        return counters["reads_forwarded"] + counters["stores_forwarded"]
 
     def pass_counters(self) -> Dict[str, int]:
         """All pass counters flattened into one dict, summed over the
@@ -136,7 +158,7 @@ class OptimizationReport:
 
     def __repr__(self) -> str:
         return (f"OptimizationReport(forwarded={self.total_forwarded()}, "
-                f"functions={sorted(self.selections)})")
+                f"rewrites={len(self.log)})")
 
 
 class CommunicationOptimizer:
@@ -163,10 +185,10 @@ class CommunicationOptimizer:
           The reads phase uses the same facts; where a forwarded
           statement's old effects remain, a kill rule can only judge
           more conservatively;
-        * again before the writes phase, iff the reads phase rewrote
-          something: it inserts comm reads and blkmovs, which must kill
-          write sinking past them (otherwise a hoisted read and a sunk
-          write of the same location could cross)."""
+        * again before the writes phase, iff a reads-phase record
+          emitted a statement: the comm reads and blkmovs it inserts
+          must kill write sinking past them (otherwise a hoisted read
+          and a sunk write of the same location could cross)."""
         report = OptimizationReport()
         config = self.config
         conn: Optional[ConnectionInfo] = None
@@ -182,14 +204,9 @@ class CommunicationOptimizer:
             with timed_pass(report.passes, "forwarding") as profile:
                 conn = analyze_connection(self.program)
                 for function in self.program.functions.values():
-                    report.forwarding[function.name] = \
-                        forward_remote_values(function, conn)
-            profile.counters["reads_forwarded"] = sum(
-                stat.reads_forwarded
-                for stat in report.forwarding.values())
-            profile.counters["stores_forwarded"] = sum(
-                stat.stores_forwarded
-                for stat in report.forwarding.values())
+                    forward_remote_values(function, conn, report.log)
+            _log_counters(profile, report, "reads_forwarded",
+                          "stores_forwarded")
 
         if config.enable_placement:
             # Phase R: earliest placement of reads, all functions; it
@@ -199,56 +216,41 @@ class CommunicationOptimizer:
                 if conn is None:
                     conn = analyze_connection(self.program)
                 read_placements = []
-                read_selections = {}
+                block_regions = {}
                 for function in self.program.functions.values():
                     placement = PlacementAnalysis(function, conn).run(READ)
                     read_placements.append(placement)
                     selection = CommSelection(
-                        function, placement, conn,
+                        function, placement, conn, report.log,
                         speculative_reads=config.speculative_reads,
                         enable_blocking=config.enable_blocking,
                         opt=self.opt)
                     selection.run_reads()
-                    read_selections[function.name] = selection
+                    block_regions[function.name] = selection.block_regions
             self._placement_counters(profile, read_placements)
-            stats = [sel.stats for sel in read_selections.values()]
-            profile.counters["pipelined_reads"] = sum(
-                s.pipelined_reads for s in stats)
-            profile.counters["blocked_read_groups"] = sum(
-                s.blocked_read_groups for s in stats)
-            profile.counters["redundant_reads_merged"] = sum(
-                s.redundant_reads_merged for s in stats)
-            reads_rewrote = any(s.pipelined_reads + s.blocked_read_groups
-                                + s.redundant_reads_merged for s in stats)
+            _log_counters(profile, report, "pipelined_reads",
+                          "blocked_read_groups", "redundant_reads_merged")
             # Phase W: latest placement of writes (RemoteWrites only),
             # against the facts of the read-transformed program.
             with timed_pass(report.passes, "place/select writes") \
                     as profile:
-                if reads_rewrote:
+                # Only read selection has emitted statements so far.
+                if any(record.emitted for record in report.log):
                     conn = analyze_connection(self.program)
                 write_placements = []
                 for function in self.program.functions.values():
                     placement = PlacementAnalysis(function, conn).run(WRITE)
                     write_placements.append(placement)
-                    prior = read_selections[function.name]
                     selection = CommSelection(
-                        function, placement, conn,
+                        function, placement, conn, report.log,
                         speculative_reads=config.speculative_reads,
                         enable_blocking=config.enable_blocking,
-                        stats=prior.stats,
-                        block_regions=prior.block_regions,
+                        block_regions=block_regions[function.name],
                         opt=self.opt)
                     selection.run_writes()
-                    report.selections[function.name] = selection.stats
             self._placement_counters(profile, write_placements)
-            stats = list(report.selections.values())
-            profile.counters["pipelined_writes"] = sum(
-                s.pipelined_writes for s in stats)
-            profile.counters["blocked_write_groups"] = sum(
-                s.blocked_write_groups for s in stats)
-            profile.counters["blkmov_merges"] = sum(
-                s.blocked_read_groups + s.blocked_write_groups
-                for s in stats)
+            _log_counters(profile, report, "pipelined_writes",
+                          "blocked_write_groups", "blkmov_merges")
 
         with timed_pass(report.passes, "split-phase") as profile:
             marked = 0
@@ -266,6 +268,13 @@ class CommunicationOptimizer:
             p.tuples_generated for p in placements)
         profile.counters["tuples_killed"] = sum(
             p.tuples_killed for p in placements)
+
+
+def _log_counters(profile: PassProfile, report: OptimizationReport,
+                  *names: str) -> None:
+    counters = report.counters()
+    for name in names:
+        profile.counters[name] = counters[name]
 
 
 def _mark_residual_split_phase(function: s.SimpleFunction) -> int:

@@ -33,40 +33,18 @@ blocked writes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.analysis.connection import ConnectionInfo
 from repro.analysis.nilness import NilnessResult, analyze_nilness
 from repro.analysis.points_to import STAR
 from repro.comm.optconfig import STRONG_FREQ, OptConfig
 from repro.comm.placement import PlacementResult
-from repro.comm.tuples import CommSet, CommTuple, SelectedOp
+from repro.comm.tuples import CommSet, CommTuple, Rewrite, SelectedOp
 from repro.errors import TransformError
 from repro.frontend.types import StructType, Type
 from repro.simple import nodes as s
 from repro.simple.traversal import basic_defs, insert_after, insert_before
-
-class SelectionStats:
-    """What selection did to one function."""
-
-    def __init__(self):
-        self.pipelined_reads = 0
-        self.blocked_read_groups = 0
-        self.blocked_read_accesses = 0
-        self.pipelined_writes = 0
-        self.blocked_write_groups = 0
-        self.blocked_write_accesses = 0
-        self.reads_left_in_place = 0
-        self.writes_left_in_place = 0
-        self.redundant_reads_merged = 0
-
-    def __repr__(self) -> str:
-        return (f"SelectionStats(pr={self.pipelined_reads}, "
-                f"br={self.blocked_read_groups}/"
-                f"{self.blocked_read_accesses}, "
-                f"pw={self.pipelined_writes}, "
-                f"bw={self.blocked_write_groups}/"
-                f"{self.blocked_write_accesses})")
 
 
 class BlockRegion:
@@ -87,24 +65,24 @@ class BlockRegion:
 
 
 class CommSelection:
-    """Runs communication selection on one function (in place)."""
+    """Runs communication selection on one function (in place),
+    appending one record to ``log`` per rewrite."""
 
     def __init__(self, func: s.SimpleFunction, placement: PlacementResult,
-                 conn: ConnectionInfo,
+                 conn: ConnectionInfo, log: List[Rewrite],
                  speculative_reads: bool = True,
                  enable_blocking: bool = True,
-                 stats: Optional[SelectionStats] = None,
                  block_regions: Optional[List[BlockRegion]] = None,
                  opt: Optional[OptConfig] = None):
         self.func = func
         self.placement = placement
         self.conn = conn
+        self.log = log
         #: Built by the first non-speculative dereference check.
         self.nilness: Optional[NilnessResult] = None
         self.speculative_reads = speculative_reads
         self.enable_blocking = enable_blocking
         self.opt = opt if opt is not None else OptConfig()
-        self.stats = stats if stats is not None else SelectionStats()
         self.selected_reads: Set[SelectedOp] = set()
         self.selected_writes: Set[SelectedOp] = set()
         self.block_regions: List[BlockRegion] = \
@@ -114,18 +92,22 @@ class CommSelection:
 
     # -- entry points -----------------------------------------------------------
 
-    def run_reads(self) -> SelectionStats:
+    def run_reads(self) -> None:
         """Phase R: earliest placement of reads (top-down)."""
         self.label_map = self.func.label_map()
         self._select_reads_in(self.func.body)
-        return self.stats
 
-    def run_writes(self) -> SelectionStats:
+    def run_writes(self) -> None:
         """Phase W: latest placement of writes (bottom-up).  Run against
         annotations computed on the current tree."""
         self.label_map = self.func.label_map()
         self._select_writes_in(self.func.body)
-        return self.stats
+
+    def _record(self, rule: str, base: str, consumed: Iterable[int],
+                emitted: Optional[s.Stmt] = None) -> None:
+        self.log.append(Rewrite(
+            self.func.name, rule, base, tuple(sorted(consumed)),
+            () if emitted is None else (emitted.label,)))
 
     # ======================================================================
     # Reads: top-down, earliest placement
@@ -242,13 +224,13 @@ class CommSelection:
             new_stmts.append(blkmov)
             region = BlockRegion(seq, blkmov, bcomm, base, struct)
             self.block_regions.append(region)
-            self.stats.blocked_read_groups += 1
             for tup in field_tuples:
                 for d in tup.dlist:
                     self.selected_reads.add((base, tup.key[1], d))
                     self._rewrite_read(d, bcomm=bcomm)
                     region.redirected_labels.add(d)
-                    self.stats.blocked_read_accesses += 1
+            self._record("block-read", base, region.redirected_labels,
+                         blkmov)
         else:
             for tup in field_tuples:
                 if self._is_strong(tup):
@@ -270,7 +252,7 @@ class CommSelection:
             if self.func.can_split_read(origin):
                 origin.split_phase = True
                 self.selected_reads.add((base, tup.key[1], stmt.label))
-                self.stats.reads_left_in_place += 1
+                self._record("in-place-read", base, origins)
                 return []
         if tup.path is not None:
             struct = self._pointee_struct(base)
@@ -290,12 +272,10 @@ class CommSelection:
             read_stmt = s.AssignStmt(
                 s.VarLV(comm), s.DerefReadRhs(base, True),
                 split_phase=True)
-        self.stats.pipelined_reads += 1
-        if len(origins) > 1:
-            self.stats.redundant_reads_merged += len(origins) - 1
         for d in origins:
             self.selected_reads.add((base, tup.key[1], d))
             self._rewrite_read(d, comm=comm)
+        self._record("pipeline-read", base, origins, read_stmt)
         return [read_stmt]
 
     def _rewrite_read(self, label: int, comm: Optional[str] = None,
@@ -365,11 +345,13 @@ class CommSelection:
                     self.selected_writes.add((base, tup.key[1], d))
                     self._rewrite_write_to_bcomm(d, region.bcomm)
                     region.redirected_labels.add(d)
-                    self.stats.blocked_write_accesses += 1
-            new_stmts.append(s.BlkmovStmt(
+            blkmov = s.BlkmovStmt(
                 ("local", region.bcomm, 0), ("ptr", base, 0),
-                region.struct.size_words(), split_phase=True))
-            self.stats.blocked_write_groups += 1
+                region.struct.size_words(), split_phase=True)
+            new_stmts.append(blkmov)
+            self._record("block-write", base,
+                         [d for tup in field_tuples for d in tup.dlist],
+                         blkmov)
         else:
             for tup in field_tuples:
                 if self._is_strong(tup):
@@ -386,7 +368,7 @@ class CommSelection:
             assert isinstance(origin, s.AssignStmt)
             origin.split_phase = True
             self.selected_writes.add((base, tup.key[1], stmt.label))
-            self.stats.writes_left_in_place += 1
+            self._record("in-place-write", base, origins)
             return []
         if tup.path is not None:
             struct = self._pointee_struct(base)
@@ -400,9 +382,10 @@ class CommSelection:
         for d in origins:
             self.selected_writes.add((base, tup.key[1], d))
             self._rewrite_write_to_var(d, comm)
-        self.stats.pipelined_writes += 1
-        return [s.AssignStmt(lhs, s.OperandRhs(s.VarUse(comm)),
-                             split_phase=True)]
+        write_stmt = s.AssignStmt(lhs, s.OperandRhs(s.VarUse(comm)),
+                                  split_phase=True)
+        self._record("pipeline-write", base, origins, write_stmt)
+        return [write_stmt]
 
     def _rewrite_write_to_var(self, label: int, comm: str) -> None:
         origin = self.label_map.get(label)

@@ -10,12 +10,13 @@ and unions the label sets.
 
 A :class:`CommSet` maps tuple keys to tuples and implements the merge
 discipline.  :class:`SelectedOp` is the ``(p, f, d)`` triple stored in
-communication selection's hash table.
+communication selection's hash table; :class:`Rewrite` logs a rewrite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, NamedTuple,
+                    Optional, Tuple)
 
 from repro.frontend.types import FieldPath
 
@@ -131,3 +132,21 @@ class CommSet:
 #: Hash-table entry of communication selection: one selected remote
 #: memory operation ``(p, f, d)``.
 SelectedOp = Tuple[str, Optional[Tuple[str, ...]], int]
+
+
+class Rewrite(NamedTuple):
+    """One rewrite: ``rule`` applied through ``base`` in ``function``
+    to the origin statements labelled ``consumed``, inserting those
+    labelled ``emitted`` (none for forwarding and the in-place rules)."""
+
+    function: str
+    rule: str
+    base: str
+    consumed: Tuple[int, ...]
+    emitted: Tuple[int, ...] = ()
+
+    def __str__(self) -> str:
+        consumed, emitted = (",".join(f"S{n}" for n in labels) or "-"
+                             for labels in (self.consumed, self.emitted))
+        return (f"{self.function:<24} {self.rule:<14} {self.base:<10} "
+                f"{consumed} -> {emitted}")

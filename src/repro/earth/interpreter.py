@@ -218,6 +218,15 @@ class Interpreter:
         result_slot = Slot(f"result:{entry}")
         if not root_fiber:
             return result_slot
+        # An int argument was range-checked by RunConfig; a float
+        # converts here, and C leaves an out-of-range conversion undefined.
+        for param, arg in zip(self.program.functions[entry].params, args):
+            if type(arg) is float and isinstance(param.type, ScalarType) \
+                    and param.type.kind in ("int", "char") \
+                    and not -2**31 <= int(arg) < 2**31:
+                raise InterpreterError(
+                    f"{entry}: argument {param.name} = {arg!r} is outside "
+                    f"the C int range (-2147483648 .. 2147483647)")
         fiber = Fiber(function.invoke(list(args), 0, result_slot), 0,
                       name=entry)
 

@@ -1,5 +1,7 @@
 """Redundant remote access elimination (forwarding) tests."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.connection import analyze_connection
@@ -13,8 +15,9 @@ NODE = "struct node { int v; int w; struct node *next; };"
 def forwarded(source, func_name):
     simple = to_simple(source)
     conn = analyze_connection(simple)
-    stats = forward_remote_values(simple.function(func_name), conn)
-    return simple, stats
+    log = []
+    forward_remote_values(simple.function(func_name), conn, log)
+    return simple, Counter(record.rule for record in log)
 
 
 def remote_read_count(simple, func_name):
@@ -24,7 +27,7 @@ def remote_read_count(simple, func_name):
 
 class TestReadRead:
     def test_second_read_forwarded(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p) {
                 int a; int b;
                 a = p->v;
@@ -32,19 +35,19 @@ class TestReadRead:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 1
+        assert rules["forward-load"] == 1
         assert remote_read_count(simple, "f") == 1
 
     def test_different_fields_not_merged(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p) {
                 return p->v + p->w;
             }
         """, "f")
-        assert stats.total == 0
+        assert rules.total() == 0
 
     def test_base_redefinition_kills(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p) {
                 int a; int b;
                 a = p->v;
@@ -53,10 +56,10 @@ class TestReadRead:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 0
+        assert rules["forward-load"] == 0
 
     def test_holder_redefinition_kills(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p) {
                 int a; int b;
                 a = p->v;
@@ -65,10 +68,10 @@ class TestReadRead:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 0
+        assert rules["forward-load"] == 0
 
     def test_aliased_write_kills(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f() {
                 struct node *p; struct node *q;
                 int a; int b;
@@ -80,10 +83,10 @@ class TestReadRead:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 0
+        assert rules["forward-load"] == 0
 
     def test_call_with_heap_write_kills(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int poke(struct node *t) { t->v = 1; return 0; }
             int f(struct node *p) {
                 int a; int b;
@@ -93,10 +96,10 @@ class TestReadRead:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 0
+        assert rules["forward-load"] == 0
 
     def test_facts_flow_into_conditionals(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p, int c) {
                 int a; int b; b = 0;
                 a = p->v;
@@ -104,10 +107,10 @@ class TestReadRead:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 1
+        assert rules["forward-load"] == 1
 
     def test_facts_do_not_flow_out_of_conditionals(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p, int c) {
                 int a; int b; a = 0;
                 if (c) { a = p->v; }
@@ -115,12 +118,12 @@ class TestReadRead:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 0
+        assert rules["forward-load"] == 0
 
     def test_loop_invariant_not_forwarded_across_iterations_unsoundly(self):
         # A write inside the loop kills the fact for later iterations;
         # the forwarding map entering the body must not contain it.
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p, int n) {
                 int a; int t; int i;
                 a = p->v;
@@ -132,14 +135,14 @@ class TestReadRead:
                 return a + t;
             }
         """, "f")
-        assert stats.total == 0
+        assert rules.total() == 0
 
 
 class TestStoreToLoad:
     def test_write_then_read_forwarded(self):
         # The paper's health pattern (Fig 11c): p->time_left written then
         # re-read.
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p) {
                 int t;
                 t = p->v;
@@ -149,26 +152,26 @@ class TestStoreToLoad:
                 return 0;
             }
         """, "f")
-        assert stats.stores_forwarded == 1
+        assert rules["forward-store"] == 1
 
     def test_constant_store_forwarded(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p) {
                 p->v = 5;
                 return p->v;
             }
         """, "f")
-        assert stats.stores_forwarded == 1
+        assert rules["forward-store"] == 1
 
     def test_store_value_redefined_kills(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p, int x) {
                 p->v = x;
                 x = 0;
                 return p->v;
             }
         """, "f")
-        assert stats.stores_forwarded == 0
+        assert rules["forward-store"] == 0
 
     def test_semantics_preserved_end_to_end(self):
         run_both(NODE + """
@@ -188,7 +191,7 @@ class TestStoreToLoad:
 
 class TestWholeStructOps:
     def test_blkmov_write_kills_overlapping(self):
-        simple, stats = forwarded(NODE + """
+        simple, rules = forwarded(NODE + """
             int f(struct node *p, struct node *q) {
                 struct node buf;
                 int a; int b;
@@ -198,10 +201,10 @@ class TestWholeStructOps:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 0
+        assert rules["forward-load"] == 0
 
     def test_deref_scalar_forwarding(self):
-        simple, stats = forwarded("""
+        simple, rules = forwarded("""
             int f(int *p) {
                 int a; int b;
                 a = *p;
@@ -209,4 +212,4 @@ class TestWholeStructOps:
                 return a + b;
             }
         """, "f")
-        assert stats.reads_forwarded == 1
+        assert rules["forward-load"] == 1

@@ -330,9 +330,13 @@ class TestExpectedAccesses:
         is assigned only on a branch; legacy needs three fields."""
         compiled = compile_earthc(BRANCHY, optimize=True,
                                   config=CommConfig(opt=preset))
-        stats = compiled.report.selections["pick"]
-        assert (stats.blocked_read_groups, stats.blocked_read_accesses,
-                stats.pipelined_reads) == (blocked, 2 * blocked, 0)
+        blocks = [record for record in compiled.report.log
+                  if record.function == "pick"
+                  and record.rule == "block-read"]
+        counters = compiled.report.counters("pick")
+        assert (counters["blocked_read_groups"],
+                sum(len(record.consumed) for record in blocks),
+                counters["pipelined_reads"]) == (blocked, 2 * blocked, 0)
         assert ("blkmov(p, &bcomm1, 2);" in compiled.listing()) \
             == bool(blocked)
         assert execute(compiled, config=RunConfig(nodes=2)).value == 2

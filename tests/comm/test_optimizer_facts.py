@@ -172,12 +172,12 @@ def covered(monkeypatch):
                         for stmt in func.body.walk()}
         return conn
 
-    def forward(function, conn):
-        stats = real_forward(function, conn)
-        rewrote.append(stats.total)
+    def forward(function, conn, log):
+        before = len(log)
+        real_forward(function, conn, log)
+        rewrote.append(len(log) - before)
         if function is list(conn.program.functions.values())[-1]:
             _assert_covers(conn, labels[conn], real_solve(conn.program))
-        return stats
     monkeypatch.setattr(optimizer_module, "analyze_connection", solve)
     monkeypatch.setattr(optimizer_module, "forward_remote_values", forward)
     return rewrote

@@ -202,9 +202,9 @@ class TestWholeStructRule:
         compiled = compile_earthc(self.SOURCE, optimize=True)
         func = compiled.simple.function("reader")
         assert not blkmovs(func)
-        stats = compiled.report.selections["reader"]
-        assert stats.blocked_read_groups == 0
-        assert stats.pipelined_reads == 3
+        counters = compiled.report.counters("reader")
+        assert counters["blocked_read_groups"] == 0
+        assert counters["pipelined_reads"] == 3
         assert all(st.split_phase for st in remote_reads(func))
 
     def test_both_engines_compute_the_value(self):
@@ -322,13 +322,14 @@ class TestSelectionDiscipline:
                 return sqrt(p->x * p->x + p->y * p->y);
             }
         """)
-        stats = report.selections["distance"]
         # Forwarding removed the two duplicate reads; the x read sits at
         # the function entry already (left in place, made split-phase)
         # and the y read is hoisted next to it.
-        forwarding = report.forwarding["distance"]
-        assert forwarding.reads_forwarded == 2
-        assert stats.pipelined_reads + stats.reads_left_in_place == 2
+        rules = [record.rule for record in report.log
+                 if record.function == "distance"]
+        assert rules.count("forward-load") == 2
+        assert rules.count("pipeline-read") \
+            + rules.count("in-place-read") == 2
 
     def test_validates_after_transformation(self):
         # validate_program is run by the optimizer; reaching here means

@@ -56,6 +56,9 @@ _TRIPLES = ("an effect record is the paper's (base, loc, key) triple, a "
 _TWO_SOLVES = ("the optimizer solves the alias facts before forwarding, "
                "whose rewrites they cover, and again before the write "
                "phase iff the read phase rewrote something")
+_ONE_LOG = ("what the optimizer did is one log, OptimizationReport.log, "
+            "a record per rewrite; every counter it exposes is a count "
+            "over the log")
 
 RETIRED = (
     Retired(r"loop_weight", "2.3", _KNOBS),
@@ -95,6 +98,10 @@ RETIRED = (
     Retired(r"HeapEffect", "2.8", _TRIPLES),
     Retired(r"\b_rewrote|\b_facts\(|self\._conn", "2.8", _TWO_SOLVES,
             "comm/optimizer.py"),
+    Retired(r"SelectionStats", "2.9", _ONE_LOG),
+    Retired(r"ForwardingStats", "2.9", _ONE_LOG),
+    Retired(r"report\.selections\b", "2.9", _ONE_LOG),
+    Retired(r"report\.forwarding\b", "2.9", _ONE_LOG),
 )
 
 

@@ -239,6 +239,22 @@ class TestErrorMapping:
         assert body["error"]["message"].startswith(
             "args must be 32-bit ints")
 
+    def test_out_of_range_float_arg_is_a_422_run_error(self, tmp_path):
+        """A float is admitted (its conversion is the engine's) and the
+        run refuses it in the worker, naming the parameter."""
+        from tests.fleet.conftest import start_gateway
+        live = start_gateway(workers=1, cache_dir=str(tmp_path / "d"))
+        try:
+            status, body = live.request("POST", "/v1/jobs",
+                                        body=_run_spec(1e300))
+        finally:
+            live.close()
+        assert status == 422
+        error = body["result"]["error"]
+        assert (error["type"], error["code"]) == ("InterpreterError", 4)
+        assert error["message"].startswith(
+            "main: argument n = 1e+300 is outside the C int range")
+
     def test_strict_nil_reads_of_a_speculating_program_is_400(self,
                                                               gateway):
         status, body = gateway.request(

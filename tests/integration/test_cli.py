@@ -63,9 +63,28 @@ class TestShow:
     def test_unknown_show_item(self, source_file, capsys):
         assert main([source_file, "--show", "rainbows"]) == 2
 
+    def test_show_stats_prints_one_functions_records(self, source_file,
+                                                     capsys):
+        assert main([source_file, "-O", "--show", "stats",
+                     "--function", "distance"]) == 0
+        records = capsys.readouterr().out.splitlines()[1:-1]
+        assert [line.split()[:2] for line in records] == [
+            ["distance", "forward-load"], ["distance", "forward-load"],
+            ["distance", "in-place-read"], ["distance", "pipeline-read"]]
+        assert records[-1].split()[-3:-1] == ["S5", "->"]
+
     def test_unknown_function(self, source_file, capsys):
         assert main([source_file, "--show", "simple",
                      "--function", "nope"]) == 1
+
+    @pytest.mark.parametrize("show", ["", "stats", "profile", "threaded"])
+    def test_unknown_function_is_refused_whatever_is_shown(
+            self, source_file, capsys, show):
+        assert main([source_file, "-O", "--show", show,
+                     "--function", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no function named 'nope'" in captured.err
 
 
 class TestRun:

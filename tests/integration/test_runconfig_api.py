@@ -22,7 +22,7 @@ from repro.config import (
 )
 from repro.earth.faults import FaultPlan
 from repro.earth.interpreter import DEFAULT_ENGINE, ENGINES
-from repro.errors import ReproError, UsageError
+from repro.errors import InterpreterError, ReproError, UsageError
 from repro.harness import pipeline
 from repro.harness.pipeline import (
     compile_earthc,
@@ -115,6 +115,28 @@ class TestValueObject:
         """Floats stay as they are: their conversion is the engine's."""
         assert RunConfig(args=[2**31 - 1, -2**31, 1e12]).args \
             == (2**31 - 1, -2**31, 1e12)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("bad", [1e300, 2147483648.0, -2147483649.0,
+                                     -1e12])
+    def test_out_of_range_float_args_are_a_run_error(self, bad, engine):
+        """A float bound to an ``int`` or ``char`` parameter converts at
+        the run's start, where a truncation outside the C int range is
+        refused by name."""
+        for param in ("int n", "char n"):
+            with pytest.raises(InterpreterError,
+                               match="main: argument n = .* is outside "
+                                     "the C int range"):
+                repro.run(f"int main({param}) {{ return 1; }}",
+                          config=RunConfig(args=(bad,), engine=engine))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_in_range_float_args_truncate(self, engine):
+        source = "int main(int a, int b, double d) { return a + b; }"
+        for args, value in [((2.5, 0, 1e300), 2), ((-3.7, 0, 0), -3),
+                            ((2147483647.9, 0, 0), 2147483647)]:
+            assert repro.run(source, config=RunConfig(
+                args=args, engine=engine)).value == value
 
     def test_replace_revalidates(self):
         config = RunConfig(nodes=4)
