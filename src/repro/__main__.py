@@ -61,6 +61,7 @@ from repro.config import (
 from repro.earth.interpreter import DEFAULT_ENGINE
 from repro.errors import (
     EXIT_ERROR,
+    EXIT_IO,
     EXIT_OK,
     ReproError,
     ServiceError,
@@ -197,9 +198,19 @@ def _show_tuples(compiled, functions):
 
 def main(argv=None) -> int:
     argv = list(argv if argv is not None else sys.argv[1:])
-    if argv and argv[0] in SERVICE_VERBS:
-        return _service_main(argv[0], argv[1:])
-    return _compile_main(argv)
+    try:
+        if argv and argv[0] in SERVICE_VERBS:
+            return _service_main(argv[0], argv[1:])
+        return _compile_main(argv)
+    except BrokenPipeError:
+        # stdout's reader left (``| head -1``): stop quietly.  stdout
+        # now points at os.devnull, so the interpreter's exit flush of
+        # what is still buffered cannot raise again.  SIGPIPE keeps
+        # Python's setting: serve and submit write to sockets.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
 
 
 def _compile_main(argv) -> int:

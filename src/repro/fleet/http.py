@@ -26,9 +26,11 @@ An exception no handler expected is a structured 500, never a dropped
 connection.
 
 The server deliberately avoids :mod:`http.server` (synchronous, one
-thread per connection); requests ride one asyncio loop, and jobs cross
-to the blocking pool on the admission core's executor threads.  The
-blocking client side is :mod:`repro.service.client`.
+thread per connection); requests ride one asyncio loop, a job whose
+payload is in the cache's memory tier is answered on it, and every
+other job crosses to the blocking pool on the admission core's
+executor threads.  The blocking client side is
+:mod:`repro.service.client`.
 """
 
 from __future__ import annotations

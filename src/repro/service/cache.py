@@ -107,24 +107,30 @@ class ArtifactCache:
                 self.misses += 1
         return payload
 
-    def _lookup(self, key: str) -> Optional[Dict[str, object]]:
-        """:meth:`get` without counting a miss."""
+    def recall(self, key: str) -> Optional[Dict[str, object]]:
+        """The memory tier's payload under ``key``, or None.  A hit is
+        counted as :meth:`get` counts it; a miss is not counted, and
+        nothing else is probed: no disk read (nor, in a subclass, any
+        remote call), so an event loop may ask."""
         with self._lock:
             payload = self._memory.get(key)
             if payload is not None:
                 self._memory.move_to_end(key)
                 self.hits += 1
                 self.memory_hits += 1
-                return payload
-        if self.root is not None:
+            return payload
+
+    def _lookup(self, key: str) -> Optional[Dict[str, object]]:
+        """:meth:`get` without counting a miss."""
+        payload = self.recall(key)
+        if payload is None and self.root is not None:
             payload = self._read_disk(key)
             if payload is not None:
                 with self._lock:
                     self.hits += 1
                     self.disk_hits += 1
                     self._remember(key, payload)
-                return payload
-        return None
+        return payload
 
     def put(self, key: str, payload: Dict[str, object]) -> None:
         """Store ``payload`` under ``key`` in both tiers; a disk write
@@ -184,8 +190,11 @@ class ArtifactCache:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
+            # One ``dumps``: ``json.dump`` would take the pure-Python
+            # encoder (the C one serves one-shot encodes only); the
+            # bytes are the same.
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, path)
         except OSError:
             try:

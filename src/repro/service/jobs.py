@@ -450,10 +450,12 @@ class CachedJob:
         self.key = key if self.cacheable else None
         self.wall_s = 0.0
 
-    def lookup(self) -> Optional[JobResult]:
+    def lookup(self, memory_only: bool = False) -> Optional[JobResult]:
         """The finished result -- a hit, or the failure of a spec whose
         inputs do not resolve (an unknown benchmark name) -- or None:
-        the payload has to be computed."""
+        the payload has to be computed.  ``memory_only`` probes the
+        memory tier alone (:meth:`ArtifactCache.recall`: no disk or
+        network); its None is not a counted miss."""
         start = time.perf_counter()
         if self.cacheable and self.key is None:
             try:
@@ -462,7 +464,10 @@ class CachedJob:
                 return JobResult.failed(
                     self.spec.kind, exc,
                     wall_s=time.perf_counter() - start)
-        payload = None if self.cache is None else self.cache.get(self.key)
+        payload = None
+        if self.cache is not None:
+            probe = self.cache.recall if memory_only else self.cache.get
+            payload = probe(self.key)
         self.wall_s = time.perf_counter() - start
         if payload is None:
             return None

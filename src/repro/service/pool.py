@@ -4,12 +4,15 @@ The pool owns exactly one cache, in the parent process, in front of
 its workers (:class:`~repro.service.cache.ArtifactCache`, or the
 fleet's three-tier one when a store URL is given).  A job is looked up
 in the submitting thread: a hit is finished there, never crosses a
-process boundary, and is answered while every worker is busy.  A miss
-fans out to one of ``workers`` OS processes, each a pure function of
-the spec with a *warm* pipeline (the per-process compile memo in
-:mod:`repro.service.jobs`), and the thread that waits for the job
-stores its payload -- never the collector thread, so a slow store
-delays the job that missed and nothing else.
+process boundary, and is answered while every worker is busy.  A
+server's event loop asks first (:meth:`WorkerPool.recall`): a hit in
+the memory tier is finished on the loop and crosses no thread either;
+only memory is probed there, as disk, network or compute would stall
+every connection.  A miss fans out to one of ``workers`` OS processes,
+each a pure function of the spec with a *warm* pipeline (the
+per-process compile memo in :mod:`repro.service.jobs`), and the thread
+that waits for the job stores its payload -- never the collector
+thread, so a slow store delays the job that missed and nothing else.
 
 The parent is also the scheduler: it keeps the authoritative job table
 and dispatches at most one job at a time to each worker over a
@@ -235,6 +238,18 @@ class WorkerPool:
             self._dispatch()
         return job_id
 
+    def recall(self, spec: JobSpec, key: str) -> Optional[JobResult]:
+        """The job finished from the cache's memory tier, or None.  No
+        disk, network, compute or queue is touched, so an event loop
+        may ask.  A hit counts as one through :meth:`run_job` does, but
+        it enters no queue and so leaves the queue depth (and its peak)
+        alone."""
+        result = CachedJob(spec, self.cache, key).lookup(memory_only=True)
+        if result is not None:
+            self.metrics.incr("jobs_submitted")
+            self.metrics.observe_job(result.wall_s, True)
+        return result
+
     def wait(self, job_id: int,
              timeout: Optional[float] = None) -> JobResult:
         """Block until a submitted job completes; returns its result.
@@ -435,7 +450,14 @@ class JobAdmission:
     * **backpressure** -- beyond ``max_queue_depth`` concurrently
       admitted jobs, new submissions are refused at once with a
       structured ``Busy`` error (clients retry; the server never
-      builds an unbounded queue)."""
+      builds an unbounded queue).
+
+    Before either, a job whose payload is in the cache's memory tier
+    is answered on the event loop (:meth:`WorkerPool.recall`).  Such a
+    hit is never admitted: it takes no executor thread, joins no
+    flight, is never refused ``Busy`` and does not raise
+    ``peak_queue_depth``.  Everything else -- a memory miss, a disk
+    hit, a remote fetch, a compute -- crosses to an executor thread."""
 
     def __init__(self, pool: WorkerPool, max_queue_depth: int = 64):
         self.pool = pool
@@ -471,6 +493,13 @@ class JobAdmission:
             # Whatever a malformed spec trips over, the client is told
             # its job was bad, not which Python exception said so.
             return error_body("ServiceError", f"bad job spec: {exc}")
+
+        # Before single-flight and back-pressure: a memory hit needs
+        # no thread and no slot.
+        result = self.pool.recall(spec, key)
+        if result is not None:
+            return {"ok": True, "singleflight": False,
+                    "result": result.to_dict()}
 
         existing = self._inflight.get(key)
         if existing is not None:

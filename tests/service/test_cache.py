@@ -1,5 +1,6 @@
 """Content-addressed artifact cache (repro.service.cache)."""
 
+import io
 import json
 import os
 import sys
@@ -78,6 +79,30 @@ class TestMemoryTier:
     def test_negative_memory_entries_rejected(self):
         with pytest.raises(ValueError):
             ArtifactCache(root=None, memory_entries=-1)
+
+    def test_recall_is_the_memory_half_of_get(self, tmp_path):
+        """``recall`` answers from the memory tier alone: it counts a
+        hit as ``get`` does, counts no miss and never reads disk."""
+        root = str(tmp_path / "cache")
+        ArtifactCache(root).put("a" * 64, {"n": 1})
+        cache = ArtifactCache(root)
+        assert cache.recall("a" * 64) is None      # on disk only
+        assert cache.recall("b" * 64) is None      # nowhere
+        assert (cache.hits, cache.misses, cache.disk_hits) == (0, 0, 0)
+        assert cache.get("a" * 64) == {"n": 1}     # promoted
+        assert cache.recall("a" * 64) == {"n": 1}
+        snap = cache.snapshot()
+        assert (snap["hits"], snap["memory_hits"], snap["disk_hits"],
+                snap["misses"]) == (2, 1, 1, 0)
+
+    def test_recall_refreshes_the_lru_position(self):
+        cache = ArtifactCache(root=None, memory_entries=2)
+        cache.put("a" * 64, {"n": 1})
+        cache.put("b" * 64, {"n": 2})
+        assert cache.recall("a" * 64) == {"n": 1}
+        cache.put("c" * 64, {"n": 3})              # evicts "b"
+        assert cache.recall("b" * 64) is None
+        assert cache.recall("a" * 64) == {"n": 1}
 
 
 class TestDiskTier:
@@ -159,6 +184,40 @@ class TestDiskTier:
         cache.put(key, {"x": 5})
         assert cache.get(key) == {"x": 5}
         assert cache.memory_hits == 0 and cache.disk_hits == 1
+
+    def test_disk_bytes_are_the_stream_encoders(self, tmp_path):
+        """The one-shot encode writes, byte for byte, what
+        ``json.dump(payload, handle, sort_keys=True)`` wrote, on the 64
+        payloads the serve-warm workload primes."""
+        from bench.workloads import warm_set
+        from repro.service.jobs import JobSpec, compute_job
+        cache = ArtifactCache(str(tmp_path / "cache"))
+        jobs = warm_set(12)
+        assert len(jobs) == 64
+        for job in jobs:
+            spec = JobSpec.from_dict(job.wire)
+            result = compute_job(spec)
+            assert result.ok, (job.name, result.error)
+            key = spec.canonical_key()
+            cache.put(key, result.payload)
+            stream = io.StringIO()
+            json.dump(result.payload, stream, sort_keys=True)
+            with open(cache._path(key), "rb") as handle:
+                assert handle.read() == stream.getvalue().encode(), \
+                    job.name
+
+    def test_an_entry_the_stream_encoder_wrote_reads_back(self, tmp_path):
+        root = str(tmp_path / "cache")
+        key = "55" + "0" * 62
+        payload = {"listing": "L0:\n  x = y\u00e9;\n", "time_ns": 7.5,
+                   "stats": {"b": [1, 2], "a": None}, "ok": True}
+        path = ArtifactCache(root)._path(key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        cache = ArtifactCache(root)
+        assert cache.get(key) == payload
+        assert cache.disk_hits == 1 and cache.corrupt_entries == 0
 
     def test_failed_disk_write_is_counted_and_raised(self):
         cache = ArtifactCache("/dev/null/not-a-directory")
