@@ -53,6 +53,10 @@ class RunConfig:
     the contract the service's content-addressed cache needs.
     """
 
+    #: The most nodes a config describes: four times the largest
+    #: scenario's (``em3d1024``).  A node costs ~0.65 KB before the
+    #: program runs, so an unbounded count is a memory request.
+    MAX_NODES = 4096
     nodes: int = 1
     #: Number of OS worker processes the simulated nodes are partitioned
     #: across (:mod:`repro.shard`); 1 runs single-process.  Sharding is
@@ -114,6 +118,9 @@ class RunConfig:
         object.__setattr__(self, "args", tuple(self.args))
         if self.nodes < 1:
             raise UsageError(f"nodes must be >= 1, got {self.nodes}")
+        if self.nodes > self.MAX_NODES:
+            raise UsageError(f"nodes must be <= {self.MAX_NODES}, got "
+                             f"{self.nodes}")
         if self.shards < 1:
             raise UsageError(f"shards must be >= 1, got {self.shards}")
         if self.shards > self.nodes:

@@ -44,6 +44,7 @@ another run.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -112,6 +113,15 @@ class FaultPlan:
                  stall_windows: int = 0,
                  stall_ns: float = 500_000.0,
                  horizon_ns: float = 50_000_000.0):
+        # NaN passes every range test below, and a spec is hashed as
+        # JSON, which has neither NaN nor Infinity.
+        for name, value in (("jitter_ns", jitter_ns),
+                            ("su_slowdown_factor", su_slowdown_factor),
+                            ("su_slowdown_window_ns", su_slowdown_window_ns),
+                            ("stall_ns", stall_ns),
+                            ("horizon_ns", horizon_ns)):
+            if not math.isfinite(value):
+                raise FaultPlanError(f"{name} must be finite, got {value}")
         if not 0.0 <= drop_prob <= 1.0:
             raise FaultPlanError(
                 f"drop_prob must be in [0, 1], got {drop_prob}")

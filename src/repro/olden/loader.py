@@ -46,11 +46,15 @@ class BenchmarkSpec:
         self.small_args = tuple(small_args)
         self.inline = inline
         self.max_stmts = max_stmts
+        self._source: Optional[str] = None
 
     def source(self) -> str:
-        path = os.path.join(_HERE, self.filename)
-        with open(path) as handle:
-            return handle.read()
+        """The program text, read from the catalog once per process: a
+        served job's key reads it on the gateway's event loop."""
+        if self._source is None:
+            with open(os.path.join(_HERE, self.filename)) as handle:
+                self._source = handle.read()
+        return self._source
 
     def __repr__(self) -> str:
         return f"BenchmarkSpec({self.name!r}, args={self.default_args})"

@@ -37,6 +37,7 @@ so a benchmark job and an equivalent source job share an address.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import OrderedDict
@@ -107,6 +108,9 @@ class JobSpec:
                 raise ServiceError(
                     f"{kind} jobs need exactly one of source= or "
                     f"benchmark=")
+        if selftest is not None and not isinstance(selftest, dict):
+            raise ServiceError(f"selftest must be an object, got "
+                               f"{type(selftest).__name__}")
         for name, text in (("source", source), ("benchmark", benchmark),
                            ("filename", filename)):
             if text is not None and not isinstance(text, str):
@@ -171,10 +175,24 @@ class JobSpec:
             raise ServiceError("job spec is missing 'kind'")
         try:
             # None means "default" for every optional field.
-            return cls(**{key: value for key, value in data.items()
+            spec = cls(**{key: value for key, value in data.items()
                           if value is not None})
         except TypeError as exc:
             raise ServiceError(f"bad job spec: {exc}") from None
+        # Python's json reads and writes NaN and Infinity; JSON has
+        # neither, so a spec may not hold one anywhere (a field that
+        # checks its own numbers has already named itself).
+        stack: List[object] = [data]
+        while stack:
+            value = stack.pop()
+            if type(value) is float and not math.isfinite(value):
+                raise ServiceError("job spec holds a non-finite number "
+                                   f"({value}); JSON has none")
+            if isinstance(value, dict):
+                stack.extend(value.values())
+            elif isinstance(value, (list, tuple)):
+                stack.extend(value)
+        return spec
 
     # -- resolution --------------------------------------------------------
 

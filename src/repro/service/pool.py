@@ -14,16 +14,16 @@ per-process compile memo in :mod:`repro.service.jobs`), and the thread
 that waits for the job stores its payload -- never the collector
 thread, so a slow store delays the job that missed and nothing else.
 
-The parent is also the scheduler: it keeps the authoritative job table
-and dispatches at most one job at a time to each worker over a
-per-worker queue.  That makes crash attribution exact -- if a worker
-dies, the parent knows precisely which job it owned without trusting any
-worker-side announcement (a crashing process loses whatever its queue
-feeder thread had buffered).  A collector thread drains completions,
-polices liveness and per-attempt timeouts, and requeues victims with
-exponential backoff up to a bounded attempt budget -- the same retry
-discipline the simulator's split-phase resilience layer uses (PR 3),
-applied one level up.
+Each job is one record holding a :class:`concurrent.futures.Future`
+(:meth:`WorkerPool.wait` is its ``result()``).  Each worker is one
+process on one duplex pipe holding at most one job, so a worker that
+dies forfeits exactly the job it was sent.  One collector thread owns
+the workers -- it alone sends jobs, reads results, replaces the dead,
+enforces per-attempt timeouts and requeues victims with exponential
+backoff up to a bounded attempt budget -- and sleeps in
+:func:`multiprocessing.connection.wait` on the pipes, the process
+sentinels and one wake pipe, timed only by the earliest deadline: an
+idle pool never wakes it.
 
 Guarantees:
 
@@ -46,12 +46,14 @@ on single-core hosts -- and differs in nothing else.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import multiprocessing
-import queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
+from multiprocessing.connection import wait as wait_ready
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, ServiceError, error_body
@@ -60,16 +62,18 @@ from repro.service.cache import DEFAULT_CACHE_DIR, ArtifactCache
 from repro.service.jobs import CachedJob, JobResult, JobSpec, compute_job
 
 
-def _worker_main(worker_id: int, task_q, result_q) -> None:
-    """Worker process loop: pull (job_id, spec, attempts) tuples from
-    this worker's own queue, compute, report ``(job_id, worker_id,
-    result)`` on the shared result queue.  Runs until it receives the
-    ``None`` sentinel."""
+def _worker_main(worker_id: int, conn) -> None:
+    """Worker process loop: receive ``(spec, attempts)`` on this
+    worker's pipe, compute, send the result back on it.  Runs until it
+    receives ``None`` or the parent's end closes."""
     while True:
-        item = task_q.get()
+        try:
+            item = conn.recv()
+        except EOFError:
+            return
         if item is None:
             return
-        job_id, spec_dict, attempts = item
+        spec_dict, attempts = item
         try:
             result = compute_job(JobSpec.from_dict(spec_dict), worker_id)
         except BaseException as exc:  # never hang the parent silently
@@ -78,7 +82,30 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
             result = JobResult.failed(spec_dict.get("kind", "unknown"),
                                       exc, 6, worker=worker_id)
         result.attempts = attempts
-        result_q.put((job_id, worker_id, result.to_dict()))
+        conn.send(result.to_dict())
+
+
+class _Job:
+    """One submitted job: its spec, its attempts so far, the
+    :class:`CachedJob` that stores a computed payload, and the future
+    that resolves to ``(result, job still to store it or None)``."""
+
+    def __init__(self, spec: JobSpec, cached: CachedJob):
+        self.spec = spec
+        self.cached = cached
+        self.attempts = 1
+        self.future: Future = Future()
+
+
+class _Worker:
+    """One worker process, its end of the pipe, and the job it holds
+    with that attempt's deadline."""
+
+    def __init__(self, proc, conn):
+        self.proc = proc
+        self.conn = conn
+        self.job: Optional[_Job] = None
+        self.deadline: Optional[float] = None
 
 
 class WorkerPool:
@@ -120,19 +147,17 @@ class WorkerPool:
             "fork" if "fork" in methods else "spawn")
         self._started = False
         self._closing = False
-        self._cond = threading.Condition()
-        self._next_id = 0
-        # job_id -> {"spec", "job", "attempts", "dispatched_at", "worker"}
-        self._pending: Dict[int, Dict[str, object]] = {}
-        # job_id -> (result, the CachedJob still to store it or None)
-        self._results: Dict[int, Tuple[JobResult,
-                                       Optional[CachedJob]]] = {}
-        self._backlog: Deque[int] = deque()
-        self._deferred: List[Tuple[float, int]] = []
-        self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
-        self._task_qs: Dict[int, object] = {}
-        self._busy: Dict[int, Optional[int]] = {}
-        self._result_q = None
+        # Guards the backlog, the wake flag and closing; the workers
+        # and the requeue list belong to the collector thread.
+        self._lock = threading.Lock()
+        self._ids = itertools.count()
+        # job_id -> record, from submission until a wait collects it.
+        self._jobs: Dict[int, _Job] = {}
+        self._backlog: Deque[_Job] = deque()
+        self._woken = False
+        self._deferred: List[Tuple[float, _Job]] = []
+        self._workers: List[_Worker] = []
+        self._wake_r = self._wake_w = None
         self._collector: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -141,64 +166,60 @@ class WorkerPool:
         if self._started or self.workers == 0:
             self._started = True
             return self
-        self._result_q = self._ctx.Queue()
-        for worker_id in range(self.workers):
-            self._spawn(worker_id)
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._workers = [self._spawn(worker_id)
+                         for worker_id in range(self.workers)]
         self._collector = threading.Thread(
             target=self._collect, name="pool-collector", daemon=True)
         self._collector.start()
         self._started = True
         return self
 
-    #: Sentinel owner for a worker that died and is awaiting respawn;
-    #: keeps the dispatcher from handing jobs to its orphaned queue.
-    _DEAD = -1
-
-    def _spawn(self, worker_id: int) -> None:
-        task_q = self._ctx.Queue()
+    def _spawn(self, worker_id: int) -> _Worker:
+        """A fresh process on a fresh pipe: nothing sent to a dead
+        worker's pipe can reach its replacement."""
+        conn, child = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_worker_main,
-            args=(worker_id, task_q, self._result_q),
+            target=_worker_main, args=(worker_id, child),
             name=f"repro-worker-{worker_id}", daemon=True)
         proc.start()
-        with self._cond:
-            self._task_qs[worker_id] = task_q
-            self._procs[worker_id] = proc
-            self._busy[worker_id] = None
+        child.close()   # the worker holds the only copy: EOF on death
+        return _Worker(proc, conn)
 
     def close(self) -> None:
         """Stop workers and the collector.  Pending jobs that never
         completed are failed with a shutdown error, and a worker still
         computing one is terminated at once: nobody waits for its
         result, and it writes no cache entry (the parent stores)."""
-        with self._cond:
+        with self._lock:
             self._closing = True
-            for job_id, entry in list(self._pending.items()):
-                if job_id not in self._results:
-                    self._results[job_id] = (JobResult.failed(
-                        entry["spec"]["kind"], ServiceError(
-                            "pool closed before the job completed")), None)
-            self._pending.clear()
+            pending = list(self._jobs.values())
             self._backlog.clear()
-            busy = {worker_id for worker_id, owned in self._busy.items()
-                    if owned is not None}
-            self._cond.notify_all()
-        for worker_id, proc in self._procs.items():
-            if worker_id in busy:
-                proc.terminate()
-            else:
-                # An idle worker exits on the sentinel.
-                self._task_qs[worker_id].put(None)
-        for proc in self._procs.values():
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
+        for record in pending:
+            self._finish(record, JobResult.failed(
+                record.spec.kind, ServiceError(
+                    "pool closed before the job completed")))
         if self._collector is not None:
+            self._wake_w.send_bytes(b"")
             self._collector.join(timeout=2.0)
-        self._procs.clear()
-        self._task_qs.clear()
-        self._busy.clear()
+            self._collector = None
+            self._wake_r.close()
+            self._wake_w.close()
+        for worker in self._workers:
+            if worker.job is not None:
+                worker.proc.terminate()
+            else:
+                try:
+                    worker.conn.send(None)   # an idle worker exits on it
+                except OSError:
+                    pass
+        for worker in self._workers:
+            worker.proc.join(timeout=2.0)
+            if worker.proc.is_alive():
+                worker.proc.terminate()
+                worker.proc.join(timeout=1.0)
+            worker.conn.close()
+        self._workers = []
         self._started = False
 
     def __enter__(self) -> "WorkerPool":
@@ -211,31 +232,32 @@ class WorkerPool:
 
     def submit(self, spec: JobSpec, key: Optional[str] = None) -> int:
         """Look the job up (under ``key``, if the caller admitted it
-        under one) and enqueue a miss; returns its id.  A hit is
-        finished before this returns and reaches no queue; in inline
-        mode (workers=0) so is a miss, computed and stored here."""
-        if not self._started:
-            self.start()
+        under one) and hand a miss to the collector; returns its id.  A
+        hit is finished before this returns and reaches no worker; in
+        inline mode (workers=0) so is a miss, computed and stored
+        here."""
         if self._closing:
             raise ServiceError("pool is closed")
+        if not self._started:
+            self.start()
         job = CachedJob(spec, self.cache, key)
         result = job.lookup()   # first: if it raises, nothing was counted
-        with self._cond:
-            job_id = self._next_id
-            self._next_id += 1
+        record = _Job(spec, job)
+        with self._lock:    # a job close() has not seen is not taken
+            if self._closing:
+                raise ServiceError("pool is closed")
+            job_id = next(self._ids)
+            self._jobs[job_id] = record
         self.metrics.incr("jobs_submitted")
         self.metrics.adjust_queue_depth(+1)
         if result is None and self.workers == 0:
             result = job.store(compute_job(spec))
         if result is not None:
-            self._finish(job_id, result)
+            self._finish(record, result)
         else:
-            with self._cond:
-                self._pending[job_id] = {
-                    "spec": spec.to_dict(), "job": job, "attempts": 1,
-                    "dispatched_at": None, "worker": None}
-                self._backlog.append(job_id)
-            self._dispatch()
+            with self._lock:
+                self._backlog.append(record)
+            self._wake()
         return job_id
 
     def recall(self, spec: JobSpec, key: str) -> Optional[JobResult]:
@@ -255,20 +277,15 @@ class WorkerPool:
         """Block until a submitted job completes; returns its result.
         A payload a worker computed is stored here, by the thread that
         waited for it."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while job_id not in self._results:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ServiceError(
-                            f"timed out waiting for job {job_id}")
-                if job_id not in self._pending and not self._closing:
-                    raise ServiceError(f"unknown job id {job_id}")
-                self._cond.wait(timeout=remaining
-                                if remaining is not None else 0.5)
-            result, job = self._results.pop(job_id)
+        record = self._jobs.get(job_id)
+        if record is None:
+            raise ServiceError(f"unknown job id {job_id}")
+        try:
+            result, job = record.future.result(timeout)
+        except FutureTimeout:
+            raise ServiceError(
+                f"timed out waiting for job {job_id}") from None
+        self._jobs.pop(job_id, None)
         if job is not None:
             result = job.store(result)
         self.metrics.observe_job(result.wall_s,
@@ -290,135 +307,114 @@ class WorkerPool:
         ids = [self.submit(spec) for spec in specs]
         return [self.wait(job_id, timeout=timeout) for job_id in ids]
 
-    # -- scheduling --------------------------------------------------------
+    # -- completion --------------------------------------------------------
 
-    def _dispatch(self) -> None:
-        """Hand backlog jobs to idle workers (parent-side scheduling:
-        at most one in-flight job per worker, so crash attribution is
-        exact).  Assignment and the queue put happen under the lock so
-        a concurrent respawn can never orphan a just-dispatched job on
-        a dead worker's old queue."""
-        with self._cond:
-            for worker_id, owned in self._busy.items():
-                if owned is not None or not self._backlog:
-                    continue
-                job_id = self._backlog.popleft()
-                entry = self._pending.get(job_id)
-                if entry is None:
-                    continue
-                entry["dispatched_at"] = time.monotonic()
-                entry["worker"] = worker_id
-                self._busy[worker_id] = job_id
-                self._task_qs[worker_id].put(
-                    (job_id, entry["spec"], entry["attempts"]))
+    def _wake(self) -> None:
+        """Wake the collector; one byte stands for every wake-up it has
+        not yet consumed."""
+        with self._lock:
+            if self._woken or self._closing:
+                return
+            self._woken = True
+            self._wake_w.send_bytes(b"")
 
-    # -- completion & resilience ------------------------------------------
-
-    def _finish(self, job_id: int, result: JobResult,
-                job: Optional[CachedJob] = None) -> None:
-        """Hand a result to whoever waits for it; ``job`` when the
-        payload was just computed and is still to be stored."""
+    def _finish(self, record: _Job, result: JobResult,
+                computed: bool = False) -> None:
+        """Resolve a job once; ``computed`` when its payload came from a
+        worker and is still to be stored."""
+        with self._lock:
+            if record.future.done():
+                return
+            record.future.set_result(
+                (result, record.cached if computed else None))
         self.metrics.adjust_queue_depth(-1)
-        with self._cond:
-            self._pending.pop(job_id, None)
-            self._results[job_id] = (result, job)
-            self._cond.notify_all()
 
     def _collect(self) -> None:
-        """Collector thread: drain completions, flush deferred
-        requeues, police liveness and timeouts."""
+        """Collector thread: hand the backlog to idle workers, then
+        sleep until a result, a death, a wake or the next deadline."""
         while True:
-            with self._cond:
+            now = time.monotonic()
+            due = [record for when, record in self._deferred if when <= now]
+            self._deferred = [(when, record) for when, record
+                              in self._deferred if when > now]
+            with self._lock:
                 if self._closing:
                     return
-            try:
-                message = self._result_q.get(timeout=0.05)
-            except queue.Empty:
-                message = None
-            if message is not None:
-                job_id, worker_id, body = message
-                with self._cond:
-                    if self._busy.get(worker_id) == job_id:
-                        self._busy[worker_id] = None
-                    entry = self._pending.get(job_id)
-                if entry is not None:
-                    self._finish(job_id, JobResult.from_dict(body),
-                                 entry["job"])
-            self._flush_deferred()
-            self._police_workers()
-            self._dispatch()
-
-    def _flush_deferred(self) -> None:
-        now = time.monotonic()
-        with self._cond:
-            still: List[Tuple[float, int]] = []
-            for due, job_id in self._deferred:
-                if job_id not in self._pending:
-                    continue
-                if due <= now:
-                    self._backlog.append(job_id)
-                else:
-                    still.append((due, job_id))
-            self._deferred = still
-
-    def _police_workers(self) -> None:
-        if self._closing:
-            return
-        now = time.monotonic()
-        # Timeouts: terminate the worker; the liveness sweep below then
-        # handles the requeue uniformly.
-        if self.timeout_s is not None:
-            with self._cond:
-                overdue = [
-                    entry["worker"]
-                    for entry in self._pending.values()
-                    if entry["dispatched_at"] is not None
-                    and entry["worker"] is not None
-                    and now - entry["dispatched_at"] > self.timeout_s]
-            for worker_id in overdue:
-                proc = self._procs.get(worker_id)
-                if proc is not None and proc.is_alive():
+                self._woken = False
+                self._backlog.extend(due)
+                idle = [worker for worker in self._workers
+                        if worker.job is None]
+                sends = [(worker, self._backlog.popleft())
+                         for worker in idle[:len(self._backlog)]]
+            for worker, record in sends:
+                self._send(worker, record)
+            deadlines = [when for when, _ in self._deferred] + [
+                worker.deadline for worker in self._workers
+                if worker.deadline is not None]
+            timeout = None if not deadlines else \
+                max(0.0, min(deadlines) - time.monotonic())
+            ready = wait_ready(
+                [self._wake_r] + [worker.conn for worker in self._workers]
+                + [worker.proc.sentinel for worker in self._workers],
+                timeout)
+            if self._wake_r in ready:
+                self._wake_r.recv_bytes()
+            now = time.monotonic()
+            for worker_id, worker in enumerate(self._workers):
+                if worker.conn in ready:
+                    try:
+                        body = worker.conn.recv()
+                    except (EOFError, OSError):
+                        self._replace(worker_id)
+                        continue
+                    record, worker.job, worker.deadline = \
+                        worker.job, None, None
+                    if record is not None:
+                        self._finish(record, JobResult.from_dict(body),
+                                     computed=True)
+                elif worker.proc.sentinel in ready:
+                    self._replace(worker_id)
+                elif worker.deadline is not None and worker.deadline <= now:
                     self.metrics.incr("job_timeouts")
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-        # Liveness: a dead worker forfeits its in-flight job.
-        with self._cond:
-            dead = [worker_id
-                    for worker_id, proc in self._procs.items()
-                    if not proc.is_alive()]
-        for worker_id in dead:
-            self.metrics.incr("worker_crashes")
-            with self._cond:
-                victim = self._busy.get(worker_id)
-                # Park the slot until the respawn registers its fresh
-                # queue; the dispatcher skips non-idle workers.
-                self._busy[worker_id] = self._DEAD
-            if victim is not None and victim != self._DEAD:
-                self._requeue_or_fail(victim)
-            self._spawn(worker_id)
+                    self._replace(worker_id)
 
-    def _requeue_or_fail(self, job_id: int) -> None:
-        with self._cond:
-            entry = self._pending.get(job_id)
-            if entry is None or job_id in self._results:
-                return
-            attempts = entry["attempts"]
-            if attempts >= self.max_attempts:
-                result = JobResult.failed(
-                    entry["spec"]["kind"], ServiceError(
-                        f"worker crashed or timed out; gave up after "
-                        f"{attempts} attempt(s)"), attempts=attempts)
-            else:
-                entry["attempts"] = attempts + 1
-                entry["dispatched_at"] = None
-                entry["worker"] = None
-                delay = self.backoff_s * (2 ** (attempts - 1))
-                self._deferred.append((time.monotonic() + delay, job_id))
-                result = None
-        if result is not None:
-            self._finish(job_id, result)
-        else:
-            self.metrics.incr("jobs_requeued")
+    def _send(self, worker: _Worker, record: _Job) -> None:
+        """Give ``record`` to an idle worker (a job already failed by
+        :meth:`close` is dropped).  A pipe that breaks here belongs to a
+        worker that died: its sentinel reports it next."""
+        if record.future.done():
+            return
+        worker.job = record
+        if self.timeout_s is not None:
+            worker.deadline = time.monotonic() + self.timeout_s
+        try:
+            worker.conn.send((record.spec.to_dict(), record.attempts))
+        except OSError:
+            pass
+
+    def _replace(self, worker_id: int) -> None:
+        """Stop a dead or overdue worker, start its replacement on a
+        fresh pipe, and requeue or fail the job it held."""
+        worker = self._workers[worker_id]
+        self.metrics.incr("worker_crashes")
+        worker.proc.terminate()
+        worker.proc.join(timeout=1.0)
+        worker.conn.close()
+        self._workers[worker_id] = self._spawn(worker_id)
+        record = worker.job
+        if record is None or record.future.done():
+            return
+        if record.attempts >= self.max_attempts:
+            self._finish(record, JobResult.failed(
+                record.spec.kind, ServiceError(
+                    f"worker crashed or timed out; gave up after "
+                    f"{record.attempts} attempt(s)"),
+                attempts=record.attempts))
+            return
+        delay = self.backoff_s * (2 ** (record.attempts - 1))
+        record.attempts += 1
+        self._deferred.append((time.monotonic() + delay, record))
+        self.metrics.incr("jobs_requeued")
 
     # -- reporting ---------------------------------------------------------
 

@@ -208,6 +208,52 @@ class TestBlkmovFlow:
         assert result.may_alias_objects("f", "g", "f", "p")
 
 
+class TestRulesNoProgramReaches:
+    """Rules no Olden or generated program exercises: each test fails
+    if its rule is dropped."""
+
+    def test_a_blkmov_into_a_pointer_links_the_pointees_fields(self):
+        """``*p = buf`` where ``p`` gains its object only by a copy (so
+        after the statement is collected): the object still receives
+        ``buf``'s fields."""
+        source = NODE + """
+            int f() {
+                struct node buf;
+                struct node *t; struct node *p; struct node *s;
+                struct node *q; struct node *r;
+                t = (struct node *) malloc(sizeof(struct node));
+                p = t;
+                s = (struct node *) malloc(sizeof(struct node));
+                q = (struct node *) malloc(sizeof(struct node));
+                s->next = q;
+                buf = *s;
+                *p = buf;
+                r = p->next;
+                return 0;
+            }
+        """
+        result = analyze_points_to(to_simple(source))
+        assert result.points_to("f", "q")
+        assert result.points_to("f", "q") <= result.points_to("f", "r")
+
+    def test_a_struct_variable_field_carries_a_pointer(self):
+        """``sv.next = p`` then ``q = sv.next``: ``q`` points where
+        ``p`` does."""
+        source = NODE + """
+            int f() {
+                struct node sv;
+                struct node *p; struct node *q;
+                p = (struct node *) malloc(sizeof(struct node));
+                sv.next = p;
+                q = sv.next;
+                return 0;
+            }
+        """
+        result = analyze_points_to(to_simple(source))
+        assert result.points_to("f", "p")
+        assert result.points_to("f", "q") == result.points_to("f", "p")
+
+
 class TestUnknown:
     def test_an_empty_set_may_alias_anything(self):
         source = NODE + """

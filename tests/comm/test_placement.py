@@ -367,3 +367,30 @@ class TestWriteRules:
         if_stmt = next(st for st in func.body.stmts
                        if isinstance(st, s.IfStmt))
         assert self.write_after(result, if_stmt.label, "p", "v") is None
+
+
+class TestParallelSiblings:
+    """A ``{^ ^}`` branch's tuple leaves the parallel statement only if
+    no sibling branch may invalidate it (``_collect_par``)."""
+
+    NODE = "struct node { int v; int w; struct node *next; };"
+
+    def read_above_par(self, sibling):
+        func, result = analyzed(self.NODE + f"""
+            int f(struct node *p) {{
+                int a; int b;
+                b = 0;
+                {{^ a = p->v; {sibling} ^}}
+                return a + b;
+            }}
+        """, "f")
+        assert any(isinstance(stmt, s.ParStmt) for stmt in func.body.walk())
+        return tuple_at(result, func.body.stmts[0].label, "p", "v")
+
+    def test_a_sibling_write_of_the_field_kills_the_read(self):
+        assert self.read_above_par("p->v = 7;") is None
+
+    def test_an_untouched_field_is_passed_out(self):
+        tup = self.read_above_par("b = 3;")
+        assert tup is not None
+        assert tup.freq == pytest.approx(1.0)

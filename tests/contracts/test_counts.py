@@ -1,5 +1,5 @@
 """Host-independent counts: the compiler and the simulator do each
-thing once.
+thing once, and an idle worker pool nothing.
 
 Each pin is a module constant, counted on the interpreter
 :data:`COUNTED_ON` names (3.12 inlines comprehensions, PEP 709, and
@@ -14,8 +14,8 @@ operand, ``tests/comm/test_placement_directions.py``: one placement
 traversal per phase); the totals below catch the rest.
 
 Print the counts with ``PYTHONPATH=src python
-tests/contracts/test_counts.py compile`` (or ``simulate``, or
-``collect``).
+tests/contracts/test_counts.py compile`` (or ``simulate``, ``collect``
+or ``idle``).
 """
 
 import gc
@@ -209,8 +209,38 @@ def count_collections():
     return {"passes": dict(passes)}
 
 
+def count_idle():
+    """An idle two-worker pool after two echo jobs: the threads the
+    process keeps, and the Python calls its collector thread makes over
+    one idle second (each wake-up makes some)."""
+    import threading
+    import time
+
+    from repro.service.jobs import JobSpec
+    from repro.service.pool import WorkerPool
+
+    idle = {"open": False, "calls": 0}
+
+    def tracer(frame, event, arg):
+        if idle["open"] \
+                and threading.current_thread().name == "pool-collector":
+            idle["calls"] += 1
+
+    threading.settrace(tracer)
+    with WorkerPool(workers=2, cache_dir=None) as pool:
+        pool.run_batch([JobSpec("selftest",
+                                selftest={"behavior": "echo", "value": n})
+                        for n in range(2)], timeout=60)
+        threads = sorted(thread.name for thread in threading.enumerate())
+        idle["open"] = True
+        time.sleep(1.0)
+        idle["open"] = False
+    threading.settrace(None)
+    return {"threads": threads, "collector_calls": idle["calls"]}
+
+
 COUNTERS = {"compile": count_compile, "simulate": count_simulate,
-            "collect": count_collections}
+            "collect": count_collections, "idle": count_idle}
 
 
 def _counted(name):
@@ -256,6 +286,23 @@ def test_alias_fact_line_events(compile_counts):
     lines = compile_counts["lines"]
     assert lines["rw_sets.py"] <= RW_SETS_LINES * SLACK, lines
     assert sum(lines.values()) <= ALIAS_FACT_LINES * SLACK, lines
+
+
+@pytest.fixture(scope="module")
+def idle_counts():
+    return _counted("idle")
+
+
+def test_an_idle_pool_keeps_one_thread(idle_counts):
+    """One pipe per worker: no queue feeder thread per worker used."""
+    assert idle_counts["threads"] == ["MainThread", "pool-collector"]
+
+
+def test_an_idle_pool_never_wakes(idle_counts):
+    """The collector sleeps until a result, a death, a submission or a
+    deadline; with nothing pending it has none (20 wake-ups a second
+    when it polled a result queue)."""
+    assert idle_counts["collector_calls"] == 0
 
 
 @pytest.mark.ci_only

@@ -229,6 +229,25 @@ class TestErrorMapping:
         assert body["error"]["type"] == "ServiceError"
         assert body["error"]["message"].startswith("args must be finite")
 
+    @pytest.mark.parametrize("job,message", [
+        ({"kind": "run", "source": SOURCE, "nodes": 10**7},
+         "nodes must be <= "),
+        ({"kind": "compile", "benchmark": "treeadd", "selftest": "x"},
+         "selftest must be an object, got str"),
+        ({"kind": "selftest",
+          "selftest": {"behavior": "echo", "value": float("nan")}},
+         "job spec holds a non-finite number (nan)")],
+        ids=["nodes", "selftest-str", "echo-nan"])
+    def test_a_fuzz_found_spec_is_400(self, gateway, job, message):
+        """Refused at admission, by name: no worker allocates 10**7
+        nodes, and no NaN is echoed back as non-standard JSON."""
+        status, body = gateway.request("POST", "/v1/jobs", body=job)
+        assert status == 400
+        assert body["error"]["type"] == "ServiceError"
+        assert body["error"]["message"].startswith(message)
+        metrics = gateway.request("GET", "/metrics")[1]["metrics"]
+        assert metrics["jobs_submitted"] == 0
+
     @pytest.mark.parametrize("bad", [2**31, 10**400], ids=["2**31", "1e400"])
     def test_out_of_range_int_args_are_400(self, gateway, bad):
         status, body = gateway.request(

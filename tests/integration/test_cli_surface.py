@@ -259,6 +259,28 @@ def test_batch_refuses_a_bundle_kind_in_a_jobs_file(kind, tmp_path,
                             "(known: compile, run, selftest)\n")
 
 
+@pytest.mark.parametrize("job,message", [
+    ({"kind": "run", "benchmark": "power", "nodes": 10**7},
+     "nodes must be <= 4096, got 10000000"),
+    ({"kind": "compile", "benchmark": "treeadd", "selftest": "x"},
+     "selftest must be an object, got str"),
+    ({"kind": "selftest",
+      "selftest": {"behavior": "echo", "value": float("nan")}},
+     "job spec holds a non-finite number (nan); JSON has none")],
+    ids=["nodes", "selftest-str", "echo-nan"])
+def test_batch_refuses_a_fuzz_found_spec(job, message, tmp_path, capsys):
+    """A bad spec in a jobs file is a service error (exit 6) with one
+    line, like every other."""
+    import json
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([job]))
+    assert main(["batch", "--jobs", str(jobs), "--workers", "0",
+                 "--no-cache"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("verb", ["submit", "genjobs"])
 def test_one_job_verbs_offer_the_two_public_kinds(verb, capsys):
     with pytest.raises(SystemExit):

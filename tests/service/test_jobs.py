@@ -9,7 +9,7 @@ from repro.comm.optconfig import OPT_PRESETS, OptConfig, resolve_opt
 from repro.comm.optimizer import CommConfig
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.earth.faults import PROFILES
-from repro.errors import ServiceError
+from repro.errors import ServiceError, UsageError
 from repro.harness.experiments import leg_job
 from repro.harness.pipeline import (
     PIPELINE_VERSION,
@@ -63,6 +63,39 @@ class TestSpecValidation:
     def test_bad_nodes_rejected(self):
         with pytest.raises(ServiceError, match="nodes"):
             JobSpec("run", source=SOURCE, nodes=0)
+
+    def test_nodes_has_an_upper_bound(self):
+        """A node costs memory before the program runs: a count past
+        the bound is refused, the largest scenario's is not."""
+        assert RunConfig.MAX_NODES >= 1024
+        assert RunConfig(nodes=RunConfig.MAX_NODES).nodes \
+            == RunConfig.MAX_NODES
+        with pytest.raises(UsageError, match="nodes must be <= "):
+            RunConfig(nodes=10**7)
+        with pytest.raises(ServiceError, match="nodes must be <= "):
+            JobSpec.from_dict({"kind": "run", "source": SOURCE,
+                               "nodes": RunConfig.MAX_NODES + 1})
+
+    @pytest.mark.parametrize("kind", ["compile", "run", "selftest"])
+    @pytest.mark.parametrize("selftest", ["x", [1], 5])
+    def test_a_selftest_that_is_not_an_object_is_refused(self, kind,
+                                                          selftest):
+        with pytest.raises(ServiceError, match="selftest"):
+            JobSpec.from_dict({"kind": kind, "benchmark": "treeadd",
+                               "selftest": selftest})
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "selftest", "selftest": {"behavior": "echo",
+                                          "value": [{"v": float("nan")}]}},
+        {"kind": "run", "source": SOURCE, "selftest": {"v": float("inf")}},
+        {"kind": "compile", "source": SOURCE,
+         "selftest": {"v": [float("-inf")]}}],
+        ids=["echo", "run-selftest", "compile-selftest"])
+    def test_a_non_finite_number_anywhere_is_refused(self, spec):
+        """JSON has no NaN or Infinity, wherever Python's json reads
+        one in a spec."""
+        with pytest.raises(ServiceError, match="non-finite number"):
+            JobSpec.from_dict(spec)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_args_rejected(self, bad):
@@ -177,9 +210,13 @@ class TestSpecValidation:
         ({"seed": "3"}, "'seed' must be an integer"),
         ({"seed": 3.7}, "'seed' must be an integer"),
         ({"seed": True}, "'seed' must be an integer"),
-        ({"seed": 3, "drop_prob": "0.1"}, "'drop_prob' must be a number")],
+        ({"seed": 3, "drop_prob": "0.1"}, "'drop_prob' must be a number"),
+        ({"seed": 3, "jitter_ns": float("inf")},
+         "jitter_ns must be finite, got inf"),
+        ({"seed": 3, "stall_ns": float("nan")},
+         "stall_ns must be finite, got nan")],
         ids=["no-seed", "seed=3-text", "seed=3.7", "seed=true",
-             "drop_prob-text"])
+             "drop_prob-text", "jitter=inf", "stall=nan"])
     def test_bad_fault_spec_rejected_eagerly(self, faults, message):
         """Refused by name, never read as a rounded seed or compared
         as a string."""

@@ -2,6 +2,7 @@
 determinism."""
 
 import asyncio
+import builtins
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import time
 import pytest
 
 from repro.errors import ServiceError
+from repro.olden.loader import get_benchmark
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import JobSpec, execute_job
 from repro.service.pool import JobAdmission, WorkerPool
@@ -135,6 +137,34 @@ class TestOneCache:
         assert response["result"]["cache"] == "miss"
         assert response["result"]["key"] == canonical_key(self.A)
         assert calls == ["run"]
+
+    def test_admitting_an_olden_job_opens_no_file(self, monkeypatch):
+        """A catalog source is read once per process: after that, the
+        key of an Olden miss and of its hit are taken from memory."""
+        spec = JobSpec("compile", benchmark="power", small=True)
+        get_benchmark("power").source()       # the process's one read
+        opened = []
+        real_open = builtins.open
+
+        def spy(*args, **kwargs):
+            opened.append(args[0])
+            return real_open(*args, **kwargs)
+
+        async def admit_twice(admission):
+            return [await admission.submit(spec.to_dict())
+                    for _ in range(2)]
+
+        with WorkerPool(workers=0, cache_dir=None) as pool:
+            admission = JobAdmission(pool)
+            monkeypatch.setattr(builtins, "open", spy)
+            try:
+                miss, hit = asyncio.run(admit_twice(admission))
+            finally:
+                monkeypatch.undo()
+                admission.shutdown()
+        assert [miss["result"]["cache"], hit["result"]["cache"]] == \
+            ["miss", "hit"]
+        assert opened == []
 
     def test_concurrent_callers_lose_no_job(self):
         """More caller threads than cores, hits and misses mixed: every
