@@ -28,7 +28,7 @@ Examples::
     python -m repro prog.ec -O --run --json         # machine-readable
 
     python -m repro fleet-store --port 7792 --cache-dir /tmp/store
-    python -m repro serve --workers 4 --port 7781 --store 127.0.0.1:7792
+    python -m repro serve --workers 4 --port 7781
     python -m repro submit --benchmark power --small --nodes 4 --json
     python -m repro batch --benchmarks power,tsp --nodes 1,2,4 --workers 4
     python -m repro genjobs --seed 7 --count 20 --output jobs.json
@@ -420,8 +420,7 @@ def _serve_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Serve compile/run jobs over HTTP/1.1 + JSON on "
-                    "top of a cached multi-process worker pool, "
-                    "optionally backed by a shared artifact store")
+                    "top of a cached multi-process worker pool")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7781,
                         help="port to listen on (0 picks an ephemeral "
@@ -445,10 +444,6 @@ def _serve_main(argv) -> int:
                         help="refuse submissions (Busy / HTTP 503) "
                              "beyond this many in-flight jobs "
                              "(default 64)")
-    parser.add_argument("--store", default=None, metavar="HOST:PORT",
-                        help="shared artifact store to layer under the "
-                             "local cache (degrades to local-only "
-                             "when unreachable)")
     opts = parser.parse_args(argv)
 
     if opts.workers < 0:
@@ -461,28 +456,18 @@ def _serve_main(argv) -> int:
     if opts.max_queue_depth < 1:
         return _usage_error(f"--max-queue-depth must be >= 1, got "
                             f"{opts.max_queue_depth}")
-    store_url = None
-    if opts.store is not None:
-        from repro.fleet.store import parse_store_url
-        try:
-            host, port = parse_store_url(opts.store)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        store_url = f"http://{host}:{port}"
 
     def ready(gateway):
         cache = "memory" if opts.no_cache else opts.cache_dir
-        store = store_url or "none"
         print(f"serving on http://{gateway.host}:{gateway.port} "
-              f"(workers={opts.workers}, cache={cache}, store={store}, "
+              f"(workers={opts.workers}, cache={cache}, "
               f"pipeline {PIPELINE_VERSION})", flush=True)
 
     def serve():
         pool = WorkerPool(
             opts.workers,
             cache_dir=None if opts.no_cache else opts.cache_dir,
-            timeout_s=opts.timeout, max_attempts=opts.max_attempts,
-            store_url=store_url)
+            timeout_s=opts.timeout, max_attempts=opts.max_attempts)
         serve_gateway_forever(pool, opts.host, opts.port,
                               max_queue_depth=opts.max_queue_depth,
                               ready_callback=ready)

@@ -74,6 +74,13 @@ class RunConfig:
     #: capacity 0 disables the cache entirely.
     rcache_capacity: int = 0
     rcache_line_words: int = DEFAULT_LINE_WORDS
+    #: The largest statement budget a config accepts: the default, the
+    #: budget every catalog benchmark, shard scenario and bench input
+    #: runs under.  A budget is host time (a program that loops runs
+    #: until its budget is spent) and ``serve`` sets no job timeout by
+    #: default, so an unbounded one holds a worker for as long as the
+    #: gateway lives.
+    MAX_STMTS = DEFAULT_MAX_STMTS
     max_stmts: int = DEFAULT_MAX_STMTS
     strict_nil_reads: bool = False
     #: Fault-plan spec dict, or None for a clean network; stored
@@ -142,6 +149,8 @@ class RunConfig:
         if self.max_stmts < 1:
             raise UsageError(f"max_stmts must be >= 1, got "
                              f"{self.max_stmts}")
+        if self.max_stmts > self.MAX_STMTS:
+            raise UsageError(f"max_stmts must be <= {self.MAX_STMTS}")
         if self.trace_capacity is not None and (
                 type(self.trace_capacity) is not int
                 or self.trace_capacity <= 0):
@@ -275,7 +284,8 @@ RUN_FLAGS = {
     "--max-stmts": ("max_stmts", dict(
         type=int, metavar="N",
         help="abort the run after N interpreted statements "
-             "(infinite-loop guard)")),
+             "(infinite-loop guard; at most, and by default, "
+             f"{DEFAULT_MAX_STMTS})")),
     "--faults": ("faults", dict(
         type=int, metavar="SEED",
         help="inject deterministic network faults from this seed "

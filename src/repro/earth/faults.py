@@ -104,6 +104,11 @@ class FaultPlan:
                  "stall_windows", "stall_ns", "horizon_ns",
                  "_bound", "_su_windows", "_stall_windows")
 
+    #: The most windows of one kind a node gets: twenty times what any
+    #: profile asks for.  Every node's windows are drawn when the plan
+    #: is bound, so an unbounded count is a memory request.
+    MAX_WINDOWS = 64
+
     def __init__(self, seed: int, *,
                  drop_prob: float = 0.0,
                  jitter_ns: float = 0.0,
@@ -134,6 +139,9 @@ class FaultPlan:
                 f"{su_slowdown_factor}")
         if su_slowdown_windows < 0 or stall_windows < 0:
             raise FaultPlanError("window counts must be >= 0")
+        if max(su_slowdown_windows, stall_windows) > self.MAX_WINDOWS:
+            raise FaultPlanError(f"window counts must be <= "
+                                 f"{self.MAX_WINDOWS}")
         if su_slowdown_window_ns < 0 or stall_ns < 0 or horizon_ns <= 0:
             raise FaultPlanError("window durations must be positive")
         self.seed = int(seed)

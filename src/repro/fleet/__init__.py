@@ -1,9 +1,7 @@
-"""Fleet serving: the HTTP gateway, a shared object store, a process
-launcher.
+"""Serving: the HTTP gateway, a blob store, a process launcher.
 
 :mod:`repro.service` makes the pipeline cacheable and poolable; this
-package puts it on the network and lets several hosts share what they
-compute:
+package puts it on the network:
 
 * :mod:`repro.fleet.http` -- a stdlib-only asyncio HTTP/1.1 JSON
   gateway over a :class:`~repro.service.pool.WorkerPool` behind its
@@ -11,23 +9,18 @@ compute:
   one wire format -- so :class:`~repro.service.client.ServiceClient`,
   browsers, ``curl``, and standard load balancers submit jobs
   (``POST /v1/jobs``) and scrape health and metrics (``GET /healthz``,
-  ``GET /metrics``) the same way;
-* :mod:`repro.fleet.store` -- a networked object-store tier behind the
-  existing SHA-256 content addresses: a small HTTP blob server plus a
-  :class:`RemoteStore` client that slots under
-  :class:`~repro.service.cache.ArtifactCache` as a third tier
-  (memory -> local disk -> remote) of a gateway's one cache -- one
-  client, one breaker, in the parent process -- with single-flight
-  fill, PUT-if-absent writes, and graceful degradation to local-only
-  when the store is unreachable;
+  ``GET /metrics``) the same way.  A gateway's one cache is its pool's
+  :class:`~repro.service.cache.ArtifactCache` (memory -> disk);
+* :mod:`repro.fleet.store` -- a content-addressed HTTP blob server
+  (:class:`BlobStoreServer`, the ``fleet-store`` verb) and its blocking
+  client (:class:`RemoteStore`).  No gateway uses them.  They remain
+  only because the benchmark's traced fleet probe imports
+  ``launch_store`` and ``RemoteStore`` to time a put and a get, and
+  they go in the change after the benchmark drops its
+  ``fleet.store_*`` rows (ROADMAP item 1);
 * :mod:`repro.fleet.loadgen` -- the launcher: gateways and stores as
   real OS processes (``bench/``, the one load harness, drives it for
   its ``serve-*`` workloads).
-
-Content addressing is what makes the shared tier safe:
-``PIPELINE_VERSION`` is part of every key, so two hosts running
-different pipeline versions can share a store without ever serving each
-other stale payloads -- a stale key simply never matches.
 
 The dependency runs one way, fleet -> service.  CLI verbs: ``python -m
 repro serve`` / ``fleet-store``.
@@ -35,12 +28,10 @@ repro serve`` / ``fleet-store``.
 
 from repro.fleet.http import (
     HttpGateway,
-    http_json,
     serve_gateway_forever,
 )
 from repro.fleet.store import (
     BlobStoreServer,
-    FleetCache,
     RemoteStore,
     serve_store_forever,
 )
@@ -52,10 +43,8 @@ from repro.fleet.loadgen import (
 
 __all__ = [
     "HttpGateway",
-    "http_json",
     "serve_gateway_forever",
     "BlobStoreServer",
-    "FleetCache",
     "RemoteStore",
     "serve_store_forever",
     "FleetProcess",

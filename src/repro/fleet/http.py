@@ -42,7 +42,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import error_body, http_status_for
 from repro.harness.pipeline import PIPELINE_VERSION
-from repro.service.client import http_json  # noqa: F401 (re-exported)
 from repro.service.pool import JobAdmission, WorkerPool
 
 #: Upper bounds on request framing (a job source can be large, a header
@@ -297,14 +296,12 @@ class HttpGateway(HttpServerBase):
             self._require(method, "GET", path)
             return 200, {"ok": True, "role": "gateway",
                          "version": PIPELINE_VERSION,
-                         "workers": self.pool.workers,
-                         "store": self.pool.store_url}, (), False
+                         "workers": self.pool.workers}, (), False
         if path == "/metrics":
             self._require(method, "GET", path)
             return 200, {"ok": True,
                          "metrics": self.pool.metrics_snapshot(),
-                         "inflight": self.admission.inflight,
-                         "store": self.pool.store_url}, (), False
+                         "inflight": self.admission.inflight}, (), False
         if path == "/v1/jobs":
             self._require(method, "POST", path)
             return await self._submit(request)

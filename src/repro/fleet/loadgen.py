@@ -3,7 +3,7 @@
 :class:`FleetProcess` / :func:`launch_gateway` / :func:`launch_store`
 spawn ``python -m repro serve`` / ``fleet-store``, wait for
 ``/healthz``, scrape ``/metrics``, and shut them down (or
-:meth:`~FleetProcess.kill` them hard, for outage drills).  The
+:meth:`~FleetProcess.kill` them hard).  The
 benchmark (``bench/workloads.py``, the one load harness) and the
 subprocess-level tests drive fleets through it; the module keeps the
 name they import it by.
@@ -104,7 +104,7 @@ class FleetProcess:
             self.proc.stdout.close()
 
     def kill(self) -> None:
-        """Hard stop -- the outage drill (no goodbye, no flush)."""
+        """Hard stop (no goodbye, no flush)."""
         if self.proc.poll() is None:
             self.proc.terminate()
             try:
@@ -129,7 +129,6 @@ def launch_store(cache_dir: str, host: str = "127.0.0.1",
 
 
 def launch_gateway(cache_dir: Optional[str],
-                   store_url: Optional[str] = None,
                    workers: int = 1, host: str = "127.0.0.1",
                    port: Optional[int] = None,
                    max_queue_depth: int = 64,
@@ -142,7 +141,5 @@ def launch_gateway(cache_dir: Optional[str],
             "--max-queue-depth", str(max_queue_depth)]
     argv += ["--cache-dir", cache_dir] if cache_dir is not None \
         else ["--no-cache"]
-    if store_url is not None:
-        argv += ["--store", store_url]
     return FleetProcess("serve", argv, host, port) \
         .wait_ready(timeout)

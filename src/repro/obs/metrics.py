@@ -108,9 +108,9 @@ class ServiceMetrics:
                 "cache_hits", "cache_misses", "singleflight_hits",
                 "jobs_requeued", "worker_crashes", "job_timeouts",
                 "rejected_busy",
-                # HTTP gateway traffic (repro.fleet).  What the cache and
-                # the remote store did is counted by the pool's one cache
-                # and joins these in ``WorkerPool.metrics_snapshot``.
+                # HTTP gateway traffic (repro.fleet).  What the cache did
+                # is counted by the pool's one cache and joins these in
+                # ``WorkerPool.metrics_snapshot``.
                 "http_requests", "http_errors")
 
     def __init__(self):

@@ -110,8 +110,7 @@ class ArtifactCache:
     def recall(self, key: str) -> Optional[Dict[str, object]]:
         """The memory tier's payload under ``key``, or None.  A hit is
         counted as :meth:`get` counts it; a miss is not counted, and
-        nothing else is probed: no disk read (nor, in a subclass, any
-        remote call), so an event loop may ask."""
+        the disk is not read, so an event loop may ask."""
         with self._lock:
             payload = self._memory.get(key)
             if payload is not None:

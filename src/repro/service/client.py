@@ -1,7 +1,8 @@
 """Blocking HTTP client for the compile service.
 
-Three pieces every caller of the gateway (:mod:`repro.fleet.http`) and
-the blob store (:mod:`repro.fleet.store`) shares:
+Three pieces every caller of the gateway (:mod:`repro.fleet.http`)
+shares (the blob store's client, :mod:`repro.fleet.store`, only the
+first):
 
 * :func:`http_json` -- one HTTP/JSON round trip on a fresh connection;
 * :func:`with_retries` -- the one reconnect-and-retry loop, doubling

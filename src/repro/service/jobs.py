@@ -472,8 +472,8 @@ class CachedJob:
         """The finished result -- a hit, or the failure of a spec whose
         inputs do not resolve (an unknown benchmark name) -- or None:
         the payload has to be computed.  ``memory_only`` probes the
-        memory tier alone (:meth:`ArtifactCache.recall`: no disk or
-        network); its None is not a counted miss."""
+        memory tier alone (:meth:`ArtifactCache.recall`: no disk); its
+        None is not a counted miss."""
         start = time.perf_counter()
         if self.cacheable and self.key is None:
             try:

@@ -1,14 +1,14 @@
 """Multi-process worker pool with warm pipelines and bounded requeue.
 
 The pool owns exactly one cache, in the parent process, in front of
-its workers (:class:`~repro.service.cache.ArtifactCache`, or the
-fleet's three-tier one when a store URL is given).  A job is looked up
+its workers (an :class:`~repro.service.cache.ArtifactCache`: memory,
+then disk).  A job is looked up
 in the submitting thread: a hit is finished there, never crosses a
 process boundary, and is answered while every worker is busy.  A
 server's event loop asks first (:meth:`WorkerPool.recall`): a hit in
 the memory tier is finished on the loop and crosses no thread either;
-only memory is probed there, as disk, network or compute would stall
-every connection.  A miss fans out to one of ``workers`` OS processes,
+only memory is probed there, as disk or compute would stall every
+connection.  A miss fans out to one of ``workers`` OS processes,
 each a pure function of the spec with a *warm* pipeline (the
 per-process compile memo in :mod:`repro.service.jobs`), and the thread
 that waits for the job stores its payload -- never the collector
@@ -120,8 +120,7 @@ class WorkerPool:
                  cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
                  timeout_s: Optional[float] = None,
                  max_attempts: int = 3,
-                 backoff_s: float = 0.05,
-                 store_url: Optional[str] = None):
+                 backoff_s: float = 0.05):
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
         if max_attempts < 1:
@@ -129,19 +128,12 @@ class WorkerPool:
                 f"max_attempts must be >= 1, got {max_attempts}")
         self.workers = workers
         self.cache_dir = cache_dir
-        self.store_url = store_url
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.metrics = ServiceMetrics()
-        #: The pool's one cache, whatever the worker count: the two
-        #: local tiers, plus the fleet's remote store under a store URL
-        #: (imported lazily: plain pools do not pay for the package).
-        if store_url is None:
-            self.cache = ArtifactCache(cache_dir)
-        else:
-            from repro.fleet.store import FleetCache, RemoteStore
-            self.cache = FleetCache(cache_dir, RemoteStore(store_url))
+        #: The pool's one cache, whatever the worker count.
+        self.cache = ArtifactCache(cache_dir)
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
@@ -262,7 +254,7 @@ class WorkerPool:
 
     def recall(self, spec: JobSpec, key: str) -> Optional[JobResult]:
         """The job finished from the cache's memory tier, or None.  No
-        disk, network, compute or queue is touched, so an event loop
+        disk, compute or queue is touched, so an event loop
         may ask.  A hit counts as one through :meth:`run_job` does, but
         it enters no queue and so leaves the queue depth (and its peak)
         alone."""
@@ -419,16 +411,11 @@ class WorkerPool:
     # -- reporting ---------------------------------------------------------
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """``/metrics``: the service counters, the cache's snapshot
-        under ``cache``, the remote tier's probe counts read from it."""
+        """``/metrics``: the service counters and the cache's snapshot
+        under ``cache``."""
         data = self.metrics.to_dict()
         data["workers"] = self.workers
-        if self.store_url is not None:
-            data["store_url"] = self.store_url
         data["cache"] = self.cache.snapshot()
-        remote = data["cache"].get("remote", {})
-        for name in ("hits", "misses", "puts", "fallbacks"):
-            data[f"store_{name}"] = remote.get(name, 0)
         return data
 
     def __repr__(self) -> str:
@@ -453,7 +440,7 @@ class JobAdmission:
     hit is never admitted: it takes no executor thread, joins no
     flight, is never refused ``Busy`` and does not raise
     ``peak_queue_depth``.  Everything else -- a memory miss, a disk
-    hit, a remote fetch, a compute -- crosses to an executor thread."""
+    hit, a compute -- crosses to an executor thread."""
 
     def __init__(self, pool: WorkerPool, max_queue_depth: int = 64):
         self.pool = pool

@@ -123,6 +123,8 @@ class TestValidationAndProfiles:
         {"su_slowdown_factor": 0.5},
         {"su_slowdown_windows": -1},
         {"stall_windows": -2},
+        {"su_slowdown_windows": FaultPlan.MAX_WINDOWS + 1},
+        {"stall_windows": 10**9},
         {"horizon_ns": 0.0},
         {"stall_ns": -5.0},
     ])

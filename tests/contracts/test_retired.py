@@ -59,6 +59,11 @@ _TWO_SOLVES = ("the optimizer solves the alias facts before forwarding, "
 _ONE_LOG = ("what the optimizer did is one log, OptimizationReport.log, "
             "a record per rewrite; every counter it exposes is a count "
             "over the log")
+_ONE_CACHE = ("a gateway's one cache is its pool's ArtifactCache, memory "
+              "then disk: the remote store tier, serve --store and the "
+              "store client's breaker are gone")
+_ONE_IMPORT = ("http_json lives in repro.service.client only; the fleet "
+               "package does not re-export it")
 
 RETIRED = (
     Retired(r"loop_weight", "2.3", _KNOBS),
@@ -102,6 +107,10 @@ RETIRED = (
     Retired(r"ForwardingStats", "2.9", _ONE_LOG),
     Retired(r"report\.selections\b", "2.9", _ONE_LOG),
     Retired(r"report\.forwarding\b", "2.9", _ONE_LOG),
+    Retired(r"FleetCache", "2.12", _ONE_CACHE),
+    Retired(r"\bstore_url\b", "2.12", _ONE_CACHE),
+    Retired(r"store_fallbacks", "2.12", _ONE_CACHE),
+    Retired(r"http_json", "2.12", _ONE_IMPORT, "fleet/http.py"),
 )
 
 
@@ -144,3 +153,10 @@ def test_the_compile_key_left_no_alias():
     assert Configuration._fields == ("optimize", "comm", "cached", "pins")
     wire = JobSpec("compile", source="int main() { return 0; }").to_dict()
     assert len(wire) == 19 and not {"config", "opt"} & set(wire)
+
+
+def test_the_fleet_package_does_not_reexport_http_json():
+    import repro.fleet
+    import repro.fleet.http
+    assert not hasattr(repro.fleet.http, "http_json")
+    assert "http_json" not in repro.fleet.__all__

@@ -9,8 +9,9 @@ import threading
 
 import pytest
 
-from repro.fleet.http import http_json, serve_gateway_forever
+from repro.fleet.http import serve_gateway_forever
 from repro.fleet.store import serve_store_forever
+from repro.service.client import http_json
 from repro.service.pool import WorkerPool
 
 
@@ -51,10 +52,9 @@ class LiveServer:
 
 
 def start_gateway(workers=0, cache_dir=None, max_queue_depth=64,
-                  store_url=None, pool=None):
+                  pool=None):
     if pool is None:
-        pool = WorkerPool(workers, cache_dir=cache_dir,
-                          store_url=store_url)
+        pool = WorkerPool(workers, cache_dir=cache_dir)
     return LiveServer(serve_gateway_forever, (pool,),
                       {"port": 0, "max_queue_depth": max_queue_depth},
                       "gateway")

@@ -3,7 +3,7 @@ the gateway to the one JobAdmission behind it."""
 
 import threading
 
-from repro.fleet.http import http_json
+from repro.service.client import http_json
 from repro.service.jobs import JobSpec
 
 

@@ -1,17 +1,15 @@
-"""The fleet as a real process tree, driven through the CLI verbs.
+"""The gateway as a real process, driven through the CLI verbs.
 
-One blob store and two HTTP gateways (``python -m repro fleet-store`` /
-``serve``, two workers each) come up as OS processes; the first
-gateway takes ``submit`` and ``batch --connect`` through
+One HTTP gateway (``python -m repro serve``, two workers) comes up as
+an OS process and takes ``submit`` and ``batch --connect`` through
 :func:`repro.__main__.main`: a resubmitted job is replayed
 bit-identically by the gateway's one cache without reaching a worker, a
-bundle sweep arrives as ``run`` legs, ``/metrics`` answers, and every
-process shuts down.  What the gateways compute, refuse and share
-through the store is tier-1's (``tests/fleet/``,
-``tests/service/test_pool.py``,
+bundle sweep arrives as ``run`` legs, ``/metrics`` answers, and the
+process tree shuts down.  What the gateway computes and refuses is
+tier-1's (``tests/fleet/``, ``tests/service/test_pool.py``,
 ``tests/integration/test_engine_rejection.py``).
 
-Seven processes and a few seconds: marked ``ci_only``, run by CI's
+Three processes and a few seconds: marked ``ci_only``, run by CI's
 ``contracts`` job (``PYTHONPATH=src python -m pytest -q -m ci_only
 tests/fleet/test_fleet_smoke.py``).
 """
@@ -21,7 +19,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.fleet import launch_gateway, launch_store
+from repro.fleet import launch_gateway
 
 
 def _json_verb(capsys, argv):
@@ -31,14 +29,9 @@ def _json_verb(capsys, argv):
 
 
 @pytest.mark.ci_only
-def test_a_store_and_two_gateways_serve_the_cli_verbs(tmp_path, capsys):
-    fleet = [launch_store(str(tmp_path / "store"))]
+def test_a_gateway_serves_the_cli_verbs(tmp_path, capsys):
+    gateway = launch_gateway(str(tmp_path / "cache"), workers=2)
     try:
-        for name in ("gw1", "gw2"):
-            fleet.append(launch_gateway(str(tmp_path / name),
-                                        store_url=fleet[0].url,
-                                        workers=2))
-        gateway = fleet[1]
         submit = ["submit", "--benchmark", "power", "--kind", "run",
                   "--small", "--nodes", "2", "--port", str(gateway.port)]
         cold = _json_verb(capsys, submit)
@@ -62,6 +55,5 @@ def test_a_store_and_two_gateways_serve_the_cli_verbs(tmp_path, capsys):
         assert metrics["workers"] == 2, metrics
         assert metrics["cache"]["memory_hits"] >= 1, metrics["cache"]
     finally:
-        for member in reversed(fleet):
-            member.shutdown()
-    assert all(member.proc.returncode is not None for member in fleet)
+        gateway.shutdown()
+    assert gateway.proc.returncode is not None

@@ -5,18 +5,15 @@
 computes the key.  Such a hit takes no admission executor thread, never
 enters the admission queue -- so it is never ``Busy`` and leaves
 ``peak_queue_depth`` alone -- and is counted, and enveloped, as an
-executor hit is.  Everything else (a memory miss, a disk hit, a remote
-fetch, a compute) still crosses to an executor thread.  Every gateway
+executor hit is.  Everything else (a memory miss, a disk hit, a
+compute) still crosses to an executor thread.  Every gateway
 here counts the jobs handed to its admission executor."""
 
 import threading
 
 import pytest
 
-from repro.fleet.loadgen import free_port
-from repro.fleet.store import FleetCache
 from repro.service.jobs import JobSpec
-from repro.service.pool import WorkerPool
 from tests.fleet.conftest import start_gateway
 
 SOURCE = "int main(int n) { return n * 3; }"
@@ -196,24 +193,5 @@ class TestEveryCacheGetsLoopHits:
             assert _post(live, _hit_spec())[1]["result"]["cache"] \
                 == "hit"
             assert len(calls) == 1
-        finally:
-            live.close()
-
-    def test_fleet_cache_recall_makes_no_remote_call(self, tmp_path):
-        nowhere = f"http://127.0.0.1:{free_port()}"
-        pool = WorkerPool(0, cache_dir=str(tmp_path / "cache"),
-                          store_url=nowhere)
-        assert isinstance(pool.cache, FleetCache)
-        live = start_gateway(pool=pool)
-        try:
-            calls = _counted(live)
-            assert _post(live, _hit_spec())[1]["result"]["cache"] \
-                == "miss"
-            remote = pool.cache.remote.snapshot()
-            status, hit = _post(live, _hit_spec())
-            assert status == 200 and hit["result"]["cache"] == "hit"
-            assert len(calls) == 1
-            assert pool.cache.recall("0" * 64) is None
-            assert pool.cache.remote.snapshot() == remote
         finally:
             live.close()

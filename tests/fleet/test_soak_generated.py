@@ -1,12 +1,12 @@
-"""Seeded generated-workload soak of the whole fleet stack.
+"""Seeded generated-workload soak of the serving stack.
 
 Fifty heterogeneous synthetic jobs (three shapes x both engines x
 1/2/4 simulated nodes x rcache on/off), generated by
 :mod:`repro.workload` from one seed, stream through a real HTTP
-gateway backed by a shared artifact store.  A contiguous mid-run
-window of the stream additionally carries a lossy fault profile, so
-the resilient network path is exercised while the fleet is under
-load.  The soak pins the end-to-end contract:
+gateway with a disk cache.  A contiguous mid-run window of the stream
+additionally carries a lossy fault profile, so the resilient network
+path is exercised while the gateway is under load.  The soak pins the
+end-to-end contract:
 
 * zero dropped jobs -- every submission is answered ``ok`` (no
   backpressure, no transport errors, no job failures);
@@ -14,7 +14,7 @@ load.  The soak pins the end-to-end contract:
   job exactly once, and resubmitting a spec is answered from the
   artifact cache instead of re-executing;
 * payload fidelity -- every deterministic payload matches an
-  in-process replay of the same JobSpec (the HTTP hop and the store
+  in-process replay of the same JobSpec (the HTTP hop and the cache
   added nothing and lost nothing).
 """
 
@@ -25,7 +25,7 @@ from repro.earth.interpreter import ENGINES
 from repro.service import JobSpec, execute_job
 from repro.workload import generate_jobs
 
-from tests.fleet.conftest import start_gateway, start_store
+from tests.fleet.conftest import start_gateway
 
 TOTAL = 50
 #: The lossy window: jobs 20..34 of the stream run under seeded drops.
@@ -44,12 +44,10 @@ def _stream(seed):
             for i, job in enumerate(jobs)]
 
 
-def test_generated_soak_through_gateway_and_store(tmp_path):
+def test_generated_soak_through_the_gateway(tmp_path):
     jobs = _stream(2026)
-    store = start_store(tmp_path / "store")
     gateway = start_gateway(workers=0,
-                            cache_dir=str(tmp_path / "gateway-cache"),
-                            store_url=store.url)
+                            cache_dir=str(tmp_path / "gateway-cache"))
     try:
         responses = [None] * TOTAL
         cursor = {"next": 0}
@@ -87,8 +85,6 @@ def test_generated_soak_through_gateway_and_store(tmp_path):
         assert metrics["jobs_failed"] == 0
         assert metrics["rejected_busy"] == 0
         assert metrics["cache_hits"] == 0  # 50 distinct jobs
-        # The shared store saw the artifacts.
-        assert metrics["store_puts"] >= TOTAL
 
         # The lossy window genuinely hit the resilient path (1-node
         # jobs have no network to drop, so assert over the window).
@@ -98,7 +94,7 @@ def test_generated_soak_through_gateway_and_store(tmp_path):
             for index in FAULT_WINDOW if jobs[index].run.nodes > 1)
         assert retries > 0
 
-        # Payload fidelity: the HTTP + store round trip returns exactly
+        # Payload fidelity: the HTTP + cache round trip returns exactly
         # what an in-process execution of the same spec computes.
         # (The run payload is the deterministic contract; the compile
         # payload's listing embeds process-global statement labels.)
@@ -120,4 +116,3 @@ def test_generated_soak_through_gateway_and_store(tmp_path):
         assert metrics["cache_hits"] == 1
     finally:
         gateway.close()
-        store.close()

@@ -28,7 +28,7 @@ OPTION_STRINGS = {
         """,
     "serve": """
         --cache-dir --help --host --max-attempts --max-queue-depth
-        --no-cache --port --store --timeout --workers -h
+        --no-cache --port --timeout --workers -h
         """,
     "submit": """
         --args --benchmark --engine --entry --fault-profile
@@ -81,7 +81,7 @@ def test_option_strings_of_help(verb, capsys):
 def test_distinct_flags_across_the_verbs():
     flags = {flag for text in OPTION_STRINGS.values()
              for flag in text.split()} - {"-h", "--help", "-O"}
-    assert len(flags) == 50   # + 5 of harness.report / shard.scenarios
+    assert len(flags) == 49   # + 5 of harness.report / shard.scenarios
 
 
 def test_retired_flag_is_a_usage_error(tmp_path, capsys):
@@ -262,12 +262,15 @@ def test_batch_refuses_a_bundle_kind_in_a_jobs_file(kind, tmp_path,
 @pytest.mark.parametrize("job,message", [
     ({"kind": "run", "benchmark": "power", "nodes": 10**7},
      "nodes must be <= 4096, got 10000000"),
+    ({"kind": "run", "source": "int main() { return 0; }",
+      "max_stmts": 10**18},
+     "max_stmts must be <= 200000000"),
     ({"kind": "compile", "benchmark": "treeadd", "selftest": "x"},
      "selftest must be an object, got str"),
     ({"kind": "selftest",
       "selftest": {"behavior": "echo", "value": float("nan")}},
      "job spec holds a non-finite number (nan); JSON has none")],
-    ids=["nodes", "selftest-str", "echo-nan"])
+    ids=["nodes", "max-stmts", "selftest-str", "echo-nan"])
 def test_batch_refuses_a_fuzz_found_spec(job, message, tmp_path, capsys):
     """A bad spec in a jobs file is a service error (exit 6) with one
     line, like every other."""

@@ -3,8 +3,7 @@
 A real :class:`ServiceClient` against a scripted HTTP server that
 misbehaves in controlled ways -- dropping the connection where the
 response should be, or part-way through it -- so the retry path is
-exercised end to end, not mocked.  ``RemoteStore`` runs the same loop
-(``with_retries``); these tests pin the contract both rely on."""
+exercised end to end, not mocked."""
 
 import json
 import socket

@@ -76,6 +76,23 @@ class TestSpecValidation:
             JobSpec.from_dict({"kind": "run", "source": SOURCE,
                                "nodes": RunConfig.MAX_NODES + 1})
 
+    def test_max_stmts_has_an_upper_bound(self):
+        """A statement budget is host time and ``serve`` has no default
+        timeout: a budget past the cap is refused, every catalog
+        benchmark's is not."""
+        from repro.config import DEFAULT_MAX_STMTS
+        from repro.olden.loader import catalog
+        assert RunConfig.MAX_STMTS >= DEFAULT_MAX_STMTS
+        assert all(spec.max_stmts <= RunConfig.MAX_STMTS
+                   for spec in catalog())
+        assert RunConfig(max_stmts=RunConfig.MAX_STMTS).max_stmts \
+            == RunConfig.MAX_STMTS
+        with pytest.raises(UsageError, match="max_stmts must be <= "):
+            RunConfig(max_stmts=RunConfig.MAX_STMTS + 1)
+        with pytest.raises(ServiceError, match="max_stmts must be <= "):
+            JobSpec.from_dict({"kind": "run", "source": SOURCE,
+                               "max_stmts": 10**18})
+
     @pytest.mark.parametrize("kind", ["compile", "run", "selftest"])
     @pytest.mark.parametrize("selftest", ["x", [1], 5])
     def test_a_selftest_that_is_not_an_object_is_refused(self, kind,
