@@ -12,7 +12,7 @@ Threaded-C fiber form, the communication tuples, and/or runs it on the
 simulated EARTH-MANNA machine.  The ``serve``/``submit``/``batch``
 verbs front the :mod:`repro.service` subsystem: a content-addressed
 compile cache behind a multi-process worker pool, served over HTTP by
-:mod:`repro.fleet.http`.
+:mod:`repro.service.http`.
 
 Examples::
 
@@ -413,7 +413,7 @@ def _run_server(port: int, serve) -> int:
 
 
 def _serve_main(argv) -> int:
-    from repro.fleet import serve_gateway_forever
+    from repro.service.http import serve_gateway_forever
     from repro.harness.pipeline import PIPELINE_VERSION
     from repro.service import DEFAULT_CACHE_DIR, WorkerPool
 
@@ -726,7 +726,7 @@ def _batch_main(argv) -> int:
 
 
 def _fleet_store_main(argv) -> int:
-    from repro.fleet import serve_store_forever
+    from repro.fleet.store import serve_store_forever
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet-store",

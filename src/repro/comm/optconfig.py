@@ -25,7 +25,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import UsageError
+from repro.errors import UsageError, shown
 
 #: Frequency multiplier per enclosing loop (the paper: x10).
 LOOP_WEIGHT = 10.0
@@ -64,7 +64,7 @@ class OptConfig:
         # A job spec arrives as JSON, where "no" and 1 are truthy.
         if type(self.probabilistic) is not bool:
             raise UsageError(f"probabilistic must be a bool, got "
-                             f"{self.probabilistic!r}")
+                             f"{shown(self.probabilistic)}")
 
     @property
     def preset(self) -> str:

@@ -35,7 +35,7 @@ from repro.comm.optconfig import OptConfig, resolve_opt
 from repro.comm.placement import READ, WRITE, PlacementAnalysis
 from repro.comm.selection import CommSelection
 from repro.comm.tuples import Rewrite
-from repro.errors import UsageError
+from repro.errors import UsageError, shown
 from repro.obs.profile import PassProfile, timed_pass
 from repro.simple import nodes as s
 from repro.simple.validate import ValidationStats, validate_program
@@ -69,7 +69,7 @@ class CommConfig:
                      "enable_blocking", "speculative_reads"):
             if type(getattr(self, name)) is not bool:
                 raise UsageError(f"{name} must be a bool, got "
-                                 f"{getattr(self, name)!r}")
+                                 f"{shown(getattr(self, name))}")
         object.__setattr__(self, "opt", resolve_opt(self.opt))
 
     def to_json(self) -> Dict[str, object]:

@@ -32,7 +32,7 @@ from repro.earth.faults import PROFILES, FaultPlan, plan_from_cli
 from repro.earth.interpreter import DEFAULT_ENGINE, DEFAULT_MAX_STMTS, ENGINES
 from repro.earth.params import MachineParams
 from repro.earth.rcache import DEFAULT_LINE_WORDS
-from repro.errors import ReproError, UsageError
+from repro.errors import ReproError, UsageError, shown
 
 #: Named machine-parameter presets a serialized config may request
 #: (jobs travel as JSON, so they name a preset instead of carrying a
@@ -100,23 +100,23 @@ class RunConfig:
                      "rcache_line_words", "max_stmts"):
             if type(getattr(self, name)) is not int:
                 raise UsageError(f"{name} must be an integer, got "
-                                 f"{getattr(self, name)!r}")
+                                 f"{shown(getattr(self, name))}")
         for name in ("strict_nil_reads", "trace"):
             if type(getattr(self, name)) is not bool:
                 raise UsageError(f"{name} must be a bool, got "
-                                 f"{getattr(self, name)!r}")
+                                 f"{shown(getattr(self, name))}")
         if not isinstance(self.entry, str):
             raise UsageError(f"entry must be a function name, got "
-                             f"{self.entry!r}")
+                             f"{shown(self.entry)}")
         if not isinstance(self.args, (list, tuple)) or any(
                 type(arg) not in (int, float) for arg in self.args):
             raise UsageError(f"args must be a sequence of numbers, got "
-                             f"{self.args!r}")
+                             f"{shown(self.args)}")
         # JSON spells NaN and Infinity too, and neither is an argument.
         if any(type(arg) is float and not math.isfinite(arg)
                for arg in self.args):
             raise UsageError(f"args must be finite numbers, got "
-                             f"{list(self.args)!r}")
+                             f"{shown(list(self.args))}")
         # A C int (not echoed: a long enough int has no repr).
         if any(type(arg) is int and not -2**31 <= arg < 2**31
                for arg in self.args):
@@ -124,23 +124,25 @@ class RunConfig:
                              "2147483647); one is out of range")
         object.__setattr__(self, "args", tuple(self.args))
         if self.nodes < 1:
-            raise UsageError(f"nodes must be >= 1, got {self.nodes}")
+            raise UsageError(f"nodes must be >= 1, got "
+                             f"{shown(self.nodes)}")
         if self.nodes > self.MAX_NODES:
             raise UsageError(f"nodes must be <= {self.MAX_NODES}, got "
-                             f"{self.nodes}")
+                             f"{shown(self.nodes)}")
         if self.shards < 1:
-            raise UsageError(f"shards must be >= 1, got {self.shards}")
+            raise UsageError(f"shards must be >= 1, got "
+                             f"{shown(self.shards)}")
         if self.shards > self.nodes:
             raise UsageError(
                 f"cannot split {self.nodes} node(s) across "
-                f"{self.shards} shard(s): --shards must not exceed "
-                f"the node count")
+                f"{shown(self.shards)} shard(s): --shards must not "
+                f"exceed the node count")
         if self.engine not in ENGINES:
-            raise UsageError(f"unknown engine {self.engine!r} "
+            raise UsageError(f"unknown engine {shown(self.engine)} "
                              f"(known: {', '.join(ENGINES)})")
         if self.params not in PARAMS_PRESETS:
             raise UsageError(
-                f"unknown params preset {self.params!r} "
+                f"unknown params preset {shown(self.params)} "
                 f"(known: {', '.join(PARAMS_PRESETS)})")
         if self.rcache_capacity < 0:
             raise UsageError("rcache_capacity must be >= 0 (0 disables)")
@@ -148,7 +150,7 @@ class RunConfig:
             raise UsageError("rcache_line_words must be >= 1")
         if self.max_stmts < 1:
             raise UsageError(f"max_stmts must be >= 1, got "
-                             f"{self.max_stmts}")
+                             f"{shown(self.max_stmts)}")
         if self.max_stmts > self.MAX_STMTS:
             raise UsageError(f"max_stmts must be <= {self.MAX_STMTS}")
         if self.trace_capacity is not None and (
@@ -158,7 +160,7 @@ class RunConfig:
         if self.faults is not None:
             if not isinstance(self.faults, dict):
                 raise UsageError(f"faults must be a fault spec object, "
-                                 f"got {self.faults!r}")
+                                 f"got {shown(self.faults)}")
             # Validate eagerly so a bad spec fails where it was written,
             # not inside a worker process; keep the complete spec, so
             # one fault schedule has one cache address.

@@ -48,7 +48,7 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import FaultPlanError
+from repro.errors import FaultPlanError, shown
 
 #: Named configurations for the CLI's ``--fault-profile`` and the chaos
 #: test suite.  All are moderate enough that the default retry policy
@@ -125,18 +125,23 @@ class FaultPlan:
                             ("su_slowdown_window_ns", su_slowdown_window_ns),
                             ("stall_ns", stall_ns),
                             ("horizon_ns", horizon_ns)):
-            if not math.isfinite(value):
-                raise FaultPlanError(f"{name} must be finite, got {value}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:   # an int past the float range
+                finite = False
+            if not finite:
+                raise FaultPlanError(f"{name} must be finite, got "
+                                     f"{shown(value)}")
         if not 0.0 <= drop_prob <= 1.0:
             raise FaultPlanError(
-                f"drop_prob must be in [0, 1], got {drop_prob}")
+                f"drop_prob must be in [0, 1], got {shown(drop_prob)}")
         if jitter_ns < 0.0:
             raise FaultPlanError(
-                f"jitter_ns must be >= 0, got {jitter_ns}")
+                f"jitter_ns must be >= 0, got {shown(jitter_ns)}")
         if su_slowdown_factor < 1.0:
             raise FaultPlanError(
                 f"su_slowdown_factor must be >= 1, got "
-                f"{su_slowdown_factor}")
+                f"{shown(su_slowdown_factor)}")
         if su_slowdown_windows < 0 or stall_windows < 0:
             raise FaultPlanError("window counts must be >= 0")
         if max(su_slowdown_windows, stall_windows) > self.MAX_WINDOWS:
@@ -285,7 +290,7 @@ class FaultPlan:
                 continue
             kind = "an integer" if name in _COUNTS else "a number"
             raise FaultPlanError(f"fault spec field {name!r} must be "
-                                 f"{kind}, got {value!r}")
+                                 f"{kind}, got {shown(value)}")
         return cls(**spec)
 
     # -- reporting ---------------------------------------------------------

@@ -167,6 +167,16 @@ def error_body(error_type: str, message: str, code: int = EXIT_SERVICE,
     return body
 
 
+def shown(value: object) -> str:
+    """``repr(value)`` for a message that echoes a caller's value.  An
+    int past Python's digit limit for printing (4,300 by default), or
+    a container holding one, has no repr: it is named by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too large to print"
+
+
 def http_status_for(code: int) -> int:
     """The HTTP status for a CLI exit code (500 for anything unknown)."""
     return HTTP_STATUS_FOR_EXIT.get(code, 500)

@@ -5,7 +5,7 @@ full resolved job inputs, so a payload stored under a key is valid
 anywhere, forever.  This module serves such payloads over HTTP:
 
 * :class:`BlobStoreServer` -- a small HTTP blob server (the asyncio
-  base from :mod:`repro.fleet.http`) storing JSON payloads under their
+  base from :mod:`repro.service.http`) storing JSON payloads under their
   SHA-256 keys in an ordinary :class:`ArtifactCache` directory.
   ``PUT /blobs/<key>`` is put-if-absent: the first writer creates, later
   writers of the same key are acknowledged no-ops (content addressing
@@ -25,7 +25,7 @@ import re
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.fleet.http import (
+from repro.service.http import (
     HttpError,
     HttpRequest,
     HttpServerBase,

@@ -1,5 +1,5 @@
 """Compile service: content-addressed caching, batch parallelism, and
-the client of the serving layer above the Zhu--Hendren pipeline.
+the HTTP serving layer above the Zhu--Hendren pipeline.
 
 The pipeline's phases are deterministic pure functions of (source,
 options), so every product -- SIMPLE listing, Threaded-C form,
@@ -17,15 +17,14 @@ safe to farm out to worker processes.  Layers, bottom up:
 * :mod:`repro.service.pool` -- crash-tolerant multiprocessing
   :class:`WorkerPool` with one cache in the parent, in front of its
   workers, warm pipelines, per-attempt timeouts, and bounded
-  exponential-backoff requeue, and the :class:`JobAdmission`
-  (single-flight deduplication, queue-depth backpressure) a server
-  fronts it with;
+  exponential-backoff requeue;
+* :mod:`repro.service.http` -- the one wire: an asyncio HTTP/1.1 JSON
+  gateway over a pool, and the one door to it (loop hits,
+  single-flight deduplication, queue-depth backpressure);
 * :mod:`repro.service.client` -- the blocking HTTP round trip, its
   retry loop, and the :class:`ServiceClient` built from them.
 
-The server itself -- one wire, HTTP/JSON -- is :mod:`repro.fleet.http`;
-nothing here imports it.  CLI verbs: ``python -m repro serve`` /
-``submit`` / ``batch``.
+CLI verbs: ``python -m repro serve`` / ``submit`` / ``batch``.
 """
 
 from repro.service.cache import (

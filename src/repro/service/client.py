@@ -1,6 +1,6 @@
 """Blocking HTTP client for the compile service.
 
-Three pieces every caller of the gateway (:mod:`repro.fleet.http`)
+Three pieces every caller of the gateway (:mod:`repro.service.http`)
 shares (the blob store's client, :mod:`repro.fleet.store`, only the
 first):
 

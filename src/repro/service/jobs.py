@@ -20,7 +20,9 @@ address of its own and is computed once whoever asks for it.
 
 A third internal kind, ``selftest``, exists for the service's own
 tests and smoke checks (echo a value, sleep, fail, or hard-crash the
-worker); it is never cached.
+worker); it is never cached.  A sleep is bounded (:data:`MAX_SLEEP_S`),
+and a crash computed outside a pool worker is an error, not an exit:
+no client stops a process that serves other clients.
 
 Payloads contain only *deterministic* fields -- simulated time, values,
 output, stats -- never wall-clock timings, so a served result can be
@@ -46,7 +48,13 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.comm.optimizer import CommConfig
 from repro.config import WIRE_FIELDS, RunConfig
 from repro.earth.interpreter import RunResult
-from repro.errors import ReproError, ServiceError, error_body, exit_code_for
+from repro.errors import (
+    ReproError,
+    ServiceError,
+    error_body,
+    exit_code_for,
+    shown,
+)
 from repro.harness.pipeline import (
     PIPELINE_VERSION,
     CompiledProgram,
@@ -62,6 +70,9 @@ from repro.service.cache import (
 JOB_KINDS = ("compile", "run", "selftest")
 
 _SELFTEST_BEHAVIORS = ("echo", "sleep", "fail", "crash")
+#: The longest ``sleep`` a selftest job may ask for, in seconds: a
+#: sleep holds a worker or a gateway thread for as long as it lasts.
+MAX_SLEEP_S = 60
 
 #: The run options a spec accepts: RunConfig's wire fields.
 _RUN_KEYS = frozenset(WIRE_FIELDS)
@@ -79,6 +90,10 @@ class JobSpec:
     ``args`` and ``max_stmts``, may stay None -- "the benchmark
     catalog's" -- and are kept as given until :meth:`resolved`."""
 
+    #: The most bytes a job carries: the UTF-8 form of ``source``, and
+    #: the request body a gateway reads (its framing takes this bound).
+    MAX_SOURCE_BYTES = 32 * 1024 * 1024
+
     def __init__(
         self,
         kind: str,
@@ -95,7 +110,7 @@ class JobSpec:
         **run_options,
     ):
         if kind not in JOB_KINDS:
-            raise ServiceError(f"unknown job kind {kind!r} "
+            raise ServiceError(f"unknown job kind {shown(kind)} "
                                f"(known: {', '.join(JOB_KINDS)})")
         if kind == "selftest":
             if not isinstance(selftest, dict) \
@@ -108,25 +123,34 @@ class JobSpec:
                 raise ServiceError(
                     f"{kind} jobs need exactly one of source= or "
                     f"benchmark=")
-        if selftest is not None and not isinstance(selftest, dict):
-            raise ServiceError(f"selftest must be an object, got "
-                               f"{type(selftest).__name__}")
+        if selftest is not None:
+            if not isinstance(selftest, dict):
+                raise ServiceError(f"selftest must be an object, got "
+                                   f"{type(selftest).__name__}")
+            _check_selftest(selftest)
         for name, text in (("source", source), ("benchmark", benchmark),
                            ("filename", filename)):
             if text is not None and not isinstance(text, str):
                 raise ServiceError(f"{name} must be a string, got "
                                    f"{type(text).__name__}")
+        # A character is at most four bytes: only a long text is encoded.
+        if source is not None \
+                and len(source) * 4 > self.MAX_SOURCE_BYTES \
+                and len(source.encode("utf-8", "surrogatepass")) \
+                > self.MAX_SOURCE_BYTES:
+            raise ServiceError(f"source must be at most "
+                               f"{self.MAX_SOURCE_BYTES} bytes of UTF-8")
         # On the wire "no" and 1 are truthy.
         for name, switch in (("optimize", optimize), ("small", small)):
             if type(switch) is not bool:
                 raise ServiceError(f"{name} must be a bool, got "
-                                   f"{switch!r}")
+                                   f"{shown(switch)}")
         # A string is a sequence too: "add" would inline 'a' and 'd'.
         if not isinstance(inline, bool) and not (
                 isinstance(inline, (list, tuple, set, frozenset))
                 and all(isinstance(name, str) for name in inline)):
             raise ServiceError(f"inline must be a bool or a list of "
-                               f"function names, got {inline!r}")
+                               f"function names, got {shown(inline)}")
         unknown = run_options.keys() - _RUN_KEYS
         if unknown:
             raise ServiceError(
@@ -258,12 +282,32 @@ class JobSpec:
         """Content address over the resolved inputs (including the
         pipeline version stamp).  Defined for every kind -- the server
         single-flights selftest jobs by this key too -- but only
-        :meth:`cacheable` kinds are stored."""
-        return cache_key(self.resolved())
+        :meth:`cacheable` kinds are stored.  A spec JSON cannot write
+        (an int past Python's digit limit for printing) has none."""
+        resolved = self.resolved()
+        try:
+            return cache_key(resolved)
+        except ValueError as exc:
+            raise ServiceError(f"job spec has no content address: "
+                               f"{exc}") from None
 
     def __repr__(self) -> str:
         what = self.benchmark or self.filename or "<inline>"
         return f"JobSpec({self.kind}, {what}, nodes={self.run.nodes})"
+
+
+def _check_selftest(selftest: Dict[str, object]) -> None:
+    """Refuse a selftest whose ``sleep`` or ``crash`` would not end."""
+    seconds = selftest.get("seconds", 0)
+    # NaN fails the range test too; a bool is no number of seconds.
+    if type(seconds) not in (int, float) \
+            or not 0 <= seconds <= MAX_SLEEP_S:
+        raise ServiceError(f"selftest seconds must be a number in "
+                           f"[0, {MAX_SLEEP_S}]")
+    code = selftest.get("exit_code", 17)
+    if type(code) is not int or not 1 <= code <= 255:
+        raise ServiceError("selftest exit_code must be an integer in "
+                           "[1, 255]")
 
 
 class JobResult:
@@ -409,7 +453,8 @@ def _compile_for(resolved: Dict[str, object]) -> CompiledProgram:
     return compiled
 
 
-def _execute_selftest(spec: JobSpec) -> Dict[str, object]:
+def _execute_selftest(spec: JobSpec,
+                      worker: Optional[int]) -> Dict[str, object]:
     behavior = spec.selftest["behavior"]
     if behavior == "echo":
         return {"echo": spec.selftest.get("value")}
@@ -419,16 +464,19 @@ def _execute_selftest(spec: JobSpec) -> Dict[str, object]:
         return {"slept_s": seconds, "echo": spec.selftest.get("value")}
     if behavior == "fail":
         raise ServiceError(spec.selftest.get("message", "selftest failure"))
-    # "crash": kill the process without cleanup -- exercises the pool's
-    # crash detection and bounded requeue.  Only ever submitted by the
-    # service's own tests.
-    os._exit(int(spec.selftest.get("exit_code", 17)))
+    # "crash": kill the worker process without cleanup -- exercises the
+    # pool's crash detection and bounded requeue.  Outside a worker (an
+    # inline pool, a gateway's own process) there is none to kill.
+    if worker is None:
+        raise ServiceError("a selftest crash needs a pool worker to "
+                           "crash; this job was computed in-process")
+    os._exit(spec.selftest.get("exit_code", 17))
 
 
-def _compute_payload(spec: JobSpec,
-                     resolved: Dict[str, object]) -> Dict[str, object]:
+def _compute_payload(spec: JobSpec, resolved: Dict[str, object],
+                     worker: Optional[int]) -> Dict[str, object]:
     if spec.kind == "selftest":
-        return _execute_selftest(spec)
+        return _execute_selftest(spec, worker)
     if spec.kind == "compile":
         return compile_payload(_compile_for(resolved))
     compiled = _compile_for(resolved)
@@ -443,7 +491,7 @@ def compute_job(spec: JobSpec, worker: Optional[int] = None) -> JobResult:
     payload or structured error out.  No cache, no key."""
     start = time.perf_counter()
     try:
-        payload = _compute_payload(spec, spec.resolved())
+        payload = _compute_payload(spec, spec.resolved(), worker)
     except (ReproError, OSError, ValueError, KeyError,
             AssertionError) as exc:
         return JobResult.failed(spec.kind, exc, worker=worker,

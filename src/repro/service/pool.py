@@ -38,25 +38,24 @@ Guarantees:
 
 ``workers=0`` computes misses inline in the submitting thread (no
 subprocesses) -- the serial baseline and the mode embedded servers use
-on single-core hosts -- and differs in nothing else.
-
-:class:`JobAdmission` is the door a server puts in front of the pool.
+on single-core hosts -- and differs in nothing else.  The door a
+server puts in front of the pool is
+:class:`repro.service.http.HttpGateway`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import multiprocessing
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from multiprocessing.connection import wait as wait_ready
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError, ServiceError, error_body
+from repro.errors import ServiceError
 from repro.obs.metrics import ServiceMetrics
 from repro.service.cache import DEFAULT_CACHE_DIR, ArtifactCache
 from repro.service.jobs import CachedJob, JobResult, JobSpec, compute_job
@@ -421,98 +420,3 @@ class WorkerPool:
     def __repr__(self) -> str:
         mode = "inline" if self.workers == 0 else f"{self.workers} procs"
         return f"WorkerPool({mode}, cache={self.cache_dir!r})"
-
-
-class JobAdmission:
-    """The one place a served job is admitted to a :class:`WorkerPool`.
-
-    * **single-flight deduplication** -- identical jobs (same content
-      address) submitted while one is already executing *join* the
-      in-flight computation instead of re-running it; every joiner
-      gets the same payload;
-    * **backpressure** -- beyond ``max_queue_depth`` concurrently
-      admitted jobs, new submissions are refused at once with a
-      structured ``Busy`` error (clients retry; the server never
-      builds an unbounded queue).
-
-    Before either, a job whose payload is in the cache's memory tier
-    is answered on the event loop (:meth:`WorkerPool.recall`).  Such a
-    hit is never admitted: it takes no executor thread, joins no
-    flight, is never refused ``Busy`` and does not raise
-    ``peak_queue_depth``.  Everything else -- a memory miss, a disk
-    hit, a compute -- crosses to an executor thread."""
-
-    def __init__(self, pool: WorkerPool, max_queue_depth: int = 64):
-        self.pool = pool
-        self.max_queue_depth = max_queue_depth
-        self.metrics = pool.metrics
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._admitted = 0
-        # Executor threads bridge the async loop to the blocking pool.
-        # Over workers a thread only looks up, waits and stores, so
-        # every admitted job gets one and a hit never queues behind
-        # misses; inline (workers=0) the threads compute, so few.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(4, max_queue_depth if pool.workers else 0),
-            thread_name_prefix="serve-job")
-
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
-    def shutdown(self) -> None:
-        self._executor.shutdown(wait=False)
-
-    async def submit(self, job: object) -> Dict[str, object]:
-        """Admit and run one job; returns the response dict
-        (``{"ok": ..., "singleflight": ..., "result": ...}`` or a
-        structured error)."""
-        try:
-            spec = JobSpec.from_dict(job)
-            key = spec.canonical_key()
-        except ReproError as exc:
-            return error_body(type(exc).__name__, str(exc))
-        except Exception as exc:
-            # Whatever a malformed spec trips over, the client is told
-            # its job was bad, not which Python exception said so.
-            return error_body("ServiceError", f"bad job spec: {exc}")
-
-        # Before single-flight and back-pressure: a memory hit needs
-        # no thread and no slot.
-        result = self.pool.recall(spec, key)
-        if result is not None:
-            return {"ok": True, "singleflight": False,
-                    "result": result.to_dict()}
-
-        existing = self._inflight.get(key)
-        if existing is not None:
-            # Single-flight join: ride the in-flight computation.
-            self.metrics.incr("singleflight_hits")
-            result = await asyncio.shield(existing)
-            return {"ok": True, "singleflight": True,
-                    "result": result.to_dict()}
-
-        if self._admitted >= self.max_queue_depth:
-            self.metrics.incr("rejected_busy")
-            return error_body(
-                "Busy",
-                f"queue depth limit reached "
-                f"({self.max_queue_depth} jobs in flight); retry",
-                retry=True)
-
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        self._admitted += 1
-        try:
-            result = await loop.run_in_executor(
-                self._executor, self.pool.run_job, spec, None, key)
-            future.set_result(result)
-        except Exception as exc:
-            result = JobResult.failed(spec.kind, exc, 6, key=key)
-            future.set_result(result)
-        finally:
-            self._admitted -= 1
-            self._inflight.pop(key, None)
-        return {"ok": True, "singleflight": False,
-                "result": result.to_dict()}

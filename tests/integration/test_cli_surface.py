@@ -153,7 +153,7 @@ def test_batch_sweep_carries_every_run_flag(capsys):
 
 def test_submit_carries_every_run_flag(capsys):
     import json
-    from tests.fleet.conftest import start_gateway
+    from tests.service.conftest import start_gateway
     server = start_gateway(workers=0)
     try:
         code = main(["submit", "--benchmark", "power", "--small",
@@ -183,7 +183,7 @@ def test_submit_carries_every_run_flag(capsys):
 
 def test_batch_connect_sweeps_legs_through_the_gateway(capsys):
     import json
-    from tests.fleet.conftest import start_gateway
+    from tests.service.conftest import start_gateway
     server = start_gateway(workers=0)
     argv = ["batch", "--benchmarks", "power", "--small", "--nodes",
             "1,2", "--kind", "four-way", "--connect",

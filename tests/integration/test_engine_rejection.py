@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.service.jobs import JobSpec
 
-from tests.fleet.conftest import start_gateway
+from tests.service.conftest import start_gateway
 
 #: The tier deleted in 2.0.
 REMOVED = 'closure'

@@ -9,12 +9,17 @@ inf and nested junk.  ``JobSpec.from_dict`` -> ``canonical_key`` ->
 ``execute_job`` must end in a :class:`JobResult` or a
 :class:`~repro.errors.ReproError`, and a spec the wire accepts must
 keep what it was given (a string ``inline`` once became a list of its
-characters).
+characters).  Every selftest behaviour is drawn: computed in-process a
+``crash`` is a structured error, and a ``sleep`` draws only short or
+refused lengths.
 
-Two selftest behaviours are left out: ``sleep`` and ``crash`` do what
-they say on purpose (the service's own tests drive them)."""
+The same specs, and bodies that are no spec at all, are posted to one
+in-process gateway: every answer is a JSON error body or an envelope,
+under the status its error code maps to -- never a 500, never a
+dropped connection."""
 
 import dataclasses
+import http.client
 import json
 import math
 
@@ -26,20 +31,36 @@ from repro.comm.optimizer import CommConfig
 from repro.config import PARAMS_PRESETS, WIRE_FIELDS, RunConfig
 from repro.earth.faults import FaultPlan
 from repro.earth.interpreter import ENGINES
-from repro.errors import ReproError
-from repro.service.jobs import JOB_KINDS, JobResult, JobSpec, execute_job
+from repro.errors import ReproError, http_status_for
+from repro.service.jobs import (
+    JOB_KINDS,
+    MAX_SLEEP_S,
+    JobResult,
+    JobSpec,
+    execute_job,
+)
+from tests.service.conftest import start_gateway
 
 SOURCE = "int main(int n) { return n + 1; }"
 
 FUZZ = settings(max_examples=20, derandomize=True, deadline=None,
                 suppress_health_check=list(HealthCheck))
 
-HUGE = st.sampled_from([2**31, -2**31 - 1, 2**63, 10**18, 10**400,
-                        -10**400])
+
+
+def _power_of_ten(exponent):
+    """``10**exponent``, signed as ``exponent``."""
+    return 10 ** exponent if exponent > 0 else -10 ** -exponent
+
+
+#: Past 4,300 digits an int has no repr and no JSON text (so it is
+#: built after the draw: a strategy holding one has no repr either).
+HUGE = st.sampled_from([2**31, -2**31 - 1, 2**63, 10**18]) \
+    | st.sampled_from([400, -400, 5000, -5000]).map(_power_of_ten)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 JUNK = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(max_size=4),
+    | st.text(max_size=4) | HUGE,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
@@ -123,9 +144,16 @@ SPEC_FIELDS = {
     "inline": st.booleans() | st.lists(
         st.sampled_from(["add", "main", "a"]), max_size=2),
     "small": st.booleans(),
+    # Never a long valid sleep: a drawn one is at most a millisecond.
     "selftest": st.fixed_dictionaries(
-        {"behavior": st.sampled_from(["echo", "fail", "nope"])},
-        optional={"value": JUNK, "message": JUNK}),
+        {"behavior": st.sampled_from(["echo", "sleep", "fail", "crash",
+                                      "nope"])},
+        optional={"value": JUNK, "message": JUNK,
+                  "seconds": st.sampled_from([0, 0.001]) | HUGE
+                  | st.sampled_from([-0.001, MAX_SLEEP_S + 1, math.nan,
+                                     math.inf, "0", True]),
+                  "exit_code": st.sampled_from([1, 17, 255]) | HUGE
+                  | st.sampled_from([0, 256, 1.0, True])}),
 }
 
 FIELDS = {**SPEC_FIELDS, **RUN_FIELDS}
@@ -195,3 +223,90 @@ def test_a_spec_ends_in_an_answer_or_a_structured_error(field, data):
 @given(JUNK)
 def test_junk_ends_in_a_structured_error(job):
     _ends_well(job)
+
+
+@pytest.mark.parametrize("exponent", [5000, -5000])
+@pytest.mark.parametrize("field", sorted(INT_RANGES) + ["inline", "kind"])
+def test_an_int_with_no_repr_is_a_structured_error(field, exponent):
+    """Every int wire field, and ``inline``, alone or in a list: the
+    refusal never echoes an int Python cannot print."""
+    huge = _power_of_ten(exponent)
+    for value in (huge, [huge]):
+        with pytest.raises(ReproError):
+            JobSpec.from_dict({"kind": "run", "source": SOURCE,
+                               field: value}).canonical_key()
+
+
+# -- the gateway -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def live():
+    """One in-process gateway computing inline, memory cache only."""
+    gateway = start_gateway(workers=0)
+    yield gateway
+    gateway.close()
+
+
+def _body(job):
+    """The request body for ``job``: its JSON, or None where JSON has
+    no text for it (an int past 4,300 digits)."""
+    try:
+        return json.dumps(job).encode("utf-8")
+    except ValueError:
+        return None
+
+
+def _post(live, data):
+    """One raw ``POST /v1/jobs``; a dropped connection raises."""
+    connection = http.client.HTTPConnection(live.host, live.port,
+                                            timeout=30)
+    try:
+        connection.request("POST", "/v1/jobs", body=data)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def _answers_well(live, data):
+    status, body = _post(live, data)
+    assert status != 500, body
+    if "result" in body:
+        assert set(body) == {"ok", "singleflight", "result"}
+        result = body["result"]
+        assert body["ok"] is result["ok"]
+        expected = 200 if result["ok"] \
+            else http_status_for(result["error"]["code"])
+    else:
+        assert body["ok"] is False
+        assert set(body["error"]) == {"type", "message", "code"}
+        busy = body["error"]["type"] == "Busy"
+        assert set(body) == ({"ok", "error", "retry"} if busy
+                             else {"ok", "error"})
+        expected = 503 if busy else 400
+    assert status == expected, body
+
+
+#: What a body can be besides a spec: nothing, not JSON, not an object.
+NOT_A_SPEC = st.just(b"") | st.binary(max_size=6) | JUNK.filter(
+    lambda value: not isinstance(value, dict)).map(_body)
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=st.data())
+def test_the_gateway_answers_every_body(live, data):
+    """A well-meant spec, one with a field set to anything, or a body
+    that is no spec: a structured answer, under its mapped status."""
+    case = data.draw(st.sampled_from(["spec", "fuzzed", "body"]))
+    if case == "body":
+        body = data.draw(NOT_A_SPEC, label="body")
+    else:
+        job = data.draw(jobs())
+        if case == "fuzzed":
+            field = data.draw(st.sampled_from(sorted(FUZZED)),
+                              label="field")
+            job[field] = data.draw(_any(FUZZED[field]), label=field)
+        body = _body(job)
+    if body is not None:
+        _answers_well(live, body)

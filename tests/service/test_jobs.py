@@ -21,6 +21,7 @@ from repro.olden.loader import get_benchmark
 from repro.service import jobs
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import (
+    MAX_SLEEP_S,
     JobResult,
     JobSpec,
     compute_job,
@@ -246,6 +247,36 @@ class TestSpecValidation:
         with pytest.raises(ServiceError, match="behavior"):
             JobSpec("selftest", selftest={"behavior": "explode"})
 
+    @pytest.mark.parametrize("selftest,message", [
+        ({"seconds": MAX_SLEEP_S + 0.5}, "seconds"),
+        ({"seconds": -1}, "seconds"),
+        ({"seconds": float("nan")}, "seconds"),
+        ({"seconds": "1"}, "seconds"),
+        ({"seconds": True}, "seconds"),
+        ({"exit_code": 0}, "exit_code"),
+        ({"exit_code": 256}, "exit_code"),
+        ({"exit_code": 1.0}, "exit_code")])
+    def test_a_selftest_that_would_not_end_is_refused(self, selftest,
+                                                      message):
+        for behavior in ("sleep", "crash"):
+            with pytest.raises(ServiceError, match=f"selftest {message}"):
+                JobSpec("selftest",
+                        selftest=dict(selftest, behavior=behavior))
+        JobSpec("selftest", selftest={"behavior": "sleep",
+                                      "seconds": MAX_SLEEP_S})
+        JobSpec("selftest", selftest={"behavior": "crash",
+                                      "exit_code": 255})
+
+    def test_a_source_has_the_request_body_bound(self):
+        """Counted in UTF-8 bytes: an in-process spec meets the bound a
+        served one meets in the gateway's framing."""
+        bound = JobSpec.MAX_SOURCE_BYTES
+        assert JobSpec("compile", source="x" * bound).source
+        for source in ("x" * (bound + 1), "\u00e9" * (bound // 2 + 1)):
+            with pytest.raises(ServiceError, match="source must be at "
+                                                   "most"):
+                JobSpec("compile", source=source)
+
     @pytest.mark.parametrize("inline", ["add", [1], ["add", None], 1,
                                         {"add": True}],
                              ids=["string", "int-list", "none-in-list",
@@ -436,6 +467,15 @@ class TestExecuteJob:
                                     strict_nil_reads=True,
                                     comm={"speculative_reads": False}))
         assert clean.ok and clean.payload["run"]["value"] == 47217
+
+    def test_a_crash_outside_a_worker_is_a_job_error(self):
+        """No pool worker computes it, so no process is there to crash
+        but this one."""
+        result = execute_job(JobSpec("selftest",
+                                     selftest={"behavior": "crash"}))
+        assert not result.ok
+        assert result.error["type"] == "ServiceError"
+        assert "pool worker" in result.error["message"]
 
     def test_unknown_benchmark_is_a_job_error(self):
         result = execute_job(JobSpec("run", benchmark="fibonacci"))

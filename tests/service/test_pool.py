@@ -1,7 +1,6 @@
 """WorkerPool: its one cache, scheduling, crash/timeout resilience,
 determinism."""
 
-import asyncio
 import builtins
 import sys
 import threading
@@ -13,7 +12,8 @@ from repro.errors import ServiceError
 from repro.olden.loader import get_benchmark
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import JobSpec, execute_job
-from repro.service.pool import JobAdmission, WorkerPool
+from repro.service.pool import WorkerPool
+from tests.service.conftest import start_gateway
 
 SOURCE = "int main(int n) { return n * 2; }"
 #: Counts to ``n``: a job that outlasts any test.
@@ -128,12 +128,12 @@ class TestOneCache:
             return canonical_key(spec)
 
         monkeypatch.setattr(JobSpec, "canonical_key", counting)
-        with WorkerPool(workers=0, cache_dir=None) as pool:
-            admission = JobAdmission(pool)
-            try:
-                response = asyncio.run(admission.submit(self.A.to_dict()))
-            finally:
-                admission.shutdown()
+        live = start_gateway(workers=0)
+        try:
+            _, response = live.request("POST", "/v1/jobs",
+                                       body=self.A.to_dict())
+        finally:
+            live.close()
         assert response["result"]["cache"] == "miss"
         assert response["result"]["key"] == canonical_key(self.A)
         assert calls == ["run"]
@@ -150,18 +150,15 @@ class TestOneCache:
             opened.append(args[0])
             return real_open(*args, **kwargs)
 
-        async def admit_twice(admission):
-            return [await admission.submit(spec.to_dict())
-                    for _ in range(2)]
-
-        with WorkerPool(workers=0, cache_dir=None) as pool:
-            admission = JobAdmission(pool)
-            monkeypatch.setattr(builtins, "open", spy)
-            try:
-                miss, hit = asyncio.run(admit_twice(admission))
-            finally:
-                monkeypatch.undo()
-                admission.shutdown()
+        live = start_gateway(workers=0)
+        monkeypatch.setattr(builtins, "open", spy)
+        try:
+            miss, hit = [live.request("POST", "/v1/jobs",
+                                      body=spec.to_dict())[1]
+                         for _ in range(2)]
+        finally:
+            monkeypatch.undo()
+            live.close()
         assert [miss["result"]["cache"], hit["result"]["cache"]] == \
             ["miss", "hit"]
         assert opened == []

@@ -7,11 +7,11 @@ import sys
 import pytest
 
 from repro.errors import ServiceError
-from repro.fleet.loadgen import FleetProcess, free_port
-from repro.service.client import ServiceClient, wait_for_server
+from repro.fleet.loadgen import FleetProcess, free_port, launch_gateway
+from repro.service.client import ServiceClient, http_json, wait_for_server
 from repro.service.jobs import JobSpec
 
-from tests.fleet.conftest import start_gateway
+from tests.service.conftest import start_gateway
 
 SOURCE = "int main(int n) { return n + 1; }"
 ECHO = JobSpec("selftest", selftest={"behavior": "echo"})
@@ -106,3 +106,21 @@ def test_serve_subprocess_as_the_benchmark_probes_it(tmp_path):
         assert server.proc.wait(timeout=10.0) == 0
     finally:
         server.kill()
+
+
+def test_a_crash_job_does_not_stop_an_inline_gateway():
+    """``serve --workers 0`` computes in its own process: a crash job is
+    answered with a structured error, and the gateway lives on."""
+    gateway = launch_gateway(None, workers=0)
+    try:
+        status, body = http_json(
+            "POST", gateway.host, gateway.port, "/v1/jobs",
+            body={"kind": "selftest", "selftest": {"behavior": "crash"}})
+        assert status == 503
+        assert body["result"]["error"]["type"] == "ServiceError"
+        status, health = http_json("GET", gateway.host, gateway.port,
+                                   "/healthz")
+        assert status == 200 and health["ok"] is True
+    finally:
+        gateway.shutdown()
+    assert gateway.proc.returncode == 0
